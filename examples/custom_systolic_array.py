@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Build your own virtual systolic array with the PULSAR runtime.
+r"""Build your own virtual systolic array with the PULSAR runtime.
 
 The QR decomposition is one application; PULSAR itself is a general
 programming model (paper Section IV).  This example implements a classic

@@ -219,6 +219,6 @@ def lint_paths(
 
 # Importing the rules module populates RULES as a side effect.
 from . import rules as _rules  # noqa: E402  (registration import)
-from .__main__ import main  # noqa: E402
+from .cli import main  # noqa: E402
 
 del _rules

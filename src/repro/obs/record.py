@@ -611,8 +611,9 @@ def current_lane() -> int:
 # -- op identity -------------------------------------------------------------
 # Which schedule-order op index the *current thread* is executing, so the
 # kernel shim can tag each span with the op it realises.  Executors that know
-# the op list (the serial loop, the PULSAR VDP bodies) set this just before
-# calling the kernel; the parallel backend's dispatcher tags spans directly.
+# the op list (the execution core's driver, the PULSAR VDP bodies) set this
+# just before calling the kernel; the parallel backend's dispatcher tags
+# spans directly.
 _OP = threading.local()
 
 

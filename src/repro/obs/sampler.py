@@ -19,14 +19,18 @@ the interval produces a usable file.  Tail or summarise with::
     python -m repro.obs.monitor metrics.jsonl [--follow]
 
 Wiring: ``qr_factor(..., metrics="metrics.jsonl")`` starts a sampler
-around whichever backend runs; the serial executor, the PULSAR runtime and
-the parallel dispatcher each register their gauges for the duration of the
-run (names below).
+around whichever backend runs; the in-process driver
+(:func:`repro.qr.execute.run_schedule`), the PULSAR runtime and the
+parallel dispatcher each register their gauges for the duration of the run
+(names below).
 
 Gauge vocabulary
 ----------------
 ========================== ===================================================
-``serial.ops_done``        ops completed by the reference executor
+``serial.ops_done``        ops completed by the in-process driver in program
+                           order (``backend="serial"``)
+``batched.ops_done``       the same driver walking wavefronts
+                           (``backend="batched"``)
 ``pulsar.firings``         VDP firings so far
 ``pulsar.workers_alive``   live worker threads across nodes
 ``pulsar.outgoing_depth``  packets queued on node outgoing channels

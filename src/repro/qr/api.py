@@ -12,24 +12,10 @@ This is the public face of the library::
 
 Backends
 --------
-``serial``
-    The reference executor: one Python thread, kernels run in schedule
-    order.  Fast and always available.
-``batched``
-    Wavefront-batched execution in one Python thread
-    (:mod:`repro.qr.wavefront`): the op DAG is cut into level-synchronous
-    wavefronts and same-shape ops fuse into single stacked NumPy kernel
-    calls, amortising per-op dispatch overhead.  Factors bit-identical
-    to ``serial``.
-``parallel``
-    Process-pool execution of the same operation list over shared-memory
-    tiles (:mod:`repro.qr.parallel`): real multi-core wall-clock speedup,
-    factors bit-identical to ``serial``.  Falls back to the serial
-    executor when ``n_procs=1`` or shared memory is unavailable.
-``pulsar``
-    The full 3D virtual systolic array on the threaded PULSAR runtime,
-    optionally across several simulated distributed-memory nodes.  Produces
-    bit-identical factors to ``serial``; exercises the real dataflow.
+``backend=`` selects ``"serial"`` (default), ``"batched"``, ``"parallel"``
+or ``"pulsar"``; all four produce bit-identical factors.
+:mod:`repro.qr.backends` describes each one and tabulates which features
+(checkpointing, sessions, resume, fault families) it supports.
 
 Observability
 -------------
@@ -60,8 +46,9 @@ from ..util.errors import (
     ScheduleCertificationError,
 )
 from ..util.validation import as_f64_matrix, check_tile_params, require
+from .backends import require_capability, run_backend, serial_fallback, worker_count
 from .ops import expand_plans
-from .reference import TileQRFactors, execute_ops
+from .reference import TileQRFactors
 
 __all__ = ["QRFactorization", "qr_factor", "lstsq"]
 
@@ -310,7 +297,7 @@ def qr_factor(
         them fixed (6a).
     backend:
         ``"serial"``, ``"batched"``, ``"parallel"``, or ``"pulsar"``
-        (see module docstring).
+        (see :mod:`repro.qr.backends`).
     n_nodes, workers_per_node, policy, seed:
         PULSAR launch parameters (``backend="pulsar"`` only): simulated node
         count, worker threads per node, lazy/aggressive scheduling, network
@@ -421,48 +408,29 @@ def qr_factor(
         from ..machine.model import kraken
         from ..trees.auto import choose_domain_size
 
-        if backend == "pulsar":
-            workers = n_nodes * workers_per_node
-        elif backend == "parallel":
-            if session is not None:
-                workers = session.n_procs
-            else:
-                from .parallel import default_n_procs
-
-                workers = n_procs if n_procs is not None else default_n_procs()
-        else:
-            workers = None
+        workers = worker_count(
+            backend, n_nodes=n_nodes, workers_per_node=workers_per_node,
+            n_procs=n_procs, session=session,
+        )
         h = choose_domain_size(
             tm.mt, machine=kraken(), nb=tm.nb, ib=ib, workers=workers
         )
     elif isinstance(h, str):
         raise ConfigurationError(f"h must be an int or 'auto', got {h!r}")
-    if backend not in ("serial", "batched", "parallel", "pulsar"):
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; expected 'serial', 'batched', "
-            "'parallel', or 'pulsar'"
-        )
+    require_capability(backend)
     if on_failure not in ("raise", "fallback"):
         raise ConfigurationError(
             f"on_failure must be 'raise' or 'fallback', got {on_failure!r}"
         )
     ckpt = None
     if checkpoint is not None:
-        if backend == "pulsar":
-            raise ConfigurationError(
-                "checkpoint= supports the 'serial', 'batched', and "
-                "'parallel' backends; the pulsar VSA owns its tile store"
-            )
+        require_capability(backend, "checkpoint")
         from .persist import as_checkpoint_store
 
         ckpt = as_checkpoint_store(checkpoint)
     if session is not None:
         session._check_open()
-        if backend == "pulsar":
-            raise ConfigurationError(
-                "session= supports the 'serial', 'batched', and 'parallel' "
-                "backends; the pulsar VSA builds its own runtime per call"
-            )
+        require_capability(backend, "session")
         if backend == "parallel" and n_procs is not None and n_procs != session.n_procs:
             raise ConfigurationError(
                 f"n_procs={n_procs} conflicts with the session's pool size "
@@ -529,49 +497,12 @@ def qr_factor(
                     )
             if ckpt is not None:
                 ckpt.bind(tm, ops, ib, kind.value, h, shifted)
-            if backend == "serial":
-                if recorder is not None:
-                    recorder.name_lane(0, "serial")
-                factors = execute_ops(
-                    tm, ops, ib, fault_plan=fault_plan, checkpoint=ckpt
-                )
-                stats = None
-            elif backend == "batched":
-                from .wavefront import execute_ops_batched
-
-                factors = execute_ops_batched(
-                    tm, ops, ib,
-                    wavefronts=None if entry is None else entry.wavefronts(),
-                    fault_plan=fault_plan, checkpoint=ckpt,
-                )
-                stats = None
-            elif backend == "parallel":
-                if entry is not None:
-                    factors, stats = session._execute_parallel(
-                        tm, ops, ib, entry, policy=policy, batch=batch,
-                        fault_plan=fault_plan, checkpoint=ckpt,
-                    )
-                else:
-                    from .parallel import execute_ops_parallel
-
-                    factors, stats = execute_ops_parallel(
-                        tm, ops, ib, n_procs=n_procs, policy=policy,
-                        batch=batch, fault_plan=fault_plan, checkpoint=ckpt,
-                    )
-            else:  # pulsar
-                from .collector import assemble_factors
-                from .vsa3d import build_qr_vsa
-
-                total = n_nodes * workers_per_node
-                arr = build_qr_vsa(tm, plans, ib=ib, total_workers=total)
-                stats = arr.run(
-                    n_nodes=n_nodes,
-                    workers_per_node=workers_per_node,
-                    policy=policy,
-                    seed=seed,
-                    fault_plan=fault_plan,
-                )
-                factors = assemble_factors(arr.store, ops, ib)
+            factors, stats = run_backend(
+                backend, tm, ops, ib, plans=plans, session=session, entry=entry,
+                n_procs=n_procs, policy=policy, batch=batch, n_nodes=n_nodes,
+                workers_per_node=workers_per_node, seed=seed,
+                fault_plan=fault_plan, checkpoint=ckpt,
+            )
         except ConfigurationError:
             status = "error"
             raise  # a bad parameter would fail on the serial path too
@@ -579,10 +510,8 @@ def qr_factor(
             if pristine is None:
                 status = "error"
                 raise
-            from .parallel import _fallback
-
             reason = f"{backend} backend failed: {type(exc).__name__}: {exc}"
-            factors, stats = _fallback(pristine, ops, ib, reason, policy)
+            factors, stats = serial_fallback(pristine, ops, ib, reason, policy)
             status = "fallback"
         finally:
             if sampler is not None:

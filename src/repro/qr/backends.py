@@ -1,0 +1,199 @@
+"""Backend registry: what each backend is, what it supports, how to reach it.
+
+``serial``
+    The reference executor: one Python thread, kernels run in schedule
+    order.  Fast and always available.
+``batched``
+    Wavefront-batched execution in one Python thread: the op DAG is cut
+    into level-synchronous wavefronts and same-shape ops fuse into single
+    stacked NumPy kernel calls, amortising per-op dispatch overhead.
+``parallel``
+    Process-pool execution over shared-memory tiles
+    (:mod:`repro.qr.parallel`): real multi-core wall-clock speedup.  Falls
+    back to the serial executor when ``n_procs=1`` or shared memory is
+    unavailable.
+``pulsar``
+    The full 3D virtual systolic array on the threaded PULSAR runtime,
+    optionally across several simulated distributed-memory nodes;
+    exercises the real dataflow.
+
+The first three are *schedules over the execution core*
+(:mod:`repro.qr.execute`) — program order, wavefronts, and the same steps
+on worker processes.  ``pulsar`` is a separate executor: its VDPs fire
+kernels on channel-delivered tiles, not on a store, which is exactly why it
+lacks the store-based capabilities in :data:`CAPABILITIES`.
+:func:`~repro.qr.api.qr_factor` and
+:func:`~repro.qr.persist.resume_factorization` validate a request against
+that one table and reach the executor through one function,
+:func:`run_backend`; :func:`serial_fallback` is the degradation every
+backend shares.
+"""
+
+from __future__ import annotations
+
+import time
+
+from ..obs import record as _obs_record
+from ..obs.record import K_FALLBACK_SERIAL
+from ..util.errors import ConfigurationError
+from . import parallel as _parallel
+from .collector import assemble_factors
+from .reference import execute_ops
+from .vsa3d import build_qr_vsa
+from .wavefront import execute_ops_batched
+
+__all__ = [
+    "CAPABILITIES",
+    "require_capability",
+    "capability_table",
+    "worker_count",
+    "run_backend",
+    "serial_fallback",
+]
+
+#: ``backend -> feature -> supported``.  ``checkpoint`` / ``session`` are the
+#: ``qr_factor`` keywords, ``resume`` is ``resume_factorization(backend=)``;
+#: ``sdc_flips`` / ``fabric_faults`` say which :class:`~repro.faults.FaultPlan`
+#: families the backend acts on (the others are ignored, not rejected).
+#: ``docs/robustness.md`` carries :func:`capability_table` verbatim.
+CAPABILITIES = {
+    "serial": dict(checkpoint=True, session=True, resume=True, sdc_flips=True, fabric_faults=False),
+    "batched": dict(checkpoint=True, session=True, resume=True, sdc_flips=True, fabric_faults=False),
+    "parallel": dict(checkpoint=True, session=True, resume=True, sdc_flips=True, fabric_faults=False),
+    "pulsar": dict(checkpoint=False, session=False, resume=False, sdc_flips=False, fabric_faults=True),
+}
+
+#: Rejection message per missing feature (``None``: the backend itself).
+_REJECTIONS = {
+    None: "unknown backend {backend!r}; expected {any_of}",
+    "checkpoint": "checkpoint= supports the {all_of} backends; the pulsar VSA owns its tile store",
+    "session": "session= supports the {all_of} backends; "
+               "the pulsar VSA builds its own runtime per call",
+    "resume": "resume_factorization supports {any_of}, got {backend!r}",
+}
+
+
+def require_capability(backend: str, feature: str | None = None) -> None:
+    """Raise :class:`ConfigurationError` unless ``backend`` exists and
+    supports ``feature`` (``None``: just check the name)."""
+    caps = CAPABILITIES.get(backend)
+    if caps is None and feature != "resume":
+        feature = None  # an unknown name outranks the feature it lacks
+    if caps is not None and (feature is None or caps[feature]):
+        return
+    ok = [repr(b) for b, c in CAPABILITIES.items() if feature is None or c[feature]]
+    head = ", ".join(ok[:-1])
+    raise ConfigurationError(_REJECTIONS[feature].format(
+        backend=backend, all_of=f"{head}, and {ok[-1]}", any_of=f"{head}, or {ok[-1]}",
+    ))
+
+
+def capability_table() -> str:
+    """The supported-combinations table of ``docs/robustness.md`` (markdown)."""
+    columns = {
+        "checkpoint": "`checkpoint=`",
+        "session": "`session=`",
+        "resume": "`resume_factorization`",
+        "sdc_flips": "`flip_rate` acted on",
+        "fabric_faults": "fabric faults acted on",
+    }
+    rows = ["| backend | " + " | ".join(columns.values()) + " |",
+            "|---|" + "---|" * len(columns)]
+    for backend, caps in CAPABILITIES.items():
+        cells = ("yes" if caps[feature] else "no" for feature in columns)
+        rows.append(f"| `{backend}` | " + " | ".join(cells) + " |")
+    return "\n".join(rows)
+
+
+def worker_count(backend: str, *, n_nodes: int = 1, workers_per_node: int = 1,
+                 n_procs: int | None = None, session=None) -> int | None:
+    """Concurrent workers ``backend`` will run on (``None``: one in-process
+    lane) — what ``h="auto"`` sizes the tree's domains for."""
+    if backend == "pulsar":
+        return n_nodes * workers_per_node
+    if backend == "parallel":
+        if session is not None:
+            return session.n_procs
+        return n_procs if n_procs is not None else _parallel.default_n_procs()
+    return None
+
+
+def run_backend(
+    backend: str, tm, ops, ib: int, *,
+    plans=None, session=None, entry=None,
+    n_procs=None, policy="lazy", batch=None,
+    n_nodes=1, workers_per_node=1, seed=None,
+    fault_plan=None, checkpoint=None, skip=None, preloaded_ts=None,
+):
+    """Execute ``ops`` on ``tm`` with ``backend``; return ``(factors, stats)``.
+
+    ``entry`` is the :class:`~repro.qr.session.QRSession` plan entry when
+    the call runs through ``session`` (memoized wavefronts for ``batched``,
+    the session's pool and arena for ``parallel``); ``plans`` feeds the
+    pulsar VSA builder.  ``skip`` / ``preloaded_ts`` are the resume path.
+    ``stats`` is ``None`` for the single-lane backends.
+    """
+    common = dict(fault_plan=fault_plan, checkpoint=checkpoint,
+                  skip=skip, preloaded_ts=preloaded_ts)
+    if backend == "serial":
+        return execute_ops(tm, ops, ib, **common), None
+    if backend == "batched":
+        wavefronts = None if entry is None else entry.wavefronts()
+        return execute_ops_batched(tm, ops, ib, wavefronts=wavefronts, **common), None
+    if backend == "parallel":
+        if session is not None:  # never a resume: the session plans from scratch
+            return session._execute_parallel(
+                tm, ops, ib, entry, policy=policy, batch=batch,
+                fault_plan=fault_plan, checkpoint=checkpoint,
+            )
+        return _parallel.execute_ops_parallel(
+            tm, ops, ib, n_procs=n_procs, policy=policy, batch=batch, **common
+        )
+    arr = build_qr_vsa(tm, plans, ib=ib, total_workers=n_nodes * workers_per_node)
+    stats = arr.run(
+        n_nodes=n_nodes, workers_per_node=workers_per_node, policy=policy,
+        seed=seed, fault_plan=fault_plan,
+    )
+    return assemble_factors(arr.store, ops, ib), stats
+
+
+def serial_fallback(a, ops, ib: int, reason: str, policy: str,
+                    *, checkpoint=None, skip=None, preloaded_ts=None):
+    """Serial-reference degradation: same factors, reason on the record.
+
+    The reason is never silent: it lands in ``stats.fallback_reason`` /
+    ``stats.mode`` and, when a recorder is installed, on the
+    ``fallback.serial`` counter and a ``fallback`` span whose args carry
+    the reason — so a trace shows *that* and *why* the run degraded.
+
+    ``checkpoint`` / ``skip`` / ``preloaded_ts`` pass through to the
+    serial executor so a degraded run keeps snapshotting and — crucially
+    on the resume path — never re-executes ops whose writes are already
+    in the tiles (a QR kernel is destructive; re-running a completed
+    factor op would corrupt the result).
+    """
+    rec = _obs_record._RECORDER
+    t0 = time.perf_counter()
+    factors = execute_ops(a, ops, ib, checkpoint=checkpoint, skip=skip,
+                          preloaded_ts=preloaded_ts)
+    elapsed = time.perf_counter() - t0
+    if rec is not None:
+        rec.count(K_FALLBACK_SERIAL)
+        rec.event("fallback.serial", worker=0, reason=reason)
+        end = rec.now()
+        rec.add_span(
+            "fallback", "dispatch", end - elapsed, end, worker=0,
+            args={"reason": reason},
+        )
+    stats = _parallel.ParallelRunStats(
+        n_ops=len(ops),
+        n_procs=1,
+        policy=policy,
+        batch=1,
+        elapsed_s=elapsed,
+        per_worker_busy_s={0: elapsed},
+        per_worker_ops={0: len(ops)},
+        mode="serial-fallback",
+        fallback_reason=reason,
+    )
+    return factors, stats

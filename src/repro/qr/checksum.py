@@ -15,9 +15,10 @@ defense (docs/robustness.md, "Silent data corruption"):
   integer sum changes whenever *any* summand changes — so every
   single-element corruption is detected, which the chaos acceptance
   sweep asserts exactly (``sdc.detected == sdc.injected``).
-* :class:`SDCGuard` wraps each op's execution on every backend (serial,
-  wavefront-batched, and inside parallel workers): snapshot the op's
-  written views, execute, checksum, then — when the
+* :class:`SDCGuard` wraps each op's execution inside the execution core's
+  :func:`~repro.qr.execute.run_step` — hence on the serial and batched
+  schedules and inside parallel workers: snapshot the op's written
+  views, execute, checksum, then — when the
   :class:`~repro.faults.FaultPlan` says so — corrupt one element and
   verify.  On a mismatch the guard restores the snapshot and re-executes
   the op from its inputs (the kernels are deterministic, so a clean
@@ -77,10 +78,11 @@ def checksums_match(got: np.ndarray, want: np.ndarray) -> bool:
 
 
 class SDCGuard:
-    """Per-run silent-corruption guard shared by every executor path.
+    """Per-run silent-corruption guard, applied by :func:`repro.qr.execute.run_step`.
 
-    One guard instance lives for one execution context (the serial loop,
-    the batched executor, one parallel worker process).  It tallies its
+    One guard instance lives for one execution context (one in-process
+    :func:`~repro.qr.execute.run_schedule`, or one job served by a
+    parallel worker process).  It tallies its
     events locally (``injected`` / ``detected`` / ``recovered``) *and*
     onto the installed :mod:`repro.obs` recorder when there is one —
     parallel workers have none, so they ship :meth:`take_delta` back to
@@ -120,27 +122,16 @@ class SDCGuard:
 
     # -- guarded execution -------------------------------------------------
 
-    def execute(self, op_index: int, writes, execute_fn):
-        """Run ``execute_fn`` under the checksum guard; return its result.
+    def verify(self, op_index: int, writes, snapshots, reexecute_fn) -> None:
+        """Verify an execution that just happened; repair on mismatch.
 
-        ``writes`` are the op's written views (from
-        :func:`repro.qr.ops.operand_views`); ``execute_fn`` performs the
-        op in place and returns its ``T`` factor (or ``None``) — it is
-        re-invoked verbatim for recomputation.
-        """
-        snapshots = [w.copy() for w in writes]
-        t = execute_fn()
-        return self.postcheck(op_index, writes, snapshots, execute_fn, t)
-
-    def postcheck(self, op_index: int, writes, snapshots, reexecute_fn, t):
-        """Verify an execution that already happened; repair on mismatch.
-
-        The stacked wavefront paths call this directly after a batched
-        kernel call (one call per group member, with snapshots taken
-        before the gather); on a checksum mismatch the member's views are
-        restored and ``reexecute_fn`` re-runs it through the *scalar*
-        kernels — bit-identical to the batched ones, so the repair is
-        exact.  Returns the (possibly recomputed) ``T`` factor.
+        :func:`repro.qr.execute.run_step` calls this once per op after the
+        scalar or stacked kernel call.  ``writes`` are the op's written
+        views (from :func:`repro.qr.ops.operand_views`) and ``snapshots``
+        their pre-call copies; on a checksum mismatch the views are
+        restored and ``reexecute_fn`` re-runs the op through the *scalar*
+        kernel (depositing its ``T`` factor, if any, in the store) —
+        bit-identical to the stacked one, so the repair is exact.
         """
         plan = self.plan
         while True:
@@ -159,7 +150,7 @@ class SDCGuard:
                         K_SDC_RECOVERED, "recovered", "sdc.recovered",
                         op_index, attempts=attempt,
                     )
-                return t
+                return
             self._count(K_SDC_DETECTED, "detected", "sdc.detected", op_index)
             if attempt + 1 >= MAX_EXECUTIONS:
                 raise SilentCorruptionError(
@@ -169,7 +160,7 @@ class SDCGuard:
                 )
             for w, s in zip(writes, snapshots):
                 w[...] = s
-            t = reexecute_fn()
+            reexecute_fn()
 
     # -- injection ---------------------------------------------------------
 

@@ -19,7 +19,7 @@ from ..tiles.layout import TileLayout
 from ..tiles.matrix import TileMatrix
 from ..util.errors import VSAError
 from .ops import Op
-from .reference import FactorRecord, TileQRFactors
+from .reference import TileQRFactors, factor_records
 
 __all__ = ["ResultStore", "assemble_factors"]
 
@@ -73,16 +73,8 @@ def assemble_factors(store: ResultStore, ops: list[Op], ib: int) -> TileQRFactor
         for i in range(layout.mt)
     ]
     a = TileMatrix(layout, grid)
-    factors = TileQRFactors(a=a, ib=ib)
-    for op in ops:
-        if not op.is_factor:
-            continue
-        if op.kind == "GEQRT":
-            key = ("G", op.i, op.j)
-        else:
-            key = ("E", op.k2, op.j)
-        t = store.ts.get(key)
-        if t is None:
-            raise VSAError(f"missing T factor for {op.describe()}")
-        factors.records.append(FactorRecord(op.kind, op.i, op.k2, op.j, t, op.m2, op.k))
-    return factors
+    try:
+        records = factor_records(ops, store.ts.__getitem__)
+    except KeyError as exc:
+        raise VSAError(f"missing T factor {exc.args[0]}") from None
+    return TileQRFactors(a=a, records=records, ib=ib)

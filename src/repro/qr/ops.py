@@ -5,7 +5,8 @@ expands plans into the full, sequentially valid list of kernel operations —
 the pseudocode of the paper's Figure 5 — annotated with tile shapes and the
 tiles each op reads/writes, so the same list drives
 
-* the serial reference executor (:mod:`repro.qr.reference`),
+* the execution core (:mod:`repro.qr.execute`) behind the serial, batched
+  and parallel backends,
 * the task-DAG builder for the discrete-event simulator
   (:mod:`repro.qr.dag`), and
 * flop accounting (:func:`repro.kernels.flops.tile_qr_total_flops`).
@@ -103,10 +104,13 @@ def operand_views(a, op: Op):
 
     ``a`` is anything with a ``tile(i, j) -> ndarray`` accessor (a
     :class:`~repro.tiles.matrix.TileMatrix` or a
-    :class:`~repro.tiles.shared.SharedTileStore`).  The *written* views
-    cover exactly the storage regions the op's kernel mutates — the unit
-    the wavefront executor gathers/scatters and the SDC guard
-    (:mod:`repro.qr.checksum`) snapshots, checksums, and corrupts.
+    :class:`~repro.tiles.shared.SharedTileStore`).  The views are the
+    kernels' argument lists (:data:`repro.qr.execute.KERNELS`: factor
+    kernels take ``(*written, ib)``, update kernels ``(*read, T, *written)``),
+    and the *written* ones cover exactly the storage regions the op's
+    kernel mutates — the unit :func:`~repro.qr.execute.run_step`
+    gathers/scatters and the SDC guard (:mod:`repro.qr.checksum`)
+    snapshots, checksums, and corrupts.
     """
     if op.kind == "GEQRT":
         return (), (a.tile(op.i, op.j),)

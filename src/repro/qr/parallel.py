@@ -16,11 +16,15 @@ many the machine has.  This module executes the *same* operation list
   oldest ready op in program order, ``aggressive`` the most recently
   enabled one;
 * with ``batch="wavefront"`` the dispatcher goes level-synchronous: ops
-  are pre-grouped by :func:`repro.qr.wavefront.compute_wavefronts` into
-  same-kind, same-shape, tile-disjoint slices (split across workers), a
-  slice is dispatched once *all* its members' dependencies are met, and
-  the worker runs it as one stacked :mod:`repro.kernels.batched` call —
-  the 3D-VSA wavefront execution style on real processes.
+  are pre-grouped by :func:`repro.qr.wavefront.compute_wavefronts` and
+  :func:`repro.qr.execute.group_by_shape` into same-kind, same-shape,
+  tile-disjoint slices (split across workers), a slice is dispatched once
+  *all* its members' dependencies are met, and the worker runs it as one
+  stacked :mod:`repro.kernels.batched` call — the 3D-VSA wavefront
+  execution style on real processes;
+* workers own no kernel code of their own: every dispatch message becomes
+  one or more :func:`repro.qr.execute.run_step` calls on the shared store,
+  the same step runner the in-process schedules use.
 
 Because the dependency graph totally orders every tile's mutations, any
 legal schedule — whichever workers run whichever ops in whatever
@@ -70,22 +74,17 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from multiprocessing.connection import Connection, wait as conn_wait
 
 import numpy as np
 
-from .. import kernels
 from ..faults.watchdog import Watchdog
-from ..kernels import batched as _bk
 from ..obs import context as _obs_context
 from ..obs import record as _obs_record
-from ..obs.adapters import KERNEL_CATEGORY
 from ..obs.record import (
     K_BATCH_CALLS,
     K_BATCH_OPS,
     K_DISPATCH_BATCHES,
-    K_FALLBACK_SERIAL,
     K_FAULT_CRASH,
     K_REDISPATCH_OPS,
     K_SDC_DETECTED,
@@ -94,16 +93,16 @@ from ..obs.record import (
     K_WORKER_DEAD,
     K_WORKER_RESTART,
 )
-from ..tiles.layout import TileLayout
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import t_factor_key
+from ..tiles.shared import SharedArena, SharedTileStore, attach_untracked, t_factor_key
 from ..util.errors import ConfigurationError, ParallelExecutionError
 from ..util.validation import check_nonnegative_int, check_positive_int, require
 from .checksum import SDCGuard
 from .dag import op_dependency_graph
-from .ops import Op, operand_views
-from .reference import FactorRecord, TileQRFactors, execute_ops
-from .wavefront import _gather, _operand_views, compute_wavefronts
+from .execute import group_by_shape, record_op_span, run_step
+from .ops import Op
+from .reference import TileQRFactors, factor_records
+from .wavefront import compute_wavefronts
 
 __all__ = [
     "ParallelRunStats",
@@ -175,270 +174,109 @@ class ParallelRunStats:
 
 
 # --------------------------------------------------------------------------
-# Kernel execution against a shared store (runs inside worker processes)
+# Worker processes: dispatch messages -> execution-core steps on the store
 # --------------------------------------------------------------------------
-
-
-def _execute_op(store, op: Op, ib: int) -> None:
-    """Run one kernel in place on shared tiles (mirrors the serial executor)."""
-    if op.kind == "GEQRT":
-        t = kernels.geqrt(store.tile(op.i, op.j), ib)
-        store.t_factor(("G", op.i, op.j))[...] = t
-    elif op.kind == "ORMQR":
-        kernels.ormqr(
-            store.tile(op.i, op.j), store.t_factor(("G", op.i, op.j)), store.tile(op.i, op.l)
-        )
-    elif op.kind == "TSQRT":
-        r = store.tile(op.i, op.j)[: op.k, : op.k]
-        t = kernels.tsqrt(r, store.tile(op.k2, op.j), ib)
-        store.t_factor(("E", op.k2, op.j))[...] = t
-    elif op.kind == "TSMQR":
-        kernels.tsmqr(
-            store.tile(op.k2, op.j),
-            store.t_factor(("E", op.k2, op.j)),
-            store.tile(op.i, op.l),
-            store.tile(op.k2, op.l),
-        )
-    elif op.kind == "TTQRT":
-        r1 = store.tile(op.i, op.j)[: op.k, : op.k]
-        r2 = store.tile(op.k2, op.j)[: op.m2, : op.k]
-        t = kernels.ttqrt(r1, r2, ib)
-        store.t_factor(("E", op.k2, op.j))[...] = t
-    elif op.kind == "TTMQR":
-        v2 = store.tile(op.k2, op.j)[: op.m2, : op.k]
-        c2 = store.tile(op.k2, op.l)[: op.m2, :]
-        kernels.ttmqr(v2, store.t_factor(("E", op.k2, op.j)), store.tile(op.i, op.l), c2)
-    else:
-        raise ValueError(f"unknown op kind {op.kind!r}")
-
-
-def _run_worker_op(store, ops: list[Op], idx: int, ib: int, guard) -> None:
-    """One scalar op, optionally under the SDC checksum guard."""
-    if guard is None:
-        _execute_op(store, ops[idx], ib)
-    else:
-        guard.execute(
-            idx, list(operand_views(store, ops[idx])[1]),
-            lambda: _execute_op(store, ops[idx], ib),
-        )
-
-
-def _execute_group(store, ops: list[Op], idxs: list[int], ib: int, flags,
-                   guard=None) -> None:
-    """Run one wavefront slice on shared tiles as a single stacked call.
-
-    ``idxs`` are same-kind, same-shape ops of one wavefront (pairwise
-    tile-disjoint), so gathering their operands into ``(B, ...)`` stacks
-    and calling :mod:`repro.kernels.batched` once is bit-identical to
-    running them one at a time.  The PR 3 idempotency protocol is
-    preserved per op: each op's completion flag is set right after *its*
-    slice of the results is scattered back (and, when the SDC ``guard``
-    is armed, only after its output checksum verified — so a flag never
-    endorses a corrupted tile), and a re-dispatched slice whose flags are
-    partially set falls back to per-op scalar execution of the unflagged
-    ops — tile-disjointness makes that safe, and the scalar kernels are
-    bit-identical to the batched ones.
-    """
-    pend = [i for i in idxs if not flags[i]]
-    if len(pend) < 2 or len(pend) != len(idxs):
-        for i in pend:
-            _run_worker_op(store, ops, i, ib, guard)
-            flags[i] = 1
-        return
-    kind = ops[idxs[0]].kind
-    views = [_operand_views(store, ops[i]) for i in idxs]
-    reads = [v[0] for v in views]
-    writes = [v[1] for v in views]
-    snapshots = None
-    if guard is not None:
-        snapshots = [[w.copy() for w in v[1]] for v in views]
-    if kind == "GEQRT":
-        stack = _gather([w[0] for w in writes])
-        t = _bk.geqrt_batched(stack, ib)
-        for b, i in enumerate(idxs):
-            writes[b][0][...] = stack[b]
-            store.t_factor(("G", ops[i].i, ops[i].j))[...] = t[b]
-    elif kind == "ORMQR":
-        v = _gather([r[0] for r in reads])
-        tstack = np.stack([store.t_factor(("G", ops[i].i, ops[i].j)) for i in idxs])
-        c = _gather([w[0] for w in writes])
-        _bk.ormqr_batched(v, tstack, c)
-        for b, i in enumerate(idxs):
-            writes[b][0][...] = c[b]
-    elif kind in ("TSQRT", "TTQRT"):
-        r1 = _gather([w[0] for w in writes])
-        r2 = _gather([w[1] for w in writes])
-        fn = _bk.tsqrt_batched if kind == "TSQRT" else _bk.ttqrt_batched
-        t = fn(r1, r2, ib)
-        for b, i in enumerate(idxs):
-            writes[b][0][...] = r1[b]
-            writes[b][1][...] = r2[b]
-            store.t_factor(("E", ops[i].k2, ops[i].j))[...] = t[b]
-    else:  # TSMQR / TTMQR
-        v = _gather([r[0] for r in reads])
-        tstack = np.stack([store.t_factor(("E", ops[i].k2, ops[i].j)) for i in idxs])
-        c1 = _gather([w[0] for w in writes])
-        c2 = _gather([w[1] for w in writes])
-        fn = _bk.tsmqr_batched if kind == "TSMQR" else _bk.ttmqr_batched
-        fn(v, tstack, c1, c2)
-        for b, i in enumerate(idxs):
-            writes[b][0][...] = c1[b]
-            writes[b][1][...] = c2[b]
-    for b, i in enumerate(idxs):
-        if guard is not None:
-            guard.postcheck(
-                i, list(views[b][1]), snapshots[b],
-                lambda i=i: _execute_op(store, ops[i], ib), None,
-            )
-        flags[i] = 1
 
 
 def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
                generation: int, conn: Connection) -> object:
     """Execute one job's dispatch messages until a terminator arrives.
 
-    The shared inner loop of both worker flavours (one-shot and persistent
-    pool).  Per-op timings travel back as absolute ``perf_counter`` stamps
-    so the parent can place them on the recorder's timeline (see module
-    docstring); the parent computes busy seconds from the same stamps.
+    A message is a list of op indices — each a 1-wide step, timed on its
+    own — or ``("stack", idxs)``, one wavefront slice run as a single
+    stacked :func:`repro.qr.execute.run_step` whose call window is sliced
+    evenly across the ops.  Timings travel back as absolute
+    ``perf_counter`` stamps so the parent can place them on the recorder's
+    timeline and derive busy seconds (see module docstring).
 
-    Fault hooks: before each op the worker consults the
+    Fault hooks: before each step the worker consults the
     :class:`~repro.faults.FaultPlan` crash schedule (generation 0 only) and
-    ``os._exit``\\ s when told to.  ``ops_done`` ordinals restart at zero per
-    job, so in a session the same generation-0 schedule applies to every
-    ``factor`` call until the worker is respawned.  The op itself only runs
-    if its completion flag in the shared ``flags`` segment is still clear —
-    the flag is set right after the op's tile mutations, which is what makes
-    a re-dispatched op idempotent (see the module docstring).
+    ``os._exit``\\ s when told to; a stacked slice advances ``ops_done`` by
+    its whole width, so a crash scheduled anywhere inside it lands on the
+    slice boundary.  ``ops_done`` restarts at zero per job, so in a session
+    the same schedule applies to every ``factor`` call until the worker is
+    respawned.
+
+    Idempotency: an op only runs while its completion flag in the shared
+    ``flags`` segment is clear, and ``run_step`` raises the flag right
+    after the op's tile mutations — under an armed SDC guard only once its
+    output verified.  A re-dispatched slice with some flags already set
+    falls back to 1-wide steps over the unflagged ops; tile-disjointness
+    makes that safe and the scalar kernels are bit-identical to the
+    stacked ones.
 
     Returns the terminator received: ``None`` (shut the worker down),
     ``("endjob",)`` (job complete, a pool worker waits for the next job), or
     the string ``"err"`` after an execution error was reported.
     """
     crashy = fault_plan is not None and fault_plan.faulty_workers
-    guard = (SDCGuard(fault_plan)
-             if fault_plan is not None and fault_plan.faulty_sdc else None)
+    guard = SDCGuard(fault_plan) if fault_plan is not None and fault_plan.faulty_sdc else None
     ops_done = 0
+
+    def raise_flag(idx: int) -> None:
+        flags[idx] = 1
+
     while True:
         batch = conn.recv()
         if batch is None:
             return None
         if isinstance(batch, tuple) and batch[0] == "endjob":
             return batch
-        if isinstance(batch, tuple) and batch[0] == "stack":
-            # Wavefront slice: one stacked kernel call over the whole
-            # group.  The report slices the call window evenly across
-            # the ops so the parent's per-op spans stay exact in sum.
-            idxs = batch[1]
-            # A stacked slice advances ops_done by its whole width, so
-            # honour a crash scheduled anywhere inside it (injected
-            # crashes land on slice boundaries in this mode).
+        stacked = isinstance(batch, tuple) and batch[0] == "stack"
+        done: list[tuple[int, float, float]] = []
+        for idxs in [batch[1]] if stacked else [[idx] for idx in batch]:
             if crashy and any(
                 fault_plan.worker_crash(rank, generation, ops_done + b)
                 for b in range(len(idxs))
             ):
                 os._exit(_CRASH_EXIT_CODE)
             t0 = time.perf_counter()
+            pend = [i for i in idxs if not flags[i]]
+            steps = [pend] if len(pend) == len(idxs) else [[i] for i in pend]
             try:
-                _execute_group(store, ops, idxs, ib, flags, guard)
+                for step in steps:
+                    run_step(store, ops, step, ib, guard, raise_flag)
             except BaseException:
                 conn.send(("err", rank, idxs[0], traceback.format_exc()))
                 return "err"
-            t1 = time.perf_counter()
+            width = (time.perf_counter() - t0) / len(idxs)
             ops_done += len(idxs)
-            width = (t1 - t0) / len(idxs)
-            conn.send((
-                "done",
-                rank,
-                [(i, t0 + b * width, t0 + (b + 1) * width)
-                 for b, i in enumerate(idxs)],
-                guard.take_delta() if guard is not None else None,
-            ))
-            continue
-        done: list[tuple[int, float, float]] = []
-        for idx in batch:
-            if crashy and fault_plan.worker_crash(rank, generation, ops_done):
-                os._exit(_CRASH_EXIT_CODE)
-            t0 = time.perf_counter()
-            if not flags[idx]:
-                try:
-                    _run_worker_op(store, ops, idx, ib, guard)
-                except BaseException:
-                    conn.send(("err", rank, idx, traceback.format_exc()))
-                    return "err"
-                flags[idx] = 1
-            ops_done += 1
-            done.append((idx, t0, time.perf_counter()))
+            done += [(i, t0 + b * width, t0 + (b + 1) * width)
+                     for b, i in enumerate(idxs)]
         conn.send(("done", rank, done,
                    guard.take_delta() if guard is not None else None))
 
 
-def _worker_main(
-    rank: int,
-    generation: int,
-    run_id: str,
-    shm_name: str,
-    flags_name: str,
-    layout: TileLayout,
-    ops: list[Op],
-    ib: int,
-    fault_plan,
-    conn: Connection,
-) -> None:
-    """One-shot worker: attach to the store once, serve one job, exit."""
-    from ..tiles.shared import SharedTileStore, attach_untracked
-
-    # A forked child inherits the parent's recorder; spans must be recorded
-    # by the parent from the reported stamps, not duplicated here.  The run
-    # identity *does* survive the boundary: it arrives in the spawn args
-    # and is echoed in the attach handshake, so the parent can verify the
-    # worker is serving the run it thinks it is.
-    _obs_record._RECORDER = None
-    _obs_context.activate(run_id)
-
-    t_attach0 = time.perf_counter()
-    store = SharedTileStore.attach(shm_name, layout, ops, ib)
-    flags_shm = attach_untracked(flags_name)
-    try:
-        conn.send(("attached", rank, t_attach0, time.perf_counter(), run_id))
-        _serve_job(store, flags_shm.buf, ops, ib, fault_plan, rank, generation, conn)
-    except (EOFError, KeyboardInterrupt):  # parent went away: just exit
-        pass
-    finally:
-        store.close()
-        flags_shm.close()
-        conn.close()
-
-
-def _pool_worker_main(rank: int, generation: int, conn: Connection) -> None:
-    """Persistent pool worker: serve factorization jobs until told to exit.
+def _worker_main(rank: int, generation: int, conn: Connection,
+                 first_job=None) -> None:
+    """Worker process: serve factorization jobs until told to exit.
 
     Each job starts with a header
     ``("job", shm_name, flags_name, layout, ops, ib, fault_plan, run_id)``
-    followed by the usual dispatch messages and an ``("endjob",)``
-    terminator.  A
-    ``layout``/``ops`` of ``None`` means "same segment as your previous
-    job": the worker keeps its last shared-memory attachment and operation
-    list cached (the parent's :class:`~repro.qr.session.WorkerPool` tracks
-    which segment each worker has seen), so a warm ``session.factor`` call
-    costs this worker no re-attach and no op-list unpickling at all —
-    ``spawn_s`` on the parent collapses to the cost of a couple of pipe
-    messages.  A bare ``None`` instead of a job header shuts the worker
-    down.
-    """
-    from ..tiles.shared import SharedTileStore, attach_untracked
+    followed by the usual dispatch messages and a terminator.  A one-shot
+    worker gets its only header in the spawn args (``first_job``) and is
+    shut down with ``None`` after it; a persistent pool worker
+    (:class:`~repro.qr.session.WorkerPool`) reads headers from its pipe, is
+    handed back with ``("endjob",)``, and exits on a bare ``None`` header.
 
+    A ``layout``/``ops`` of ``None`` means "same segment as your previous
+    job": the worker keeps its last attachment and operation list cached,
+    so a warm ``session.factor`` call costs it no re-attach and no op-list
+    unpickling — ``spawn_s`` on the parent collapses to a couple of pipe
+    messages.
+    """
+    # A forked child inherits the parent's recorder; spans must be recorded
+    # by the parent from the reported stamps, not duplicated here.  The run
+    # identity *does* survive the boundary: it arrives in the job header
+    # and is echoed in the attach handshake, so the parent can verify the
+    # worker is serving the run it thinks it is.
     _obs_record._RECORDER = None
     cached_name: str | None = None
     cached_ops: list[Op] | None = None
-    cached_ib = 0
-    store = None
-    flags_shm = None
+    store = flags_shm = None
     try:
-        while True:
-            msg = conn.recv()
-            if msg is None:
-                break
+        msg = conn.recv() if first_job is None else first_job
+        while msg is not None:
             _, shm_name, flags_name, layout, ops, ib, fault_plan, run_id = msg
             _obs_context.activate(run_id)
             t_attach0 = time.perf_counter()
@@ -448,14 +286,14 @@ def _pool_worker_main(rank: int, generation: int, conn: Connection) -> None:
                     flags_shm.close()
                 store = SharedTileStore.attach(shm_name, layout, ops, ib)
                 flags_shm = attach_untracked(flags_name)
-                cached_name, cached_ops, cached_ib = shm_name, ops, ib
+                cached_name, cached_ops = shm_name, ops
             conn.send(("attached", rank, t_attach0, time.perf_counter(), run_id))
             end = _serve_job(
-                store, flags_shm.buf, cached_ops, cached_ib,
-                fault_plan, rank, generation, conn,
+                store, flags_shm.buf, cached_ops, ib, fault_plan, rank, generation, conn
             )
             if end is None or end == "err":
                 break
+            msg = conn.recv()
     except (EOFError, KeyboardInterrupt):  # parent went away: just exit
         pass
     finally:
@@ -495,48 +333,6 @@ def _auto_batch(n_ops: int, n_procs: int) -> int:
     return max(1, min(8, n_ops // (n_procs * 8)))
 
 
-def _fallback(a: TileMatrix, ops: list[Op], ib: int, reason: str, policy: str,
-              *, checkpoint=None, skip=None, preloaded_ts=None):
-    """Serial-reference degradation: same factors, reason on the record.
-
-    The reason is never silent: it lands in ``stats.fallback_reason`` /
-    ``stats.mode`` and, when a recorder is installed, on the
-    ``fallback.serial`` counter and a ``fallback`` span whose args carry
-    the reason — so a trace shows *that* and *why* the run degraded.
-
-    ``checkpoint`` / ``skip`` / ``preloaded_ts`` pass through to the
-    serial executor so a degraded run keeps snapshotting and — crucially
-    on the resume path — never re-executes ops whose writes are already
-    in the tiles (a QR kernel is destructive; re-running a completed
-    factor op would corrupt the result).
-    """
-    rec = _obs_record._RECORDER
-    t0 = time.perf_counter()
-    factors = execute_ops(a, ops, ib, checkpoint=checkpoint, skip=skip,
-                          preloaded_ts=preloaded_ts)
-    elapsed = time.perf_counter() - t0
-    if rec is not None:
-        rec.count(K_FALLBACK_SERIAL)
-        rec.event("fallback.serial", worker=0, reason=reason)
-        end = rec.now()
-        rec.add_span(
-            "fallback", "dispatch", end - elapsed, end, worker=0,
-            args={"reason": reason},
-        )
-    stats = ParallelRunStats(
-        n_ops=len(ops),
-        n_procs=1,
-        policy=policy,
-        batch=1,
-        elapsed_s=elapsed,
-        per_worker_busy_s={0: elapsed},
-        per_worker_ops={0: len(ops)},
-        mode="serial-fallback",
-        fallback_reason=reason,
-    )
-    return factors, stats
-
-
 def execute_ops_parallel(
     a: TileMatrix,
     ops: list[Op],
@@ -554,7 +350,7 @@ def execute_ops_parallel(
     pool=None,
     arena=None,
     checkpoint=None,
-    completed_ops=None,
+    skip=None,
     preloaded_ts=None,
 ) -> tuple[TileQRFactors, ParallelRunStats]:
     """Run an operation list on ``a`` across worker processes.
@@ -611,7 +407,7 @@ def execute_ops_parallel(
         long-lived processes (respawned here on death via
         ``pool.respawn``, preserving generation tags) and returned to it
         with an ``("endjob",)`` message instead of being shut down.
-        ``arena`` is a :class:`~repro.qr.session._Arena` owning the shared
+        ``arena`` is a :class:`~repro.tiles.shared.SharedArena` owning the shared
         tile store and completion-flag segment; the caller has already
         loaded ``a`` into it, and it survives this call for reuse.  Both
         default to ``None`` — the one-shot create/spawn/teardown
@@ -626,7 +422,7 @@ def execute_ops_parallel(
         parent's report ledger: the flags are the authoritative record of
         which ops' tile mutations happened (a worker can die after
         flagging but before reporting).
-    completed_ops, preloaded_ts:
+    skip, preloaded_ts:
         Resume support (:func:`~repro.qr.persist.resume_factorization`):
         op indices whose writes are already present in ``a``'s tiles, and
         the ``T`` factors (op index -> array) of the completed factor
@@ -650,53 +446,44 @@ def execute_ops_parallel(
                 f"batch must be a positive int or 'wavefront', got {batch!r}"
             )
         check_positive_int(batch, "batch")
-    completed_set = (
-        frozenset() if completed_ops is None
-        else frozenset(int(i) for i in completed_ops)
-    )
+    completed_set = frozenset() if skip is None else frozenset(int(i) for i in skip)
+
+    def degrade(reason: str):
+        from .backends import serial_fallback  # backends imports this module
+
+        return serial_fallback(
+            a.copy(), ops, ib, reason, policy, checkpoint=checkpoint,
+            skip=completed_set or None, preloaded_ts=preloaded_ts,
+        )
+
     if n_procs == 1:
-        return _fallback(a.copy(), ops, ib, "n_procs=1", policy,
-                         checkpoint=checkpoint, skip=completed_set or None,
-                         preloaded_ts=preloaded_ts)
+        return degrade("n_procs=1")
     require((pool is None) == (arena is None),
             "pool and arena must be given together (or both omitted)")
 
-    if arena is not None:
-        # Session mode: the arena already holds the tiles (the caller ran
-        # arena.load(a)) and a zeroed flag segment; both outlive this call.
-        store = arena.store
-        flags_shm = arena.flags
-    else:
+    # Session mode: the arena already holds the tiles (the caller ran
+    # arena.load(a)) and a zeroed flag segment; both outlive this call.
+    # One-shot mode creates its own and destroys it on the way out.
+    own_arena = arena is None
+    if own_arena:
         try:
-            from ..tiles.shared import SharedTileStore
-
-            store = SharedTileStore.create(a, ops, ib)
-        except (ImportError, OSError) as exc:
-            return _fallback(
-                a.copy(), ops, ib, f"shared memory unavailable: {exc}", policy,
-                checkpoint=checkpoint, skip=completed_set or None,
-                preloaded_ts=preloaded_ts,
-            )
-        # One completion-flag byte per op (the enforced-idempotency ledger,
-        # see module docstring).  Created zeroed; workers set flag[idx]
-        # after op idx's tile mutations.
-        flags_shm = shared_memory.SharedMemory(create=True, size=max(len(ops), 1))
-        flags_shm.buf[: len(flags_shm.buf)] = bytes(len(flags_shm.buf))
+            arena = SharedArena.create(a, ops, ib)
+        except OSError as exc:
+            return degrade(f"shared memory unavailable: {exc}")
+    store, flags_shm = arena.store, arena.flags
     flags_view = np.frombuffer(flags_shm.buf, dtype=np.uint8)[: len(ops)]
-    for idx in completed_set:
-        # Resume: the op's writes are already in the tiles (loaded from the
-        # checkpoint) — pre-flag it so a worker never re-applies it, and
-        # restore its T factor so successors can read it.
-        flags_view[idx] = 1
-        op = ops[idx]
-        if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
-            store.t_factor(t_factor_key(op))[...] = preloaded_ts[idx]
-
     if graph is None:
         graph = op_dependency_graph(ops)
     deps_left = graph.n_deps.copy()
     succ_index, succ_task = graph.succ_index, graph.succ_task
     for idx in completed_set:
+        # Resume: the op's writes are already in the tiles (loaded from the
+        # checkpoint) — pre-flag it so a worker never re-applies it, restore
+        # its T factor so successors can read it, and release its successors.
+        flags_view[idx] = 1
+        op = ops[idx]
+        if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
+            store.put_t(t_factor_key(op), preloaded_ts[idx])
         for e in range(succ_index[idx], succ_index[idx + 1]):
             deps_left[int(succ_task[e])] -= 1
 
@@ -713,14 +500,9 @@ def execute_ops_parallel(
             wavefronts = compute_wavefronts(ops, graph)
         group_of = [0] * len(ops)
         for wf in wavefronts:
-            by_key: dict[tuple, list[int]] = {}
-            for idx in wf:
-                if idx in completed_set:
-                    continue  # resume: already executed, nothing to group
-                r, w = _operand_views(a, ops[idx])
-                key = (ops[idx].kind,) + tuple(v.shape for v in r + w)
-                by_key.setdefault(key, []).append(idx)
-            for members in by_key.values():
+            # Resume: already-executed ops have nothing to group.
+            live = [idx for idx in wf if idx not in completed_set]
+            for members in group_by_shape(a, ops, live):
                 chunk = max(1, -(-len(members) // n_procs))
                 for s in range(0, len(members), chunk):
                     gid = len(groups)
@@ -758,14 +540,15 @@ def execute_ops_parallel(
     t_run = time.perf_counter()
     success = False
 
+    job = ("job", store.name, flags_shm.name, a.layout, ops, ib, fault_plan, run_id)
+
     def spawn(rank: int, generation: int) -> None:
+        # A one-shot worker is a pool worker whose only job header rides
+        # in the spawn args.
         parent_conn, child_conn = ctx.Pipe()
         p = ctx.Process(
             target=_worker_main,
-            args=(
-                rank, generation, run_id, store.name, flags_shm.name,
-                a.layout, ops, ib, fault_plan, child_conn,
-            ),
+            args=(rank, generation, child_conn, job),
             daemon=True,
             name=f"qr-parallel-{rank}g{generation}",
         )
@@ -777,11 +560,7 @@ def execute_ops_parallel(
 
     try:
         if pool is not None:
-            lease = pool.lease(
-                n_procs, shm_name=store.name, flags_name=flags_shm.name,
-                layout=a.layout, ops=ops, ib=ib, fault_plan=fault_plan,
-                run_id=run_id,
-            )
+            lease = pool.lease(n_procs, job)
         else:
             for rank in range(n_procs):
                 spawn(rank, 0)
@@ -791,16 +570,10 @@ def execute_ops_parallel(
         root_span_id = None
         if rec is not None:
             end = rec.now()
-            if pool is not None:
-                root_span_id = rec.add_span(
-                    "pool.lease", "dispatch", end - stats.spawn_s, end,
-                    worker=n_procs, args=lease,
-                ).span_id
-            else:
-                root_span_id = rec.add_span(
-                    "spawn", "dispatch", end - stats.spawn_s, end,
-                    worker=n_procs, args={"n_procs": n_procs},
-                ).span_id
+            name, args = ("spawn", {"n_procs": n_procs}) if pool is None else ("pool.lease", lease)
+            root_span_id = rec.add_span(
+                name, "dispatch", end - stats.spawn_s, end, worker=n_procs, args=args
+            ).span_id
 
         ready = _ReadyPool(policy)
 
@@ -869,8 +642,7 @@ def execute_ops_parallel(
                         worker=w, parent=root_span_id,
                     )
                 return
-            done = msg[2]
-            sdc = msg[3] if len(msg) > 3 else None
+            done, sdc = msg[2], msg[3]
             if sdc is not None:
                 inj, det, rcv = sdc
                 stats.sdc_injected += inj
@@ -895,16 +667,9 @@ def execute_ops_parallel(
                 busy = stats.per_worker_busy_s.get(w, 0.0)
                 stats.per_worker_busy_s[w] = busy + (op_t1 - op_t0)
                 if rec is not None:
-                    op = ops[idx]
-                    rec.record_kernel(
-                        op.kind,
-                        KERNEL_CATEGORY[op.kind],
-                        kernels.kernel_flops(op.kind, op.m2, op.k, op.q, ib),
-                        rec.from_monotonic(op_t0),
-                        rec.from_monotonic(op_t1),
-                        w,
-                        op=idx,
-                        parent=root_span_id,
+                    record_op_span(
+                        rec, ops, idx, ib, rec.from_monotonic(op_t0),
+                        rec.from_monotonic(op_t1), w, parent=root_span_id,
                     )
                 for e in range(succ_index[idx], succ_index[idx + 1]):
                     d = int(succ_task[e])
@@ -913,7 +678,7 @@ def execute_ops_parallel(
                         op_ready(d)
             if wavefront and rec is not None and done:
                 # One report == one stacked call (B == 1 for re-dispatched
-                # singleton slices), mirroring the serial batched executor.
+                # singleton slices), mirroring the in-process batched schedule.
                 rec.count(K_BATCH_CALLS)
                 rec.count(K_BATCH_OPS, len(done))
             idle.append(w)
@@ -1007,23 +772,17 @@ def execute_ops_parallel(
                 if w not in alive:
                     continue  # stale idle entry from a replaced worker
                 if wavefront:
-                    _, gid = ready.pop()
-                    chunk = groups[gid]
-                    inflight_of[w].update(chunk)
-                    try:
-                        conns[w].send(("stack", chunk))
-                    except (BrokenPipeError, OSError):
-                        handle_death(w, via_conn=conns[w])
-                        continue
+                    chunk = groups[ready.pop()[1]]
+                    msg = ("stack", chunk)
                 else:
                     take = min(batch, max(1, len(ready) // (len(idle) + 1)))
-                    chunk = [ready.pop() for _ in range(min(take, len(ready)))]
-                    inflight_of[w].update(chunk)
-                    try:
-                        conns[w].send(chunk)
-                    except (BrokenPipeError, OSError):
-                        handle_death(w, via_conn=conns[w])
-                        continue
+                    msg = chunk = [ready.pop() for _ in range(min(take, len(ready)))]
+                inflight_of[w].update(chunk)
+                try:
+                    conns[w].send(msg)
+                except (BrokenPipeError, OSError):
+                    handle_death(w, via_conn=conns[w])
+                    continue
                 if rec is not None:
                     rec.count(K_DISPATCH_BATCHES)
 
@@ -1089,20 +848,14 @@ def execute_ops_parallel(
                 dispatch()
             stats.dispatch_s += time.perf_counter() - t0
 
-        if pool is not None:
-            # Hand the workers back to the pool: they keep their store
-            # attachment and await the next job header.
-            for w in alive:
-                try:
-                    conns[w].send(("endjob",))
-                except (BrokenPipeError, OSError):
-                    pass
-        else:
-            for w in alive:
-                try:
-                    conns[w].send(None)
-                except (BrokenPipeError, OSError):
-                    pass
+        # Hand pool workers back (they keep their store attachment and
+        # await the next job header); shut one-shot workers down.
+        for w in alive:
+            try:
+                conns[w].send(("endjob",) if pool is not None else None)
+            except (BrokenPipeError, OSError):
+                pass
+        if pool is None:
             for p in procs.values():
                 p.join(timeout=10.0)
         stats.elapsed_s = time.perf_counter() - t_run
@@ -1140,17 +893,8 @@ def execute_ops_parallel(
                     conn.close()
                 except OSError:
                     pass
-        if arena is None:
-            store.close()
-            store.unlink()
-            flags_shm.close()
-            flags_shm.unlink()
+        if own_arena:
+            arena.destroy()
 
-    factors = TileQRFactors(a=factored, ib=ib)
-    for op in ops:
-        if op.is_factor:
-            key = ("G", op.i, op.j) if op.kind == "GEQRT" else ("E", op.k2, op.j)
-            factors.records.append(
-                FactorRecord(op.kind, op.i, op.k2, op.j, ts[key], op.m2, op.k)
-            )
-    return factors, stats
+    records = factor_records(ops, ts.__getitem__)
+    return TileQRFactors(a=factored, records=records, ib=ib), stats

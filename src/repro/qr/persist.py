@@ -50,8 +50,9 @@ from ..trees.plan import TreeKind, plan_all_panels
 from ..util.errors import ConfigurationError, ReproError
 from ..util.validation import require
 from .api import QRFactorization
+from .backends import require_capability, run_backend, serial_fallback
 from .ops import expand_plans
-from .reference import FactorRecord, TileQRFactors, execute_ops
+from .reference import FactorRecord, TileQRFactors
 
 __all__ = [
     "save_factorization",
@@ -457,11 +458,7 @@ def resume_factorization(
     failing parallel resume to the serial executor, still skipping the
     restored ops.
     """
-    if backend not in ("serial", "batched", "parallel"):
-        raise ConfigurationError(
-            f"resume_factorization supports 'serial', 'batched', or "
-            f"'parallel', got {backend!r}"
-        )
+    require_capability(backend, "resume")
     if on_failure not in ("raise", "fallback"):
         raise ConfigurationError(
             f"on_failure must be 'raise' or 'fallback', got {on_failure!r}"
@@ -518,7 +515,6 @@ def resume_factorization(
     run_id = rec.run_id if rec is not None else _obs_context.mint_run_id()
     ckpt = None if checkpoint is None else as_checkpoint_store(checkpoint)
     pristine = tm.copy() if on_failure == "fallback" else None
-    stats = None
     with _obs_context.use_run(run_id, parent_run_id=parent_run):
         if ckpt is not None:
             ckpt.bind(tm, ops, ib, tree.value, h, bool(shifted))
@@ -529,35 +525,18 @@ def resume_factorization(
                 parent_run=parent_run,
             )
         try:
-            if backend == "serial":
-                factors = execute_ops(
-                    tm, ops, ib, fault_plan=fault_plan, checkpoint=ckpt,
-                    skip=skip, preloaded_ts=preloaded_ts,
-                )
-            elif backend == "batched":
-                from .wavefront import execute_ops_batched
-
-                factors = execute_ops_batched(
-                    tm, ops, ib, fault_plan=fault_plan, checkpoint=ckpt,
-                    skip=skip, preloaded_ts=preloaded_ts,
-                )
-            else:
-                from .parallel import execute_ops_parallel
-
-                factors, stats = execute_ops_parallel(
-                    tm, ops, ib, n_procs=n_procs, policy=policy, batch=batch,
-                    fault_plan=fault_plan, checkpoint=ckpt,
-                    completed_ops=skip, preloaded_ts=preloaded_ts,
-                )
+            factors, stats = run_backend(
+                backend, tm, ops, ib, n_procs=n_procs, policy=policy,
+                batch=batch, fault_plan=fault_plan, checkpoint=ckpt,
+                skip=skip, preloaded_ts=preloaded_ts,
+            )
         except ConfigurationError:
             raise
         except ReproError as exc:
             if pristine is None:
                 raise
-            from .parallel import _fallback
-
             reason = f"{backend} resume failed: {type(exc).__name__}: {exc}"
-            factors, stats = _fallback(
+            factors, stats = serial_fallback(
                 pristine, ops, ib, reason, policy,
                 skip=skip, preloaded_ts=preloaded_ts,
             )

@@ -1,7 +1,8 @@
 """Serial reference executor for tile QR — the numerical ground truth.
 
 Executes an operation list (:mod:`repro.qr.ops`) directly on a
-:class:`~repro.tiles.TileMatrix`, one kernel at a time, recording the
+:class:`~repro.tiles.TileMatrix`, one kernel at a time — the execution
+core (:mod:`repro.qr.execute`) walked in program order — recording the
 compact-WY ``T`` factors so the implicit ``Q`` can later be applied.  Every
 other backend (the threaded PULSAR runtime, the simulator's functional
 checks) is validated against this executor: given the same operation list
@@ -22,15 +23,13 @@ import numpy as np
 import scipy.linalg
 
 from .. import kernels
-from ..obs import record as _obs_record
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import t_factor_key
 from ..util.errors import ShapeError
-from ..util.validation import require
-from .checksum import SDCGuard
-from .ops import Op, operand_views
+from .execute import run_schedule
+from .ops import Op
 
-__all__ = ["FactorRecord", "TileQRFactors", "execute_ops"]
+__all__ = ["FactorRecord", "TileQRFactors", "factor_records", "execute_ops"]
 
 
 @dataclass(frozen=True)
@@ -135,47 +134,19 @@ class TileQRFactors:
         return c
 
 
-def _apply_op(a, op, ib, ts):
-    """Execute one op's scalar kernel in place; return its ``T`` (or None).
+def factor_records(ops: list[Op], get_t) -> list[FactorRecord]:
+    """The record list of a finished run: one entry per factor op of ``ops``.
 
-    Factor kernels store their ``T`` into ``ts`` under the op's
-    :func:`~repro.tiles.shared.t_factor_key` as a side effect, so update
-    kernels of the same panel find it.  Extracted from the serial loop so
-    the SDC guard (:mod:`repro.qr.checksum`) can re-invoke a single op for
-    recomputation, on a :class:`TileMatrix` or a shared-memory store alike.
+    ``get_t`` maps a :func:`~repro.tiles.shared.t_factor_key` to that op's
+    ``T`` factor.  Records come out in program order whatever schedule
+    produced the factors, so every backend (and a resumed run) hands
+    :class:`TileQRFactors` the same application order.
     """
-    if op.kind == "GEQRT":
-        t = kernels.geqrt(a.tile(op.i, op.j), ib)
-        ts[("G", op.i, op.j)] = t
-        return t
-    if op.kind == "ORMQR":
-        kernels.ormqr(a.tile(op.i, op.j), ts[("G", op.i, op.j)], a.tile(op.i, op.l))
-        return None
-    if op.kind == "TSQRT":
-        r = a.tile(op.i, op.j)[: op.k, : op.k]
-        t = kernels.tsqrt(r, a.tile(op.k2, op.j), ib)
-        ts[("E", op.k2, op.j)] = t
-        return t
-    if op.kind == "TSMQR":
-        kernels.tsmqr(
-            a.tile(op.k2, op.j),
-            ts[("E", op.k2, op.j)],
-            a.tile(op.i, op.l),
-            a.tile(op.k2, op.l),
-        )
-        return None
-    if op.kind == "TTQRT":
-        r1 = a.tile(op.i, op.j)[: op.k, : op.k]
-        r2 = a.tile(op.k2, op.j)[: op.m2, : op.k]
-        t = kernels.ttqrt(r1, r2, ib)
-        ts[("E", op.k2, op.j)] = t
-        return t
-    if op.kind == "TTMQR":
-        v2 = a.tile(op.k2, op.j)[: op.m2, : op.k]
-        c2 = a.tile(op.k2, op.l)[: op.m2, :]
-        kernels.ttmqr(v2, ts[("E", op.k2, op.j)], a.tile(op.i, op.l), c2)
-        return None
-    raise ValueError(f"unknown op kind {op.kind!r}")  # pragma: no cover
+    return [
+        FactorRecord(op.kind, op.i, op.k2, op.j, get_t(t_factor_key(op)), op.m2, op.k)
+        for op in ops
+        if op.is_factor
+    ]
 
 
 def execute_ops(
@@ -192,73 +163,13 @@ def execute_ops(
 
     Returns the :class:`TileQRFactors` wrapping ``a`` and the recorded
     transformations.  ``ops`` must be in a sequentially valid order, e.g.
-    straight from :func:`repro.qr.ops.expand_plans`.
-
-    ``fault_plan`` with ``faulty_sdc`` arms the checksum guard
-    (:mod:`repro.qr.checksum`); ``checkpoint`` (a bound
-    :class:`~repro.qr.persist.CheckpointStore`) snapshots progress as ops
-    complete.  ``skip`` is a set of op indices already executed on ``a``
-    (resume path): their tile mutations are trusted, their ``T`` factors
-    come from ``preloaded_ts`` (op index -> array), and their records are
-    emitted without re-running the kernels.
+    straight from :func:`repro.qr.ops.expand_plans`.  This is
+    :func:`repro.qr.execute.run_schedule` in program order, one scalar
+    kernel per op; ``fault_plan`` / ``checkpoint`` / ``skip`` /
+    ``preloaded_ts`` are documented there.
     """
-    require(a.m >= a.n, f"tile QR requires m >= n, got {a.m} x {a.n}")
-    factors = TileQRFactors(a=a, ib=ib)
-    ts: dict[tuple[str, int, int], np.ndarray] = {}
-    skip = frozenset() if skip is None else frozenset(skip)
-    if preloaded_ts:
-        for idx in skip:
-            if idx in preloaded_ts:
-                ts[t_factor_key(ops[idx])] = preloaded_ts[idx]
-    # Observability (only when a recorder is installed): tag each kernel
-    # span with its op index and expose progress as a gauge.
-    rec = _obs_record._RECORDER
-    progress = [0]
-    if rec is not None:
-        rec.register_gauge("serial.ops_done", lambda: progress[0])
-    try:
-        _run_ops(a, ops, ib, factors, ts, rec, progress,
-                 fault_plan=fault_plan, checkpoint=checkpoint, skip=skip)
-    finally:
-        if rec is not None:
-            rec.unregister_gauge("serial.ops_done")
-            _obs_record.set_current_op(None)
-    return factors
-
-
-def _run_ops(a, ops, ib, factors, ts, rec, progress, *,
-             fault_plan=None, checkpoint=None, skip=frozenset()) -> None:
-    guard = (SDCGuard(fault_plan)
-             if fault_plan is not None and fault_plan.faulty_sdc else None)
-    done = np.zeros(len(ops), dtype=bool) if checkpoint is not None else None
-    if done is not None:
-        for idx in skip:
-            done[idx] = True
-    for idx, op in enumerate(ops):
-        if idx in skip:
-            if op.is_factor:
-                factors.records.append(
-                    FactorRecord(op.kind, op.i, op.k2, op.j,
-                                 ts[t_factor_key(op)], op.m2, op.k))
-            progress[0] = idx + 1
-            continue
-        if rec is not None:
-            _obs_record.set_current_op(idx)
-        if guard is None:
-            t = _apply_op(a, op, ib, ts)
-        else:
-            t = guard.execute(
-                idx, list(operand_views(a, op)[1]),
-                lambda: _apply_op(a, op, ib, ts),
-            )
-        if op.is_factor:
-            factors.records.append(
-                FactorRecord(op.kind, op.i, op.k2, op.j, t, op.m2, op.k))
-        progress[0] = idx + 1
-        if done is not None:
-            done[idx] = True
-            checkpoint.note_done()
-            if checkpoint.due():
-                checkpoint.write(a, ts.__getitem__, done)
-    if done is not None:
-        checkpoint.write(a, ts.__getitem__, done)
+    ts = run_schedule(
+        a, ops, ib, fault_plan=fault_plan, checkpoint=checkpoint,
+        skip=skip, preloaded_ts=preloaded_ts,
+    )
+    return TileQRFactors(a=a, records=factor_records(ops, ts.__getitem__), ib=ib)

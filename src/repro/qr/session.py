@@ -13,7 +13,7 @@ repeated overhead.
 :class:`QRSession` amortises it.  A session owns
 
 * a :class:`WorkerPool` of long-lived worker processes
-  (:func:`repro.qr.parallel._pool_worker_main`) that serve one
+  (:func:`repro.qr.parallel._worker_main`) that serve one
   factorization *job* after another instead of exiting, keeping their
   shared-memory attachment cached between jobs; and
 * a :class:`PlanCache` — an LRU keyed by
@@ -30,8 +30,8 @@ respawns after worker crashes, and generation tags survive across calls
 (a pool worker respawned during call *k* keeps its bumped generation in
 call *k+1*, so a generation-0 :class:`~repro.faults.FaultPlan` cannot
 re-kill it).  See ``docs/sessions.md`` for the lifecycle and the
-warm-vs-cold cost model, and ``benchmarks/bench_session.py`` for measured
-amortized throughput.
+warm-vs-cold cost model; ``python3 -m bench`` measures the amortization
+(``session_warm_vs_lapack`` next to ``parallel_vs_lapack``).
 
 Example
 -------
@@ -61,57 +61,13 @@ from ..obs.record import (
     K_POOL_REUSED,
     K_POOL_SPAWNS,
 )
+from ..tiles.shared import SharedArena
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int
 from .dag import op_dependency_graph
 from .wavefront import compute_wavefronts
 
 __all__ = ["QRSession", "PlanCache", "PlanCacheStats", "WorkerPool"]
-
-
-class _Arena:
-    """A plan's reusable shared-memory footprint: tile store + flag segment.
-
-    The segment layout is a pure function of ``(layout, ops, ib)``
-    (:func:`repro.tiles.shared._segment_plan`), so an arena created for a
-    plan key fits every later matrix factored under the same key —
-    :meth:`load` just copies the new tiles in and re-zeroes the per-op
-    completion flags, and pool workers that already attached to the
-    segment never re-attach.
-    """
-
-    def __init__(self, store, flags):
-        self.store = store
-        self.flags = flags
-
-    @classmethod
-    def create(cls, a, ops, ib):
-        from multiprocessing import shared_memory
-
-        from ..tiles.shared import SharedTileStore
-
-        store = SharedTileStore.create(a, ops, ib)
-        try:
-            flags = shared_memory.SharedMemory(create=True, size=max(len(ops), 1))
-        except OSError:
-            store.close()
-            store.unlink()
-            raise
-        flags.buf[: len(flags.buf)] = bytes(len(flags.buf))
-        return cls(store, flags)
-
-    def load(self, a) -> None:
-        """Copy ``a``'s tiles into the arena and clear all completion flags."""
-        for i, j, tile in a.iter_tiles():
-            self.store.tile(i, j)[...] = tile
-        n = len(self.flags.buf)
-        self.flags.buf[:n] = bytes(n)
-
-    def destroy(self) -> None:
-        self.store.close()
-        self.store.unlink()
-        self.flags.close()
-        self.flags.unlink()
 
 
 class _PlanEntry:
@@ -140,14 +96,14 @@ class _PlanEntry:
             self._wavefronts = compute_wavefronts(self.ops, self.graph())
         return self._wavefronts
 
-    def arena_for(self, a, ib) -> _Arena:
+    def arena_for(self, a, ib) -> SharedArena:
         """The entry's arena, created from ``a`` on first use.
 
         Raises ``OSError`` where shared memory is unavailable; the caller
         degrades to the serial fallback, exactly like the one-shot path.
         """
         if self._arena is None:
-            self._arena = _Arena.create(a, self.ops, ib)
+            self._arena = SharedArena.create(a, self.ops, ib)
         return self._arena
 
     def close(self) -> None:
@@ -223,7 +179,7 @@ class PlanCache:
 class WorkerPool:
     """Long-lived worker processes leased out one factorization at a time.
 
-    Each worker runs :func:`repro.qr.parallel._pool_worker_main`: a loop
+    Each worker runs :func:`repro.qr.parallel._worker_main`: a loop
     over *jobs*, where a job is a header message naming the shared
     segments plus the usual dispatch traffic, ended by ``("endjob",)``.
     The pool tracks which segment each worker last attached
@@ -256,7 +212,7 @@ class WorkerPool:
         return sum(1 for p in self.procs.values() if p.is_alive())
 
     def _spawn(self, rank: int) -> None:
-        from .parallel import _pool_worker_main
+        from .parallel import _worker_main
 
         old = self.conns.pop(rank, None)
         if old is not None:
@@ -267,7 +223,7 @@ class WorkerPool:
         generation = self.generations.get(rank, -1) + 1
         parent_conn, child_conn = self._ctx.Pipe()
         p = self._ctx.Process(
-            target=_pool_worker_main,
+            target=_worker_main,
             args=(rank, generation, child_conn),
             daemon=True,
             name=f"qr-pool-{rank}g{generation}",
@@ -286,27 +242,22 @@ class WorkerPool:
     def _send_job(self, rank: int) -> None:
         """Send the current job header; slim if the segment is cached."""
         job = self._job
-        slim = self.known.get(rank) == job["shm_name"]
-        self.conns[rank].send((
-            "job", job["shm_name"], job["flags_name"],
-            None if slim else job["layout"], None if slim else job["ops"],
-            job["ib"], job["fault_plan"], job["run_id"],
-        ))
-        self.known[rank] = job["shm_name"]
+        shm_name = job[1]
+        if self.known.get(rank) == shm_name:
+            job = job[:3] + (None, None) + job[5:]  # no layout, no op list
+        self.conns[rank].send(job)
+        self.known[rank] = shm_name
 
-    def lease(self, k: int, *, shm_name, flags_name, layout, ops, ib,
-              fault_plan, run_id=None) -> dict:
+    def lease(self, k: int, job: tuple) -> dict:
         """Hand ranks ``0..k-1`` one job: respawn the dead, brief the rest.
 
-        ``run_id`` travels in the job header so every worker binds its
-        spans and events to the leasing run (trace-context propagation).
-        Returns the lease summary ``{"n_procs", "spawned", "reused"}``
-        recorded on the dispatcher's ``pool.lease`` span.
+        ``job`` is the header :func:`~repro.qr.parallel._worker_main`
+        documents; its ``run_id`` binds every worker's spans and events to
+        the leasing run (trace-context propagation).  Returns the lease
+        summary ``{"n_procs", "spawned", "reused"}`` recorded on the
+        dispatcher's ``pool.lease`` span.
         """
-        self._job = dict(
-            shm_name=shm_name, flags_name=flags_name, layout=layout,
-            ops=ops, ib=ib, fault_plan=fault_plan, run_id=run_id,
-        )
+        self._job = job
         spawned = reused = 0
         for rank in range(k):
             p = self.procs.get(rank)
@@ -350,6 +301,9 @@ class WorkerPool:
                 p.terminate()
         for p in self.procs.values():
             p.join(timeout=5.0)
+        self._forget_workers()
+
+    def _forget_workers(self) -> None:
         for conn in self.conns.values():
             try:
                 conn.close()
@@ -371,14 +325,7 @@ class WorkerPool:
             p.join(timeout=max(0.1, deadline - time.perf_counter()))
             if p.is_alive():
                 p.terminate()
-        for conn in self.conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self.procs.clear()
-        self.conns.clear()
-        self.known.clear()
+        self._forget_workers()
         self.generations.clear()
 
 
@@ -531,22 +478,23 @@ class QRSession:
     def _execute_parallel(self, tm, ops, ib, entry, *, policy, batch,
                           fault_plan, checkpoint=None):
         """Run the parallel backend against the session's pool and arena."""
-        from .parallel import _fallback, execute_ops_parallel
+        from .backends import serial_fallback
+        from .parallel import execute_ops_parallel
 
+        kw = dict(n_procs=self.n_procs, policy=policy, batch=batch,
+                  fault_plan=fault_plan, checkpoint=checkpoint)
         if self._pool is None or len(ops) <= 1:
-            return _fallback(tm.copy(), ops, ib, "n_procs=1", policy,
-                             checkpoint=checkpoint)
+            return execute_ops_parallel(tm, ops, ib, **kw)  # degrades: "n_procs=1"
         try:
             arena = entry.arena_for(tm, ib)
-        except (ImportError, OSError) as exc:
-            return _fallback(
+        except OSError as exc:
+            return serial_fallback(
                 tm.copy(), ops, ib, f"shared memory unavailable: {exc}", policy,
                 checkpoint=checkpoint,
             )
         arena.load(tm)
         return execute_ops_parallel(
-            tm, ops, ib, n_procs=self.n_procs, policy=policy, batch=batch,
-            fault_plan=fault_plan, graph=entry.graph(),
+            tm, ops, ib, graph=entry.graph(),
             wavefronts=entry.wavefronts() if batch == "wavefront" else None,
-            pool=self._pool, arena=arena, checkpoint=checkpoint,
+            pool=self._pool, arena=arena, **kw,
         )

@@ -13,10 +13,12 @@ level-synchronously instead:
    disjoint tiles — using longest-path levels and a greedy first-fit
    split of each level (the split only triggers on write-after-read
    pairs, which share a level because the DAG has no WAR edges).
-2. :func:`execute_ops_batched` runs each wavefront by *gathering* the
-   operands of same-signature ops into contiguous ``(B, m, n)`` stacks,
-   making one call into :mod:`repro.kernels.batched` per group, and
-   *scattering* the results back into the :class:`~repro.tiles.TileMatrix`.
+2. :func:`execute_ops_batched` hands the partition to the execution core
+   (:func:`repro.qr.execute.run_schedule`), which runs each wavefront by
+   *gathering* the operands of same-shape ops into contiguous
+   ``(B, m, n)`` stacks, making one call into :mod:`repro.kernels.batched`
+   per group, and *scattering* the results back into the
+   :class:`~repro.tiles.TileMatrix`.
 
 Because every DAG edge is respected (wavefronts concatenate to a legal
 schedule) and the batched kernels are bit-identical to the scalar ones,
@@ -34,17 +36,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import batched as _bk
-from ..kernels.flops import kernel_flops
-from ..obs import record as _obs_record
-from ..obs.adapters import KERNEL_CATEGORY as _KERNEL_CATEGORY
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import t_factor_key
 from ..util.validation import require
-from .checksum import SDCGuard
 from .dag import op_dependency_graph
-from .ops import Op, operand_views
-from .reference import FactorRecord, TileQRFactors, _apply_op
+from .execute import run_schedule
+from .ops import Op
+from .reference import TileQRFactors, factor_records
 
 __all__ = ["compute_wavefronts", "op_levels", "execute_ops_batched", "wavefront_stats"]
 
@@ -159,9 +156,6 @@ def _signature(op: Op) -> tuple:
     return (op.kind, op.m2, op.k, op.q)
 
 
-# -- batched serial executor -------------------------------------------------
-
-
 def execute_ops_batched(
     a: TileMatrix, ops: list[Op], ib: int, *, wavefronts=None,
     fault_plan=None, checkpoint=None, skip=None, preloaded_ts=None,
@@ -170,216 +164,21 @@ def execute_ops_batched(
 
     Semantically identical to :func:`repro.qr.reference.execute_ops` —
     factors come out bit-identical — but executes the DAG level by level,
-    fusing same-signature ops of a wavefront into single stacked kernel
-    calls.  Factor records are appended in program order, so
+    fusing same-shape ops of a wavefront into single stacked kernel
+    calls.  Factor records are emitted in program order, so
     :class:`~repro.qr.reference.TileQRFactors` application order is
     unchanged.
 
     ``wavefronts`` accepts a precomputed partition of *exactly these*
     ``ops`` (a :class:`~repro.qr.session.PlanCache` passes its memoized
     one); the default ``None`` computes it here.  ``fault_plan`` /
-    ``checkpoint`` / ``skip`` / ``preloaded_ts`` have the same semantics
-    as on :func:`~repro.qr.reference.execute_ops`: arm the SDC checksum
-    guard, snapshot progress, and (on resume) trust already-executed ops'
-    tile state, taking their ``T`` factors from ``preloaded_ts``.
+    ``checkpoint`` / ``skip`` / ``preloaded_ts`` are documented on
+    :func:`repro.qr.execute.run_schedule`.
     """
-    require(a.m >= a.n, f"tile QR requires m >= n, got {a.m} x {a.n}")
-    factors = TileQRFactors(a=a, ib=ib)
-    ts: dict[tuple[str, int, int], np.ndarray] = {}
-    # Factor t-arrays land here keyed by op index; records are emitted in
-    # program order at the end.
-    t_of: dict[int, np.ndarray] = {}
-    skip = frozenset() if skip is None else frozenset(skip)
-    if preloaded_ts:
-        for idx in skip:
-            if idx in preloaded_ts:
-                t_of[idx] = preloaded_ts[idx]
-                ts[t_factor_key(ops[idx])] = preloaded_ts[idx]
-    guard = (SDCGuard(fault_plan)
-             if fault_plan is not None and fault_plan.faulty_sdc else None)
-    done = np.zeros(len(ops), dtype=bool) if checkpoint is not None else None
-    if done is not None:
-        for idx in skip:
-            done[idx] = True
     if wavefronts is None:
         wavefronts = compute_wavefronts(ops)
-    rec = _obs_record._RECORDER
-    progress = [0]
-    if rec is not None:
-        rec.name_lane(0, "batched")
-        rec.register_gauge("batched.ops_done", lambda: progress[0])
-    try:
-        for wf in wavefronts:
-            # Group by kind + exact operand shapes: every op in a group
-            # gathers into the same stack geometry (ragged boundary tiles
-            # fall into their own groups).
-            groups: dict[tuple, list[int]] = {}
-            views: dict[int, tuple] = {}
-            for idx in wf:
-                if idx in skip:
-                    progress[0] += 1
-                    continue
-                r, w = operand_views(a, ops[idx])
-                views[idx] = (r, w)
-                key = (ops[idx].kind,) + tuple(v.shape for v in r + w)
-                groups.setdefault(key, []).append(idx)
-            for members in groups.values():
-                if len(members) == 1:
-                    # Singleton groups skip the gather/scatter machinery and
-                    # run the (instrumented) scalar kernel on the views
-                    # directly — trivially bit-identical to serial.
-                    _run_single(a, ops[members[0]], members[0], ib, ts, t_of,
-                                rec, guard, views[members[0]][1])
-                else:
-                    _run_group(a, ops, members, ib, ts, t_of, rec, views, guard)
-                progress[0] += len(members)
-                if done is not None:
-                    # A mid-wavefront done-set is still predecessor-closed:
-                    # every DAG predecessor sits in a strictly earlier level.
-                    done[members] = True
-                    checkpoint.note_done(len(members))
-                    if checkpoint.due():
-                        checkpoint.write(a, ts.__getitem__, done)
-        if done is not None:
-            checkpoint.write(a, ts.__getitem__, done)
-    finally:
-        if rec is not None:
-            rec.unregister_gauge("batched.ops_done")
-            _obs_record.set_current_op(None)
-    for idx, op in enumerate(ops):
-        if op.is_factor:
-            factors.records.append(
-                FactorRecord(op.kind, op.i, op.k2 if op.kind != "GEQRT" else -1,
-                             op.j, t_of[idx], op.m2, op.k)
-            )
-    return factors
-
-
-def _gather(views: list[np.ndarray]) -> np.ndarray:
-    """Stack equal-shape tile views into one contiguous ``(B, m, n)`` array."""
-    out = np.empty((len(views),) + views[0].shape)
-    for b, v in enumerate(views):
-        out[b] = v
-    return out
-
-
-def _scatter(views: list[np.ndarray], stack: np.ndarray) -> None:
-    """Write stacked results back into the tile views (full-region copy).
-
-    Writing the whole sub-block is safe even where a kernel only touches
-    part of it (e.g. TTQRT's upper trapezoid): the untouched bytes come
-    back unchanged, so co-scheduled readers of the other storage region
-    observe exactly the serial executor's values.
-    """
-    for b, v in enumerate(views):
-        v[...] = stack[b]
-
-
-# Kept as an alias for external callers (the parallel dispatcher imports
-# it); the implementation moved to :func:`repro.qr.ops.operand_views` so
-# the SDC guard and the shared-memory workers can reuse it.
-_operand_views = operand_views
-
-
-def _run_single(a, op: Op, idx: int, ib, ts, t_of, rec, guard=None,
-                writes=None) -> None:
-    """Run one op through the scalar kernels (same code path as serial)."""
-    if rec is not None:
-        _obs_record.set_current_op(idx)
-    if guard is None:
-        t = _apply_op(a, op, ib, ts)
-    else:
-        t = guard.execute(idx, list(writes), lambda: _apply_op(a, op, ib, ts))
-    if t is not None:
-        t_of[idx] = t
-    if rec is not None:
-        rec.count(_obs_record.K_BATCH_CALLS)
-        rec.count(_obs_record.K_BATCH_OPS)
-
-
-def _run_group(a, ops, members, ib, ts, t_of, rec, views, guard=None) -> None:
-    """Execute one same-signature group as a single stacked kernel call."""
-    kind = ops[members[0]].kind
-    reads = [views[idx][0] for idx in members]
-    writes = [views[idx][1] for idx in members]
-    snapshots = None
-    if guard is not None:
-        # Snapshot every member's written regions before the stacked call,
-        # so a checksum mismatch can restore just that member and re-run it
-        # through the (bit-identical) scalar kernels.
-        snapshots = {idx: [w.copy() for w in views[idx][1]] for idx in members}
-    start = rec.now() if rec is not None else 0.0
-
-    if kind == "GEQRT":
-        stack = _gather([w[0] for w in writes])
-        t = _bk.geqrt_batched(stack, ib)
-        _scatter([w[0] for w in writes], stack)
-        for b, idx in enumerate(members):
-            op = ops[idx]
-            ts[("G", op.i, op.j)] = t[b]
-            t_of[idx] = t[b]
-    elif kind == "ORMQR":
-        v = _gather([r[0] for r in reads])
-        tstack = np.stack([ts[("G", ops[i].i, ops[i].j)] for i in members])
-        c = _gather([w[0] for w in writes])
-        _bk.ormqr_batched(v, tstack, c)
-        _scatter([w[0] for w in writes], c)
-    elif kind in ("TSQRT", "TTQRT"):
-        r1 = _gather([w[0] for w in writes])
-        r2 = _gather([w[1] for w in writes])
-        fn = _bk.tsqrt_batched if kind == "TSQRT" else _bk.ttqrt_batched
-        t = fn(r1, r2, ib)
-        _scatter([w[0] for w in writes], r1)
-        _scatter([w[1] for w in writes], r2)
-        for b, idx in enumerate(members):
-            op = ops[idx]
-            ts[("E", op.k2, op.j)] = t[b]
-            t_of[idx] = t[b]
-    else:  # TSMQR / TTMQR
-        v = _gather([r[0] for r in reads])
-        tstack = np.stack([ts[("E", ops[i].k2, ops[i].j)] for i in members])
-        c1 = _gather([w[0] for w in writes])
-        c2 = _gather([w[1] for w in writes])
-        fn = _bk.tsmqr_batched if kind == "TSMQR" else _bk.ttmqr_batched
-        fn(v, tstack, c1, c2)
-        _scatter([w[0] for w in writes], c1)
-        _scatter([w[1] for w in writes], c2)
-
-    if guard is not None:
-        for idx in members:
-            op = ops[idx]
-            t = guard.postcheck(
-                idx, list(views[idx][1]), snapshots[idx],
-                lambda op=op: _apply_op(a, op, ib, ts),
-                t_of.get(idx),
-            )
-            if t is not None:
-                ts[t_factor_key(op)] = t
-                t_of[idx] = t
-
-    if rec is not None:
-        _record_group(rec, ops, members, ib, start, rec.now())
-
-
-def _record_group(rec, ops, members, ib, start, end) -> None:
-    """Record one stacked call as per-op spans slicing the window evenly.
-
-    Slicing keeps lane-busy time exact and gives every op a span, so gap
-    reports show no unmeasured time and realized-critical-path waits stay
-    non-negative (wavefronts execute sequentially on one lane).
-    """
-    bsz = len(members)
-    width = (end - start) / bsz
-    for b, idx in enumerate(members):
-        op = ops[idx]
-        rec.record_kernel(
-            op.kind,
-            _KERNEL_CATEGORY[op.kind],
-            kernel_flops(op.kind, op.m2, op.k, op.q, ib),
-            start + b * width,
-            start + (b + 1) * width,
-            0,
-            op=idx,
-        )
-    rec.count(_obs_record.K_BATCH_CALLS)
-    rec.count(_obs_record.K_BATCH_OPS, bsz)
+    ts = run_schedule(
+        a, ops, ib, wavefronts, fault_plan=fault_plan, checkpoint=checkpoint,
+        skip=skip, preloaded_ts=preloaded_ts,
+    )
+    return TileQRFactors(a=a, records=factor_records(ops, ts.__getitem__), ib=ib)

@@ -23,7 +23,7 @@ from ..util.errors import ConfigurationError
 from .layout import TileLayout
 from .matrix import TileMatrix
 
-__all__ = ["SharedTileStore", "t_factor_key", "attach_untracked"]
+__all__ = ["SharedTileStore", "SharedArena", "t_factor_key", "attach_untracked"]
 
 
 def attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -51,16 +51,17 @@ def attach_untracked(name: str) -> shared_memory.SharedMemory:
 
 
 def t_factor_key(op) -> tuple[str, int, int]:
-    """The ``T``-store key of a factor op (matches the serial executor).
+    """The ``T``-store key an op produces (factor kinds) or consumes (updates).
 
-    ``("G", i, j)`` for GEQRT, ``("E", k2, j)`` for TSQRT/TTQRT — each key
-    is produced by exactly one factor kernel per factorization.
+    ``("G", i, j)`` for GEQRT and the ORMQRs applying it, ``("E", k2, j)``
+    for TSQRT/TTQRT and their TSMQR/TTMQR updates — each key is produced by
+    exactly one factor kernel per factorization.
     """
-    if op.kind == "GEQRT":
+    if op.kind in ("GEQRT", "ORMQR"):
         return ("G", op.i, op.j)
-    if op.kind in ("TSQRT", "TTQRT"):
+    if op.kind in ("TSQRT", "TTQRT", "TSMQR", "TTMQR"):
         return ("E", op.k2, op.j)
-    raise ConfigurationError(f"{op.kind} is not a factor kernel")
+    raise ConfigurationError(f"{op.kind} is not a tile QR kernel")
 
 
 def _segment_plan(
@@ -176,6 +177,14 @@ class SharedTileStore:
         """Mutable shared view of the ``T`` slot for a factor key."""
         return self._ts[key]
 
+    #: With :meth:`tile` and :meth:`put_t`, the store protocol of the
+    #: execution core (:mod:`repro.qr.execute`).
+    get_t = t_factor
+
+    def put_t(self, key: tuple, t: np.ndarray) -> None:
+        """Copy a freshly computed ``T`` factor into its shared slot."""
+        self._ts[key][...] = t
+
     def extract_matrix(self) -> TileMatrix:
         """Copy the tile grid out into an ordinary (owned) TileMatrix."""
         grid = [
@@ -187,3 +196,47 @@ class SharedTileStore:
     def extract_ts(self) -> dict[tuple, np.ndarray]:
         """Copy every ``T`` factor out of the segment."""
         return {key: t.copy() for key, t in self._ts.items()}
+
+
+class SharedArena:
+    """One job's shared-memory footprint: tile store + completion-flag segment.
+
+    The flag segment holds one byte per op — the enforced-idempotency
+    ledger of the parallel backend, zeroed at creation; workers set
+    ``flags[idx]`` after op ``idx``'s tile mutations.  The segment layout
+    is a pure function of ``(layout, ops, ib)`` (:func:`_segment_plan`), so
+    an arena fits every matrix factored under the same plan: a one-shot
+    run creates and destroys one per call, while a
+    :class:`~repro.qr.session.QRSession` keeps one per cached plan and
+    copies each new matrix in with :meth:`load`, so pool workers that
+    already attached to the segment never re-attach.
+    """
+
+    def __init__(self, store: SharedTileStore, flags: shared_memory.SharedMemory):
+        self.store = store
+        self.flags = flags
+
+    @classmethod
+    def create(cls, a: TileMatrix, ops: list, ib: int) -> "SharedArena":
+        store = SharedTileStore.create(a, ops, ib)
+        try:
+            flags = shared_memory.SharedMemory(create=True, size=max(len(ops), 1))
+        except OSError:
+            store.close()
+            store.unlink()
+            raise
+        flags.buf[: len(flags.buf)] = bytes(len(flags.buf))
+        return cls(store, flags)
+
+    def load(self, a: TileMatrix) -> None:
+        """Copy ``a``'s tiles into the arena and clear all completion flags."""
+        for i, j, tile in a.iter_tiles():
+            self.store.tile(i, j)[...] = tile
+        n = len(self.flags.buf)
+        self.flags.buf[:n] = bytes(n)
+
+    def destroy(self) -> None:
+        self.store.close()
+        self.store.unlink()
+        self.flags.close()
+        self.flags.unlink()

@@ -220,12 +220,12 @@ class TestParallelRecovery:
         reason="monkeypatched kernel reaches workers via fork inheritance only",
     )
     def test_all_workers_dying_exhausts_retries(self, small_tiles, monkeypatch):
-        import repro.qr.parallel as parallel_mod
+        import repro.qr.execute as core_mod
 
         def die(store, op, ib):
             os._exit(13)
 
-        monkeypatch.setattr(parallel_mod, "_execute_op", die)
+        monkeypatch.setattr(core_mod, "run_op", die)
         ops = _qr_ops(small_tiles)
         with pytest.raises(ParallelExecutionError, match="died"):
             execute_ops_parallel(small_tiles, ops, 4, n_procs=2, timeout_s=60.0)
@@ -235,12 +235,12 @@ class TestParallelRecovery:
         reason="monkeypatched kernel reaches workers via fork inheritance only",
     )
     def test_hung_worker_trips_watchdog(self, small_tiles, monkeypatch):
-        import repro.qr.parallel as parallel_mod
+        import repro.qr.execute as core_mod
 
         def hang(store, op, ib):
             time.sleep(60.0)
 
-        monkeypatch.setattr(parallel_mod, "_execute_op", hang)
+        monkeypatch.setattr(core_mod, "run_op", hang)
         ops = _qr_ops(small_tiles)
         t0 = time.perf_counter()
         with pytest.raises(WatchdogTimeout, match="parallel dispatcher"):

@@ -127,12 +127,12 @@ class TestFailureHandling:
         reason="monkeypatched kernel reaches workers via fork inheritance only",
     )
     def test_worker_death_raises_not_hangs(self, small_tiles, monkeypatch):
-        import repro.qr.parallel as parallel_mod
+        import repro.qr.execute as core_mod
 
         def die(store, op, ib):
             os._exit(13)
 
-        monkeypatch.setattr(parallel_mod, "_execute_op", die)
+        monkeypatch.setattr(core_mod, "run_op", die)
         ops = self._ops(small_tiles)
         with pytest.raises(ParallelExecutionError, match="died|unreachable"):
             execute_ops_parallel(small_tiles, ops, 4, n_procs=2, timeout_s=30.0)
