@@ -11,6 +11,10 @@ TTQRT    Incremental QR of [triangular R; triangular R] (binary tree).
 TTMQR    Apply a TTQRT transformation to a pair of trailing tiles.
 ======== =============================================================
 
+The three factor kernels (``GEQRT``/``TSQRT``/``TTQRT``) are LAPACK's
+``dgeqrt``/``dtpqrt`` through SciPy — the routines PLASMA's kernels of the
+same names wrap; the three update kernels are NumPy compact-WY matmuls.
+
 Observability: the six kernels exported here are thin shims over the real
 implementations.  When a recorder is installed (:mod:`repro.obs`) each
 invocation is timed into a :class:`~repro.obs.record.Span` on the calling

@@ -1,32 +1,34 @@
 """Stacked (batched) variants of the six tile kernels.
 
 A wavefront of the tile-QR DAG contains many independent ops of the same
-kind and shape (every tile of a panel hits ``TSQRT`` against the same
-pivot row; every trailing column repeats the same ``TSMQR``).  Executing
-them one Python call at a time pays interpreter and NumPy dispatch
-overhead *per op, per inner block* — which dominates wall time at the
-small tile sizes the paper targets.  The kernels here hoist that loop
-into a leading batch axis: each function takes ``(B, ...)`` stacks and
-performs one 3-D ``np.matmul`` (or one fused ufunc expression) where the
-scalar kernel performs ``B`` separate 2-D calls.
+kind and shape (every trailing column of a panel repeats the same
+``TSMQR``).  Executing the *update* kernels one Python call at a time pays
+interpreter and NumPy dispatch overhead per op, per inner block.  The three
+update kernels here hoist that loop into a leading batch axis: each takes
+``(B, ...)`` stacks and performs one 3-D ``np.matmul`` where the scalar
+kernel performs ``B`` separate 2-D calls.
+
+The three *factor* kernels do not stack: each tile is one LAPACK call with
+no NumPy inner loop left to fuse, so ``geqrt_batched`` / ``tsqrt_batched`` /
+``ttqrt_batched`` are a plain loop of the scalar kernel over the slices.
+They keep the ``(B, m, n)`` signature so a schedule step is "one stacked
+call" for every kind; each slice is factored in place, so they equally take
+a *list of tile views* — the execution core passes the views themselves and
+skips the gather/scatter copies.
 
 Bit-exactness contract
 ----------------------
 Each ``*_batched`` kernel is **bit-identical** to mapping its scalar
 counterpart over the batch (``tests/test_kernels_batched.py`` asserts
 ``np.array_equal`` across ib/shape sweeps, so ``backend="batched"``
-reproduces ``backend="serial"`` factors exactly).  This holds because
-every reduction is expressed through ``np.matmul`` with per-slice
-operand layouts matching the scalar kernels, and NumPy's stacked matmul
-performs the same per-slice BLAS calls; everything else is elementwise
-ufuncs, which are order-independent.  Two deliberate deviations:
-
-* Where the scalar kernels guard updates with ``if tau != 0.0``, the
-  batched kernels apply the update unconditionally: subtracting
-  ``0.0 * w`` changes no value (it can flip a signed zero, which
-  ``np.array_equal`` — and any downstream arithmetic — treats as equal).
-* Reductions are *not* written via ``np.einsum`` or ``(x * x).sum()``,
-  which round differently from BLAS dot products on this platform.
+reproduces ``backend="serial"`` factors exactly).  For the factor kernels
+that is by construction.  For the update kernels it holds because every
+reduction is expressed through ``np.matmul`` with per-slice operand layouts
+matching the scalar kernels, and NumPy's stacked matmul performs the same
+per-slice BLAS calls; everything else is elementwise ufuncs, which are
+order-independent.  Reductions are *not* written via ``np.einsum`` or
+``(x * x).sum()``, which round differently from BLAS dot products on this
+platform.
 
 If a future BLAS breaks per-slice equivalence for some shape, the
 executor's documented fallback is :func:`repro.qr.verify.verify_factorization`
@@ -38,8 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..util.errors import ShapeError
-from ..util.validation import check_positive_int
-from .tsqrt import _triu_mask
+from .geqrt import geqrt
+from .tsqrt import _triu_mask, tsqrt, ttqrt
 
 __all__ = [
     "geqrt_batched",
@@ -49,38 +51,6 @@ __all__ = [
     "ttqrt_batched",
     "ttmqr_batched",
 ]
-
-
-def _larfg_batched(
-    alpha: np.ndarray, tail: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched Householder generation: ``B`` reflectors at once.
-
-    ``alpha`` is ``(B,)`` (the pivot entries), ``tail`` is ``(B, n)`` (the
-    entries to annihilate; not modified).  Returns ``(beta, v, tau)`` with
-    shapes ``(B,), (B, n), (B,)``, matching :func:`repro.kernels.householder.larfg`
-    slice-for-slice — including the ``tau == 0`` encoding of an already-zero
-    tail (``beta = alpha``, ``v = 0``).
-    """
-    # Row-wise dot via stacked matmul: bit-identical to the scalar np.dot
-    # (einsum / square-and-sum round differently).
-    sigma = np.matmul(tail[:, None, :], tail[:, :, None])[:, 0, 0]
-    zero = sigma == 0.0
-    norm = np.hypot(alpha, np.sqrt(sigma))
-    beta = np.where(alpha >= 0.0, -norm, norm)
-    if not zero.any():
-        # Fast path (every tail nonzero — the overwhelmingly common case):
-        # plain elementwise arithmetic, no masking.
-        tau = (beta - alpha) / beta
-        v = tail / (alpha - beta)[:, None]
-        return beta, v, tau
-    safe_beta = np.where(zero, 1.0, beta)
-    safe_denom = np.where(zero, 1.0, alpha - beta)
-    tau = np.where(zero, 0.0, (beta - alpha) / safe_beta)
-    v = tail / safe_denom[:, None]
-    v[zero] = 0.0
-    beta = np.where(zero, alpha, beta)
-    return beta, v, tau
 
 
 def _check_stack(name: str, arr: np.ndarray, func: str) -> None:
@@ -95,52 +65,23 @@ def _unit_lower_batched(panel: np.ndarray, kb: int) -> np.ndarray:
     return v
 
 
-def geqrt_batched(a: np.ndarray, ib: int) -> np.ndarray:
-    """Factor a ``(B, m, n)`` stack of tiles in place; return ``(B, ib, k)`` T.
+def geqrt_batched(a, ib: int) -> np.ndarray:
+    """Factor each tile of ``a`` in place; return the ``(B, ib, k)`` ``T`` stack.
 
-    Slice ``i`` of the outputs equals ``geqrt(a[i], ib)`` bit-for-bit.
+    ``a`` is a ``(B, m, n)`` stack or a sequence of ``B`` tile views; slice
+    ``i`` of the outputs *is* ``geqrt(a[i], ib)``.
     """
-    check_positive_int(ib, "ib")
-    _check_stack("a", a, "geqrt_batched")
-    bsz, m, n = a.shape
-    k = min(m, n)
-    t = np.zeros((bsz, ib, k))
-    for k0 in range(0, k, ib):
-        kb = min(ib, k - k0)
-        t_blk = t[:, :kb, k0 : k0 + kb]
-        for jj in range(kb):
-            j = k0 + jj
-            beta, v, tau = _larfg_batched(a[:, j, j], a[:, j + 1 : m, j])
-            a[:, j, j] = beta
-            a[:, j + 1 : m, j] = v
-            if j + 1 < k0 + kb:
-                # Inner-block update, applied unconditionally (tau == 0 rows
-                # subtract an exact zero).
-                c = a[:, j:m, j + 1 : k0 + kb]
-                vfull = np.empty((bsz, m - j))
-                vfull[:, 0] = 1.0
-                vfull[:, 1:] = v
-                w = np.matmul(vfull[:, None, :], c)
-                c -= (tau[:, None] * vfull)[:, :, None] * w
-            # larft_column over the batch.
-            if jj > 0:
-                vj = vfull[:, : m - j] if j + 1 < k0 + kb else None
-                if vj is None:
-                    vj = np.empty((bsz, m - j))
-                    vj[:, 0] = 1.0
-                    vj[:, 1:] = v
-                w = np.matmul(
-                    a[:, j:m, k0 : k0 + jj].transpose(0, 2, 1), vj[:, :, None]
-                )
-                t_blk[:, :jj, jj] = (
-                    -tau[:, None] * np.matmul(t_blk[:, :jj, :jj], w)[:, :, 0]
-                )
-            t_blk[:, jj, jj] = tau
-        if k0 + kb < n:
-            v = _unit_lower_batched(a[:, k0:m, k0 : k0 + kb], kb)
-            c = a[:, k0:m, k0 + kb : n]
-            c -= v @ (t_blk.transpose(0, 2, 1) @ (v.transpose(0, 2, 1) @ c))
-    return t
+    return np.stack([geqrt(tile, ib) for tile in a])
+
+
+def tsqrt_batched(r, a2, ib: int) -> np.ndarray:
+    """Factor ``B`` ``[r; a2]`` pairs in place; return ``(B, ib, k)`` T."""
+    return np.stack([tsqrt(ri, ai, ib) for ri, ai in zip(r, a2, strict=True)])
+
+
+def ttqrt_batched(r1, r2, ib: int) -> np.ndarray:
+    """Triangle-on-triangle factorization of ``B`` pairs in place."""
+    return np.stack([ttqrt(ri, ai, ib) for ri, ai in zip(r1, r2, strict=True)])
 
 
 def ormqr_batched(
@@ -164,98 +105,6 @@ def ormqr_batched(
         csub = c[:, k0:m, :]
         tt = t_blk.transpose(0, 2, 1) if trans else t_blk
         csub -= v @ (tt @ (v.transpose(0, 2, 1) @ csub))
-
-
-def tsqrt_batched(r: np.ndarray, a2: np.ndarray, ib: int) -> np.ndarray:
-    """Factor ``B`` stacked ``[r; a2]`` pairs in place; return ``(B, ib, k)`` T."""
-    check_positive_int(ib, "ib")
-    _check_stack("r", r, "tsqrt_batched")
-    _check_stack("a2", a2, "tsqrt_batched")
-    bsz, k, k2 = r.shape
-    if k != k2 or a2.shape[2] != k:
-        raise ShapeError(f"tsqrt_batched: incompatible {r.shape} vs {a2.shape}")
-    t = np.zeros((bsz, ib, k))
-    for k0 in range(0, k, ib):
-        kb = min(ib, k - k0)
-        t_blk = t[:, :kb, k0 : k0 + kb]
-        for jj in range(kb):
-            j = k0 + jj
-            # The scalar kernel copies the column into a contiguous scratch
-            # before larfg; mirror that — BLAS dots round differently on
-            # strided views, which would break bit-exactness.
-            beta, v2, tau = _larfg_batched(
-                r[:, j, j], np.ascontiguousarray(a2[:, :, j])
-            )
-            r[:, j, j] = beta
-            a2[:, :, j] = v2
-            if jj + 1 < kb:
-                cols = slice(j + 1, k0 + kb)
-                w = r[:, j, cols] + np.matmul(v2[:, None, :], a2[:, :, cols])[:, 0, :]
-                r[:, j, cols] -= tau[:, None] * w
-                a2[:, :, cols] -= (tau[:, None] * v2)[:, :, None] * w[:, None, :]
-            if jj > 0:
-                wvec = np.matmul(
-                    a2[:, :, k0 : k0 + jj].transpose(0, 2, 1), v2[:, :, None]
-                )
-                t_blk[:, :jj, jj] = (
-                    -tau[:, None] * np.matmul(t_blk[:, :jj, :jj], wvec)[:, :, 0]
-                )
-            t_blk[:, jj, jj] = tau
-        if k0 + kb < k:
-            v2b = a2[:, :, k0 : k0 + kb]
-            cols = slice(k0 + kb, k)
-            c1 = r[:, k0 : k0 + kb, cols]
-            c2 = a2[:, :, cols]
-            w = t_blk.transpose(0, 2, 1) @ (c1 + v2b.transpose(0, 2, 1) @ c2)
-            c1 -= w
-            c2 -= v2b @ w
-    return t
-
-
-def ttqrt_batched(r1: np.ndarray, r2: np.ndarray, ib: int) -> np.ndarray:
-    """Triangle-on-triangle factorization of ``B`` stacked pairs in place."""
-    check_positive_int(ib, "ib")
-    _check_stack("r1", r1, "ttqrt_batched")
-    _check_stack("r2", r2, "ttqrt_batched")
-    bsz, k, k2 = r1.shape
-    if k != k2 or r2.shape[2] != k or r2.shape[1] > k:
-        raise ShapeError(f"ttqrt_batched: incompatible {r1.shape} vs {r2.shape}")
-    m2 = r2.shape[1]
-    t = np.zeros((bsz, ib, k))
-    for k0 in range(0, k, ib):
-        kb = min(ib, k - k0)
-        hi = min(k0 + kb, m2)
-        t_blk = t[:, :kb, k0 : k0 + kb]
-        for jj in range(kb):
-            j = k0 + jj
-            d = min(j + 1, m2)
-            # Contiguous copy for the same reason as tsqrt_batched.
-            beta, v2, tau = _larfg_batched(
-                r1[:, j, j], np.ascontiguousarray(r2[:, :d, j])
-            )
-            r1[:, j, j] = beta
-            r2[:, :d, j] = v2
-            if jj + 1 < kb:
-                cols = slice(j + 1, k0 + kb)
-                w = r1[:, j, cols] + np.matmul(v2[:, None, :], r2[:, :d, cols])[:, 0, :]
-                r1[:, j, cols] -= tau[:, None] * w
-                r2[:, :d, cols] -= (tau[:, None] * v2)[:, :, None] * w[:, None, :]
-            if jj > 0:
-                vcols = np.where(_triu_mask(d, jj, -k0), r2[:, :d, k0 : k0 + jj], 0.0)
-                wvec = np.matmul(vcols.transpose(0, 2, 1), v2[:, :, None])
-                t_blk[:, :jj, jj] = (
-                    -tau[:, None] * np.matmul(t_blk[:, :jj, :jj], wvec)[:, :, 0]
-                )
-            t_blk[:, jj, jj] = tau
-        if k0 + kb < k:
-            cols = slice(k0 + kb, k)
-            vblk = np.where(_triu_mask(hi, kb, -k0), r2[:, :hi, k0 : k0 + kb], 0.0)
-            c1 = r1[:, k0 : k0 + kb, cols]
-            c2 = r2[:, :hi, cols]
-            w = t_blk.transpose(0, 2, 1) @ (c1 + vblk.transpose(0, 2, 1) @ c2)
-            c1 -= w
-            c2 -= vblk @ w
-    return t
 
 
 def tsmqr_batched(

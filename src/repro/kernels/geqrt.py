@@ -4,17 +4,33 @@ Corresponds to the paper's ``dgeqrt(A(i,j))``: factor a tile, leaving the
 R factor in the upper triangle and the Householder reflectors (unit lower
 trapezoid) below the diagonal, plus the compact-WY ``T`` factors needed to
 apply the transformation to trailing tiles (``dormqr``).
+
+The factorization *is* LAPACK's ``dgeqrt`` (through SciPy), the routine
+PLASMA's core kernel of the same name wraps: same reflector storage, same
+``(ib, k)`` block-``T`` layout, same sign convention, and reflectors that
+are generated with rescaling (no overflow or underflow of the column norm).
+:func:`ormqr`, the update, stays NumPy compact-WY matmuls.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrt
 
 from ..util.errors import ShapeError
 from ..util.validation import check_positive_int
-from .householder import larfg, larft_column
 
 __all__ = ["geqrt", "ormqr"]
+
+
+def _block_t(name: str, t: np.ndarray, info: int, ib: int) -> np.ndarray:
+    """LAPACK's ``(min(ib, k), k)`` ``T`` as a C-order ``(ib, k)`` array
+    (zero rows below ``k`` when ``k < ib``); a nonzero ``info`` raises."""
+    if info != 0:
+        raise ShapeError(f"{name}: LAPACK rejected argument {-info} (info={info})")
+    out = np.zeros((ib, t.shape[1]))
+    out[: t.shape[0]] = t
+    return out
 
 
 def geqrt(a: np.ndarray, ib: int) -> np.ndarray:
@@ -40,34 +56,11 @@ def geqrt(a: np.ndarray, ib: int) -> np.ndarray:
     check_positive_int(ib, "ib")
     if a.ndim != 2:
         raise ShapeError(f"geqrt expects a 2-D tile, got ndim={a.ndim}")
-    m, n = a.shape
-    k = min(m, n)
-    t = np.zeros((ib, k))
-    for k0 in range(0, k, ib):
-        kb = min(ib, k - k0)
-        # The block's T builds directly inside its (already zeroed) slot of
-        # ``t`` — no per-block scratch triangle to allocate and copy back.
-        t_blk = t[:kb, k0 : k0 + kb]
-        v_panel = a[k0:m, k0 : k0 + kb]  # view: panel being factored
-        for jj in range(kb):
-            j = k0 + jj
-            beta, v, tau = larfg(a[j:m, j])
-            a[j, j] = beta
-            a[j + 1 : m, j] = v
-            if tau != 0.0 and j + 1 < k0 + kb:
-                # Apply H_j to the remaining columns of this inner block.
-                c = a[j:m, j + 1 : k0 + kb]
-                vfull = np.empty(m - j)
-                vfull[0] = 1.0
-                vfull[1:] = v
-                c -= np.outer(tau * vfull, vfull @ c)
-            larft_column(t_blk, v_panel, jj, tau)
-        if k0 + kb < n:
-            # Apply the block reflector (transposed) to the trailing columns
-            # of this tile: C := (I - V T^T V^T) C.
-            v = _unit_lower(a[k0:m, k0 : k0 + kb], kb)
-            c = a[k0:m, k0 + kb : n]
-            c -= v @ (t_blk.T @ (v.T @ c))
+    # LAPACK factors a Fortran-order copy; GEQRT owns the whole tile, so all
+    # of it is written back.
+    out, t, info = dgeqrt(min(ib, *a.shape), a)
+    t = _block_t("geqrt", t, info, ib)
+    a[...] = out
     return t
 
 

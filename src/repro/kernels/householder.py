@@ -1,8 +1,11 @@
 """Elementary Householder transformations (LAPACK ``larfg``/``larft`` style).
 
-These are the scalar building blocks of every tile kernel.  A reflector is
-``H = I - tau * v v^T`` with ``v[0] = 1``; ``H`` is symmetric and orthogonal,
-and ``H x = beta e_1`` for the vector ``x`` it was generated from.
+A reflector is ``H = I - tau * v v^T`` with ``v[0] = 1``; ``H`` is symmetric
+and orthogonal, and ``H x = beta e_1`` for the vector ``x`` it was generated
+from.  These NumPy versions define the conventions (sign, ``tau == 0``
+encoding, forward columnwise ``T``) that the tests and docs check the tile
+kernels against; the factor kernels themselves call LAPACK (``dgeqrt`` /
+``dtpqrt``), whose ``dlarfg`` / ``dlarft`` follow the same conventions.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ def larfg(x: np.ndarray) -> tuple[float, np.ndarray, float]:
     tau:
         The reflector scale; ``tau == 0`` encodes ``H == I`` (already zero
         tail), in which case ``beta == x[0]`` and ``v`` is zero.
+
+    Notes
+    -----
+    The tail is squared without rescaling, so this is only valid for roughly
+    ``1e-154 < |x_i| < 1e154``: below, the sum of squares flushes to zero and
+    a nonzero tail is mistaken for ``H == I``; above, the result is Inf/NaN.
+    LAPACK's ``dlarfg`` — what the tile kernels run — rescales instead.
     """
     x = np.asarray(x, dtype=np.float64)
     alpha = float(x[0])

@@ -4,30 +4,41 @@
 upper-triangular pivot tile and ``A2`` is a full tile (the paper's
 ``dtsqrt(A(i,j), A(k,j))``); ``ttqrt`` is the triangle-on-triangle variant
 used by the binary-tree reduction (``dttqrt``), where ``A2`` is itself upper
-triangular.
+trapezoidal.
 
 The reflector for column ``j`` has the structure ``[e_j; v2_j]``: the top
 part is the ``j``-th unit vector, so only the bottom part ``v2_j`` (stored in
-``A2``) is explicit.  For ``ttqrt`` the triangular zero pattern of ``A2`` is
-preserved automatically: ``v2_j`` has zeros below row ``j``, so updates never
-introduce fill — the numerics of ``ttqrt`` are exactly those of ``tsqrt`` on
-triangular input (the real libraries specialise it only to skip the zeros;
-our cost model accounts for the cheaper flop count separately).
+``A2``) is explicit.  Both factorizations are LAPACK's triangular-pentagonal
+``dtpqrt`` (through SciPy) — the routine behind PLASMA's ``dtsqrt`` and
+``dttqrt`` — with ``l = 0`` (rectangular ``A2``) for TS and ``l = m2``
+(trapezoidal ``A2``) for TT, so ``ttqrt`` really skips the structural zeros:
+it performs the cheaper flop count :func:`repro.kernels.flops.ttqrt_flops`
+models, not TSQRT's count on triangular input.
+
+In tile QR the *strictly lower* storage of ``R`` and of a TT ``A2`` holds
+reflectors of earlier steps that other ops may be reading.  ``dtpqrt``
+neither uses nor alters it (NaN there never reaches an output), and the
+results are copied back under a mask into exactly the regions the schedule
+certifier declares written (the pivot triangle; ``A2``'s upper trapezoid
+for TT), so those bytes are never stored to.  :func:`tsmqr` / :func:`ttmqr`,
+the updates, stay NumPy compact-WY.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dtpqrt
 
 from ..util.errors import ShapeError
 from ..util.validation import check_positive_int
-from .householder import larfg
+from .geqrt import _block_t
 
 __all__ = ["tsqrt", "ttqrt", "tsmqr", "ttmqr"]
 
-# Boolean upper-trapezoid masks used by ttmqr, cached per (rows, cols, diag):
-# tile QR calls ttmqr with the same few block shapes thousands of times, and
-# rebuilding the mask (what np.triu does internally) dominated its setup cost.
+# Boolean upper-trapezoid masks used by the masked write-backs and by ttmqr,
+# cached per (rows, cols, diag): tile QR hits the same few block shapes
+# thousands of times, and rebuilding the mask (what np.triu does internally)
+# dominated the setup cost.
 _TRIU_MASKS: dict[tuple[int, int, int], np.ndarray] = {}
 
 
@@ -68,47 +79,10 @@ def tsqrt(r: np.ndarray, a2: np.ndarray, ib: int) -> np.ndarray:
     k = r.shape[1]
     if a2.ndim != 2 or a2.shape[1] != k:
         raise ShapeError(f"tsqrt: a2 must have {k} columns, got {a2.shape}")
-    m2 = a2.shape[0]
-    t = np.zeros((ib, k))
-    x = np.empty(m2 + 1)  # reflector scratch, reused across all columns
-    for k0 in range(0, k, ib):
-        kb = min(ib, k - k0)
-        # Build the block's T directly inside its (already zeroed) slot of
-        # ``t``; the recurrence only reads the triangle written so far.
-        t_blk = t[:kb, k0 : k0 + kb]
-        for jj in range(kb):
-            j = k0 + jj
-            x[0] = r[j, j]
-            x[1:] = a2[:, j]
-            beta, v2, tau = larfg(x)
-            r[j, j] = beta
-            a2[:, j] = v2
-            if tau != 0.0 and jj + 1 < kb:
-                # Update the remaining columns of the inner block:
-                # w = r[j, l] + v2^T a2[:, l];  r[j, l] -= tau*w;
-                # a2[:, l] -= tau * v2 * w.
-                cols = slice(j + 1, k0 + kb)
-                w = r[j, cols] + v2 @ a2[:, cols]
-                r[j, cols] -= tau * w
-                a2[:, cols] -= np.outer(tau * v2, w)
-            # T recurrence: the top e_j parts of the reflectors are mutually
-            # orthogonal, so only the V2 parts contribute.
-            if jj > 0:
-                wvec = a2[:, k0 : k0 + jj].T @ v2
-                t_blk[:jj, jj] = -tau * (t_blk[:jj, :jj] @ wvec)
-            t_blk[jj, jj] = tau
-        if k0 + kb < k:
-            # Apply the block reflector (transposed) to the trailing columns
-            # of [r; a2]:  with Vtilde = [E_blk; V2]:
-            #   W  = T^T (C1[k0:k0+kb, :] + V2^T C2)
-            #   C1[k0:k0+kb, :] -= W ;  C2 -= V2 W
-            v2 = a2[:, k0 : k0 + kb]
-            cols = slice(k0 + kb, k)
-            c1 = r[k0 : k0 + kb, cols]
-            c2 = a2[:, cols]
-            w = t_blk.T @ (c1 + v2.T @ c2)
-            c1 -= w
-            c2 -= v2 @ w
+    r_out, v2, t, info = dtpqrt(0, min(ib, k), r, a2)
+    t = _block_t("tsqrt", t, info, ib)
+    np.copyto(r, r_out, where=_triu_mask(k, k, 0))
+    a2[...] = v2
     return t
 
 
@@ -122,7 +96,7 @@ def ttqrt(r1: np.ndarray, r2: np.ndarray, ib: int) -> np.ndarray:
 
     Structure awareness is essential, not an optimisation: in tile QR the
     *strictly lower* storage of both arguments holds reflectors from earlier
-    GEQRT/TS steps, so this kernel reads and writes only the upper
+    GEQRT/TS steps, so this kernel uses and writes only the upper
     trapezoids (reflector ``j`` has ``min(j+1, m2)`` explicit entries).
     """
     check_positive_int(ib, "ib")
@@ -132,42 +106,10 @@ def ttqrt(r1: np.ndarray, r2: np.ndarray, ib: int) -> np.ndarray:
     if r2.ndim != 2 or r2.shape[1] != k or r2.shape[0] > k:
         raise ShapeError(f"ttqrt: incompatible shapes, {r1.shape} vs {r2.shape}")
     m2 = r2.shape[0]
-    t = np.zeros((ib, k))
-    xbuf = np.empty(m2 + 1)  # reflector scratch, reused across all columns
-    for k0 in range(0, k, ib):
-        kb = min(ib, k - k0)
-        hi = min(k0 + kb, m2)  # valid V2 rows within this block
-        t_blk = t[:kb, k0 : k0 + kb]  # built in place inside ``t``
-        for jj in range(kb):
-            j = k0 + jj
-            d = min(j + 1, m2)  # explicit reflector length in r2
-            x = xbuf[: d + 1]
-            x[0] = r1[j, j]
-            x[1:] = r2[:d, j]
-            beta, v2, tau = larfg(x)
-            r1[j, j] = beta
-            r2[:d, j] = v2
-            if tau != 0.0 and jj + 1 < kb:
-                cols = slice(j + 1, k0 + kb)
-                w = r1[j, cols] + v2 @ r2[:d, cols]
-                r1[j, cols] -= tau * w
-                r2[:d, cols] -= np.outer(tau * v2, w)
-            if jj > 0:
-                # The block's earlier V2 columns live in r2's upper trapezoid;
-                # the cached mask (same idiom as ttmqr) zeroes the strictly
-                # lower storage, which belongs to other reflectors.
-                vcols = np.where(_triu_mask(d, jj, -k0), r2[:d, k0 : k0 + jj], 0.0)
-                wvec = vcols.T @ v2
-                t_blk[:jj, jj] = -tau * (t_blk[:jj, :jj] @ wvec)
-            t_blk[jj, jj] = tau
-        if k0 + kb < k:
-            cols = slice(k0 + kb, k)
-            vblk = np.where(_triu_mask(hi, kb, -k0), r2[:hi, k0 : k0 + kb], 0.0)
-            c1 = r1[k0 : k0 + kb, cols]
-            c2 = r2[:hi, cols]
-            w = t_blk.T @ (c1 + vblk.T @ c2)
-            c1 -= w
-            c2 -= vblk @ w
+    r_out, v2, t, info = dtpqrt(m2, min(ib, k), r1, r2)
+    t = _block_t("ttqrt", t, info, ib)
+    np.copyto(r1, r_out, where=_triu_mask(k, k, 0))
+    np.copyto(r2, v2, where=_triu_mask(m2, k, 0))
     return t
 
 

@@ -5,8 +5,9 @@
     order.  Fast and always available.
 ``batched``
     Wavefront-batched execution in one Python thread: the op DAG is cut
-    into level-synchronous wavefronts and same-shape ops fuse into single
-    stacked NumPy kernel calls, amortising per-op dispatch overhead.
+    into level-synchronous wavefronts and same-shape update ops fuse into
+    single stacked NumPy kernel calls, amortising per-op dispatch overhead
+    (factor ops are one LAPACK call per tile either way).
 ``parallel``
     Process-pool execution over shared-memory tiles
     (:mod:`repro.qr.parallel`): real multi-core wall-clock speedup.  Falls

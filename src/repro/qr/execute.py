@@ -105,24 +105,23 @@ def _gather(views: list[np.ndarray]) -> np.ndarray:
 
 
 def _run_stacked(store, ops: list[Op], members, ib: int, views) -> None:
-    """One stacked kernel call over the gathered operands of ``members``."""
+    """One stacked kernel call over the operands of ``members``."""
     first = ops[members[0]]
     stacked = KERNELS[first.kind][1]
-    written = [
-        _gather([writes[p] for _, writes in views]) for p in range(len(views[0][1]))
-    ]
+    operands = [[writes[p] for _, writes in views] for p in range(len(views[0][1]))]
     if first.is_factor:
-        t = stacked(*written, ib)
-        for b, idx in enumerate(members):
-            store.put_t(t_factor_key(ops[idx]), t[b])
-    else:
-        v = _gather([reads[0] for reads, _ in views])
-        tstack = np.stack([store.get_t(t_factor_key(ops[idx])) for idx in members])
-        stacked(v, tstack, *written)
-    # Scatter whole sub-blocks back.  Safe even where a kernel only touches
-    # part of one (TTQRT's upper trapezoid): the untouched bytes come back
-    # unchanged, so co-scheduled readers of the other storage region
-    # observe exactly the serial executor's values.
+        # A factor "stack" is one LAPACK call per tile, so it runs in place on
+        # the views themselves: nothing to gather, nothing to scatter, and
+        # only the regions the kernels own are stored to.
+        for idx, t in zip(members, stacked(*operands, ib)):
+            store.put_t(t_factor_key(ops[idx]), t)
+        return
+    written = [_gather(tiles) for tiles in operands]
+    v = _gather([reads[0] for reads, _ in views])
+    tstack = np.stack([store.get_t(t_factor_key(ops[idx])) for idx in members])
+    stacked(v, tstack, *written)
+    # Scatter whole sub-blocks back: an update kernel owns every byte of its
+    # written views.
     for b, (_, writes) in enumerate(views):
         for p, w in enumerate(writes):
             w[...] = written[p][b]
@@ -132,9 +131,11 @@ def run_step(store, ops: list[Op], members, ib: int, guard=None, on_done=None) -
     """Execute one step of a schedule in place on ``store``.
 
     ``members`` index one :func:`group_by_shape` group of pairwise
-    tile-disjoint ops, so one stacked kernel call over their gathered
-    ``(B, ...)`` operands is bit-identical to running them one at a time;
-    a 1-wide step runs the scalar kernel on the views directly.
+    tile-disjoint ops, so one stacked kernel call is bit-identical to
+    running them one at a time: update kernels run on gathered ``(B, ...)``
+    copies of their operands, factor kernels member by member in place on
+    the tile views.  A 1-wide step runs the scalar kernel on the views
+    directly.
 
     An armed ``guard`` snapshots every member's written regions before the
     call and verifies them after it, restoring and re-running a mismatching

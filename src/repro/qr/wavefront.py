@@ -4,9 +4,8 @@ The dependency DAG of a tree QR is shallow and wide: at every level of
 the longest-path schedule, dozens of independent ops of the *same kind
 and shape* are ready (one TSQRT per domain; one TSMQR per domain per
 trailing column).  The serial reference pays Python/NumPy dispatch
-overhead per op and per inner block, which dominates wall time at the
-small tile sizes the paper targets.  This module executes the DAG
-level-synchronously instead:
+overhead per op and, in the update kernels, per inner block.  This module
+executes the DAG level-synchronously instead:
 
 1. :func:`compute_wavefronts` partitions the op list into *wavefronts*
    — antichains of the dependency graph whose ops touch pairwise
@@ -14,11 +13,11 @@ level-synchronously instead:
    split of each level (the split only triggers on write-after-read
    pairs, which share a level because the DAG has no WAR edges).
 2. :func:`execute_ops_batched` hands the partition to the execution core
-   (:func:`repro.qr.execute.run_schedule`), which runs each wavefront by
-   *gathering* the operands of same-shape ops into contiguous
-   ``(B, m, n)`` stacks, making one call into :mod:`repro.kernels.batched`
-   per group, and *scattering* the results back into the
-   :class:`~repro.tiles.TileMatrix`.
+   (:func:`repro.qr.execute.run_schedule`), which runs each wavefront with
+   one call into :mod:`repro.kernels.batched` per same-shape group: update
+   ops are *gathered* into contiguous ``(B, m, n)`` stacks and *scattered*
+   back into the :class:`~repro.tiles.TileMatrix`; factor ops (one LAPACK
+   call per tile) run in place on the tile views.
 
 Because every DAG edge is respected (wavefronts concatenate to a legal
 schedule) and the batched kernels are bit-identical to the scalar ones,

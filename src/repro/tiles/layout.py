@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..util.validation import check_positive_int, require
+from ..util.errors import ConfigurationError
+from ..util.validation import check_positive_int
 
 __all__ = ["TileLayout"]
 
@@ -79,8 +80,12 @@ class TileLayout:
         """Total payload bytes of the matrix (used for memory accounting)."""
         return self.m * self.n * dtype_size
 
+    # Hot path (several calls per executed op): the message is only
+    # formatted when the check fails.
     def _check_i(self, i: int) -> None:
-        require(0 <= i < self.mt, f"tile row {i} out of range [0, {self.mt})")
+        if not 0 <= i < self.mt:
+            raise ConfigurationError(f"tile row {i} out of range [0, {self.mt})")
 
     def _check_j(self, j: int) -> None:
-        require(0 <= j < self.nt, f"tile column {j} out of range [0, {self.nt})")
+        if not 0 <= j < self.nt:
+            raise ConfigurationError(f"tile column {j} out of range [0, {self.nt})")

@@ -104,6 +104,17 @@ def _compare_every_wide_step(tm, ops, wavefronts):
 
 
 def test_guard_repairs_stacked_member_before_on_done():
+    _check_guarded_wide_step(factor=False)
+
+
+def test_guard_repairs_wide_factor_step_member_before_on_done():
+    """A wide factor step runs member by member in place on the tile views
+    (no gather/scatter); the guard's snapshot -> verify -> scalar repair and
+    the announce-after-verify order hold for it just the same."""
+    _check_guarded_wide_step(factor=True)
+
+
+def _check_guarded_wide_step(factor):
     tm, ops, wavefronts = _problem()
     plan = FaultPlan(seed=3, flip_rate=0.5)
     state = LocalStore(tm.copy())
@@ -111,13 +122,14 @@ def test_guard_repairs_stacked_member_before_on_done():
     for wf in wavefronts:
         for members in group_by_shape(state, ops, wf):
             flips = [plan.flip(idx, 0) for idx in members]
-            if hit is None and len(members) > 2 and any(flips) and not all(flips):
+            if (hit is None and len(members) > 2 and any(flips) and not all(flips)
+                    and ops[members[0]].is_factor == factor):
                 hit = members
                 break
             run_step(state, ops, members, IB)
         if hit is not None:
             break
-    assert hit is not None, "no stacked step with a partial flip pattern under this seed"
+    assert hit is not None, "no such wide step with a partial flip pattern under this seed"
 
     clean = _fork(state, tm)
     run_step(clean, ops, hit, IB)
