@@ -11,9 +11,15 @@ TTQRT    Incremental QR of [triangular R; triangular R] (binary tree).
 TTMQR    Apply a TTQRT transformation to a pair of trailing tiles.
 ======== =============================================================
 
-The three factor kernels (``GEQRT``/``TSQRT``/``TTQRT``) are LAPACK's
-``dgeqrt``/``dtpqrt`` through SciPy — the routines PLASMA's kernels of the
-same names wrap; the three update kernels are NumPy compact-WY matmuls.
+Each is one LAPACK call through SciPy — ``dgeqrt``/``dgemqrt`` for
+GEQRT/ORMQR, ``dtpqrt``/``dtpmqrt`` with ``l = 0`` for TSQRT/TSMQR and
+``l = m2`` for TTQRT/TTMQR, the routines PLASMA's kernels of the same names
+wrap.  On Fortran-contiguous float64 operands — the column-major tiles of
+:mod:`repro.tiles` and the ``(ib, k)`` ``T`` factors the factor kernels
+return — LAPACK works in place; any other operand (C-order, strided, a
+ragged sub-view) is copied in, and the result stored back into exactly the
+region the kernel owns.  Same contract, same bits, slower
+(:mod:`repro.kernels.geqrt` has the rule).
 
 Observability: the six kernels exported here are thin shims over the real
 implementations.  When a recorder is installed (:mod:`repro.obs`) each

@@ -1,47 +1,28 @@
-"""Stacked (batched) variants of the six tile kernels.
+"""The six tile kernels mapped over a batch.
 
 A wavefront of the tile-QR DAG contains many independent ops of the same
 kind and shape (every trailing column of a panel repeats the same
-``TSMQR``).  Executing the *update* kernels one Python call at a time pays
-interpreter and NumPy dispatch overhead per op, per inner block.  The three
-update kernels here hoist that loop into a leading batch axis: each takes
-``(B, ...)`` stacks and performs one 3-D ``np.matmul`` where the scalar
-kernel performs ``B`` separate 2-D calls.
+``TSMQR``).  Each kernel is one LAPACK call with no NumPy inner loop left to
+fuse, so a "stacked" kernel is nothing more than the scalar kernel of
+:mod:`repro.kernels` called once per slice, in place on that slice: there is
+one arithmetic per kind, and slice ``i`` of every output *is* the scalar
+kernel's result on slice ``i`` — bit for bit, by construction.
 
-The three *factor* kernels do not stack: each tile is one LAPACK call with
-no NumPy inner loop left to fuse, so ``geqrt_batched`` / ``tsqrt_batched`` /
-``ttqrt_batched`` are a plain loop of the scalar kernel over the slices.
-They keep the ``(B, m, n)`` signature so a schedule step is "one stacked
-call" for every kind; each slice is factored in place, so they equally take
-a *list of tile views* — the execution core passes the views themselves and
-skips the gather/scatter copies.
-
-Bit-exactness contract
-----------------------
-Each ``*_batched`` kernel is **bit-identical** to mapping its scalar
-counterpart over the batch (``tests/test_kernels_batched.py`` asserts
-``np.array_equal`` across ib/shape sweeps, so ``backend="batched"``
-reproduces ``backend="serial"`` factors exactly).  For the factor kernels
-that is by construction.  For the update kernels it holds because every
-reduction is expressed through ``np.matmul`` with per-slice operand layouts
-matching the scalar kernels, and NumPy's stacked matmul performs the same
-per-slice BLAS calls; everything else is elementwise ufuncs, which are
-order-independent.  Reductions are *not* written via ``np.einsum`` or
-``(x * x).sum()``, which round differently from BLAS dot products on this
-platform.
-
-If a future BLAS breaks per-slice equivalence for some shape, the
-executor's documented fallback is :func:`repro.qr.verify.verify_factorization`
-(see ``docs/performance.md``) — the sweep tests will localise the kernel.
+Each ``*_batched`` function takes ``(B, m, n)`` stacks or, equally, sequences
+of ``B`` tile views.  The slices of a C-order stack are C-order arrays, so
+they take the kernels' copy path (:mod:`repro.kernels.geqrt`); a list of
+Fortran-contiguous tile views runs in place.  The execution core
+(:mod:`repro.qr.execute`) does not come through here — it maps the scalar
+kernels over a step's views itself; these entry points serve the per-kernel
+probes of ``bench/layers.py`` and direct callers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..util.errors import ShapeError
-from .geqrt import geqrt
-from .tsqrt import _triu_mask, tsqrt, ttqrt
+from .geqrt import geqrt, ormqr
+from .tsqrt import tsmqr, tsqrt, ttmqr, ttqrt
 
 __all__ = [
     "geqrt_batched",
@@ -53,24 +34,8 @@ __all__ = [
 ]
 
 
-def _check_stack(name: str, arr: np.ndarray, func: str) -> None:
-    if arr.ndim != 3:
-        raise ShapeError(f"{func}: {name} must be a (B, m, n) stack, got {arr.shape}")
-
-
-def _unit_lower_batched(panel: np.ndarray, kb: int) -> np.ndarray:
-    """Batched :func:`repro.kernels.geqrt._unit_lower` over ``(B, m, kb)``."""
-    v = np.tril(panel, -1)
-    v[:, np.arange(kb), np.arange(kb)] = 1.0
-    return v
-
-
 def geqrt_batched(a, ib: int) -> np.ndarray:
-    """Factor each tile of ``a`` in place; return the ``(B, ib, k)`` ``T`` stack.
-
-    ``a`` is a ``(B, m, n)`` stack or a sequence of ``B`` tile views; slice
-    ``i`` of the outputs *is* ``geqrt(a[i], ib)``.
-    """
+    """Factor each tile of ``a`` in place; return the ``(B, ib, k)`` ``T`` stack."""
     return np.stack([geqrt(tile, ib) for tile in a])
 
 
@@ -84,84 +49,19 @@ def ttqrt_batched(r1, r2, ib: int) -> np.ndarray:
     return np.stack([ttqrt(ri, ai, ib) for ri, ai in zip(r1, r2, strict=True)])
 
 
-def ormqr_batched(
-    v_tile: np.ndarray, t: np.ndarray, c: np.ndarray, trans: bool = True
-) -> None:
-    """Apply ``B`` GEQRT transformations to a ``(B, m, q)`` stack in place."""
-    _check_stack("v_tile", v_tile, "ormqr_batched")
-    _check_stack("c", c, "ormqr_batched")
-    bsz, m, n = v_tile.shape
-    k = min(m, n)
-    ib = t.shape[1]
-    if c.shape[1] != m:
-        raise ShapeError(f"ormqr_batched: c has {c.shape[1]} rows, expected {m}")
-    starts = list(range(0, k, ib))
-    if not trans:
-        starts.reverse()
-    for k0 in starts:
-        kb = min(ib, k - k0)
-        t_blk = t[:, :kb, k0 : k0 + kb]
-        v = _unit_lower_batched(v_tile[:, k0:m, k0 : k0 + kb], kb)
-        csub = c[:, k0:m, :]
-        tt = t_blk.transpose(0, 2, 1) if trans else t_blk
-        csub -= v @ (tt @ (v.transpose(0, 2, 1) @ csub))
+def ormqr_batched(v_tile, t, c, trans: bool = True) -> None:
+    """Apply ``B`` GEQRT transformations to the ``B`` tiles of ``c`` in place."""
+    for vi, ti, ci in zip(v_tile, t, c, strict=True):
+        ormqr(vi, ti, ci, trans)
 
 
-def tsmqr_batched(
-    v2: np.ndarray,
-    t: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    trans: bool = True,
-) -> None:
-    """Apply ``B`` TSQRT transformations to stacked ``[c1; c2]`` in place."""
-    _check_stack("v2", v2, "tsmqr_batched")
-    bsz, m2, k = v2.shape
-    ib = t.shape[1]
-    if c1.shape[1] < k or c2.shape[1] != m2 or c1.shape[2] != c2.shape[2]:
-        raise ShapeError(
-            f"tsmqr_batched: c1 {c1.shape} / c2 {c2.shape} incompatible with v2 {v2.shape}"
-        )
-    starts = list(range(0, k, ib))
-    if not trans:
-        starts.reverse()
-    for k0 in starts:
-        kb = min(ib, k - k0)
-        t_blk = t[:, :kb, k0 : k0 + kb]
-        tt = t_blk.transpose(0, 2, 1) if trans else t_blk
-        v = v2[:, :, k0 : k0 + kb]
-        c1_blk = c1[:, k0 : k0 + kb, :]
-        w = tt @ (c1_blk + v.transpose(0, 2, 1) @ c2)
-        c1_blk -= w
-        c2 -= v @ w
+def tsmqr_batched(v2, t, c1, c2, trans: bool = True) -> None:
+    """Apply ``B`` TSQRT transformations to ``B`` ``[c1; c2]`` pairs in place."""
+    for vi, ti, c1i, c2i in zip(v2, t, c1, c2, strict=True):
+        tsmqr(vi, ti, c1i, c2i, trans)
 
 
-def ttmqr_batched(
-    v2: np.ndarray,
-    t: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    trans: bool = True,
-) -> None:
-    """Apply ``B`` TTQRT transformations to stacked ``[c1; c2]`` in place."""
-    _check_stack("v2", v2, "ttmqr_batched")
-    bsz, m2, k = v2.shape
-    ib = t.shape[1]
-    if c1.shape[1] < k or c2.shape[1] != m2 or c1.shape[2] != c2.shape[2]:
-        raise ShapeError(
-            f"ttmqr_batched: c1 {c1.shape} / c2 {c2.shape} incompatible with v2 {v2.shape}"
-        )
-    starts = list(range(0, k, ib))
-    if not trans:
-        starts.reverse()
-    for k0 in starts:
-        kb = min(ib, k - k0)
-        hi = min(k0 + kb, m2)
-        t_blk = t[:, :kb, k0 : k0 + kb]
-        tt = t_blk.transpose(0, 2, 1) if trans else t_blk
-        v = np.where(_triu_mask(hi, kb, -k0), v2[:, :hi, k0 : k0 + kb], 0.0)
-        c1_blk = c1[:, k0 : k0 + kb, :]
-        c2_hi = c2[:, :hi, :]
-        w = tt @ (c1_blk + v.transpose(0, 2, 1) @ c2_hi)
-        c1_blk -= w
-        c2_hi -= v @ w
+def ttmqr_batched(v2, t, c1, c2, trans: bool = True) -> None:
+    """Apply ``B`` TTQRT transformations to ``B`` ``[c1; c2]`` pairs in place."""
+    for vi, ti, c1i, c2i in zip(v2, t, c1, c2, strict=True):
+        ttmqr(vi, ti, c1i, c2i, trans)

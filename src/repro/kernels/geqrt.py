@@ -1,21 +1,34 @@
-"""``GEQRT``: blocked QR factorization of a single tile.
+"""``GEQRT``/``ORMQR``: blocked QR of a single tile and its trailing update.
 
-Corresponds to the paper's ``dgeqrt(A(i,j))``: factor a tile, leaving the
-R factor in the upper triangle and the Householder reflectors (unit lower
-trapezoid) below the diagonal, plus the compact-WY ``T`` factors needed to
-apply the transformation to trailing tiles (``dormqr``).
+Corresponds to the paper's ``dgeqrt(A(i,j))`` / ``dormqr(A(i,j), A(i,l))``:
+factor a tile, leaving the R factor in the upper triangle and the
+Householder reflectors (unit lower trapezoid) below the diagonal, plus the
+compact-WY ``T`` factors needed to apply the transformation to trailing
+tiles.
 
-The factorization *is* LAPACK's ``dgeqrt`` (through SciPy), the routine
-PLASMA's core kernel of the same name wraps: same reflector storage, same
-``(ib, k)`` block-``T`` layout, same sign convention, and reflectors that
-are generated with rescaling (no overflow or underflow of the column norm).
-:func:`ormqr`, the update, stays NumPy compact-WY matmuls.
+Both are single LAPACK calls through SciPy — ``dgeqrt`` and ``dgemqrt``, the
+routines PLASMA's core kernels of the same names wrap: same reflector
+storage, same ``(ib, k)`` block-``T`` layout, same sign convention, and
+reflectors generated with rescaling (no overflow or underflow of the column
+norm).
+
+In place or by copy
+-------------------
+LAPACK works directly on an operand that is Fortran-contiguous float64 —
+which every tile the :mod:`repro.tiles` layer allocates is, and every ``T``
+these kernels return.  Any other operand (a C-order array, a ragged
+``[:k, :k]`` sub-view, a row block of a dense matrix) is copied to Fortran
+order by the wrapper; the kernel detects that (the array LAPACK hands back
+is then not the one passed in) and stores the result back into exactly the
+region the kernel owns.  Both paths run the same LAPACK routine on the same
+values and leading dimension, so they agree bit for bit; the copy is only
+slower.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrt
+from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from ..util.errors import ShapeError
 from ..util.validation import check_positive_int
@@ -23,14 +36,25 @@ from ..util.validation import check_positive_int
 __all__ = ["geqrt", "ormqr"]
 
 
-def _block_t(name: str, t: np.ndarray, info: int, ib: int) -> np.ndarray:
-    """LAPACK's ``(min(ib, k), k)`` ``T`` as a C-order ``(ib, k)`` array
-    (zero rows below ``k`` when ``k < ib``); a nonzero ``info`` raises."""
+def _check_info(name: str, info: int) -> None:
     if info != 0:
         raise ShapeError(f"{name}: LAPACK rejected argument {-info} (info={info})")
-    out = np.zeros((ib, t.shape[1]))
+
+
+def _block_t(name: str, t: np.ndarray, info: int, ib: int) -> np.ndarray:
+    """LAPACK's Fortran-order ``(min(ib, k), k)`` ``T`` as an ``(ib, k)``
+    array (zero rows below ``k`` when ``k < ib``); a nonzero ``info`` raises."""
+    _check_info(name, info)
+    if t.shape[0] == ib:
+        return t
+    out = np.zeros((ib, t.shape[1]), order="F")
     out[: t.shape[0]] = t
     return out
+
+
+def _lapack_t(t: np.ndarray, k: int) -> np.ndarray:
+    """The ``(min(ib, k), k)`` block LAPACK expects of an ``(ib, k)`` ``T``."""
+    return t if t.shape[0] <= k else t[:k]
 
 
 def geqrt(a: np.ndarray, ib: int) -> np.ndarray:
@@ -49,18 +73,17 @@ def geqrt(a: np.ndarray, ib: int) -> np.ndarray:
     Returns
     -------
     t:
-        ``(ib, k)`` array with ``k = min(m, n)``; columns ``[k0, k0+kb)``
-        hold the ``kb x kb`` upper-triangular ``T`` of the block starting at
-        column ``k0`` (LAPACK ``dgeqrt`` layout).
+        Fortran-order ``(ib, k)`` array with ``k = min(m, n)``; columns
+        ``[k0, k0+kb)`` hold the ``kb x kb`` upper-triangular ``T`` of the
+        block starting at column ``k0`` (LAPACK ``dgeqrt`` layout).
     """
     check_positive_int(ib, "ib")
     if a.ndim != 2:
         raise ShapeError(f"geqrt expects a 2-D tile, got ndim={a.ndim}")
-    # LAPACK factors a Fortran-order copy; GEQRT owns the whole tile, so all
-    # of it is written back.
-    out, t, info = dgeqrt(min(ib, *a.shape), a)
+    out, t, info = dgeqrt(min(ib, *a.shape), a, overwrite_a=1)
     t = _block_t("geqrt", t, info, ib)
-    a[...] = out
+    if out is not a:  # LAPACK factored a copy; GEQRT owns the whole tile
+        a[...] = out
     return t
 
 
@@ -69,7 +92,9 @@ def ormqr(v_tile: np.ndarray, t: np.ndarray, c: np.ndarray, trans: bool = True) 
 
     Corresponds to the paper's ``dormqr(A(i,j), A(i,l))``: ``c`` becomes
     ``Q^T c`` (``trans=True``, the factorization-time update) or ``Q c``
-    (``trans=False``, used when reconstructing ``Q``).
+    (``trans=False``, used when reconstructing ``Q``).  Only the strictly
+    lower trapezoid of ``v_tile`` is read: the ``R`` stored on and above its
+    diagonal may be rewritten concurrently by a TS/TT kernel.
 
     Parameters
     ----------
@@ -83,27 +108,13 @@ def ormqr(v_tile: np.ndarray, t: np.ndarray, c: np.ndarray, trans: bool = True) 
     """
     m, n = v_tile.shape
     k = min(m, n)
-    ib = t.shape[0]
     if c.shape[0] != m:
         raise ShapeError(f"ormqr: c has {c.shape[0]} rows, expected {m}")
     if t.shape[1] != k:
         raise ShapeError(f"ormqr: t has {t.shape[1]} columns, expected {k}")
-    starts = list(range(0, k, ib))
-    if not trans:
-        starts.reverse()
-    for k0 in starts:
-        kb = min(ib, k - k0)
-        t_blk = t[:kb, k0 : k0 + kb]
-        v = _unit_lower(v_tile[k0:m, k0 : k0 + kb], kb)
-        csub = c[k0:m, :]
-        # Q = B_1 B_2 ...; Q^T c applies blocks forward with T^T, Q c applies
-        # them in reverse with T.
-        tt = t_blk.T if trans else t_blk
-        csub -= v @ (tt @ (v.T @ csub))
-
-
-def _unit_lower(panel: np.ndarray, kb: int) -> np.ndarray:
-    """Materialise the unit-lower-trapezoid ``V`` from factored storage."""
-    v = np.tril(panel, -1)
-    v[np.arange(kb), np.arange(kb)] = 1.0
-    return v
+    out, info = dgemqrt(
+        v_tile[:, :k], _lapack_t(t, k), c, trans=b"T" if trans else b"N", overwrite_c=1
+    )
+    _check_info("ormqr", info)
+    if out is not c:
+        c[...] = out

@@ -1,54 +1,55 @@
-"""``TSQRT``/``TTQRT``: incremental QR of two stacked tiles.
+"""``TSQRT``/``TTQRT`` and their updates ``TSMQR``/``TTMQR``.
 
 ``tsqrt`` factors ``[R; A2]`` where ``R`` (``k x k``) is the already
 upper-triangular pivot tile and ``A2`` is a full tile (the paper's
 ``dtsqrt(A(i,j), A(k,j))``); ``ttqrt`` is the triangle-on-triangle variant
 used by the binary-tree reduction (``dttqrt``), where ``A2`` is itself upper
-trapezoidal.
+trapezoidal.  ``tsmqr``/``ttmqr`` apply those transformations to a pair of
+trailing tiles.
 
 The reflector for column ``j`` has the structure ``[e_j; v2_j]``: the top
 part is the ``j``-th unit vector, so only the bottom part ``v2_j`` (stored in
-``A2``) is explicit.  Both factorizations are LAPACK's triangular-pentagonal
-``dtpqrt`` (through SciPy) — the routine behind PLASMA's ``dtsqrt`` and
-``dttqrt`` — with ``l = 0`` (rectangular ``A2``) for TS and ``l = m2``
-(trapezoidal ``A2``) for TT, so ``ttqrt`` really skips the structural zeros:
-it performs the cheaper flop count :func:`repro.kernels.flops.ttqrt_flops`
-models, not TSQRT's count on triangular input.
+``A2``) is explicit.  All four kernels are single calls of LAPACK's
+triangular-pentagonal routines through SciPy — ``dtpqrt`` to factor and
+``dtpmqrt`` to apply, the routines behind PLASMA's ``dtsqrt``/``dttqrt`` and
+``dtsmqr``/``dttmqr`` — with ``l = 0`` (rectangular ``A2``) for TS and
+``l = m2`` (trapezoidal ``A2``) for TT, so the TT kernels really skip the
+structural zeros: they perform the cheaper flop counts
+:func:`repro.kernels.flops.ttqrt_flops` / ``ttmqr_flops`` model.
 
 In tile QR the *strictly lower* storage of ``R`` and of a TT ``A2`` holds
-reflectors of earlier steps that other ops may be reading.  ``dtpqrt``
-neither uses nor alters it (NaN there never reaches an output), and the
-results are copied back under a mask into exactly the regions the schedule
-certifier declares written (the pivot triangle; ``A2``'s upper trapezoid
-for TT), so those bytes are never stored to.  :func:`tsmqr` / :func:`ttmqr`,
-the updates, stay NumPy compact-WY.
+reflectors of earlier steps that other ops may be reading.  Neither LAPACK
+routine uses or alters it (NaN there never reaches an output).  On
+Fortran-contiguous operands they run in place, so those bytes are never
+stored to; on any other operand they run on a copy (see
+:mod:`repro.kernels.geqrt`) and the results are copied back under a mask
+into exactly the regions the schedule certifier declares written (the pivot
+triangle; ``A2``'s upper trapezoid for TT; the whole of an update kernel's
+``c1[:k]`` and ``c2``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dtpqrt
+from scipy.linalg.lapack import dtpmqrt, dtpqrt
 
 from ..util.errors import ShapeError
 from ..util.validation import check_positive_int
-from .geqrt import _block_t
+from .geqrt import _block_t, _check_info, _lapack_t
 
 __all__ = ["tsqrt", "ttqrt", "tsmqr", "ttmqr"]
 
-# Boolean upper-trapezoid masks used by the masked write-backs and by ttmqr,
-# cached per (rows, cols, diag): tile QR hits the same few block shapes
-# thousands of times, and rebuilding the mask (what np.triu does internally)
-# dominated the setup cost.
-_TRIU_MASKS: dict[tuple[int, int, int], np.ndarray] = {}
+# Boolean upper-trapezoid masks for the copy path's write-backs, cached per
+# (rows, cols): tile QR hits the same few block shapes over and over.
+_TRIU_MASKS: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _triu_mask(rows: int, cols: int, diag: int) -> np.ndarray:
-    key = (rows, cols, diag)
-    mask = _TRIU_MASKS.get(key)
+def _triu_mask(rows: int, cols: int) -> np.ndarray:
+    mask = _TRIU_MASKS.get((rows, cols))
     if mask is None:
-        mask = ~np.tri(rows, cols, diag - 1, dtype=bool)
+        mask = ~np.tri(rows, cols, -1, dtype=bool)
         mask.setflags(write=False)
-        _TRIU_MASKS[key] = mask
+        _TRIU_MASKS[(rows, cols)] = mask
     return mask
 
 
@@ -79,10 +80,12 @@ def tsqrt(r: np.ndarray, a2: np.ndarray, ib: int) -> np.ndarray:
     k = r.shape[1]
     if a2.ndim != 2 or a2.shape[1] != k:
         raise ShapeError(f"tsqrt: a2 must have {k} columns, got {a2.shape}")
-    r_out, v2, t, info = dtpqrt(0, min(ib, k), r, a2)
+    r_out, v2, t, info = dtpqrt(0, min(ib, k), r, a2, overwrite_a=1, overwrite_b=1)
     t = _block_t("tsqrt", t, info, ib)
-    np.copyto(r, r_out, where=_triu_mask(k, k, 0))
-    a2[...] = v2
+    if r_out is not r:
+        np.copyto(r, r_out, where=_triu_mask(k, k))
+    if v2 is not a2:
+        a2[...] = v2
     return t
 
 
@@ -106,11 +109,35 @@ def ttqrt(r1: np.ndarray, r2: np.ndarray, ib: int) -> np.ndarray:
     if r2.ndim != 2 or r2.shape[1] != k or r2.shape[0] > k:
         raise ShapeError(f"ttqrt: incompatible shapes, {r1.shape} vs {r2.shape}")
     m2 = r2.shape[0]
-    r_out, v2, t, info = dtpqrt(m2, min(ib, k), r1, r2)
+    r_out, v2, t, info = dtpqrt(m2, min(ib, k), r1, r2, overwrite_a=1, overwrite_b=1)
     t = _block_t("ttqrt", t, info, ib)
-    np.copyto(r1, r_out, where=_triu_mask(k, k, 0))
-    np.copyto(r2, v2, where=_triu_mask(m2, k, 0))
+    if r_out is not r1:
+        np.copyto(r1, r_out, where=_triu_mask(k, k))
+    if v2 is not r2:
+        np.copyto(r2, v2, where=_triu_mask(m2, k))
     return t
+
+
+def _tpmqrt(name: str, l: int, v2, t, c1, c2, trans: bool) -> None:
+    """One ``dtpmqrt`` on ``[c1[:k]; c2]``; an update kernel owns every byte
+    of both blocks, so the copy path stores them back whole."""
+    m2, k = v2.shape
+    if c1.shape[0] < k:
+        raise ShapeError(f"{name}: c1 needs >= {k} rows, got {c1.shape[0]}")
+    if c2.shape[0] != m2 or c1.shape[1] != c2.shape[1]:
+        raise ShapeError(
+            f"{name}: c2 shape {c2.shape} incompatible with v2 {v2.shape} / c1 {c1.shape}"
+        )
+    top = c1[:k]
+    a, b, info = dtpmqrt(
+        l, v2, _lapack_t(t, k), top, c2, trans=b"T" if trans else b"N",
+        overwrite_a=1, overwrite_b=1,
+    )
+    _check_info(name, info)
+    if a is not top:
+        top[...] = a
+    if b is not c2:
+        c2[...] = b
 
 
 def tsmqr(
@@ -134,30 +161,11 @@ def tsmqr(
     t:
         ``(ib, k)`` factor from :func:`tsqrt`.
     c1:
-        Pivot-row tile, at least ``k`` rows.
+        Pivot-row tile, at least ``k`` rows (only the first ``k`` change).
     c2:
         ``(m2, q)`` second tile.
     """
-    m2, k = v2.shape
-    ib = t.shape[0]
-    if c1.shape[0] < k:
-        raise ShapeError(f"tsmqr: c1 needs >= {k} rows, got {c1.shape[0]}")
-    if c2.shape[0] != m2 or c1.shape[1] != c2.shape[1]:
-        raise ShapeError(
-            f"tsmqr: c2 shape {c2.shape} incompatible with v2 {v2.shape} / c1 {c1.shape}"
-        )
-    starts = list(range(0, k, ib))
-    if not trans:
-        starts.reverse()
-    for k0 in starts:
-        kb = min(ib, k - k0)
-        t_blk = t[:kb, k0 : k0 + kb]
-        tt = t_blk.T if trans else t_blk
-        v = v2[:, k0 : k0 + kb]
-        c1_blk = c1[k0 : k0 + kb, :]
-        w = tt @ (c1_blk + v.T @ c2)
-        c1_blk -= w
-        c2 -= v @ w
+    _tpmqrt("tsmqr", 0, v2, t, c1, c2, trans)
 
 
 def ttmqr(
@@ -171,30 +179,8 @@ def ttmqr(
 
     ``v2`` is the tile slice whose *upper trapezoid* holds the TT reflector
     bottoms written by :func:`ttqrt`; as there, the strictly lower storage
-    belongs to other reflectors and is masked out rather than read.  ``c1``
-    (pivot row tile, >= k rows) and ``c2`` (``m2`` rows) are updated in
-    place; ``trans`` selects ``Q^T`` vs ``Q``.
+    belongs to other reflectors and is never read.  ``c1`` (pivot row tile,
+    >= k rows) and ``c2`` (``m2`` rows) are updated in place; ``trans``
+    selects ``Q^T`` vs ``Q``.
     """
-    m2, k = v2.shape
-    ib = t.shape[0]
-    if c1.shape[0] < k:
-        raise ShapeError(f"ttmqr: c1 needs >= {k} rows, got {c1.shape[0]}")
-    if c2.shape[0] != m2 or c1.shape[1] != c2.shape[1]:
-        raise ShapeError(
-            f"ttmqr: c2 shape {c2.shape} incompatible with v2 {v2.shape} / c1 {c1.shape}"
-        )
-    starts = list(range(0, k, ib))
-    if not trans:
-        starts.reverse()
-    for k0 in starts:
-        kb = min(ib, k - k0)
-        hi = min(k0 + kb, m2)
-        t_blk = t[:kb, k0 : k0 + kb]
-        tt = t_blk.T if trans else t_blk
-        # Element (r, jj) of the block is a valid V2 entry iff r <= k0 + jj.
-        v = np.where(_triu_mask(hi, kb, -k0), v2[:hi, k0 : k0 + kb], 0.0)
-        c1_blk = c1[k0 : k0 + kb, :]
-        c2_hi = c2[:hi, :]
-        w = tt @ (c1_blk + v.T @ c2_hi)
-        c1_blk -= w
-        c2_hi -= v @ w
+    _tpmqrt("ttmqr", v2.shape[0], v2, t, c1, c2, trans)

@@ -15,6 +15,10 @@ introduced and until now only policed at runtime:
   handling (``shm-lifecycle``);
 * atomic persistence: ``os.replace`` without ``os.fsync`` in the same
   function is a torn-write bug waiting for a power cut (``atomic-write``);
+* tile storage is allocated in the tiles layer's memory order: a
+  ``np.zeros/empty/array`` of a ``tile_shape`` without
+  ``order=TILE_ORDER`` yields a tile that is correct but silently on every
+  kernel's copy path (``tile-order``);
 * no mutable default arguments (``mutable-default``);
 * no bare ``except:`` (``bare-except``).
 

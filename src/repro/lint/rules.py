@@ -250,6 +250,58 @@ def check_atomic_write(ctx: FileContext) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# tile-order: tile storage is allocated in the tiles layer's memory order
+
+
+#: NumPy constructors that allocate (or copy into) a fresh array.
+_ARRAY_ALLOCATORS = frozenset({"zeros", "empty", "ones", "full", "array", "ndarray"})
+
+
+def _is_tile_shape_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and (
+        node.func.attr if isinstance(node.func, ast.Attribute)
+        else getattr(node.func, "id", None)
+    ) == "tile_shape"
+
+
+@rule(
+    "tile-order",
+    "np.zeros/empty/ones/full/array/ndarray of a layout.tile_shape(...) must "
+    "pass order=TILE_ORDER (repro.tiles.layout): a tile in any other memory "
+    "order is correct but silently runs every kernel on its copy path",
+)
+def check_tile_order(ctx: FileContext) -> Iterator[Finding]:
+    # Names bound to a tile_shape(...) result anywhere in the file.
+    shape_names = {
+        target.id
+        for node in ast.walk(ctx.tree)
+        if isinstance(node, ast.Assign) and _is_tile_shape_call(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ctx.dotted_name(node.func)
+        if name is None or name.split(".")[0] not in ("np", "numpy"):
+            continue
+        if name.split(".")[-1] not in _ARRAY_ALLOCATORS:
+            continue
+        operands = list(node.args) + [kw.value for kw in node.keywords if kw.arg != "order"]
+        if not any(
+            _is_tile_shape_call(arg) or (isinstance(arg, ast.Name) and arg.id in shape_names)
+            for arg in operands
+        ):
+            continue
+        order = next((kw.value for kw in node.keywords if kw.arg == "order"), None)
+        if order is None or (ctx.dotted_name(order) or "").split(".")[-1] != "TILE_ORDER":
+            yield (node.lineno, node.col_offset,
+                   f"{name}() of a tile_shape without order=TILE_ORDER; "
+                   "allocate tiles through TileMatrix / SharedTileStore, or "
+                   "pass the tiles layer's order explicitly")
+
+
+# ---------------------------------------------------------------------------
 # mutable-default / bare-except: classic footguns, enforced tree-wide
 
 

@@ -121,8 +121,8 @@ K_BYTES_MOVED = "bytes.moved"  # payload bytes through channels
 K_QUEUE_MAX_DEPTH = "queue.max_depth"  # deepest channel FIFO observed
 K_PROXY_MESSAGES = "proxy.messages"  # inter-node messages routed by proxies
 K_DISPATCH_BATCHES = "dispatch.batches"  # batches sent to worker processes
-K_BATCH_CALLS = "batch.calls"  # stacked kernel calls (wavefront batching)
-K_BATCH_OPS = "batch.ops"  # ops executed inside stacked calls
+K_BATCH_CALLS = "batch.calls"  # wavefront steps run (batched) / slices reported (parallel)
+K_BATCH_OPS = "batch.ops"  # ops executed inside those steps
 
 # Fault-injection and recovery events (repro.faults; docs/robustness.md).
 K_FAULT_DROP = "fault.drop"  # fabric sends lost by the FaultPlan

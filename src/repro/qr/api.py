@@ -218,9 +218,8 @@ def qr_factor(
     >>> f.counters["ops.total"]  # 1 GEQRT + 2 TSQRT on a 3x1 tile grid
     3.0
 
-    ``batch="wavefront"`` keeps the parallel dispatcher but runs whole
-    wavefront slices as stacked kernel calls — factors stay bit-identical
-    to serial:
+    ``batch="wavefront"`` keeps the parallel dispatcher but hands workers
+    whole wavefront slices — factors stay bit-identical to serial:
 
     >>> f_wf = qr_factor(a, nb=4, ib=2, tree="flat",
     ...                  backend="parallel", n_procs=2, batch="wavefront")
@@ -307,9 +306,8 @@ def qr_factor(
         ``backend="parallel"`` only: worker process count (default: usable
         CPUs; ``1`` falls back to serial) and operations per dispatch
         message (default: auto).  ``batch="wavefront"`` switches the
-        dispatcher to level-synchronous stacked execution: workers receive
-        whole wavefront slices and run them as single
-        :mod:`repro.kernels.batched` calls (factors still bit-identical).
+        dispatcher to level-synchronous execution: workers receive whole
+        wavefront slices, one message each (factors still bit-identical).
     trace:
         Path to write a Chrome-trace/Perfetto JSON recording of the
         execution (any backend; see :mod:`repro.obs`).  Only the

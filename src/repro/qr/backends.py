@@ -4,10 +4,11 @@
     The reference executor: one Python thread, kernels run in schedule
     order.  Fast and always available.
 ``batched``
-    Wavefront-batched execution in one Python thread: the op DAG is cut
-    into level-synchronous wavefronts and same-shape update ops fuse into
-    single stacked NumPy kernel calls, amortising per-op dispatch overhead
-    (factor ops are one LAPACK call per tile either way).
+    The wavefront schedule in one Python thread: the op DAG is cut into
+    level-synchronous wavefronts of independent, tile-disjoint ops and the
+    core runs one wavefront per step — the same kernels on the same tile
+    views as ``serial``, in the order the parallel dispatcher and a session
+    replay.
 ``parallel``
     Process-pool execution over shared-memory tiles
     (:mod:`repro.qr.parallel`): real multi-core wall-clock speedup.  Falls

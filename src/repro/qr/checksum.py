@@ -68,7 +68,7 @@ def tile_checksum(view: np.ndarray) -> np.ndarray:
     >>> bool(checksums_match(tile_checksum(t), ref))
     False
     """
-    bits = np.ascontiguousarray(view, dtype=np.float64).view(np.uint64)
+    bits = np.asarray(view, dtype=np.float64).view(np.uint64)
     return bits.sum(axis=0, dtype=np.uint64)
 
 
@@ -95,9 +95,7 @@ class SDCGuard:
         self.detected = 0
         self.recovered = 0
         self._reported = (0, 0, 0)
-        # op index -> executions performed so far (shared by the scalar and
-        # stacked paths so a group member repaired scalar-side keeps its
-        # attempt budget).
+        # op index -> executions performed so far (the attempt budget).
         self._executions: dict[int, int] = {}
 
     # -- counters ----------------------------------------------------------
@@ -125,13 +123,12 @@ class SDCGuard:
     def verify(self, op_index: int, writes, snapshots, reexecute_fn) -> None:
         """Verify an execution that just happened; repair on mismatch.
 
-        :func:`repro.qr.execute.run_step` calls this once per op after the
-        scalar or stacked kernel call.  ``writes`` are the op's written
-        views (from :func:`repro.qr.ops.operand_views`) and ``snapshots``
-        their pre-call copies; on a checksum mismatch the views are
-        restored and ``reexecute_fn`` re-runs the op through the *scalar*
-        kernel (depositing its ``T`` factor, if any, in the store) —
-        bit-identical to the stacked one, so the repair is exact.
+        :func:`repro.qr.execute.run_step` calls this once per op after its
+        kernel call.  ``writes`` are the op's written views (from
+        :func:`repro.qr.ops.operand_views`) and ``snapshots`` their
+        pre-call copies; on a checksum mismatch the views are restored and
+        ``reexecute_fn`` re-runs the op's kernel (depositing its ``T``
+        factor, if any, in the store), so the repair is exact.
         """
         plan = self.plan
         while True:

@@ -108,9 +108,11 @@ def operand_views(a, op: Op):
     kernels' argument lists (:data:`repro.qr.execute.KERNELS`: factor
     kernels take ``(*written, ib)``, update kernels ``(*read, T, *written)``),
     and the *written* ones cover exactly the storage regions the op's
-    kernel mutates — the unit :func:`~repro.qr.execute.run_step`
-    gathers/scatters and the SDC guard (:mod:`repro.qr.checksum`)
-    snapshots, checksums, and corrupts.
+    kernel mutates — the unit the SDC guard (:mod:`repro.qr.checksum`)
+    snapshots, checksums, and corrupts.  On column-major tiles a full-tile
+    view is what LAPACK works on in place; a ragged ``[:k, :k]`` /
+    ``[:m2, :]`` sub-view is not contiguous and takes the kernels' copy
+    path (:mod:`repro.kernels.geqrt`).
     """
     if op.kind == "GEQRT":
         return (), (a.tile(op.i, op.j),)

@@ -20,8 +20,8 @@ many the machine has.  This module executes the *same* operation list
   :func:`repro.qr.execute.group_by_shape` into same-kind, same-shape,
   tile-disjoint slices (split across workers), a slice is dispatched once
   *all* its members' dependencies are met, and the worker runs it as one
-  stacked :mod:`repro.kernels.batched` call — the 3D-VSA wavefront
-  execution style on real processes;
+  step (one message, one report) — the 3D-VSA wavefront execution style
+  on real processes;
 * workers own no kernel code of their own: every dispatch message becomes
   one or more :func:`repro.qr.execute.run_step` calls on the shared store,
   the same step runner the in-process schedules use.
@@ -79,8 +79,10 @@ from multiprocessing.connection import Connection, wait as conn_wait
 import numpy as np
 
 from ..faults.watchdog import Watchdog
+from ..kernels.flops import kernel_flops
 from ..obs import context as _obs_context
 from ..obs import record as _obs_record
+from ..obs.adapters import KERNEL_CATEGORY
 from ..obs.record import (
     K_BATCH_CALLS,
     K_BATCH_OPS,
@@ -99,7 +101,7 @@ from ..util.errors import ConfigurationError, ParallelExecutionError
 from ..util.validation import check_nonnegative_int, check_positive_int, require
 from .checksum import SDCGuard
 from .dag import op_dependency_graph
-from .execute import group_by_shape, record_op_span, run_step
+from .execute import group_by_shape, run_step
 from .ops import Op
 from .reference import TileQRFactors, factor_records
 from .wavefront import compute_wavefronts
@@ -184,14 +186,14 @@ def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
 
     A message is a list of op indices — each a 1-wide step, timed on its
     own — or ``("stack", idxs)``, one wavefront slice run as a single
-    stacked :func:`repro.qr.execute.run_step` whose call window is sliced
-    evenly across the ops.  Timings travel back as absolute
+    :func:`repro.qr.execute.run_step` whose call window is sliced evenly
+    across its (same-kind, same-shape) ops.  Timings travel back as absolute
     ``perf_counter`` stamps so the parent can place them on the recorder's
     timeline and derive busy seconds (see module docstring).
 
     Fault hooks: before each step the worker consults the
     :class:`~repro.faults.FaultPlan` crash schedule (generation 0 only) and
-    ``os._exit``\\ s when told to; a stacked slice advances ``ops_done`` by
+    ``os._exit``\\ s when told to; a slice advances ``ops_done`` by
     its whole width, so a crash scheduled anywhere inside it lands on the
     slice boundary.  ``ops_done`` restarts at zero per job, so in a session
     the same schedule applies to every ``factor`` call until the worker is
@@ -201,9 +203,7 @@ def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
     ``flags`` segment is clear, and ``run_step`` raises the flag right
     after the op's tile mutations — under an armed SDC guard only once its
     output verified.  A re-dispatched slice with some flags already set
-    falls back to 1-wide steps over the unflagged ops; tile-disjointness
-    makes that safe and the scalar kernels are bit-identical to the
-    stacked ones.
+    runs only its unflagged ops; tile-disjointness makes that safe.
 
     Returns the terminator received: ``None`` (shut the worker down),
     ``("endjob",)`` (job complete, a pool worker waits for the next job), or
@@ -232,10 +232,8 @@ def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
                 os._exit(_CRASH_EXIT_CODE)
             t0 = time.perf_counter()
             pend = [i for i in idxs if not flags[i]]
-            steps = [pend] if len(pend) == len(idxs) else [[i] for i in pend]
             try:
-                for step in steps:
-                    run_step(store, ops, step, ib, guard, raise_flag)
+                run_step(store, ops, pend, ib, guard, raise_flag)
             except BaseException:
                 conn.send(("err", rank, idxs[0], traceback.format_exc()))
                 return "err"
@@ -375,10 +373,9 @@ def execute_ops_parallel(
         the op count), or the string ``"wavefront"`` for level-synchronous
         batched dispatch: the op list is partitioned with
         :func:`repro.qr.wavefront.compute_wavefronts`, same-kind/same-shape
-        ops of a wavefront are grouped (and split across workers), and each
-        worker runs its slice as a *single stacked call* into
-        :mod:`repro.kernels.batched` — fewer, larger messages and far less
-        per-op Python overhead, still bit-identical factors.
+        ops of a wavefront are grouped (and split evenly across workers), and
+        each worker runs its slice as one step — fewer, larger messages,
+        still bit-identical factors.
     timeout_s:
         No-progress watchdog: raise
         :class:`~repro.util.errors.WatchdogTimeout` instead of hanging if
@@ -488,8 +485,8 @@ def execute_ops_parallel(
             deps_left[int(succ_task[e])] -= 1
 
     # Wavefront mode: pre-partition the op list into same-kind, same-shape
-    # groups (one stacked kernel call each), split so a single wide
-    # wavefront still spreads across all workers.  A group enters the ready
+    # (hence same-cost) groups, split so a single wide wavefront still
+    # spreads evenly across all workers.  A group enters the ready
     # pool only when *every* member's dependencies are met — that is the
     # level-synchronous trade the batching makes.
     groups: list[list[int]] = []
@@ -593,6 +590,8 @@ def execute_ops_parallel(
             if deps_left[idx] == 0 and idx not in completed_set:
                 op_ready(idx)
         alive = set(range(n_procs))
+        # Workers whose attach echo for *this* job has been read.
+        attached: set[int] = set()
         idle = list(range(n_procs - 1, -1, -1))  # pop() yields rank 0 first
         inflight_of: dict[int, set[int]] = {w: set() for w in range(n_procs)}
         attempts = [0] * len(ops)
@@ -635,6 +634,7 @@ def execute_ops_parallel(
                         f"dispatcher serves run {run_id!r} — job header and "
                         "worker state disagree"
                     )
+                attached.add(w)
                 if rec is not None:
                     rec.add_span(
                         "attach", "dispatch",
@@ -667,9 +667,14 @@ def execute_ops_parallel(
                 busy = stats.per_worker_busy_s.get(w, 0.0)
                 stats.per_worker_busy_s[w] = busy + (op_t1 - op_t0)
                 if rec is not None:
-                    record_op_span(
-                        rec, ops, idx, ib, rec.from_monotonic(op_t0),
-                        rec.from_monotonic(op_t1), w, parent=root_span_id,
+                    # The worker's stamps become the op's kernel span on its
+                    # lane, charged the op's exact flop count.
+                    op = ops[idx]
+                    rec.record_kernel(
+                        op.kind, KERNEL_CATEGORY[op.kind],
+                        kernel_flops(op.kind, op.m2, op.k, op.q, ib),
+                        rec.from_monotonic(op_t0), rec.from_monotonic(op_t1), w,
+                        op=idx, parent=root_span_id,
                     )
                 for e in range(succ_index[idx], succ_index[idx + 1]):
                     d = int(succ_task[e])
@@ -677,8 +682,8 @@ def execute_ops_parallel(
                     if deps_left[d] == 0:
                         op_ready(d)
             if wavefront and rec is not None and done:
-                # One report == one stacked call (B == 1 for re-dispatched
-                # singleton slices), mirroring the in-process batched schedule.
+                # One report == one dispatched slice (B == 1 for re-dispatched
+                # singleton slices).
                 rec.count(K_BATCH_CALLS)
                 rec.count(K_BATCH_OPS, len(done))
             idle.append(w)
@@ -705,6 +710,7 @@ def execute_ops_parallel(
                     handle_msg(w, conns[w].recv())
             except (EOFError, OSError):
                 pass
+            attached.discard(w)  # a replacement echoes for itself
             conns[w].close()
             procs[w].join(timeout=5.0)
             code = procs[w].exitcode
@@ -848,6 +854,16 @@ def execute_ops_parallel(
                 dispatch()
             stats.dispatch_s += time.perf_counter() - t0
 
+        # A job of a few ops can complete before every leased worker's attach
+        # echo was read; collect the stragglers, or the pool's next job would
+        # read them as its own and reject the stale run id.
+        if pool is not None:
+            for w in alive - attached:
+                try:
+                    if conns[w].poll(timeout_s):
+                        handle_msg(w, conns[w].recv())
+                except (EOFError, OSError):
+                    pass  # died idle: the next lease respawns it
         # Hand pool workers back (they keep their store attachment and
         # await the next job header); shut one-shot workers down.
         for w in alive:

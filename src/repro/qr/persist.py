@@ -43,7 +43,7 @@ import numpy as np
 from ..obs import context as _obs_context
 from ..obs import record as _obs_record
 from ..obs.record import K_CKPT_BYTES, K_CKPT_WRITES, K_RESUME_SKIPPED
-from ..tiles.layout import TileLayout
+from ..tiles.layout import TILE_ORDER, TileLayout
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import t_factor_key
 from ..trees.plan import TreeKind, plan_all_panels
@@ -269,7 +269,7 @@ class CheckpointStore:
     every_ops, every_s:
         Snapshot cadence: a write happens when either ``every_ops``
         operations completed since the last one or ``every_s`` seconds
-        elapsed, whichever comes first (checked at op/group granularity;
+        elapsed, whichever comes first (checked between schedule steps;
         the parallel dispatcher additionally quiesces in-flight work
         before writing so the snapshot is a consistent frontier).
     on_write:
@@ -494,9 +494,10 @@ def resume_factorization(
         preloaded_ts = {}
         for row in t_index:
             idx, rows, cols, offset = (int(x) for x in row)
-            preloaded_ts[idx] = t_data[offset:offset + rows * cols].reshape(
-                rows, cols
-            ).copy()
+            preloaded_ts[idx] = np.array(
+                t_data[offset:offset + rows * cols].reshape(rows, cols),
+                order=TILE_ORDER,
+            )
         missing = {i for i in skip if ops[i].is_factor} - preloaded_ts.keys()
         if missing:
             raise KeyError(f"T factors for completed ops {sorted(missing)[:5]}")

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .. import kernels
+from ..tiles.layout import TILE_ORDER
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import t_factor_key
 from ..util.errors import ShapeError
@@ -115,11 +116,16 @@ class TileQRFactors:
         return x[:, 0] if squeeze else x
 
     def _apply(self, c: np.ndarray, trans: bool) -> np.ndarray:
-        c = np.array(c, dtype=np.float64, copy=True)
+        c = np.asarray(c, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] != self.m:
             raise ShapeError(f"c must be ({self.m}, q), got {c.shape}")
         layout = self.a.layout
-        blocks = [c[layout.row_span(i), :] for i in range(layout.mt)]
+        # One column-major array per tile row — one copy in here, one copy out
+        # below — so every record's kernel runs in place like a factorization
+        # update, instead of copying a row slice of ``c`` in and out per record.
+        blocks = [
+            np.array(c[layout.row_span(i)], order=TILE_ORDER) for i in range(layout.mt)
+        ]
         records = self.records if trans else list(reversed(self.records))
         for rec in records:
             if rec.kind == "GEQRT":
@@ -131,7 +137,7 @@ class TileQRFactors:
                 v2 = self.a.tile(rec.k2, rec.j)[: rec.m2, : rec.k]
                 c2 = blocks[rec.k2][: rec.m2, :]
                 kernels.ttmqr(v2, rec.t, blocks[rec.i], c2, trans=trans)
-        return c
+        return np.concatenate(blocks)
 
 
 def factor_records(ops: list[Op], get_t) -> list[FactorRecord]:
@@ -164,8 +170,8 @@ def execute_ops(
     Returns the :class:`TileQRFactors` wrapping ``a`` and the recorded
     transformations.  ``ops`` must be in a sequentially valid order, e.g.
     straight from :func:`repro.qr.ops.expand_plans`.  This is
-    :func:`repro.qr.execute.run_schedule` in program order, one scalar
-    kernel per op; ``fault_plan`` / ``checkpoint`` / ``skip`` /
+    :func:`repro.qr.execute.run_schedule` in program order, one op per
+    step; ``fault_plan`` / ``checkpoint`` / ``skip`` /
     ``preloaded_ts`` are documented there.
     """
     ts = run_schedule(

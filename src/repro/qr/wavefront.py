@@ -1,11 +1,9 @@
-"""Wavefront partition and batched serial executor for tile QR.
+"""Wavefront partition and the wavefront schedule for tile QR.
 
 The dependency DAG of a tree QR is shallow and wide: at every level of
 the longest-path schedule, dozens of independent ops of the *same kind
 and shape* are ready (one TSQRT per domain; one TSMQR per domain per
-trailing column).  The serial reference pays Python/NumPy dispatch
-overhead per op and, in the update kernels, per inner block.  This module
-executes the DAG level-synchronously instead:
+trailing column).  This module walks the DAG level-synchronously:
 
 1. :func:`compute_wavefronts` partitions the op list into *wavefronts*
    — antichains of the dependency graph whose ops touch pairwise
@@ -13,22 +11,22 @@ executes the DAG level-synchronously instead:
    split of each level (the split only triggers on write-after-read
    pairs, which share a level because the DAG has no WAR edges).
 2. :func:`execute_ops_batched` hands the partition to the execution core
-   (:func:`repro.qr.execute.run_schedule`), which runs each wavefront with
-   one call into :mod:`repro.kernels.batched` per same-shape group: update
-   ops are *gathered* into contiguous ``(B, m, n)`` stacks and *scattered*
-   back into the :class:`~repro.tiles.TileMatrix`; factor ops (one LAPACK
-   call per tile) run in place on the tile views.
+   (:func:`repro.qr.execute.run_schedule`), which runs one wavefront per
+   step: each member's kernel, one LAPACK call, in place on its
+   column-major tile views.
 
-Because every DAG edge is respected (wavefronts concatenate to a legal
-schedule) and the batched kernels are bit-identical to the scalar ones,
-``backend="batched"`` produces factors bit-identical to ``serial`` —
-``tests/test_wavefront.py`` asserts both properties.
+"Batched" names the *schedule*, not a second kernel family: there is one
+arithmetic per kernel kind, so ``backend="batched"`` produces factors
+bit-identical to ``serial`` by construction, in any order that respects
+every DAG edge (wavefronts concatenate to a legal schedule) —
+``tests/test_wavefront.py`` asserts both properties.  The same partition
+is what the parallel dispatcher slices across workers
+(``batch="wavefront"``) and what a :class:`~repro.qr.session.QRSession`
+caches per plan.
 
-Observability: each stacked call is recorded as ``B`` per-op kernel
-spans slicing the call window evenly, so lane-busy sums, gap reports
-(``repro.perf.gap``) and critical-path attribution keep working with no
-unmeasured time; ``batch.calls`` / ``batch.ops`` counters summarise the
-achieved batching rate.
+Observability: every kernel call records its own op-tagged span, as on the
+serial schedule; ``batch.calls`` / ``batch.ops`` count the wavefront steps
+run and the ops inside them.
 """
 
 from __future__ import annotations
@@ -122,9 +120,9 @@ def wavefront_stats(ops: list[Op], wavefronts: list[list[int]] | None = None) ->
     """Summary statistics of a wavefront partition (for docs and reports).
 
     Returns wavefront count, mean/max width, and the fraction of ops that
-    ride in a stacked call of size >= 2 under same-signature grouping —
-    the number that predicts how much Python dispatch overhead batching
-    can amortise for a given tree shape.
+    share a wavefront with at least one other op of the same signature —
+    the number that predicts how evenly a wavefront splits across the
+    parallel backend's workers for a given tree shape.
     """
     if wavefronts is None:
         wavefronts = compute_wavefronts(ops)
@@ -146,11 +144,11 @@ def wavefront_stats(ops: list[Op], wavefronts: list[list[int]] | None = None) ->
 
 
 def _signature(op: Op) -> tuple:
-    """Approximate batching key for :func:`wavefront_stats`.
+    """Approximate grouping key for :func:`wavefront_stats`.
 
     ``m2``/``k``/``q`` pin the operand shapes for every non-ragged tile;
-    the executor itself groups by the *exact* gathered view shapes, which
-    additionally separates ragged boundary tiles.
+    :func:`repro.qr.execute.group_by_shape` groups by the *exact* view
+    shapes, which additionally separates ragged boundary tiles.
     """
     return (op.kind, op.m2, op.k, op.q)
 
@@ -163,8 +161,7 @@ def execute_ops_batched(
 
     Semantically identical to :func:`repro.qr.reference.execute_ops` —
     factors come out bit-identical — but executes the DAG level by level,
-    fusing same-shape ops of a wavefront into single stacked kernel
-    calls.  Factor records are emitted in program order, so
+    one wavefront per step.  Factor records are emitted in program order, so
     :class:`~repro.qr.reference.TileQRFactors` application order is
     unchanged.
 

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int
 
-__all__ = ["TileLayout"]
+__all__ = ["TileLayout", "TILE_ORDER"]
+
+#: Memory order of every tile (and every ``T`` factor) this package
+#: allocates: column-major, the layout LAPACK works on in place.  The tile
+#: kernels accept any array, but one that is not contiguous in this order is
+#: copied in and out on every call (:mod:`repro.kernels.geqrt`), so tile
+#: storage is created only through :class:`~repro.tiles.matrix.TileMatrix`
+#: and :class:`~repro.tiles.shared.SharedTileStore`, which apply it.
+TILE_ORDER = "F"
 
 
 @dataclass(frozen=True)

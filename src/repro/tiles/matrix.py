@@ -2,8 +2,14 @@
 
 The tile algorithm stores each ``nb x nb`` tile contiguously ("cache
 friendly", paper Section V-A).  :class:`TileMatrix` keeps one owned float64
-array per tile; conversions to and from the dense (LAPACK-style) layout are
-explicit, mirroring the layout-translation step real tile libraries perform.
+array per tile, column-major (:data:`~repro.tiles.layout.TILE_ORDER`) as in
+PLASMA, so the LAPACK-backed kernels factor and update tiles in place with
+no copy; conversions to and from the dense layout are explicit, mirroring
+the layout-translation step real tile libraries perform.  Every constructor
+here (:meth:`~TileMatrix.from_dense`, :meth:`~TileMatrix.zeros`,
+:meth:`~TileMatrix.copy`, :meth:`~TileMatrix.set_tile`) yields tiles in that
+order; a pre-built grid handed to ``TileMatrix(...)`` is adopted as is — a
+C-order tile there is correct, merely on the kernels' slower copy path.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 from ..util.errors import ShapeError
 from ..util.validation import as_f64_matrix, require
-from .layout import TileLayout
+from .layout import TILE_ORDER, TileLayout
 
 __all__ = ["TileMatrix"]
 
@@ -35,7 +41,7 @@ class TileMatrix:
         self.layout = layout
         if tiles is None:
             tiles = [
-                [np.zeros(layout.tile_shape(i, j)) for j in range(layout.nt)]
+                [np.zeros(layout.tile_shape(i, j), order=TILE_ORDER) for j in range(layout.nt)]
                 for i in range(layout.mt)
             ]
         else:
@@ -57,12 +63,12 @@ class TileMatrix:
         """Copy a dense array into tile-major storage."""
         a = as_f64_matrix(a)
         layout = TileLayout(a.shape[0], a.shape[1], nb)
-        # Note: an explicit copy, never ascontiguousarray — full-width slices
-        # of a C-contiguous input are already contiguous and would alias the
-        # caller's array, letting the factorization mutate it.
+        # Note: an explicit copy, never asfortranarray — a slice of the input
+        # that already is column-major contiguous would alias the caller's
+        # array, letting the factorization mutate it.
         tiles = [
             [
-                np.array(a[layout.row_span(i), layout.col_span(j)], order="C", copy=True)
+                np.array(a[layout.row_span(i), layout.col_span(j)], order=TILE_ORDER, copy=True)
                 for j in range(layout.nt)
             ]
             for i in range(layout.mt)
@@ -96,8 +102,15 @@ class TileMatrix:
     def nt(self) -> int:
         return self.layout.nt
 
+    @property
+    def grid(self) -> list[list[np.ndarray]]:
+        """The tile grid itself (row-major nested lists, not a copy):
+        ``grid[i][j]`` is :meth:`tile` without the bounds checks, for the
+        execution core's per-op accesses."""
+        return self._tiles
+
     def tile(self, i: int, j: int) -> np.ndarray:
-        """The (mutable) tile at tile coordinates ``(i, j)``."""
+        """The (mutable) tile at tile coordinates ``(i, j)``, bounds-checked."""
         self.layout._check_i(i)
         self.layout._check_j(j)
         return self._tiles[i][j]
@@ -108,7 +121,7 @@ class TileMatrix:
         value = np.asarray(value, dtype=np.float64)
         if value.shape != expected:
             raise ShapeError(f"tile ({i},{j}) must have shape {expected}, got {value.shape}")
-        self._tiles[i][j] = np.array(value, order="C", copy=True)
+        self._tiles[i][j] = np.array(value, order=TILE_ORDER, copy=True)
 
     def iter_tiles(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """Yield ``(i, j, tile)`` in row-major order."""
@@ -127,7 +140,9 @@ class TileMatrix:
 
     def copy(self) -> "TileMatrix":
         """Deep copy (each tile buffer is duplicated)."""
-        return TileMatrix(self.layout, [[t.copy() for t in row] for row in self._tiles])
+        return TileMatrix(
+            self.layout, [[t.copy(order=TILE_ORDER) for t in row] for row in self._tiles]
+        )
 
     def norm_fro(self) -> float:
         """Frobenius norm computed tile-by-tile (no dense assembly)."""

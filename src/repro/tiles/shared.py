@@ -7,6 +7,9 @@ attach to the segment once, by name, and from then on read and mutate tiles
 in place through NumPy views: no array ever crosses a pipe, only small
 operation indices do.
 
+Tiles and ``T`` slots are column-major views
+(:data:`~repro.tiles.layout.TILE_ORDER`), like the owned tiles of a
+:class:`TileMatrix`, so worker kernels run LAPACK in place on the segment.
 The segment layout (offset of every tile and ``T`` slot) is a pure function
 of the tile geometry and the operation list, so the parent and every worker
 compute identical offset tables independently; only the segment *name*
@@ -20,7 +23,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..util.errors import ConfigurationError
-from .layout import TileLayout
+from .layout import TILE_ORDER, TileLayout
 from .matrix import TileMatrix
 
 __all__ = ["SharedTileStore", "SharedArena", "t_factor_key", "attach_untracked"]
@@ -123,14 +126,16 @@ class SharedTileStore:
             [
                 np.ndarray(
                     tile_index[(i, j)][1], dtype=np.float64, buffer=buf,
-                    offset=tile_index[(i, j)][0] * 8,
+                    offset=tile_index[(i, j)][0] * 8, order=TILE_ORDER,
                 )
                 for j in range(layout.nt)
             ]
             for i in range(layout.mt)
         ]
         self._ts = {
-            key: np.ndarray(shape, dtype=np.float64, buffer=buf, offset=off * 8)
+            key: np.ndarray(
+                shape, dtype=np.float64, buffer=buf, offset=off * 8, order=TILE_ORDER
+            )
             for key, (off, shape) in t_index.items()
         }
 
@@ -188,14 +193,14 @@ class SharedTileStore:
     def extract_matrix(self) -> TileMatrix:
         """Copy the tile grid out into an ordinary (owned) TileMatrix."""
         grid = [
-            [self._tiles[i][j].copy() for j in range(self.layout.nt)]
+            [self._tiles[i][j].copy(order=TILE_ORDER) for j in range(self.layout.nt)]
             for i in range(self.layout.mt)
         ]
         return TileMatrix(self.layout, grid)
 
     def extract_ts(self) -> dict[tuple, np.ndarray]:
         """Copy every ``T`` factor out of the segment."""
-        return {key: t.copy() for key, t in self._ts.items()}
+        return {key: t.copy(order=TILE_ORDER) for key, t in self._ts.items()}
 
 
 class SharedArena:

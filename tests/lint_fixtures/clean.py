@@ -38,3 +38,16 @@ def narrow(fn):
         return fn()
     except ValueError:
         return None
+
+
+def tiles(layout, ib, k):
+    # Tile-shaped allocations carry the tiles layer's order; arrays that are
+    # not tile-shaped are none of the tile-order rule's business.
+    import numpy as np
+
+    from repro.tiles.layout import TILE_ORDER
+
+    tile = np.zeros(layout.tile_shape(0, 0), order=TILE_ORDER)
+    t_factor = np.zeros((ib, k))
+    rows = np.empty(layout.tile_shape(0, 0)[0])
+    return tile, t_factor, rows

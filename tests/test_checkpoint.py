@@ -7,6 +7,10 @@ import pytest
 
 from repro.qr import CheckpointStore, resume_factorization
 from repro.qr.api import qr_factor
+from repro.qr.ops import expand_plans
+from repro.qr.reference import execute_ops
+from repro.tiles import TileMatrix
+from repro.trees import plan_all_panels
 from repro.util import ConfigurationError
 
 KW = dict(nb=8, ib=4, tree="hier", h=3)
@@ -162,3 +166,51 @@ class TestCheckpointResume:
         f = resume_factorization(path, fault_plan=plan)
         assert f.ops_skipped >= 1
         np.testing.assert_array_equal(clean.R, f.R)
+
+
+class TestTileMemoryOrder:
+    """An archive holds dense, order-free bytes: it neither records nor
+    depends on the memory order of the tiles it was staged from, and a
+    resume always rebuilds column-major tiles."""
+
+    def _interrupt(self, tmp_path, tm, name):
+        """Serial run on ``tm`` aborted when the first snapshot lands."""
+        ops = expand_plans(tm.layout, plan_all_panels("hier", tm.mt, tm.nt, h=KW["h"]))
+        ck = CheckpointStore(tmp_path / name, every_ops=10, on_write=_abort_after(1))
+        ck.bind(tm, ops, KW["ib"], "hier", KW["h"], True)
+        with pytest.raises(Abort):
+            execute_ops(tm, ops, KW["ib"], checkpoint=ck)
+        return tmp_path / name
+
+    @staticmethod
+    def _c_order(tm):
+        grid = [[np.ascontiguousarray(t) for t in row] for row in tm.grid]
+        assert not grid[0][0].flags.f_contiguous
+        return TileMatrix(tm.layout, grid)  # a pre-built grid is adopted as is
+
+    def test_digest_is_independent_of_tile_memory_order(self, tmp_path, small_tiles):
+        path_f = self._interrupt(tmp_path, small_tiles.copy(), "f.npz")
+        path_c = self._interrupt(tmp_path, self._c_order(small_tiles), "c.npz")
+        with np.load(path_f) as f, np.load(path_c) as c:
+            assert sorted(f.files) == sorted(c.files)
+            assert 0 < f["__done__"].sum() < f["__done__"].size
+            for name in f.files:  # digest included: same entries, same bytes
+                np.testing.assert_array_equal(f[name], c[name])
+
+    @pytest.mark.parametrize(
+        "backend,extra",
+        [("serial", {}), ("batched", {}), ("parallel", {"n_procs": 2})],
+        ids=["serial", "batched", "parallel"],
+    )
+    def test_archive_from_c_order_tiles_resumes_bit_exact(
+        self, tmp_path, small_matrix, small_tiles, backend, extra
+    ):
+        clean = qr_factor(small_matrix, **KW, backend=backend, **extra)
+        path = self._interrupt(tmp_path, self._c_order(small_tiles), "c.npz")
+        f = resume_factorization(path, backend=backend, **extra)
+        assert f.ops_skipped >= 1
+        assert all(t.flags.f_contiguous for _, _, t in f._factors.a.iter_tiles())
+        assert all(rec.t.flags.f_contiguous for rec in f._factors.records)
+        np.testing.assert_array_equal(clean.R, f.R)
+        for got, want in zip(f._factors.records, clean._factors.records):
+            np.testing.assert_array_equal(got.t, want.t)

@@ -197,13 +197,14 @@ def _kernel_references(path: pathlib.Path):
 
 
 def test_only_the_core_references_the_tile_kernels():
-    """Six scalar and six stacked kernels, one dispatch table: any other
-    reference inside ``repro.qr`` is a second execution path growing back.
-    Allowed besides the core: Q application (``TileQRFactors._apply``) and
-    the PULSAR VDP bodies, which fire kernels on channel-delivered tiles."""
+    """Six kernels, one dispatch table: any other reference inside
+    ``repro.qr`` — or any reference to the ``*_batched`` mapped forms, which
+    no executor needs — is a second execution path growing back.  Allowed
+    besides the core: Q application (``TileQRFactors._apply``) and the
+    PULSAR VDP bodies, which fire kernels on channel-delivered tiles."""
     allowed_files = {"execute.py", "vsa3d.py", "domino.py"}
     core = {name for _, name in _kernel_references(QR_DIR / "execute.py")}
-    assert core == {k.lower() for k in KERNELS} | {k.lower() + "_batched" for k in KERNELS}
+    assert core == {k.lower() for k in KERNELS}
     for path in sorted(QR_DIR.glob("*.py")):
         if path.name in allowed_files:
             continue

@@ -1,11 +1,13 @@
-"""Bit-exactness of the stacked kernels against their scalar counterparts.
+"""The ``*_batched`` kernels are the scalar kernels mapped over a batch.
 
-Every ``*_batched`` kernel must reproduce the scalar kernel mapped over the
-batch *bit for bit* (``np.array_equal``), across inner block sizes, tile
-shapes (square, tall, ragged), and batch sizes — that is the contract that
-makes ``backend="batched"`` interchangeable with ``backend="serial"``.
-The zero-tail cases exercise the ``tau == 0`` encoding, where the batched
-kernels deliberately apply a no-op update instead of branching.
+There is one arithmetic per kernel kind: ``kind_batched(stacks...)`` calls
+the scalar kernel once per slice, in place on that slice, so its outputs
+equal the scalar kernel's *bit for bit* (``np.array_equal``) — across inner
+block sizes, tile shapes (square, tall, ragged) and batch sizes, for
+``(B, m, n)`` stacks (whose C-order slices take the kernels' copy path) and
+for lists of Fortran-contiguous tile views (the in-place path) alike.  One
+helper states that; the tests below are its sweeps, plus the ``tau == 0``
+encoding and the rejection of 2-D input.
 """
 
 from __future__ import annotations
@@ -26,90 +28,103 @@ from repro.util import ShapeError
 
 BATCHES = (1, 3)
 IBS = (1, 3, 8)
+KERNELS = {
+    "geqrt": (geqrt, geqrt_batched),
+    "ormqr": (ormqr, ormqr_batched),
+    "tsqrt": (tsqrt, tsqrt_batched),
+    "tsmqr": (tsmqr, tsmqr_batched),
+    "ttqrt": (ttqrt, ttqrt_batched),
+    "ttmqr": (ttmqr, ttmqr_batched),
+}
 
 
 def _stack(rng, bsz, m, n):
     return rng.standard_normal((bsz, m, n))
 
 
+def _case(kind, seed, bsz, rows, k, ib, trans=True, q=6):
+    """``(read stacks, written stacks, trailing arguments)`` for ``kind``.
+
+    ``rows`` is the tile height for GEQRT/ORMQR and ``m2`` for the pair
+    kernels; the update kernels get reflectors and ``T`` factors produced by
+    their own factor kernel.  A TT ``a2`` keeps random strictly-lower
+    garbage, standing in for other reflectors' storage.
+    """
+    rng = np.random.default_rng(hash(seed) % 2**32)
+    if kind in ("geqrt", "ormqr"):
+        v = _stack(rng, bsz, rows, k)
+        if kind == "geqrt":
+            return [], [v], (ib,)
+        t = np.stack([geqrt(tile, ib) for tile in v])
+        return [v, t], [_stack(rng, bsz, rows, q)], (trans,)
+    r, a2 = _stack(rng, bsz, k, k), _stack(rng, bsz, rows, k)
+    if kind in ("tsqrt", "ttqrt"):
+        return [], [r, a2], (ib,)
+    factor = tsqrt if kind == "tsmqr" else ttqrt
+    t = np.stack([factor(ri, ai, ib) for ri, ai in zip(r, a2)])
+    return [a2, t], [_stack(rng, bsz, k, q), _stack(rng, bsz, rows, q)], (trans,)
+
+
+def _assert_mapped(kind, reads, writes, tail, as_views=False):
+    """``kind_batched`` equals the scalar kernel called per slice: every
+    written operand and the returned ``T`` stack, bit for bit."""
+    scalar, mapped = KERNELS[kind]
+    bsz = len(writes[0])
+    ref = [w.copy() for w in writes]
+    t_ref = [scalar(*(x[b] for x in reads), *(w[b] for w in ref), *tail) for b in range(bsz)]
+    if as_views:
+        reads = [[np.asfortranarray(x[b]) for b in range(bsz)] for x in reads]
+        writes = [[np.asfortranarray(w[b]) for b in range(bsz)] for w in writes]
+    t = mapped(*reads, *writes, *tail)
+    for w, r in zip(writes, ref):
+        assert all(np.array_equal(w[b], r[b]) for b in range(bsz))
+    if t_ref[0] is None:
+        assert t is None
+    else:
+        assert np.array_equal(t, np.stack(t_ref))
+
+
+@pytest.mark.parametrize("as_views", [False, True], ids=["stack", "views"])
+@pytest.mark.parametrize("rows,k,ib", [(8, 8, 3), (5, 8, 3), (3, 3, 8)],
+                         ids=["square", "ragged", "k_lt_ib"])
+@pytest.mark.parametrize("kind", list(KERNELS))
+def test_batched_is_the_scalar_kernel_mapped_over_the_batch(kind, rows, k, ib, as_views):
+    _assert_mapped(kind, *_case(kind, (kind, rows, k, ib), 3, rows, k, ib), as_views=as_views)
+
+
 @pytest.mark.parametrize("bsz", BATCHES)
 @pytest.mark.parametrize("m,n", [(8, 8), (12, 8), (8, 5)])
 @pytest.mark.parametrize("ib", IBS)
 def test_geqrt_batched_bit_exact(bsz, m, n, ib):
-    rng = np.random.default_rng(hash((bsz, m, n, ib)) % 2**32)
-    a = _stack(rng, bsz, m, n)
-    ref = a.copy()
-    t_ref = np.stack([geqrt(ref[b], ib) for b in range(bsz)])
-    t = geqrt_batched(a, ib)
-    assert np.array_equal(a, ref)
-    assert np.array_equal(t, t_ref)
+    _assert_mapped("geqrt", *_case("geqrt", (bsz, m, n, ib), bsz, m, n, ib))
 
 
 @pytest.mark.parametrize("bsz", BATCHES)
 @pytest.mark.parametrize("k,m2", [(8, 8), (8, 12), (5, 7)])
 @pytest.mark.parametrize("ib", IBS)
 def test_tsqrt_batched_bit_exact(bsz, k, m2, ib):
-    rng = np.random.default_rng(hash((bsz, k, m2, ib)) % 2**32)
-    r = _stack(rng, bsz, k, k)
-    a2 = _stack(rng, bsz, m2, k)
-    r_ref, a2_ref = r.copy(), a2.copy()
-    t_ref = np.stack([tsqrt(r_ref[b], a2_ref[b], ib) for b in range(bsz)])
-    t = tsqrt_batched(r, a2, ib)
-    assert np.array_equal(r, r_ref)
-    assert np.array_equal(a2, a2_ref)
-    assert np.array_equal(t, t_ref)
+    _assert_mapped("tsqrt", *_case("tsqrt", (bsz, k, m2, ib), bsz, m2, k, ib))
 
 
 @pytest.mark.parametrize("bsz", BATCHES)
 @pytest.mark.parametrize("k,m2", [(8, 8), (8, 5), (7, 3)])
 @pytest.mark.parametrize("ib", IBS)
 def test_ttqrt_batched_bit_exact(bsz, k, m2, ib):
-    rng = np.random.default_rng(hash((bsz, k, m2, ib)) % 2**32)
-    r1 = _stack(rng, bsz, k, k)
-    # Random strictly-lower garbage stands in for other reflectors' storage;
-    # the kernels must mask it out identically.
-    r2 = _stack(rng, bsz, m2, k)
-    r1_ref, r2_ref = r1.copy(), r2.copy()
-    t_ref = np.stack([ttqrt(r1_ref[b], r2_ref[b], ib) for b in range(bsz)])
-    t = ttqrt_batched(r1, r2, ib)
-    assert np.array_equal(r1, r1_ref)
-    assert np.array_equal(r2, r2_ref)
-    assert np.array_equal(t, t_ref)
+    _assert_mapped("ttqrt", *_case("ttqrt", (bsz, k, m2, ib), bsz, m2, k, ib))
 
 
 @pytest.mark.parametrize("bsz", BATCHES)
 @pytest.mark.parametrize("trans", [True, False])
 @pytest.mark.parametrize("ib", IBS)
 def test_ormqr_batched_bit_exact(bsz, trans, ib):
-    rng = np.random.default_rng(hash((bsz, trans, ib)) % 2**32)
-    m, n, q = 10, 8, 6
-    v = _stack(rng, bsz, m, n)
-    t = np.stack([geqrt(v[b], ib) for b in range(bsz)])
-    c = _stack(rng, bsz, m, q)
-    c_ref = c.copy()
-    for b in range(bsz):
-        ormqr(v[b], t[b], c_ref[b], trans=trans)
-    ormqr_batched(v, t, c, trans=trans)
-    assert np.array_equal(c, c_ref)
+    _assert_mapped("ormqr", *_case("ormqr", (bsz, trans, ib), bsz, 10, 8, ib, trans))
 
 
 @pytest.mark.parametrize("bsz", BATCHES)
 @pytest.mark.parametrize("trans", [True, False])
 @pytest.mark.parametrize("ib", IBS)
 def test_tsmqr_batched_bit_exact(bsz, trans, ib):
-    rng = np.random.default_rng(hash((bsz, trans, ib, 1)) % 2**32)
-    k, m2, q = 8, 10, 6
-    r = _stack(rng, bsz, k, k)
-    v2 = _stack(rng, bsz, m2, k)
-    t = np.stack([tsqrt(r[b], v2[b], ib) for b in range(bsz)])
-    c1 = _stack(rng, bsz, k, q)
-    c2 = _stack(rng, bsz, m2, q)
-    c1_ref, c2_ref = c1.copy(), c2.copy()
-    for b in range(bsz):
-        tsmqr(v2[b], t[b], c1_ref[b], c2_ref[b], trans=trans)
-    tsmqr_batched(v2, t, c1, c2, trans=trans)
-    assert np.array_equal(c1, c1_ref)
-    assert np.array_equal(c2, c2_ref)
+    _assert_mapped("tsmqr", *_case("tsmqr", (bsz, trans, ib, 1), bsz, 10, 8, ib, trans))
 
 
 @pytest.mark.parametrize("bsz", BATCHES)
@@ -117,19 +132,7 @@ def test_tsmqr_batched_bit_exact(bsz, trans, ib):
 @pytest.mark.parametrize("m2", [8, 5])
 @pytest.mark.parametrize("ib", IBS)
 def test_ttmqr_batched_bit_exact(bsz, trans, m2, ib):
-    rng = np.random.default_rng(hash((bsz, trans, m2, ib)) % 2**32)
-    k, q = 8, 6
-    r1 = _stack(rng, bsz, k, k)
-    v2 = _stack(rng, bsz, m2, k)
-    t = np.stack([ttqrt(r1[b], v2[b], ib) for b in range(bsz)])
-    c1 = _stack(rng, bsz, k, q)
-    c2 = _stack(rng, bsz, m2, q)
-    c1_ref, c2_ref = c1.copy(), c2.copy()
-    for b in range(bsz):
-        ttmqr(v2[b], t[b], c1_ref[b], c2_ref[b], trans=trans)
-    ttmqr_batched(v2, t, c1, c2, trans=trans)
-    assert np.array_equal(c1, c1_ref)
-    assert np.array_equal(c2, c2_ref)
+    _assert_mapped("ttmqr", *_case("ttmqr", (bsz, trans, m2, ib), bsz, m2, 8, ib, trans))
 
 
 def test_geqrt_batched_zero_tail_column():

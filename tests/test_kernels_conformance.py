@@ -1,6 +1,6 @@
-"""Numerical and storage conformance of the LAPACK-backed factor kernels.
+"""Numerical and storage conformance of the LAPACK-backed tile kernels.
 
-The kernel-level slice of ROADMAP item 4.  Three groups:
+The kernel-level slice of ROADMAP item 4.  Four groups:
 
 * **Scale robustness.**  ``dlarfg`` rescales before it squares, so the
   factorization is scale-invariant far outside ``sqrt(realmax)``: ``R`` of
@@ -15,6 +15,12 @@ The kernel-level slice of ROADMAP item 4.  Three groups:
   schedule certifier declares written.  NaN sentinels in the foreign storage
   (strictly-lower of a pivot triangle, below-trapezoid of a TT tile) must
   come back bit-identical and must not leak into any output.
+* **In place or by copy.**  On Fortran-contiguous operands every kernel is
+  one LAPACK call working in place; C-order and strided operands are copied
+  in and stored back under the kernel's region mask.  Both paths keep the
+  storage contract above — for the update kernels too, which never read the
+  ``R`` part of an ORMQR ``V`` tile or the below-trapezoid of a TT ``V2`` —
+  and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro import qr_factor
-from repro.kernels import geqrt, tsqrt, ttqrt
+from repro.kernels import geqrt, ormqr, tsmqr, tsqrt, ttmqr, ttqrt
 from repro.kernels.batched import geqrt_batched, tsqrt_batched, ttqrt_batched
 from repro.kernels.geqrt import _block_t
 from repro.tiles import random_dense
@@ -206,8 +212,8 @@ def test_pair_kernels_store_only_into_their_regions(kernel, k, m2, ib):
 
 
 def test_factor_kernels_work_in_place_on_strided_tile_views():
-    """Tiles of a ``TileMatrix`` / shared store are C-order *views*; a list
-    of such views is what the execution core hands the stacked kernels."""
+    """Strided C-order views (the copy path) are still factored in place:
+    the result lands in the view and nowhere else."""
     rng = np.random.default_rng(11)
     big = rng.standard_normal((16, 24))
     ref = big.copy()
@@ -232,10 +238,9 @@ def test_lapack_info_is_a_typed_error():
 
 
 def test_traced_batched_run_has_one_op_tagged_span_per_op(tmp_path):
-    """Wide factor steps run member by member through the *uninstrumented*
-    kernels; the driver slices the step's window into per-op spans.  So a
-    traced batched run still shows every op exactly once, under its own
-    kind, and ``batch.ops == ops.total``."""
+    """A wavefront step maps the instrumented kernels over its members, each
+    tagged with its op index.  So a traced batched run shows every op exactly
+    once, under its own kind, and ``batch.ops == ops.total``."""
     path = tmp_path / "trace.json"
     a = random_dense(160, 32, seed=6)
     f = qr_factor(a, nb=16, ib=8, tree="hier", h=2, backend="batched", trace=str(path))
@@ -247,3 +252,152 @@ def test_traced_batched_run_has_one_op_tagged_span_per_op(tmp_path):
         assert sum(e["name"] == kind for e in spans) == f.counters[f"ops.{kind}"]
     assert f.counters["batch.ops"] == total
     assert 0 < f.counters["batch.calls"] < total  # some steps really were wide
+
+
+# --------------------------------------------------------------------------
+# In place or by copy
+# --------------------------------------------------------------------------
+
+LAYOUTS = ["fortran", "c_order", "strided"]
+PAIR_SHAPES = pytest.mark.parametrize(
+    "k,m2,ib", [(8, 8, 3), (8, 5, 3), (3, 3, 8)], ids=["square", "ragged_m2_lt_k", "k_lt_ib"]
+)
+
+
+def _laid_out(x: np.ndarray, layout: str) -> np.ndarray:
+    """``x``'s values as a Fortran-contiguous array (LAPACK works in place),
+    a C-order array, or a non-contiguous interior view of a larger
+    column-major array (both copied in and stored back)."""
+    if layout == "fortran":
+        return np.array(x, order="F")
+    if layout == "c_order":
+        return np.array(x, order="C")
+    big = np.full((x.shape[0] + 3, x.shape[1] + 2), 7.0, order="F")
+    view = big[1 : 1 + x.shape[0], 1 : 1 + x.shape[1]]
+    view[...] = x
+    assert not view.flags.f_contiguous and not view.flags.c_contiguous
+    return view
+
+
+def _frame_intact(view: np.ndarray) -> bool:
+    """The storage around a ``"strided"`` view still holds its fill value."""
+    big = view.base
+    frame = np.ones(big.shape, dtype=bool)
+    frame[1 : 1 + view.shape[0], 1 : 1 + view.shape[1]] = False
+    return bool((big[frame] == 7.0).all())
+
+
+@pytest.mark.parametrize("kernel", ["tsqrt", "ttqrt"])
+@PAIR_SHAPES
+def test_factor_pair_kernels_in_place_and_by_copy_agree(kernel, k, m2, ib):
+    rng = np.random.default_rng(k * m2 + ib)
+    r0, r_foreign = _poison_lower(rng, k, k)
+    if kernel == "ttqrt":
+        a0, a_foreign = _poison_lower(rng, m2, k)
+    else:
+        a0, a_foreign = rng.standard_normal((m2, k)), np.zeros((m2, k), dtype=bool)
+    outs = {}
+    for layout in LAYOUTS:
+        r, a2 = _laid_out(r0, layout), _laid_out(a0, layout)
+        t = {"tsqrt": tsqrt, "ttqrt": ttqrt}[kernel](r, a2, ib)
+        assert t.flags.f_contiguous and t.shape == (ib, k) and np.isfinite(t).all()
+        assert np.isfinite(r[~r_foreign]).all() and np.isfinite(a2[~a_foreign]).all()
+        assert not np.array_equal(r[~r_foreign], r0[~r_foreign])  # the kernel ran
+        # Foreign storage: never stored to, NaN payloads included.
+        assert np.array_equal(_bits(r[r_foreign]), _bits(r0[r_foreign]))
+        assert np.array_equal(_bits(a2[a_foreign]), _bits(a0[a_foreign]))
+        if layout == "strided":
+            assert _frame_intact(r) and _frame_intact(a2)
+        outs[layout] = (t, r, a2)
+    for layout in LAYOUTS[1:]:
+        for got, want in zip(outs[layout], outs["fortran"]):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("trans", [True, False], ids=["qt", "q"])
+@pytest.mark.parametrize(
+    "m,n,ib", [(8, 8, 3), (8, 5, 3), (5, 8, 3), (3, 3, 8)],
+    ids=["square", "tall", "wide_m_lt_n", "k_lt_ib"],
+)
+def test_ormqr_never_reads_the_r_part_of_its_v_tile(m, n, ib, trans):
+    rng = np.random.default_rng(m * n + ib)
+    v_clean = np.array(rng.standard_normal((m, n)), order="F")
+    t = geqrt(v_clean, ib)
+    v0 = v_clean.copy()
+    v0[~np.tri(m, n, -1, dtype=bool)] = np.nan  # R lives on and above the diagonal
+    c0 = rng.standard_normal((m, 6))
+    want = np.array(c0, order="F")
+    ormqr(v_clean, t, want, trans=trans)
+    for v_layout in LAYOUTS:
+        for c_layout in LAYOUTS:
+            v, c = _laid_out(v0, v_layout), _laid_out(c0, c_layout)
+            ormqr(v, _laid_out(t, v_layout), c, trans=trans)
+            assert np.array_equal(_bits(c), _bits(want))  # finite, and the same bits
+            assert np.array_equal(_bits(v), _bits(v0))  # V is read-only
+            if c_layout == "strided":
+                assert _frame_intact(c)
+
+
+@pytest.mark.parametrize("trans", [True, False], ids=["qt", "q"])
+@pytest.mark.parametrize("kernel", ["tsmqr", "ttmqr"])
+@PAIR_SHAPES
+def test_pair_update_kernels_in_place_and_by_copy_agree(kernel, k, m2, ib, trans):
+    """``c1`` has two rows more than ``k`` (a pivot-row block of a ragged last
+    panel): only its first ``k`` rows belong to the kernel."""
+    rng = np.random.default_rng(k * m2 + ib)
+    r = np.array(np.triu(rng.standard_normal((k, k))), order="F")
+    v_clean = np.array(rng.standard_normal((m2, k)), order="F")
+    if kernel == "ttmqr":
+        v_clean[np.tri(m2, k, -1, dtype=bool)] = 0.0
+        t = ttqrt(r, v_clean, ib)
+        v0 = v_clean.copy()
+        v0[np.tri(m2, k, -1, dtype=bool)] = np.nan  # other reflectors' storage
+    else:
+        t = tsqrt(r, v_clean, ib)
+        v0 = v_clean
+    update = {"tsmqr": tsmqr, "ttmqr": ttmqr}[kernel]
+    c1_0, c2_0 = rng.standard_normal((k + 2, 6)), rng.standard_normal((m2, 6))
+    want1, want2 = np.array(c1_0[:k], order="F"), np.array(c2_0, order="F")
+    update(v_clean, t, want1, want2, trans=trans)  # exact-k c1: fully in place
+    assert not np.array_equal(want2, c2_0)
+    for layout in LAYOUTS:
+        v, c1, c2 = _laid_out(v0, layout), _laid_out(c1_0, layout), _laid_out(c2_0, layout)
+        update(v, t, c1, c2, trans=trans)
+        assert np.array_equal(_bits(c1[:k]), _bits(want1))
+        assert np.array_equal(_bits(c1[k:]), _bits(c1_0[k:]))  # rows past k: not ours
+        assert np.array_equal(_bits(c2), _bits(want2))
+        assert np.array_equal(_bits(v), _bits(v0))
+        if layout == "strided":
+            assert _frame_intact(c1) and _frame_intact(c2)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_q_after_qt_round_trips(layout):
+    """``trans=False`` undoes ``trans=True`` for all three update kernels:
+    ``Q Q^T c = c`` to ``50 k eps ||c||`` (k = 8 reflectors of 16 rows)."""
+    rng = np.random.default_rng(12)
+    k, ib = 8, 3
+    bound = 50 * k * EPS
+
+    v = np.array(rng.standard_normal((12, k)), order="F")
+    t = geqrt(v, ib)
+    c0 = rng.standard_normal((12, 5))
+    c = _laid_out(c0, layout)
+    ormqr(v, t, c, trans=True)
+    assert not np.allclose(c, c0)
+    ormqr(v, t, c, trans=False)
+    assert np.linalg.norm(c - c0) <= bound * np.linalg.norm(c0)
+
+    for factor, update, a2 in (
+        (tsqrt, tsmqr, rng.standard_normal((k, k))),
+        (ttqrt, ttmqr, np.triu(rng.standard_normal((k, k)))),
+    ):
+        r, v2 = np.array(np.triu(rng.standard_normal((k, k))), order="F"), np.array(a2, order="F")
+        t = factor(r, v2, ib)
+        c1_0, c2_0 = rng.standard_normal((k, 5)), rng.standard_normal((k, 5))
+        c1, c2 = _laid_out(c1_0, layout), _laid_out(c2_0, layout)
+        update(v2, t, c1, c2, trans=True)
+        assert not np.allclose(c2, c2_0)
+        update(v2, t, c1, c2, trans=False)
+        err = np.hypot(np.linalg.norm(c1 - c1_0), np.linalg.norm(c2 - c2_0))
+        assert err <= bound * np.hypot(np.linalg.norm(c1_0), np.linalg.norm(c2_0))

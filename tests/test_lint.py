@@ -27,6 +27,7 @@ FIXTURE_RULES = [
     ("bad_atomic_write.py", "atomic-write", 1),
     ("bad_mutable_default.py", "mutable-default", 3),
     ("bad_bare_except.py", "bare-except", 1),
+    ("bad_tile_order.py", "tile-order", 3),
 ]
 
 

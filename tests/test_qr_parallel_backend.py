@@ -20,6 +20,7 @@ from repro.qr.dag import op_dependency_graph
 from repro.qr.ops import Op, expand_plans
 from repro.qr.parallel import execute_ops_parallel
 from repro.tiles import SharedTileStore, TileMatrix, random_dense
+from repro.tiles.shared import t_factor_key
 from repro.trees import plan_all_panels
 from repro.util import ParallelExecutionError
 
@@ -156,6 +157,35 @@ class TestSharedTileStore:
             # Extraction copies: mutating the store no longer changes `out`.
             store.tile(1, 0)[0, 0] = 7.0
             assert out.tile(1, 0)[0, 0] == 42.0
+        finally:
+            store.close()
+            store.unlink()
+
+    def test_tiles_and_t_slots_are_column_major(self, small_tiles):
+        """``create`` / ``attach`` views and ``extract_*`` copies are all
+        Fortran-contiguous, whatever order the source tiles have — so worker
+        kernels run LAPACK in place on the segment."""
+        ops = expand_plans(
+            small_tiles.layout, plan_all_panels("hier", small_tiles.mt, small_tiles.nt, h=3)
+        )
+        c_grid = TileMatrix(
+            small_tiles.layout,
+            [[np.ascontiguousarray(t) for t in row] for row in small_tiles.grid],
+        )
+        store = SharedTileStore.create(c_grid, ops, 4)
+        try:
+            other = SharedTileStore.attach(store.name, small_tiles.layout, ops, 4)
+            keys = [t_factor_key(op) for op in ops if op.is_factor]
+            store.put_t(keys[0], np.arange(4.0 * ops[0].k).reshape(4, ops[0].k))
+            for view in (store, other):
+                for i, j, want in small_tiles.iter_tiles():
+                    assert view.tile(i, j).flags.f_contiguous
+                    np.testing.assert_array_equal(view.tile(i, j), want)
+                assert all(view.get_t(key).flags.f_contiguous for key in keys)
+            assert other.get_t(keys[0])[1, 2] == ops[0].k + 2.0
+            other.close()
+            assert all(t.flags.f_contiguous for _, _, t in store.extract_matrix().iter_tiles())
+            assert all(t.flags.f_contiguous for t in store.extract_ts().values())
         finally:
             store.close()
             store.unlink()

@@ -114,6 +114,20 @@ class TestBitExactness:
             np.testing.assert_array_equal(ser.R, f.R)
 
 
+    def test_tiny_job_leaves_no_stale_attach_echo(self):
+        """A 3-op job (16 x 8, one panel) can complete before the second
+        leased worker's attach echo is read; the dispatcher must collect it
+        before handing the pool back, or the next call reads it as its own
+        and rejects the stale run id (about one session in five did)."""
+        a = random_dense(16, 8, seed=3)
+        kw = dict(nb=8, ib=4, tree="flat")
+        ref = qr_factor(a, **kw)
+        for _ in range(20):
+            with QRSession(n_procs=2) as sess:
+                for _ in range(3):
+                    assert np.array_equal(sess.factor(a, **kw).R, ref.R)
+
+
 class TestChaos:
     def test_worker_killed_between_calls(self, small_matrix):
         ser = qr_factor(small_matrix, **KW)

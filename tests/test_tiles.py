@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.tiles import (
+    TILE_ORDER,
     TileLayout,
     TileMatrix,
     graded_conditioned,
@@ -68,11 +69,46 @@ class TestTileMatrix:
         np.testing.assert_array_equal(tm.to_dense(), a)
 
     def test_from_dense_copies(self, rng):
-        """Regression: full-width tiles must not alias the input array."""
-        a = rng.standard_normal((16, 8))  # tiles span full rows
+        """Regression: a tile-shaped slice of the input that is already
+        contiguous (full-width rows of a C array, full-height columns of an
+        F array — the tiles' own order) must not alias the input array."""
+        for a in (
+            rng.standard_normal((16, 8)),
+            np.asfortranarray(rng.standard_normal((8, 16))),
+        ):
+            tm = TileMatrix.from_dense(a, 8)
+            tm.tile(0, 0)[0, 0] = 999.0
+            assert a[0, 0] != 999.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_every_constructor_yields_column_major_tiles(self, rng, order):
+        """37 x 21 with nb=8 has a ragged last tile row and column.  Only a
+        pre-built grid handed to ``TileMatrix(...)`` is adopted as is."""
+        a = np.array(rng.standard_normal((37, 21)), order=order)
         tm = TileMatrix.from_dense(a, 8)
-        tm.tile(0, 0)[0, 0] = 999.0
-        assert a[0, 0] != 999.0
+        c_grid = TileMatrix(tm.layout, [[np.ascontiguousarray(t) for t in row] for row in tm.grid])
+        assert c_grid.tile(0, 0).flags.c_contiguous and not c_grid.tile(0, 0).flags.f_contiguous
+        filled = TileMatrix.zeros(37, 21, 8)
+        for i, j, t in c_grid.iter_tiles():
+            filled.set_tile(i, j, t)
+        built = {
+            "from_dense": tm, "copy": tm.copy(), "copy of a C-order grid": c_grid.copy(),
+            "set_tile": filled, "zeros": TileMatrix.zeros(37, 21, 8),
+        }
+        for name, m in built.items():
+            for i, j, t in m.iter_tiles():
+                assert t.flags.f_contiguous and t.dtype == np.float64, (name, i, j)
+                assert t.shape == tm.layout.tile_shape(i, j)
+                assert not np.shares_memory(t, a)
+            if name != "zeros":
+                np.testing.assert_array_equal(m.to_dense(), a)
+        assert TILE_ORDER == "F"
+
+    def test_grid_is_the_unchecked_tile_accessor(self):
+        tm = TileMatrix.zeros(16, 8, 8)
+        assert tm.grid[1][0] is tm.tile(1, 0)
+        with pytest.raises(ConfigurationError):
+            tm.tile(2, 0)
 
     def test_set_tile_copies(self, rng):
         tm = TileMatrix.zeros(16, 8, 8)
