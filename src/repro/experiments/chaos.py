@@ -146,7 +146,7 @@ def run_chaos_sdc(cfg: ExperimentConfig) -> ExperimentResult:
             plan = FaultPlan(seed=17, flip_rate=rate) if rate > 0.0 else None
             bkw = dict(kw)
             if backend == "parallel":
-                bkw.update(n_procs=3, batch="wavefront")
+                bkw.update(n_procs=3)
             t0 = time.perf_counter()
             with recording() as rec:
                 f = qr_factor(a, **bkw, backend=backend, fault_plan=plan)

@@ -6,8 +6,9 @@ Every run gets a fresh ``run_id`` whether or not tracing is on (minting is
 two cheap library calls), and the id travels across every concurrency
 boundary the backends cross:
 
-* the parallel dispatcher puts it in worker spawn arguments and pool job
-  headers, and workers echo it back in their attach handshake;
+* the parallel dispatcher puts it in the job header every pool worker
+  receives (in its spawn arguments, or on its pipe when already running),
+  and workers echo it back in their attach handshake;
 * the PULSAR runtime stamps it onto every :class:`~repro.pulsar.packet.Packet`
   it pushes, so payloads hopping through node proxies stay attributable;
 * :class:`~repro.qr.persist.CheckpointStore` archives it, and a resumed

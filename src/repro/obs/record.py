@@ -33,7 +33,7 @@ the run, allocated when the span *opens* (so children observe it), and a
 ``parent_id`` naming the span that caused it — the enclosing
 :meth:`Recorder.span` block on the same thread by default, or an explicit
 parent for spans reported across a process boundary (the parallel
-dispatcher parents worker kernel spans under its spawn/lease span).  The
+dispatcher parents worker kernel spans under its ``pool.lease`` span).  The
 recorder also owns the run's identity (``run_id``, see
 :mod:`repro.obs.context`) and its structured event log
 (:class:`repro.obs.events.EventLog`), so spans, counters, and events are
@@ -121,7 +121,7 @@ K_BYTES_MOVED = "bytes.moved"  # payload bytes through channels
 K_QUEUE_MAX_DEPTH = "queue.max_depth"  # deepest channel FIFO observed
 K_PROXY_MESSAGES = "proxy.messages"  # inter-node messages routed by proxies
 K_DISPATCH_BATCHES = "dispatch.batches"  # batches sent to worker processes
-K_BATCH_CALLS = "batch.calls"  # wavefront steps run (batched) / slices reported (parallel)
+K_BATCH_CALLS = "batch.calls"  # wavefront steps run (the ``batched`` lane only)
 K_BATCH_OPS = "batch.ops"  # ops executed inside those steps
 
 # Fault-injection and recovery events (repro.faults; docs/robustness.md).
@@ -136,8 +136,10 @@ K_WORKER_RESTART = "worker.restart"  # replacement workers spawned
 K_REDISPATCH_OPS = "retry.redispatch"  # in-flight ops re-dispatched after a death
 K_FALLBACK_SERIAL = "fallback.serial"  # degradations to the serial reference
 
-# Persistent-session events (repro.qr.session; docs/sessions.md).
-K_POOL_LEASES = "pool.leases"  # jobs leased to a persistent worker pool
+# Worker-pool and plan-cache events (repro.qr.parallel, repro.qr.session;
+# docs/sessions.md).  A one-shot parallel run leases a pool of its own, so
+# it reports pool.leases == 1 and pool.spawns == n_procs.
+K_POOL_LEASES = "pool.leases"  # jobs leased to a worker pool
 K_POOL_SPAWNS = "pool.spawns"  # pool worker processes spawned (cold start or respawn)
 K_POOL_REUSED = "pool.reused"  # warm worker reuses across session.factor calls
 K_PLAN_HITS = "plan.hits"  # PlanCache hits (op DAG + wavefront schedule reused)

@@ -40,10 +40,10 @@ Gauge vocabulary
 ``parallel.workers_alive`` live worker processes
 ``parallel.completed_ops`` ops whose completion was processed
 ``parallel.redispatched``  in-flight ops re-dispatched after worker deaths
-``pool.workers_alive``     live processes in a session's persistent pool
-                           (:class:`repro.qr.session.WorkerPool`; registered
-                           alongside the ``parallel.*`` gauges when the run
-                           goes through a :class:`repro.QRSession`)
+``pool.workers_alive``     live processes in the leased pool
+                           (:class:`repro.qr.parallel.WorkerPool`: a
+                           :class:`repro.QRSession`'s, or the one a one-shot
+                           run keeps for the call)
 ========================== ===================================================
 """
 

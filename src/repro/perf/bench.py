@@ -151,9 +151,8 @@ def run_qr_benchmark(
     from ..qr.session import QRSession
 
     with QRSession(n_procs=procs) as sess:
-        warm_kw = dict(kw, batch="wavefront")
-        sess.factor(a, **warm_kw)  # cold: spawn pool, build plan cache entry
-        session_warm_s = best(lambda: sess.factor(a, **warm_kw))
+        sess.factor(a, **kw)  # cold: spawn pool, build plan cache entry
+        session_warm_s = best(lambda: sess.factor(a, **kw))
 
     # Telemetry-disabled overhead microbench: a burst of small serial
     # factorizations where per-call fixed cost (run-id minting, trace-context

@@ -45,7 +45,7 @@ from ..util.errors import (
     ReproError,
     ScheduleCertificationError,
 )
-from ..util.validation import as_f64_matrix, check_tile_params, require
+from ..util.validation import as_f64_matrix, check_finite, check_tile_params, require
 from .backends import require_capability, run_backend, serial_fallback, worker_count
 from .ops import expand_plans
 from .reference import TileQRFactors
@@ -218,13 +218,15 @@ def qr_factor(
     >>> f.counters["ops.total"]  # 1 GEQRT + 2 TSQRT on a 3x1 tile grid
     3.0
 
-    ``batch="wavefront"`` keeps the parallel dispatcher but hands workers
-    whole wavefront slices — factors stay bit-identical to serial:
+    ``backend="parallel"`` runs the same ops on worker processes, factors
+    bit-identical to serial.  ``batch=`` caps the ops per dispatch message;
+    ``"wavefront"`` is kept as a synonym of the auto-sized default, not a
+    mode of its own:
 
     >>> f_wf = qr_factor(a, nb=4, ib=2, tree="flat",
     ...                  backend="parallel", n_procs=2, batch="wavefront")
-    >>> bool(np.array_equal(f_wf.R, f.R))
-    True
+    >>> bool(np.array_equal(f_wf.R, f.R)), f_wf.stats.batch
+    (True, 1)
 
     ``metrics=`` streams live counter/gauge samples to JSON-lines while
     the backend runs (one object per ~50 ms snapshot):
@@ -279,7 +281,10 @@ def qr_factor(
     ----------
     a:
         Dense ``(m, n)`` array with ``m >= n``, or a pre-tiled
-        :class:`TileMatrix` (then ``nb`` is taken from it).
+        :class:`TileMatrix` (then ``nb`` is taken from it).  Every entry
+        must be finite: a NaN or Inf raises
+        :class:`~repro.util.errors.ConfigurationError` naming its index
+        before anything is planned, allocated or spawned.
     nb, ib:
         Tile size and inner block size (paper: ``nb in {192, 240}``,
         ``ib = 48``).
@@ -304,10 +309,12 @@ def qr_factor(
         where it selects the dispatcher's ready-pool discipline.
     n_procs, batch:
         ``backend="parallel"`` only: worker process count (default: usable
-        CPUs; ``1`` falls back to serial) and operations per dispatch
-        message (default: auto).  ``batch="wavefront"`` switches the
-        dispatcher to level-synchronous execution: workers receive whole
-        wavefront slices, one message each (factors still bit-identical).
+        CPUs; ``1`` falls back to serial) and the most operations sent in
+        one dispatch message (default: auto-sized from the op count;
+        ``stats.batch`` reports the int used).  ``batch="wavefront"`` is an
+        accepted synonym of that default — dispatch is always
+        dependency-driven.  Both ``batch`` and ``policy`` are validated on
+        every backend, including the ones that ignore them.
     trace:
         Path to write a Chrome-trace/Perfetto JSON recording of the
         execution (any backend; see :mod:`repro.obs`).  Only the
@@ -392,11 +399,14 @@ def qr_factor(
     -------
     QRFactorization
     """
+    # Shape and finiteness are settled here, before planning, shared memory
+    # or any pool lease (from_dense validates through as_f64_matrix).
     if isinstance(a, TileMatrix):
+        for i, j, tile in a.iter_tiles():
+            check_finite(tile, origin=(i * a.nb, j * a.nb))
         tm = a.copy()
         dense_nb = tm.nb
     else:
-        a = as_f64_matrix(a)
         tm = TileMatrix.from_dense(a, nb)
         dense_nb = nb
     check_tile_params(tm.m, tm.n, dense_nb, ib)

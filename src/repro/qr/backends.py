@@ -7,21 +7,20 @@
     The wavefront schedule in one Python thread: the op DAG is cut into
     level-synchronous wavefronts of independent, tile-disjoint ops and the
     core runs one wavefront per step — the same kernels on the same tile
-    views as ``serial``, in the order the parallel dispatcher and a session
-    replay.
+    views as ``serial``, in level order.
 ``parallel``
     Process-pool execution over shared-memory tiles
-    (:mod:`repro.qr.parallel`): real multi-core wall-clock speedup.  Falls
-    back to the serial executor when ``n_procs=1`` or shared memory is
-    unavailable.
+    (:mod:`repro.qr.parallel`), dispatched op by op as dependencies are
+    met: real multi-core wall-clock speedup.  Falls back to the serial
+    executor when ``n_procs=1`` or shared memory is unavailable.
 ``pulsar``
     The full 3D virtual systolic array on the threaded PULSAR runtime,
     optionally across several simulated distributed-memory nodes;
     exercises the real dataflow.
 
 The first three are *schedules over the execution core*
-(:mod:`repro.qr.execute`) — program order, wavefronts, and the same steps
-on worker processes.  ``pulsar`` is a separate executor: its VDPs fire
+(:mod:`repro.qr.execute`) — program order, wavefronts, and dependency
+order on worker processes.  ``pulsar`` is a separate executor: its VDPs fire
 kernels on channel-delivered tiles, not on a store, which is exactly why it
 lacks the store-based capabilities in :data:`CAPABILITIES`.
 :func:`~repro.qr.api.qr_factor` and
@@ -37,7 +36,9 @@ import time
 
 from ..obs import record as _obs_record
 from ..obs.record import K_FALLBACK_SERIAL
+from ..pulsar.runtime import POLICIES
 from ..util.errors import ConfigurationError
+from ..util.validation import check_positive_int, require
 from . import parallel as _parallel
 from .collector import assemble_factors
 from .reference import execute_ops
@@ -134,7 +135,21 @@ def run_backend(
     the session's pool and arena for ``parallel``); ``plans`` feeds the
     pulsar VSA builder.  ``skip`` / ``preloaded_ts`` are the resume path.
     ``stats`` is ``None`` for the single-lane backends.
+
+    ``policy`` and ``batch`` are checked here, whichever backend runs (only
+    ``parallel`` uses ``batch``).  ``batch="wavefront"`` is an accepted
+    spelling of the default: it once selected level-synchronous slice
+    dispatch, callers still pass it, and it now means auto-sized batches.
     """
+    require(policy in POLICIES, f"policy must be one of {POLICIES}, got {policy!r}")
+    if batch == "wavefront":
+        batch = None
+    elif isinstance(batch, str):
+        raise ConfigurationError(
+            f"batch must be a positive int or 'wavefront', got {batch!r}"
+        )
+    elif batch is not None:
+        check_positive_int(batch, "batch")
     common = dict(fault_plan=fault_plan, checkpoint=checkpoint,
                   skip=skip, preloaded_ts=preloaded_ts)
     if backend == "serial":

@@ -35,9 +35,7 @@ from ..util.validation import require
 from .checksum import SDCGuard
 from .ops import Op, operand_views
 
-__all__ = [
-    "KERNELS", "LocalStore", "run_op", "group_by_shape", "run_step", "run_schedule",
-]
+__all__ = ["KERNELS", "LocalStore", "run_op", "run_step", "run_schedule"]
 
 #: ``kind -> kernel`` (the instrumented shims of :mod:`repro.kernels`).
 KERNELS = {
@@ -85,29 +83,11 @@ def run_op(store, op: Op, ib: int) -> None:
         kernel(*reads, store.get_t(t_factor_key(op)), *writes)
 
 
-def group_by_shape(store, ops: list[Op], members) -> list[list[int]]:
-    """Split ``members`` into groups of equal work: same kind, same view shapes.
-
-    The parallel dispatcher cuts each group of a wavefront into one slice
-    per worker, so every worker gets the same number of same-cost ops
-    (ragged boundary tiles fall into their own groups).  ``store`` only
-    supplies tile shapes: the dispatcher groups on the parent's
-    :class:`~repro.tiles.matrix.TileMatrix` what workers later run on the
-    shared store.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for idx in members:
-        reads, writes = operand_views(store, ops[idx])
-        key = (ops[idx].kind,) + tuple(v.shape for v in reads + writes)
-        groups.setdefault(key, []).append(idx)
-    return list(groups.values())
-
-
 def run_step(store, ops: list[Op], members, ib: int, guard=None, on_done=None) -> None:
     """Execute one step of a schedule in place on ``store``.
 
     ``members`` index pairwise tile-disjoint, mutually independent ops (one
-    op, a wavefront, or a slice of one); each runs through :func:`run_op`
+    op or a whole wavefront); each runs through :func:`run_op`
     on its own tile views, in the order given, tagged with its index for
     the kernel span an installed recorder takes.
 

@@ -15,16 +15,18 @@ many the machine has.  This module executes the *same* operation list
 * the ready pool supports the PRT scheduling policies: ``lazy`` fires the
   oldest ready op in program order, ``aggressive`` the most recently
   enabled one;
-* with ``batch="wavefront"`` the dispatcher goes level-synchronous: ops
-  are pre-grouped by :func:`repro.qr.wavefront.compute_wavefronts` and
-  :func:`repro.qr.execute.group_by_shape` into same-kind, same-shape,
-  tile-disjoint slices (split across workers), a slice is dispatched once
-  *all* its members' dependencies are met, and the worker runs it as one
-  step (one message, one report) — the 3D-VSA wavefront execution style
-  on real processes;
-* workers own no kernel code of their own: every dispatch message becomes
-  one or more :func:`repro.qr.execute.run_step` calls on the shared store,
-  the same step runner the in-process schedules use.
+* dispatch is dependency-driven only — an op is handed out the moment its
+  own predecessors are done, never held back for the rest of its DAG level
+  (every kernel is one in-place LAPACK call, so a same-shape group has
+  nothing to amortise) — and the batch shrinks towards one op per message
+  as the ready pool drains, keeping the critical path fed;
+* workers own no kernel code of their own: every op of a dispatch message
+  becomes one :func:`repro.qr.execute.run_step` call on the shared store,
+  the same step runner the in-process schedules use;
+* there is one worker lifecycle, :class:`WorkerPool`: a
+  :class:`~repro.qr.session.QRSession` keeps a pool (and one
+  :class:`~repro.tiles.shared.SharedArena` per cached plan) across calls, a
+  one-shot run builds a pool and an arena that live for that call.
 
 Because the dependency graph totally orders every tile's mutations, any
 legal schedule — whichever workers run whichever ops in whatever
@@ -60,8 +62,8 @@ dead with respawn disabled).
 Observability: workers report each op as absolute ``perf_counter`` start /
 end stamps (system-wide ``CLOCK_MONOTONIC`` on Linux), so with a recorder
 installed (:mod:`repro.obs`) the parent converts them into kernel spans on
-per-process lanes — aligned with its own ``spawn`` / ``attach`` /
-``dispatch`` spans — and charges the exact :mod:`repro.kernels.flops`
+per-process lanes — aligned with its own ``pool.lease`` / ``attach``
+spans — and charges the exact :mod:`repro.kernels.flops`
 count per completed op.  Batches sent to workers bump the
 ``dispatch.batches`` counter.
 """
@@ -84,10 +86,11 @@ from ..obs import context as _obs_context
 from ..obs import record as _obs_record
 from ..obs.adapters import KERNEL_CATEGORY
 from ..obs.record import (
-    K_BATCH_CALLS,
-    K_BATCH_OPS,
     K_DISPATCH_BATCHES,
     K_FAULT_CRASH,
+    K_POOL_LEASES,
+    K_POOL_REUSED,
+    K_POOL_SPAWNS,
     K_REDISPATCH_OPS,
     K_SDC_DETECTED,
     K_SDC_INJECTED,
@@ -97,22 +100,20 @@ from ..obs.record import (
 )
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import SharedArena, SharedTileStore, attach_untracked, t_factor_key
-from ..util.errors import ConfigurationError, ParallelExecutionError
+from ..util.errors import ParallelExecutionError
 from ..util.validation import check_nonnegative_int, check_positive_int, require
 from .checksum import SDCGuard
 from .dag import op_dependency_graph
-from .execute import group_by_shape, run_step
+from .execute import run_step
 from .ops import Op
 from .reference import TileQRFactors, factor_records
-from .wavefront import compute_wavefronts
 
 __all__ = [
     "ParallelRunStats",
+    "WorkerPool",
     "execute_ops_parallel",
     "default_n_procs",
 ]
-
-_POLICIES = ("lazy", "aggressive")
 
 #: Exit code used by FaultPlan-scheduled worker crashes, so the parent can
 #: tell an injected crash (counted under ``fault.crash``) from a real one.
@@ -139,7 +140,7 @@ class ParallelRunStats:
     n_ops: int = 0
     n_procs: int = 1
     policy: str = "lazy"
-    batch: int | str = 1  # ops per message, or "wavefront"
+    batch: int = 1  # most ops sent in one dispatch message
     elapsed_s: float = 0.0
     spawn_s: float = 0.0
     dispatch_s: float = 0.0  # parent time spent dispatching (not waiting)
@@ -184,29 +185,25 @@ def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
                generation: int, conn: Connection) -> object:
     """Execute one job's dispatch messages until a terminator arrives.
 
-    A message is a list of op indices — each a 1-wide step, timed on its
-    own — or ``("stack", idxs)``, one wavefront slice run as a single
-    :func:`repro.qr.execute.run_step` whose call window is sliced evenly
-    across its (same-kind, same-shape) ops.  Timings travel back as absolute
-    ``perf_counter`` stamps so the parent can place them on the recorder's
-    timeline and derive busy seconds (see module docstring).
+    A message is a list of op indices; each is one 1-wide
+    :func:`repro.qr.execute.run_step`, timed on its own.  Timings travel
+    back as absolute ``perf_counter`` stamps so the parent can place them on
+    the recorder's timeline and derive busy seconds (see module docstring).
 
-    Fault hooks: before each step the worker consults the
+    Fault hooks: before each op the worker consults the
     :class:`~repro.faults.FaultPlan` crash schedule (generation 0 only) and
-    ``os._exit``\\ s when told to; a slice advances ``ops_done`` by
-    its whole width, so a crash scheduled anywhere inside it lands on the
-    slice boundary.  ``ops_done`` restarts at zero per job, so in a session
-    the same schedule applies to every ``factor`` call until the worker is
-    respawned.
+    ``os._exit``\\ s when told to.  ``ops_done`` restarts at zero per job, so
+    in a session the same schedule applies to every ``factor`` call until
+    the worker is respawned.
 
     Idempotency: an op only runs while its completion flag in the shared
     ``flags`` segment is clear, and ``run_step`` raises the flag right
     after the op's tile mutations — under an armed SDC guard only once its
-    output verified.  A re-dispatched slice with some flags already set
-    runs only its unflagged ops; tile-disjointness makes that safe.
+    output verified.  A re-dispatched op whose flag is already set is
+    reported done without running.
 
     Returns the terminator received: ``None`` (shut the worker down),
-    ``("endjob",)`` (job complete, a pool worker waits for the next job), or
+    ``("endjob",)`` (job complete, the worker waits for the next job), or
     the string ``"err"`` after an execution error was reported.
     """
     crashy = fault_plan is not None and fault_plan.faulty_workers
@@ -218,44 +215,36 @@ def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
 
     while True:
         batch = conn.recv()
-        if batch is None:
-            return None
-        if isinstance(batch, tuple) and batch[0] == "endjob":
+        if batch is None or isinstance(batch, tuple):
             return batch
-        stacked = isinstance(batch, tuple) and batch[0] == "stack"
         done: list[tuple[int, float, float]] = []
-        for idxs in [batch[1]] if stacked else [[idx] for idx in batch]:
-            if crashy and any(
-                fault_plan.worker_crash(rank, generation, ops_done + b)
-                for b in range(len(idxs))
-            ):
+        for idx in batch:
+            if crashy and fault_plan.worker_crash(rank, generation, ops_done):
                 os._exit(_CRASH_EXIT_CODE)
             t0 = time.perf_counter()
-            pend = [i for i in idxs if not flags[i]]
-            try:
-                run_step(store, ops, pend, ib, guard, raise_flag)
-            except BaseException:
-                conn.send(("err", rank, idxs[0], traceback.format_exc()))
-                return "err"
-            width = (time.perf_counter() - t0) / len(idxs)
-            ops_done += len(idxs)
-            done += [(i, t0 + b * width, t0 + (b + 1) * width)
-                     for b, i in enumerate(idxs)]
+            if not flags[idx]:
+                try:
+                    run_step(store, ops, [idx], ib, guard, raise_flag)
+                except BaseException:
+                    conn.send(("err", rank, idx, traceback.format_exc()))
+                    return "err"
+            ops_done += 1
+            done.append((idx, t0, time.perf_counter()))
         conn.send(("done", rank, done,
                    guard.take_delta() if guard is not None else None))
 
 
-def _worker_main(rank: int, generation: int, conn: Connection,
-                 first_job=None) -> None:
+def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     """Worker process: serve factorization jobs until told to exit.
 
     Each job starts with a header
     ``("job", shm_name, flags_name, layout, ops, ib, fault_plan, run_id)``
-    followed by the usual dispatch messages and a terminator.  A one-shot
-    worker gets its only header in the spawn args (``first_job``) and is
-    shut down with ``None`` after it; a persistent pool worker
-    (:class:`~repro.qr.session.WorkerPool`) reads headers from its pipe, is
-    handed back with ``("endjob",)``, and exits on a bare ``None`` header.
+    followed by the usual dispatch messages and a terminator.  A worker is
+    only ever spawned for a job (:meth:`WorkerPool.spawn`, at lease time or
+    after a mid-job death), so its first header rides in the spawn args —
+    under ``fork`` the op list is inherited, not pickled; later headers
+    arrive on the pipe after each ``("endjob",)``, and a bare ``None``
+    instead of a header ends the worker.
 
     A ``layout``/``ops`` of ``None`` means "same segment as your previous
     job": the worker keeps its last attachment and operation list cached,
@@ -273,9 +262,8 @@ def _worker_main(rank: int, generation: int, conn: Connection,
     cached_ops: list[Op] | None = None
     store = flags_shm = None
     try:
-        msg = conn.recv() if first_job is None else first_job
-        while msg is not None:
-            _, shm_name, flags_name, layout, ops, ib, fault_plan, run_id = msg
+        while job is not None:
+            _, shm_name, flags_name, layout, ops, ib, fault_plan, run_id = job
             _obs_context.activate(run_id)
             t_attach0 = time.perf_counter()
             if shm_name != cached_name:
@@ -291,7 +279,7 @@ def _worker_main(rank: int, generation: int, conn: Connection,
             )
             if end is None or end == "err":
                 break
-            msg = conn.recv()
+            job = conn.recv()
     except (EOFError, KeyboardInterrupt):  # parent went away: just exit
         pass
     finally:
@@ -299,6 +287,155 @@ def _worker_main(rank: int, generation: int, conn: Connection,
             store.close()
             flags_shm.close()
         conn.close()
+
+
+class WorkerPool:
+    """Worker processes leased out one factorization at a time.
+
+    Each worker runs :func:`_worker_main`: a loop over *jobs*, where a job
+    is a header naming the shared segments plus the usual dispatch traffic,
+    ended by ``("endjob",)``.  The pool tracks which segment each worker
+    last attached (:attr:`known`) and sends a slim header (no layout, no op
+    list) when the worker already has it cached — a warm lease costs one
+    small pipe message per worker.  A :class:`~repro.qr.session.QRSession`
+    keeps its pool across calls; a one-shot :func:`execute_ops_parallel`
+    builds one, leases it once and shuts it down.
+
+    Generation tags are the pool's crash-recovery bookkeeping, shared with
+    the dispatcher in :func:`execute_ops_parallel` (the
+    ``procs``/``conns``/``generations`` dicts are handed over *by
+    reference* during a lease, so mid-job respawns are visible to both
+    sides).  A rank's generation only ever increases — across respawns,
+    :meth:`reset`, and successive jobs — so a
+    :class:`~repro.faults.FaultPlan`, which kills generation 0 only, never
+    re-kills a replacement.
+    """
+
+    def __init__(self, size: int):
+        check_positive_int(size, "pool size")
+        self.size = size
+        self.procs: dict[int, mp.process.BaseProcess] = {}
+        self.conns: dict[int, Connection] = {}
+        self.generations: dict[int, int] = {}
+        #: rank -> name of the shared segment the worker has attached.
+        self.known: dict[int, str] = {}
+        self._ctx = mp.get_context()
+        self._job = None
+
+    def alive_count(self) -> int:
+        """Live worker processes (the ``pool.workers_alive`` gauge)."""
+        return sum(1 for p in self.procs.values() if p.is_alive())
+
+    def spawn(self, rank: int) -> None:
+        """Start ``rank``'s next generation on the job being leased — a
+        missing or dead rank at lease time, or the replacement of a worker
+        that died mid-job (the dispatcher calls this during its lease)."""
+        old = self.conns.pop(rank, None)
+        if old is not None:
+            try:
+                old.close()
+            except OSError:
+                pass
+        generation = self.generations.get(rank, -1) + 1
+        parent_conn, child_conn = self._ctx.Pipe()
+        p = self._ctx.Process(
+            target=_worker_main,
+            args=(rank, generation, child_conn, self._job),
+            daemon=True,
+            name=f"qr-pool-{rank}g{generation}",
+        )
+        p.start()
+        child_conn.close()
+        self.procs[rank] = p
+        self.conns[rank] = parent_conn
+        self.generations[rank] = generation
+        self.known[rank] = self._job[1]
+        rec = _obs_record._RECORDER
+        if rec is not None:
+            rec.count(K_POOL_SPAWNS)
+            rec.event("pool.spawn", worker=rank, generation=generation)
+
+    def _send_job(self, rank: int) -> None:
+        """Send a live worker the job header; slim if the segment is cached."""
+        job = self._job
+        shm_name = job[1]
+        if self.known.get(rank) == shm_name:
+            job = job[:3] + (None, None) + job[5:]  # no layout, no op list
+        self.conns[rank].send(job)
+        self.known[rank] = shm_name
+
+    def lease(self, k: int, job: tuple) -> dict:
+        """Hand ranks ``0..k-1`` one job: respawn the dead, brief the rest.
+
+        ``job`` is the header :func:`_worker_main` documents; its ``run_id``
+        binds every worker's spans and events to the leasing run
+        (trace-context propagation).  Returns the lease summary
+        ``{"n_procs", "spawned", "reused"}`` recorded on the dispatcher's
+        ``pool.lease`` span.
+        """
+        self._job = job
+        spawned = reused = 0
+        for rank in range(k):
+            p = self.procs.get(rank)
+            if p is None or not p.is_alive():
+                self.spawn(rank)
+                spawned += 1
+                continue
+            reused += 1
+            try:
+                self._send_job(rank)
+            except (BrokenPipeError, OSError):
+                # Died between the liveness check and the send: one retry
+                # with a fresh process (the dispatcher's watchdog and
+                # respawn machinery take over from here).
+                self.spawn(rank)
+        rec = _obs_record._RECORDER
+        if rec is not None:
+            rec.count(K_POOL_LEASES)
+            if reused:
+                rec.count(K_POOL_REUSED, reused)
+            rec.event("pool.lease", n_procs=k, spawned=spawned, reused=reused)
+        return {"n_procs": k, "spawned": spawned, "reused": reused}
+
+    def reset(self) -> None:
+        """Kill every worker after a failed job.
+
+        Workers may be wedged or mid-dispatch; fresh processes are the
+        only state safe to lease from again.  Generations are preserved
+        (and bump on the next spawn), so an injected-fault generation
+        never reappears.
+        """
+        for p in self.procs.values():
+            if p.is_alive():
+                p.terminate()
+        for p in self.procs.values():
+            p.join(timeout=5.0)
+        self._forget_workers()
+
+    def _forget_workers(self) -> None:
+        for conn in self.conns.values():
+            try:
+                conn.close()
+            except OSError:
+                pass
+        self.procs.clear()
+        self.conns.clear()
+        self.known.clear()
+
+    def shutdown(self) -> None:
+        """Graceful stop: ask each worker to exit, then make sure it did."""
+        for conn in self.conns.values():
+            try:
+                conn.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+        deadline = time.perf_counter() + 5.0
+        for p in self.procs.values():
+            p.join(timeout=max(0.1, deadline - time.perf_counter()))
+            if p.is_alive():
+                p.terminate()
+        self._forget_workers()
+        self.generations.clear()
 
 
 # --------------------------------------------------------------------------
@@ -327,8 +464,13 @@ class _ReadyPool:
 
 
 def _auto_batch(n_ops: int, n_procs: int) -> int:
-    """Batch size: amortise IPC without starving the critical path."""
-    return max(1, min(8, n_ops // (n_procs * 8)))
+    """Batch size: amortise IPC without starving the critical path.
+
+    The cap suits ops that are single LAPACK calls of some 20-50 us, next
+    to a pipe round trip of about the same; ``dispatch`` shrinks the batch
+    again as the ready pool drains.
+    """
+    return max(1, min(32, n_ops // (n_procs * 8)))
 
 
 def execute_ops_parallel(
@@ -338,13 +480,12 @@ def execute_ops_parallel(
     *,
     n_procs: int | None = None,
     policy: str = "lazy",
-    batch: int | str | None = None,
+    batch: int | None = None,
     timeout_s: float = 120.0,
     fault_plan=None,
     max_redispatch: int = 2,
     respawn: bool = True,
     graph=None,
-    wavefronts=None,
     pool=None,
     arena=None,
     checkpoint=None,
@@ -369,13 +510,10 @@ def execute_ops_parallel(
         Ready-pool discipline, ``"lazy"`` (program order) or
         ``"aggressive"`` (most recently enabled), mirroring the PRT.
     batch:
-        Operations dispatched per worker message (default: auto-sized from
-        the op count), or the string ``"wavefront"`` for level-synchronous
-        batched dispatch: the op list is partitioned with
-        :func:`repro.qr.wavefront.compute_wavefronts`, same-kind/same-shape
-        ops of a wavefront are grouped (and split evenly across workers), and
-        each worker runs its slice as one step — fewer, larger messages,
-        still bit-identical factors.
+        Most operations dispatched per worker message (default: auto-sized
+        from the op count).  :func:`repro.qr.backends.run_backend`
+        validates ``policy`` and ``batch`` for every backend; a direct
+        caller passes values it has checked.
     timeout_s:
         No-progress watchdog: raise
         :class:`~repro.util.errors.WatchdogTimeout` instead of hanging if
@@ -390,25 +528,22 @@ def execute_ops_parallel(
         Spawn a replacement process for each dead worker (capped at
         ``n_procs`` respawns per run).  With ``respawn=False`` the run
         continues on the survivors and fails only when none remain.
-    graph, wavefronts:
-        Precomputed :func:`~repro.qr.dag.op_dependency_graph` result and
-        wavefront partition for *exactly these* ``ops`` — the
-        :class:`~repro.qr.session.PlanCache` passes them so warm
-        ``session.factor`` calls skip schedule derivation.  ``None`` (the
-        default) derives both here.
+    graph:
+        Precomputed :func:`~repro.qr.dag.op_dependency_graph` result for
+        *exactly these* ``ops`` — the :class:`~repro.qr.session.PlanCache`
+        passes it so warm ``session.factor`` calls skip deriving it.
+        ``None`` (the default) derives it here.
     pool, arena:
         Persistent-session plumbing (see :mod:`repro.qr.session` and
-        ``docs/sessions.md``).  ``pool`` is a
-        :class:`~repro.qr.session.WorkerPool`: instead of spawning
-        ``n_procs`` one-shot workers, the job is *leased* to the pool's
-        long-lived processes (respawned here on death via
-        ``pool.respawn``, preserving generation tags) and returned to it
-        with an ``("endjob",)`` message instead of being shut down.
-        ``arena`` is a :class:`~repro.tiles.shared.SharedArena` owning the shared
-        tile store and completion-flag segment; the caller has already
-        loaded ``a`` into it, and it survives this call for reuse.  Both
-        default to ``None`` — the one-shot create/spawn/teardown
-        lifecycle — and must be given (or omitted) together.
+        ``docs/sessions.md``), given together or not at all.  ``pool`` is
+        the :class:`WorkerPool` the job is leased to (dead workers are
+        respawned through it, preserving generation tags) and handed back
+        to with an ``("endjob",)`` message; ``arena`` is the
+        :class:`~repro.tiles.shared.SharedArena` holding the shared tile
+        store and completion flags, into which the caller has already
+        loaded ``a``.  Both outlive this call.  Without them the run
+        creates its own pair and tears it down on the way out — the same
+        lease, the same dispatcher, a pool that lives for one call.
     checkpoint:
         Optional bound :class:`~repro.qr.persist.CheckpointStore`.  When
         a snapshot falls due the dispatcher *quiesces* — stops handing
@@ -428,21 +563,13 @@ def execute_ops_parallel(
         store's slots so successors read them as if computed this run.
     """
     require(a.m >= a.n, f"tile QR requires m >= n, got {a.m} x {a.n}")
-    require(policy in _POLICIES, f"policy must be one of {_POLICIES}, got {policy!r}")
     check_nonnegative_int(max_redispatch, "max_redispatch")
     if n_procs is None:
         n_procs = default_n_procs()
     check_positive_int(n_procs, "n_procs")
     n_procs = max(1, min(n_procs, len(ops)))
-    wavefront = batch == "wavefront"
     if batch is None:
         batch = _auto_batch(len(ops), n_procs)
-    if not wavefront:
-        if isinstance(batch, str):
-            raise ConfigurationError(
-                f"batch must be a positive int or 'wavefront', got {batch!r}"
-            )
-        check_positive_int(batch, "batch")
     completed_set = frozenset() if skip is None else frozenset(int(i) for i in skip)
 
     def degrade(reason: str):
@@ -455,140 +582,78 @@ def execute_ops_parallel(
 
     if n_procs == 1:
         return degrade("n_procs=1")
-    require((pool is None) == (arena is None),
+    # A session's arena already holds the tiles (the caller ran
+    # arena.load(a)) and zeroed flags, and outlives this call with its pool.
+    # A one-shot run makes its own pair here; below, its workers are shut
+    # down once the job is done (or reset with everyone else's on failure)
+    # and its arena is destroyed on the way out.
+    private = pool is None
+    require(private == (arena is None),
             "pool and arena must be given together (or both omitted)")
-
-    # Session mode: the arena already holds the tiles (the caller ran
-    # arena.load(a)) and a zeroed flag segment; both outlive this call.
-    # One-shot mode creates its own and destroys it on the way out.
-    own_arena = arena is None
-    if own_arena:
+    if private:
         try:
             arena = SharedArena.create(a, ops, ib)
         except OSError as exc:
             return degrade(f"shared memory unavailable: {exc}")
+        pool = WorkerPool(n_procs)
     store, flags_shm = arena.store, arena.flags
-    flags_view = np.frombuffer(flags_shm.buf, dtype=np.uint8)[: len(ops)]
-    if graph is None:
-        graph = op_dependency_graph(ops)
-    deps_left = graph.n_deps.copy()
-    succ_index, succ_task = graph.succ_index, graph.succ_task
-    for idx in completed_set:
-        # Resume: the op's writes are already in the tiles (loaded from the
-        # checkpoint) — pre-flag it so a worker never re-applies it, restore
-        # its T factor so successors can read it, and release its successors.
-        flags_view[idx] = 1
-        op = ops[idx]
-        if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
-            store.put_t(t_factor_key(op), preloaded_ts[idx])
-        for e in range(succ_index[idx], succ_index[idx + 1]):
-            deps_left[int(succ_task[e])] -= 1
-
-    # Wavefront mode: pre-partition the op list into same-kind, same-shape
-    # (hence same-cost) groups, split so a single wide wavefront still
-    # spreads evenly across all workers.  A group enters the ready
-    # pool only when *every* member's dependencies are met — that is the
-    # level-synchronous trade the batching makes.
-    groups: list[list[int]] = []
-    group_of: list[int] = []
-    group_pending: list[int] = []
-    if wavefront:
-        if wavefronts is None:
-            wavefronts = compute_wavefronts(ops, graph)
-        group_of = [0] * len(ops)
-        for wf in wavefronts:
-            # Resume: already-executed ops have nothing to group.
-            live = [idx for idx in wf if idx not in completed_set]
-            for members in group_by_shape(a, ops, live):
-                chunk = max(1, -(-len(members) // n_procs))
-                for s in range(0, len(members), chunk):
-                    gid = len(groups)
-                    groups.append(members[s : s + chunk])
-                    for idx in groups[gid]:
-                        group_of[idx] = gid
-        group_pending = [len(g) for g in groups]
-
+    rec = _obs_record._RECORDER
     stats = ParallelRunStats(
         n_ops=len(ops), n_procs=n_procs, policy=policy, batch=batch,
         per_worker_busy_s={w: 0.0 for w in range(n_procs)},
         per_worker_ops={w: 0 for w in range(n_procs)},
     )
-    rec = _obs_record._RECORDER
-    # Run identity: prefer the recorder's (qr_factor minted it), else the
-    # ambient context (resume path), else mint one — direct callers of this
-    # function still get workers that know which run they serve.
-    if rec is not None:
-        run_id = rec.run_id
-    else:
-        run_id = _obs_context.current_run_id() or _obs_context.mint_run_id()
-    if rec is not None:
-        for w in range(n_procs):
-            rec.name_lane(w, f"proc {w}")
-        rec.name_lane(n_procs, "dispatcher")
-    ctx = mp.get_context()
-    if pool is not None:
-        # Lease the pool's long-lived workers: same dict objects, so
-        # pool.respawn() replacements are visible to the dispatcher below.
-        procs, conns, generations = pool.procs, pool.conns, pool.generations
-    else:
-        procs: dict[int, mp.Process] = {}
-        conns: dict[int, Connection] = {}
-        generations: dict[int, int] = {}
-    t_run = time.perf_counter()
     success = False
-
-    job = ("job", store.name, flags_shm.name, a.layout, ops, ib, fault_plan, run_id)
-
-    def spawn(rank: int, generation: int) -> None:
-        # A one-shot worker is a pool worker whose only job header rides
-        # in the spawn args.
-        parent_conn, child_conn = ctx.Pipe()
-        p = ctx.Process(
-            target=_worker_main,
-            args=(rank, generation, child_conn, job),
-            daemon=True,
-            name=f"qr-parallel-{rank}g{generation}",
-        )
-        p.start()
-        child_conn.close()
-        procs[rank] = p
-        conns[rank] = parent_conn
-        generations[rank] = generation
-
     try:
-        if pool is not None:
-            lease = pool.lease(n_procs, job)
+        flags_view = np.frombuffer(flags_shm.buf, dtype=np.uint8)[: len(ops)]
+        if graph is None:
+            graph = op_dependency_graph(ops)
+        deps_left = graph.n_deps.copy()
+        succ_index, succ_task = graph.succ_index, graph.succ_task
+        for idx in completed_set:
+            # Resume: the op's writes are already in the tiles (loaded from
+            # the checkpoint) — pre-flag it so a worker never re-applies it,
+            # restore its T factor so successors can read it, and release
+            # its successors.
+            flags_view[idx] = 1
+            op = ops[idx]
+            if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
+                store.put_t(t_factor_key(op), preloaded_ts[idx])
+            for e in range(succ_index[idx], succ_index[idx + 1]):
+                deps_left[int(succ_task[e])] -= 1
+
+        # Run identity: prefer the recorder's (qr_factor minted it), else the
+        # ambient context (resume path), else mint one — direct callers of
+        # this function still get workers that know which run they serve.
+        if rec is not None:
+            run_id = rec.run_id
+            for w in range(n_procs):
+                rec.name_lane(w, f"proc {w}")
+            rec.name_lane(n_procs, "dispatcher")
         else:
-            for rank in range(n_procs):
-                spawn(rank, 0)
+            run_id = _obs_context.current_run_id() or _obs_context.mint_run_id()
+        # The pool's own dicts, so pool.spawn() replacements are visible
+        # to the dispatcher below.
+        procs, conns, generations = pool.procs, pool.conns, pool.generations
+        t_run = time.perf_counter()
+        lease = pool.lease(n_procs, (
+            "job", store.name, flags_shm.name, a.layout, ops, ib, fault_plan, run_id,
+        ))
         stats.spawn_s = time.perf_counter() - t_run
         # Every span this dispatcher records for worker-reported work hangs
-        # off this root: the workers exist (or were leased) because of it.
+        # off this root: the workers were leased (or spawned) because of it.
         root_span_id = None
         if rec is not None:
             end = rec.now()
-            name, args = ("spawn", {"n_procs": n_procs}) if pool is None else ("pool.lease", lease)
             root_span_id = rec.add_span(
-                name, "dispatch", end - stats.spawn_s, end, worker=n_procs, args=args
+                "pool.lease", "dispatch", end - stats.spawn_s, end,
+                worker=n_procs, args=lease,
             ).span_id
 
         ready = _ReadyPool(policy)
-
-        def op_ready(idx: int) -> None:
-            """An op's deps are met: enqueue it (or its completed group)."""
-            if wavefront:
-                g = group_of[idx]
-                group_pending[g] -= 1
-                if group_pending[g] == 0:
-                    # Order groups by their oldest member so the lazy
-                    # policy keeps meaning "program order".
-                    ready.push((groups[g][0], g))
-            else:
-                ready.push(idx)
-
         for idx in range(len(ops)):
             if deps_left[idx] == 0 and idx not in completed_set:
-                op_ready(idx)
+                ready.push(idx)
         alive = set(range(n_procs))
         # Workers whose attach echo for *this* job has been read.
         attached: set[int] = set()
@@ -611,8 +676,7 @@ def execute_ops_parallel(
                 lambda: sum(len(s) for s in list(inflight_of.values())),
             )
             rec.register_gauge("parallel.workers_alive", lambda: len(alive))
-            if pool is not None:
-                rec.register_gauge("pool.workers_alive", pool.alive_count)
+            rec.register_gauge("pool.workers_alive", pool.alive_count)
             rec.register_gauge("parallel.completed_ops", lambda: completed)
             rec.register_gauge(
                 "parallel.redispatched", lambda: stats.ops_redispatched
@@ -680,12 +744,7 @@ def execute_ops_parallel(
                     d = int(succ_task[e])
                     deps_left[d] -= 1
                     if deps_left[d] == 0:
-                        op_ready(d)
-            if wavefront and rec is not None and done:
-                # One report == one dispatched slice (B == 1 for re-dispatched
-                # singleton slices).
-                rec.count(K_BATCH_CALLS)
-                rec.count(K_BATCH_OPS, len(done))
+                        ready.push(d)
             idle.append(w)
 
         def handle_death(w: int, *, proc=None, via_conn=None) -> None:
@@ -733,14 +792,9 @@ def execute_ops_parallel(
                         f"{ops[idx].describe()} was already re-dispatched "
                         f"{max_redispatch} time(s) — retries exhausted"
                     )
-                if wavefront:
-                    # Requeue as a singleton slice: the worker skips any
-                    # member whose completion flag is already set, so a
-                    # partially-applied group never re-runs finished ops.
-                    groups.append([idx])
-                    ready.push((idx, len(groups) - 1))
-                else:
-                    ready.push(idx)
+                # The worker skips an op whose completion flag is already
+                # set, so one that ran but went unreported is not re-applied.
+                ready.push(idx)
             if lost:
                 stats.ops_redispatched += len(lost)
                 if rec is not None:
@@ -758,10 +812,7 @@ def execute_ops_parallel(
                         "worker.respawn", worker=w, span=root_span_id,
                         generation=generations.get(w, 0) + 1,
                     )
-                if pool is not None:
-                    pool.respawn(w)
-                else:
-                    spawn(w, generations[w] + 1)
+                pool.spawn(w)
                 alive.add(w)
                 inflight_of[w] = set()
                 idle.append(w)
@@ -777,15 +828,11 @@ def execute_ops_parallel(
                 w = idle.pop()
                 if w not in alive:
                     continue  # stale idle entry from a replaced worker
-                if wavefront:
-                    chunk = groups[ready.pop()[1]]
-                    msg = ("stack", chunk)
-                else:
-                    take = min(batch, max(1, len(ready) // (len(idle) + 1)))
-                    msg = chunk = [ready.pop() for _ in range(min(take, len(ready)))]
+                take = min(batch, max(1, len(ready) // (len(idle) + 1)))
+                chunk = [ready.pop() for _ in range(take)]
                 inflight_of[w].update(chunk)
                 try:
-                    conns[w].send(msg)
+                    conns[w].send(chunk)
                 except (BrokenPipeError, OSError):
                     handle_death(w, via_conn=conns[w])
                     continue
@@ -857,29 +904,30 @@ def execute_ops_parallel(
         # A job of a few ops can complete before every leased worker's attach
         # echo was read; collect the stragglers, or the pool's next job would
         # read them as its own and reject the stale run id.
-        if pool is not None:
-            for w in alive - attached:
-                try:
-                    if conns[w].poll(timeout_s):
-                        handle_msg(w, conns[w].recv())
-                except (EOFError, OSError):
-                    pass  # died idle: the next lease respawns it
-        # Hand pool workers back (they keep their store attachment and
-        # await the next job header); shut one-shot workers down.
+        for w in alive - attached:
+            try:
+                if conns[w].poll(timeout_s):
+                    handle_msg(w, conns[w].recv())
+            except (EOFError, OSError):
+                pass  # died idle: the next lease respawns it
+        # Hand the workers back: they keep their store attachment and await
+        # the next job header (or the pool owner's shutdown).
         for w in alive:
             try:
-                conns[w].send(("endjob",) if pool is not None else None)
+                conns[w].send(("endjob",))
             except (BrokenPipeError, OSError):
                 pass
-        if pool is None:
-            for p in procs.values():
-                p.join(timeout=10.0)
         stats.elapsed_s = time.perf_counter() - t_run
         if checkpoint is not None:
             # Final snapshot: all flags set, so a resume from this archive
             # skips every op (and the file doubles as a completion marker).
             checkpoint.write(store, store.t_factor, flags_view.astype(bool))
 
+        if private:
+            # Before the copy-out, not after: reading the tiles back is
+            # measurably slower while the processes that wrote them last
+            # are still alive (some 10 ms on a 28 MB segment).
+            pool.shutdown()
         factored = store.extract_matrix()
         ts = store.extract_ts()
         success = True
@@ -894,22 +942,12 @@ def execute_ops_parallel(
                 "parallel.completed_ops", "parallel.redispatched",
             ):
                 rec.unregister_gauge(g)
-        if pool is not None:
-            if not success:
-                # Workers may be mid-job or wedged; a clean slate (fresh
-                # processes, bumped generations) is the only safe state to
-                # return the pool in.
-                pool.reset()
-        else:
-            for p in procs.values():
-                if p.is_alive():
-                    p.terminate()
-            for conn in conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        if own_arena:
+        if not success:
+            # Workers may be mid-job or wedged; a clean slate (fresh
+            # processes, bumped generations) is the only safe state to
+            # return the pool in — or to drop a private one in.
+            pool.reset()
+        if private:
             arena.destroy()
 
     records = factor_records(ops, ts.__getitem__)

@@ -451,8 +451,10 @@ def resume_factorization(
     and the ``resume.ops_skipped`` counter.
 
     ``backend`` is ``"serial"``, ``"batched"``, or ``"parallel"`` (with
-    ``n_procs`` / ``policy`` / ``batch`` as on :func:`~repro.qr.api.qr_factor`)
-    — the resume backend need not match the original run's.  Pass
+    ``n_procs`` / ``policy`` / ``batch`` as on :func:`~repro.qr.api.qr_factor`,
+    validated the same way on every backend; ``batch="wavefront"`` is a
+    synonym of the default) — the resume backend need not match the
+    original run's.  Pass
     ``checkpoint=`` (a path or store, typically the same ``path``) to keep
     checkpointing the resumed run; ``on_failure="fallback"`` degrades a
     failing parallel resume to the serial executor, still skipping the

@@ -3,8 +3,8 @@
 One-shot ``qr_factor(backend="parallel")`` pays, on every call, for things
 that do not depend on the matrix *values* at all: spawning worker
 processes, attaching them to a fresh shared-memory segment, deriving the
-op dependency DAG (:func:`repro.qr.dag.op_dependency_graph`) and — in
-wavefront mode — the wavefront partition
+op dependency DAG (:func:`repro.qr.dag.op_dependency_graph`) and — for
+``backend="batched"`` — the wavefront partition
 (:func:`repro.qr.wavefront.compute_wavefronts`).  In the tall-skinny batch
 regime the paper targets, the same ``(shape, nb, ib, tree, h)``
 configuration is factored over and over, and all of that is pure,
@@ -12,9 +12,9 @@ repeated overhead.
 
 :class:`QRSession` amortises it.  A session owns
 
-* a :class:`WorkerPool` of long-lived worker processes
-  (:func:`repro.qr.parallel._worker_main`) that serve one
-  factorization *job* after another instead of exiting, keeping their
+* a :class:`~repro.qr.parallel.WorkerPool` — the same pool a one-shot
+  parallel run builds for a single call — kept alive, so its workers serve
+  one factorization *job* after another instead of exiting and keep their
   shared-memory attachment cached between jobs; and
 * a :class:`PlanCache` — an LRU keyed by
   ``(m, n, nb, ib, tree, h, shifted)`` that memoizes the panel plans, the
@@ -47,24 +47,17 @@ Example
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..obs import record as _obs_record
-from ..obs.record import (
-    K_PLAN_EVICTIONS,
-    K_PLAN_HITS,
-    K_PLAN_MISSES,
-    K_POOL_LEASES,
-    K_POOL_REUSED,
-    K_POOL_SPAWNS,
-)
+from ..obs.record import K_PLAN_EVICTIONS, K_PLAN_HITS, K_PLAN_MISSES
 from ..tiles.shared import SharedArena
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int
+from .backends import serial_fallback
 from .dag import op_dependency_graph
+from .parallel import WorkerPool, default_n_procs, execute_ops_parallel
 from .wavefront import compute_wavefronts
 
 __all__ = ["QRSession", "PlanCache", "PlanCacheStats", "WorkerPool"]
@@ -176,159 +169,6 @@ class PlanCache:
         self._entries.clear()
 
 
-class WorkerPool:
-    """Long-lived worker processes leased out one factorization at a time.
-
-    Each worker runs :func:`repro.qr.parallel._worker_main`: a loop
-    over *jobs*, where a job is a header message naming the shared
-    segments plus the usual dispatch traffic, ended by ``("endjob",)``.
-    The pool tracks which segment each worker last attached
-    (:attr:`known`) and sends a slim header (no layout, no op list) when
-    the worker already has it cached — a warm lease costs one small pipe
-    message per worker.
-
-    Generation tags are the pool's crash-recovery bookkeeping, shared
-    with the dispatcher in :func:`~repro.qr.parallel.execute_ops_parallel`
-    (the ``procs``/``conns``/``generations`` dicts are handed over *by
-    reference* during a lease, so mid-job respawns are visible to both
-    sides).  A rank's generation only ever increases — across respawns,
-    :meth:`reset`, and successive jobs — preserving the PR 3 semantics
-    that a :class:`~repro.faults.FaultPlan` kills generation 0 only.
-    """
-
-    def __init__(self, size: int):
-        check_positive_int(size, "pool size")
-        self.size = size
-        self.procs: dict[int, mp.process.BaseProcess] = {}
-        self.conns: dict = {}
-        self.generations: dict[int, int] = {}
-        #: rank -> name of the shared segment the worker has attached.
-        self.known: dict[int, str] = {}
-        self._ctx = mp.get_context()
-        self._job = None
-
-    def alive_count(self) -> int:
-        """Live worker processes (the ``pool.workers_alive`` gauge)."""
-        return sum(1 for p in self.procs.values() if p.is_alive())
-
-    def _spawn(self, rank: int) -> None:
-        from .parallel import _worker_main
-
-        old = self.conns.pop(rank, None)
-        if old is not None:
-            try:
-                old.close()
-            except OSError:
-                pass
-        generation = self.generations.get(rank, -1) + 1
-        parent_conn, child_conn = self._ctx.Pipe()
-        p = self._ctx.Process(
-            target=_worker_main,
-            args=(rank, generation, child_conn),
-            daemon=True,
-            name=f"qr-pool-{rank}g{generation}",
-        )
-        p.start()
-        child_conn.close()
-        self.procs[rank] = p
-        self.conns[rank] = parent_conn
-        self.generations[rank] = generation
-        self.known.pop(rank, None)
-        rec = _obs_record._RECORDER
-        if rec is not None:
-            rec.count(K_POOL_SPAWNS)
-            rec.event("pool.spawn", worker=rank, generation=generation)
-
-    def _send_job(self, rank: int) -> None:
-        """Send the current job header; slim if the segment is cached."""
-        job = self._job
-        shm_name = job[1]
-        if self.known.get(rank) == shm_name:
-            job = job[:3] + (None, None) + job[5:]  # no layout, no op list
-        self.conns[rank].send(job)
-        self.known[rank] = shm_name
-
-    def lease(self, k: int, job: tuple) -> dict:
-        """Hand ranks ``0..k-1`` one job: respawn the dead, brief the rest.
-
-        ``job`` is the header :func:`~repro.qr.parallel._worker_main`
-        documents; its ``run_id`` binds every worker's spans and events to
-        the leasing run (trace-context propagation).  Returns the lease
-        summary ``{"n_procs", "spawned", "reused"}`` recorded on the
-        dispatcher's ``pool.lease`` span.
-        """
-        self._job = job
-        spawned = reused = 0
-        for rank in range(k):
-            p = self.procs.get(rank)
-            if p is None or not p.is_alive():
-                self._spawn(rank)
-                spawned += 1
-            else:
-                reused += 1
-            try:
-                self._send_job(rank)
-            except (BrokenPipeError, OSError):
-                # Died between the liveness check and the send: one retry
-                # with a fresh process (the dispatcher's watchdog and
-                # respawn machinery take over from here).
-                self._spawn(rank)
-                self._send_job(rank)
-        rec = _obs_record._RECORDER
-        if rec is not None:
-            rec.count(K_POOL_LEASES)
-            if reused:
-                rec.count(K_POOL_REUSED, reused)
-            rec.event("pool.lease", n_procs=k, spawned=spawned, reused=reused)
-        return {"n_procs": k, "spawned": spawned, "reused": reused}
-
-    def respawn(self, rank: int) -> None:
-        """Replace a worker that died mid-job (generation bumps) and brief
-        the replacement on the in-flight job."""
-        self._spawn(rank)
-        self._send_job(rank)
-
-    def reset(self) -> None:
-        """Kill every worker after a failed job.
-
-        Workers may be wedged or mid-dispatch; fresh processes are the
-        only state safe to lease from again.  Generations are preserved
-        (and bump on the next spawn), so an injected-fault generation
-        never reappears.
-        """
-        for p in self.procs.values():
-            if p.is_alive():
-                p.terminate()
-        for p in self.procs.values():
-            p.join(timeout=5.0)
-        self._forget_workers()
-
-    def _forget_workers(self) -> None:
-        for conn in self.conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self.procs.clear()
-        self.conns.clear()
-        self.known.clear()
-
-    def shutdown(self) -> None:
-        """Graceful stop: ask each worker to exit, then make sure it did."""
-        for conn in self.conns.values():
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.perf_counter() + 5.0
-        for p in self.procs.values():
-            p.join(timeout=max(0.1, deadline - time.perf_counter()))
-            if p.is_alive():
-                p.terminate()
-        self._forget_workers()
-        self.generations.clear()
-
-
 class QRSession:
     """Reusable factorization context: persistent workers + cached plans.
 
@@ -357,8 +197,6 @@ class QRSession:
     """
 
     def __init__(self, *, n_procs: int | None = None, plan_cache_size: int = 8):
-        from .parallel import default_n_procs
-
         if n_procs is None:
             n_procs = default_n_procs()
         check_positive_int(n_procs, "n_procs")
@@ -478,9 +316,6 @@ class QRSession:
     def _execute_parallel(self, tm, ops, ib, entry, *, policy, batch,
                           fault_plan, checkpoint=None):
         """Run the parallel backend against the session's pool and arena."""
-        from .backends import serial_fallback
-        from .parallel import execute_ops_parallel
-
         kw = dict(n_procs=self.n_procs, policy=policy, batch=batch,
                   fault_plan=fault_plan, checkpoint=checkpoint)
         if self._pool is None or len(ops) <= 1:
@@ -494,7 +329,5 @@ class QRSession:
             )
         arena.load(tm)
         return execute_ops_parallel(
-            tm, ops, ib, graph=entry.graph(),
-            wavefronts=entry.wavefronts() if batch == "wavefront" else None,
-            pool=self._pool, arena=arena, **kw,
+            tm, ops, ib, graph=entry.graph(), pool=self._pool, arena=arena, **kw,
         )

@@ -19,10 +19,10 @@ trailing column).  This module walks the DAG level-synchronously:
 arithmetic per kernel kind, so ``backend="batched"`` produces factors
 bit-identical to ``serial`` by construction, in any order that respects
 every DAG edge (wavefronts concatenate to a legal schedule) —
-``tests/test_wavefront.py`` asserts both properties.  The same partition
-is what the parallel dispatcher slices across workers
-(``batch="wavefront"``) and what a :class:`~repro.qr.session.QRSession`
-caches per plan.
+``tests/test_wavefront.py`` asserts both properties.  A
+:class:`~repro.qr.session.QRSession` caches the partition per plan; the
+parallel dispatcher does not use it (it fires ops as their own
+dependencies are met).
 
 Observability: every kernel call records its own op-tagged span, as on the
 serial schedule; ``batch.calls`` / ``batch.ops`` count the wavefront steps
@@ -146,9 +146,8 @@ def wavefront_stats(ops: list[Op], wavefronts: list[list[int]] | None = None) ->
 def _signature(op: Op) -> tuple:
     """Approximate grouping key for :func:`wavefront_stats`.
 
-    ``m2``/``k``/``q`` pin the operand shapes for every non-ragged tile;
-    :func:`repro.qr.execute.group_by_shape` groups by the *exact* view
-    shapes, which additionally separates ragged boundary tiles.
+    ``m2``/``k``/``q`` pin the operand shapes for every non-ragged tile
+    (ragged boundary tiles of one signature can still differ in shape).
     """
     return (op.kind, op.m2, op.k, op.q)
 

@@ -17,6 +17,7 @@ __all__ = [
     "check_nonnegative_int",
     "check_positive",
     "check_fraction",
+    "check_finite",
     "as_f64_matrix",
     "check_tile_params",
 ]
@@ -65,13 +66,31 @@ def check_fraction(value: object, name: str) -> float:
     return out
 
 
+def check_finite(arr: np.ndarray, name: str = "A", origin: tuple[int, int] = (0, 0)) -> None:
+    """Raise :class:`ConfigurationError` naming the first NaN/Inf entry of
+    the 2-D ``arr`` (``origin`` is its offset when it is a tile of ``name``).
+
+    A non-finite entry poisons every factor (all backends return an all-NaN
+    ``R``), so it is rejected before any planning, shared memory or worker.
+    """
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i, j = (int(x) for x in np.argwhere(~finite)[0])
+        raise ConfigurationError(
+            f"{name} must be finite, got {arr[i, j]} at index "
+            f"({origin[0] + i}, {origin[1] + j})"
+        )
+
+
 def as_f64_matrix(a: object, name: str = "A") -> np.ndarray:
-    """Coerce ``a`` to a 2-D C-contiguous float64 array, validating shape."""
+    """Coerce ``a`` to a 2-D C-contiguous float64 array, validating shape
+    and that every entry is finite."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size == 0:
         raise ShapeError(f"{name} must be non-empty, got shape {arr.shape}")
+    check_finite(arr, name)
     return np.ascontiguousarray(arr)
 
 

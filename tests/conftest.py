@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,18 @@ def small_matrix() -> np.ndarray:
 @pytest.fixture
 def small_tiles(small_matrix: np.ndarray) -> TileMatrix:
     return TileMatrix.from_dense(small_matrix, 8)
+
+
+@pytest.fixture
+def no_new_shm():
+    """Fail the test if it leaves a ``/dev/shm`` segment behind; yields the
+    set of segments that existed before it."""
+    def segments() -> set[str]:
+        return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+    before = segments()
+    yield before
+    assert segments() <= before, "leaked shared-memory segment"
 
 
 def qr_accuracy(a: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[float, float]:

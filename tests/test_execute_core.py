@@ -19,7 +19,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.qr.checksum import SDCGuard
-from repro.qr.execute import KERNELS, LocalStore, group_by_shape, run_schedule, run_step
+from repro.qr.execute import KERNELS, LocalStore, run_schedule, run_step
 from repro.qr.ops import FACTOR_KINDS, expand_plans, operand_views
 from repro.qr.reference import execute_ops
 from repro.qr.wavefront import compute_wavefronts, execute_ops_batched
@@ -64,8 +64,7 @@ def _same_state(store, ref, tm, ops, members):
     )
 
 
-def _is_ragged(ops, members):
-    op = ops[members[0]]
+def _is_ragged(op):
     return op.m2 < NB or op.k < NB or 0 < op.q < NB
 
 
@@ -77,29 +76,29 @@ def test_scalar_stacked_and_shared_store_agree_per_kind():
 
 
 def _compare_every_wide_step(tm, ops, wavefronts):
-    """Walk the schedule; run each wide step three ways from the same state."""
+    """Walk the schedule; run each wide step — a whole wavefront, mixed
+    kinds and shapes — three ways from the same state."""
     state = LocalStore(tm.copy())
     covered = set()
-    for wf in wavefronts:
-        for members in group_by_shape(state, ops, wf):
-            if len(members) > 1:
-                scalar = _fork(state, tm)
-                for idx in members:
-                    run_step(scalar, ops, [idx], IB)
-                stacked = _fork(state, tm)
-                run_step(stacked, ops, members, IB)
-                shared = SharedTileStore.create(_snapshot(state, tm), ops, IB)
-                try:
-                    for key, t in state.ts.items():
-                        shared.put_t(key, t)
-                    run_step(shared, ops, members, IB)
-                    assert _same_state(stacked, scalar, tm, ops, members)
-                    assert _same_state(shared, scalar, tm, ops, members)
-                finally:
-                    shared.close()
-                    shared.unlink()
-                covered.add((ops[members[0]].kind, _is_ragged(ops, members)))
-            run_step(state, ops, members, IB)
+    for members in wavefronts:
+        if len(members) > 1:
+            scalar = _fork(state, tm)
+            for idx in members:
+                run_step(scalar, ops, [idx], IB)
+            stacked = _fork(state, tm)
+            run_step(stacked, ops, members, IB)
+            shared = SharedTileStore.create(_snapshot(state, tm), ops, IB)
+            try:
+                for key, t in state.ts.items():
+                    shared.put_t(key, t)
+                run_step(shared, ops, members, IB)
+                assert _same_state(stacked, scalar, tm, ops, members)
+                assert _same_state(shared, scalar, tm, ops, members)
+            finally:
+                shared.close()
+                shared.unlink()
+            covered |= {(ops[idx].kind, _is_ragged(ops[idx])) for idx in members}
+        run_step(state, ops, members, IB)
     return covered
 
 
@@ -119,16 +118,13 @@ def _check_guarded_wide_step(factor):
     plan = FaultPlan(seed=3, flip_rate=0.5)
     state = LocalStore(tm.copy())
     hit = None
-    for wf in wavefronts:
-        for members in group_by_shape(state, ops, wf):
-            flips = [plan.flip(idx, 0) for idx in members]
-            if (hit is None and len(members) > 2 and any(flips) and not all(flips)
-                    and ops[members[0]].is_factor == factor):
-                hit = members
-                break
-            run_step(state, ops, members, IB)
-        if hit is not None:
+    for members in wavefronts:
+        flipped = [idx for idx in members if plan.flip(idx, 0)]
+        if (len(members) > 2 and 0 < len(flipped) < len(members)
+                and any(ops[idx].is_factor == factor for idx in flipped)):
+            hit = members
             break
+        run_step(state, ops, members, IB)
     assert hit is not None, "no such wide step with a partial flip pattern under this seed"
 
     clean = _fork(state, tm)

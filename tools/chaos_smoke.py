@@ -61,7 +61,7 @@ def _sdc_smoke(a: np.ndarray, clean_r: np.ndarray, failures: list[str]) -> None:
     for backend in ("serial", "batched", "parallel"):
         kw: dict = {"backend": backend}
         if backend == "parallel":
-            kw.update(n_procs=2, batch="wavefront")
+            kw.update(n_procs=2)
         with recording() as rec:
             f = qr_factor(a, nb=NB, ib=IB, tree="hier", h=H, fault_plan=plan, **kw)
         if backend == "parallel":

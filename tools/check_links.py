@@ -8,7 +8,13 @@ Scans markdown files for ``[text](target)`` links and verifies that
   a heading in the target document (GitHub slug rules: lowercase, spaces
   to dashes, punctuation dropped);
 * ``http(s)`` / ``mailto`` links are *not* fetched (CI has no business
-  depending on the network); they are only checked for empty targets.
+  depending on the network); they are only checked for empty targets;
+* back-ticked repo paths (a token of an inline code span that starts with
+  ``src/``, ``tests/``, ``tools/``, ``benchmarks/``, ``bench/``, ``docs/``
+  or ``examples/``) exist — prose naming a file that was renamed or never
+  written is a broken link too.  Globs and placeholders are skipped, a
+  ``::test_id`` or ``:line`` suffix is ignored, and the two history files
+  (``ROADMAP.md``, ``CHANGES.md``) are exempt: they name files that *were*.
 
 When run on the default set (no arguments) it additionally fails on
 **orphaned docs pages**: every ``docs/*.md`` must be reachable from
@@ -36,6 +42,10 @@ import sys
 _LINK_RE = re.compile(r"\[(?:[^\]\[]|\[[^\]]*\])*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 _CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+_CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+_PATH_ROOTS = ("src/", "tests/", "tools/", "benchmarks/", "bench/", "docs/", "examples/")
+_PATH_WILDCARDS = ("*", "<", "{", "…", "...")
+_HISTORY_FILES = ("ROADMAP.md", "CHANGES.md")
 
 DEFAULT_FILES = (
     "README.md",
@@ -62,16 +72,20 @@ def github_slug(heading: str) -> str:
     return text.replace(" ", "-")
 
 
+def prose_lines(path: pathlib.Path):
+    """Yield ``(line_number, line)`` for every line outside code fences."""
+    in_fence = False
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if _CODE_FENCE_RE.match(line):
+            in_fence = not in_fence
+        elif not in_fence:
+            yield lineno, line
+
+
 def heading_slugs(path: pathlib.Path) -> set[str]:
     slugs: set[str] = set()
     counts: dict[str, int] = {}
-    in_fence = False
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if _CODE_FENCE_RE.match(line):
-            in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
+    for _lineno, line in prose_lines(path):
         m = _HEADING_RE.match(line)
         if not m:
             continue
@@ -84,15 +98,19 @@ def heading_slugs(path: pathlib.Path) -> set[str]:
 
 def iter_links(path: pathlib.Path):
     """Yield ``(line_number, target)`` for every inline link outside code fences."""
-    in_fence = False
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if _CODE_FENCE_RE.match(line):
-            in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
+    for lineno, line in prose_lines(path):
         for m in _LINK_RE.finditer(line):
             yield lineno, m.group(1)
+
+
+def iter_repo_paths(path: pathlib.Path):
+    """Yield ``(line_number, repo_path)`` for every back-ticked repo path
+    outside code fences."""
+    for lineno, line in prose_lines(path):
+        for span in _CODE_SPAN_RE.findall(line):
+            for token in span.split():
+                if token.startswith(_PATH_ROOTS) and not any(w in token for w in _PATH_WILDCARDS):
+                    yield lineno, token.partition(":")[0].rstrip(".,;)")
 
 
 def check_file(path: pathlib.Path, repo_root: pathlib.Path) -> list[str]:
@@ -101,6 +119,12 @@ def check_file(path: pathlib.Path, repo_root: pathlib.Path) -> list[str]:
         shown = path.relative_to(repo_root)
     except ValueError:
         shown = path
+    if path.name not in _HISTORY_FILES:
+        errors.extend(
+            f"{shown}:{lineno}: missing repo path {target!r}"
+            for lineno, target in iter_repo_paths(path)
+            if not (repo_root / target).exists()
+        )
     for lineno, target in iter_links(path):
         where = f"{shown}:{lineno}"
         if not target:
