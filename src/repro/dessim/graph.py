@@ -106,7 +106,24 @@ class TaskGraph:
         self.succ_delay = delay
         self.n_deps = np.zeros(self.n_tasks, dtype=np.int64)
         np.add.at(self.n_deps, dst, 1)
+        self._csr_lists = None
         return self
+
+    def csr_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """``(succ_index, succ_task, n_deps)`` as Python lists, converted on
+        first use and kept.
+
+        For walks that visit one edge per Python iteration (level
+        assignment, a dispatcher releasing successors): indexing a list
+        yields an ``int`` at a fraction of the cost of a NumPy scalar, and
+        ``succ_task[lo:hi]`` is a plain slice.  The lists are shared — copy
+        ``n_deps`` before counting it down.
+        """
+        if self._csr_lists is None:
+            self._csr_lists = (
+                self.succ_index.tolist(), self.succ_task.tolist(), self.n_deps.tolist(),
+            )
+        return self._csr_lists
 
     # -- analysis -----------------------------------------------------------
 

@@ -302,6 +302,44 @@ def check_tile_order(ctx: FileContext) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# derive-once: schedules are derived in one place and memoized there
+
+
+#: Pure functions of the factorization geometry that ``repro.qr.schedule``
+#: memoizes per process.
+_DERIVATIONS = frozenset({
+    "plan_all_panels", "expand_plans", "op_dependency_graph", "compute_wavefronts",
+})
+
+#: Files under ``qr/`` that may call them: the memo itself, the modules that
+#: define them (whose ``None`` defaults serve direct callers), and the model
+#: builders, which are not on the execution path (``dag.build_qr_taskgraph``
+#: for the simulator, ``vsa3d`` for the PULSAR array).
+_DERIVE_ALLOWED = frozenset({"schedule.py", "ops.py", "dag.py", "wavefront.py", "vsa3d.py"})
+
+
+@rule(
+    "derive-once",
+    "inside qr/, plan_all_panels/expand_plans/op_dependency_graph/"
+    "compute_wavefronts are called only by schedule.py (the process-wide "
+    "memo), their defining modules and the model builders — an executor or "
+    "API layer that derives its own copy pays the fixed cost on every call",
+    scope=("qr",),
+)
+def check_derive_once(ctx: FileContext) -> Iterator[Finding]:
+    if ctx.path.name in _DERIVE_ALLOWED:
+        return
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ctx.dotted_name(node.func)
+        if name is not None and name.split(".")[-1] in _DERIVATIONS:
+            yield (node.lineno, node.col_offset,
+                   f"{name}() outside repro.qr.schedule; take plans, ops, "
+                   "graph() and wavefronts() from schedule_for(...) instead")
+
+
+# ---------------------------------------------------------------------------
 # mutable-default / bare-except: classic footguns, enforced tree-wide
 
 

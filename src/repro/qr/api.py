@@ -39,7 +39,7 @@ import numpy as np
 from ..obs import context as _obs_context
 from ..obs import record as _obs_record
 from ..tiles.matrix import TileMatrix
-from ..trees.plan import TreeKind, plan_all_panels
+from ..trees.plan import TreeKind
 from ..util.errors import (
     ConfigurationError,
     ReproError,
@@ -47,8 +47,8 @@ from ..util.errors import (
 )
 from ..util.validation import as_f64_matrix, check_finite, check_tile_params, require
 from .backends import require_capability, run_backend, serial_fallback, worker_count
-from .ops import expand_plans
 from .reference import TileQRFactors
+from .schedule import schedule_for
 
 __all__ = ["QRFactorization", "qr_factor", "lstsq"]
 
@@ -374,14 +374,16 @@ def qr_factor(
         ``parallel`` backends (the pulsar VSA owns its tiles and raises).
     session:
         Optional :class:`repro.QRSession` (see :mod:`repro.qr.session` and
-        ``docs/sessions.md``).  The panel plans, op DAG, and wavefront
-        schedule come from the session's :class:`~repro.qr.session.PlanCache`
-        instead of being derived per call, and ``backend="parallel"`` runs
-        on the session's persistent worker pool and shared-memory arena —
-        warm repeat calls skip spawn/attach entirely
-        (``stats.spawn_s ~ 0``).  Factors stay bit-exact with the
-        session-less path.  Supported for the ``serial``, ``batched``, and
-        ``parallel`` backends; ``n_procs`` must be omitted or equal the
+        ``docs/sessions.md``).  ``backend="parallel"`` runs on the
+        session's persistent worker pool and the shared-memory arena its
+        :class:`~repro.qr.session.PlanCache` keeps per geometry — warm
+        repeat calls skip spawn/attach entirely (``stats.spawn_s ~ 0``).
+        The panel plans, op DAG and wavefront schedule are memoized per
+        process for every caller (:mod:`repro.qr.schedule`), session or
+        not; the session counts its own hits and misses on them.  Factors
+        stay bit-exact with the session-less path.  Supported for the
+        ``serial``, ``batched``, and ``parallel`` backends; ``n_procs``
+        must be omitted or equal the
         session's pool size.  ``session.factor(a, ...)`` is the convenience
         spelling of ``qr_factor(a, session=sess, backend="parallel", ...)``.
     verify_schedule:
@@ -392,8 +394,10 @@ def qr_factor(
         a tile-disjoint, level-ordered antichain cover, raising
         :class:`~repro.util.errors.ScheduleCertificationError` otherwise.
         Adds planning-time cost only (no per-op runtime overhead); off by
-        default.  With ``session=``, the cached plan entry's DAG and
-        wavefronts are certified, so a poisoned cache entry is caught too.
+        default.  What is certified is what will run: the memoized DAG and
+        wavefronts of :func:`repro.qr.schedule.schedule_for` (with
+        ``session=``, the ones pinned to its plan entry), so a corrupted
+        memo or cache entry is caught too.
 
     Returns
     -------
@@ -444,12 +448,6 @@ def qr_factor(
                 f"n_procs={n_procs} conflicts with the session's pool size "
                 f"{session.n_procs}; omit n_procs when passing session="
             )
-        # Plans are resolved from the session's cache *inside* the recording
-        # window below, so plan.hits / plan.misses land in the evidence.
-        plans = ops = None
-    else:
-        plans = plan_all_panels(kind, tm.mt, tm.nt, h=h, shifted=shifted)
-        ops = expand_plans(tm.layout, plans)
     # Degradation needs a pristine input: the pulsar build hands tiles to
     # the VSA, so snapshot before any backend touches them.  Serial only
     # needs one when the SDC guard is armed (SilentCorruptionError is the
@@ -488,16 +486,18 @@ def qr_factor(
 
             sampler = MetricsSampler(recorder, metrics).start()
         try:
-            entry = None
-            if session is not None:
-                entry = session._plan_entry(kind, tm, ib=ib, h=h, shifted=shifted)
-                plans, ops = entry.plans, entry.ops
+            # One derivation per geometry and process (repro.qr.schedule); a
+            # session wraps it in an entry of its own, counting plan.hits /
+            # plan.misses into this recording window.
+            key = (kind, tm.m, tm.n, tm.nb, ib, h, shifted)
+            entry = schedule_for(*key) if session is None else session.plan_cache.lookup(key)
+            ops = entry.ops
             if verify_schedule:
                 from ..analysis.races import certify_schedule
 
-                graph = None if entry is None else entry.graph()
-                wf = None if entry is None else entry.wavefronts()
-                cert = certify_schedule(ops, graph=graph, wavefronts=wf)
+                cert = certify_schedule(
+                    ops, graph=entry.graph(), wavefronts=entry.wavefronts()
+                )
                 if not cert.ok:
                     raise ScheduleCertificationError(
                         "schedule failed static certification: "
@@ -506,7 +506,7 @@ def qr_factor(
             if ckpt is not None:
                 ckpt.bind(tm, ops, ib, kind.value, h, shifted)
             factors, stats = run_backend(
-                backend, tm, ops, ib, plans=plans, session=session, entry=entry,
+                backend, tm, entry, ib, session=session,
                 n_procs=n_procs, policy=policy, batch=batch, n_nodes=n_nodes,
                 workers_per_node=workers_per_node, seed=seed,
                 fault_plan=fault_plan, checkpoint=ckpt,

@@ -117,29 +117,32 @@ def worker_count(backend: str, *, n_nodes: int = 1, workers_per_node: int = 1,
     if backend == "parallel":
         if session is not None:
             return session.n_procs
-        return n_procs if n_procs is not None else _parallel.default_n_procs()
+        if n_procs is None:
+            return _parallel.default_n_procs()
+        return check_positive_int(n_procs, "n_procs")  # sizes the tree before run_backend
     return None
 
 
 def run_backend(
-    backend: str, tm, ops, ib: int, *,
-    plans=None, session=None, entry=None,
-    n_procs=None, policy="lazy", batch=None,
+    backend: str, tm, entry, ib: int, *,
+    session=None, n_procs=None, policy="lazy", batch=None,
     n_nodes=1, workers_per_node=1, seed=None,
     fault_plan=None, checkpoint=None, skip=None, preloaded_ts=None,
 ):
-    """Execute ``ops`` on ``tm`` with ``backend``; return ``(factors, stats)``.
+    """Execute ``entry.ops`` on ``tm`` with ``backend``; return ``(factors, stats)``.
 
-    ``entry`` is the :class:`~repro.qr.session.QRSession` plan entry when
-    the call runs through ``session`` (memoized wavefronts for ``batched``,
-    the session's pool and arena for ``parallel``); ``plans`` feeds the
-    pulsar VSA builder.  ``skip`` / ``preloaded_ts`` are the resume path.
-    ``stats`` is ``None`` for the single-lane backends.
+    ``entry`` is the memoized :class:`~repro.qr.schedule.Schedule` of the
+    geometry — or, when the call runs through ``session``, that session's
+    plan entry, which adds the arena.  Its wavefronts feed ``batched``, its
+    graph the ``parallel`` dispatcher, its plans the pulsar VSA builder;
+    nothing is derived here.  ``skip`` / ``preloaded_ts`` are the resume
+    path.  ``stats`` is ``None`` for the single-lane backends.
 
-    ``policy`` and ``batch`` are checked here, whichever backend runs (only
-    ``parallel`` uses ``batch``).  ``batch="wavefront"`` is an accepted
-    spelling of the default: it once selected level-synchronous slice
-    dispatch, callers still pass it, and it now means auto-sized batches.
+    ``policy``, ``batch`` and ``n_procs`` are checked here, whichever backend
+    runs (only ``parallel`` uses the last two).  ``batch="wavefront"`` is an
+    accepted spelling of the default: it once selected level-synchronous
+    slice dispatch, callers still pass it, and it now means auto-sized
+    batches.
     """
     require(policy in POLICIES, f"policy must be one of {POLICIES}, got {policy!r}")
     if batch == "wavefront":
@@ -150,23 +153,26 @@ def run_backend(
         )
     elif batch is not None:
         check_positive_int(batch, "batch")
+    if n_procs is not None:
+        check_positive_int(n_procs, "n_procs")
+    ops = entry.ops
     common = dict(fault_plan=fault_plan, checkpoint=checkpoint,
                   skip=skip, preloaded_ts=preloaded_ts)
     if backend == "serial":
         return execute_ops(tm, ops, ib, **common), None
     if backend == "batched":
-        wavefronts = None if entry is None else entry.wavefronts()
-        return execute_ops_batched(tm, ops, ib, wavefronts=wavefronts, **common), None
+        return execute_ops_batched(tm, ops, ib, wavefronts=entry.wavefronts(), **common), None
     if backend == "parallel":
         if session is not None:  # never a resume: the session plans from scratch
             return session._execute_parallel(
-                tm, ops, ib, entry, policy=policy, batch=batch,
+                tm, entry, ib, policy=policy, batch=batch,
                 fault_plan=fault_plan, checkpoint=checkpoint,
             )
         return _parallel.execute_ops_parallel(
-            tm, ops, ib, n_procs=n_procs, policy=policy, batch=batch, **common
+            tm, ops, ib, n_procs=n_procs, policy=policy, batch=batch,
+            graph=entry.graph(), **common
         )
-    arr = build_qr_vsa(tm, plans, ib=ib, total_workers=n_nodes * workers_per_node)
+    arr = build_qr_vsa(tm, entry.plans, ib=ib, total_workers=n_nodes * workers_per_node)
     stats = arr.run(
         n_nodes=n_nodes, workers_per_node=workers_per_node, policy=policy,
         seed=seed, fault_plan=fault_plan,

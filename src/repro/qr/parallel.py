@@ -512,8 +512,8 @@ def execute_ops_parallel(
     batch:
         Most operations dispatched per worker message (default: auto-sized
         from the op count).  :func:`repro.qr.backends.run_backend`
-        validates ``policy`` and ``batch`` for every backend; a direct
-        caller passes values it has checked.
+        validates ``n_procs``, ``policy`` and ``batch`` for every backend;
+        a direct caller passes values it has checked.
     timeout_s:
         No-progress watchdog: raise
         :class:`~repro.util.errors.WatchdogTimeout` instead of hanging if
@@ -530,9 +530,11 @@ def execute_ops_parallel(
         continues on the survivors and fails only when none remain.
     graph:
         Precomputed :func:`~repro.qr.dag.op_dependency_graph` result for
-        *exactly these* ``ops`` — the :class:`~repro.qr.session.PlanCache`
-        passes it so warm ``session.factor`` calls skip deriving it.
-        ``None`` (the default) derives it here.
+        *exactly these* ``ops`` — :func:`~repro.qr.backends.run_backend`
+        and a session pass the memoized one of
+        :func:`repro.qr.schedule.schedule_for`, so only the first call on a
+        geometry derives it.  ``None`` (the default, for direct callers)
+        derives it here.
     pool, arena:
         Persistent-session plumbing (see :mod:`repro.qr.session` and
         ``docs/sessions.md``), given together or not at all.  ``pool`` is
@@ -566,7 +568,6 @@ def execute_ops_parallel(
     check_nonnegative_int(max_redispatch, "max_redispatch")
     if n_procs is None:
         n_procs = default_n_procs()
-    check_positive_int(n_procs, "n_procs")
     n_procs = max(1, min(n_procs, len(ops)))
     if batch is None:
         batch = _auto_batch(len(ops), n_procs)
@@ -606,10 +607,12 @@ def execute_ops_parallel(
     success = False
     try:
         flags_view = np.frombuffer(flags_shm.buf, dtype=np.uint8)[: len(ops)]
-        if graph is None:
-            graph = op_dependency_graph(ops)
-        deps_left = graph.n_deps.copy()
-        succ_index, succ_task = graph.succ_index, graph.succ_task
+        if graph is None:  # a direct caller; run_backend and sessions pass the memo's
+            graph = op_dependency_graph(ops)  # lint: disable=derive-once
+        # Python lists: the loops below touch one edge per iteration, in the
+        # parent, which shares a core with the workers it feeds.
+        succ_index, succ_task, n_deps = graph.csr_lists()
+        deps_left = n_deps.copy()
         for idx in completed_set:
             # Resume: the op's writes are already in the tiles (loaded from
             # the checkpoint) — pre-flag it so a worker never re-applies it,
@@ -619,8 +622,8 @@ def execute_ops_parallel(
             op = ops[idx]
             if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
                 store.put_t(t_factor_key(op), preloaded_ts[idx])
-            for e in range(succ_index[idx], succ_index[idx + 1]):
-                deps_left[int(succ_task[e])] -= 1
+            for d in succ_task[succ_index[idx]:succ_index[idx + 1]]:
+                deps_left[d] -= 1
 
         # Run identity: prefer the recorder's (qr_factor minted it), else the
         # ambient context (resume path), else mint one — direct callers of
@@ -740,8 +743,7 @@ def execute_ops_parallel(
                         rec.from_monotonic(op_t0), rec.from_monotonic(op_t1), w,
                         op=idx, parent=root_span_id,
                     )
-                for e in range(succ_index[idx], succ_index[idx + 1]):
-                    d = int(succ_task[e])
+                for d in succ_task[succ_index[idx]:succ_index[idx + 1]]:
                     deps_left[d] -= 1
                     if deps_left[d] == 0:
                         ready.push(d)

@@ -46,13 +46,13 @@ from ..obs.record import K_CKPT_BYTES, K_CKPT_WRITES, K_RESUME_SKIPPED
 from ..tiles.layout import TILE_ORDER, TileLayout
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import t_factor_key
-from ..trees.plan import TreeKind, plan_all_panels
+from ..trees.plan import TreeKind
 from ..util.errors import ConfigurationError, ReproError
 from ..util.validation import require
 from .api import QRFactorization
 from .backends import require_capability, run_backend, serial_fallback
-from .ops import expand_plans
 from .reference import FactorRecord, TileQRFactors
+from .schedule import schedule_for
 
 __all__ = [
     "save_factorization",
@@ -442,7 +442,8 @@ def resume_factorization(
 ) -> QRFactorization:
     """Finish a factorization from a :class:`CheckpointStore` snapshot.
 
-    Rebuilds the op list from the archived geometry (the planners are
+    Takes the op list of the archived geometry from the schedule memo
+    (:func:`repro.qr.schedule.schedule_for`; the planners are
     deterministic), restores the snapshot tiles and the ``T`` factors of
     completed ops, and executes only the remaining ops — the result is
     bit-exact with the uninterrupted run, because the checkpointed done
@@ -469,9 +470,8 @@ def resume_factorization(
     meta = data["__meta__"]
     m, n, nb, ib, h, shifted, n_ops = (int(x) for x in meta[1:])
     tree = TreeKind.coerce(str(data["__tree__"][0]))
-    layout = TileLayout(m, n, nb)
-    plans = plan_all_panels(tree, layout.mt, layout.nt, h=h, shifted=bool(shifted))
-    ops = expand_plans(layout, plans)
+    entry = schedule_for(tree, m, n, nb, ib, h, bool(shifted))
+    ops = entry.ops
     if len(ops) != n_ops:
         raise ConfigurationError(
             f"{os.fspath(path)!r} records {n_ops} ops but the planner "
@@ -529,7 +529,7 @@ def resume_factorization(
             )
         try:
             factors, stats = run_backend(
-                backend, tm, ops, ib, n_procs=n_procs, policy=policy,
+                backend, tm, entry, ib, n_procs=n_procs, policy=policy,
                 batch=batch, fault_plan=fault_plan, checkpoint=ckpt,
                 skip=skip, preloaded_ts=preloaded_ts,
             )

@@ -2,13 +2,13 @@
 
 One-shot ``qr_factor(backend="parallel")`` pays, on every call, for things
 that do not depend on the matrix *values* at all: spawning worker
-processes, attaching them to a fresh shared-memory segment, deriving the
-op dependency DAG (:func:`repro.qr.dag.op_dependency_graph`) and — for
-``backend="batched"`` — the wavefront partition
-(:func:`repro.qr.wavefront.compute_wavefronts`).  In the tall-skinny batch
-regime the paper targets, the same ``(shape, nb, ib, tree, h)``
-configuration is factored over and over, and all of that is pure,
-repeated overhead.
+processes, creating a shared-memory segment and attaching them to it.  In
+the tall-skinny batch regime the paper targets, the same
+``(shape, nb, ib, tree, h)`` configuration is factored over and over, and
+all of that is pure, repeated overhead.  (The other value-independent cost
+— panel plans, op list, dependency DAG, wavefront partition — is memoized
+for *every* caller in the process by :mod:`repro.qr.schedule`, session or
+not.)
 
 :class:`QRSession` amortises it.  A session owns
 
@@ -17,10 +17,11 @@ repeated overhead.
   one factorization *job* after another instead of exiting and keep their
   shared-memory attachment cached between jobs; and
 * a :class:`PlanCache` — an LRU keyed by
-  ``(m, n, nb, ib, tree, h, shifted)`` that memoizes the panel plans, the
-  expanded operation list, the dependency graph, the wavefront partition,
-  and a shared-memory *arena* (tile segment + completion-flag segment)
-  sized for that plan.
+  ``(tree, m, n, nb, ib, h, shifted)`` whose entries pair the process-wide
+  :class:`~repro.qr.schedule.Schedule` of that key (plans, ops, dependency
+  graph, wavefront partition) with what only a session has: a
+  shared-memory *arena* (tile segment + completion-flag segment) sized for
+  that plan, and per-session hit/miss/eviction accounting.
 
 ``session.factor(a, ...)`` routes through :func:`repro.qr.api.qr_factor`
 (and accepts the same keywords), so every guarantee of the one-shot path
@@ -56,37 +57,42 @@ from ..tiles.shared import SharedArena
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int
 from .backends import serial_fallback
-from .dag import op_dependency_graph
 from .parallel import WorkerPool, default_n_procs, execute_ops_parallel
-from .wavefront import compute_wavefronts
+from .schedule import CAPACITY, schedule_for
 
 __all__ = ["QRSession", "PlanCache", "PlanCacheStats", "WorkerPool"]
 
 
 class _PlanEntry:
-    """One cached plan: ops plus lazily derived schedule artefacts.
+    """One session's view of a schedule: the shared, memoized
+    :class:`~repro.qr.schedule.Schedule` plus this session's arena.
 
-    The dependency graph, wavefront partition, and arena are built on
-    first use and then pinned to the entry, so a warm ``session.factor``
-    call re-derives nothing.
+    The graph and wavefront partition come from the schedule (derived once
+    per process) and are pinned to the entry on first use, so one session's
+    entry can be inspected — or corrupted — without touching what other
+    callers of the memo see; ``verify_schedule=True`` certifies the pinned
+    ones.
     """
 
-    def __init__(self, key, plans, ops):
+    def __init__(self, key, schedule):
         self.key = key
-        self.plans = plans
-        self.ops = ops
+        self.schedule = schedule
         self._graph = None
         self._wavefronts = None
         self._arena = None
 
+    @property
+    def ops(self):
+        return self.schedule.ops
+
     def graph(self):
         if self._graph is None:
-            self._graph = op_dependency_graph(self.ops)
+            self._graph = self.schedule.graph()
         return self._graph
 
     def wavefronts(self):
         if self._wavefronts is None:
-            self._wavefronts = compute_wavefronts(self.ops, self.graph())
+            self._wavefronts = self.schedule.wavefronts()
         return self._wavefronts
 
     def arena_for(self, a, ib) -> SharedArena:
@@ -117,18 +123,19 @@ class PlanCacheStats:
 
 class PlanCache:
     """LRU cache of factorization plans keyed by
-    ``(m, n, nb, ib, tree, h, shifted)``.
+    ``(tree, m, n, nb, ib, h, shifted)``.
 
-    Everything under a key is a pure function of that key — panel plans,
-    op list, dependency graph, wavefront partition, arena *layout* — so
+    Everything under a key is a pure function of that key — the schedule
+    (shared with the whole process through
+    :func:`~repro.qr.schedule.schedule_for`) and the arena *layout* — so
     entries never go stale and there is no invalidation beyond LRU
     capacity eviction (evicting destroys the entry's shared-memory
-    arena).  Hits, misses, and evictions are tallied on :attr:`stats`
-    always, and on the ``plan.*`` observability counters when a recording
-    is active.
+    arena, never the memoized schedule).  Hits, misses, and evictions are
+    tallied per session on :attr:`stats` always, and on the ``plan.*``
+    observability counters when a recording is active.
     """
 
-    def __init__(self, maxsize: int = 8):
+    def __init__(self, maxsize: int = CAPACITY):
         check_positive_int(maxsize, "plan_cache_size")
         self.maxsize = maxsize
         self.stats = PlanCacheStats()
@@ -137,9 +144,11 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: tuple, build) -> _PlanEntry:
-        """The entry for ``key``, building it with ``build() -> (plans, ops)``
-        on a miss (evicting the least recently used entry past capacity)."""
+    def lookup(self, key: tuple) -> _PlanEntry:
+        """The entry for ``key`` — the argument tuple of
+        :func:`~repro.qr.schedule.schedule_for`, whose memoized schedule a
+        new entry wraps (evicting the least recently used entry past
+        capacity)."""
         rec = _obs_record._RECORDER
         entry = self._entries.get(key)
         if entry is not None:
@@ -148,8 +157,7 @@ class PlanCache:
             if rec is not None:
                 rec.count(K_PLAN_HITS)
             return entry
-        plans, ops = build()
-        entry = _PlanEntry(key, plans, ops)
+        entry = _PlanEntry(key, schedule_for(*key))
         self._entries[key] = entry
         self.stats.misses += 1
         if rec is not None:
@@ -196,7 +204,7 @@ class QRSession:
         Maximum distinct configurations cached before LRU eviction.
     """
 
-    def __init__(self, *, n_procs: int | None = None, plan_cache_size: int = 8):
+    def __init__(self, *, n_procs: int | None = None, plan_cache_size: int = CAPACITY):
         if n_procs is None:
             n_procs = default_n_procs()
         check_positive_int(n_procs, "n_procs")
@@ -300,22 +308,10 @@ class QRSession:
         kw.setdefault("backend", "parallel")
         return qr_factor(a, session=self, **kw)
 
-    def _plan_entry(self, kind, tm, *, ib: int, h: int, shifted: bool) -> _PlanEntry:
-        """The cached (or freshly built) plan entry for this configuration."""
-        from ..trees.plan import plan_all_panels
-        from .ops import expand_plans
-
-        key = (tm.m, tm.n, tm.nb, ib, kind, h, shifted)
-
-        def build():
-            plans = plan_all_panels(kind, tm.mt, tm.nt, h=h, shifted=shifted)
-            return plans, expand_plans(tm.layout, plans)
-
-        return self.plan_cache.lookup(key, build)
-
-    def _execute_parallel(self, tm, ops, ib, entry, *, policy, batch,
+    def _execute_parallel(self, tm, entry, ib, *, policy, batch,
                           fault_plan, checkpoint=None):
         """Run the parallel backend against the session's pool and arena."""
+        ops = entry.ops
         kw = dict(n_procs=self.n_procs, policy=policy, batch=batch,
                   fault_plan=fault_plan, checkpoint=checkpoint)
         if self._pool is None or len(ops) <= 1:

@@ -19,8 +19,8 @@ trailing column).  This module walks the DAG level-synchronously:
 arithmetic per kernel kind, so ``backend="batched"`` produces factors
 bit-identical to ``serial`` by construction, in any order that respects
 every DAG edge (wavefronts concatenate to a legal schedule) —
-``tests/test_wavefront.py`` asserts both properties.  A
-:class:`~repro.qr.session.QRSession` caches the partition per plan; the
+``tests/test_wavefront.py`` asserts both properties.  The partition is
+derived once per geometry and process (:mod:`repro.qr.schedule`); the
 parallel dispatcher does not use it (it fires ops as their own
 dependencies are met).
 
@@ -30,8 +30,6 @@ run and the ops inside them.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..tiles.matrix import TileMatrix
 from ..util.validation import require
@@ -43,7 +41,7 @@ from .reference import TileQRFactors, factor_records
 __all__ = ["compute_wavefronts", "op_levels", "execute_ops_batched", "wavefront_stats"]
 
 
-def op_levels(ops: list[Op], graph=None) -> np.ndarray:
+def op_levels(ops: list[Op], graph=None) -> list[int]:
     """Longest-path level of every op in the dependency DAG.
 
     Level 0 ops have no predecessors; every edge strictly increases the
@@ -51,19 +49,19 @@ def op_levels(ops: list[Op], graph=None) -> np.ndarray:
     lists whole levels in sequence is a legal schedule.
     """
     g = op_dependency_graph(ops) if graph is None else graph
+    succ_index, succ_task, n_deps = g.csr_lists()
     n = g.n_tasks
-    level = np.zeros(n, dtype=np.int64)
-    indeg = g.n_deps.copy()
+    level = [0] * n
+    indeg = n_deps.copy()
     stack = [t for t in range(n) if indeg[t] == 0]
     seen = 0
     while stack:
         t = stack.pop()
         seen += 1
-        lo, hi = g.succ_index[t], g.succ_index[t + 1]
-        for e in range(lo, hi):
-            d = g.succ_task[e]
-            if level[t] + 1 > level[d]:
-                level[d] = level[t] + 1
+        below = level[t] + 1
+        for d in succ_task[succ_index[t]:succ_index[t + 1]]:
+            if below > level[d]:
+                level[d] = below
             indeg[d] -= 1
             if indeg[d] == 0:
                 stack.append(d)
@@ -92,10 +90,9 @@ def compute_wavefronts(ops: list[Op], graph=None) -> list[list[int]]:
     preserving op order within each level.
     """
     level = op_levels(ops, graph)
-    n_levels = int(level.max()) + 1 if len(ops) else 0
-    by_level: list[list[int]] = [[] for _ in range(n_levels)]
-    for idx in range(len(ops)):
-        by_level[level[idx]].append(idx)
+    by_level: list[list[int]] = [[] for _ in range(max(level, default=-1) + 1)]
+    for idx, lvl in enumerate(level):
+        by_level[lvl].append(idx)
 
     wavefronts: list[list[int]] = []
     for members in by_level:
@@ -165,8 +162,9 @@ def execute_ops_batched(
     unchanged.
 
     ``wavefronts`` accepts a precomputed partition of *exactly these*
-    ``ops`` (a :class:`~repro.qr.session.PlanCache` passes its memoized
-    one); the default ``None`` computes it here.  ``fault_plan`` /
+    ``ops`` (:func:`~repro.qr.backends.run_backend` passes the memoized one
+    of :func:`repro.qr.schedule.schedule_for`); the default ``None``
+    computes it here.  ``fault_plan`` /
     ``checkpoint`` / ``skip`` / ``preloaded_ts`` are documented on
     :func:`repro.qr.execute.run_schedule`.
     """

@@ -46,13 +46,15 @@ class TileMatrix:
             ]
         else:
             require(len(tiles) == layout.mt, "tile grid has wrong number of rows")
+            widths = [layout.tile_cols(j) for j in range(layout.nt)]
             for i, row in enumerate(tiles):
                 require(len(row) == layout.nt, "tile grid has wrong number of columns")
+                rows = layout.tile_rows(i)
                 for j, t in enumerate(row):
-                    if t.shape != layout.tile_shape(i, j):
+                    if t.shape != (rows, widths[j]):
                         raise ShapeError(
                             f"tile ({i},{j}) has shape {t.shape}, "
-                            f"expected {layout.tile_shape(i, j)}"
+                            f"expected {(rows, widths[j])}"
                         )
         self._tiles = tiles
 
@@ -60,17 +62,32 @@ class TileMatrix:
 
     @classmethod
     def from_dense(cls, a: np.ndarray, nb: int) -> "TileMatrix":
-        """Copy a dense array into tile-major storage."""
+        """Copy a dense array into tile-major storage.
+
+        The full ``nb x nb`` tiles are filled by one strided copy into a
+        C-order ``(mt_f, nt_f, nb, nb)`` block whose ``[i, j].T`` views are
+        the tiles, contiguous in :data:`TILE_ORDER`; a ragged last tile row
+        or column is copied tile by tile.  No tile shares memory with ``a``.
+        """
         a = as_f64_matrix(a)
-        layout = TileLayout(a.shape[0], a.shape[1], nb)
-        # Note: an explicit copy, never asfortranarray — a slice of the input
-        # that already is column-major contiguous would alias the caller's
-        # array, letting the factorization mutate it.
+        m, n = a.shape
+        layout = TileLayout(m, n, nb)
+        mt_f, nt_f = m // nb, n // nb
+        block = np.empty((mt_f, nt_f, nb, nb))
+        block[...] = (
+            a[: mt_f * nb, : nt_f * nb].reshape(mt_f, nb, nt_f, nb).transpose(0, 2, 3, 1)
+        )
+
+        def ragged(i: int, j: int) -> np.ndarray:
+            # Note: an explicit copy, never asfortranarray — a slice of the
+            # input that already is column-major contiguous would alias the
+            # caller's array, letting the factorization mutate it.
+            return np.array(
+                a[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb], order=TILE_ORDER, copy=True
+            )
+
         tiles = [
-            [
-                np.array(a[layout.row_span(i), layout.col_span(j)], order=TILE_ORDER, copy=True)
-                for j in range(layout.nt)
-            ]
+            [block[i, j].T if i < mt_f and j < nt_f else ragged(i, j) for j in range(layout.nt)]
             for i in range(layout.mt)
         ]
         return cls(layout, tiles)
@@ -132,10 +149,12 @@ class TileMatrix:
     # -- conversions and math ----------------------------------------------
 
     def to_dense(self) -> np.ndarray:
-        """Assemble the dense ``m x n`` array (copies)."""
+        """Assemble the dense ``m x n`` array (copies), one tile row per
+        ``concatenate`` straight into the result."""
         out = np.empty((self.m, self.n))
-        for i, j, t in self.iter_tiles():
-            out[self.layout.row_span(i), self.layout.col_span(j)] = t
+        nb = self.nb
+        for i, row in enumerate(self._tiles):
+            np.concatenate(row, axis=1, out=out[i * nb : (i + 1) * nb])
         return out
 
     def copy(self) -> "TileMatrix":

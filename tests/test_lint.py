@@ -28,6 +28,7 @@ FIXTURE_RULES = [
     ("bad_mutable_default.py", "mutable-default", 3),
     ("bad_bare_except.py", "bare-except", 1),
     ("bad_tile_order.py", "tile-order", 3),
+    ("qr/bad_derive_once.py", "derive-once", 4),
 ]
 
 

@@ -69,13 +69,17 @@ class TestPlanCache:
                 attach_untracked(name)  # segment unlinked with the entry
 
     def test_lru_order(self):
+        from repro.trees import TreeKind
+
+        # Keys are schedule_for's arguments: (tree, m, n, nb, ib, h, shifted).
+        a, b, c = ((TreeKind.HIER, 40, 24, 8, 4, h, True) for h in (1, 2, 3))
         cache = PlanCache(maxsize=2)
-        for key in ("a", "b"):
-            cache.lookup((key,), lambda: (None, []))
-        cache.lookup(("a",), lambda: (None, []))  # refresh "a"
-        cache.lookup(("c",), lambda: (None, []))  # evicts "b", not "a"
-        assert ("a",) in cache._entries and ("c",) in cache._entries
-        assert ("b",) not in cache._entries
+        for key in (a, b):
+            cache.lookup(key)
+        cache.lookup(a)  # refresh a
+        cache.lookup(c)  # evicts b, not a
+        assert a in cache._entries and c in cache._entries
+        assert b not in cache._entries
 
 
 class TestBitExactness:

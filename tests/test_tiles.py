@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.tiles import (
     TILE_ORDER,
@@ -103,6 +104,46 @@ class TestTileMatrix:
             if name != "zeros":
                 np.testing.assert_array_equal(m.to_dense(), a)
         assert TILE_ORDER == "F"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 70), n=st.integers(1, 40), nb=st.integers(1, 17),
+        form=st.sampled_from(["C", "F", "strided", "transposed", "int"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_from_dense_matches_the_per_tile_reference(self, m, n, nb, form, seed):
+        """The block copy of the full tiles plus per-tile ragged edges equals
+        a tile-by-tile copy, for any input memory layout, and ``to_dense``
+        inverts it bit for bit."""
+        rng = np.random.default_rng(seed)
+        if form == "strided":
+            a = rng.standard_normal((2 * m, 3 * n))[::2, ::3]
+        elif form == "transposed":
+            a = rng.standard_normal((n, m)).T
+        elif form == "int":
+            a = rng.integers(-9, 9, size=(m, n))
+        else:
+            a = np.array(rng.standard_normal((m, n)), order=form)
+        before = a.copy()
+        tm = TileMatrix.from_dense(a, nb)
+        lo = tm.layout
+        assert (lo.m, lo.n, lo.nb) == (m, n, nb)
+        for i, j, t in tm.iter_tiles():
+            ref = np.array(a[lo.row_span(i), lo.col_span(j)], dtype=np.float64, order=TILE_ORDER)
+            assert t.shape == lo.tile_shape(i, j) and t.dtype == np.float64
+            assert t.flags.f_contiguous and t.flags.writeable
+            assert not np.shares_memory(t, a)
+            np.testing.assert_array_equal(t, ref)
+        dense = tm.to_dense()
+        assert dense.shape == (m, n) and dense.flags.c_contiguous
+        np.testing.assert_array_equal(dense, a)
+        np.testing.assert_array_equal(tm.copy().to_dense(), a)
+        # Tiles are independent storage: writing one changes neither the
+        # input nor any other tile.
+        tm.tile(0, 0)[0, 0] += 1.0
+        np.testing.assert_array_equal(a, before)
+        dense[0, 0] += 1.0
+        np.testing.assert_array_equal(tm.to_dense(), dense)
 
     def test_grid_is_the_unchecked_tile_accessor(self):
         tm = TileMatrix.zeros(16, 8, 8)
