@@ -272,13 +272,17 @@ class ScheduleCertificate:
 
 # -- the certifier -----------------------------------------------------------
 
+#: Violations collected before the certifier stops listing them (the failed
+#: verdict stands; the certificate is marked truncated).
+MAX_VIOLATIONS = 100
+#: DAG edges :func:`self_check` samples for its drop-an-edge mutations.
+SELF_CHECK_EDGES = 12
+
 
 def certify_schedule(
     ops: list[Op],
     graph: TaskGraph | None = None,
     wavefronts: list[list[int]] | None = None,
-    *,
-    max_violations: int = 100,
 ) -> ScheduleCertificate:
     """Certify that a plan's DAG orders every conflicting tile access.
 
@@ -294,8 +298,6 @@ def certify_schedule(
     wavefronts:
         Optional wavefront partition to certify on top (antichains,
         tile-disjoint, level-ordered).
-    max_violations:
-        Stop collecting (but keep the failed verdict) after this many.
     """
     if graph is None:
         graph = op_dependency_graph(ops)
@@ -308,7 +310,7 @@ def certify_schedule(
 
     def report(kind, tile, op_idx, detail) -> bool:
         nonlocal truncated
-        if len(violations) >= max_violations:
+        if len(violations) >= MAX_VIOLATIONS:
             truncated = True
             return False
         violations.append(ScheduleViolation(kind, tile, tuple(op_idx), detail))
@@ -528,7 +530,7 @@ def swap_wavefronts(wavefronts: list[list[int]], i: int, j: int) -> list[list[in
     return out
 
 
-def self_check(ops: list[Op], *, max_edges: int = 12) -> dict:
+def self_check(ops: list[Op]) -> dict:
     """Prove the certifier detects planted violations on this very plan.
 
     Three stages, raising :class:`ScheduleCertificationError` on any miss:
@@ -554,7 +556,7 @@ def self_check(ops: list[Op], *, max_edges: int = 12) -> dict:
             + base.summary()
         )
     edges = graph_edge_list(graph)
-    step = max(1, len(edges) // max_edges)
+    step = max(1, len(edges) // SELF_CHECK_EDGES)
     tried = detected = redundant = 0
     for k in range(0, len(edges), step):
         mutated, (u, v) = drop_graph_edge(graph, k)
@@ -578,7 +580,7 @@ def self_check(ops: list[Op], *, max_edges: int = 12) -> dict:
                 )
     if detected == 0:
         raise ScheduleCertificationError(
-            "self-check sampled no load-bearing edge; widen max_edges"
+            "self-check sampled no load-bearing edge; widen SELF_CHECK_EDGES"
         )
     swap_detected = False
     if len(wavefronts) >= 2:
@@ -616,8 +618,7 @@ def certify_geometry(
 
     The same plan construction :func:`repro.qr.api.qr_factor` performs
     (``plan_all_panels`` + ``expand_plans``), followed by
-    :func:`certify_schedule`; used by the module CLI, the
-    ``--certify`` mode of ``python -m repro.obs.validate``, and the CI
+    :func:`certify_schedule`; used by the module CLI and the CI
     schedule-certifier smoke.
     """
     from ..qr.wavefront import compute_wavefronts

@@ -26,14 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..pulsar.runtime import POLICIES
 from ..util.errors import SimulationError
 from ..util.validation import check_positive, require
 from .graph import TaskGraph
 
 __all__ = ["SimResult", "simulate"]
-
-_POLICIES = ("lazy", "aggressive")
-
 
 @dataclass
 class SimResult:
@@ -116,7 +114,7 @@ def simulate(
     >>> [(s.cat, s.start, s.end) for s in res.spans()]
     [('panel', 0.0, 1.0), ('update', 1.0, 3.0)]
     """
-    require(policy in _POLICIES, f"policy must be one of {_POLICIES}")
+    require(policy in POLICIES, f"policy must be one of {POLICIES}")
     if n_workers is None:
         n_workers = graph.n_workers
     require(

@@ -140,7 +140,6 @@ def simulate_vsa(
     cost_fn: Callable[[VDP], float],
     policy: str = "lazy",
     record_trace: bool = False,
-    preload_available_at: float = 0.0,
 ) -> VirtualRunResult:
     """Execute ``vsa`` to completion in virtual time.
 
@@ -192,9 +191,9 @@ def simulate_vsa(
             ch.src_node = node_of.get(ch.src_tuple, 0)
             ch.dst_node = node_of.get(ch.dst_tuple, 0)
             # Rewrap preloaded packets (the initial data distribution) with
-            # their availability stamp.
+            # their availability stamp: virtual time zero.
             ch.queue = deque(
-                Packet(data=(p, preload_available_at), nbytes=p.nbytes) for p in ch.queue
+                Packet(data=(p, 0.0), nbytes=p.nbytes) for p in ch.queue
             )
 
     alive: list[VDP] = list(vsa.vdps.values())

@@ -123,15 +123,17 @@ def _format_event_rows(events: list[dict]) -> list[list[str]]:
     return rows
 
 
-def render_dashboard(
-    samples: list[dict], events: list[dict] | None = None, *, n_events: int = 10
-) -> str:
+#: Trailing structured events the dashboard lists.
+N_EVENTS = 10
+
+
+def render_dashboard(samples: list[dict], events: list[dict] | None = None) -> str:
     """Render one health snapshot from sampler output and an event log.
 
     Pure function of its inputs (the CLI re-renders it in follow mode; the
     tests call it directly): a run-identity header, the newest sample's
     gauges and rates (liveness and progress), the cumulative counters, and
-    the last ``n_events`` structured events.
+    the last ``N_EVENTS`` structured events.
     """
     blocks = []
     if not samples:
@@ -154,9 +156,9 @@ def render_dashboard(
             blocks.append(format_table(["counter", "total"], rows))
     if events:
         blocks.append(
-            f"last {min(n_events, len(events))} of {len(events)} events\n"
+            f"last {min(N_EVENTS, len(events))} of {len(events)} events\n"
             + format_table(
-                ["t", "event", "who", "data"], _format_event_rows(events[-n_events:])
+                ["t", "event", "who", "data"], _format_event_rows(events[-N_EVENTS:])
             )
         )
     return "\n\n".join(blocks)

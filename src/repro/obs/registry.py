@@ -78,13 +78,12 @@ def build_record(
     events: dict | None = None,
     parent_run_id: str | None = None,
     status: str = "ok",
-    written: str | None = None,
 ) -> dict:
     """One registry record (a flat, JSON-serialisable dict)."""
     return {
         "run": run_id,
         "parent_run": parent_run_id,
-        "written": written or time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "written": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "backend": backend,
         "geometry": dict(geometry),
         "status": status,
@@ -179,12 +178,18 @@ def diff_records(a: dict, b: dict) -> dict:
     }
 
 
-def anomaly_flags(record: dict, history: list[dict], *, window: int = 5,
-                  wall_factor: float = 1.5) -> list[str]:
+#: :func:`anomaly_flags` consults the newest ``ANOMALY_WINDOW`` comparable
+#: runs and flags a wall time over ``WALL_FACTOR`` times their best.
+ANOMALY_WINDOW = 5
+WALL_FACTOR = 1.5
+
+
+def anomaly_flags(record: dict, history: list[dict]) -> list[str]:
     """Why ``record`` looks unusual against its trailing history.
 
     ``history`` is every earlier record (any mix); only the newest
-    ``window`` *comparable* ones (same backend + geometry) are consulted.
+    ``ANOMALY_WINDOW`` *comparable* ones (same backend + geometry) are
+    consulted.
     An empty comparable history yields no flags — the first run of a
     configuration seeds its own baseline, exactly like the bench gate.
     """
@@ -192,12 +197,12 @@ def anomaly_flags(record: dict, history: list[dict], *, window: int = 5,
     if record.get("status") not in (None, "ok"):
         flags.append(f"status:{record['status']}")
     fams = family_totals(record)
-    same = [r for r in history if _comparable(r, record)][-window:]
+    same = [r for r in history if _comparable(r, record)][-ANOMALY_WINDOW:]
     if not same:
         return flags
     best = min(r.get("wall_s", float("inf")) for r in same)
     wall = record.get("wall_s")
-    if wall is not None and best > 0 and wall > best * wall_factor:
+    if wall is not None and best > 0 and wall > best * WALL_FACTOR:
         flags.append(f"wall:{wall / best:.2f}x")
     for fam, total in fams.items():
         past = max(family_totals(r).get(fam, 0.0) for r in same)

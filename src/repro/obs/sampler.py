@@ -85,14 +85,12 @@ class MetricsSampler:
         recorder: Recorder,
         path: str | os.PathLike,
         interval: float = 0.05,
-        rate_keys: tuple[str, ...] = DEFAULT_RATE_KEYS,
     ):
         if interval <= 0:
             raise ValueError(f"sampling interval must be positive, got {interval}")
         self.recorder = recorder
         self.path = Path(path)
         self.interval = float(interval)
-        self.rate_keys = tuple(rate_keys)
         self.n_samples = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -161,7 +159,7 @@ class MetricsSampler:
         rates: dict[str, float] = {}
         if self._prev_t is not None and t > self._prev_t:
             dt = t - self._prev_t
-            for key in self.rate_keys:
+            for key in DEFAULT_RATE_KEYS:
                 if key in counters or key in self._prev_counters:
                     delta = counters.get(key, 0.0) - self._prev_counters.get(key, 0.0)
                     rates[f"{key}/s"] = delta / dt

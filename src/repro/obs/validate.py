@@ -297,68 +297,16 @@ def validate_run_telemetry(
     return doc
 
 
-def _certify_from_spec(spec: str) -> int:
-    """Parse ``m=...,n=...,nb=...[,tree=...][,h=...][,shifted=...]`` and
-    run the static schedule certifier on that geometry."""
-    from ..analysis.races import certify_geometry
-    from ..util.errors import ReproError
-
-    kw: dict[str, object] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            print(f"--certify: malformed pair {part!r} (want key=value)",
-                  file=sys.stderr)
-            return 2
-        kw[key.strip()] = value.strip()
-    unknown = set(kw) - {"m", "n", "nb", "tree", "h", "shifted"}
-    if unknown:
-        print(f"--certify: unknown keys {sorted(unknown)}", file=sys.stderr)
-        return 2
-    missing = {"m", "n", "nb"} - set(kw)
-    if missing:
-        print(f"--certify: missing required keys {sorted(missing)}",
-              file=sys.stderr)
-        return 2
-    try:
-        m, n, nb = int(kw["m"]), int(kw["n"]), int(kw["nb"])
-        h = int(kw.get("h", 6))
-    except ValueError as exc:
-        print(f"--certify: {exc}", file=sys.stderr)
-        return 2
-    shifted = str(kw.get("shifted", "true")).lower() not in ("0", "false", "no")
-    try:
-        cert = certify_geometry(
-            m, n, nb, tree=str(kw.get("tree", "hier")), h=h, shifted=shifted
-        )
-    except ReproError as exc:
-        print(f"--certify: {exc}", file=sys.stderr)
-        return 1
-    print(cert.summary())
-    return 0 if cert.ok else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI: validate each path argument; non-zero exit on the first failure.
 
     ``--run`` switches to :func:`validate_run_telemetry` (causal-identity
     checks); ``--events FILE`` additionally validates an events JSONL
     file against the trace (implies ``--run``).
-
-    ``--certify SPEC`` statically certifies the op schedule of a planned
-    geometry (delegating to :func:`repro.analysis.races.certify_geometry`),
-    where ``SPEC`` is comma-separated ``key=value`` pairs, e.g.
-    ``--certify m=512,n=96,nb=32,tree=hier,h=2`` — keys ``m``/``n``/``nb``
-    (required), ``tree``/``h``/``shifted`` (optional).  May be combined
-    with trace paths or used alone.
     """
     argv = sys.argv[1:] if argv is None else argv
     run_mode = False
     events_path = None
-    certify_spec = None
     paths = []
     it = iter(argv)
     for arg in it:
@@ -370,28 +318,15 @@ def main(argv: list[str] | None = None) -> int:
                 print("error: --events needs a file argument", file=sys.stderr)
                 return 2
             run_mode = True
-        elif arg == "--certify":
-            certify_spec = next(it, None)
-            if certify_spec is None:
-                print(
-                    "error: --certify needs a spec argument, e.g. "
-                    "m=512,n=96,nb=32,tree=hier,h=2",
-                    file=sys.stderr,
-                )
-                return 2
         else:
             paths.append(arg)
-    if not paths and certify_spec is None:
+    if not paths:
         print(
             "usage: python -m repro.obs.validate [--run] [--events ev.jsonl] "
-            "[--certify m=512,n=96,nb=32,tree=hier,h=2] trace.json [...]",
+            "trace.json [...]",
             file=sys.stderr,
         )
         return 2
-    if certify_spec is not None:
-        rc = _certify_from_spec(certify_spec)
-        if rc != 0:
-            return rc
     for path in paths:
         try:
             if run_mode:

@@ -46,7 +46,8 @@ from ..util.errors import (
     ScheduleCertificationError,
 )
 from ..util.validation import as_f64_matrix, check_finite, check_tile_params, require
-from .backends import require_capability, run_backend, serial_fallback, worker_count
+from .backends import require_capability, run_backend, worker_count
+from .parallel import serial_fallback
 from .reference import TileQRFactors
 from .schedule import schedule_for
 
@@ -319,7 +320,12 @@ def qr_factor(
         Path to write a Chrome-trace/Perfetto JSON recording of the
         execution (any backend; see :mod:`repro.obs`).  Only the
         factorization itself is recorded — later ``apply_q`` / ``solve``
-        calls are not.  Default off, with zero overhead.
+        calls are not.  Default off, with zero overhead.  Like the three
+        targets below, a missing parent directory is created and a path
+        that cannot be written raises
+        :class:`~repro.util.errors.ConfigurationError` before anything
+        runs (``docs/observability.md``); the file itself is written once
+        the run has finished, so a failing run leaves an older one intact.
     metrics:
         Path to stream live metrics samples (JSON-lines) while the backend
         runs: counters, backend gauges (queue depths, in-flight ops, live
@@ -359,9 +365,11 @@ def qr_factor(
         reference executor on a pristine copy of the input, the reason is
         recorded on ``stats.fallback_reason`` (``stats.mode`` becomes
         ``"serial-fallback"``) and, when tracing, on the
-        ``fallback.serial`` counter and a ``fallback`` span.
-        Configuration errors always raise — a bad parameter would fail
-        serially too.
+        ``fallback.serial`` counter and a ``fallback`` span.  With
+        ``checkpoint=`` the serial re-run keeps snapshotting from the
+        pristine copy, so a degraded call still ends with a complete
+        archive.  Configuration errors always raise — a bad parameter
+        would fail serially too.
     checkpoint:
         Optional path (or pre-configured
         :class:`~repro.qr.persist.CheckpointStore`) to snapshot progress
@@ -375,8 +383,8 @@ def qr_factor(
     session:
         Optional :class:`repro.QRSession` (see :mod:`repro.qr.session` and
         ``docs/sessions.md``).  ``backend="parallel"`` runs on the
-        session's persistent worker pool and the shared-memory arena its
-        :class:`~repro.qr.session.PlanCache` keeps per geometry — warm
+        session's persistent worker pool and the one shared-memory segment
+        its :class:`~repro.qr.session.PlanCache` keeps per geometry — warm
         repeat calls skip spawn/attach entirely (``stats.spawn_s ~ 0``).
         The panel plans, op DAG and wavefront schedule are memoized per
         process for every caller (:mod:`repro.qr.schedule`), session or
@@ -409,11 +417,9 @@ def qr_factor(
         for i, j, tile in a.iter_tiles():
             check_finite(tile, origin=(i * a.nb, j * a.nb))
         tm = a.copy()
-        dense_nb = tm.nb
     else:
         tm = TileMatrix.from_dense(a, nb)
-        dense_nb = nb
-    check_tile_params(tm.m, tm.n, dense_nb, ib)
+    check_tile_params(tm.m, tm.n, tm.nb, ib)
     require(tm.m >= tm.n, f"tall-skinny QR requires m >= n, got {tm.m} x {tm.n}")
     kind = TreeKind.coerce(tree)
     if h == "auto":
@@ -430,16 +436,6 @@ def qr_factor(
     elif isinstance(h, str):
         raise ConfigurationError(f"h must be an int or 'auto', got {h!r}")
     require_capability(backend)
-    if on_failure not in ("raise", "fallback"):
-        raise ConfigurationError(
-            f"on_failure must be 'raise' or 'fallback', got {on_failure!r}"
-        )
-    ckpt = None
-    if checkpoint is not None:
-        require_capability(backend, "checkpoint")
-        from .persist import as_checkpoint_store
-
-        ckpt = as_checkpoint_store(checkpoint)
     if session is not None:
         session._check_open()
         require_capability(backend, "session")
@@ -448,22 +444,101 @@ def qr_factor(
                 f"n_procs={n_procs} conflicts with the session's pool size "
                 f"{session.n_procs}; omit n_procs when passing session="
             )
+    key = (kind, tm.m, tm.n, tm.nb, ib, h, shifted)
+
+    def plan():
+        # One derivation per geometry and process (repro.qr.schedule); a
+        # session wraps it in an entry of its own, counting plan.hits /
+        # plan.misses into the recording window the envelope calls this in.
+        entry = schedule_for(*key) if session is None else session.plan_cache.lookup(key)
+        if verify_schedule:
+            from ..analysis.races import certify_schedule
+
+            cert = certify_schedule(
+                entry.ops, graph=entry.graph(), wavefronts=entry.wavefronts()
+            )
+            if not cert.ok:
+                raise ScheduleCertificationError(
+                    "schedule failed static certification: " + cert.summary()
+                )
+        return entry
+
+    return _run(
+        tm, plan, ib, kind, h, shifted, backend, session=session, policy=policy,
+        trace=trace, metrics=metrics, events=events, registry=registry,
+        fault_plan=fault_plan, on_failure=on_failure, checkpoint=checkpoint,
+        n_procs=n_procs, batch=batch, n_nodes=n_nodes,
+        workers_per_node=workers_per_node, seed=seed,
+    )
+
+
+def _check_target(keyword: str, path) -> None:
+    """Make the directory of a telemetry target exist, or fail before the run.
+
+    Only the directory is touched: a file already at ``path`` stays intact
+    until the sink writes, so a run that fails leaves the old one behind.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    try:
+        os.makedirs(parent, exist_ok=True)
+        if os.path.isdir(path) or not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(f"no file can be created at {os.fspath(path)!r}")
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{keyword}= target cannot be written: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _run(
+    tm: TileMatrix, plan, ib: int, kind: TreeKind, h: int, shifted: bool, backend: str,
+    *, session=None, policy: str = "lazy", trace=None, metrics=None, events=None,
+    registry=None, fault_plan=None, on_failure: str = "raise", checkpoint=None,
+    skip=None, preloaded_ts=None, parent_run_id: str | None = None, **launch,
+) -> QRFactorization:
+    """The run envelope: the one way from a tiled matrix to ``run_backend``.
+
+    :func:`qr_factor` and :func:`~repro.qr.persist.resume_factorization`
+    both end here (the latter with ``skip`` / ``preloaded_ts`` /
+    ``parent_run_id``).  ``plan()`` returns the schedule entry to run; it
+    is called inside the recording window, after every check below.  Once
+    per run, in order: the ``on_failure`` check, ``checkpoint=`` coercion
+    and capability check, the telemetry targets (:func:`_check_target` —
+    nothing runs if one cannot be written), the pristine copy a degraded
+    run restarts from, a fresh run id activated with :func:`use_run`, the
+    recording window with its sinks (``run.start`` / ``run.end`` only when
+    this call owns the window), ``checkpoint.bind``, ``run_backend``, the
+    ``ReproError`` -> :func:`~repro.qr.parallel.serial_fallback`
+    degradation — the checkpoint store re-bound to the pristine copy and
+    handed on, so a degraded run still ends with an all-ops-done archive —
+    and the :class:`QRFactorization` with its trace / registry write-out.
+    ``launch`` (``n_procs``, ``batch``, ``n_nodes``, ``workers_per_node``,
+    ``seed``) goes to :func:`~repro.qr.backends.run_backend` untouched.
+    """
+    require(on_failure in ("raise", "fallback"),
+            f"on_failure must be 'raise' or 'fallback', got {on_failure!r}")
+    ckpt = None
+    if checkpoint is not None:
+        require_capability(backend, "checkpoint")
+        from .persist import as_checkpoint_store
+
+        ckpt = as_checkpoint_store(checkpoint)
+    for keyword, target in (("trace", trace), ("metrics", metrics),
+                            ("events", events), ("registry", registry)):
+        if isinstance(target, (str, os.PathLike)):
+            _check_target(keyword, target)
     # Degradation needs a pristine input: the pulsar build hands tiles to
     # the VSA, so snapshot before any backend touches them.  Serial only
     # needs one when the SDC guard is armed (SilentCorruptionError is the
     # sole serial failure mode on valid parameters).
-    sdc_armed = fault_plan is not None and fault_plan.faulty_sdc
-    pristine = (
-        tm.copy()
-        if on_failure == "fallback" and (backend != "serial" or sdc_armed)
-        else None
-    )
+    can_fail = backend != "serial" or (fault_plan is not None and fault_plan.faulty_sdc)
+    pristine = tm.copy() if on_failure == "fallback" and can_fail else None
 
     # Every run gets an identity, traced or not: it names the registry
     # record, travels to worker processes and PULSAR packets, and is
     # archived by checkpoints so a resume can name its parent run.
     run_id = _obs_context.mint_run_id()
-    status = "ok"
+    geometry = dict(m=tm.m, n=tm.n, nb=tm.nb, ib=ib, tree=kind.value, h=h)
+    status = "error"  # until the backend, or the degraded re-run, returns
     t_run0 = time.perf_counter()
 
     # The recording window covers only the backend execution: factor
@@ -472,54 +547,40 @@ def qr_factor(
     ctx = (
         _obs_record.recording(run_id=run_id) if record else nullcontext(None)
     )
-    with _obs_context.use_run(run_id), ctx as recorder:
+    entry = None
+    with _obs_context.use_run(run_id, parent_run_id), ctx as recorder:
         sampler = None
         if recorder is not None:
             if events is not None:
                 recorder.events.open_sink(events)
-            recorder.event(
-                "run.start", backend=backend, m=tm.m, n=tm.n, nb=tm.nb,
-                ib=ib, tree=kind.value, h=h,
-            )
+            recorder.event("run.start", backend=backend, **geometry)
         if metrics is not None:
             from ..obs.sampler import MetricsSampler
 
             sampler = MetricsSampler(recorder, metrics).start()
         try:
-            # One derivation per geometry and process (repro.qr.schedule); a
-            # session wraps it in an entry of its own, counting plan.hits /
-            # plan.misses into this recording window.
-            key = (kind, tm.m, tm.n, tm.nb, ib, h, shifted)
-            entry = schedule_for(*key) if session is None else session.plan_cache.lookup(key)
-            ops = entry.ops
-            if verify_schedule:
-                from ..analysis.races import certify_schedule
-
-                cert = certify_schedule(
-                    ops, graph=entry.graph(), wavefronts=entry.wavefronts()
-                )
-                if not cert.ok:
-                    raise ScheduleCertificationError(
-                        "schedule failed static certification: "
-                        + cert.summary()
-                    )
+            entry = plan()
             if ckpt is not None:
-                ckpt.bind(tm, ops, ib, kind.value, h, shifted)
+                ckpt.bind(tm, entry.ops, ib, kind.value, h, shifted)
             factors, stats = run_backend(
-                backend, tm, entry, ib, session=session,
-                n_procs=n_procs, policy=policy, batch=batch, n_nodes=n_nodes,
-                workers_per_node=workers_per_node, seed=seed,
+                backend, tm, entry, ib, session=session, policy=policy,
                 fault_plan=fault_plan, checkpoint=ckpt,
+                skip=skip, preloaded_ts=preloaded_ts, **launch,
             )
-        except ConfigurationError:
-            status = "error"
-            raise  # a bad parameter would fail on the serial path too
+            status = "ok"
         except ReproError as exc:
-            if pristine is None:
-                status = "error"
+            # A bad parameter would fail on the serial path too, and a plan
+            # that did not certify leaves nothing to re-run.
+            if pristine is None or entry is None or isinstance(exc, ConfigurationError):
                 raise
-            reason = f"{backend} backend failed: {type(exc).__name__}: {exc}"
-            factors, stats = serial_fallback(pristine, ops, ib, reason, policy)
+            what = "backend" if skip is None else "resume"
+            reason = f"{backend} {what} failed: {type(exc).__name__}: {exc}"
+            if ckpt is not None:  # restart the archive from the pristine tiles
+                ckpt.bind(pristine, entry.ops, ib, kind.value, h, shifted)
+            factors, stats = serial_fallback(
+                pristine, entry.ops, ib, reason, policy, checkpoint=ckpt,
+                skip=skip, preloaded_ts=preloaded_ts,
+            )
             status = "fallback"
         finally:
             if sampler is not None:
@@ -532,38 +593,28 @@ def qr_factor(
                 recorder.events.close_sink()
     wall_s = time.perf_counter() - t_run0
     f = QRFactorization(
-        factors, kind, backend, stats=stats, ops=ops, ib=ib,
-        recorder=recorder, run_id=run_id,
+        factors, kind, backend, stats=stats, ops=entry.ops, ib=ib,
+        recorder=recorder, run_id=run_id, parent_run_id=parent_run_id,
     )
+    f.ops_skipped = len(skip or ())
     if session is not None:
         session.last_run_id = run_id
     if trace is not None:
         from ..obs.export import write_chrome_trace
 
         write_chrome_trace(
-            trace,
-            recorder.spans,
-            counters=f.counters,
-            clock=recorder.clock,
-            lane_names=recorder.lane_names,
-            run_id=recorder.run_id,
+            trace, recorder.spans, counters=f.counters, clock=recorder.clock,
+            lane_names=recorder.lane_names, run_id=run_id,
         )
     if registry is not None:
         from ..obs.registry import RunRegistry, build_record
 
         reg = registry if isinstance(registry, RunRegistry) else RunRegistry(registry)
-        reg.append(
-            build_record(
-                run_id=run_id,
-                backend=backend,
-                geometry=dict(m=tm.m, n=tm.n, nb=tm.nb, ib=ib,
-                              tree=kind.value, h=h),
-                wall_s=wall_s,
-                counters=f.counters,
-                events=recorder.events.totals() if recorder is not None else None,
-                status=status,
-            )
-        )
+        reg.append(build_record(
+            run_id=run_id, parent_run_id=parent_run_id, backend=backend,
+            geometry=geometry, wall_s=wall_s, counters=f.counters, status=status,
+            events=recorder.events.totals() if recorder is not None else None,
+        ))
     return f
 
 

@@ -26,16 +26,13 @@ lacks the store-based capabilities in :data:`CAPABILITIES`.
 :func:`~repro.qr.api.qr_factor` and
 :func:`~repro.qr.persist.resume_factorization` validate a request against
 that one table and reach the executor through one function,
-:func:`run_backend`; :func:`serial_fallback` is the degradation every
-backend shares.
+:func:`run_backend`, which only the run envelope of
+:mod:`repro.qr.api` calls; the degradation every backend shares is
+:func:`repro.qr.parallel.serial_fallback`.
 """
 
 from __future__ import annotations
 
-import time
-
-from ..obs import record as _obs_record
-from ..obs.record import K_FALLBACK_SERIAL
 from ..pulsar.runtime import POLICIES
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int, require
@@ -51,7 +48,6 @@ __all__ = [
     "capability_table",
     "worker_count",
     "run_backend",
-    "serial_fallback",
 ]
 
 #: ``backend -> feature -> supported``.  ``checkpoint`` / ``session`` are the
@@ -133,7 +129,7 @@ def run_backend(
 
     ``entry`` is the memoized :class:`~repro.qr.schedule.Schedule` of the
     geometry — or, when the call runs through ``session``, that session's
-    plan entry, which adds the arena.  Its wavefronts feed ``batched``, its
+    plan entry, which adds the shared segment.  Its wavefronts feed ``batched``, its
     graph the ``parallel`` dispatcher, its plans the pulsar VSA builder;
     nothing is derived here.  ``skip`` / ``preloaded_ts`` are the resume
     path.  ``stats`` is ``None`` for the single-lane backends.
@@ -178,45 +174,3 @@ def run_backend(
         seed=seed, fault_plan=fault_plan,
     )
     return assemble_factors(arr.store, ops, ib), stats
-
-
-def serial_fallback(a, ops, ib: int, reason: str, policy: str,
-                    *, checkpoint=None, skip=None, preloaded_ts=None):
-    """Serial-reference degradation: same factors, reason on the record.
-
-    The reason is never silent: it lands in ``stats.fallback_reason`` /
-    ``stats.mode`` and, when a recorder is installed, on the
-    ``fallback.serial`` counter and a ``fallback`` span whose args carry
-    the reason — so a trace shows *that* and *why* the run degraded.
-
-    ``checkpoint`` / ``skip`` / ``preloaded_ts`` pass through to the
-    serial executor so a degraded run keeps snapshotting and — crucially
-    on the resume path — never re-executes ops whose writes are already
-    in the tiles (a QR kernel is destructive; re-running a completed
-    factor op would corrupt the result).
-    """
-    rec = _obs_record._RECORDER
-    t0 = time.perf_counter()
-    factors = execute_ops(a, ops, ib, checkpoint=checkpoint, skip=skip,
-                          preloaded_ts=preloaded_ts)
-    elapsed = time.perf_counter() - t0
-    if rec is not None:
-        rec.count(K_FALLBACK_SERIAL)
-        rec.event("fallback.serial", worker=0, reason=reason)
-        end = rec.now()
-        rec.add_span(
-            "fallback", "dispatch", end - elapsed, end, worker=0,
-            args={"reason": reason},
-        )
-    stats = _parallel.ParallelRunStats(
-        n_ops=len(ops),
-        n_procs=1,
-        policy=policy,
-        batch=1,
-        elapsed_s=elapsed,
-        per_worker_busy_s={0: elapsed},
-        per_worker_ops={0: len(ops)},
-        mode="serial-fallback",
-        fallback_reason=reason,
-    )
-    return factors, stats

@@ -5,9 +5,10 @@ their kernels under the GIL, so ``qr_factor`` uses one core no matter how
 many the machine has.  This module executes the *same* operation list
 (:mod:`repro.qr.ops`) across real OS processes:
 
-* the tiles (and one slot per compact-WY ``T`` factor) live in a single
-  shared-memory segment (:class:`repro.tiles.shared.SharedTileStore`);
-  workers attach once and mutate tiles in place — no array is ever pickled;
+* the tiles, one slot per compact-WY ``T`` factor and one completion flag
+  per op live in a single shared-memory segment per job
+  (:class:`repro.tiles.shared.SharedTileStore`); workers attach once and
+  mutate tiles in place — no array is ever pickled;
 * the parent runs a DAG-driven dispatcher over the dataflow graph of
   :func:`repro.qr.dag.op_dependency_graph`, tracking dependency counts and
   handing *batches* of ready operation indices to idle workers to amortise
@@ -24,9 +25,9 @@ many the machine has.  This module executes the *same* operation list
   becomes one :func:`repro.qr.execute.run_step` call on the shared store,
   the same step runner the in-process schedules use;
 * there is one worker lifecycle, :class:`WorkerPool`: a
-  :class:`~repro.qr.session.QRSession` keeps a pool (and one
-  :class:`~repro.tiles.shared.SharedArena` per cached plan) across calls, a
-  one-shot run builds a pool and an arena that live for that call.
+  :class:`~repro.qr.session.QRSession` keeps a pool (and one segment per
+  cached plan) across calls, a one-shot run builds a pool and a segment
+  that live for that call.
 
 Because the dependency graph totally orders every tile's mutations, any
 legal schedule — whichever workers run whichever ops in whatever
@@ -47,7 +48,7 @@ In-flight operations of a dead worker are re-dispatched to survivors (and a
 replacement process is spawned when ``respawn=True``).  Re-dispatch is safe
 because operations are *idempotent on the shared tile store given DAG
 ordering*, and that idempotency is enforced, not assumed: a per-op
-completion flag in shared memory is set after an op's tile mutations, so a
+completion flag in the job's segment is set after an op's tile mutations, so a
 re-dispatched op that already ran is skipped rather than re-applied (a QR
 kernel is destructive — factoring a tile twice would corrupt it).  The DAG
 guarantees no successor was dispatched before the flag went up, and an op
@@ -56,7 +57,7 @@ live workers run the same op concurrently.  The one unprotected window is a
 worker dying *inside* a kernel's tile writes; injected crashes land on op
 boundaries only, and docs/robustness.md spells out the residual risk.
 :class:`ParallelExecutionError` is raised only once retries are exhausted
-(an op re-dispatched more than ``max_redispatch`` times, or every worker
+(an op re-dispatched more than :data:`MAX_REDISPATCH` times, or every worker
 dead with respawn disabled).
 
 Observability: workers report each op as absolute ``perf_counter`` start /
@@ -78,8 +79,6 @@ import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as conn_wait
 
-import numpy as np
-
 from ..faults.watchdog import Watchdog
 from ..kernels.flops import kernel_flops
 from ..obs import context as _obs_context
@@ -87,6 +86,7 @@ from ..obs import record as _obs_record
 from ..obs.adapters import KERNEL_CATEGORY
 from ..obs.record import (
     K_DISPATCH_BATCHES,
+    K_FALLBACK_SERIAL,
     K_FAULT_CRASH,
     K_POOL_LEASES,
     K_POOL_REUSED,
@@ -99,17 +99,18 @@ from ..obs.record import (
     K_WORKER_RESTART,
 )
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import SharedArena, SharedTileStore, attach_untracked, t_factor_key
+from ..tiles.shared import SharedTileStore, t_factor_key
 from ..util.errors import ParallelExecutionError
-from ..util.validation import check_nonnegative_int, check_positive_int, require
+from ..util.validation import check_positive_int, require
 from .checksum import SDCGuard
 from .dag import op_dependency_graph
 from .execute import run_step
 from .ops import Op
-from .reference import TileQRFactors, factor_records
+from .reference import TileQRFactors, execute_ops, factor_records
 
 __all__ = [
     "ParallelRunStats",
+    "serial_fallback",
     "WorkerPool",
     "execute_ops_parallel",
     "default_n_procs",
@@ -118,6 +119,10 @@ __all__ = [
 #: Exit code used by FaultPlan-scheduled worker crashes, so the parent can
 #: tell an injected crash (counted under ``fault.crash``) from a real one.
 _CRASH_EXIT_CODE = 37
+
+#: Times one op may be re-dispatched after worker deaths before the run
+#: fails with :class:`~repro.util.errors.ParallelExecutionError`.
+MAX_REDISPATCH = 2
 
 
 def default_n_procs() -> int:
@@ -176,12 +181,49 @@ class ParallelRunStats:
         return self.dispatch_s / self.elapsed_s if self.elapsed_s > 0.0 else 0.0
 
 
+def serial_fallback(a, ops, ib: int, reason: str, policy: str,
+                    *, checkpoint=None, skip=None, preloaded_ts=None):
+    """Serial-reference degradation: same factors, reason on the record.
+
+    The reason is never silent: it lands in ``stats.fallback_reason`` /
+    ``stats.mode`` and, when a recorder is installed, on the
+    ``fallback.serial`` counter and a ``fallback`` span whose args carry
+    the reason — so a trace shows *that* and *why* the run degraded.
+
+    ``checkpoint`` / ``skip`` / ``preloaded_ts`` pass through to the
+    serial executor so a degraded run keeps snapshotting (``checkpoint``
+    must be bound to ``a``: the run envelope re-binds it to the pristine
+    copy before degrading) and — crucially on the resume path — never
+    re-executes ops whose writes are already in the tiles (a QR kernel is
+    destructive; re-running a completed factor op would corrupt the
+    result).
+    """
+    rec = _obs_record._RECORDER
+    t0 = time.perf_counter()
+    factors = execute_ops(a, ops, ib, checkpoint=checkpoint, skip=skip,
+                          preloaded_ts=preloaded_ts)
+    elapsed = time.perf_counter() - t0
+    if rec is not None:
+        rec.count(K_FALLBACK_SERIAL)
+        rec.event("fallback.serial", worker=0, reason=reason)
+        end = rec.now()
+        rec.add_span(
+            "fallback", "dispatch", end - elapsed, end, worker=0,
+            args={"reason": reason},
+        )
+    return factors, ParallelRunStats(  # one lane: n_procs and batch stay at 1
+        n_ops=len(ops), policy=policy, elapsed_s=elapsed,
+        per_worker_busy_s={0: elapsed}, per_worker_ops={0: len(ops)},
+        mode="serial-fallback", fallback_reason=reason,
+    )
+
+
 # --------------------------------------------------------------------------
 # Worker processes: dispatch messages -> execution-core steps on the store
 # --------------------------------------------------------------------------
 
 
-def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
+def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
                generation: int, conn: Connection) -> object:
     """Execute one job's dispatch messages until a terminator arrives.
 
@@ -197,7 +239,7 @@ def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
     the worker is respawned.
 
     Idempotency: an op only runs while its completion flag in the shared
-    ``flags`` segment is clear, and ``run_step`` raises the flag right
+    store (``store.flags``) is clear, and ``run_step`` raises the flag right
     after the op's tile mutations — under an armed SDC guard only once its
     output verified.  A re-dispatched op whose flag is already set is
     reported done without running.
@@ -211,7 +253,7 @@ def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
     ops_done = 0
 
     def raise_flag(idx: int) -> None:
-        flags[idx] = 1
+        store.flags[idx] = 1
 
     while True:
         batch = conn.recv()
@@ -222,7 +264,7 @@ def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
             if crashy and fault_plan.worker_crash(rank, generation, ops_done):
                 os._exit(_CRASH_EXIT_CODE)
             t0 = time.perf_counter()
-            if not flags[idx]:
+            if not store.flags[idx]:
                 try:
                     run_step(store, ops, [idx], ib, guard, raise_flag)
                 except BaseException:
@@ -238,7 +280,7 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     """Worker process: serve factorization jobs until told to exit.
 
     Each job starts with a header
-    ``("job", shm_name, flags_name, layout, ops, ib, fault_plan, run_id)``
+    ``("job", shm_name, layout, ops, ib, fault_plan, run_id)``
     followed by the usual dispatch messages and a terminator.  A worker is
     only ever spawned for a job (:meth:`WorkerPool.spawn`, at lease time or
     after a mid-job death), so its first header rides in the spawn args —
@@ -258,25 +300,20 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     # and is echoed in the attach handshake, so the parent can verify the
     # worker is serving the run it thinks it is.
     _obs_record._RECORDER = None
-    cached_name: str | None = None
     cached_ops: list[Op] | None = None
-    store = flags_shm = None
+    store = None
     try:
         while job is not None:
-            _, shm_name, flags_name, layout, ops, ib, fault_plan, run_id = job
+            _, shm_name, layout, ops, ib, fault_plan, run_id = job
             _obs_context.activate(run_id)
             t_attach0 = time.perf_counter()
-            if shm_name != cached_name:
+            if store is None or store.name != shm_name:
                 if store is not None:
                     store.close()
-                    flags_shm.close()
                 store = SharedTileStore.attach(shm_name, layout, ops, ib)
-                flags_shm = attach_untracked(flags_name)
-                cached_name, cached_ops = shm_name, ops
+                cached_ops = ops
             conn.send(("attached", rank, t_attach0, time.perf_counter(), run_id))
-            end = _serve_job(
-                store, flags_shm.buf, cached_ops, ib, fault_plan, rank, generation, conn
-            )
+            end = _serve_job(store, cached_ops, ib, fault_plan, rank, generation, conn)
             if end is None or end == "err":
                 break
             job = conn.recv()
@@ -285,7 +322,6 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     finally:
         if store is not None:
             store.close()
-            flags_shm.close()
         conn.close()
 
 
@@ -293,7 +329,7 @@ class WorkerPool:
     """Worker processes leased out one factorization at a time.
 
     Each worker runs :func:`_worker_main`: a loop over *jobs*, where a job
-    is a header naming the shared segments plus the usual dispatch traffic,
+    is a header naming the shared segment plus the usual dispatch traffic,
     ended by ``("endjob",)``.  The pool tracks which segment each worker
     last attached (:attr:`known`) and sends a slim header (no layout, no op
     list) when the worker already has it cached — a warm lease costs one
@@ -360,7 +396,7 @@ class WorkerPool:
         job = self._job
         shm_name = job[1]
         if self.known.get(rank) == shm_name:
-            job = job[:3] + (None, None) + job[5:]  # no layout, no op list
+            job = job[:2] + (None, None) + job[4:]  # no layout, no op list
         self.conns[rank].send(job)
         self.known[rank] = shm_name
 
@@ -483,7 +519,6 @@ def execute_ops_parallel(
     batch: int | None = None,
     timeout_s: float = 120.0,
     fault_plan=None,
-    max_redispatch: int = 2,
     respawn: bool = True,
     graph=None,
     pool=None,
@@ -521,9 +556,6 @@ def execute_ops_parallel(
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` whose ``crash_workers``
         schedule makes workers die abruptly (testing the recovery path).
-    max_redispatch:
-        How many times one op may be re-dispatched after worker deaths
-        before the run fails with :class:`ParallelExecutionError`.
     respawn:
         Spawn a replacement process for each dead worker (capped at
         ``n_procs`` respawns per run).  With ``respawn=False`` the run
@@ -540,12 +572,12 @@ def execute_ops_parallel(
         ``docs/sessions.md``), given together or not at all.  ``pool`` is
         the :class:`WorkerPool` the job is leased to (dead workers are
         respawned through it, preserving generation tags) and handed back
-        to with an ``("endjob",)`` message; ``arena`` is the
-        :class:`~repro.tiles.shared.SharedArena` holding the shared tile
-        store and completion flags, into which the caller has already
-        loaded ``a``.  Both outlive this call.  Without them the run
-        creates its own pair and tears it down on the way out — the same
-        lease, the same dispatcher, a pool that lives for one call.
+        to with an ``("endjob",)`` message; ``arena`` is the job's one
+        segment, a :class:`~repro.tiles.shared.SharedTileStore` into which
+        the caller has already loaded ``a`` (flags cleared).  Both outlive
+        this call.  Without them the run creates its own pool and segment
+        and tears them down on the way out — the same lease, the same
+        dispatcher, a pool that lives for one call.
     checkpoint:
         Optional bound :class:`~repro.qr.persist.CheckpointStore`.  When
         a snapshot falls due the dispatcher *quiesces* — stops handing
@@ -565,7 +597,6 @@ def execute_ops_parallel(
         store's slots so successors read them as if computed this run.
     """
     require(a.m >= a.n, f"tile QR requires m >= n, got {a.m} x {a.n}")
-    check_nonnegative_int(max_redispatch, "max_redispatch")
     if n_procs is None:
         n_procs = default_n_procs()
     n_procs = max(1, min(n_procs, len(ops)))
@@ -574,8 +605,6 @@ def execute_ops_parallel(
     completed_set = frozenset() if skip is None else frozenset(int(i) for i in skip)
 
     def degrade(reason: str):
-        from .backends import serial_fallback  # backends imports this module
-
         return serial_fallback(
             a.copy(), ops, ib, reason, policy, checkpoint=checkpoint,
             skip=completed_set or None, preloaded_ts=preloaded_ts,
@@ -583,21 +612,21 @@ def execute_ops_parallel(
 
     if n_procs == 1:
         return degrade("n_procs=1")
-    # A session's arena already holds the tiles (the caller ran
-    # arena.load(a)) and zeroed flags, and outlives this call with its pool.
-    # A one-shot run makes its own pair here; below, its workers are shut
-    # down once the job is done (or reset with everyone else's on failure)
-    # and its arena is destroyed on the way out.
+    # A session's segment already holds the tiles and cleared flags (the
+    # caller loaded ``a``) and outlives this call with its pool.  A one-shot
+    # run makes its own here; below, its workers are shut down once the job
+    # is done (or reset with everyone else's on failure) and its segment is
+    # destroyed on the way out.
     private = pool is None
     require(private == (arena is None),
             "pool and arena must be given together (or both omitted)")
+    store = arena
     if private:
         try:
-            arena = SharedArena.create(a, ops, ib)
+            store = SharedTileStore.create(a, ops, ib)
         except OSError as exc:
             return degrade(f"shared memory unavailable: {exc}")
         pool = WorkerPool(n_procs)
-    store, flags_shm = arena.store, arena.flags
     rec = _obs_record._RECORDER
     stats = ParallelRunStats(
         n_ops=len(ops), n_procs=n_procs, policy=policy, batch=batch,
@@ -606,7 +635,6 @@ def execute_ops_parallel(
     )
     success = False
     try:
-        flags_view = np.frombuffer(flags_shm.buf, dtype=np.uint8)[: len(ops)]
         if graph is None:  # a direct caller; run_backend and sessions pass the memo's
             graph = op_dependency_graph(ops)  # lint: disable=derive-once
         # Python lists: the loops below touch one edge per iteration, in the
@@ -618,7 +646,7 @@ def execute_ops_parallel(
             # the checkpoint) — pre-flag it so a worker never re-applies it,
             # restore its T factor so successors can read it, and release
             # its successors.
-            flags_view[idx] = 1
+            store.flags[idx] = 1
             op = ops[idx]
             if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
                 store.put_t(t_factor_key(op), preloaded_ts[idx])
@@ -640,7 +668,7 @@ def execute_ops_parallel(
         procs, conns, generations = pool.procs, pool.conns, pool.generations
         t_run = time.perf_counter()
         lease = pool.lease(n_procs, (
-            "job", store.name, flags_shm.name, a.layout, ops, ib, fault_plan, run_id,
+            "job", store.name, a.layout, ops, ib, fault_plan, run_id,
         ))
         stats.spawn_s = time.perf_counter() - t_run
         # Every span this dispatcher records for worker-reported work hangs
@@ -788,11 +816,11 @@ def execute_ops_parallel(
             lost = sorted(inflight_of.pop(w, ()))
             for idx in lost:
                 attempts[idx] += 1
-                if attempts[idx] > max_redispatch:
+                if attempts[idx] > MAX_REDISPATCH:
                     raise ParallelExecutionError(
                         f"worker {w} died (exit code {code}) and "
                         f"{ops[idx].describe()} was already re-dispatched "
-                        f"{max_redispatch} time(s) — retries exhausted"
+                        f"{MAX_REDISPATCH} time(s) — retries exhausted"
                     )
                 # The worker skips an op whose completion flag is already
                 # set, so one that ran but went unreported is not re-applied.
@@ -860,8 +888,7 @@ def execute_ops_parallel(
                 # (cheap memcpys into parent-owned buffers) under the
                 # quiesce, resume dispatching immediately, and let the
                 # serialize-fsync-replace overlap with worker execution.
-                checkpoint.capture(store, store.t_factor,
-                                   flags_view.astype(bool))
+                checkpoint.capture(store, store.t_factor, store.flags.astype(bool))
                 draining = False
                 dispatch()
                 checkpoint.flush()
@@ -923,7 +950,7 @@ def execute_ops_parallel(
         if checkpoint is not None:
             # Final snapshot: all flags set, so a resume from this archive
             # skips every op (and the file doubles as a completion marker).
-            checkpoint.write(store, store.t_factor, flags_view.astype(bool))
+            checkpoint.write(store, store.t_factor, store.flags.astype(bool))
 
         if private:
             # Before the copy-out, not after: reading the tiles back is
@@ -934,9 +961,6 @@ def execute_ops_parallel(
         ts = store.extract_ts()
         success = True
     finally:
-        # Release the numpy view before closing the segment: an exported
-        # buffer pointer would make SharedMemory.close() raise BufferError.
-        flags_view = None
         if rec is not None:
             for g in (
                 "parallel.ready_ops", "parallel.inflight_ops",
@@ -950,7 +974,7 @@ def execute_ops_parallel(
             # return the pool in — or to drop a private one in.
             pool.reset()
         if private:
-            arena.destroy()
+            store.destroy()
 
     records = factor_records(ops, ts.__getitem__)
     return TileQRFactors(a=factored, records=records, ib=ib), stats

@@ -49,8 +49,8 @@ from ..tiles.shared import t_factor_key
 from ..trees.plan import TreeKind
 from ..util.errors import ConfigurationError, ReproError
 from ..util.validation import require
-from .api import QRFactorization
-from .backends import require_capability, run_backend, serial_fallback
+from .api import QRFactorization, _run
+from .backends import require_capability
 from .reference import FactorRecord, TileQRFactors
 from .schedule import schedule_for
 
@@ -458,14 +458,13 @@ def resume_factorization(
     original run's.  Pass
     ``checkpoint=`` (a path or store, typically the same ``path``) to keep
     checkpointing the resumed run; ``on_failure="fallback"`` degrades a
-    failing parallel resume to the serial executor, still skipping the
-    restored ops.
+    failing resume to the serial executor, still skipping the restored ops
+    and still snapshotting, so the archive ends complete.  After the
+    archive is read and validated here, the run itself is the envelope
+    :func:`~repro.qr.api.qr_factor` uses (``repro.qr.api._run``), called
+    with the restored frontier and the archived run as parent.
     """
     require_capability(backend, "resume")
-    if on_failure not in ("raise", "fallback"):
-        raise ConfigurationError(
-            f"on_failure must be 'raise' or 'fallback', got {on_failure!r}"
-        )
     data = _read_archive(path, _FMT_CHECKPOINT)
     meta = data["__meta__"]
     m, n, nb, ib, h, shifted, n_ops = (int(x) for x in meta[1:])
@@ -515,37 +514,15 @@ def resume_factorization(
     if "__run__" in data:
         parent_run = str(data["__run__"][0]) or None
     rec = _obs_record._RECORDER
-    run_id = rec.run_id if rec is not None else _obs_context.mint_run_id()
-    ckpt = None if checkpoint is None else as_checkpoint_store(checkpoint)
-    pristine = tm.copy() if on_failure == "fallback" else None
-    with _obs_context.use_run(run_id, parent_run_id=parent_run):
-        if ckpt is not None:
-            ckpt.bind(tm, ops, ib, tree.value, h, bool(shifted))
-        if rec is not None:
-            rec.count(K_RESUME_SKIPPED, len(skip))
-            rec.event(
-                "resume", path=os.fspath(path), ops_skipped=len(skip),
-                parent_run=parent_run,
-            )
-        try:
-            factors, stats = run_backend(
-                backend, tm, entry, ib, n_procs=n_procs, policy=policy,
-                batch=batch, fault_plan=fault_plan, checkpoint=ckpt,
-                skip=skip, preloaded_ts=preloaded_ts,
-            )
-        except ConfigurationError:
-            raise
-        except ReproError as exc:
-            if pristine is None:
-                raise
-            reason = f"{backend} resume failed: {type(exc).__name__}: {exc}"
-            factors, stats = serial_fallback(
-                pristine, ops, ib, reason, policy,
-                skip=skip, preloaded_ts=preloaded_ts,
-            )
-    f = QRFactorization(
-        factors, tree, backend, stats=stats, ops=ops, ib=ib,
-        run_id=run_id, parent_run_id=parent_run,
+    if rec is not None:
+        rec.count(K_RESUME_SKIPPED, len(skip))
+        rec.event(
+            "resume", path=os.fspath(path), ops_skipped=len(skip),
+            parent_run=parent_run,
+        )
+    return _run(
+        tm, lambda: entry, ib, tree, h, bool(shifted), backend, policy=policy,
+        fault_plan=fault_plan, on_failure=on_failure, checkpoint=checkpoint,
+        skip=skip, preloaded_ts=preloaded_ts, parent_run_id=parent_run,
+        n_procs=n_procs, batch=batch,
     )
-    f.ops_skipped = len(skip)
-    return f

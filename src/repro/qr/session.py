@@ -20,8 +20,9 @@ not.)
   ``(tree, m, n, nb, ib, h, shifted)`` whose entries pair the process-wide
   :class:`~repro.qr.schedule.Schedule` of that key (plans, ops, dependency
   graph, wavefront partition) with what only a session has: a
-  shared-memory *arena* (tile segment + completion-flag segment) sized for
-  that plan, and per-session hit/miss/eviction accounting.
+  shared-memory *arena* — the one segment of a job (tiles, ``T`` slots,
+  completion flags; :class:`~repro.tiles.shared.SharedTileStore`) sized
+  for that plan — and per-session hit/miss/eviction accounting.
 
 ``session.factor(a, ...)`` routes through :func:`repro.qr.api.qr_factor`
 (and accepts the same keywords), so every guarantee of the one-shot path
@@ -53,10 +54,9 @@ from dataclasses import dataclass
 
 from ..obs import record as _obs_record
 from ..obs.record import K_PLAN_EVICTIONS, K_PLAN_HITS, K_PLAN_MISSES
-from ..tiles.shared import SharedArena
+from ..tiles.shared import SharedTileStore
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int
-from .backends import serial_fallback
 from .parallel import WorkerPool, default_n_procs, execute_ops_parallel
 from .schedule import CAPACITY, schedule_for
 
@@ -95,14 +95,17 @@ class _PlanEntry:
             self._wavefronts = self.schedule.wavefronts()
         return self._wavefronts
 
-    def arena_for(self, a, ib) -> SharedArena:
-        """The entry's arena, created from ``a`` on first use.
+    def arena_for(self, a, ib) -> SharedTileStore:
+        """The entry's segment holding ``a`` with every completion flag
+        clear — created on first use, reloaded after.
 
         Raises ``OSError`` where shared memory is unavailable; the caller
         degrades to the serial fallback, exactly like the one-shot path.
         """
         if self._arena is None:
-            self._arena = SharedArena.create(a, self.ops, ib)
+            self._arena = SharedTileStore.create(a, self.ops, ib)
+        else:
+            self._arena.load(a)
         return self._arena
 
     def close(self) -> None:
@@ -130,7 +133,7 @@ class PlanCache:
     :func:`~repro.qr.schedule.schedule_for`) and the arena *layout* — so
     entries never go stale and there is no invalidation beyond LRU
     capacity eviction (evicting destroys the entry's shared-memory
-    arena, never the memoized schedule).  Hits, misses, and evictions are
+    segment, never the memoized schedule).  Hits, misses, and evictions are
     tallied per session on :attr:`stats` always, and on the ``plan.*``
     observability counters when a recording is active.
     """
@@ -310,20 +313,18 @@ class QRSession:
 
     def _execute_parallel(self, tm, entry, ib, *, policy, batch,
                           fault_plan, checkpoint=None):
-        """Run the parallel backend against the session's pool and arena."""
-        ops = entry.ops
+        """Run the parallel backend against the session's pool and arena.
+
+        Without a pool (``n_procs=1``), on a one-op plan, or where the
+        entry's segment cannot be created, the call goes down the one-shot
+        path, which names the reason and degrades to serial.
+        """
         kw = dict(n_procs=self.n_procs, policy=policy, batch=batch,
                   fault_plan=fault_plan, checkpoint=checkpoint)
-        if self._pool is None or len(ops) <= 1:
-            return execute_ops_parallel(tm, ops, ib, **kw)  # degrades: "n_procs=1"
-        try:
-            arena = entry.arena_for(tm, ib)
-        except OSError as exc:
-            return serial_fallback(
-                tm.copy(), ops, ib, f"shared memory unavailable: {exc}", policy,
-                checkpoint=checkpoint,
-            )
-        arena.load(tm)
-        return execute_ops_parallel(
-            tm, ops, ib, graph=entry.graph(), pool=self._pool, arena=arena, **kw,
-        )
+        if self._pool is not None and len(entry.ops) > 1:
+            try:
+                kw.update(graph=entry.graph(), pool=self._pool,
+                          arena=entry.arena_for(tm, ib))
+            except OSError:
+                pass  # no shared memory: nothing of the session's to run on
+        return execute_ops_parallel(tm, entry.ops, ib, **kw)

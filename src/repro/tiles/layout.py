@@ -84,9 +84,9 @@ class TileLayout:
         """All tile coordinates in row-major order."""
         return [(i, j) for i in range(self.mt) for j in range(self.nt)]
 
-    def nbytes(self, dtype_size: int = 8) -> int:
-        """Total payload bytes of the matrix (used for memory accounting)."""
-        return self.m * self.n * dtype_size
+    def nbytes(self) -> int:
+        """Total payload bytes of the float64 matrix (used for memory accounting)."""
+        return self.m * self.n * 8
 
     # Hot path (several calls per executed op): the message is only
     # formatted when the check fails.

@@ -1,19 +1,20 @@
 """Shared-memory tile storage for the process-parallel backend.
 
-A :class:`SharedTileStore` places every tile of a :class:`TileMatrix` —
-plus one slot per compact-WY ``T`` factor the operation list will produce —
-inside a single ``multiprocessing.shared_memory`` segment.  Worker processes
-attach to the segment once, by name, and from then on read and mutate tiles
-in place through NumPy views: no array ever crosses a pipe, only small
-operation indices do.
+A :class:`SharedTileStore` places every tile of a :class:`TileMatrix`, one
+slot per compact-WY ``T`` factor the operation list will produce, and one
+completion-flag byte per operation inside a single
+``multiprocessing.shared_memory`` segment — one job, one segment.  Worker
+processes attach to it once, by name, and from then on read and mutate
+tiles in place through NumPy views: no array ever crosses a pipe, only
+small operation indices do.
 
 Tiles and ``T`` slots are column-major views
 (:data:`~repro.tiles.layout.TILE_ORDER`), like the owned tiles of a
 :class:`TileMatrix`, so worker kernels run LAPACK in place on the segment.
-The segment layout (offset of every tile and ``T`` slot) is a pure function
-of the tile geometry and the operation list, so the parent and every worker
-compute identical offset tables independently; only the segment *name*
-travels to the workers.
+The segment layout (offset of every tile, ``T`` slot and the flag array) is
+a pure function of the tile geometry and the operation list, so the parent
+and every worker compute identical offset tables independently; only the
+segment *name* travels to the workers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..util.errors import ConfigurationError
 from .layout import TILE_ORDER, TileLayout
 from .matrix import TileMatrix
 
-__all__ = ["SharedTileStore", "SharedArena", "t_factor_key", "attach_untracked"]
+__all__ = ["SharedTileStore", "t_factor_key", "attach_untracked"]
 
 
 def attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -70,10 +71,12 @@ def t_factor_key(op) -> tuple[str, int, int]:
 def _segment_plan(
     layout: TileLayout, ops: list, ib: int
 ) -> tuple[dict[tuple[int, int], tuple[int, tuple[int, int]]], dict[tuple, tuple[int, tuple[int, int]]], int]:
-    """Deterministic offset tables: tiles first, then ``T`` slots.
+    """Deterministic offset tables: tiles, then ``T`` slots, then op flags.
 
-    Returns ``(tile_index, t_index, total_doubles)`` where each index maps a
-    key to ``(offset_in_doubles, shape)``.
+    Returns ``(tile_index, t_index, flags_offset)``: each index maps a key
+    to ``(offset_in_doubles, shape)``; ``flags_offset`` is the *byte* offset
+    (64-byte aligned, past the last ``T`` slot) of the ``len(ops)``
+    completion-flag bytes that end the segment.
     """
     off = 0
     tile_index: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
@@ -91,15 +94,25 @@ def _segment_plan(
             raise ConfigurationError(f"duplicate T factor key {key} in operation list")
         t_index[key] = (off, (ib, op.k))
         off += ib * op.k
-    return tile_index, t_index, off
+    return tile_index, t_index, -(-off * 8 // 64) * 64
 
 
 class SharedTileStore:
-    """Tile and ``T``-factor storage inside one shared-memory segment.
+    """One job's shared-memory footprint: tiles, ``T`` slots, op flags.
 
     Create it in the parent with :meth:`create` (copies the matrix in),
     attach from workers with :meth:`attach`.  Only the creator may
     :meth:`unlink`; every process must :meth:`close` when done.
+
+    :attr:`flags` is the ``uint8[len(ops)]`` completion ledger of the
+    parallel backend — its enforced idempotency: a worker sets
+    ``flags[idx]`` after op ``idx``'s tile mutations and never runs an op
+    whose flag is up.  The layout is a pure function of ``(layout, ops,
+    ib)`` (:func:`_segment_plan`), so one store fits every matrix factored
+    under the same plan: a one-shot run creates and destroys one per call,
+    while a :class:`~repro.qr.session.QRSession` keeps one per cached plan
+    and copies each new matrix in with :meth:`load`, so pool workers that
+    already attached to the segment never re-attach.
     """
 
     def __init__(
@@ -115,8 +128,8 @@ class SharedTileStore:
         self._owner = owner
         self.layout = layout
         self.ib = ib
-        tile_index, t_index, total = _segment_plan(layout, ops, ib)
-        require_bytes = total * 8
+        tile_index, t_index, flags_off = _segment_plan(layout, ops, ib)
+        require_bytes = flags_off + len(ops)
         if shm.size < require_bytes:
             raise ConfigurationError(
                 f"shared segment holds {shm.size} bytes, layout needs {require_bytes}"
@@ -138,17 +151,20 @@ class SharedTileStore:
             )
             for key, (off, shape) in t_index.items()
         }
+        #: One completion byte per op (a view like the tiles: drop every
+        #: reference taken from here before :meth:`close`).
+        self.flags = np.ndarray((len(ops),), dtype=np.uint8, buffer=buf, offset=flags_off)
 
     # -- lifecycle ---------------------------------------------------------
 
     @classmethod
     def create(cls, a: TileMatrix, ops: list, ib: int) -> "SharedTileStore":
-        """Allocate a segment sized for ``a`` + ``T`` slots and copy ``a`` in."""
-        _, _, total = _segment_plan(a.layout, ops, ib)
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1) * 8)
-        store = cls(shm, a.layout, ops, ib, owner=True)
-        for i, j, tile in a.iter_tiles():
-            store.tile(i, j)[...] = tile
+        """Allocate a segment sized for ``a`` + ``T`` slots + flags, copy
+        ``a`` in and clear the flags."""
+        size = _segment_plan(a.layout, ops, ib)[2] + len(ops)
+        store = cls(shared_memory.SharedMemory(create=True, size=max(size, 1)),
+                    a.layout, ops, ib, owner=True)
+        store.load(a)
         return store
 
     @classmethod
@@ -161,16 +177,28 @@ class SharedTileStore:
     def name(self) -> str:
         return self._shm.name
 
+    def load(self, a: TileMatrix) -> None:
+        """Copy ``a``'s tiles into the segment and clear every completion flag."""
+        for i, j, tile in a.iter_tiles():
+            self._tiles[i][j][...] = tile
+        self.flags[:] = 0
+
     def close(self) -> None:
         """Release this process's mapping (views become invalid)."""
         self._tiles = []
         self._ts = {}
+        self.flags = None
         self._shm.close()
 
     def unlink(self) -> None:
         """Destroy the segment (creator only; call after :meth:`close`)."""
         if self._owner:
             self._shm.unlink()
+
+    def destroy(self) -> None:
+        """:meth:`close` + :meth:`unlink`: the creator's way out."""
+        self.close()
+        self.unlink()
 
     # -- data access -------------------------------------------------------
 
@@ -192,56 +220,8 @@ class SharedTileStore:
 
     def extract_matrix(self) -> TileMatrix:
         """Copy the tile grid out into an ordinary (owned) TileMatrix."""
-        grid = [
-            [self._tiles[i][j].copy(order=TILE_ORDER) for j in range(self.layout.nt)]
-            for i in range(self.layout.mt)
-        ]
-        return TileMatrix(self.layout, grid)
+        return TileMatrix(self.layout, self._tiles).copy()
 
     def extract_ts(self) -> dict[tuple, np.ndarray]:
         """Copy every ``T`` factor out of the segment."""
         return {key: t.copy(order=TILE_ORDER) for key, t in self._ts.items()}
-
-
-class SharedArena:
-    """One job's shared-memory footprint: tile store + completion-flag segment.
-
-    The flag segment holds one byte per op — the enforced-idempotency
-    ledger of the parallel backend, zeroed at creation; workers set
-    ``flags[idx]`` after op ``idx``'s tile mutations.  The segment layout
-    is a pure function of ``(layout, ops, ib)`` (:func:`_segment_plan`), so
-    an arena fits every matrix factored under the same plan: a one-shot
-    run creates and destroys one per call, while a
-    :class:`~repro.qr.session.QRSession` keeps one per cached plan and
-    copies each new matrix in with :meth:`load`, so pool workers that
-    already attached to the segment never re-attach.
-    """
-
-    def __init__(self, store: SharedTileStore, flags: shared_memory.SharedMemory):
-        self.store = store
-        self.flags = flags
-
-    @classmethod
-    def create(cls, a: TileMatrix, ops: list, ib: int) -> "SharedArena":
-        store = SharedTileStore.create(a, ops, ib)
-        try:
-            flags = shared_memory.SharedMemory(create=True, size=max(len(ops), 1))
-        except OSError:
-            store.close()
-            store.unlink()
-            raise
-        flags.buf[: len(flags.buf)] = bytes(len(flags.buf))
-        return cls(store, flags)
-
-    def load(self, a: TileMatrix) -> None:
-        """Copy ``a``'s tiles into the arena and clear all completion flags."""
-        for i, j, tile in a.iter_tiles():
-            self.store.tile(i, j)[...] = tile
-        n = len(self.flags.buf)
-        self.flags.buf[:n] = bytes(n)
-
-    def destroy(self) -> None:
-        self.store.close()
-        self.store.unlink()
-        self.flags.close()
-        self.flags.unlink()

@@ -42,19 +42,18 @@ def format_seconds(seconds: float) -> str:
     return f"{seconds * 1e6:.1f} us"
 
 
-def format_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    *,
-    min_width: int = 6,
-) -> str:
+#: Narrowest column :func:`format_table` renders.
+MIN_WIDTH = 6
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """Render an aligned plain-text table.
 
     Numeric cells are right-aligned, text cells left-aligned; used by the
     experiment drivers so reports read like the paper's tables.
     """
     str_rows = [[_cell(v) for v in row] for row in rows]
-    widths = [max(min_width, len(h)) for h in headers]
+    widths = [max(MIN_WIDTH, len(h)) for h in headers]
     for row in str_rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))

@@ -140,7 +140,7 @@ def test_session_and_one_shot_share_one_schedule(small_matrix, no_new_shm):
         assert (s1.plan_cache.stats.hits, s1.plan_cache.stats.misses) == (1, 1)
         assert (s2.plan_cache.stats.hits, s2.plan_cache.stats.misses) == (0, 1)
         # Eviction destroys the session's arena, never the memoized schedule.
-        name = e1._arena.store.name
+        name = e1._arena.name
         s1.factor(small_matrix, nb=8, ib=4, tree="flat")
         assert s1.plan_cache.stats.evictions == 1 and e1._arena is None
         with pytest.raises(OSError):

@@ -58,7 +58,7 @@ class TestPlanCache:
             entry = next(iter(sess.plan_cache._entries.values()))
             arena = entry._arena
             assert arena is not None
-            name = arena.store.name
+            name = arena.name
             sess.factor(a, nb=8, ib=4, tree="flat")  # evicts the hier entry
             assert sess.plan_cache.stats.evictions == 1
             assert len(sess.plan_cache) == 1
