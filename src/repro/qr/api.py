@@ -312,7 +312,13 @@ def qr_factor(
         ``backend="parallel"`` only: worker process count (default: usable
         CPUs; ``1`` falls back to serial) and the most operations sent in
         one dispatch message (default: auto-sized from the op count;
-        ``stats.batch`` reports the int used).  ``batch="wavefront"`` is an
+        ``stats.batch`` reports the int used).  Without a ``session`` the
+        workers are the ones the process keeps for all such calls: forked
+        by the first, grown to the largest ``n_procs`` asked for, idle
+        between calls, ended by
+        :func:`repro.qr.parallel.shutdown_workers` or at interpreter exit
+        (a ``fault_plan`` call gets fresh ones and leaves none).
+        ``batch="wavefront"`` is an
         accepted synonym of that default — dispatch is always
         dependency-driven.  Both ``batch`` and ``policy`` are validated on
         every backend, including the ones that ignore them.
@@ -383,9 +389,10 @@ def qr_factor(
     session:
         Optional :class:`repro.QRSession` (see :mod:`repro.qr.session` and
         ``docs/sessions.md``).  ``backend="parallel"`` runs on the
-        session's persistent worker pool and the one shared-memory segment
-        its :class:`~repro.qr.session.PlanCache` keeps per geometry — warm
-        repeat calls skip spawn/attach entirely (``stats.spawn_s ~ 0``).
+        session's own worker pool and the one shared-memory segment its
+        :class:`~repro.qr.session.PlanCache` keeps per geometry — warm
+        repeat calls skip segment creation and attach as well as the spawn
+        a repeat one-shot call already skips (``stats.spawn_s ~ 0``).
         The panel plans, op DAG and wavefront schedule are memoized per
         process for every caller (:mod:`repro.qr.schedule`), session or
         not; the session counts its own hits and misses on them.  Factors

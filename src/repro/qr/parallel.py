@@ -24,10 +24,15 @@ many the machine has.  This module executes the *same* operation list
 * workers own no kernel code of their own: every op of a dispatch message
   becomes one :func:`repro.qr.execute.run_step` call on the shared store,
   the same step runner the in-process schedules use;
-* there is one worker lifecycle, :class:`WorkerPool`: a
-  :class:`~repro.qr.session.QRSession` keeps a pool (and one segment per
-  cached plan) across calls, a one-shot run builds a pool and a segment
-  that live for that call.
+* there is one worker lifecycle, :class:`WorkerPool`, and workers are
+  spawned once per process, not once per call: every one-shot run leases
+  the module's kept pool (grown to the largest ``n_procs`` asked for,
+  ended by :func:`shutdown_workers` or at interpreter exit) and owns only
+  its segment, created and destroyed inside the call; a
+  :class:`~repro.qr.session.QRSession` keeps a pool of its own and one
+  segment per cached plan.  A worker owns its end of one pipe and, while a
+  job runs, one attachment — it closes everything else it was forked with,
+  so it exits the moment its parent is gone, however the parent died.
 
 Because the dependency graph totally orders every tile's mutations, any
 legal schedule — whichever workers run whichever ops in whatever
@@ -71,12 +76,16 @@ count per completed op.  Batches sent to workers bump the
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import multiprocessing as mp
 import os
+import threading
 import time
 import traceback
+import weakref
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from multiprocessing.connection import Connection, wait as conn_wait
 
 from ..faults.watchdog import Watchdog
@@ -99,7 +108,7 @@ from ..obs.record import (
     K_WORKER_RESTART,
 )
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import SharedTileStore, t_factor_key
+from ..tiles.shared import _FORK_LOCK, SharedTileStore, _close_open_stores, t_factor_key
 from ..util.errors import ParallelExecutionError
 from ..util.validation import check_positive_int, require
 from .checksum import SDCGuard
@@ -113,6 +122,7 @@ __all__ = [
     "serial_fallback",
     "WorkerPool",
     "execute_ops_parallel",
+    "shutdown_workers",
     "default_n_procs",
 ]
 
@@ -245,8 +255,10 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
     reported done without running.
 
     Returns the terminator received: ``None`` (shut the worker down),
-    ``("endjob",)`` (job complete, the worker waits for the next job), or
-    the string ``"err"`` after an execution error was reported.
+    ``("endjob",)`` (job complete, the worker keeps its attachment and waits
+    for the next job), ``("detach",)`` (job complete and its segment is
+    about to be unlinked: drop the attachment, then wait), or the string
+    ``"err"`` after an execution error was reported.
     """
     crashy = fault_plan is not None and fault_plan.faulty_workers
     guard = SDCGuard(fault_plan) if fault_plan is not None and fault_plan.faulty_sdc else None
@@ -276,6 +288,35 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
                    guard.take_delta() if guard is not None else None))
 
 
+#: Parent-side end of every live worker pipe in this process, whichever pool
+#: owns it.  A forked child inherits a copy of each, and a pipe delivers EOF
+#: only once *every* copy of its far end is closed — so every forked child
+#: closes them all first thing (:func:`_after_fork_in_child`), or a worker
+#: would outlive a parent that died without saying goodbye.  A pipe is made
+#: and listed under :data:`~repro.tiles.shared._FORK_LOCK`, which every fork
+#: takes, so no child inherits an end the set does not hold yet.
+_PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
+
+
+def _drop_inherited() -> None:
+    """Close what a worker was forked with but does not own.
+
+    A worker owns its end of one pipe and, while a job runs, one attachment.
+    The parent-side pipe ends (its own, its siblings', any other pool's)
+    went at the fork (:func:`_after_fork_in_child`); here go the parent's
+    mappings of shared segments (the worker attaches the one it serves by
+    name, and drops it when told to) and the resource tracker's pipe —
+    workers attach untracked and never talk to it, while the tracker waits
+    for the last copy of that descriptor before it exits.
+    """
+    _close_open_stores()
+    tracker = resource_tracker._resource_tracker
+    fd = getattr(tracker, "_fd", None)
+    if fd is not None:
+        os.close(fd)
+        tracker._fd = None
+
+
 def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     """Worker process: serve factorization jobs until told to exit.
 
@@ -285,15 +326,20 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     only ever spawned for a job (:meth:`WorkerPool.spawn`, at lease time or
     after a mid-job death), so its first header rides in the spawn args —
     under ``fork`` the op list is inherited, not pickled; later headers
-    arrive on the pipe after each ``("endjob",)``, and a bare ``None``
-    instead of a header ends the worker.
+    arrive on the pipe after each ``("endjob",)`` / ``("detach",)``, and a
+    bare ``None`` instead of a header ends the worker.
 
-    A ``layout``/``ops`` of ``None`` means "same segment as your previous
-    job": the worker keeps its last attachment and operation list cached,
-    so a warm ``session.factor`` call costs it no re-attach and no op-list
-    unpickling — ``spawn_s`` on the parent collapses to a couple of pipe
+    A header comes in three weights.  ``layout`` and ``ops`` both ``None``
+    means "same segment as your previous job": the worker keeps its
+    attachment and operation list, so a warm ``session.factor`` call costs
+    it no re-attach and no unpickling.  ``ops`` alone ``None`` means "a new
+    segment, the operation list you already hold": the worker re-attaches
+    by name with its cached list — a repeat one-shot call, whose segment is
+    new every time, pickles no op list.  Otherwise everything is there.
+    Either way ``spawn_s`` on the parent collapses to a couple of pipe
     messages.
     """
+    _drop_inherited()
     # A forked child inherits the parent's recorder; spans must be recorded
     # by the parent from the reported stamps, not duplicated here.  The run
     # identity *does* survive the boundary: it arrives in the job header
@@ -310,14 +356,18 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
             if store is None or store.name != shm_name:
                 if store is not None:
                     store.close()
-                store = SharedTileStore.attach(shm_name, layout, ops, ib)
-                cached_ops = ops
+                if ops is not None:
+                    cached_ops = ops
+                store = SharedTileStore.attach(shm_name, layout, cached_ops, ib)
             conn.send(("attached", rank, t_attach0, time.perf_counter(), run_id))
             end = _serve_job(store, cached_ops, ib, fault_plan, rank, generation, conn)
             if end is None or end == "err":
                 break
+            if end == ("detach",):
+                store.close()
+                store = None
             job = conn.recv()
-    except (EOFError, KeyboardInterrupt):  # parent went away: just exit
+    except (EOFError, ConnectionError, KeyboardInterrupt):  # parent went away: just exit
         pass
     finally:
         if store is not None:
@@ -330,12 +380,15 @@ class WorkerPool:
 
     Each worker runs :func:`_worker_main`: a loop over *jobs*, where a job
     is a header naming the shared segment plus the usual dispatch traffic,
-    ended by ``("endjob",)``.  The pool tracks which segment each worker
-    last attached (:attr:`known`) and sends a slim header (no layout, no op
-    list) when the worker already has it cached — a warm lease costs one
-    small pipe message per worker.  A :class:`~repro.qr.session.QRSession`
-    keeps its pool across calls; a one-shot :func:`execute_ops_parallel`
-    builds one, leases it once and shuts it down.
+    ended by ``("endjob",)`` or ``("detach",)``.  The pool tracks which
+    segment each worker has attached (:attr:`known`) and which operation
+    list it was last sent, and slims the header accordingly (see
+    :func:`_worker_main`): no layout and no op list for the same segment,
+    no op list for a new segment under the same list — a warm lease costs
+    one small pipe message per worker.  A
+    :class:`~repro.qr.session.QRSession` keeps its pool across calls; every
+    one-shot :func:`execute_ops_parallel` leases the one this module keeps
+    for the process (:func:`shutdown_workers` ends its workers).
 
     Generation tags are the pool's crash-recovery bookkeeping, shared with
     the dispatcher in :func:`execute_ops_parallel` (the
@@ -355,6 +408,9 @@ class WorkerPool:
         self.generations: dict[int, int] = {}
         #: rank -> name of the shared segment the worker has attached.
         self.known: dict[int, str] = {}
+        # rank -> the op list the worker holds, *by reference*: the memoized
+        # list of ``schedule_for`` is one object however often it is leased.
+        self._ops_of: dict[int, list] = {}
         self._ctx = mp.get_context()
         self._job = None
 
@@ -373,7 +429,9 @@ class WorkerPool:
             except OSError:
                 pass
         generation = self.generations.get(rank, -1) + 1
-        parent_conn, child_conn = self._ctx.Pipe()
+        with _FORK_LOCK:  # no fork between the pipe and its listing
+            parent_conn, child_conn = self._ctx.Pipe()
+            _PARENT_ENDS.add(parent_conn)
         p = self._ctx.Process(
             target=_worker_main,
             args=(rank, generation, child_conn, self._job),
@@ -386,19 +444,23 @@ class WorkerPool:
         self.conns[rank] = parent_conn
         self.generations[rank] = generation
         self.known[rank] = self._job[1]
+        self._ops_of[rank] = self._job[3]
         rec = _obs_record._RECORDER
         if rec is not None:
             rec.count(K_POOL_SPAWNS)
             rec.event("pool.spawn", worker=rank, generation=generation)
 
     def _send_job(self, rank: int) -> None:
-        """Send a live worker the job header; slim if the segment is cached."""
+        """Send a live worker the job header, less what it already holds."""
         job = self._job
-        shm_name = job[1]
+        shm_name, ops = job[1], job[3]
         if self.known.get(rank) == shm_name:
             job = job[:2] + (None, None) + job[4:]  # no layout, no op list
+        elif self._ops_of.get(rank) is ops:
+            job = job[:3] + (None,) + job[4:]  # new segment, no op list
         self.conns[rank].send(job)
         self.known[rank] = shm_name
+        self._ops_of[rank] = ops
 
     def lease(self, k: int, job: tuple) -> dict:
         """Hand ranks ``0..k-1`` one job: respawn the dead, brief the rest.
@@ -457,6 +519,7 @@ class WorkerPool:
         self.procs.clear()
         self.conns.clear()
         self.known.clear()
+        self._ops_of.clear()
 
     def shutdown(self) -> None:
         """Graceful stop: ask each worker to exit, then make sure it did."""
@@ -472,6 +535,52 @@ class WorkerPool:
                 p.terminate()
         self._forget_workers()
         self.generations.clear()
+
+
+#: The process's kept pool: every one-shot run leases it, so workers are
+#: forked once per process and grow to the largest ``n_procs`` asked for
+#: (each lease names its own ``k``; the pool's ``size`` is not read).
+#: It holds no segment and no tile — an idle worker pins the copy-on-write
+#: pages of its parent at fork time and one pipe.
+_KEPT = WorkerPool(1)
+
+#: Serialises the kept pool between one-shot calls from different threads:
+#: held from before the lease until the workers are handed back (or reset).
+_LEASE_LOCK = threading.Lock()
+
+
+def shutdown_workers() -> None:
+    """End the workers one-shot ``backend="parallel"`` calls have left idle.
+
+    Idempotent, and never required: the next one-shot call forks new ones,
+    and at interpreter exit ``multiprocessing`` stops them as it stops any
+    daemon.  Call it to give back what idle workers pin, or before a test
+    that relies on what a worker inherits when it is forked.  A
+    :class:`~repro.qr.session.QRSession` has its own pool and ``close()``.
+    """
+    with _LEASE_LOCK:
+        _KEPT.shutdown()
+
+
+def _after_fork_in_child() -> None:
+    """Nothing of the parent's workers belongs to a forked child.
+
+    Worker or not, the child closes its copies of the parent-side pipe ends
+    (see :data:`_PARENT_ENDS`), forgets the kept workers — they are its
+    parent's children; a one-shot call made here forks its own — and
+    replaces the lease lock, which a thread that does not exist here may
+    hold.
+    """
+    global _LEASE_LOCK
+    _LEASE_LOCK = threading.Lock()
+    for conn in list(_PARENT_ENDS):
+        conn.close()
+    _KEPT._forget_workers()
+    _KEPT.generations.clear()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 # --------------------------------------------------------------------------
@@ -575,9 +684,15 @@ def execute_ops_parallel(
         to with an ``("endjob",)`` message; ``arena`` is the job's one
         segment, a :class:`~repro.tiles.shared.SharedTileStore` into which
         the caller has already loaded ``a`` (flags cleared).  Both outlive
-        this call.  Without them the run creates its own pool and segment
-        and tears them down on the way out — the same lease, the same
-        dispatcher, a pool that lives for one call.
+        this call.  Without them the run is *one-shot*: it creates its own
+        segment and destroys it on the way out, and leases the pool this
+        module keeps for the process — the same lease, the same dispatcher,
+        ended with ``("detach",)`` so that no idle worker maps the unlinked
+        segment.  One-shot calls from several threads take turns at the
+        kept pool.  Its workers outlive the call (a repeat call forks
+        nothing; :func:`shutdown_workers` ends them) except under a
+        ``fault_plan``, which runs on fresh generation-0 workers and leaves
+        none behind, and after a job during which a worker died.
     checkpoint:
         Optional bound :class:`~repro.qr.persist.CheckpointStore`.  When
         a snapshot falls due the dispatcher *quiesces* — stops handing
@@ -613,368 +728,373 @@ def execute_ops_parallel(
     if n_procs == 1:
         return degrade("n_procs=1")
     # A session's segment already holds the tiles and cleared flags (the
-    # caller loaded ``a``) and outlives this call with its pool.  A one-shot
-    # run makes its own here; below, its workers are shut down once the job
-    # is done (or reset with everyone else's on failure) and its segment is
-    # destroyed on the way out.
-    private = pool is None
-    require(private == (arena is None),
+    # caller loaded ``a``) and outlives this call with its pool, whose
+    # workers keep their attachment.  A one-shot run makes its own segment
+    # here and destroys it on the way out, so the workers it leases — the
+    # process's kept pool, one caller at a time — are told to drop theirs.
+    one_shot = pool is None
+    require(one_shot == (arena is None),
             "pool and arena must be given together (or both omitted)")
-    store = arena
-    if private:
+    store, terminator, lock = arena, ("endjob",), contextlib.nullcontext()
+    if one_shot:
         try:
             store = SharedTileStore.create(a, ops, ib)
         except OSError as exc:
             return degrade(f"shared memory unavailable: {exc}")
-        pool = WorkerPool(n_procs)
+        pool, terminator, lock = _KEPT, ("detach",), _LEASE_LOCK
+    # A fault plan kills generation 0 only, and its job must inject what it
+    # says: on the kept pool it gets workers nobody has used and leaves none.
+    fresh = one_shot and fault_plan is not None
     rec = _obs_record._RECORDER
     stats = ParallelRunStats(
         n_ops=len(ops), n_procs=n_procs, policy=policy, batch=batch,
         per_worker_busy_s={w: 0.0 for w in range(n_procs)},
         per_worker_ops={w: 0 for w in range(n_procs)},
     )
-    success = False
-    try:
-        if graph is None:  # a direct caller; run_backend and sessions pass the memo's
-            graph = op_dependency_graph(ops)  # lint: disable=derive-once
-        # Python lists: the loops below touch one edge per iteration, in the
-        # parent, which shares a core with the workers it feeds.
-        succ_index, succ_task, n_deps = graph.csr_lists()
-        deps_left = n_deps.copy()
-        for idx in completed_set:
-            # Resume: the op's writes are already in the tiles (loaded from
-            # the checkpoint) — pre-flag it so a worker never re-applies it,
-            # restore its T factor so successors can read it, and release
-            # its successors.
-            store.flags[idx] = 1
-            op = ops[idx]
-            if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
-                store.put_t(t_factor_key(op), preloaded_ts[idx])
-            for d in succ_task[succ_index[idx]:succ_index[idx + 1]]:
-                deps_left[d] -= 1
-
-        # Run identity: prefer the recorder's (qr_factor minted it), else the
-        # ambient context (resume path), else mint one — direct callers of
-        # this function still get workers that know which run they serve.
-        if rec is not None:
-            run_id = rec.run_id
-            for w in range(n_procs):
-                rec.name_lane(w, f"proc {w}")
-            rec.name_lane(n_procs, "dispatcher")
-        else:
-            run_id = _obs_context.current_run_id() or _obs_context.mint_run_id()
-        # The pool's own dicts, so pool.spawn() replacements are visible
-        # to the dispatcher below.
-        procs, conns, generations = pool.procs, pool.conns, pool.generations
-        t_run = time.perf_counter()
-        lease = pool.lease(n_procs, (
-            "job", store.name, a.layout, ops, ib, fault_plan, run_id,
-        ))
-        stats.spawn_s = time.perf_counter() - t_run
-        # Every span this dispatcher records for worker-reported work hangs
-        # off this root: the workers were leased (or spawned) because of it.
-        root_span_id = None
-        if rec is not None:
-            end = rec.now()
-            root_span_id = rec.add_span(
-                "pool.lease", "dispatch", end - stats.spawn_s, end,
-                worker=n_procs, args=lease,
-            ).span_id
-
-        ready = _ReadyPool(policy)
-        for idx in range(len(ops)):
-            if deps_left[idx] == 0 and idx not in completed_set:
-                ready.push(idx)
-        alive = set(range(n_procs))
-        # Workers whose attach echo for *this* job has been read.
-        attached: set[int] = set()
-        idle = list(range(n_procs - 1, -1, -1))  # pop() yields rank 0 first
-        inflight_of: dict[int, set[int]] = {w: set() for w in range(n_procs)}
-        attempts = [0] * len(ops)
-        respawns_used = 0
-        completed = len(completed_set)
-        # Checkpoint quiesce state: when a snapshot falls due, stop
-        # dispatching and let in-flight work drain before writing.
-        draining = False
-
-        if rec is not None:
-            # Live dispatcher state for the metrics sampler (vocabulary in
-            # repro.obs.sampler).  Read from the sampler thread while this
-            # thread mutates; Recorder.read_gauges tolerates torn reads.
-            rec.register_gauge("parallel.ready_ops", lambda: len(ready))
-            rec.register_gauge(
-                "parallel.inflight_ops",
-                lambda: sum(len(s) for s in list(inflight_of.values())),
-            )
-            rec.register_gauge("parallel.workers_alive", lambda: len(alive))
-            rec.register_gauge("pool.workers_alive", pool.alive_count)
-            rec.register_gauge("parallel.completed_ops", lambda: completed)
-            rec.register_gauge(
-                "parallel.redispatched", lambda: stats.ops_redispatched
-            )
-
-        def handle_msg(w: int, msg) -> None:
-            """Apply one worker report (attached / done / err)."""
-            nonlocal completed
-            if msg[0] == "err":
-                _, _, idx, tb = msg
-                raise ParallelExecutionError(
-                    f"worker {w} failed on {ops[idx].describe()}:\n{tb}"
-                )
-            if msg[0] == "attached":
-                _, _, a0, a1, echoed = msg
-                if echoed != run_id:
-                    raise ParallelExecutionError(
-                        f"worker {w} attached for run {echoed!r} but this "
-                        f"dispatcher serves run {run_id!r} — job header and "
-                        "worker state disagree"
-                    )
-                attached.add(w)
-                if rec is not None:
-                    rec.add_span(
-                        "attach", "dispatch",
-                        rec.from_monotonic(a0), rec.from_monotonic(a1),
-                        worker=w, parent=root_span_id,
-                    )
-                return
-            done, sdc = msg[2], msg[3]
-            if sdc is not None:
-                inj, det, rcv = sdc
-                stats.sdc_injected += inj
-                stats.sdc_detected += det
-                stats.sdc_recovered += rcv
-                if rec is not None:
-                    for key, etype, n in (
-                        (K_SDC_INJECTED, "sdc.injected", inj),
-                        (K_SDC_DETECTED, "sdc.detected", det),
-                        (K_SDC_RECOVERED, "sdc.recovered", rcv),
-                    ):
-                        if n:
-                            rec.count(key, n)
-                            rec.event(etype, worker=w, span=root_span_id, n=n)
-            completed += len(done)
-            if checkpoint is not None:
-                checkpoint.note_done(len(done))
-            stats.per_worker_ops[w] = stats.per_worker_ops.get(w, 0) + len(done)
-            for idx, op_t0, op_t1 in done:
-                if w in inflight_of:
-                    inflight_of[w].discard(idx)
-                busy = stats.per_worker_busy_s.get(w, 0.0)
-                stats.per_worker_busy_s[w] = busy + (op_t1 - op_t0)
-                if rec is not None:
-                    # The worker's stamps become the op's kernel span on its
-                    # lane, charged the op's exact flop count.
-                    op = ops[idx]
-                    rec.record_kernel(
-                        op.kind, KERNEL_CATEGORY[op.kind],
-                        kernel_flops(op.kind, op.m2, op.k, op.q, ib),
-                        rec.from_monotonic(op_t0), rec.from_monotonic(op_t1), w,
-                        op=idx, parent=root_span_id,
-                    )
+    with lock:
+        success = False
+        try:
+            if fresh:
+                pool.shutdown()
+            if graph is None:  # a direct caller; run_backend and sessions pass the memo's
+                graph = op_dependency_graph(ops)  # lint: disable=derive-once
+            # Python lists: the loops below touch one edge per iteration, in the
+            # parent, which shares a core with the workers it feeds.
+            succ_index, succ_task, n_deps = graph.csr_lists()
+            deps_left = n_deps.copy()
+            for idx in completed_set:
+                # Resume: the op's writes are already in the tiles (loaded from
+                # the checkpoint) — pre-flag it so a worker never re-applies it,
+                # restore its T factor so successors can read it, and release
+                # its successors.
+                store.flags[idx] = 1
+                op = ops[idx]
+                if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
+                    store.put_t(t_factor_key(op), preloaded_ts[idx])
                 for d in succ_task[succ_index[idx]:succ_index[idx + 1]]:
                     deps_left[d] -= 1
-                    if deps_left[d] == 0:
-                        ready.push(d)
-            idle.append(w)
 
-        def handle_death(w: int, *, proc=None, via_conn=None) -> None:
-            """Confirmed worker death: drain, requeue its ops, maybe respawn.
-
-            ``proc`` / ``via_conn`` identify which incarnation of rank ``w``
-            the triggering event (sentinel / EOF) belongs to; a stale event
-            for an already-replaced worker is ignored.
-            """
-            nonlocal respawns_used
-            if w not in alive:
-                return
-            if proc is not None and procs[w] is not proc:
-                return
-            if via_conn is not None and conns[w] is not via_conn:
-                return
-            alive.discard(w)
-            # Drain reports the worker managed to send before dying, so a
-            # completed-and-reported op is never requeued.
-            try:
-                while conns[w].poll(0):
-                    handle_msg(w, conns[w].recv())
-            except (EOFError, OSError):
-                pass
-            attached.discard(w)  # a replacement echoes for itself
-            conns[w].close()
-            procs[w].join(timeout=5.0)
-            code = procs[w].exitcode
-            stats.workers_died += 1
+            # Run identity: prefer the recorder's (qr_factor minted it), else the
+            # ambient context (resume path), else mint one — direct callers of
+            # this function still get workers that know which run they serve.
             if rec is not None:
-                rec.count(K_WORKER_DEAD)
-                rec.event(
-                    "worker.dead", worker=w, span=root_span_id,
-                    exit_code=code, generation=generations.get(w),
+                run_id = rec.run_id
+                for w in range(n_procs):
+                    rec.name_lane(w, f"proc {w}")
+                rec.name_lane(n_procs, "dispatcher")
+            else:
+                run_id = _obs_context.current_run_id() or _obs_context.mint_run_id()
+            # The pool's own dicts, so pool.spawn() replacements are visible
+            # to the dispatcher below.
+            procs, conns, generations = pool.procs, pool.conns, pool.generations
+            t_run = time.perf_counter()
+            lease = pool.lease(n_procs, (
+                "job", store.name, a.layout, ops, ib, fault_plan, run_id,
+            ))
+            stats.spawn_s = time.perf_counter() - t_run
+            # Every span this dispatcher records for worker-reported work hangs
+            # off this root: the workers were leased (or spawned) because of it.
+            root_span_id = None
+            if rec is not None:
+                end = rec.now()
+                root_span_id = rec.add_span(
+                    "pool.lease", "dispatch", end - stats.spawn_s, end,
+                    worker=n_procs, args=lease,
+                ).span_id
+
+            ready = _ReadyPool(policy)
+            for idx in range(len(ops)):
+                if deps_left[idx] == 0 and idx not in completed_set:
+                    ready.push(idx)
+            alive = set(range(n_procs))
+            # Workers whose attach echo for *this* job has been read.
+            attached: set[int] = set()
+            idle = list(range(n_procs - 1, -1, -1))  # pop() yields rank 0 first
+            inflight_of: dict[int, set[int]] = {w: set() for w in range(n_procs)}
+            attempts = [0] * len(ops)
+            respawns_used = 0
+            completed = len(completed_set)
+            # Checkpoint quiesce state: when a snapshot falls due, stop
+            # dispatching and let in-flight work drain before writing.
+            draining = False
+
+            if rec is not None:
+                # Live dispatcher state for the metrics sampler (vocabulary in
+                # repro.obs.sampler).  Read from the sampler thread while this
+                # thread mutates; Recorder.read_gauges tolerates torn reads.
+                rec.register_gauge("parallel.ready_ops", lambda: len(ready))
+                rec.register_gauge(
+                    "parallel.inflight_ops",
+                    lambda: sum(len(s) for s in list(inflight_of.values())),
                 )
-                if code == _CRASH_EXIT_CODE:
-                    rec.count(K_FAULT_CRASH)
-                    rec.event("fault.crash", worker=w, span=root_span_id)
-            lost = sorted(inflight_of.pop(w, ()))
-            for idx in lost:
-                attempts[idx] += 1
-                if attempts[idx] > MAX_REDISPATCH:
+                rec.register_gauge("parallel.workers_alive", lambda: len(alive))
+                rec.register_gauge("pool.workers_alive", pool.alive_count)
+                rec.register_gauge("parallel.completed_ops", lambda: completed)
+                rec.register_gauge(
+                    "parallel.redispatched", lambda: stats.ops_redispatched
+                )
+
+            def handle_msg(w: int, msg) -> None:
+                """Apply one worker report (attached / done / err)."""
+                nonlocal completed
+                if msg[0] == "err":
+                    _, _, idx, tb = msg
                     raise ParallelExecutionError(
-                        f"worker {w} died (exit code {code}) and "
-                        f"{ops[idx].describe()} was already re-dispatched "
-                        f"{MAX_REDISPATCH} time(s) — retries exhausted"
+                        f"worker {w} failed on {ops[idx].describe()}:\n{tb}"
                     )
-                # The worker skips an op whose completion flag is already
-                # set, so one that ran but went unreported is not re-applied.
-                ready.push(idx)
-            if lost:
-                stats.ops_redispatched += len(lost)
-                if rec is not None:
-                    rec.count(K_REDISPATCH_OPS, len(lost))
-                    rec.event(
-                        "retry.redispatch", worker=w, span=root_span_id,
-                        n_ops=len(lost),
-                    )
-            if respawn and respawns_used < n_procs:
-                respawns_used += 1
-                stats.workers_respawned += 1
-                if rec is not None:
-                    rec.count(K_WORKER_RESTART)
-                    rec.event(
-                        "worker.respawn", worker=w, span=root_span_id,
-                        generation=generations.get(w, 0) + 1,
-                    )
-                pool.spawn(w)
-                alive.add(w)
-                inflight_of[w] = set()
+                if msg[0] == "attached":
+                    _, _, a0, a1, echoed = msg
+                    if echoed != run_id:
+                        raise ParallelExecutionError(
+                            f"worker {w} attached for run {echoed!r} but this "
+                            f"dispatcher serves run {run_id!r} — job header and "
+                            "worker state disagree"
+                        )
+                    attached.add(w)
+                    if rec is not None:
+                        rec.add_span(
+                            "attach", "dispatch",
+                            rec.from_monotonic(a0), rec.from_monotonic(a1),
+                            worker=w, parent=root_span_id,
+                        )
+                    return
+                done, sdc = msg[2], msg[3]
+                if sdc is not None:
+                    inj, det, rcv = sdc
+                    stats.sdc_injected += inj
+                    stats.sdc_detected += det
+                    stats.sdc_recovered += rcv
+                    if rec is not None:
+                        for key, etype, n in (
+                            (K_SDC_INJECTED, "sdc.injected", inj),
+                            (K_SDC_DETECTED, "sdc.detected", det),
+                            (K_SDC_RECOVERED, "sdc.recovered", rcv),
+                        ):
+                            if n:
+                                rec.count(key, n)
+                                rec.event(etype, worker=w, span=root_span_id, n=n)
+                completed += len(done)
+                if checkpoint is not None:
+                    checkpoint.note_done(len(done))
+                stats.per_worker_ops[w] = stats.per_worker_ops.get(w, 0) + len(done)
+                for idx, op_t0, op_t1 in done:
+                    if w in inflight_of:
+                        inflight_of[w].discard(idx)
+                    busy = stats.per_worker_busy_s.get(w, 0.0)
+                    stats.per_worker_busy_s[w] = busy + (op_t1 - op_t0)
+                    if rec is not None:
+                        # The worker's stamps become the op's kernel span on its
+                        # lane, charged the op's exact flop count.
+                        op = ops[idx]
+                        rec.record_kernel(
+                            op.kind, KERNEL_CATEGORY[op.kind],
+                            kernel_flops(op.kind, op.m2, op.k, op.q, ib),
+                            rec.from_monotonic(op_t0), rec.from_monotonic(op_t1), w,
+                            op=idx, parent=root_span_id,
+                        )
+                    for d in succ_task[succ_index[idx]:succ_index[idx + 1]]:
+                        deps_left[d] -= 1
+                        if deps_left[d] == 0:
+                            ready.push(d)
                 idle.append(w)
-            elif not alive:
-                raise ParallelExecutionError(
-                    f"worker {w} died (exit code {code}) and no workers remain"
-                    + ("; respawn budget exhausted" if respawn else "; respawn disabled")
-                )
 
-        def dispatch() -> None:
-            """Feed idle live workers from the ready pool."""
-            while idle and len(ready):
-                w = idle.pop()
+            def handle_death(w: int, *, proc=None, via_conn=None) -> None:
+                """Confirmed worker death: drain, requeue its ops, maybe respawn.
+
+                ``proc`` / ``via_conn`` identify which incarnation of rank ``w``
+                the triggering event (sentinel / EOF) belongs to; a stale event
+                for an already-replaced worker is ignored.
+                """
+                nonlocal respawns_used
                 if w not in alive:
-                    continue  # stale idle entry from a replaced worker
-                take = min(batch, max(1, len(ready) // (len(idle) + 1)))
-                chunk = [ready.pop() for _ in range(take)]
-                inflight_of[w].update(chunk)
+                    return
+                if proc is not None and procs[w] is not proc:
+                    return
+                if via_conn is not None and conns[w] is not via_conn:
+                    return
+                alive.discard(w)
+                # Drain reports the worker managed to send before dying, so a
+                # completed-and-reported op is never requeued.
                 try:
-                    conns[w].send(chunk)
-                except (BrokenPipeError, OSError):
-                    handle_death(w, via_conn=conns[w])
-                    continue
-                if rec is not None:
-                    rec.count(K_DISPATCH_BATCHES)
-
-        def _stall_report() -> str:
-            per_worker = {w: len(inflight_of.get(w, ())) for w in sorted(alive)}
-            return (
-                f"{completed}/{len(ops)} ops done; alive workers {sorted(alive)}; "
-                f"in-flight per worker {per_worker}; ready {len(ready)}; "
-                f"died {stats.workers_died}, respawned {stats.workers_respawned}"
-            )
-
-        wd = Watchdog(timeout_s, what="parallel dispatcher", report=_stall_report)
-        dispatch()
-        while completed < len(ops):
-            if checkpoint is not None and not draining and checkpoint.due():
-                draining = True
-            if draining and not any(inflight_of.get(w) for w in alive):
-                # Quiesced: no op is mid-execution, so the completion flags
-                # are a consistent, predecessor-closed frontier.  Capture
-                # (cheap memcpys into parent-owned buffers) under the
-                # quiesce, resume dispatching immediately, and let the
-                # serialize-fsync-replace overlap with worker execution.
-                checkpoint.capture(store, store.t_factor, store.flags.astype(bool))
-                draining = False
-                dispatch()
-                checkpoint.flush()
-            if not len(ready) and not any(inflight_of.get(w) for w in alive):
-                raise ParallelExecutionError(
-                    f"dispatcher stalled: {completed}/{len(ops)} ops done, "
-                    "none ready or in flight (dependency cycle?)"
-                )
-            # Wait on every live worker's pipe AND its process sentinel: the
-            # sentinel is the heartbeat — it fires the instant the OS reaps
-            # a dead worker, with no polling interval to tune.
-            sentinel_of = {procs[w].sentinel: (w, procs[w]) for w in alive}
-            conn_of = {conns[w]: w for w in alive}
-            got = conn_wait(
-                list(conn_of) + list(sentinel_of), timeout=min(timeout_s, 0.5)
-            )
-            t0 = time.perf_counter()
-            if not got:
-                wd.check()
-                continue
-            for obj in got:
-                if obj in sentinel_of:
-                    w, proc = sentinel_of[obj]
-                    handle_death(w, proc=proc)
-                    continue
-                w = conn_of.get(obj)
-                if w is None or w not in alive or conns[w] is not obj:
-                    continue  # stale handle: worker was replaced this round
-                try:
-                    msg = conns[w].recv()
+                    while conns[w].poll(0):
+                        handle_msg(w, conns[w].recv())
                 except (EOFError, OSError):
-                    handle_death(w, via_conn=obj)
+                    pass
+                attached.discard(w)  # a replacement echoes for itself
+                conns[w].close()
+                procs[w].join(timeout=5.0)
+                code = procs[w].exitcode
+                stats.workers_died += 1
+                if rec is not None:
+                    rec.count(K_WORKER_DEAD)
+                    rec.event(
+                        "worker.dead", worker=w, span=root_span_id,
+                        exit_code=code, generation=generations.get(w),
+                    )
+                    if code == _CRASH_EXIT_CODE:
+                        rec.count(K_FAULT_CRASH)
+                        rec.event("fault.crash", worker=w, span=root_span_id)
+                lost = sorted(inflight_of.pop(w, ()))
+                for idx in lost:
+                    attempts[idx] += 1
+                    if attempts[idx] > MAX_REDISPATCH:
+                        raise ParallelExecutionError(
+                            f"worker {w} died (exit code {code}) and "
+                            f"{ops[idx].describe()} was already re-dispatched "
+                            f"{MAX_REDISPATCH} time(s) — retries exhausted"
+                        )
+                    # The worker skips an op whose completion flag is already
+                    # set, so one that ran but went unreported is not re-applied.
+                    ready.push(idx)
+                if lost:
+                    stats.ops_redispatched += len(lost)
+                    if rec is not None:
+                        rec.count(K_REDISPATCH_OPS, len(lost))
+                        rec.event(
+                            "retry.redispatch", worker=w, span=root_span_id,
+                            n_ops=len(lost),
+                        )
+                if respawn and respawns_used < n_procs:
+                    respawns_used += 1
+                    stats.workers_respawned += 1
+                    if rec is not None:
+                        rec.count(K_WORKER_RESTART)
+                        rec.event(
+                            "worker.respawn", worker=w, span=root_span_id,
+                            generation=generations.get(w, 0) + 1,
+                        )
+                    pool.spawn(w)
+                    alive.add(w)
+                    inflight_of[w] = set()
+                    idle.append(w)
+                elif not alive:
+                    raise ParallelExecutionError(
+                        f"worker {w} died (exit code {code}) and no workers remain"
+                        + ("; respawn budget exhausted" if respawn else "; respawn disabled")
+                    )
+
+            def dispatch() -> None:
+                """Feed idle live workers from the ready pool."""
+                while idle and len(ready):
+                    w = idle.pop()
+                    if w not in alive:
+                        continue  # stale idle entry from a replaced worker
+                    take = min(batch, max(1, len(ready) // (len(idle) + 1)))
+                    chunk = [ready.pop() for _ in range(take)]
+                    inflight_of[w].update(chunk)
+                    try:
+                        conns[w].send(chunk)
+                    except (BrokenPipeError, OSError):
+                        handle_death(w, via_conn=conns[w])
+                        continue
+                    if rec is not None:
+                        rec.count(K_DISPATCH_BATCHES)
+
+            def _stall_report() -> str:
+                per_worker = {w: len(inflight_of.get(w, ())) for w in sorted(alive)}
+                return (
+                    f"{completed}/{len(ops)} ops done; alive workers {sorted(alive)}; "
+                    f"in-flight per worker {per_worker}; ready {len(ready)}; "
+                    f"died {stats.workers_died}, respawned {stats.workers_respawned}"
+                )
+
+            wd = Watchdog(timeout_s, what="parallel dispatcher", report=_stall_report)
+            dispatch()
+            while completed < len(ops):
+                if checkpoint is not None and not draining and checkpoint.due():
+                    draining = True
+                if draining and not any(inflight_of.get(w) for w in alive):
+                    # Quiesced: no op is mid-execution, so the completion flags
+                    # are a consistent, predecessor-closed frontier.  Capture
+                    # (cheap memcpys into parent-owned buffers) under the
+                    # quiesce, resume dispatching immediately, and let the
+                    # serialize-fsync-replace overlap with worker execution.
+                    checkpoint.capture(store, store.t_factor, store.flags.astype(bool))
+                    draining = False
+                    dispatch()
+                    checkpoint.flush()
+                if not len(ready) and not any(inflight_of.get(w) for w in alive):
+                    raise ParallelExecutionError(
+                        f"dispatcher stalled: {completed}/{len(ops)} ops done, "
+                        "none ready or in flight (dependency cycle?)"
+                    )
+                # Wait on every live worker's pipe AND its process sentinel: the
+                # sentinel is the heartbeat — it fires the instant the OS reaps
+                # a dead worker, with no polling interval to tune.
+                sentinel_of = {procs[w].sentinel: (w, procs[w]) for w in alive}
+                conn_of = {conns[w]: w for w in alive}
+                got = conn_wait(
+                    list(conn_of) + list(sentinel_of), timeout=min(timeout_s, 0.5)
+                )
+                t0 = time.perf_counter()
+                if not got:
+                    wd.check()
                     continue
-                handle_msg(w, msg)
-            wd.note_progress(
-                (completed, stats.workers_died, stats.workers_respawned)
-            )
-            if not draining:
-                dispatch()
-            stats.dispatch_s += time.perf_counter() - t0
+                for obj in got:
+                    if obj in sentinel_of:
+                        w, proc = sentinel_of[obj]
+                        handle_death(w, proc=proc)
+                        continue
+                    w = conn_of.get(obj)
+                    if w is None or w not in alive or conns[w] is not obj:
+                        continue  # stale handle: worker was replaced this round
+                    try:
+                        msg = conns[w].recv()
+                    except (EOFError, OSError):
+                        handle_death(w, via_conn=obj)
+                        continue
+                    handle_msg(w, msg)
+                wd.note_progress(
+                    (completed, stats.workers_died, stats.workers_respawned)
+                )
+                if not draining:
+                    dispatch()
+                stats.dispatch_s += time.perf_counter() - t0
 
-        # A job of a few ops can complete before every leased worker's attach
-        # echo was read; collect the stragglers, or the pool's next job would
-        # read them as its own and reject the stale run id.
-        for w in alive - attached:
-            try:
-                if conns[w].poll(timeout_s):
-                    handle_msg(w, conns[w].recv())
-            except (EOFError, OSError):
-                pass  # died idle: the next lease respawns it
-        # Hand the workers back: they keep their store attachment and await
-        # the next job header (or the pool owner's shutdown).
-        for w in alive:
-            try:
-                conns[w].send(("endjob",))
-            except (BrokenPipeError, OSError):
-                pass
-        stats.elapsed_s = time.perf_counter() - t_run
-        if checkpoint is not None:
-            # Final snapshot: all flags set, so a resume from this archive
-            # skips every op (and the file doubles as a completion marker).
-            checkpoint.write(store, store.t_factor, store.flags.astype(bool))
-
-        if private:
-            # Before the copy-out, not after: reading the tiles back is
-            # measurably slower while the processes that wrote them last
-            # are still alive (some 10 ms on a 28 MB segment).
-            pool.shutdown()
-        factored = store.extract_matrix()
-        ts = store.extract_ts()
-        success = True
-    finally:
-        if rec is not None:
-            for g in (
-                "parallel.ready_ops", "parallel.inflight_ops",
-                "parallel.workers_alive", "pool.workers_alive",
-                "parallel.completed_ops", "parallel.redispatched",
-            ):
-                rec.unregister_gauge(g)
-        if not success:
-            # Workers may be mid-job or wedged; a clean slate (fresh
-            # processes, bumped generations) is the only safe state to
-            # return the pool in — or to drop a private one in.
-            pool.reset()
-        if private:
-            store.destroy()
+            # A job of a few ops can complete before every leased worker's attach
+            # echo was read; collect the stragglers, or the pool's next job would
+            # read them as its own and reject the stale run id.
+            for w in alive - attached:
+                try:
+                    if conns[w].poll(timeout_s):
+                        handle_msg(w, conns[w].recv())
+                except (EOFError, OSError):
+                    pass  # died idle: the next lease respawns it
+            # Hand the workers back to await the next job header (or the pool
+            # owner's shutdown): ``("endjob",)`` keeps their store attachment,
+            # ``("detach",)`` drops it, and the pool is told so.
+            if terminator == ("detach",):
+                pool.known.clear()
+            for w in alive:
+                try:
+                    conns[w].send(terminator)
+                except (BrokenPipeError, OSError):
+                    pass
+            stats.elapsed_s = time.perf_counter() - t_run
+            if checkpoint is not None:
+                # Final snapshot: all flags set, so a resume from this archive
+                # skips every op (and the file doubles as a completion marker).
+                checkpoint.write(store, store.t_factor, store.flags.astype(bool))
+            if fresh or (one_shot and stats.workers_died):
+                pool.shutdown()
+            factored = store.extract_matrix()
+            ts = store.extract_ts()
+            success = True
+        finally:
+            if rec is not None:
+                for g in (
+                    "parallel.ready_ops", "parallel.inflight_ops",
+                    "parallel.workers_alive", "pool.workers_alive",
+                    "parallel.completed_ops", "parallel.redispatched",
+                ):
+                    rec.unregister_gauge(g)
+            if not success:
+                # Workers may be mid-job or wedged; a clean slate (fresh
+                # processes, bumped generations) is the only safe state to
+                # return the pool in.
+                pool.reset()
+            if one_shot:
+                store.destroy()
 
     records = factor_records(ops, ts.__getitem__)
     return TileQRFactors(a=factored, records=records, ib=ib), stats

@@ -1,21 +1,22 @@
 """Persistent factorization sessions: reusable worker pool + plan cache.
 
 One-shot ``qr_factor(backend="parallel")`` pays, on every call, for things
-that do not depend on the matrix *values* at all: spawning worker
-processes, creating a shared-memory segment and attaching them to it.  In
-the tall-skinny batch regime the paper targets, the same
+that do not depend on the matrix *values* at all: creating a shared-memory
+segment, attaching the workers to it, faulting its pages in and destroying
+it.  In the tall-skinny batch regime the paper targets, the same
 ``(shape, nb, ib, tree, h)`` configuration is factored over and over, and
-all of that is pure, repeated overhead.  (The other value-independent cost
-— panel plans, op list, dependency DAG, wavefront partition — is memoized
-for *every* caller in the process by :mod:`repro.qr.schedule`, session or
-not.)
+all of that is pure, repeated overhead.  (The other value-independent
+costs are kept per process for *every* caller, session or not: panel plans,
+op list, dependency DAG and wavefront partition by
+:mod:`repro.qr.schedule`, the worker processes by the pool
+:mod:`repro.qr.parallel` keeps behind one-shot calls.)
 
 :class:`QRSession` amortises it.  A session owns
 
-* a :class:`~repro.qr.parallel.WorkerPool` — the same pool a one-shot
-  parallel run builds for a single call — kept alive, so its workers serve
-  one factorization *job* after another instead of exiting and keep their
-  shared-memory attachment cached between jobs; and
+* a :class:`~repro.qr.parallel.WorkerPool` of its own — the class of the
+  pool kept behind one-shot calls, a separate instance with its own
+  generations and ``health()`` — whose workers keep their shared-memory
+  attachment cached between jobs; and
 * a :class:`PlanCache` — an LRU keyed by
   ``(tree, m, n, nb, ib, h, shifted)`` whose entries pair the process-wide
   :class:`~repro.qr.schedule.Schedule` of that key (plans, ops, dependency
@@ -190,7 +191,8 @@ class QRSession:
                 f = sess.factor(a, nb=64, ib=16)
 
     The first call on a configuration is *cold* — it derives the plan and
-    spawns the pool, costing the same as one-shot ``qr_factor``.  Every
+    spawns the pool, costing what a process's first one-shot ``qr_factor``
+    costs.  Every
     later call on that configuration is *warm*: plan, DAG, wavefronts,
     shared-memory arena, and worker processes are all reused, so the call
     reduces to copy-in, dispatch, copy-out (``stats.spawn_s`` collapses

@@ -19,6 +19,9 @@ segment *name* travels to the workers.
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -97,6 +100,33 @@ def _segment_plan(
     return tile_index, t_index, -(-off * 8 // 64) * 64
 
 
+#: Every store this process has open.  A forked worker inherits its parent's
+#: mappings along with this set, and drops them before it serves anything
+#: (:func:`_close_open_stores`): the segments are the parent's to keep or
+#: unlink, and a mapping held by an idle worker would pin an unlinked one.
+_OPEN: "weakref.WeakSet[SharedTileStore]" = weakref.WeakSet()
+
+#: Held while something a forked worker must drop is made *and* listed — a
+#: segment mapped and added to :data:`_OPEN` here, a worker's pipe in
+#: :mod:`repro.qr.parallel` — and taken by every ``fork`` of this process
+#: (the hooks below), so no child is ever forked between the two steps.
+_FORK_LOCK = threading.Lock()
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
+    os.register_at_fork(before=_FORK_LOCK.acquire,
+                        after_in_parent=_FORK_LOCK.release,
+                        after_in_child=_FORK_LOCK.release)
+
+
+def _close_open_stores() -> None:
+    """Close every store open in this process (its own mappings only)."""
+    for store in list(_OPEN):
+        try:
+            store.close()
+        except BufferError:  # a view taken before the fork still exports it
+            pass
+
+
 class SharedTileStore:
     """One job's shared-memory footprint: tiles, ``T`` slots, op flags.
 
@@ -119,8 +149,9 @@ class SharedTileStore:
         self,
         shm: shared_memory.SharedMemory,
         layout: TileLayout,
-        ops: list,
         ib: int,
+        plan: tuple,
+        n_ops: int,
         *,
         owner: bool,
     ):
@@ -128,11 +159,10 @@ class SharedTileStore:
         self._owner = owner
         self.layout = layout
         self.ib = ib
-        tile_index, t_index, flags_off = _segment_plan(layout, ops, ib)
-        require_bytes = flags_off + len(ops)
-        if shm.size < require_bytes:
+        tile_index, t_index, flags_off = plan  # this geometry's _segment_plan
+        if shm.size < flags_off + n_ops:
             raise ConfigurationError(
-                f"shared segment holds {shm.size} bytes, layout needs {require_bytes}"
+                f"shared segment holds {shm.size} bytes, layout needs {flags_off + n_ops}"
             )
         buf = shm.buf
         self._tiles = [
@@ -153,7 +183,8 @@ class SharedTileStore:
         }
         #: One completion byte per op (a view like the tiles: drop every
         #: reference taken from here before :meth:`close`).
-        self.flags = np.ndarray((len(ops),), dtype=np.uint8, buffer=buf, offset=flags_off)
+        self.flags = np.ndarray((n_ops,), dtype=np.uint8, buffer=buf, offset=flags_off)
+        _OPEN.add(self)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -161,9 +192,11 @@ class SharedTileStore:
     def create(cls, a: TileMatrix, ops: list, ib: int) -> "SharedTileStore":
         """Allocate a segment sized for ``a`` + ``T`` slots + flags, copy
         ``a`` in and clear the flags."""
-        size = _segment_plan(a.layout, ops, ib)[2] + len(ops)
-        store = cls(shared_memory.SharedMemory(create=True, size=max(size, 1)),
-                    a.layout, ops, ib, owner=True)
+        plan = _segment_plan(a.layout, ops, ib)
+        size = plan[2] + len(ops)
+        with _FORK_LOCK:
+            store = cls(shared_memory.SharedMemory(create=True, size=max(size, 1)),
+                        a.layout, ib, plan, len(ops), owner=True)
         store.load(a)
         return store
 
@@ -171,7 +204,9 @@ class SharedTileStore:
     def attach(cls, name: str, layout: TileLayout, ops: list, ib: int) -> "SharedTileStore":
         """Attach to an existing segment from a worker process (untracked,
         see :func:`attach_untracked`)."""
-        return cls(attach_untracked(name), layout, ops, ib, owner=False)
+        plan = _segment_plan(layout, ops, ib)
+        with _FORK_LOCK:
+            return cls(attach_untracked(name), layout, ib, plan, len(ops), owner=False)
 
     @property
     def name(self) -> str:
@@ -185,6 +220,7 @@ class SharedTileStore:
 
     def close(self) -> None:
         """Release this process's mapping (views become invalid)."""
+        _OPEN.discard(self)
         self._tiles = []
         self._ts = {}
         self.flags = None

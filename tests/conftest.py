@@ -7,7 +7,18 @@ import os
 import numpy as np
 import pytest
 
+from repro.qr.parallel import shutdown_workers
 from repro.tiles import TileMatrix, random_dense
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_workers():
+    """Every test starts without kept one-shot workers, so what a worker
+    inherits at fork time (a monkeypatched ``run_op``, the environment, a
+    recorder) is the test's own, and ``mp.active_children()`` and
+    ``/dev/shm`` mean after a test what they meant before it."""
+    yield
+    shutdown_workers()
 
 
 @pytest.fixture

@@ -2,14 +2,15 @@
 
 ``execute_ops_parallel`` has a single, dependency-driven dispatch path and a
 single worker lifecycle (:class:`repro.qr.parallel.WorkerPool`; a one-shot
-run is a pool that lives for one call).  Three groups of checks:
+run leases the pool the process keeps).  Three groups of checks:
 
 * every ``batch`` value — including the kept ``"wavefront"`` spelling of
   the default — under both policies, clean and under worker crashes and bit
   flips, yields the serial factors bit for bit;
-* a one-shot run leaves nothing behind (no child process, no ``/dev/shm``
-  segment) whether it succeeds, fails, or times out, and degrades to the
-  serial fallback without ever building a pool;
+* a one-shot run leaves no ``/dev/shm`` segment behind whether it succeeds,
+  fails, or times out — and no child process once ``shutdown_workers()``
+  has run — and degrades to the serial fallback without ever building a
+  pool;
 * structurally, the deleted fork cannot grow back unnoticed.
 """
 
@@ -29,7 +30,7 @@ import repro.qr.parallel as parallel_mod
 from repro import qr_factor
 from repro.faults import FaultPlan
 from repro.qr.ops import expand_plans
-from repro.qr.parallel import execute_ops_parallel
+from repro.qr.parallel import execute_ops_parallel, shutdown_workers
 from repro.trees import plan_all_panels
 from repro.util import ParallelExecutionError, WatchdogTimeout
 
@@ -80,11 +81,13 @@ def test_every_batch_value_gives_the_serial_factors(ragged, batch, policy, fault
 
 
 class TestOneShotLifecycle:
-    """A one-shot run owns its pool and arena and takes both down with it."""
+    """A one-shot run takes its segment down with it; its workers go with
+    ``shutdown_workers()``."""
 
     @pytest.fixture(autouse=True)
     def _nothing_left_behind(self, no_new_shm):
         yield
+        shutdown_workers()
         assert mp.active_children() == []
 
     def _ops(self, tm):

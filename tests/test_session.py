@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import FaultPlan, QRSession, qr_factor
+from repro.qr.parallel import shutdown_workers
 from repro.qr.session import PlanCache, WorkerPool
 from repro.tiles import random_dense
 from repro.util import ConfigurationError
@@ -86,6 +87,7 @@ class TestBitExactness:
     def test_warm_pool_matches_fresh_spawn(self, small_matrix):
         ser = qr_factor(small_matrix, **KW)
         one = qr_factor(small_matrix, **KW, backend="parallel", n_procs=2)
+        shutdown_workers()  # the session's workers are then the only ones
         with QRSession(n_procs=2) as sess:
             sess.factor(random_dense(40, 24, seed=9), **KW)  # warm the plan
             warm = sess.factor(small_matrix, **KW)

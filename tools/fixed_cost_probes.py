@@ -3,11 +3,12 @@
 factorization is per-op Python, and whether this host's CPUs add throughput
 for kernels of tile size.
 
-Three probes, each printing one table; BLAS is pinned to one thread first::
+Four probes, each printing one table; BLAS is pinned to one thread first::
 
     PYTHONPATH=src python tools/fixed_cost_probes.py glue       # per-op Python
     PYTHONPATH=src python tools/fixed_cost_probes.py scaling    # 1 vs 2 CPUs
     PYTHONPATH=src python tools/fixed_cost_probes.py timeline   # worker overlap
+    PYTHONPATH=src python tools/fixed_cost_probes.py oneshot    # per-call phases
 
 ``glue`` runs each benchmark geometry three ways — the execution core
 (``execute_ops``), a bare loop over SciPy's f2py LAPACK wrappers with every
@@ -19,6 +20,11 @@ workers (processes for ``np.dot``, threads for the GIL-free ``ctypes``
 ``dtpmqrt``).  ``timeline`` traces a serial and a one-shot
 ``backend="parallel"`` run and reports how long both workers' kernel spans
 overlap and how much longer the same ops take when two CPUs run them.
+``oneshot`` splits a one-shot ``backend="parallel"`` call into its phases —
+copy-in, segment create, pool lease, dispatch, pool shutdown, copy-out,
+segment destroy, and the bytes of job header pickled — next to a warm
+``QRSession`` call and ``serial``, by timing the public methods from outside
+(it runs unchanged against another checkout's ``src`` on ``PYTHONPATH``).
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import ctypes  # noqa: E402
 import multiprocessing as mp  # noqa: E402
 import pathlib  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 import threading  # noqa: E402
 import time  # noqa: E402
@@ -342,8 +349,114 @@ def probe_timeline():
               f"{(busy[0] + busy[1]) / serial_busy:17.2f}")
 
 
+# -- oneshot -------------------------------------------------------------------
+
+
+def probe_oneshot(calls=7):
+    from multiprocessing.connection import Connection
+    from multiprocessing.reduction import ForkingPickler
+
+    from repro import QRSession, qr_factor
+    from repro.qr import parallel
+    from repro.qr.parallel import WorkerPool
+    from repro.tiles.matrix import TileMatrix
+    from repro.tiles.shared import SharedTileStore
+
+    spent = {}  # phase -> seconds (or bytes) accumulated during the current call
+    running = set()  # phases with a stopwatch going: a nested call is not counted twice
+
+    def timed(owner, method, phase):
+        """Replace ``owner.method`` with itself plus a stopwatch on ``phase``."""
+        raw = owner.__dict__[method]
+        inner = raw.__func__ if isinstance(raw, classmethod) else raw
+
+        def wrapper(*args, **kw):
+            if phase in running:
+                return inner(*args, **kw)
+            running.add(phase)
+            t0 = time.perf_counter()
+            try:
+                return inner(*args, **kw)
+            finally:
+                spent[phase] = spent.get(phase, 0.0) + time.perf_counter() - t0
+                running.discard(phase)
+
+        setattr(owner, method, classmethod(wrapper) if inner is not raw else wrapper)
+
+    timed(TileMatrix, "from_dense", "from_dense")
+    timed(SharedTileStore, "create", "segment create/load")  # a one-shot call's
+    timed(SharedTileStore, "load", "segment create/load")  # a warm session call's
+    timed(WorkerPool, "lease", "pool.lease")
+    timed(WorkerPool, "shutdown", "pool.shutdown")
+    timed(SharedTileStore, "extract_matrix", "extract")
+    timed(SharedTileStore, "extract_ts", "extract")
+    timed(SharedTileStore, "destroy", "segment destroy")
+    raw_send = Connection.send
+
+    def send(self, obj):
+        if isinstance(obj, tuple) and obj and obj[0] == "job":
+            spent["header bytes"] = spent.get("header bytes", 0) + len(ForkingPickler.dumps(obj))
+        return raw_send(self, obj)
+
+    Connection.send = send
+
+    phases = ["total", "from_dense", "segment create/load", "pool.lease", "dispatch",
+              "pool.shutdown", "extract", "segment destroy", "header bytes"]
+
+    def measure(call):
+        """Per phase, the minimum over ``calls`` calls after one warm-up."""
+        best_of = {}
+        for i in range(calls + 1):
+            spent.clear()
+            t0 = time.perf_counter()
+            f = call()
+            spent["total"] = time.perf_counter() - t0
+            if getattr(f.stats, "mode", None) == "parallel":
+                spent["dispatch"] = f.stats.elapsed_s - f.stats.spawn_s
+            if i:
+                for phase, value in spent.items():
+                    best_of[phase] = min(best_of.get(phase, float("inf")), value)
+        return best_of
+
+    for name, w in WORKLOADS.items():
+        a = np.random.default_rng(0).standard_normal((w.m, w.n))
+        lapack_s = best(lambda: np.linalg.qr(a, mode="r"))
+        with QRSession(n_procs=2) as sess:
+            columns = {
+                "one-shot": measure(lambda: qr_factor(a, backend="parallel", n_procs=2,
+                                                      **w.geometry)),
+                "warm session": measure(lambda: sess.factor(a, **w.geometry)),
+                "serial": measure(lambda: qr_factor(a, **w.geometry)),
+            }
+        print(f"{name}  (ms per call, minimum of {calls} after a warm-up; "
+              f"LAPACK {lapack_s * 1e3:.2f})")
+        print(f"  {'phase':22s}" + "".join(f"{c:>14s}" for c in columns))
+        for phase in phases:
+            cells = []
+            for col in columns.values():
+                if phase not in col:
+                    cells.append(f"{'-':>14s}")
+                elif phase == "header bytes":
+                    cells.append(f"{col[phase]:14d}")
+                else:
+                    cells.append(f"{col[phase] * 1e3:14.2f}")
+            print(f"  {phase:22s}" + "".join(cells))
+        # The same calls as the recorder sees them: where a trace puts the lease.
+        # (A checkout without kept workers has nothing to end: every call forks.)
+        getattr(parallel, "shutdown_workers", lambda: None)()
+        traced = [qr_factor(a, backend="parallel", n_procs=2, trace=os.devnull, **w.geometry)
+                  for _ in range(calls)]
+        lease_ms = [1e3 * (s.end - s.start) for f in traced for s in f.recorder.spans
+                    if s.name == "pool.lease"]
+        spawns = [f.recorder.events.totals().get("pool.spawn", 0) for f in traced]
+        print(f"  traced: pool.lease span {lease_ms[0]:.2f} ms on the first call, median "
+              f"{statistics.median(lease_ms[1:]):.2f} ms on {calls - 1} repeats; "
+              f"pool.spawn events per call {spawns}")
+
+
 if __name__ == "__main__":
-    probes = {"glue": probe_glue, "scaling": probe_scaling, "timeline": probe_timeline}
+    probes = {"glue": probe_glue, "scaling": probe_scaling, "timeline": probe_timeline,
+              "oneshot": probe_oneshot}
     if len(sys.argv) != 2 or sys.argv[1] not in probes:
         sys.exit(f"usage: fixed_cost_probes.py {{{'|'.join(probes)}}}")
     probes[sys.argv[1]]()
