@@ -76,7 +76,9 @@ def main(argv: list[str] | None = None) -> int:
             "self-check ok: "
             f"{report['edges_detected']}/{report['edges_tried']} dropped edges "
             f"flagged ({report['edges_redundant']} transitively redundant), "
-            f"wavefront swap flagged={report['wavefront_swap_detected']}"
+            f"wavefront swap flagged={report['wavefront_swap_detected']}, "
+            f"assignment wait drop flagged={report['assignment_wait_drop_detected']}, "
+            f"assignment entry swap flagged={report['assignment_swap_detected']}"
         )
     return 0 if cert.ok else 1
 

@@ -33,10 +33,18 @@ This module *proves* it for a given plan:
 4. An optional wavefront partition (:func:`repro.qr.wavefront.compute_wavefronts`)
    is certified to be a complete partition of the op list into tile-disjoint
    antichains whose concatenation respects every DAG edge.
+5. An optional worker assignment (:func:`repro.qr.schedule.list_schedule`) —
+   what the process backend's workers walk on their own, firing on
+   completion flags — is certified to give every op to exactly one rank, to
+   make it wait on every DAG predecessor, and to be deadlock-free: every
+   share ascends in one global order that every DAG edge follows, so each
+   list is a subsequence of one topological order and the first unfinished
+   op of that order can always be fired by its owner.
 
 :func:`self_check` closes the loop on the certifier itself: it mutates a
-valid schedule (drops a DAG edge, swaps cross-level wavefronts) and requires
-the mutation to be detected — a certifier that cannot see a planted race
+valid schedule (drops a DAG edge, swaps cross-level wavefronts, drops a wait
+and swaps two dependent entries of an assignment) and requires the mutation
+to be detected — a certifier that cannot see a planted race
 certifies nothing.
 
 Machine-readable output: :meth:`ScheduleCertificate.to_json` serialises the
@@ -66,6 +74,8 @@ __all__ = [
     "graph_edge_list",
     "drop_graph_edge",
     "swap_wavefronts",
+    "drop_assignment_wait",
+    "swap_dependent_entries",
     "self_check",
 ]
 
@@ -197,7 +207,8 @@ class ScheduleViolation:
 
     ``kind`` is one of ``cycle``, ``ww-unordered``, ``raw-unordered``,
     ``read-without-writer``, ``war-overlap``, ``wavefront-partition``,
-    ``wavefront-antichain``, ``wavefront-tiles``, ``wavefront-order``.
+    ``wavefront-antichain``, ``wavefront-tiles``, ``wavefront-order``,
+    ``assignment-partition``, ``assignment-wait``, ``assignment-order``.
     """
 
     kind: str
@@ -232,12 +243,16 @@ class ScheduleCertificate:
     war_decoupled: int
     #: Wavefronts certified (-1 when no partition was supplied).
     n_wavefronts: int
+    #: Ranks of the certified assignment (-1 when none was supplied).
+    n_ranks: int = -1
     violations: list[ScheduleViolation] = field(default_factory=list)
     truncated: bool = False
 
     def summary(self) -> str:
         verdict = "CERTIFIED" if self.ok else f"VIOLATED ({len(self.violations)} finding(s))"
         wf = f", {self.n_wavefronts} wavefronts" if self.n_wavefronts >= 0 else ""
+        if self.n_ranks >= 0:
+            wf += f", assignment on {self.n_ranks} ranks"
         head = (
             f"[{verdict}] {self.n_ops} ops, {self.n_edges} edges, "
             f"{self.n_tiles} tiles{wf}: {self.ww_pairs} WW + {self.raw_pairs} RAW "
@@ -265,6 +280,7 @@ class ScheduleCertificate:
             "war_pairs": self.war_pairs,
             "war_decoupled": self.war_decoupled,
             "n_wavefronts": self.n_wavefronts,
+            "n_ranks": self.n_ranks,
             "truncated": self.truncated,
             "violations": [v.to_json() for v in self.violations],
         }
@@ -283,6 +299,7 @@ def certify_schedule(
     ops: list[Op],
     graph: TaskGraph | None = None,
     wavefronts: list[list[int]] | None = None,
+    assignment=None,
 ) -> ScheduleCertificate:
     """Certify that a plan's DAG orders every conflicting tile access.
 
@@ -298,6 +315,10 @@ def certify_schedule(
     wavefronts:
         Optional wavefront partition to certify on top (antichains,
         tile-disjoint, level-ordered).
+    assignment:
+        Optional per-rank shares of ``(seq, idx, waits)`` entries
+        (:func:`repro.qr.schedule.list_schedule`) to certify on top:
+        an exact partition, complete waits, one deadlock-free order.
     """
     if graph is None:
         graph = op_dependency_graph(ops)
@@ -413,6 +434,8 @@ def certify_schedule(
     if wavefronts is not None:
         n_wf = len(wavefronts)
         _certify_wavefronts(ops, wavefronts, edges, anc, reads_of, writes_of, report)
+    if assignment is not None:
+        _certify_assignment(ops, assignment, edges, report)
 
     return ScheduleCertificate(
         ok=not violations,
@@ -424,6 +447,7 @@ def certify_schedule(
         war_pairs=war_pairs,
         war_decoupled=war_decoupled,
         n_wavefronts=n_wf,
+        n_ranks=-1 if assignment is None else len(assignment),
         violations=violations,
         truncated=truncated,
     )
@@ -494,6 +518,51 @@ def _certify_wavefronts(ops, wavefronts, edges, anc, reads_of, writes_of, report
                 return
 
 
+def _certify_assignment(ops, assignment, edges, report):
+    """Certify per-rank shares: partition, waits, one deadlock-free order."""
+    n = len(ops)
+    seq_of: dict[int, int] = {}
+    waits_of: dict[int, frozenset] = {}
+    for rank, share in enumerate(assignment):
+        for seq, idx, waits in share:
+            if not (0 <= idx < n):
+                report("assignment-partition", None, (idx,),
+                       f"rank {rank} is given op {idx}, outside 0..{n - 1}")
+            elif idx in seq_of:
+                report("assignment-partition", None, (idx,),
+                       f"op given out twice (again to rank {rank})")
+            else:
+                seq_of[idx], waits_of[idx] = seq, frozenset(waits)
+        # A worker fires the entries of its list in this order (a short
+        # look-ahead aside) and a survivor merges adopted ones by ``seq``.
+        for (s0, i0, _), (s1, i1, _) in zip(share, share[1:]):
+            if s0 >= s1:
+                report("assignment-order", None, (i0, i1),
+                       f"rank {rank}'s list does not ascend in the global order "
+                       f"(seq {s0} before {s1})")
+    for idx in [i for i in range(n) if i not in seq_of][:8]:
+        report("assignment-partition", None, (idx,), "op given to no rank")
+    for u, v in edges:
+        if u not in seq_of or v not in seq_of:
+            continue
+        if u not in waits_of[v]:
+            if not report(
+                "assignment-wait", None, (u, v),
+                f"{ops[v].describe()} does not wait on its predecessor "
+                f"{ops[u].describe()}",
+            ):
+                return
+        # With every share ascending, an edge that runs backwards in the
+        # global order is what closes a wait cycle between two ranks.
+        if seq_of[u] >= seq_of[v]:
+            if not report(
+                "assignment-order", None, (u, v),
+                f"edge {ops[u].describe()} -> {ops[v].describe()} runs backwards "
+                f"in the global order (seq {seq_of[u]} to {seq_of[v]})",
+            ):
+                return
+
+
 # -- adversarial self-check --------------------------------------------------
 
 
@@ -530,10 +599,37 @@ def swap_wavefronts(wavefronts: list[list[int]], i: int, j: int) -> list[list[in
     return out
 
 
+def drop_assignment_wait(assignment):
+    """A copy of ``assignment`` whose first waiting entry waits on one op
+    fewer.  Returns ``(mutated, (dropped, idx))``."""
+    shares = [list(share) for share in assignment]
+    for share in shares:
+        for pos, (seq, idx, waits) in enumerate(share):
+            if waits:
+                share[pos] = (seq, idx, waits[1:])
+                return tuple(tuple(sh) for sh in shares), (waits[0], idx)
+    raise ValueError("no entry of the assignment waits on anything")
+
+
+def swap_dependent_entries(assignment):
+    """A copy of ``assignment`` in which one rank runs an op before one of its
+    own predecessors: the two keep their ``seq`` and ``waits`` and trade
+    places in the list.  Returns ``(mutated, (idx_a, idx_b))``."""
+    shares = [list(share) for share in assignment]
+    for share in shares:
+        at = {entry[1]: pos for pos, entry in enumerate(share)}
+        for pos, (_, idx, waits) in enumerate(share):
+            for pred in waits:
+                if pred in at:
+                    share[at[pred]], share[pos] = share[pos], share[at[pred]]
+                    return tuple(tuple(sh) for sh in shares), (pred, idx)
+    raise ValueError("no rank owns both ends of a dependency")
+
+
 def self_check(ops: list[Op]) -> dict:
     """Prove the certifier detects planted violations on this very plan.
 
-    Three stages, raising :class:`ScheduleCertificationError` on any miss:
+    Four stages, raising :class:`ScheduleCertificationError` on any miss:
 
     1. the unmutated schedule (DAG + wavefronts) must certify clean;
     2. dropping a DAG edge must be flagged **iff** it actually breaks
@@ -541,15 +637,23 @@ def self_check(ops: list[Op]) -> dict:
        leave the schedule correct, and the certifier must say so) — and at
        least one sampled edge must be load-bearing;
     3. swapping the first and last wavefronts (guaranteed cross-level for
-       any plan with a dependency) must be flagged.
+       any plan with a dependency) must be flagged;
+    4. a two-rank assignment must certify clean, and must be flagged once
+       one entry waits on a predecessor fewer, and once a rank runs an op
+       before its own predecessor.
+
+    The inner block size only weights the list schedule (half the tile
+    width here); any value yields an assignment the same checks apply to.
 
     Returns a report dict for logging / CI output.
     """
+    from ..qr.schedule import list_schedule
     from ..qr.wavefront import compute_wavefronts
 
     graph = op_dependency_graph(ops)
     wavefronts = compute_wavefronts(ops, graph)
-    base = certify_schedule(ops, graph, wavefronts)
+    assignment = list_schedule(ops, graph, max(1, ops[0].k // 2), 2, "lazy")
+    base = certify_schedule(ops, graph, wavefronts, assignment)
     if not base.ok:
         raise ScheduleCertificationError(
             "self-check aborted: baseline schedule does not certify:\n"
@@ -592,12 +696,26 @@ def self_check(ops: list[Op]) -> dict:
                 "flagged"
             )
         swap_detected = True
+    planted = {}
+    for name, mutate in (("assignment_wait_drop_detected", drop_assignment_wait),
+                         ("assignment_swap_detected", swap_dependent_entries)):
+        try:
+            mutated, pair = mutate(assignment)
+        except ValueError:  # a plan too small to plant this one in
+            planted[name] = False
+            continue
+        if certify_schedule(ops, graph, assignment=mutated).ok:
+            raise ScheduleCertificationError(
+                f"blind spot: {mutate.__name__} on ops {pair} was not flagged"
+            )
+        planted[name] = True
     return {
         "ok": True,
         "edges_tried": tried,
         "edges_detected": detected,
         "edges_redundant": redundant,
         "wavefront_swap_detected": swap_detected,
+        **planted,
     }
 
 
@@ -618,9 +736,12 @@ def certify_geometry(
 
     The same plan construction :func:`repro.qr.api.qr_factor` performs
     (``plan_all_panels`` + ``expand_plans``), followed by
-    :func:`certify_schedule`; used by the module CLI and the CI
+    :func:`certify_schedule` — of the DAG, the wavefront partition and the
+    two-rank ``lazy`` worker assignment of the process backend, the one
+    :func:`self_check` mutates; used by the module CLI and the CI
     schedule-certifier smoke.
     """
+    from ..qr.schedule import list_schedule
     from ..qr.wavefront import compute_wavefronts
     from ..tiles.layout import TileLayout
     from ..trees.plan import TreeKind, plan_all_panels
@@ -632,4 +753,5 @@ def certify_geometry(
     ops = expand_plans(layout, plans)
     graph = op_dependency_graph(ops)
     wfs = compute_wavefronts(ops, graph) if wavefronts else None
-    return certify_schedule(ops, graph, wfs)
+    shares = list_schedule(ops, graph, max(1, nb // 2), 2, "lazy")
+    return certify_schedule(ops, graph, wfs, shares)

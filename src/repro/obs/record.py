@@ -120,7 +120,7 @@ K_PACKETS_BYPASSED = "packets.bypassed"  # pop+forward relays (PRT)
 K_BYTES_MOVED = "bytes.moved"  # payload bytes through channels
 K_QUEUE_MAX_DEPTH = "queue.max_depth"  # deepest channel FIFO observed
 K_PROXY_MESSAGES = "proxy.messages"  # inter-node messages routed by proxies
-K_DISPATCH_BATCHES = "dispatch.batches"  # batches sent to worker processes
+K_DISPATCH_BATCHES = "dispatch.batches"  # reports (batches of ops) received from worker processes
 K_BATCH_CALLS = "batch.calls"  # wavefront steps run (the ``batched`` lane only)
 K_BATCH_OPS = "batch.ops"  # ops executed inside those steps
 

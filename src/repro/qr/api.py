@@ -406,11 +406,14 @@ def qr_factor(
         it: the happens-before certifier (:mod:`repro.analysis.races`)
         checks that every write-write and read-write conflict on a tile is
         ordered by the dependency DAG and that the wavefront partition is
-        a tile-disjoint, level-ordered antichain cover, raising
+        a tile-disjoint, level-ordered antichain cover — and, on
+        ``backend="parallel"``, that the assignment the workers will walk
+        gives every op to one rank, makes it wait on all its predecessors
+        and cannot deadlock — raising
         :class:`~repro.util.errors.ScheduleCertificationError` otherwise.
         Adds planning-time cost only (no per-op runtime overhead); off by
-        default.  What is certified is what will run: the memoized DAG and
-        wavefronts of :func:`repro.qr.schedule.schedule_for` (with
+        default.  What is certified is what will run: the memoized DAG,
+        wavefronts and assignment of :func:`repro.qr.schedule.schedule_for` (with
         ``session=``, the ones pinned to its plan entry), so a corrupted
         memo or cache entry is caught too.
 
@@ -461,8 +464,15 @@ def qr_factor(
         if verify_schedule:
             from ..analysis.races import certify_schedule
 
+            # On the process backend the assignment is load-bearing too: the
+            # shares the workers of this call will walk.
+            k = 0
+            if backend == "parallel":
+                k = min(worker_count(backend, n_procs=n_procs, session=session),
+                        len(entry.ops))
             cert = certify_schedule(
-                entry.ops, graph=entry.graph(), wavefronts=entry.wavefronts()
+                entry.ops, graph=entry.graph(), wavefronts=entry.wavefronts(),
+                assignment=entry.assignment(k, policy) if k > 1 else None,
             )
             if not cert.ok:
                 raise ScheduleCertificationError(

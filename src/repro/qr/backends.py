@@ -10,17 +10,19 @@
     views as ``serial``, in level order.
 ``parallel``
     Process-pool execution over shared-memory tiles
-    (:mod:`repro.qr.parallel`), dispatched op by op as dependencies are
-    met: real multi-core wall-clock speedup.  Falls back to the serial
-    executor when ``n_procs=1`` or shared memory is unavailable.
+    (:mod:`repro.qr.parallel`): every worker is given its share of the
+    schedule once and fires each op of it the moment the completion flags
+    of the op's predecessors are up — real multi-core wall-clock speedup.
+    Falls back to the serial executor when ``n_procs=1`` or shared memory
+    is unavailable.
 ``pulsar``
     The full 3D virtual systolic array on the threaded PULSAR runtime,
     optionally across several simulated distributed-memory nodes;
     exercises the real dataflow.
 
 The first three are *schedules over the execution core*
-(:mod:`repro.qr.execute`) — program order, wavefronts, and dependency
-order on worker processes.  ``pulsar`` is a separate executor: its VDPs fire
+(:mod:`repro.qr.execute`) — program order, wavefronts, and a static
+assignment fired in dependency order on worker processes.  ``pulsar`` is a separate executor: its VDPs fire
 kernels on channel-delivered tiles, not on a store, which is exactly why it
 lacks the store-based capabilities in :data:`CAPABILITIES`.
 :func:`~repro.qr.api.qr_factor` and
@@ -130,7 +132,7 @@ def run_backend(
     ``entry`` is the memoized :class:`~repro.qr.schedule.Schedule` of the
     geometry — or, when the call runs through ``session``, that session's
     plan entry, which adds the shared segment.  Its wavefronts feed ``batched``, its
-    graph the ``parallel`` dispatcher, its plans the pulsar VSA builder;
+    assignment the ``parallel`` workers, its plans the pulsar VSA builder;
     nothing is derived here.  ``skip`` / ``preloaded_ts`` are the resume
     path.  ``stats`` is ``None`` for the single-lane backends.
 
@@ -138,7 +140,7 @@ def run_backend(
     runs (only ``parallel`` uses the last two).  ``batch="wavefront"`` is an
     accepted spelling of the default: it once selected level-synchronous
     slice dispatch, callers still pass it, and it now means auto-sized
-    batches.
+    batches (a batch is what a worker reports in one message).
     """
     require(policy in POLICIES, f"policy must be one of {POLICIES}, got {policy!r}")
     if batch == "wavefront":
@@ -166,7 +168,7 @@ def run_backend(
             )
         return _parallel.execute_ops_parallel(
             tm, ops, ib, n_procs=n_procs, policy=policy, batch=batch,
-            graph=entry.graph(), **common
+            assignment=entry.assignment, **common
         )
     arr = build_qr_vsa(tm, entry.plans, ib=ib, total_workers=n_nodes * workers_per_node)
     stats = arr.run(

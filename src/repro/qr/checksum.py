@@ -53,6 +53,13 @@ __all__ = ["tile_checksum", "checksums_match", "SDCGuard"]
 #: plus two recomputations ("escalate only if recomputation disagrees twice").
 MAX_EXECUTIONS = 3
 
+#: ``kind -> written views of which the kernel mutates only the upper
+#: triangle``: the strictly-lower part of those blocks is reflector storage
+#: that updates left unordered with this op may be reading on another worker
+#: (the write-after-read pairs :mod:`repro.analysis.races` proves
+#: region-disjoint), so an injected flip must stay out of it.
+_UPPER_ONLY = {"TSQRT": (0,), "TTQRT": (0, 1)}
+
 
 def tile_checksum(view: np.ndarray) -> np.ndarray:
     """Column sums of the 64-bit patterns of ``view`` (modular ``uint64``).
@@ -86,11 +93,15 @@ class SDCGuard:
     events locally (``injected`` / ``detected`` / ``recovered``) *and*
     onto the installed :mod:`repro.obs` recorder when there is one —
     parallel workers have none, so they ship :meth:`take_delta` back to
-    the dispatcher inside each ``done`` message instead.
+    the parent inside each ``done`` message instead.  ``ops`` is the list
+    the op indices refer to: a flip stays inside what its op's kernel really
+    writes (:data:`_UPPER_ONLY`), because on another worker unordered
+    readers of the same tiles may be running meanwhile.
     """
 
-    def __init__(self, plan):
+    def __init__(self, plan, ops):
         self.plan = plan
+        self.ops = ops
         self.injected = 0
         self.detected = 0
         self.recovered = 0
@@ -167,11 +178,13 @@ class SDCGuard:
         if total == 0:  # pragma: no cover - every op kind writes something
             return
         target = self.plan.flip_target(op_index, attempt, total)
-        for w in writes:
+        for view, w in enumerate(writes):
             if target < w.size:
                 break
             target -= w.size
         pos = np.unravel_index(target, w.shape)
+        if pos[0] > pos[1] and view in _UPPER_ONLY.get(self.ops[op_index].kind, ()):
+            pos = pos[::-1]  # mirrored into the triangle the kernel wrote
         buf = np.array([w[pos]], dtype=np.float64)
         buf.view(np.uint64)[0] ^= np.uint64(self.plan.flip_mask(op_index, attempt))
         w[pos] = buf[0]

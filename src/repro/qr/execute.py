@@ -139,7 +139,7 @@ def run_schedule(
     skip = frozenset() if skip is None else frozenset(skip)
     for idx in skip.intersection(preloaded_ts or ()):
         store.put_t(t_factor_key(ops[idx]), preloaded_ts[idx])
-    guard = SDCGuard(fault_plan) if fault_plan is not None and fault_plan.faulty_sdc else None
+    guard = SDCGuard(fault_plan, ops) if fault_plan is not None and fault_plan.faulty_sdc else None
     done = None
     if checkpoint is not None:
         done = np.zeros(len(ops), dtype=bool)

@@ -9,21 +9,25 @@ many the machine has.  This module executes the *same* operation list
   per op live in a single shared-memory segment per job
   (:class:`repro.tiles.shared.SharedTileStore`); workers attach once and
   mutate tiles in place — no array is ever pickled;
-* the parent runs a DAG-driven dispatcher over the dataflow graph of
-  :func:`repro.qr.dag.op_dependency_graph`, tracking dependency counts and
-  handing *batches* of ready operation indices to idle workers to amortise
-  IPC;
-* the ready pool supports the PRT scheduling policies: ``lazy`` fires the
-  oldest ready op in program order, ``aggressive`` the most recently
-  enabled one;
-* dispatch is dependency-driven only — an op is handed out the moment its
-  own predecessors are done, never held back for the rest of its DAG level
-  (every kernel is one in-place LAPACK call, so a same-shape group has
-  nothing to amortise) — and the batch shrinks towards one op per message
-  as the ready pool drains, keeping the critical path fed;
-* workers own no kernel code of their own: every op of a dispatch message
-  becomes one :func:`repro.qr.execute.run_step` call on the shared store,
-  the same step runner the in-process schedules use;
+* *what runs where, and in which order*, is decided once per geometry, not
+  per op: :meth:`repro.qr.schedule.Schedule.assignment` list-schedules the
+  dataflow DAG on ``n_procs`` model workers under the PRT ready-pool policy
+  (``lazy`` takes the oldest ready op in program order, ``aggressive`` the
+  most recently enabled) and gives every rank its *share* — its ops in
+  start order, each with the ops it waits on;
+* *when an op fires* is decided by the worker that owns it: it walks its
+  share and fires an op the moment the completion flags of its
+  predecessors are up in the segment, looking a few entries ahead
+  (:data:`LOOKAHEAD`) when the next one is not ready yet — the paper's
+  firing rule (a VDP fires when its input channels hold packets), with
+  nothing central between two firings.  A worker with nothing ready spins
+  briefly, then sleeps on its pipe with a capped back-off;
+* the parent only listens: after the lease it sends nothing per op, books
+  the reports workers send every ``batch`` ops, and watches sentinels and
+  the no-progress watchdog;
+* workers own no kernel code of their own: every op is one
+  :func:`repro.qr.execute.run_step` call on the shared store, the same step
+  runner the in-process schedules use;
 * there is one worker lifecycle, :class:`WorkerPool`, and workers are
   spawned once per process, not once per call: every one-shot run leases
   the module's kept pool (grown to the largest ``n_procs`` asked for,
@@ -43,41 +47,43 @@ When ``n_procs == 1`` or shared memory is unavailable the executor falls
 back to the serial reference (same factors, ``stats.mode`` and an obs
 ``fallback.serial`` counter record the fallback) instead of failing.
 
-Fault tolerance: the dispatcher waits on every worker's pipe *and* its
+Fault tolerance: the parent waits on every worker's pipe *and* its
 process sentinel, so a dead worker (crashed, OOM-killed, or killed by a
 :class:`~repro.faults.FaultPlan` crash schedule) is detected the moment the
 OS reaps it — the process sentinel is the heartbeat; a worker that is alive
 but silent is caught by the no-progress :class:`~repro.faults.Watchdog`
-instead (:class:`~repro.util.errors.WatchdogTimeout` after ``timeout_s``).
-In-flight operations of a dead worker are re-dispatched to survivors (and a
-replacement process is spawned when ``respawn=True``).  Re-dispatch is safe
-because operations are *idempotent on the shared tile store given DAG
-ordering*, and that idempotency is enforced, not assumed: a per-op
-completion flag in the job's segment is set after an op's tile mutations, so a
-re-dispatched op that already ran is skipped rather than re-applied (a QR
-kernel is destructive — factoring a tile twice would corrupt it).  The DAG
-guarantees no successor was dispatched before the flag went up, and an op
-is only ever re-dispatched after its owner's death is confirmed, so no two
-live workers run the same op concurrently.  The one unprotected window is a
-worker dying *inside* a kernel's tile writes; injected crashes land on op
-boundaries only, and docs/robustness.md spells out the residual risk.
-:class:`ParallelExecutionError` is raised only once retries are exhausted
-(an op re-dispatched more than :data:`MAX_REDISPATCH` times, or every worker
-dead with respawn disabled).
+instead (:class:`~repro.util.errors.WatchdogTimeout` after ``timeout_s``
+without a report, a death or a newly raised flag).  The unreported ops of a
+dead worker go to its replacement (``respawn=True``) or to a survivor, which
+picks the *adopt* message up from its pipe the next time it naps or runs
+out of work and merges the entries into its list by their position in the
+assignment's global order.  Handing them on is safe because operations are
+*idempotent on the shared tile store given DAG ordering*, and that
+idempotency is enforced, not assumed: a per-op completion flag in the job's
+segment is set after an op's tile mutations, so an op that already ran is
+skipped rather than re-applied (a QR kernel is destructive — factoring a
+tile twice would corrupt it).  No successor fires before the flag is up,
+and an op is only ever handed on after its owner's death is confirmed, so no
+two live workers run the same op concurrently.  A worker waiting on a flag
+of the dead one simply keeps napping until the new owner raises it.  The
+one unprotected window is a worker dying *inside* a kernel's tile writes;
+injected crashes land on op boundaries only, and docs/robustness.md spells
+out the residual risk.  :class:`ParallelExecutionError` is raised only once
+retries are exhausted (an op handed on more than :data:`MAX_REDISPATCH`
+times, or every worker dead with respawn disabled).
 
 Observability: workers report each op as absolute ``perf_counter`` start /
 end stamps (system-wide ``CLOCK_MONOTONIC`` on Linux), so with a recorder
 installed (:mod:`repro.obs`) the parent converts them into kernel spans on
 per-process lanes — aligned with its own ``pool.lease`` / ``attach``
 spans — and charges the exact :mod:`repro.kernels.flops`
-count per completed op.  Batches sent to workers bump the
+count per completed op.  Reports received from workers bump the
 ``dispatch.batches`` counter.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 import multiprocessing as mp
 import os
 import threading
@@ -87,6 +93,9 @@ import weakref
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker
 from multiprocessing.connection import Connection, wait as conn_wait
+from select import select
+
+import numpy as np
 
 from ..faults.watchdog import Watchdog
 from ..kernels.flops import kernel_flops
@@ -116,6 +125,7 @@ from .dag import op_dependency_graph
 from .execute import run_step
 from .ops import Op
 from .reference import TileQRFactors, execute_ops, factor_records
+from .schedule import list_schedule
 
 __all__ = [
     "ParallelRunStats",
@@ -130,9 +140,28 @@ __all__ = [
 #: tell an injected crash (counted under ``fault.crash``) from a real one.
 _CRASH_EXIT_CODE = 37
 
-#: Times one op may be re-dispatched after worker deaths before the run
-#: fails with :class:`~repro.util.errors.ParallelExecutionError`.
+#: Times one op may be handed on after worker deaths before the run fails
+#: with :class:`~repro.util.errors.ParallelExecutionError`.
 MAX_REDISPATCH = 2
+
+#: Entries of its list a worker examines for one whose flags are all up.
+#: Start order is the model's guess; real kernels finish in another order,
+#: and a short look-ahead lets a worker do useful work while the entry at
+#: its head waits.  Measured (docs/performance.md, Dispatch): 1 — strictly
+#: in order — costs the tall workload a sixth of its window and the burst
+#: one a third; 4, 8 and 16 cannot be told apart.
+LOOKAHEAD = 8
+
+#: Scans of the look-ahead window that may fail back to back before a worker
+#: with nothing ready starts to sleep: some 20 us, the length of a short
+#: kernel, so a flag raised by a neighbour mid-op is seen without a syscall.
+SPIN_SCANS = 20
+
+#: First and longest nap in seconds; each nap doubles the next.  The nap is
+#: a ``select`` on the worker's pipe, so the parent's word ends it at once; a
+#: flag is seen at the latest one nap after it went up — at most as long
+#: again as the worker had already waited, and never more than the cap.
+NAP_S = (50e-6, 1e-3)
 
 
 def default_n_procs() -> int:
@@ -155,11 +184,16 @@ class ParallelRunStats:
     n_ops: int = 0
     n_procs: int = 1
     policy: str = "lazy"
-    batch: int = 1  # most ops sent in one dispatch message
+    batch: int = 1  # most ops a worker reports in one message
     elapsed_s: float = 0.0
     spawn_s: float = 0.0
-    dispatch_s: float = 0.0  # parent time spent dispatching (not waiting)
+    dispatch_s: float = 0.0  # parent time spent booking reports (not waiting)
     per_worker_busy_s: dict[int, float] = field(default_factory=dict)
+    # Seconds a worker had nothing it could fire: waiting on a flag, parked
+    # for a checkpoint, or done with its share while others were not.  Per
+    # worker, busy + wait + a few microseconds per op = elapsed, less what of
+    # the lease (spawn_s) passed before the worker read its header.
+    per_worker_wait_s: dict[int, float] = field(default_factory=dict)
     per_worker_ops: dict[int, int] = field(default_factory=dict)
     mode: str = "parallel"
     fallback_reason: str = ""
@@ -187,7 +221,7 @@ class ParallelRunStats:
 
     @property
     def dispatch_overhead(self) -> float:
-        """Fraction of the run the parent spent dispatching (IPC + bookkeeping)."""
+        """Fraction of the run the parent spent booking reports (IPC + bookkeeping)."""
         return self.dispatch_s / self.elapsed_s if self.elapsed_s > 0.0 else 0.0
 
 
@@ -229,29 +263,45 @@ def serial_fallback(a, ops, ib: int, reason: str, policy: str,
 
 
 # --------------------------------------------------------------------------
-# Worker processes: dispatch messages -> execution-core steps on the store
+# Worker processes: a share of the schedule -> execution-core steps on the store
 # --------------------------------------------------------------------------
 
 
 def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
-               generation: int, conn: Connection) -> object:
-    """Execute one job's dispatch messages until a terminator arrives.
+               generation: int, conn: Connection, share, batch: int,
+               park_every: int = 0) -> object:
+    """Fire one job's share of the schedule until a terminator arrives.
 
-    A message is a list of op indices; each is one 1-wide
-    :func:`repro.qr.execute.run_step`, timed on its own.  Timings travel
-    back as absolute ``perf_counter`` stamps so the parent can place them on
-    the recorder's timeline and derive busy seconds (see module docstring).
+    ``share`` is the rank's ``(seq, idx, waits)`` entries in start order
+    (:func:`repro.qr.schedule.list_schedule`).  The worker fires the first
+    of its next :data:`LOOKAHEAD` entries whose ``waits`` have all raised
+    their completion flags (:meth:`SharedTileStore.ready
+    <repro.tiles.shared.SharedTileStore.ready>`) — one 1-wide
+    :func:`repro.qr.execute.run_step`, timed on its own.  With none ready it
+    rescans :data:`SPIN_SCANS` times, then naps on its pipe
+    (:data:`NAP_S`), where the parent's messages reach it.  With its list
+    empty it blocks on the pipe and uses no CPU.
 
-    Fault hooks: before each op the worker consults the
-    :class:`~repro.faults.FaultPlan` crash schedule (generation 0 only) and
-    ``os._exit``\\ s when told to.  ``ops_done`` restarts at zero per job, so
-    in a session the same schedule applies to every ``factor`` call until
-    the worker is respawned.
+    Messages to the parent: ``("done", rank, [(idx, t0, t1), ...], sdc,
+    wait_s)`` every ``batch`` ops and when the list runs empty — absolute
+    ``perf_counter`` stamps per op, the :class:`SDCGuard` delta and the
+    seconds spent with nothing ready since the previous report;
+    ``("parked", rank)`` after the report it flushes when it finds the
+    segment's pause byte up — or has itself fired ``park_every`` ops since it
+    last stood still (the checkpoint's ``every_ops``; 0: no checkpoint), so
+    that the work between two snapshots is bounded by what the workers
+    count, not by how fast the parent reacts; ``("err", rank, idx,
+    traceback)``.  Messages from the parent: ``("adopt", entries)`` — a dead
+    rank's entries, merged by ``seq``; ``("resume",)`` to a parked worker; a
+    terminator.
 
-    Idempotency: an op only runs while its completion flag in the shared
-    store (``store.flags``) is clear, and ``run_step`` raises the flag right
-    after the op's tile mutations — under an armed SDC guard only once its
-    output verified.  A re-dispatched op whose flag is already set is
+    Before each op the worker consults the :class:`~repro.faults.FaultPlan`
+    crash schedule (generation 0 only) and ``os._exit``\\ s when told to;
+    ``ops_done`` restarts at zero per job, so in a session the same schedule
+    applies to every ``factor`` call until the worker is respawned.  An op
+    only runs while its completion flag is clear, and ``run_step`` raises it
+    right after the op's tile mutations — under an armed SDC guard only once
+    its output verified; an op handed on whose flag is already up is
     reported done without running.
 
     Returns the terminator received: ``None`` (shut the worker down),
@@ -261,31 +311,91 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
     ``"err"`` after an execution error was reported.
     """
     crashy = fault_plan is not None and fault_plan.faulty_workers
-    guard = SDCGuard(fault_plan) if fault_plan is not None and fault_plan.faulty_sdc else None
-    ops_done = 0
+    guard = None
+    if fault_plan is not None and fault_plan.faulty_sdc:
+        guard = SDCGuard(fault_plan, ops)
+    ops_done = since_park = 0
+    # Next entry last: firing the k-th entry of the window is ``pop(-k)``.
+    todo = list(reversed(share))
+    done: list[tuple[int, float, float]] = []
+    wait_s = 0.0
+    ready, publish, pause, flags = store.ready, store.publish, store.pause, store.flags
+    pipe_fd = conn.fileno()
 
-    def raise_flag(idx: int) -> None:
-        store.flags[idx] = 1
-
-    while True:
-        batch = conn.recv()
-        if batch is None or isinstance(batch, tuple):
-            return batch
-        done: list[tuple[int, float, float]] = []
-        for idx in batch:
-            if crashy and fault_plan.worker_crash(rank, generation, ops_done):
-                os._exit(_CRASH_EXIT_CODE)
-            t0 = time.perf_counter()
-            if not store.flags[idx]:
-                try:
-                    run_step(store, ops, [idx], ib, guard, raise_flag)
-                except BaseException:
-                    conn.send(("err", rank, idx, traceback.format_exc()))
-                    return "err"
-            ops_done += 1
-            done.append((idx, t0, time.perf_counter()))
+    def report() -> None:
+        nonlocal done, wait_s
         conn.send(("done", rank, done,
-                   guard.take_delta() if guard is not None else None))
+                   guard.take_delta() if guard is not None else None, wait_s))
+        done, wait_s = [], 0.0
+
+    def hear(until_resume: bool = False):
+        """Block for the parent's word.  An adopt message is merged and the
+        wait ends (unless parked: only ``resume`` ends that one); anything
+        else is a terminator and is returned as ``(terminator,)``."""
+        nonlocal todo
+        while True:
+            msg = conn.recv()
+            if msg is None or msg[0] not in ("adopt", "resume"):
+                return (msg,)
+            if msg[0] == "adopt":
+                todo = sorted(todo + list(msg[1]), reverse=True)
+            if not until_resume or msg[0] == "resume":
+                return None
+
+    t_prev = time.perf_counter()
+    while True:
+        waited, scans, nap = False, 0, NAP_S[0]
+        while True:  # until an entry of the window may fire
+            end = None
+            if not todo or pause[0] or (park_every and since_park >= park_every):
+                # Out of work, or a checkpoint is due: report, then stand
+                # still until the parent's word.
+                if done:
+                    report()
+                # The parent captures only while every worker stands still,
+                # so the count restarts at every standstill — dry or parked —
+                # and never runs ahead of the checkpoint's own.
+                since_park = 0
+                parking = bool(todo)
+                if parking:
+                    conn.send(("parked", rank))
+                end = hear(until_resume=parking)
+            else:
+                for k in range(1, min(LOOKAHEAD, len(todo)) + 1):
+                    if ready(todo[-k][2]):
+                        break
+                else:
+                    k = 0
+                if k:
+                    break
+                scans += 1
+                if scans > SPIN_SCANS:
+                    # ``select`` keeps microseconds (``conn.poll`` rounds its
+                    # timeout up to a millisecond).
+                    if select((pipe_fd,), (), (), nap)[0]:
+                        end = hear()
+                    nap = min(2.0 * nap, NAP_S[1])
+            waited = True
+            if end is not None:
+                return end[0]
+        idx = todo.pop(-k)[1]
+        if crashy and fault_plan.worker_crash(rank, generation, ops_done):
+            os._exit(_CRASH_EXIT_CODE)
+        t0 = time.perf_counter()
+        if waited:
+            wait_s += t0 - t_prev
+        if not flags[idx]:
+            try:
+                run_step(store, ops, [idx], ib, guard, publish)
+            except BaseException:
+                conn.send(("err", rank, idx, traceback.format_exc()))
+                return "err"
+        ops_done += 1
+        since_park += 1
+        t_prev = time.perf_counter()
+        done.append((idx, t0, t_prev))
+        if len(done) >= batch:
+            report()
 
 
 #: Parent-side end of every live worker pipe in this process, whichever pool
@@ -321,23 +431,27 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     """Worker process: serve factorization jobs until told to exit.
 
     Each job starts with a header
-    ``("job", shm_name, layout, ops, ib, fault_plan, run_id)``
-    followed by the usual dispatch messages and a terminator.  A worker is
-    only ever spawned for a job (:meth:`WorkerPool.spawn`, at lease time or
-    after a mid-job death), so its first header rides in the spawn args —
-    under ``fork`` the op list is inherited, not pickled; later headers
-    arrive on the pipe after each ``("endjob",)`` / ``("detach",)``, and a
-    bare ``None`` instead of a header ends the worker.
+    ``("job", shm_name, layout, ops, ib, fault_plan, run_id, batch,
+    park_every, share)``
+    and ends with a terminator; in between the worker fires its ``share``
+    on its own (:func:`_serve_job`).  A worker is only ever spawned for a
+    job (:meth:`WorkerPool.spawn`, at lease time or after a mid-job death),
+    so its first header rides in the spawn args — under ``fork`` the op
+    list and the share are inherited, not pickled; later headers arrive on
+    the pipe after each ``("endjob",)`` / ``("detach",)``, and a bare
+    ``None`` instead of a header ends the worker.
 
-    A header comes in three weights.  ``layout`` and ``ops`` both ``None``
-    means "same segment as your previous job": the worker keeps its
-    attachment and operation list, so a warm ``session.factor`` call costs
-    it no re-attach and no unpickling.  ``ops`` alone ``None`` means "a new
-    segment, the operation list you already hold": the worker re-attaches
-    by name with its cached list — a repeat one-shot call, whose segment is
-    new every time, pickles no op list.  Otherwise everything is there.
-    Either way ``spawn_s`` on the parent collapses to a couple of pipe
-    messages.
+    A header names only what the worker does not hold yet.  ``layout`` and
+    ``ops`` both ``None`` means "same segment as your previous job": the
+    worker keeps its attachment and operation list, so a warm
+    ``session.factor`` call costs it no re-attach and no unpickling.
+    ``ops`` alone ``None`` means "a new segment, the operation list you
+    already hold": the worker re-attaches by name with its cached list — a
+    repeat one-shot call, whose segment is new every time, pickles no op
+    list.  ``share`` ``None`` means "the share of your previous job" (the
+    memoized assignment is one object per geometry, worker count and
+    policy).  Either way ``spawn_s`` on the parent collapses to a couple of
+    pipe messages.
     """
     _drop_inherited()
     # A forked child inherits the parent's recorder; spans must be recorded
@@ -347,12 +461,15 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     # worker is serving the run it thinks it is.
     _obs_record._RECORDER = None
     cached_ops: list[Op] | None = None
+    cached_share = None
     store = None
     try:
         while job is not None:
-            _, shm_name, layout, ops, ib, fault_plan, run_id = job
+            _, shm_name, layout, ops, ib, fault_plan, run_id, batch, park_every, share = job
             _obs_context.activate(run_id)
             t_attach0 = time.perf_counter()
+            if share is not None:
+                cached_share = share
             if store is None or store.name != shm_name:
                 if store is not None:
                     store.close()
@@ -360,7 +477,8 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
                     cached_ops = ops
                 store = SharedTileStore.attach(shm_name, layout, cached_ops, ib)
             conn.send(("attached", rank, t_attach0, time.perf_counter(), run_id))
-            end = _serve_job(store, cached_ops, ib, fault_plan, rank, generation, conn)
+            end = _serve_job(store, cached_ops, ib, fault_plan, rank, generation,
+                             conn, cached_share, batch, park_every)
             if end is None or end == "err":
                 break
             if end == ("detach",):
@@ -379,19 +497,20 @@ class WorkerPool:
     """Worker processes leased out one factorization at a time.
 
     Each worker runs :func:`_worker_main`: a loop over *jobs*, where a job
-    is a header naming the shared segment plus the usual dispatch traffic,
-    ended by ``("endjob",)`` or ``("detach",)``.  The pool tracks which
-    segment each worker has attached (:attr:`known`) and which operation
-    list it was last sent, and slims the header accordingly (see
-    :func:`_worker_main`): no layout and no op list for the same segment,
-    no op list for a new segment under the same list — a warm lease costs
-    one small pipe message per worker.  A
+    is a header naming the shared segment and the worker's share of the
+    schedule, ended by ``("endjob",)`` or ``("detach",)``.  The pool tracks
+    which segment each worker has attached (:attr:`known`) and which
+    operation list and share it was last sent, and slims the header
+    accordingly (see :func:`_worker_main`): no layout and no op list for the
+    same segment, no op list for a new segment under the same list, no share
+    when it is the object the worker already holds — a warm lease costs one
+    small pipe message per worker.  A
     :class:`~repro.qr.session.QRSession` keeps its pool across calls; every
     one-shot :func:`execute_ops_parallel` leases the one this module keeps
     for the process (:func:`shutdown_workers` ends its workers).
 
     Generation tags are the pool's crash-recovery bookkeeping, shared with
-    the dispatcher in :func:`execute_ops_parallel` (the
+    the parent loop in :func:`execute_ops_parallel` (the
     ``procs``/``conns``/``generations`` dicts are handed over *by
     reference* during a lease, so mid-job respawns are visible to both
     sides).  A rank's generation only ever increases — across respawns,
@@ -408,9 +527,11 @@ class WorkerPool:
         self.generations: dict[int, int] = {}
         #: rank -> name of the shared segment the worker has attached.
         self.known: dict[int, str] = {}
-        # rank -> the op list the worker holds, *by reference*: the memoized
-        # list of ``schedule_for`` is one object however often it is leased.
+        # rank -> the op list and the share the worker holds, *by reference*:
+        # the memoized ones of ``schedule_for`` are one object each however
+        # often they are leased.
         self._ops_of: dict[int, list] = {}
+        self._share_of: dict[int, tuple] = {}
         self._ctx = mp.get_context()
         self._job = None
 
@@ -418,10 +539,13 @@ class WorkerPool:
         """Live worker processes (the ``pool.workers_alive`` gauge)."""
         return sum(1 for p in self.procs.values() if p.is_alive())
 
-    def spawn(self, rank: int) -> None:
+    def spawn(self, rank: int, share=None) -> None:
         """Start ``rank``'s next generation on the job being leased — a
         missing or dead rank at lease time, or the replacement of a worker
-        that died mid-job (the dispatcher calls this during its lease)."""
+        that died mid-job, which gets what its predecessor left undone as
+        ``share`` (the parent loop calls this during its lease)."""
+        if share is None:
+            share = self._job[-1][rank]
         old = self.conns.pop(rank, None)
         if old is not None:
             try:
@@ -434,7 +558,7 @@ class WorkerPool:
             _PARENT_ENDS.add(parent_conn)
         p = self._ctx.Process(
             target=_worker_main,
-            args=(rank, generation, child_conn, self._job),
+            args=(rank, generation, child_conn, self._job[:-1] + (share,)),
             daemon=True,
             name=f"qr-pool-{rank}g{generation}",
         )
@@ -445,6 +569,7 @@ class WorkerPool:
         self.generations[rank] = generation
         self.known[rank] = self._job[1]
         self._ops_of[rank] = self._job[3]
+        self._share_of[rank] = share
         rec = _obs_record._RECORDER
         if rec is not None:
             rec.count(K_POOL_SPAWNS)
@@ -452,23 +577,25 @@ class WorkerPool:
 
     def _send_job(self, rank: int) -> None:
         """Send a live worker the job header, less what it already holds."""
-        job = self._job
+        job, share = self._job[:-1], self._job[-1][rank]
         shm_name, ops = job[1], job[3]
         if self.known.get(rank) == shm_name:
             job = job[:2] + (None, None) + job[4:]  # no layout, no op list
         elif self._ops_of.get(rank) is ops:
             job = job[:3] + (None,) + job[4:]  # new segment, no op list
-        self.conns[rank].send(job)
+        self.conns[rank].send(job + (None if self._share_of.get(rank) is share else share,))
         self.known[rank] = shm_name
         self._ops_of[rank] = ops
+        self._share_of[rank] = share
 
     def lease(self, k: int, job: tuple) -> dict:
         """Hand ranks ``0..k-1`` one job: respawn the dead, brief the rest.
 
-        ``job`` is the header :func:`_worker_main` documents; its ``run_id``
-        binds every worker's spans and events to the leasing run
+        ``job`` is the header :func:`_worker_main` documents with every
+        rank's share in its last field (a worker is sent its own); its
+        ``run_id`` binds every worker's spans and events to the leasing run
         (trace-context propagation).  Returns the lease summary
-        ``{"n_procs", "spawned", "reused"}`` recorded on the dispatcher's
+        ``{"n_procs", "spawned", "reused"}`` recorded on the parent's
         ``pool.lease`` span.
         """
         self._job = job
@@ -484,7 +611,7 @@ class WorkerPool:
                 self._send_job(rank)
             except (BrokenPipeError, OSError):
                 # Died between the liveness check and the send: one retry
-                # with a fresh process (the dispatcher's watchdog and
+                # with a fresh process (the parent loop's watchdog and
                 # respawn machinery take over from here).
                 self.spawn(rank)
         rec = _obs_record._RECORDER
@@ -498,7 +625,8 @@ class WorkerPool:
     def reset(self) -> None:
         """Kill every worker after a failed job.
 
-        Workers may be wedged or mid-dispatch; fresh processes are the
+        Workers may be wedged, mid-op or waiting on a flag nobody will
+        raise; fresh processes are the
         only state safe to lease from again.  Generations are preserved
         (and bump on the next spawn), so an injected-fault generation
         never reappears.
@@ -520,6 +648,7 @@ class WorkerPool:
         self.conns.clear()
         self.known.clear()
         self._ops_of.clear()
+        self._share_of.clear()
 
     def shutdown(self) -> None:
         """Graceful stop: ask each worker to exit, then make sure it did."""
@@ -584,36 +713,18 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
 
 
 # --------------------------------------------------------------------------
-# Parent-side dispatcher
+# The parent: lease, listen, book
 # --------------------------------------------------------------------------
 
 
-class _ReadyPool:
-    """Ready-op pool with the two PRT disciplines (lazy / aggressive)."""
-
-    def __init__(self, policy: str):
-        self._lazy = policy == "lazy"
-        self._items: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def push(self, idx: int) -> None:
-        if self._lazy:
-            heapq.heappush(self._items, idx)  # oldest in program order first
-        else:
-            self._items.append(idx)  # most recently enabled first
-
-    def pop(self) -> int:
-        return heapq.heappop(self._items) if self._lazy else self._items.pop()
-
-
 def _auto_batch(n_ops: int, n_procs: int) -> int:
-    """Batch size: amortise IPC without starving the critical path.
+    """Report size: amortise IPC without leaving the parent's ledger stale.
 
-    The cap suits ops that are single LAPACK calls of some 20-50 us, next
-    to a pipe round trip of about the same; ``dispatch`` shrinks the batch
-    again as the ready pool drains.
+    A batch is a report, not a round trip — no worker waits for an answer —
+    so the size only trades pipe writes (some 20 us each, next to ops that
+    are single LAPACK calls of 20-50 us) against how fresh the parent's
+    count of completed ops is, which the checkpoint cadence and the
+    progress gauges read.
     """
     return max(1, min(32, n_ops // (n_procs * 8)))
 
@@ -629,7 +740,7 @@ def execute_ops_parallel(
     timeout_s: float = 120.0,
     fault_plan=None,
     respawn: bool = True,
-    graph=None,
+    assignment=None,
     pool=None,
     arena=None,
     checkpoint=None,
@@ -651,31 +762,36 @@ def execute_ops_parallel(
         Worker process count (default: usable CPUs).  ``1`` falls back to
         the serial reference executor.
     policy:
-        Ready-pool discipline, ``"lazy"`` (program order) or
-        ``"aggressive"`` (most recently enabled), mirroring the PRT.
+        Ready-pool discipline of the list scheduler that assigns ops to
+        ranks, ``"lazy"`` (program order) or ``"aggressive"`` (most
+        recently enabled), mirroring the PRT.
     batch:
-        Most operations dispatched per worker message (default: auto-sized
-        from the op count).  :func:`repro.qr.backends.run_backend`
-        validates ``n_procs``, ``policy`` and ``batch`` for every backend;
-        a direct caller passes values it has checked.
+        Most operations per worker message (default: auto-sized from the op
+        count).  A message is a report — workers never wait for an answer.
+        :func:`repro.qr.backends.run_backend` validates ``n_procs``,
+        ``policy`` and ``batch`` for every backend; a direct caller passes
+        values it has checked.
     timeout_s:
         No-progress watchdog: raise
         :class:`~repro.util.errors.WatchdogTimeout` instead of hanging if
-        nothing completes, dies, or attaches for this long.
+        nothing is reported, flagged done, dies, or attaches for this long.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` whose ``crash_workers``
         schedule makes workers die abruptly (testing the recovery path).
     respawn:
         Spawn a replacement process for each dead worker (capped at
-        ``n_procs`` respawns per run).  With ``respawn=False`` the run
-        continues on the survivors and fails only when none remain.
-    graph:
-        Precomputed :func:`~repro.qr.dag.op_dependency_graph` result for
-        *exactly these* ``ops`` — :func:`~repro.qr.backends.run_backend`
-        and a session pass the memoized one of
-        :func:`repro.qr.schedule.schedule_for`, so only the first call on a
-        geometry derives it.  ``None`` (the default, for direct callers)
-        derives it here.
+        ``n_procs`` respawns per run), which takes over what the dead one
+        had not reported.  With ``respawn=False`` (or the budget spent) a
+        survivor adopts it, and the run fails only when none remain.
+    assignment:
+        ``assignment(n_procs, policy)`` returns the shares of *exactly
+        these* ``ops`` (:func:`repro.qr.schedule.list_schedule`) —
+        :func:`~repro.qr.backends.run_backend` and a session pass the
+        memoized :meth:`Schedule.assignment
+        <repro.qr.schedule.Schedule.assignment>`, so only the first call on
+        a geometry derives it and a worker that holds its share is not sent
+        it again.  ``None`` (the default, for direct callers) derives graph
+        and shares here.
     pool, arena:
         Persistent-session plumbing (see :mod:`repro.qr.session` and
         ``docs/sessions.md``), given together or not at all.  ``pool`` is
@@ -686,7 +802,7 @@ def execute_ops_parallel(
         the caller has already loaded ``a`` (flags cleared).  Both outlive
         this call.  Without them the run is *one-shot*: it creates its own
         segment and destroys it on the way out, and leases the pool this
-        module keeps for the process — the same lease, the same dispatcher,
+        module keeps for the process — the same lease, the same parent loop,
         ended with ``("detach",)`` so that no idle worker maps the unlinked
         segment.  One-shot calls from several threads take turns at the
         kept pool.  Its workers outlive the call (a repeat call forks
@@ -695,20 +811,24 @@ def execute_ops_parallel(
         none behind, and after a job during which a worker died.
     checkpoint:
         Optional bound :class:`~repro.qr.persist.CheckpointStore`.  When
-        a snapshot falls due the dispatcher *quiesces* — stops handing
-        out work and drains in-flight ops to zero — so the completion
-        flags describe a consistent, predecessor-closed frontier, writes
-        the snapshot from the shared store, and resumes dispatching.  The
-        done mask is taken from the shared completion flags, not the
-        parent's report ledger: the flags are the authoritative record of
-        which ops' tile mutations happened (a worker can die after
-        flagging but before reporting).
+        a snapshot falls due the parent raises the segment's pause byte;
+        each worker sees it before its next op, flushes its report, says it
+        is parked and waits (a worker also parks of its own accord after
+        ``every_ops`` ops since it last stood still, and the first
+        ``parked`` message raises the byte if it is not up yet — a parked
+        worker always has a capture coming).  Once every live worker is
+        parked or out of work no op is mid-execution, so the completion
+        flags describe a consistent, predecessor-closed frontier: the parent
+        captures the snapshot from the shared store, lowers the byte and
+        tells the parked workers to resume.  The done mask is the flags, not
+        the parent's report ledger: a worker can die after flagging but
+        before reporting.
     skip, preloaded_ts:
         Resume support (:func:`~repro.qr.persist.resume_factorization`):
         op indices whose writes are already present in ``a``'s tiles, and
         the ``T`` factors (op index -> array) of the completed factor
-        ops.  Completed ops are pre-flagged, pre-counted, and excluded
-        from dispatch; their ``T`` arrays are loaded into the shared
+        ops.  Completed ops are pre-flagged, pre-counted, and left out of
+        every share; their ``T`` arrays are loaded into the shared
         store's slots so successors read them as if computed this run.
     """
     require(a.m >= a.n, f"tile QR requires m >= n, got {a.m} x {a.n}")
@@ -746,53 +866,58 @@ def execute_ops_parallel(
     # says: on the kept pool it gets workers nobody has used and leaves none.
     fresh = one_shot and fault_plan is not None
     rec = _obs_record._RECORDER
+    ranks = range(n_procs)
     stats = ParallelRunStats(
         n_ops=len(ops), n_procs=n_procs, policy=policy, batch=batch,
-        per_worker_busy_s={w: 0.0 for w in range(n_procs)},
-        per_worker_ops={w: 0 for w in range(n_procs)},
+        per_worker_busy_s=dict.fromkeys(ranks, 0.0),
+        per_worker_wait_s=dict.fromkeys(ranks, 0.0),
+        per_worker_ops=dict.fromkeys(ranks, 0),
     )
     with lock:
         success = False
         try:
             if fresh:
                 pool.shutdown()
-            if graph is None:  # a direct caller; run_backend and sessions pass the memo's
+            if assignment is not None:
+                shares = assignment(n_procs, policy)
+            else:  # a direct caller; run_backend and sessions pass the memo's
                 graph = op_dependency_graph(ops)  # lint: disable=derive-once
-            # Python lists: the loops below touch one edge per iteration, in the
-            # parent, which shares a core with the workers it feeds.
-            succ_index, succ_task, n_deps = graph.csr_lists()
-            deps_left = n_deps.copy()
-            for idx in completed_set:
-                # Resume: the op's writes are already in the tiles (loaded from
-                # the checkpoint) — pre-flag it so a worker never re-applies it,
-                # restore its T factor so successors can read it, and release
-                # its successors.
-                store.flags[idx] = 1
-                op = ops[idx]
-                if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
-                    store.put_t(t_factor_key(op), preloaded_ts[idx])
-                for d in succ_task[succ_index[idx]:succ_index[idx + 1]]:
-                    deps_left[d] -= 1
+                shares = list_schedule(ops, graph, ib, n_procs, policy)  # lint: disable=derive-once
+            if completed_set:
+                # Resume: the ops' writes are already in the tiles (loaded from
+                # the checkpoint) — pre-flag them so successors fire and no
+                # worker re-applies one, restore their T factors so successors
+                # can read them, and leave them out of every share.
+                for idx in completed_set:
+                    store.flags[idx] = 1
+                    op = ops[idx]
+                    if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
+                        store.put_t(t_factor_key(op), preloaded_ts[idx])
+                shares = tuple(tuple(e for e in share if e[1] not in completed_set)
+                               for share in shares)
 
             # Run identity: prefer the recorder's (qr_factor minted it), else the
             # ambient context (resume path), else mint one — direct callers of
             # this function still get workers that know which run they serve.
             if rec is not None:
                 run_id = rec.run_id
-                for w in range(n_procs):
+                for w in ranks:
                     rec.name_lane(w, f"proc {w}")
                 rec.name_lane(n_procs, "dispatcher")
             else:
                 run_id = _obs_context.current_run_id() or _obs_context.mint_run_id()
             # The pool's own dicts, so pool.spawn() replacements are visible
-            # to the dispatcher below.
+            # to the loop below.
             procs, conns, generations = pool.procs, pool.conns, pool.generations
             t_run = time.perf_counter()
+            # The one place op indices go to a worker: its share at lease time
+            # (and, after a death, what handle_death builds from the shares).
             lease = pool.lease(n_procs, (
-                "job", store.name, a.layout, ops, ib, fault_plan, run_id,
+                "job", store.name, a.layout, ops, ib, fault_plan, run_id, batch,
+                0 if checkpoint is None else checkpoint.every_ops, shares,
             ))
             stats.spawn_s = time.perf_counter() - t_run
-            # Every span this dispatcher records for worker-reported work hangs
+            # Every span the parent records for worker-reported work hangs
             # off this root: the workers were leased (or spawned) because of it.
             root_span_id = None
             if rec is not None:
@@ -802,30 +927,31 @@ def execute_ops_parallel(
                     worker=n_procs, args=lease,
                 ).span_id
 
-            ready = _ReadyPool(policy)
-            for idx in range(len(ops)):
-                if deps_left[idx] == 0 and idx not in completed_set:
-                    ready.push(idx)
-            alive = set(range(n_procs))
+            alive = set(ranks)
             # Workers whose attach echo for *this* job has been read.
             attached: set[int] = set()
-            idle = list(range(n_procs - 1, -1, -1))  # pop() yields rank 0 first
-            inflight_of: dict[int, set[int]] = {w: set() for w in range(n_procs)}
+            # The ledger: what each live rank was given (its share, then what
+            # it took over), how much of it is still unreported, which ops
+            # were reported by anyone, and when each rank last showed life.
+            given: dict[int, list] = {w: [shares[w]] for w in ranks}
+            owed = {w: len(shares[w]) for w in ranks}
+            reported = bytearray(len(ops))
+            last_seen: dict[int, float] = {}
             attempts = [0] * len(ops)
             respawns_used = 0
             completed = len(completed_set)
-            # Checkpoint quiesce state: when a snapshot falls due, stop
-            # dispatching and let in-flight work drain before writing.
-            draining = False
+            flags_up = completed  # refreshed from the segment when the pipes are quiet
+            # Checkpoint park state: the pause byte is up, and who said so far
+            # that it stands still.
+            pausing = False
+            parked: set[int] = set()
 
             if rec is not None:
-                # Live dispatcher state for the metrics sampler (vocabulary in
+                # Live state for the metrics sampler (vocabulary in
                 # repro.obs.sampler).  Read from the sampler thread while this
                 # thread mutates; Recorder.read_gauges tolerates torn reads.
-                rec.register_gauge("parallel.ready_ops", lambda: len(ready))
                 rec.register_gauge(
-                    "parallel.inflight_ops",
-                    lambda: sum(len(s) for s in list(inflight_of.values())),
+                    "parallel.inflight_ops", lambda: sum(list(owed.values()))
                 )
                 rec.register_gauge("parallel.workers_alive", lambda: len(alive))
                 rec.register_gauge("pool.workers_alive", pool.alive_count)
@@ -835,8 +961,8 @@ def execute_ops_parallel(
                 )
 
             def handle_msg(w: int, msg) -> None:
-                """Apply one worker report (attached / done / err)."""
-                nonlocal completed
+                """Book one worker message (attached / done / parked / err)."""
+                nonlocal completed, pausing
                 if msg[0] == "err":
                     _, _, idx, tb = msg
                     raise ParallelExecutionError(
@@ -851,6 +977,7 @@ def execute_ops_parallel(
                             "worker state disagree"
                         )
                     attached.add(w)
+                    last_seen[w] = a1
                     if rec is not None:
                         rec.add_span(
                             "attach", "dispatch",
@@ -858,7 +985,15 @@ def execute_ops_parallel(
                             worker=w, parent=root_span_id,
                         )
                     return
-                done, sdc = msg[2], msg[3]
+                if msg[0] == "parked":
+                    # On the pause byte or on its own count: either way it
+                    # waits for a capture, so one is due — no parked worker is
+                    # ever left to a ``resume`` that nothing would send.
+                    parked.add(w)
+                    pausing = True
+                    store.pause[0] = 1
+                    return
+                _, _, done, sdc, wait_s = msg
                 if sdc is not None:
                     inj, det, rcv = sdc
                     stats.sdc_injected += inj
@@ -874,14 +1009,15 @@ def execute_ops_parallel(
                                 rec.count(key, n)
                                 rec.event(etype, worker=w, span=root_span_id, n=n)
                 completed += len(done)
+                owed[w] -= len(done)
                 if checkpoint is not None:
                     checkpoint.note_done(len(done))
-                stats.per_worker_ops[w] = stats.per_worker_ops.get(w, 0) + len(done)
+                stats.per_worker_ops[w] += len(done)
+                stats.per_worker_wait_s[w] += wait_s
+                busy = 0.0
                 for idx, op_t0, op_t1 in done:
-                    if w in inflight_of:
-                        inflight_of[w].discard(idx)
-                    busy = stats.per_worker_busy_s.get(w, 0.0)
-                    stats.per_worker_busy_s[w] = busy + (op_t1 - op_t0)
+                    reported[idx] = 1
+                    busy += op_t1 - op_t0
                     if rec is not None:
                         # The worker's stamps become the op's kernel span on its
                         # lane, charged the op's exact flop count.
@@ -892,14 +1028,13 @@ def execute_ops_parallel(
                             rec.from_monotonic(op_t0), rec.from_monotonic(op_t1), w,
                             op=idx, parent=root_span_id,
                         )
-                    for d in succ_task[succ_index[idx]:succ_index[idx + 1]]:
-                        deps_left[d] -= 1
-                        if deps_left[d] == 0:
-                            ready.push(d)
-                idle.append(w)
+                stats.per_worker_busy_s[w] += busy
+                last_seen[w] = done[-1][2]
+                if rec is not None:
+                    rec.count(K_DISPATCH_BATCHES)
 
             def handle_death(w: int, *, proc=None, via_conn=None) -> None:
-                """Confirmed worker death: drain, requeue its ops, maybe respawn.
+                """Confirmed worker death: drain, hand its ops on, maybe respawn.
 
                 ``proc`` / ``via_conn`` identify which incarnation of rank ``w``
                 the triggering event (sentinel / EOF) belongs to; a stale event
@@ -914,13 +1049,15 @@ def execute_ops_parallel(
                     return
                 alive.discard(w)
                 # Drain reports the worker managed to send before dying, so a
-                # completed-and-reported op is never requeued.
+                # completed-and-reported op is never handed on.
                 try:
                     while conns[w].poll(0):
                         handle_msg(w, conns[w].recv())
                 except (EOFError, OSError):
                     pass
                 attached.discard(w)  # a replacement echoes for itself
+                parked.discard(w)
+                last_seen.pop(w, None)
                 conns[w].close()
                 procs[w].join(timeout=5.0)
                 code = procs[w].exitcode
@@ -934,8 +1071,14 @@ def execute_ops_parallel(
                     if code == _CRASH_EXIT_CODE:
                         rec.count(K_FAULT_CRASH)
                         rec.event("fault.crash", worker=w, span=root_span_id)
-                lost = sorted(inflight_of.pop(w, ()))
-                for idx in lost:
+                # What it leaves undone, in the assignment's global order.  An
+                # op that ran but went unreported is among them: its new owner
+                # skips it on the completion flag and reports it.
+                lost = tuple(sorted(
+                    e for entries in given[w] for e in entries if not reported[e[1]]
+                ))
+                given[w], owed[w] = [], 0
+                for _, idx, _ in lost:
                     attempts[idx] += 1
                     if attempts[idx] > MAX_REDISPATCH:
                         raise ParallelExecutionError(
@@ -943,9 +1086,6 @@ def execute_ops_parallel(
                             f"{ops[idx].describe()} was already re-dispatched "
                             f"{MAX_REDISPATCH} time(s) — retries exhausted"
                         )
-                    # The worker skips an op whose completion flag is already
-                    # set, so one that ran but went unreported is not re-applied.
-                    ready.push(idx)
                 if lost:
                     stats.ops_redispatched += len(lost)
                     if rec is not None:
@@ -954,6 +1094,7 @@ def execute_ops_parallel(
                             "retry.redispatch", worker=w, span=root_span_id,
                             n_ops=len(lost),
                         )
+                heir = w
                 if respawn and respawns_used < n_procs:
                     respawns_used += 1
                     stats.workers_respawned += 1
@@ -963,61 +1104,55 @@ def execute_ops_parallel(
                             "worker.respawn", worker=w, span=root_span_id,
                             generation=generations.get(w, 0) + 1,
                         )
-                    pool.spawn(w)
+                    pool.spawn(w, lost)
                     alive.add(w)
-                    inflight_of[w] = set()
-                    idle.append(w)
                 elif not alive:
                     raise ParallelExecutionError(
                         f"worker {w} died (exit code {code}) and no workers remain"
                         + ("; respawn budget exhausted" if respawn else "; respawn disabled")
                     )
-
-            def dispatch() -> None:
-                """Feed idle live workers from the ready pool."""
-                while idle and len(ready):
-                    w = idle.pop()
-                    if w not in alive:
-                        continue  # stale idle entry from a replaced worker
-                    take = min(batch, max(1, len(ready) // (len(idle) + 1)))
-                    chunk = [ready.pop() for _ in range(take)]
-                    inflight_of[w].update(chunk)
+                elif lost:
+                    # The survivor with the least left to do adopts them; it
+                    # reads the message the next time it naps or runs dry.
+                    heir = min(alive, key=lambda v: (owed[v], v))
                     try:
-                        conns[w].send(chunk)
+                        conns[heir].send(("adopt", lost))
                     except (BrokenPipeError, OSError):
-                        handle_death(w, via_conn=conns[w])
-                        continue
-                    if rec is not None:
-                        rec.count(K_DISPATCH_BATCHES)
+                        pass  # its own sentinel is next; the entries go on from its ledger
+                given[heir].append(lost)
+                owed[heir] += len(lost)
 
             def _stall_report() -> str:
-                per_worker = {w: len(inflight_of.get(w, ())) for w in sorted(alive)}
                 return (
-                    f"{completed}/{len(ops)} ops done; alive workers {sorted(alive)}; "
-                    f"in-flight per worker {per_worker}; ready {len(ready)}; "
+                    f"{completed}/{len(ops)} ops reported, "
+                    f"{int(np.count_nonzero(store.flags))} flagged done; "
+                    f"alive workers {sorted(alive)}; unreported per worker "
+                    f"{ {w: owed[w] for w in sorted(alive)} }; parked {sorted(parked)}; "
                     f"died {stats.workers_died}, respawned {stats.workers_respawned}"
                 )
 
             wd = Watchdog(timeout_s, what="parallel dispatcher", report=_stall_report)
-            dispatch()
             while completed < len(ops):
-                if checkpoint is not None and not draining and checkpoint.due():
-                    draining = True
-                if draining and not any(inflight_of.get(w) for w in alive):
-                    # Quiesced: no op is mid-execution, so the completion flags
-                    # are a consistent, predecessor-closed frontier.  Capture
-                    # (cheap memcpys into parent-owned buffers) under the
-                    # quiesce, resume dispatching immediately, and let the
-                    # serialize-fsync-replace overlap with worker execution.
+                if checkpoint is not None and not pausing and checkpoint.due():
+                    pausing = True
+                    store.pause[0] = 1
+                if pausing and all(w in parked or not owed[w] for w in alive):
+                    # Every live worker stands still — parked, or blocked on
+                    # its pipe with nothing left — so no op is mid-execution
+                    # and the completion flags are a consistent, predecessor-
+                    # closed frontier.  Capture (cheap memcpys into parent-owned
+                    # buffers), let the workers go on, and let the
+                    # serialize-fsync-replace overlap with their execution.
                     checkpoint.capture(store, store.t_factor, store.flags.astype(bool))
-                    draining = False
-                    dispatch()
+                    pausing = False
+                    store.pause[0] = 0
+                    for w in sorted(parked):
+                        try:
+                            conns[w].send(("resume",))
+                        except (BrokenPipeError, OSError):
+                            pass  # dead: its sentinel is handled below
+                    parked.clear()
                     checkpoint.flush()
-                if not len(ready) and not any(inflight_of.get(w) for w in alive):
-                    raise ParallelExecutionError(
-                        f"dispatcher stalled: {completed}/{len(ops)} ops done, "
-                        "none ready or in flight (dependency cycle?)"
-                    )
                 # Wait on every live worker's pipe AND its process sentinel: the
                 # sentinel is the heartbeat — it fires the instant the OS reaps
                 # a dead worker, with no polling interval to tune.
@@ -1028,8 +1163,9 @@ def execute_ops_parallel(
                 )
                 t0 = time.perf_counter()
                 if not got:
-                    wd.check()
-                    continue
+                    # Workers report every ``batch`` ops; between reports the
+                    # flags they raise are the sign of progress.
+                    flags_up = int(np.count_nonzero(store.flags))
                 for obj in got:
                     if obj in sentinel_of:
                         w, proc = sentinel_of[obj]
@@ -1045,10 +1181,9 @@ def execute_ops_parallel(
                         continue
                     handle_msg(w, msg)
                 wd.note_progress(
-                    (completed, stats.workers_died, stats.workers_respawned)
+                    (completed, flags_up, stats.workers_died, stats.workers_respawned)
                 )
-                if not draining:
-                    dispatch()
+                wd.check()
                 stats.dispatch_s += time.perf_counter() - t0
 
             # A job of a few ops can complete before every leased worker's attach
@@ -1070,7 +1205,10 @@ def execute_ops_parallel(
                     conns[w].send(terminator)
                 except (BrokenPipeError, OSError):
                     pass
-            stats.elapsed_s = time.perf_counter() - t_run
+            t_end = time.perf_counter()
+            stats.elapsed_s = t_end - t_run
+            for w, seen in last_seen.items():  # out of work while others were not
+                stats.per_worker_wait_s[w] += t_end - seen
             if checkpoint is not None:
                 # Final snapshot: all flags set, so a resume from this archive
                 # skips every op (and the file doubles as a completion marker).
@@ -1083,15 +1221,15 @@ def execute_ops_parallel(
         finally:
             if rec is not None:
                 for g in (
-                    "parallel.ready_ops", "parallel.inflight_ops",
-                    "parallel.workers_alive", "pool.workers_alive",
-                    "parallel.completed_ops", "parallel.redispatched",
+                    "parallel.inflight_ops", "parallel.workers_alive",
+                    "pool.workers_alive", "parallel.completed_ops",
+                    "parallel.redispatched",
                 ):
                     rec.unregister_gauge(g)
             if not success:
-                # Workers may be mid-job or wedged; a clean slate (fresh
-                # processes, bumped generations) is the only safe state to
-                # return the pool in.
+                # Workers may be mid-op, wedged, or napping on a flag that will
+                # never go up; a clean slate (fresh processes, bumped
+                # generations) is the only safe state to return the pool in.
                 pool.reset()
             if one_shot:
                 store.destroy()

@@ -7,7 +7,7 @@ it.  In the tall-skinny batch regime the paper targets, the same
 ``(shape, nb, ib, tree, h)`` configuration is factored over and over, and
 all of that is pure, repeated overhead.  (The other value-independent
 costs are kept per process for *every* caller, session or not: panel plans,
-op list, dependency DAG and wavefront partition by
+op list, dependency DAG, wavefront partition and worker assignment by
 :mod:`repro.qr.schedule`, the worker processes by the pool
 :mod:`repro.qr.parallel` keeps behind one-shot calls.)
 
@@ -20,7 +20,8 @@ op list, dependency DAG and wavefront partition by
 * a :class:`PlanCache` — an LRU keyed by
   ``(tree, m, n, nb, ib, h, shifted)`` whose entries pair the process-wide
   :class:`~repro.qr.schedule.Schedule` of that key (plans, ops, dependency
-  graph, wavefront partition) with what only a session has: a
+  graph, wavefront partition, worker assignment) with what only a session
+  has: a
   shared-memory *arena* — the one segment of a job (tiles, ``T`` slots,
   completion flags; :class:`~repro.tiles.shared.SharedTileStore`) sized
   for that plan — and per-session hit/miss/eviction accounting.
@@ -28,8 +29,8 @@ op list, dependency DAG and wavefront partition by
 ``session.factor(a, ...)`` routes through :func:`repro.qr.api.qr_factor`
 (and accepts the same keywords), so every guarantee of the one-shot path
 holds unchanged: factors are **bit-exact** with ``backend="serial"``, the
-idempotent completion-flag dispatch of PR 3 still re-dispatches and
-respawns after worker crashes, and generation tags survive across calls
+completion flags still make handing a dead worker's ops on idempotent
+(to its replacement, or to a survivor), and generation tags survive across calls
 (a pool worker respawned during call *k* keeps its bumped generation in
 call *k+1*, so a generation-0 :class:`~repro.faults.FaultPlan` cannot
 re-kill it).  See ``docs/sessions.md`` for the lifecycle and the
@@ -68,11 +69,11 @@ class _PlanEntry:
     """One session's view of a schedule: the shared, memoized
     :class:`~repro.qr.schedule.Schedule` plus this session's arena.
 
-    The graph and wavefront partition come from the schedule (derived once
-    per process) and are pinned to the entry on first use, so one session's
-    entry can be inspected — or corrupted — without touching what other
-    callers of the memo see; ``verify_schedule=True`` certifies the pinned
-    ones.
+    The graph, wavefront partition and worker assignments come from the
+    schedule (derived once per process) and are pinned to the entry on first
+    use, so one session's entry can be inspected — or corrupted — without
+    touching what other callers of the memo see; ``verify_schedule=True``
+    certifies the pinned ones.
     """
 
     def __init__(self, key, schedule):
@@ -80,6 +81,7 @@ class _PlanEntry:
         self.schedule = schedule
         self._graph = None
         self._wavefronts = None
+        self._assignments: dict[tuple[int, str], tuple] = {}
         self._arena = None
 
     @property
@@ -95,6 +97,12 @@ class _PlanEntry:
         if self._wavefronts is None:
             self._wavefronts = self.schedule.wavefronts()
         return self._wavefronts
+
+    def assignment(self, n_procs: int, policy: str):
+        key = (n_procs, policy)
+        if key not in self._assignments:
+            self._assignments[key] = self.schedule.assignment(n_procs, policy)
+        return self._assignments[key]
 
     def arena_for(self, a, ib) -> SharedTileStore:
         """The entry's segment holding ``a`` with every completion flag
@@ -194,8 +202,9 @@ class QRSession:
     spawns the pool, costing what a process's first one-shot ``qr_factor``
     costs.  Every
     later call on that configuration is *warm*: plan, DAG, wavefronts,
-    shared-memory arena, and worker processes are all reused, so the call
-    reduces to copy-in, dispatch, copy-out (``stats.spawn_s`` collapses
+    assignment, shared-memory arena, and worker processes are all reused —
+    each worker already holds its share — so the call reduces to copy-in,
+    kernels, copy-out (``stats.spawn_s`` collapses
     to roughly zero).  Results are bit-exact with one-shot ``qr_factor``
     on every backend.
 
@@ -325,7 +334,7 @@ class QRSession:
                   fault_plan=fault_plan, checkpoint=checkpoint)
         if self._pool is not None and len(entry.ops) > 1:
             try:
-                kw.update(graph=entry.graph(), pool=self._pool,
+                kw.update(assignment=entry.assignment, pool=self._pool,
                           arena=entry.arena_for(tm, ib))
             except OSError:
                 pass  # no shared memory: nothing of the session's to run on

@@ -1,8 +1,8 @@
 """Shared-memory tile storage for the process-parallel backend.
 
 A :class:`SharedTileStore` places every tile of a :class:`TileMatrix`, one
-slot per compact-WY ``T`` factor the operation list will produce, and one
-completion-flag byte per operation inside a single
+slot per compact-WY ``T`` factor the operation list will produce, one
+completion-flag byte per operation and one pause byte inside a single
 ``multiprocessing.shared_memory`` segment — one job, one segment.  Worker
 processes attach to it once, by name, and from then on read and mutate
 tiles in place through NumPy views: no array ever crosses a pipe, only
@@ -15,6 +15,12 @@ The segment layout (offset of every tile, ``T`` slot and the flag array) is
 a pure function of the tile geometry and the operation list, so the parent
 and every worker compute identical offset tables independently; only the
 segment *name* travels to the workers.
+
+The completion flag is the only hand-off between two workers: one raises
+``flags[idx]`` after op ``idx``'s tile writes (:meth:`SharedTileStore.publish`),
+another reads it before a successor's tile reads
+(:meth:`SharedTileStore.ready`).  Both sides go through :func:`fence`, which
+makes the store a release and the load an acquire on every CPU.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from ..util.errors import ConfigurationError
 from .layout import TILE_ORDER, TileLayout
 from .matrix import TileMatrix
 
-__all__ = ["SharedTileStore", "t_factor_key", "attach_untracked"]
+__all__ = ["SharedTileStore", "t_factor_key", "attach_untracked", "fence"]
 
 
 def attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -57,6 +63,27 @@ def attach_untracked(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = orig_register
 
 
+_FENCE_LOCK = threading.Lock()
+
+
+def fence() -> None:
+    """Keep this process's memory accesses before the call before those
+    after it, as other CPUs see them.
+
+    x86 orders stores with stores and loads with loads by itself; aarch64
+    does not, and pure Python has no barrier instruction — but a lock has.
+    One uncontended acquire-release keeps earlier accesses above its
+    release and later ones below its acquire, which still lets the two meet
+    in between; the release of a first cycle followed by the acquire of a
+    second closes that window (a store-release and a later load-acquire are
+    ordered), at some 0.1 us for both.
+    """
+    with _FENCE_LOCK:
+        pass
+    with _FENCE_LOCK:
+        pass
+
+
 def t_factor_key(op) -> tuple[str, int, int]:
     """The ``T``-store key an op produces (factor kinds) or consumes (updates).
 
@@ -79,7 +106,7 @@ def _segment_plan(
     Returns ``(tile_index, t_index, flags_offset)``: each index maps a key
     to ``(offset_in_doubles, shape)``; ``flags_offset`` is the *byte* offset
     (64-byte aligned, past the last ``T`` slot) of the ``len(ops)``
-    completion-flag bytes that end the segment.
+    completion-flag bytes; the pause byte after them ends the segment.
     """
     off = 0
     tile_index: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
@@ -128,7 +155,8 @@ def _close_open_stores() -> None:
 
 
 class SharedTileStore:
-    """One job's shared-memory footprint: tiles, ``T`` slots, op flags.
+    """One job's shared-memory footprint: tiles, ``T`` slots, op flags and
+    the pause byte.
 
     Create it in the parent with :meth:`create` (copies the matrix in),
     attach from workers with :meth:`attach`.  Only the creator may
@@ -136,8 +164,11 @@ class SharedTileStore:
 
     :attr:`flags` is the ``uint8[len(ops)]`` completion ledger of the
     parallel backend — its enforced idempotency: a worker sets
-    ``flags[idx]`` after op ``idx``'s tile mutations and never runs an op
-    whose flag is up.  The layout is a pure function of ``(layout, ops,
+    ``flags[idx]`` after op ``idx``'s tile mutations (:meth:`publish`), never
+    runs an op whose flag is up, and fires one only when the flags of its
+    predecessors are (:meth:`ready`).  :attr:`pause` is one byte the parent
+    raises when a checkpoint falls due: workers read it before each op and
+    park.  The layout is a pure function of ``(layout, ops,
     ib)`` (:func:`_segment_plan`), so one store fits every matrix factored
     under the same plan: a one-shot run creates and destroys one per call,
     while a :class:`~repro.qr.session.QRSession` keeps one per cached plan
@@ -160,9 +191,9 @@ class SharedTileStore:
         self.layout = layout
         self.ib = ib
         tile_index, t_index, flags_off = plan  # this geometry's _segment_plan
-        if shm.size < flags_off + n_ops:
+        if shm.size < flags_off + n_ops + 1:
             raise ConfigurationError(
-                f"shared segment holds {shm.size} bytes, layout needs {flags_off + n_ops}"
+                f"shared segment holds {shm.size} bytes, layout needs {flags_off + n_ops + 1}"
             )
         buf = shm.buf
         self._tiles = [
@@ -184,18 +215,20 @@ class SharedTileStore:
         #: One completion byte per op (a view like the tiles: drop every
         #: reference taken from here before :meth:`close`).
         self.flags = np.ndarray((n_ops,), dtype=np.uint8, buffer=buf, offset=flags_off)
+        #: The pause byte (a one-element view, after the flags).
+        self.pause = np.ndarray((1,), dtype=np.uint8, buffer=buf, offset=flags_off + n_ops)
         _OPEN.add(self)
 
     # -- lifecycle ---------------------------------------------------------
 
     @classmethod
     def create(cls, a: TileMatrix, ops: list, ib: int) -> "SharedTileStore":
-        """Allocate a segment sized for ``a`` + ``T`` slots + flags, copy
-        ``a`` in and clear the flags."""
+        """Allocate a segment sized for ``a`` + ``T`` slots + flags + the
+        pause byte, copy ``a`` in and clear flags and pause."""
         plan = _segment_plan(a.layout, ops, ib)
-        size = plan[2] + len(ops)
+        size = plan[2] + len(ops) + 1
         with _FORK_LOCK:
-            store = cls(shared_memory.SharedMemory(create=True, size=max(size, 1)),
+            store = cls(shared_memory.SharedMemory(create=True, size=size),
                         a.layout, ib, plan, len(ops), owner=True)
         store.load(a)
         return store
@@ -213,17 +246,19 @@ class SharedTileStore:
         return self._shm.name
 
     def load(self, a: TileMatrix) -> None:
-        """Copy ``a``'s tiles into the segment and clear every completion flag."""
+        """Copy ``a``'s tiles into the segment and clear every completion
+        flag and the pause byte."""
         for i, j, tile in a.iter_tiles():
             self._tiles[i][j][...] = tile
         self.flags[:] = 0
+        self.pause[0] = 0
 
     def close(self) -> None:
         """Release this process's mapping (views become invalid)."""
         _OPEN.discard(self)
         self._tiles = []
         self._ts = {}
-        self.flags = None
+        self.flags = self.pause = None
         self._shm.close()
 
     def unlink(self) -> None:
@@ -235,6 +270,23 @@ class SharedTileStore:
         """:meth:`close` + :meth:`unlink`: the creator's way out."""
         self.close()
         self.unlink()
+
+    # -- the hand-off between workers --------------------------------------
+
+    def publish(self, idx: int) -> None:
+        """Raise op ``idx``'s completion flag, after its tile writes."""
+        fence()  # release: the tile and T writes above are visible before the flag is
+        self.flags[idx] = 1
+
+    def ready(self, waits) -> bool:
+        """Whether every op of ``waits`` has published; if so, what those ops
+        wrote may be read."""
+        flags = self.flags
+        for idx in waits:
+            if not flags[idx]:
+                return False
+        fence()  # acquire: the tile reads below see what was written before the flags
+        return True
 
     # -- data access -------------------------------------------------------
 

@@ -130,7 +130,7 @@ def _check_guarded_wide_step(factor):
     clean = _fork(state, tm)
     run_step(clean, ops, hit, IB)
     guarded = _fork(state, tm)
-    guard = SDCGuard(plan)
+    guard = SDCGuard(plan, ops)
     announced = []
 
     def on_done(idx):

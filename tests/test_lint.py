@@ -29,6 +29,7 @@ FIXTURE_RULES = [
     ("bad_bare_except.py", "bare-except", 1),
     ("bad_tile_order.py", "tile-order", 3),
     ("qr/bad_derive_once.py", "derive-once", 4),
+    ("qr/bad_assignment.py", "derive-once", 2),
 ]
 
 

@@ -1,8 +1,9 @@
-"""One dispatcher, one worker lifecycle in the process backend.
+"""One way to run, one worker lifecycle in the process backend.
 
-``execute_ops_parallel`` has a single, dependency-driven dispatch path and a
-single worker lifecycle (:class:`repro.qr.parallel.WorkerPool`; a one-shot
-run leases the pool the process keeps).  Three groups of checks:
+``execute_ops_parallel`` has a single path — workers fire their share of the
+schedule on completion flags, the parent listens — and a single worker
+lifecycle (:class:`repro.qr.parallel.WorkerPool`; a one-shot run leases the
+pool the process keeps).  Three groups of checks:
 
 * every ``batch`` value — including the kept ``"wavefront"`` spelling of
   the default — under both policies, clean and under worker crashes and bit
@@ -11,7 +12,8 @@ run leases the pool the process keeps).  Three groups of checks:
   fails, or times out — and no child process once ``shutdown_workers()``
   has run — and degrades to the serial fallback without ever building a
   pool;
-* structurally, the deleted fork cannot grow back unnoticed.
+* structurally, the deleted fork and the deleted dispatcher cannot grow back
+  unnoticed.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ class TestOneShotLifecycle:
 
 
 class TestNoSecondPath:
-    """The slice-dispatch fork and the one-shot spawn path stay deleted."""
+    """The slice-dispatch fork, the one-shot spawn path and the per-op
+    dispatcher stay deleted."""
 
     TREE = ast.parse(pathlib.Path(parallel_mod.__file__).read_text())
 
@@ -171,6 +174,32 @@ class TestNoSecondPath:
     def test_signatures(self):
         assert "wavefronts" not in inspect.signature(execute_ops_parallel).parameters
         assert not hasattr(core_mod, "group_by_shape")
+
+    def test_no_dispatcher_and_one_site_that_hands_out_ops(self):
+        """The parent keeps no dependency counts and no ready pool, and op
+        indices reach a worker from one place: its share in the lease (and,
+        after a death, the adopt message built from the shares)."""
+        names = {n.id for n in ast.walk(self.TREE) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(self.TREE) if isinstance(n, ast.Attribute)}
+        assert not names & {"deps_left", "_ReadyPool", "heapq", "heappush", "heappop",
+                            "csr_lists", "succ_task", "n_deps"}
+        defs = {n.name for n in ast.walk(self.TREE) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert "dispatch" not in defs and "_ReadyPool" not in defs
+        # No pool of ready ops: nothing called ``ready`` is pushed to or popped from.
+        assert not [
+            n for n in ast.walk(self.TREE)
+            if isinstance(n, ast.Attribute) and n.attr in ("push", "pop", "append")
+            and isinstance(n.value, ast.Name) and n.value.id == "ready"
+        ]
+        (run,) = [n for n in ast.walk(self.TREE)
+                  if isinstance(n, ast.FunctionDef) and n.name == "execute_ops_parallel"]
+        calls = [n for n in ast.walk(run) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Attribute)]
+        assert len([c for c in calls if c.func.attr == "lease"]) == 1
+        sends = [c.args[0] for c in calls if c.func.attr == "send"]
+        tagged = sorted(a.elts[0].value for a in sends if isinstance(a, ast.Tuple))
+        assert tagged == ["adopt", "resume"]  # the only tuples the parent builds per job
+        assert [a.id for a in sends if not isinstance(a, ast.Tuple)] == ["terminator"]
 
     def test_pool_privacy_is_decided_once(self):
         """One ``pool is None`` — the create half of the create/teardown pair."""

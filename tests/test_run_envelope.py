@@ -218,7 +218,7 @@ def test_job_header_names_one_segment(matrix, monkeypatch):
                         lambda self, k, job: headers.append(job) or lease(self, k, job))
     f = qr_factor(matrix[0], **GEOMETRY, backend="parallel", n_procs=2)
     (job,) = headers
-    tag, shm_name, layout, ops, ib, fault_plan, run_id = job
+    tag, shm_name, layout, ops, ib, fault_plan, run_id, *how_to_fire = job
     assert (tag, ib, fault_plan, run_id) == ("job", 16, None, f.run_id)
     assert isinstance(shm_name, str) and len(ops) == N_OPS
 

@@ -27,7 +27,8 @@ from repro.trees import TreeKind
 from repro.util.errors import ScheduleCertificationError
 
 QR_DIR = pathlib.Path(repro.__file__).parent / "qr"
-DERIVATIONS = {"plan_all_panels", "expand_plans", "op_dependency_graph", "compute_wavefronts"}
+DERIVATIONS = {"plan_all_panels", "expand_plans", "op_dependency_graph", "compute_wavefronts",
+               "list_schedule"}
 
 
 @pytest.fixture(autouse=True)

@@ -21,10 +21,19 @@ workers (processes for ``np.dot``, threads for the GIL-free ``ctypes``
 ``backend="parallel"`` run and reports how long both workers' kernel spans
 overlap and how much longer the same ops take when two CPUs run them.
 ``oneshot`` splits a one-shot ``backend="parallel"`` call into its phases —
-copy-in, segment create, pool lease, dispatch, pool shutdown, copy-out,
-segment destroy, and the bytes of job header pickled — next to a warm
-``QRSession`` call and ``serial``, by timing the public methods from outside
-(it runs unchanged against another checkout's ``src`` on ``PYTHONPATH``).
+copy-in, segment create, pool lease, the window in which ops run (lease start
+to terminators, ``stats.elapsed_s``: workers fire from the moment they read
+their header, so the lease is inside it), pool shutdown, copy-out, segment
+destroy, and the bytes of job header pickled —
+next to a warm ``QRSession`` call and ``serial``, by timing the public
+methods from outside (it runs unchanged against another checkout's ``src`` on
+``PYTHONPATH``).  The window is split per worker into seconds inside kernels
+and seconds with nothing ready (``stats.per_worker_busy_s`` /
+``per_worker_wait_s``; a checkout without the latter prints ``-``), next to
+the parent's CPU time during the call and the messages it sent and received
+on worker pipes — all four from the call with the shortest window.  The
+table ends with this host's two-process probe: how much longer two CPU-bound
+children take than one (1.0: two cores delivered; 2.0: one).
 """
 
 from __future__ import annotations
@@ -391,31 +400,50 @@ def probe_oneshot(calls=7):
     timed(SharedTileStore, "extract_matrix", "extract")
     timed(SharedTileStore, "extract_ts", "extract")
     timed(SharedTileStore, "destroy", "segment destroy")
-    raw_send = Connection.send
+    raw_send, raw_recv = Connection.send, Connection.recv
 
     def send(self, obj):
+        spent["pipe messages"] = spent.get("pipe messages", 0) + 1
         if isinstance(obj, tuple) and obj and obj[0] == "job":
             spent["header bytes"] = spent.get("header bytes", 0) + len(ForkingPickler.dumps(obj))
         return raw_send(self, obj)
 
-    Connection.send = send
+    def recv(self):
+        spent["pipe messages"] = spent.get("pipe messages", 0) + 1
+        return raw_recv(self)
 
-    phases = ["total", "from_dense", "segment create/load", "pool.lease", "dispatch",
+    Connection.send, Connection.recv = send, recv
+
+    window = ["  kernels w0", "  kernels w1", "  nothing ready w0", "  nothing ready w1",
+              "  parent CPU", "pipe messages"]
+    phases = ["total", "from_dense", "segment create/load", "pool.lease", "window", *window,
               "pool.shutdown", "extract", "segment destroy", "header bytes"]
 
     def measure(call):
-        """Per phase, the minimum over ``calls`` calls after one warm-up."""
+        """Per phase, the minimum over ``calls`` calls after one warm-up; the
+        rows of ``window`` are those of the call with the shortest window."""
         best_of = {}
         for i in range(calls + 1):
             spent.clear()
-            t0 = time.perf_counter()
+            cpu0, t0 = time.process_time(), time.perf_counter()
             f = call()
             spent["total"] = time.perf_counter() - t0
-            if getattr(f.stats, "mode", None) == "parallel":
-                spent["dispatch"] = f.stats.elapsed_s - f.stats.spawn_s
+            st = f.stats
+            if getattr(st, "mode", None) == "parallel":
+                spent["window"] = st.elapsed_s
+                spent["  parent CPU"] = time.process_time() - cpu0
+                for w in (0, 1):
+                    spent[f"  kernels w{w}"] = st.per_worker_busy_s[w]
+                    if hasattr(st, "per_worker_wait_s"):
+                        spent[f"  nothing ready w{w}"] = st.per_worker_wait_s[w]
             if i:
+                shortest = spent.get("window", 0.0) <= best_of.get("window", float("inf"))
                 for phase, value in spent.items():
-                    best_of[phase] = min(best_of.get(phase, float("inf")), value)
+                    if phase in window:
+                        if shortest:
+                            best_of[phase] = value
+                    else:
+                        best_of[phase] = min(best_of.get(phase, float("inf")), value)
         return best_of
 
     for name, w in WORKLOADS.items():
@@ -436,7 +464,7 @@ def probe_oneshot(calls=7):
             for col in columns.values():
                 if phase not in col:
                     cells.append(f"{'-':>14s}")
-                elif phase == "header bytes":
+                elif phase in ("header bytes", "pipe messages"):
                     cells.append(f"{col[phase]:14d}")
                 else:
                     cells.append(f"{col[phase] * 1e3:14.2f}")
@@ -452,6 +480,27 @@ def probe_oneshot(calls=7):
         print(f"  traced: pool.lease span {lease_ms[0]:.2f} ms on the first call, median "
               f"{statistics.median(lease_ms[1:]):.2f} ms on {calls - 1} repeats; "
               f"pool.spawn events per call {spawns}")
+    one, two = _interleaved_minima(_burn_wall, rounds=3)
+    print(f"two-process probe: two CPU-bound children take {two / one:.2f}x as long as one")
+
+
+def _burn(out, n=2_000_000):
+    t0, x = time.perf_counter(), 0
+    for i in range(n):
+        x += i
+    out.put(time.perf_counter() - t0)
+
+
+def _burn_wall(n_workers):
+    ctx = mp.get_context("fork")
+    out = ctx.Queue()
+    procs = [ctx.Process(target=_burn, args=(out,)) for _ in range(n_workers)]
+    for p in procs:
+        p.start()
+    times = [out.get(timeout=120) for _ in procs]
+    for p in procs:
+        p.join(timeout=30)
+    return max(times)
 
 
 if __name__ == "__main__":
