@@ -19,8 +19,9 @@ introduced and until now only policed at runtime:
   ``np.zeros/empty/array`` of a ``tile_shape`` without
   ``order=TILE_ORDER`` yields a tile that is correct but silently on every
   kernel's copy path (``tile-order``);
-* inside ``qr/``, plans, op lists, dependency graphs and wavefront
-  partitions are derived by :mod:`repro.qr.schedule` only — the
+* inside ``qr/``, plans, op lists, dependency graphs, wavefront
+  partitions, worker assignments and segment offset tables are derived by
+  :mod:`repro.qr.schedule` only — the
   process-wide memo — not by an executor or API layer per call
   (``derive-once``);
 * no mutable default arguments (``mutable-default``);

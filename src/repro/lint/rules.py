@@ -309,7 +309,7 @@ def check_tile_order(ctx: FileContext) -> Iterator[Finding]:
 #: memoizes per process.
 _DERIVATIONS = frozenset({
     "plan_all_panels", "expand_plans", "op_dependency_graph", "compute_wavefronts",
-    "list_schedule",
+    "list_schedule", "_segment_plan",
 })
 
 #: Files under ``qr/`` that may call them: the memo itself, the modules that
@@ -322,7 +322,7 @@ _DERIVE_ALLOWED = frozenset({"schedule.py", "ops.py", "dag.py", "wavefront.py", 
 @rule(
     "derive-once",
     "inside qr/, plan_all_panels/expand_plans/op_dependency_graph/"
-    "compute_wavefronts/list_schedule are called only by schedule.py (the "
+    "compute_wavefronts/list_schedule/_segment_plan are called only by schedule.py (the "
     "process-wide memo), their defining modules and the model builders — an "
     "executor or API layer that derives its own copy pays the fixed cost on "
     "every call, and a pool cannot tell by identity what a worker holds",
@@ -338,8 +338,8 @@ def check_derive_once(ctx: FileContext) -> Iterator[Finding]:
         if name is not None and name.split(".")[-1] in _DERIVATIONS:
             yield (node.lineno, node.col_offset,
                    f"{name}() outside repro.qr.schedule; take plans, ops, "
-                   "graph(), wavefronts() and assignment() from "
-                   "schedule_for(...) instead")
+                   "graph(), wavefronts(), assignment() and segment_plan() "
+                   "from schedule_for(...) instead")
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ import numpy as np
 
 from ..obs import context as _obs_context
 from ..obs import record as _obs_record
+from ..tiles.layout import TileLayout
 from ..tiles.matrix import TileMatrix
 from ..trees.plan import TreeKind
 from ..util.errors import (
@@ -46,7 +47,7 @@ from ..util.errors import (
     ScheduleCertificationError,
 )
 from ..util.validation import as_f64_matrix, check_finite, check_tile_params, require
-from .backends import require_capability, run_backend, worker_count
+from .backends import require_capability, run_backend, stage_input, worker_count
 from .parallel import serial_fallback
 from .reference import TileQRFactors
 from .schedule import schedule_for
@@ -422,15 +423,17 @@ def qr_factor(
     QRFactorization
     """
     # Shape and finiteness are settled here, before planning, shared memory
-    # or any pool lease (from_dense validates through as_f64_matrix).
+    # or any pool lease; the envelope tiles ``a`` once it knows where to.
     if isinstance(a, TileMatrix):
         for i, j, tile in a.iter_tiles():
             check_finite(tile, origin=(i * a.nb, j * a.nb))
-        tm = a.copy()
+        layout = a.layout
     else:
-        tm = TileMatrix.from_dense(a, nb)
-    check_tile_params(tm.m, tm.n, tm.nb, ib)
-    require(tm.m >= tm.n, f"tall-skinny QR requires m >= n, got {tm.m} x {tm.n}")
+        a = as_f64_matrix(a)
+        layout = TileLayout(*a.shape, nb)
+    m, n = layout.m, layout.n
+    check_tile_params(m, n, layout.nb, ib)
+    require(m >= n, f"tall-skinny QR requires m >= n, got {m} x {n}")
     kind = TreeKind.coerce(tree)
     if h == "auto":
         from ..machine.model import kraken
@@ -441,7 +444,7 @@ def qr_factor(
             n_procs=n_procs, session=session,
         )
         h = choose_domain_size(
-            tm.mt, machine=kraken(), nb=tm.nb, ib=ib, workers=workers
+            layout.mt, machine=kraken(), nb=layout.nb, ib=ib, workers=workers
         )
     elif isinstance(h, str):
         raise ConfigurationError(f"h must be an int or 'auto', got {h!r}")
@@ -454,7 +457,7 @@ def qr_factor(
                 f"n_procs={n_procs} conflicts with the session's pool size "
                 f"{session.n_procs}; omit n_procs when passing session="
             )
-    key = (kind, tm.m, tm.n, tm.nb, ib, h, shifted)
+    key = (kind, m, n, layout.nb, ib, h, shifted)
 
     def plan():
         # One derivation per geometry and process (repro.qr.schedule); a
@@ -481,7 +484,7 @@ def qr_factor(
         return entry
 
     return _run(
-        tm, plan, ib, kind, h, shifted, backend, session=session, policy=policy,
+        a, layout, plan, ib, kind, h, shifted, backend, session=session, policy=policy,
         trace=trace, metrics=metrics, events=events, registry=registry,
         fault_plan=fault_plan, on_failure=on_failure, checkpoint=checkpoint,
         n_procs=n_procs, batch=batch, n_nodes=n_nodes,
@@ -507,23 +510,29 @@ def _check_target(keyword: str, path) -> None:
 
 
 def _run(
-    tm: TileMatrix, plan, ib: int, kind: TreeKind, h: int, shifted: bool, backend: str,
+    a: np.ndarray | TileMatrix, layout: TileLayout, plan, ib: int, kind: TreeKind, h: int,
+    shifted: bool, backend: str,
     *, session=None, policy: str = "lazy", trace=None, metrics=None, events=None,
     registry=None, fault_plan=None, on_failure: str = "raise", checkpoint=None,
     skip=None, preloaded_ts=None, parent_run_id: str | None = None, **launch,
 ) -> QRFactorization:
-    """The run envelope: the one way from a tiled matrix to ``run_backend``.
+    """The run envelope: the one way from a validated input to ``run_backend``.
 
     :func:`qr_factor` and :func:`~repro.qr.persist.resume_factorization`
     both end here (the latter with ``skip`` / ``preloaded_ts`` /
-    ``parent_run_id``).  ``plan()`` returns the schedule entry to run; it
+    ``parent_run_id``).  ``a`` is the input — a finite float64 array or a
+    :class:`TileMatrix`, of geometry ``layout``, never mutated — and
+    ``plan()`` returns the schedule entry to run; it
     is called inside the recording window, after every check below.  Once
     per run, in order: the ``on_failure`` check, ``checkpoint=`` coercion
     and capability check, the telemetry targets (:func:`_check_target` —
-    nothing runs if one cannot be written), the pristine copy a degraded
-    run restarts from, a fresh run id activated with :func:`use_run`, the
+    nothing runs if one cannot be written), a fresh run id activated with
+    :func:`use_run`, the
     recording window with its sinks (``run.start`` / ``run.end`` only when
-    this call owns the window), ``checkpoint.bind``, ``run_backend``, the
+    this call owns the window), the one copy of ``a`` into the tiles the
+    backend works on (:func:`~repro.qr.backends.stage_input` — for
+    ``parallel`` the job's shared segment), the pristine copy a degraded
+    run restarts from, ``checkpoint.bind``, ``run_backend``, the
     ``ReproError`` -> :func:`~repro.qr.parallel.serial_fallback`
     degradation — the checkpoint store re-bound to the pristine copy and
     handed on, so a degraded run still ends with an all-ops-done archive —
@@ -548,13 +557,13 @@ def _run(
     # needs one when the SDC guard is armed (SilentCorruptionError is the
     # sole serial failure mode on valid parameters).
     can_fail = backend != "serial" or (fault_plan is not None and fault_plan.faulty_sdc)
-    pristine = tm.copy() if on_failure == "fallback" and can_fail else None
+    pristine = store = None
 
     # Every run gets an identity, traced or not: it names the registry
     # record, travels to worker processes and PULSAR packets, and is
     # archived by checkpoints so a resume can name its parent run.
     run_id = _obs_context.mint_run_id()
-    geometry = dict(m=tm.m, n=tm.n, nb=tm.nb, ib=ib, tree=kind.value, h=h)
+    geometry = dict(m=layout.m, n=layout.n, nb=layout.nb, ib=ib, tree=kind.value, h=h)
     status = "error"  # until the backend, or the degraded re-run, returns
     t_run0 = time.perf_counter()
 
@@ -577,10 +586,14 @@ def _run(
             sampler = MetricsSampler(recorder, metrics).start()
         try:
             entry = plan()
+            tm, store = stage_input(backend, a, layout, entry, ib, session=session,
+                                    n_procs=launch.get("n_procs"))
+            if on_failure == "fallback" and can_fail:
+                pristine = tm.copy()
             if ckpt is not None:
                 ckpt.bind(tm, entry.ops, ib, kind.value, h, shifted)
             factors, stats = run_backend(
-                backend, tm, entry, ib, session=session, policy=policy,
+                backend, tm, entry, ib, store=store, session=session, policy=policy,
                 fault_plan=fault_plan, checkpoint=ckpt,
                 skip=skip, preloaded_ts=preloaded_ts, **launch,
             )
@@ -600,6 +613,10 @@ def _run(
             )
             status = "fallback"
         finally:
+            if store is not None and session is None:
+                # The backend took the name away itself, unless the run never
+                # got that far (a bad ``policy``, a checkpoint that cannot bind).
+                store.destroy()
             if sampler is not None:
                 sampler.stop()
             if recorder is not None:

@@ -36,6 +36,8 @@ that one table and reach the executor through one function,
 from __future__ import annotations
 
 from ..pulsar.runtime import POLICIES
+from ..tiles.matrix import TileMatrix
+from ..tiles.shared import SharedTileStore
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int, require
 from . import parallel as _parallel
@@ -49,6 +51,7 @@ __all__ = [
     "require_capability",
     "capability_table",
     "worker_count",
+    "stage_input",
     "run_backend",
 ]
 
@@ -121,14 +124,42 @@ def worker_count(backend: str, *, n_nodes: int = 1, workers_per_node: int = 1,
     return None
 
 
+def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_procs=None):
+    """Tile the validated input ``a`` — a dense float64 array or a
+    :class:`TileMatrix` of geometry ``layout``, neither kept nor aliased —
+    into the storage ``backend`` runs on; return ``(tm, store)``.
+
+    For ``parallel`` with more than one worker that storage is the job's
+    shared segment — the fresh one of a one-shot call, the entry's arena of a
+    session, cold or warm — and ``a`` goes straight into it, in the one pass
+    :meth:`TileMatrix.from_dense` would have made: ``tm`` is the
+    :class:`TileMatrix` of its views, ``store`` the segment
+    :func:`run_backend` is to be handed.  Everywhere else ``tm`` is an owned
+    tile matrix and ``store`` is ``None`` — also where the segment cannot be
+    had, which the backend then finds out again, names and degrades on.
+    """
+    if backend == "parallel" and min(
+            worker_count(backend, n_procs=n_procs, session=session), len(entry.ops)) > 1:
+        try:
+            store = (SharedTileStore.create(a, entry, ib) if session is None
+                     else entry.arena_for(a, ib))
+            return store.matrix(), store
+        except OSError:
+            pass
+    if isinstance(a, TileMatrix):
+        return a.copy(), None
+    return TileMatrix._from_validated(a, layout.nb), None
+
+
 def run_backend(
-    backend: str, tm, entry, ib: int, *,
+    backend: str, tm, entry, ib: int, *, store=None,
     session=None, n_procs=None, policy="lazy", batch=None,
     n_nodes=1, workers_per_node=1, seed=None,
     fault_plan=None, checkpoint=None, skip=None, preloaded_ts=None,
 ):
     """Execute ``entry.ops`` on ``tm`` with ``backend``; return ``(factors, stats)``.
 
+    ``tm`` and ``store`` are what :func:`stage_input` returned.
     ``entry`` is the memoized :class:`~repro.qr.schedule.Schedule` of the
     geometry — or, when the call runs through ``session``, that session's
     plan entry, which adds the shared segment.  Its wavefronts feed ``batched``, its
@@ -163,12 +194,12 @@ def run_backend(
     if backend == "parallel":
         if session is not None:  # never a resume: the session plans from scratch
             return session._execute_parallel(
-                tm, entry, ib, policy=policy, batch=batch,
+                tm, entry, ib, arena=store, policy=policy, batch=batch,
                 fault_plan=fault_plan, checkpoint=checkpoint,
             )
         return _parallel.execute_ops_parallel(
             tm, ops, ib, n_procs=n_procs, policy=policy, batch=batch,
-            assignment=entry.assignment, **common
+            assignment=entry.assignment, arena=store, **common
         )
     arr = build_qr_vsa(tm, entry.plans, ib=ib, total_workers=n_nodes * workers_per_node)
     stats = arr.run(

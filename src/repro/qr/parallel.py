@@ -32,7 +32,8 @@ many the machine has.  This module executes the *same* operation list
   spawned once per process, not once per call: every one-shot run leases
   the module's kept pool (grown to the largest ``n_procs`` asked for,
   ended by :func:`shutdown_workers` or at interpreter exit) and owns only
-  its segment, created and destroyed inside the call; a
+  its segment, whose name is gone when the call returns and whose pages go
+  on as the factors it returns — nothing is copied out; a
   :class:`~repro.qr.session.QRSession` keeps a pool of its own and one
   segment per cached plan.  A worker owns its end of one pipe and, while a
   job runs, one attachment — it closes everything else it was forked with,
@@ -84,6 +85,7 @@ count per completed op.  Reports received from workers bump the
 from __future__ import annotations
 
 import contextlib
+import gc
 import multiprocessing as mp
 import os
 import threading
@@ -117,7 +119,7 @@ from ..obs.record import (
     K_WORKER_RESTART,
 )
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import _FORK_LOCK, SharedTileStore, _close_open_stores, t_factor_key
+from ..tiles.shared import _FORK_LOCK, SharedTileStore, t_factor_key
 from ..util.errors import ParallelExecutionError
 from ..util.validation import check_positive_int, require
 from .checksum import SDCGuard
@@ -125,7 +127,7 @@ from .dag import op_dependency_graph
 from .execute import run_step
 from .ops import Op
 from .reference import TileQRFactors, execute_ops, factor_records
-from .schedule import list_schedule
+from .schedule import Schedule, list_schedule
 
 __all__ = [
     "ParallelRunStats",
@@ -412,14 +414,17 @@ def _drop_inherited() -> None:
     """Close what a worker was forked with but does not own.
 
     A worker owns its end of one pipe and, while a job runs, one attachment.
-    The parent-side pipe ends (its own, its siblings', any other pool's)
-    went at the fork (:func:`_after_fork_in_child`); here go the parent's
-    mappings of shared segments (the worker attaches the one it serves by
-    name, and drops it when told to) and the resource tracker's pipe —
-    workers attach untracked and never talk to it, while the tracker waits
-    for the last copy of that descriptor before it exits.
+    The parent-side pipe ends went at the fork (:func:`_after_fork_in_child`)
+    and the parent's mappings of shared segments never came along
+    (``MADV_DONTFORK``, :class:`~repro.tiles.shared.SharedTileStore`); here
+    goes the resource tracker's pipe — workers attach untracked and never
+    talk to it, while the tracker waits for the last copy of that descriptor
+    before it exits.  The parent's *objects* over those mappings (stores,
+    one-shot results) did come along, over addresses now free for the
+    worker's own attachments: nothing here reads them, and ``gc.freeze``
+    keeps the collector from ever finalizing one.
     """
-    _close_open_stores()
+    gc.freeze()
     tracker = resource_tracker._resource_tracker
     fd = getattr(tracker, "_fd", None)
     if fd is not None:
@@ -446,9 +451,11 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     worker keeps its attachment and operation list, so a warm
     ``session.factor`` call costs it no re-attach and no unpickling.
     ``ops`` alone ``None`` means "a new segment, the operation list you
-    already hold": the worker re-attaches by name with its cached list — a
-    repeat one-shot call, whose segment is new every time, pickles no op
-    list.  ``share`` ``None`` means "the share of your previous job" (the
+    already hold": the worker re-attaches by name with its cached list and
+    the offset tables it derived for it (it keeps both as a
+    :class:`~repro.qr.schedule.Schedule` of its own) — a repeat one-shot
+    call, whose segment is new every time, pickles no op list and derives no
+    table.  ``share`` ``None`` means "the share of your previous job" (the
     memoized assignment is one object per geometry, worker count and
     policy).  Either way ``spawn_s`` on the parent collapses to a couple of
     pipe messages.
@@ -460,7 +467,7 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     # and is echoed in the attach handshake, so the parent can verify the
     # worker is serving the run it thinks it is.
     _obs_record._RECORDER = None
-    cached_ops: list[Op] | None = None
+    cached: Schedule | None = None  # the op list held, and its segment tables
     cached_share = None
     store = None
     try:
@@ -474,10 +481,10 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
                 if store is not None:
                     store.close()
                 if ops is not None:
-                    cached_ops = ops
-                store = SharedTileStore.attach(shm_name, layout, cached_ops, ib)
+                    cached = Schedule(None, ops, ib, layout)
+                store = SharedTileStore.attach(shm_name, layout, cached, ib)
             conn.send(("attached", rank, t_attach0, time.perf_counter(), run_id))
-            end = _serve_job(store, cached_ops, ib, fault_plan, rank, generation,
+            end = _serve_job(store, cached.ops, ib, fault_plan, rank, generation,
                              conn, cached_share, batch, park_every)
             if end is None or end == "err":
                 break
@@ -749,9 +756,15 @@ def execute_ops_parallel(
 ) -> tuple[TileQRFactors, ParallelRunStats]:
     """Run an operation list on ``a`` across worker processes.
 
-    ``a`` is *not* mutated (unlike :func:`~repro.qr.reference.execute_ops`):
-    tiles are copied into the shared segment, factored there, and copied
-    back out into the returned :class:`TileQRFactors`.
+    The factorization happens in the job's shared segment.  Without
+    ``arena`` the tiles of ``a`` are copied into a fresh one and ``a`` is
+    *not* mutated (unlike :func:`~repro.qr.reference.execute_ops`); with it,
+    ``a`` is the :class:`TileMatrix` of that segment's views the caller
+    loaded.  A one-shot run returns :class:`TileQRFactors` whose tiles and
+    ``T`` factors *are* the segment: its name is unlinked before this
+    function returns, its pages live as long as those arrays do
+    (:class:`~repro.tiles.shared.SharedTileStore`).  A session's segment is
+    loaded again by the next call, so its factors are owned copies.
 
     Parameters
     ----------
@@ -793,15 +806,18 @@ def execute_ops_parallel(
         it again.  ``None`` (the default, for direct callers) derives graph
         and shares here.
     pool, arena:
-        Persistent-session plumbing (see :mod:`repro.qr.session` and
-        ``docs/sessions.md``), given together or not at all.  ``pool`` is
-        the :class:`WorkerPool` the job is leased to (dead workers are
-        respawned through it, preserving generation tags) and handed back
-        to with an ``("endjob",)`` message; ``arena`` is the job's one
-        segment, a :class:`~repro.tiles.shared.SharedTileStore` into which
-        the caller has already loaded ``a`` (flags cleared).  Both outlive
-        this call.  Without them the run is *one-shot*: it creates its own
-        segment and destroys it on the way out, and leases the pool this
+        ``arena`` is the job's one segment, a
+        :class:`~repro.tiles.shared.SharedTileStore` into which the caller
+        has already loaded the input (flags cleared); ``pool`` the
+        :class:`WorkerPool` of a persistent session (see
+        :mod:`repro.qr.session` and ``docs/sessions.md``), which the job is
+        leased to (dead workers are respawned through it, preserving
+        generation tags) and handed back to with an ``("endjob",)`` message,
+        and which never comes without the session's arena — both outlive
+        this call.  Without ``pool`` the run is *one-shot*: it owns its
+        segment from here on — the ``arena`` the run envelope tiled the input
+        into (:func:`repro.qr.backends.stage_input`), or one made here from
+        ``a`` — takes its name away on every way out, and leases the pool this
         module keeps for the process — the same lease, the same parent loop,
         ended with ``("detach",)`` so that no idle worker maps the unlinked
         segment.  One-shot calls from several threads take turns at the
@@ -848,19 +864,19 @@ def execute_ops_parallel(
     if n_procs == 1:
         return degrade("n_procs=1")
     # A session's segment already holds the tiles and cleared flags (the
-    # caller loaded ``a``) and outlives this call with its pool, whose
-    # workers keep their attachment.  A one-shot run makes its own segment
-    # here and destroys it on the way out, so the workers it leases — the
-    # process's kept pool, one caller at a time — are told to drop theirs.
+    # caller loaded the input) and outlives this call with its pool, whose
+    # workers keep their attachment.  A one-shot run's segment ends with the
+    # call in name — its pages go on as the factors — so the workers it
+    # leases (the process's kept pool, one caller at a time) drop theirs.
     one_shot = pool is None
-    require(one_shot == (arena is None),
-            "pool and arena must be given together (or both omitted)")
+    require(one_shot or arena is not None, "a session's pool runs on its arena")
     store, terminator, lock = arena, ("endjob",), contextlib.nullcontext()
     if one_shot:
-        try:
-            store = SharedTileStore.create(a, ops, ib)
-        except OSError as exc:
-            return degrade(f"shared memory unavailable: {exc}")
+        if store is None:  # a direct caller: the tiles of ``a`` go in here
+            try:
+                store = SharedTileStore.create(a, ops, ib)
+            except OSError as exc:
+                return degrade(f"shared memory unavailable: {exc}")
         pool, terminator, lock = _KEPT, ("detach",), _LEASE_LOCK
     # A fault plan kills generation 0 only, and its job must inject what it
     # says: on the kept pool it gets workers nobody has used and leaves none.
@@ -1215,8 +1231,11 @@ def execute_ops_parallel(
                 checkpoint.write(store, store.t_factor, store.flags.astype(bool))
             if fresh or (one_shot and stats.workers_died):
                 pool.shutdown()
-            factored = store.extract_matrix()
-            ts = store.extract_ts()
+            if one_shot:  # the factors are the segment: views that keep its pages
+                factored, get_t = store.matrix(), store.t_factor
+            else:  # the session's next call loads this segment again
+                factored, get_t = store.extract_matrix(), store.extract_ts().__getitem__
+            records = factor_records(ops, get_t)
             success = True
         finally:
             if rec is not None:
@@ -1234,5 +1253,4 @@ def execute_ops_parallel(
             if one_shot:
                 store.destroy()
 
-    records = factor_records(ops, ts.__getitem__)
     return TileQRFactors(a=factored, records=records, ib=ib), stats

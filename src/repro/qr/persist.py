@@ -48,7 +48,7 @@ from ..tiles.matrix import TileMatrix
 from ..tiles.shared import t_factor_key
 from ..trees.plan import TreeKind
 from ..util.errors import ConfigurationError, ReproError
-from ..util.validation import require
+from ..util.validation import as_f64_matrix, require
 from .api import QRFactorization, _run
 from .backends import require_capability
 from .reference import FactorRecord, TileQRFactors
@@ -484,12 +484,11 @@ def resume_factorization(
             f"(shape {done.shape}, expected ({n_ops},))"
         )
     try:
-        a_snap = data["__a__"]
+        a_snap = as_f64_matrix(data["__a__"], "snapshot")
         if a_snap.shape != (m, n):
             raise ValueError(
                 f"snapshot shape {a_snap.shape}, geometry says ({m}, {n})"
             )
-        tm = TileMatrix.from_dense(a_snap, nb)
         skip = frozenset(int(i) for i in np.flatnonzero(done))
         t_index, t_data = data["__t_index__"], data["__t_data__"]
         preloaded_ts = {}
@@ -521,7 +520,7 @@ def resume_factorization(
             parent_run=parent_run,
         )
     return _run(
-        tm, lambda: entry, ib, tree, h, bool(shifted), backend, policy=policy,
+        a_snap, TileLayout(m, n, nb), lambda: entry, ib, tree, h, bool(shifted), backend, policy=policy,
         fault_plan=fault_plan, on_failure=on_failure, checkpoint=checkpoint,
         skip=skip, preloaded_ts=preloaded_ts, parent_run_id=parent_run,
         n_procs=n_procs, batch=batch,

@@ -14,8 +14,8 @@ returning one :class:`Schedule` per geometry, behind every backend.
 wavefronts and assignment from it, so a repeat call on a geometry pays
 copy-in and kernels only.  This is the one module of the execution path that
 calls ``plan_all_panels``, ``expand_plans``, ``op_dependency_graph``,
-``compute_wavefronts`` or :func:`list_schedule` (the ``derive-once`` rule of
-:mod:`repro.lint` enforces it).
+``compute_wavefronts``, :func:`list_schedule` or the segment's
+``_segment_plan`` (the ``derive-once`` rule of :mod:`repro.lint` enforces it).
 
 A memoized :class:`Schedule` is shared by every caller in the process and
 read-only by convention: executors index ``ops`` and walk the graph, nothing
@@ -31,6 +31,7 @@ from functools import lru_cache
 
 from ..kernels.flops import kernel_flops
 from ..tiles.layout import TileLayout
+from ..tiles.shared import _segment_plan
 from ..trees.plan import TreeKind, plan_all_panels
 from .dag import op_dependency_graph
 from .ops import expand_plans
@@ -129,15 +130,17 @@ def list_schedule(ops, graph, ib: int, n_procs: int, policy: str) -> tuple:
 
 class Schedule:
     """Plans and ops of one geometry, plus its lazily derived, then pinned,
-    dependency graph, wavefront partition and per-``(n_procs, policy)``
-    worker assignments."""
+    dependency graph, wavefront partition, per-``(n_procs, policy)`` worker
+    assignments and shared-segment offset tables."""
 
-    def __init__(self, plans, ops, ib: int):
+    def __init__(self, plans, ops, ib: int, layout: TileLayout):
         self.plans = plans
         self.ops = ops
         self.ib = ib
+        self.layout = layout
         self._graph = None
         self._wavefronts = None
+        self._segment_plan = None
         self._assignments: dict[tuple[int, str], tuple] = {}
 
     def graph(self):
@@ -167,6 +170,17 @@ class Schedule:
                 key, list_schedule(self.ops, self.graph(), self.ib, n_procs, policy))
         return shares
 
+    def segment_plan(self):
+        """:func:`~repro.tiles.shared._segment_plan` of :attr:`ops`: where
+        every tile, ``T`` slot and flag of a job sits in its shared segment.
+        :class:`~repro.tiles.shared.SharedTileStore` takes the tables from
+        here when it is handed the schedule in place of the op list — the
+        parent's, and the one a pool worker keeps around the op list it was
+        sent."""
+        if self._segment_plan is None:
+            self._segment_plan = _segment_plan(self.layout, self.ops, self.ib)
+        return self._segment_plan
+
 
 @lru_cache(maxsize=CAPACITY)
 def schedule_for(kind: TreeKind, m: int, n: int, nb: int, ib: int, h: int,
@@ -179,4 +193,4 @@ def schedule_for(kind: TreeKind, m: int, n: int, nb: int, ib: int, h: int,
     """
     layout = TileLayout(m, n, nb)
     plans = plan_all_panels(kind, layout.mt, layout.nt, h=h, shifted=shifted)
-    return Schedule(plans, expand_plans(layout, plans), ib)
+    return Schedule(plans, expand_plans(layout, plans), ib, layout)

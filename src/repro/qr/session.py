@@ -105,14 +105,15 @@ class _PlanEntry:
         return self._assignments[key]
 
     def arena_for(self, a, ib) -> SharedTileStore:
-        """The entry's segment holding ``a`` with every completion flag
-        clear — created on first use, reloaded after.
+        """The entry's segment holding ``a`` (a dense array or a
+        :class:`~repro.tiles.matrix.TileMatrix`, tiled straight into it) with
+        every completion flag clear — created on first use, reloaded after.
 
         Raises ``OSError`` where shared memory is unavailable; the caller
         degrades to the serial fallback, exactly like the one-shot path.
         """
         if self._arena is None:
-            self._arena = SharedTileStore.create(a, self.ops, ib)
+            self._arena = SharedTileStore.create(a, self.schedule, ib)
         else:
             self._arena.load(a)
         return self._arena
@@ -322,20 +323,19 @@ class QRSession:
         kw.setdefault("backend", "parallel")
         return qr_factor(a, session=self, **kw)
 
-    def _execute_parallel(self, tm, entry, ib, *, policy, batch,
+    def _execute_parallel(self, tm, entry, ib, *, arena, policy, batch,
                           fault_plan, checkpoint=None):
-        """Run the parallel backend against the session's pool and arena.
+        """Run the parallel backend against the session's pool and ``arena``,
+        the entry's segment, whose views ``tm`` is made of
+        (:func:`repro.qr.backends.stage_input`).
 
-        Without a pool (``n_procs=1``), on a one-op plan, or where the
-        entry's segment cannot be created, the call goes down the one-shot
-        path, which names the reason and degrades to serial.
+        Without one — no pool (``n_procs=1``), a one-op plan, or no shared
+        memory to create the segment in — ``tm`` is an ordinary tile matrix
+        and the call goes down the one-shot path, which names the reason and
+        degrades to serial.
         """
         kw = dict(n_procs=self.n_procs, policy=policy, batch=batch,
                   fault_plan=fault_plan, checkpoint=checkpoint)
-        if self._pool is not None and len(entry.ops) > 1:
-            try:
-                kw.update(assignment=entry.assignment, pool=self._pool,
-                          arena=entry.arena_for(tm, ib))
-            except OSError:
-                pass  # no shared memory: nothing of the session's to run on
+        if arena is not None:
+            kw.update(assignment=entry.assignment, pool=self._pool, arena=arena)
         return execute_ops_parallel(tm, entry.ops, ib, **kw)

@@ -22,7 +22,15 @@ from ..util.errors import ShapeError
 from ..util.validation import as_f64_matrix, require
 from .layout import TILE_ORDER, TileLayout
 
-__all__ = ["TileMatrix"]
+__all__ = ["TileMatrix", "full_tiles"]
+
+
+def full_tiles(a: np.ndarray, nb: int) -> np.ndarray:
+    """The full ``nb x nb`` tiles of dense ``a`` as one ``(mt_f, nt_f, nb, nb)``
+    view whose ``[i, j]`` is tile ``(i, j)`` transposed: assigned to a C-order
+    block it lays every tile out contiguously in :data:`TILE_ORDER`."""
+    mt_f, nt_f = a.shape[0] // nb, a.shape[1] // nb
+    return a[: mt_f * nb, : nt_f * nb].reshape(mt_f, nb, nt_f, nb).transpose(0, 2, 3, 1)
 
 
 class TileMatrix:
@@ -69,14 +77,17 @@ class TileMatrix:
         the tiles, contiguous in :data:`TILE_ORDER`; a ragged last tile row
         or column is copied tile by tile.  No tile shares memory with ``a``.
         """
-        a = as_f64_matrix(a)
+        return cls._from_validated(as_f64_matrix(a), nb)
+
+    @classmethod
+    def _from_validated(cls, a: np.ndarray, nb: int) -> "TileMatrix":
+        """:meth:`from_dense` of what :func:`as_f64_matrix` returned (the run
+        envelope validates before it plans, and only once)."""
         m, n = a.shape
         layout = TileLayout(m, n, nb)
         mt_f, nt_f = m // nb, n // nb
         block = np.empty((mt_f, nt_f, nb, nb))
-        block[...] = (
-            a[: mt_f * nb, : nt_f * nb].reshape(mt_f, nb, nt_f, nb).transpose(0, 2, 3, 1)
-        )
+        block[...] = full_tiles(a, nb)
 
         def ragged(i: int, j: int) -> np.ndarray:
             # Note: an explicit copy, never asfortranarray — a slice of the

@@ -25,16 +25,16 @@ makes the store a release and the load an acquire on every CPU.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
-import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..util.errors import ConfigurationError
+from ..util.errors import ConfigurationError, ShapeError
 from .layout import TILE_ORDER, TileLayout
-from .matrix import TileMatrix
+from .matrix import TileMatrix, full_tiles
 
 __all__ = ["SharedTileStore", "t_factor_key", "attach_untracked", "fence"]
 
@@ -127,16 +127,20 @@ def _segment_plan(
     return tile_index, t_index, -(-off * 8 // 64) * 64
 
 
-#: Every store this process has open.  A forked worker inherits its parent's
-#: mappings along with this set, and drops them before it serves anything
-#: (:func:`_close_open_stores`): the segments are the parent's to keep or
-#: unlink, and a mapping held by an idle worker would pin an unlinked one.
-_OPEN: "weakref.WeakSet[SharedTileStore]" = weakref.WeakSet()
+def _tables(layout: TileLayout, ops, ib: int) -> tuple[tuple, int]:
+    """``(offset tables, op count)`` for ``ops``: an operation list, whose
+    tables are derived here, or the :class:`~repro.qr.schedule.Schedule`
+    holding one, which derives them once."""
+    memo = getattr(ops, "segment_plan", None)
+    if memo is not None:
+        return memo(), len(ops.ops)
+    return _segment_plan(layout, ops, ib), len(ops)
 
-#: Held while something a forked worker must drop is made *and* listed — a
-#: segment mapped and added to :data:`_OPEN` here, a worker's pipe in
-#: :mod:`repro.qr.parallel` — and taken by every ``fork`` of this process
-#: (the hooks below), so no child is ever forked between the two steps.
+
+#: Held while a segment is mapped *and* kept out of forks (``MADV_DONTFORK``,
+#: :class:`SharedTileStore`), and while a worker's pipe is made and listed in
+#: :mod:`repro.qr.parallel` — and taken by every ``fork`` of this process (the
+#: hooks below), so no child is ever forked between the two steps.
 _FORK_LOCK = threading.Lock()
 
 if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
@@ -145,22 +149,24 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
                         after_in_child=_FORK_LOCK.release)
 
 
-def _close_open_stores() -> None:
-    """Close every store open in this process (its own mappings only)."""
-    for store in list(_OPEN):
-        try:
-            store.close()
-        except BufferError:  # a view taken before the fork still exports it
-            pass
-
-
 class SharedTileStore:
     """One job's shared-memory footprint: tiles, ``T`` slots, op flags and
     the pause byte.
 
-    Create it in the parent with :meth:`create` (copies the matrix in),
-    attach from workers with :meth:`attach`.  Only the creator may
-    :meth:`unlink`; every process must :meth:`close` when done.
+    Create it in the parent with :meth:`create`, attach from workers with
+    :meth:`attach`.  Only the creator may :meth:`unlink`; every process must
+    :meth:`close` when done.
+
+    The *name* and the *mapping* have separate lives.  :meth:`unlink` removes
+    the name, which is what workers attach by and what ``/dev/shm`` lists.
+    The mapping is this process's own ``mmap`` and lives as long as the views
+    taken from it: :meth:`close` drops the store's, and the pages go back
+    with the last view anywhere — at once when nobody kept one, with the
+    result when a one-shot run hands its tiles and ``T`` slots on as the
+    factors (:meth:`matrix`, :meth:`t_factor`).  No child forked later
+    inherits a mapping made here (``MADV_DONTFORK``): a worker attaches the
+    segment it serves by name, and any other child must not touch a store,
+    or a result that is one, of its parent.
 
     :attr:`flags` is the ``uint8[len(ops)]`` completion ledger of the
     parallel backend — its enforced idempotency: a worker sets
@@ -170,10 +176,10 @@ class SharedTileStore:
     raises when a checkpoint falls due: workers read it before each op and
     park.  The layout is a pure function of ``(layout, ops,
     ib)`` (:func:`_segment_plan`), so one store fits every matrix factored
-    under the same plan: a one-shot run creates and destroys one per call,
-    while a :class:`~repro.qr.session.QRSession` keeps one per cached plan
-    and copies each new matrix in with :meth:`load`, so pool workers that
-    already attached to the segment never re-attach.
+    under the same plan: a one-shot run creates one per call and unlinks it
+    before it returns, while a :class:`~repro.qr.session.QRSession` keeps one
+    per cached plan and copies each new matrix in with :meth:`load`, so pool
+    workers that already attached to the segment never re-attach.
     """
 
     def __init__(
@@ -186,7 +192,7 @@ class SharedTileStore:
         *,
         owner: bool,
     ):
-        self._shm = shm
+        self._shm = shm  # kept for the name and for unlink()
         self._owner = owner
         self.layout = layout
         self.ib = ib
@@ -195,7 +201,13 @@ class SharedTileStore:
             raise ConfigurationError(
                 f"shared segment holds {shm.size} bytes, layout needs {flags_off + n_ops + 1}"
             )
-        buf = shm.buf
+        # Our own mapping, not ``shm.buf``: ``SharedMemory.close`` raises while
+        # a view is alive, this one is collected after the last of them.  The
+        # caller holds _FORK_LOCK until it is out of forks.
+        self._map = buf = mmap.mmap(shm._fd, shm.size)
+        if hasattr(mmap, "MADV_DONTFORK"):  # pragma: no branch - Linux
+            buf.madvise(mmap.MADV_DONTFORK)
+        shm.close()
         self._tiles = [
             [
                 np.ndarray(
@@ -212,58 +224,91 @@ class SharedTileStore:
             )
             for key, (off, shape) in t_index.items()
         }
-        #: One completion byte per op (a view like the tiles: drop every
-        #: reference taken from here before :meth:`close`).
+        #: One completion byte per op (a view like the tiles).
         self.flags = np.ndarray((n_ops,), dtype=np.uint8, buffer=buf, offset=flags_off)
         #: The pause byte (a one-element view, after the flags).
         self.pause = np.ndarray((1,), dtype=np.uint8, buffer=buf, offset=flags_off + n_ops)
-        _OPEN.add(self)
 
     # -- lifecycle ---------------------------------------------------------
 
     @classmethod
-    def create(cls, a: TileMatrix, ops: list, ib: int) -> "SharedTileStore":
+    def create(cls, a: TileMatrix | np.ndarray, ops, ib: int) -> "SharedTileStore":
         """Allocate a segment sized for ``a`` + ``T`` slots + flags + the
-        pause byte, copy ``a`` in and clear flags and pause."""
-        plan = _segment_plan(a.layout, ops, ib)
-        size = plan[2] + len(ops) + 1
+        pause byte, copy ``a`` in (:meth:`load`) and clear flags and pause.
+        ``ops`` is the operation list or the schedule that holds it
+        (:func:`_tables`); a dense ``a`` needs the latter, for its layout.
+
+        The pages are reserved here: a ``/dev/shm`` too small raises
+        ``OSError`` (``ENOSPC``), which callers turn into the serial fallback,
+        where ``ftruncate`` alone would let the first store die of ``SIGBUS``.
+        """
+        layout = a.layout if isinstance(a, TileMatrix) else ops.layout
+        plan, n_ops = _tables(layout, ops, ib)
+        size = plan[2] + n_ops + 1
         with _FORK_LOCK:
-            store = cls(shared_memory.SharedMemory(create=True, size=size),
-                        a.layout, ib, plan, len(ops), owner=True)
+            shm = shared_memory.SharedMemory(create=True, size=size)
+            try:
+                os.posix_fallocate(shm._fd, 0, size)
+                store = cls(shm, layout, ib, plan, n_ops, owner=True)
+            except BaseException:
+                shm.close()
+                shm.unlink()
+                raise
         store.load(a)
         return store
 
     @classmethod
-    def attach(cls, name: str, layout: TileLayout, ops: list, ib: int) -> "SharedTileStore":
+    def attach(cls, name: str, layout: TileLayout, ops, ib: int) -> "SharedTileStore":
         """Attach to an existing segment from a worker process (untracked,
-        see :func:`attach_untracked`)."""
-        plan = _segment_plan(layout, ops, ib)
+        see :func:`attach_untracked`); ``ops`` as for :meth:`create`."""
+        plan, n_ops = _tables(layout, ops, ib)
         with _FORK_LOCK:
-            return cls(attach_untracked(name), layout, ib, plan, len(ops), owner=False)
+            return cls(attach_untracked(name), layout, ib, plan, n_ops, owner=False)
 
     @property
     def name(self) -> str:
         return self._shm.name
 
-    def load(self, a: TileMatrix) -> None:
-        """Copy ``a``'s tiles into the segment and clear every completion
-        flag and the pause byte."""
-        for i, j, tile in a.iter_tiles():
-            self._tiles[i][j][...] = tile
+    def load(self, a: TileMatrix | np.ndarray) -> None:
+        """Copy ``a`` in and clear every completion flag and the pause byte.
+
+        A :class:`TileMatrix` is copied tile by tile; a dense float64
+        ``(m, n)`` array is tiled on the way, in the single pass of
+        :meth:`TileMatrix.from_dense`: one strided copy into the full tiles
+        (:func:`_segment_plan` lays them out row-major, ``nb * n`` doubles
+        per full tile row), a ragged last row or column tile by tile.
+        """
+        if isinstance(a, TileMatrix):
+            for i, j, tile in a.iter_tiles():
+                self._tiles[i][j][...] = tile
+        else:
+            lay, nb = self.layout, self.layout.nb
+            if a.shape != (lay.m, lay.n):
+                raise ShapeError(f"segment holds a {lay.m} x {lay.n} matrix, got {a.shape}")
+            mt_f, nt_f = lay.m // nb, lay.n // nb
+            full = np.ndarray(
+                (mt_f, nt_f, nb, nb), dtype=np.float64, buffer=self._map,
+                strides=(8 * nb * lay.n, 8 * nb * nb, 8 * nb, 8),
+            )
+            full[...] = full_tiles(a, nb)
+            for i in range(lay.mt):
+                for j in range(nt_f if i < mt_f else 0, lay.nt):
+                    self._tiles[i][j][...] = a[lay.row_span(i), lay.col_span(j)]
         self.flags[:] = 0
         self.pause[0] = 0
 
     def close(self) -> None:
-        """Release this process's mapping (views become invalid)."""
-        _OPEN.discard(self)
+        """Drop this store's views and its hold on the mapping, which goes
+        with the last view taken from it (:meth:`matrix`, :meth:`t_factor`)."""
         self._tiles = []
         self._ts = {}
-        self.flags = self.pause = None
-        self._shm.close()
+        self.flags = self.pause = self._map = None
 
     def unlink(self) -> None:
-        """Destroy the segment (creator only; call after :meth:`close`)."""
+        """Remove the segment's name (creator only).  Its pages live on in
+        whatever still maps them."""
         if self._owner:
+            self._owner = False  # once: a second call, by whoever, is a no-op
             self._shm.unlink()
 
     def destroy(self) -> None:
@@ -306,9 +351,14 @@ class SharedTileStore:
         """Copy a freshly computed ``T`` factor into its shared slot."""
         self._ts[key][...] = t
 
+    def matrix(self) -> TileMatrix:
+        """The tile grid as a :class:`TileMatrix` of views: what the segment
+        holds, under the interface everything outside the pool works on."""
+        return TileMatrix(self.layout, self._tiles)
+
     def extract_matrix(self) -> TileMatrix:
         """Copy the tile grid out into an ordinary (owned) TileMatrix."""
-        return TileMatrix(self.layout, self._tiles).copy()
+        return self.matrix().copy()
 
     def extract_ts(self) -> dict[tuple, np.ndarray]:
         """Copy every ``T`` factor out of the segment."""

@@ -1,0 +1,409 @@
+"""The data path of the process backend: one copy in, none out.
+
+A dense input is tiled straight into the job's shared segment (the fresh one
+of a one-shot call, the entry's arena of a session) in the one pass
+``TileMatrix.from_dense`` makes; a one-shot result *is* that segment, whose
+name is gone before the call returns and whose pages go with the result; a
+session result stays an owned copy.  Checked here: the tiling itself, what
+the parent copies per call (spies), how long name and mapping live, what a
+worker forked later inherits, and what happens when ``/dev/shm`` is full.
+"""
+
+from __future__ import annotations
+
+import copy
+import errno
+import gc
+import multiprocessing as mp
+import os
+import pickle
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.qr.execute as core_mod
+import repro.qr.parallel as parallel_mod
+import repro.tiles.shared as shared_mod
+from repro import QRSession, qr_factor
+from repro.qr.parallel import execute_ops_parallel, shutdown_workers
+from repro.qr.schedule import Schedule, schedule_for
+from repro.tiles import TileMatrix
+from repro.tiles.layout import TileLayout
+from repro.tiles.shared import SharedTileStore
+from repro.trees import TreeKind
+from repro.util import ParallelExecutionError, WatchdogTimeout
+from repro.util.validation import as_f64_matrix
+
+pytestmark = pytest.mark.usefixtures("no_new_shm")
+
+GEOMETRY = dict(nb=12, ib=4, tree="hier", h=2)
+M, N = 90, 25  # ragged in both directions under nb=12
+
+
+@pytest.fixture(scope="module")
+def matrix():
+    return np.random.default_rng(21).standard_normal((M, N))
+
+
+@pytest.fixture(scope="module")
+def serial(matrix):
+    return qr_factor(matrix, **GEOMETRY)
+
+
+def one_shot(a, **kw):
+    return qr_factor(a, **{**GEOMETRY, **kw}, backend="parallel", n_procs=2)
+
+
+def same_factors(f, ref):
+    """``R``, every factored tile and every ``T``, bit for bit."""
+    fa, ra = f._factors, ref._factors
+    return (
+        np.array_equal(f.R, ref.R)
+        and all(np.array_equal(t, ra.a.tile(i, j)) for i, j, t in fa.a.iter_tiles())
+        and len(fa.records) == len(ra.records)
+        and all(np.array_equal(x.t, y.t) for x, y in zip(fa.records, ra.records))
+    )
+
+
+def shm_names():
+    return set(os.listdir("/dev/shm"))
+
+
+def mapped_segments(pid="self"):
+    """The ``maps`` lines of ``pid`` that name a shared-memory segment."""
+    with open(f"/proc/{pid}/maps") as fh:
+        return [line for line in fh if "psm_" in line]
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+
+
+# -- tiling into a segment is from_dense ----------------------------------------
+
+
+def _as_input(a, kind):
+    if kind == "F":
+        return np.asfortranarray(a)
+    if kind == "strided":
+        wide = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+        wide[::2, ::3] = a
+        return wide[::2, ::3]
+    if kind == "float32":
+        return a.astype(np.float32)
+    if kind == "int":
+        return np.rint(100 * a).astype(np.int64)
+    return np.ascontiguousarray(a)
+
+
+INPUT_KINDS = ["C", "F", "strided", "float32", "int"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), nb=st.integers(1, 13),
+       kind=st.sampled_from(INPUT_KINDS), seed=st.integers(0, 2**16))
+def test_tiling_into_a_segment_equals_from_dense(m, n, nb, kind, seed):
+    x = _as_input(np.random.default_rng(seed).standard_normal((m, n)), kind)
+    ref = TileMatrix.from_dense(x, nb)
+    # No ops: a segment of tiles, no T slot, no flag, the pause byte.
+    store = SharedTileStore.create(as_f64_matrix(x), Schedule(None, [], 1, TileLayout(m, n, nb)), 1)
+    try:
+        tm = store.matrix()
+        assert tm.layout == ref.layout
+        for i, j, tile in tm.iter_tiles():
+            assert tile.flags.f_contiguous and not tile.flags.owndata
+            assert tile.tobytes(order="A") == ref.tile(i, j).tobytes(order="A")
+        del tm, tile
+    finally:
+        store.destroy()
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_callers_array_is_untouched_and_factors_are_serial(matrix, kind):
+    # An F-order input is where from_dense guards against aliasing: a full
+    # tile's slice of it already is a TILE_ORDER-contiguous array.
+    x = _as_input(matrix, kind)
+    kept = x.copy()
+    ref = qr_factor(x, **GEOMETRY)
+    f = one_shot(x)
+    with QRSession(n_procs=2) as sess:
+        cold, warm = sess.factor(x, **GEOMETRY), sess.factor(x, **GEOMETRY)
+    assert np.array_equal(x, kept) and x.dtype == kept.dtype
+    assert all(same_factors(g, ref) for g in (f, cold, warm))
+
+
+# -- what the parent copies per call --------------------------------------------
+
+
+@pytest.fixture
+def traffic(monkeypatch):
+    """Bytes the parent copies into and out of a segment, and every call of a
+    function the dense path no longer goes through (``extract_matrix`` is a
+    ``TileMatrix.copy`` of the views; that one is the copy-out, counted there)."""
+    seen = dict(bytes_in=0, bytes_out=0, loads=[], calls=[])
+    extracting = []
+
+    def nbytes(x):
+        if isinstance(x, TileMatrix):
+            return sum(t.nbytes for _, _, t in x.iter_tiles())
+        return sum(t.nbytes for t in x.values()) if isinstance(x, dict) else x.nbytes
+
+    raw_load = SharedTileStore.load
+
+    def load(self, a):
+        seen["loads"].append(type(a).__name__)
+        seen["bytes_in"] += nbytes(a)
+        return raw_load(self, a)
+
+    def counted_out(name):
+        raw = getattr(SharedTileStore, name)
+
+        def method(self):
+            seen["calls"].append(name)
+            extracting.append(name)
+            out = raw(self)
+            extracting.pop()
+            seen["bytes_out"] += nbytes(out)
+            return out
+        return method
+
+    def counted(owner, name, wrap=lambda f: f):
+        raw = getattr(owner, name)
+        raw = getattr(raw, "__func__", raw)
+
+        def method(*args, **kw):
+            if not extracting:
+                seen["calls"].append(name)
+            return raw(*args, **kw)
+        return wrap(method)
+
+    monkeypatch.setattr(SharedTileStore, "load", load)
+    monkeypatch.setattr(SharedTileStore, "extract_matrix", counted_out("extract_matrix"))
+    monkeypatch.setattr(SharedTileStore, "extract_ts", counted_out("extract_ts"))
+    monkeypatch.setattr(TileMatrix, "from_dense", counted(TileMatrix, "from_dense", classmethod))
+    monkeypatch.setattr(TileMatrix, "copy", counted(TileMatrix, "copy"))
+    return seen
+
+
+def t_bytes(f):
+    return sum(r.t.nbytes for r in f._factors.records)
+
+
+def test_one_shot_copies_one_matrix_in_and_nothing_out(matrix, serial, traffic):
+    for _ in range(2):  # first call and repeat call alike
+        traffic.update(bytes_in=0, bytes_out=0, loads=[], calls=[])
+        f = one_shot(matrix)
+        assert f.stats.mode == "parallel" and same_factors(f, serial)
+        assert traffic["loads"] == ["ndarray"] and traffic["calls"] == []
+        assert (traffic["bytes_in"], traffic["bytes_out"]) == (matrix.nbytes, 0)
+        assert not any(t.flags.owndata for _, _, t in f._factors.a.iter_tiles())
+
+
+def test_session_copies_one_matrix_in_and_the_factors_out(matrix, serial, traffic):
+    with QRSession(n_procs=2) as sess:
+        for call in ("cold", "warm", "warm"):
+            traffic.update(bytes_in=0, bytes_out=0, loads=[], calls=[])
+            f = sess.factor(matrix, **GEOMETRY)
+            assert f.stats.mode == "parallel" and same_factors(f, serial), call
+            assert traffic["loads"] == ["ndarray"], call
+            assert traffic["calls"] == ["extract_matrix", "extract_ts"], call
+            assert traffic["bytes_in"] == matrix.nbytes, call
+            assert traffic["bytes_out"] == matrix.nbytes + t_bytes(f), call
+            # An owned copy: the next call reloads the segment under it.
+            assert all(t.flags.owndata for _, _, t in f._factors.a.iter_tiles())
+
+
+def test_a_tile_matrix_input_is_copied_once(matrix, serial, traffic):
+    tm = TileMatrix.from_dense(matrix, GEOMETRY["nb"])
+    traffic.update(calls=[])
+    f = one_shot(tm)
+    assert same_factors(f, serial)
+    assert traffic["loads"] == ["TileMatrix"] and traffic["calls"] == []
+    assert (traffic["bytes_in"], traffic["bytes_out"]) == (matrix.nbytes, 0)
+    assert np.array_equal(tm.to_dense(), matrix)  # the caller's tiles are not the job's
+
+
+def test_fallback_takes_its_pristine_copy_from_the_segment(matrix, serial, traffic):
+    # on_failure="fallback" is the one extra copy, as at every commit before:
+    # segment -> owned tiles, taken before the backend runs.
+    f = one_shot(matrix, on_failure="fallback")
+    assert same_factors(f, serial)
+    assert traffic["loads"] == ["ndarray"] and traffic["calls"] == ["copy"]
+
+
+# -- how long the name and the mapping live -------------------------------------
+
+
+@needs_proc
+def test_a_one_shot_result_outlives_everything_but_itself(matrix, serial, no_new_shm):
+    mapped = len(mapped_segments())
+    f = one_shot(matrix)
+    assert shm_names() <= no_new_shm, "the name outlived the call"
+    assert len(mapped_segments()) == mapped + 1
+    assert any("(deleted)" in line for line in mapped_segments())
+    shutdown_workers()
+    assert same_factors(f, serial)
+    other = np.random.default_rng(5).standard_normal((M, N))
+    g = one_shot(other)  # same geometry, another segment
+    assert shm_names() <= no_new_shm and len(mapped_segments()) == mapped + 2
+    gc.collect()
+    assert same_factors(f, serial) and same_factors(g, qr_factor(other, **GEOMETRY))
+    x = np.ones(N)
+    assert np.allclose(f.solve(matrix @ x), x)
+    blob, twin = pickle.dumps(f), copy.deepcopy(f)
+    del f, g
+    gc.collect()
+    assert len(mapped_segments()) == mapped, "the mapping outlived the result"
+    for h in (pickle.loads(blob), twin):
+        assert same_factors(h, serial)
+
+
+@needs_proc
+def test_one_array_of_the_result_keeps_the_pages(matrix, serial):
+    mapped = len(mapped_segments())
+    f = one_shot(matrix)
+    tile, want = f._factors.a.tile(1, 1), serial._factors.a.tile(1, 1)
+    del f
+    gc.collect()
+    assert len(mapped_segments()) == mapped + 1 and np.array_equal(tile, want)
+    del tile
+    assert len(mapped_segments()) == mapped
+
+
+def _staged(matrix):
+    """What the run envelope hands the pool for a dense one-shot call."""
+    sched = schedule_for(TreeKind.HIER, M, N, GEOMETRY["nb"], GEOMETRY["ib"], 2, True)
+    store = SharedTileStore.create(matrix, sched, GEOMETRY["ib"])
+    return sched, store
+
+
+@needs_proc
+@pytest.mark.parametrize("failure", [WatchdogTimeout, ParallelExecutionError])
+def test_a_failed_run_leaves_neither_name_nor_mapping(matrix, serial, monkeypatch, failure,
+                                                      no_new_shm):
+    mapped = len(mapped_segments())
+
+    def wedge(store, op, ib):
+        time.sleep(60.0)
+
+    me, raw_run_op = os.getpid(), core_mod.run_op
+
+    def boom(store, op, ib):  # in a worker; the parent's fallback run is spared
+        if os.getpid() != me:
+            raise RuntimeError("kernel blew up")
+        raw_run_op(store, op, ib)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core_mod, "run_op", wedge if failure is WatchdogTimeout else boom)
+        sched, store = _staged(matrix)
+        with pytest.raises(failure):
+            execute_ops_parallel(store.matrix(), sched.ops, GEOMETRY["ib"], n_procs=2,
+                                 assignment=sched.assignment, arena=store, timeout_s=0.5)
+    assert shm_names() <= no_new_shm and len(mapped_segments()) == mapped
+    assert mp.active_children() == []
+    with monkeypatch.context() as patch:
+        patch.setattr(core_mod, "run_op", boom)
+        with pytest.raises(ParallelExecutionError, match="kernel blew up"):
+            one_shot(matrix)
+        assert same_factors(one_shot(matrix, on_failure="fallback"), serial)
+    assert shm_names() <= no_new_shm and len(mapped_segments()) == mapped
+    assert same_factors(one_shot(matrix), serial)
+
+
+def test_a_bad_option_after_staging_leaves_nothing(matrix, no_new_shm):
+    from repro.util import ConfigurationError
+
+    with pytest.raises(ConfigurationError):
+        one_shot(matrix, policy="eager")
+    assert shm_names() <= no_new_shm
+
+
+# -- /dev/shm exhaustion is an OSError, and an OSError is a fallback -------------
+
+
+@pytest.fixture
+def shm_full(monkeypatch):
+    calls = []
+
+    def fallocate(fd, offset, size):
+        calls.append(size)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(shared_mod.os, "posix_fallocate", fallocate)
+    return calls
+
+
+def test_one_shot_on_a_full_dev_shm_degrades_to_serial(matrix, serial, shm_full, no_new_shm):
+    f = one_shot(matrix)
+    assert shm_full and same_factors(f, serial)
+    assert f.stats.mode == "serial-fallback"
+    assert "shared memory unavailable" in f.stats.fallback_reason
+    assert "No space left" in f.stats.fallback_reason
+    assert shm_names() <= no_new_shm and mp.active_children() == []
+
+
+def test_cold_session_call_on_a_full_dev_shm_degrades_to_serial(matrix, serial, shm_full,
+                                                                no_new_shm):
+    with QRSession(n_procs=2) as sess:
+        f = sess.factor(matrix, **GEOMETRY)
+        assert shm_full and same_factors(f, serial)
+        assert f.stats.mode == "serial-fallback"
+        assert "shared memory unavailable" in f.stats.fallback_reason
+        assert shm_names() <= no_new_shm
+        shm_full_calls = len(shm_full)
+        assert same_factors(sess.factor(matrix, **GEOMETRY), serial)  # and again, not cached
+        assert len(shm_full) > shm_full_calls
+
+
+def test_the_pages_are_reserved_when_the_segment_is_created(matrix, monkeypatch):
+    reserved = []
+    raw = os.posix_fallocate
+    monkeypatch.setattr(shared_mod.os, "posix_fallocate",
+                        lambda fd, off, size: reserved.append((off, size)) or raw(fd, off, size))
+    sched, store = _staged(matrix)
+    try:
+        assert reserved == [(0, store._map.size())]
+    finally:
+        store.destroy()
+
+
+# -- a worker forked later inherits no result -----------------------------------
+
+
+@needs_proc
+@pytest.mark.skipif(mp.get_start_method() != "fork", reason="inheritance is a property of fork")
+def test_workers_forked_while_results_live_map_none_of_them(matrix, serial, monkeypatch):
+    names = []
+    raw_create = SharedTileStore.create.__func__
+
+    def create(cls, *args):
+        store = raw_create(cls, *args)
+        names.append(store.name)
+        return store
+
+    monkeypatch.setattr(SharedTileStore, "create", classmethod(create))
+    mapped = len(mapped_segments())
+    first = one_shot(matrix)
+    shutdown_workers()
+    second = one_shot(matrix)  # forks the kept pool while ``first`` is alive
+    with QRSession(n_procs=2) as sess:  # and a session pool while both are
+        assert same_factors(sess.factor(matrix, **GEOMETRY), serial)
+        results, arena = names[:2], names[2]
+        assert len(mapped_segments()) == mapped + 3
+        workers = list(parallel_mod._KEPT.procs.values()) + list(sess.pool.procs.values())
+        assert len(workers) == 4
+        deadline = time.monotonic() + 5.0
+        for p in workers:
+            while True:  # ``detach`` is the worker's next step, not the parent's
+                lines = mapped_segments(p.pid)
+                if not any(name in line for name in results for line in lines):
+                    break
+                assert time.monotonic() < deadline, f"{p.name} maps a result: {lines}"
+                time.sleep(0.01)
+        for p in sess.pool.procs.values():  # its own attachment, nothing else
+            assert all(arena in line for line in mapped_segments(p.pid))
+    assert same_factors(first, serial) and same_factors(second, serial)
+    del first, second
+    gc.collect()
+    assert len(mapped_segments()) == mapped

@@ -525,17 +525,42 @@ def derivations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def segment_plans(monkeypatch, tmp_path):
+    """Who derived a segment's offset tables: one pid per derivation, in this
+    process or in a worker forked from it (the patch rides in the fork)."""
+    log = tmp_path / "segment_plans"
+    log.touch()
+    raw = shared_mod._segment_plan
+
+    def spy(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return raw(*args)
+
+    monkeypatch.setattr(schedule_mod, "_segment_plan", spy)
+    monkeypatch.setattr(shared_mod, "_segment_plan", spy)
+    return lambda: [int(pid) for pid in log.read_text().split()]
+
+
+@needs_fork
 def test_repeat_one_shot_call_derives_and_pickles_no_assignment(
-        matrix, serial, wire, derivations, no_worker_left):
+        matrix, serial, wire, derivations, segment_plans, no_worker_left):
     sent, _ = wire
     kw = dict(**geometry("hier"), backend="parallel", n_procs=2)
     schedule_for.cache_clear()
     qr_factor(matrix, **kw)
     assert derivations == [(2, "lazy")]
     assert [m for m in sent if isinstance(m, tuple) and m[0] == "job"] == []  # rode in the fork
+    # The offset tables of the segment: the parent's schedule and each
+    # worker's own derive them once ...
+    workers = sorted(p.pid for p in mp.active_children())
+    assert sorted(segment_plans()) == sorted([os.getpid(), *workers])
     del sent[:]
     assert same_factors(qr_factor(matrix, **kw), serial["hier"])
     assert derivations == [(2, "lazy")]
+    # ... and a repeat call, whose segment is new, derives none anywhere.
+    assert len(segment_plans()) == 3
     headers = [m for m in sent if isinstance(m, tuple) and m[0] == "job"]
     assert [(h[3], h[-1]) for h in headers] == [(None, None)] * 2  # no op list, no share
     # Another policy is another assignment: derived once, sent once.
@@ -547,7 +572,9 @@ def test_repeat_one_shot_call_derives_and_pickles_no_assignment(
     assert [h[-1] is None for h in headers] == [False, False, True, True]
 
 
-def test_warm_session_call_derives_and_pickles_no_assignment(matrix, serial, wire, derivations):
+@needs_fork
+def test_warm_session_call_derives_and_pickles_no_assignment(
+        matrix, serial, wire, derivations, segment_plans):
     sent, _ = wire
     schedule_for.cache_clear()
     with QRSession(n_procs=2) as sess:
@@ -555,6 +582,7 @@ def test_warm_session_call_derives_and_pickles_no_assignment(matrix, serial, wir
         del sent[:]
         for _ in range(3):
             assert same_factors(sess.factor(matrix, **geometry("hier")), serial["hier"])
+        assert len(segment_plans()) == 3  # the cold call's: parent and two workers
         (entry,) = sess.plan_cache._entries.values()
         assert entry.assignment(2, "lazy") is schedule("hier").assignment(2, "lazy")
     assert derivations == [(2, "lazy")]

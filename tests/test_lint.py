@@ -30,6 +30,7 @@ FIXTURE_RULES = [
     ("bad_tile_order.py", "tile-order", 3),
     ("qr/bad_derive_once.py", "derive-once", 4),
     ("qr/bad_assignment.py", "derive-once", 2),
+    ("qr/bad_segment_plan.py", "derive-once", 1),
 ]
 
 

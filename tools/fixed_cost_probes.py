@@ -21,17 +21,21 @@ workers (processes for ``np.dot``, threads for the GIL-free ``ctypes``
 ``backend="parallel"`` run and reports how long both workers' kernel spans
 overlap and how much longer the same ops take when two CPUs run them.
 ``oneshot`` splits a one-shot ``backend="parallel"`` call into its phases —
-copy-in, segment create, pool lease, the window in which ops run (lease start
-to terminators, ``stats.elapsed_s``: workers fire from the moment they read
-their header, so the lease is inside it), pool shutdown, copy-out, segment
-destroy, and the bytes of job header pickled —
+copy-in (``TileMatrix.from_dense`` and ``SharedTileStore.load``, whichever the
+checkout goes through), segment create (less the load inside it), pool lease,
+the window in which ops run (lease start to terminators, ``stats.elapsed_s``:
+workers fire from the moment they read their header, so the lease is inside
+it), pool shutdown, copy-out (``extract_*``), release (``destroy`` plus letting
+go of the result — owned arrays, or the mapping of a segment that is the
+result), the bytes the parent copied into tiles and out of the segment, and
+the bytes of job header pickled —
 next to a warm ``QRSession`` call and ``serial``, by timing the public
 methods from outside (it runs unchanged against another checkout's ``src`` on
 ``PYTHONPATH``).  The window is split per worker into seconds inside kernels
 and seconds with nothing ready (``stats.per_worker_busy_s`` /
 ``per_worker_wait_s``; a checkout without the latter prints ``-``), next to
 the parent's CPU time during the call and the messages it sent and received
-on worker pipes — all four from the call with the shortest window.  The
+on worker pipes — all four from the call with the shortest window.  Every
 table ends with this host's two-process probe: how much longer two CPU-bound
 children take than one (1.0: two cores delivered; 2.0: one).
 """
@@ -371,35 +375,53 @@ def probe_oneshot(calls=7):
     from repro.tiles.matrix import TileMatrix
     from repro.tiles.shared import SharedTileStore
 
-    spent = {}  # phase -> seconds (or bytes) accumulated during the current call
-    running = set()  # phases with a stopwatch going: a nested call is not counted twice
+    spent = {}  # phase -> seconds (or bytes, or messages) accumulated during the current call
+    stack = []  # stopwatches going, innermost last: a phase is charged its self time
 
-    def timed(owner, method, phase):
-        """Replace ``owner.method`` with itself plus a stopwatch on ``phase``."""
+    def nbytes(x):
+        if isinstance(x, TileMatrix):
+            return sum(t.nbytes for _, _, t in x.iter_tiles())
+        if isinstance(x, dict):
+            return sum(t.nbytes for t in x.values())
+        return getattr(x, "nbytes", 0)
+
+    def timed(owner, method, phase, moved=None):
+        """Replace ``owner.method`` with itself plus a stopwatch on ``phase``
+        (less what nested stopwatches take); ``moved(args, result)`` is the
+        array or tile matrix the call copied, booked under ``moved``'s name."""
         raw = owner.__dict__[method]
         inner = raw.__func__ if isinstance(raw, classmethod) else raw
 
         def wrapper(*args, **kw):
-            if phase in running:
-                return inner(*args, **kw)
-            running.add(phase)
+            stack.append(0.0)
             t0 = time.perf_counter()
             try:
-                return inner(*args, **kw)
+                out = inner(*args, **kw)
             finally:
-                spent[phase] = spent.get(phase, 0.0) + time.perf_counter() - t0
-                running.discard(phase)
+                took = time.perf_counter() - t0
+                spent[phase] = spent.get(phase, 0.0) + took - stack.pop()
+                if stack:
+                    stack[-1] += took
+            if moved is not None:
+                spent[moved[0]] = spent.get(moved[0], 0) + nbytes(moved[1](args, out))
+            return out
 
         setattr(owner, method, classmethod(wrapper) if inner is not raw else wrapper)
 
-    timed(TileMatrix, "from_dense", "from_dense")
-    timed(SharedTileStore, "create", "segment create/load")  # a one-shot call's
-    timed(SharedTileStore, "load", "segment create/load")  # a warm session call's
+    # Copy-in is whatever tiles the input or puts tiles into a segment;
+    # ``create`` is charged what is left of it once its ``load`` is taken out.
+    copied_in = ("bytes copied in", lambda args, out: args[1])
+    copied_out = ("bytes copied out", lambda args, out: out)
+    # (``from_dense`` less its validation, where the checkout has split the two.)
+    tiler = "_from_validated" if hasattr(TileMatrix, "_from_validated") else "from_dense"
+    timed(TileMatrix, tiler, "copy-in", copied_in)
+    timed(SharedTileStore, "load", "copy-in", copied_in)
+    timed(SharedTileStore, "create", "segment create")
     timed(WorkerPool, "lease", "pool.lease")
     timed(WorkerPool, "shutdown", "pool.shutdown")
-    timed(SharedTileStore, "extract_matrix", "extract")
-    timed(SharedTileStore, "extract_ts", "extract")
-    timed(SharedTileStore, "destroy", "segment destroy")
+    timed(SharedTileStore, "extract_matrix", "copy-out", copied_out)
+    timed(SharedTileStore, "extract_ts", "copy-out", copied_out)
+    timed(SharedTileStore, "destroy", "release")
     raw_send, raw_recv = Connection.send, Connection.recv
 
     def send(self, obj):
@@ -416,8 +438,10 @@ def probe_oneshot(calls=7):
 
     window = ["  kernels w0", "  kernels w1", "  nothing ready w0", "  nothing ready w1",
               "  parent CPU", "pipe messages"]
-    phases = ["total", "from_dense", "segment create/load", "pool.lease", "window", *window,
-              "pool.shutdown", "extract", "segment destroy", "header bytes"]
+    counts = ("header bytes", "pipe messages", "bytes copied in", "bytes copied out")
+    phases = ["total", "copy-in", "segment create", "pool.lease", "window", *window,
+              "pool.shutdown", "copy-out", "release", "bytes copied in", "bytes copied out",
+              "header bytes"]
 
     def measure(call):
         """Per phase, the minimum over ``calls`` calls after one warm-up; the
@@ -427,11 +451,18 @@ def probe_oneshot(calls=7):
             spent.clear()
             cpu0, t0 = time.process_time(), time.perf_counter()
             f = call()
-            spent["total"] = time.perf_counter() - t0
-            st = f.stats
+            t1 = time.perf_counter()
+            cpu, st = time.process_time() - cpu0, f.stats
+            # Letting go of the result is part of the call's price: owned
+            # arrays to free, or the mapping of a segment that is the result.
+            t2 = time.perf_counter()
+            del f
+            t3 = time.perf_counter()
+            spent["release"] = spent.get("release", 0.0) + t3 - t2
+            spent["total"] = t1 - t0 + t3 - t2
             if getattr(st, "mode", None) == "parallel":
                 spent["window"] = st.elapsed_s
-                spent["  parent CPU"] = time.process_time() - cpu0
+                spent["  parent CPU"] = cpu
                 for w in (0, 1):
                     spent[f"  kernels w{w}"] = st.per_worker_busy_s[w]
                     if hasattr(st, "per_worker_wait_s"):
@@ -464,7 +495,7 @@ def probe_oneshot(calls=7):
             for col in columns.values():
                 if phase not in col:
                     cells.append(f"{'-':>14s}")
-                elif phase in ("header bytes", "pipe messages"):
+                elif phase in counts:
                     cells.append(f"{col[phase]:14d}")
                 else:
                     cells.append(f"{col[phase] * 1e3:14.2f}")
@@ -480,8 +511,10 @@ def probe_oneshot(calls=7):
         print(f"  traced: pool.lease span {lease_ms[0]:.2f} ms on the first call, median "
               f"{statistics.median(lease_ms[1:]):.2f} ms on {calls - 1} repeats; "
               f"pool.spawn events per call {spawns}")
-    one, two = _interleaved_minima(_burn_wall, rounds=3)
-    print(f"two-process probe: two CPU-bound children take {two / one:.2f}x as long as one")
+        # Beside every table: what the host delivered while it was taken.
+        getattr(parallel, "shutdown_workers", lambda: None)()
+        one, two = _interleaved_minima(_burn_wall, rounds=3)
+        print(f"  two-process probe: two CPU-bound children take {two / one:.2f}x as long as one")
 
 
 def _burn(out, n=2_000_000):
