@@ -24,6 +24,8 @@ introduced and until now only policed at runtime:
   :mod:`repro.qr.schedule` only — the
   process-wide memo — not by an executor or API layer per call
   (``derive-once``);
+* inside ``qr/``, factors are copied out of a shared segment by
+  ``QRFactorization.detach`` only (``copy-out``);
 * no mutable default arguments (``mutable-default``);
 * no bare ``except:`` (``bare-except``).
 

@@ -343,6 +343,34 @@ def check_derive_once(ctx: FileContext) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# copy-out: one place copies factors out of a shared segment
+
+
+@rule(
+    "copy-out",
+    "inside qr/, SharedTileStore.extract_matrix/extract_ts are called only by "
+    "QRFactorization.detach — a result is the segment's views, and a copy "
+    "made anywhere else is a matrix and its T factors moved per call again",
+    scope=("qr",),
+)
+def check_copy_out(ctx: FileContext) -> Iterator[Finding]:
+    allowed = {
+        id(node)
+        for cls in ast.walk(ctx.tree) if isinstance(cls, ast.ClassDef) and cls.name == "QRFactorization"
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "detach"
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("extract_matrix", "extract_ts"):
+            yield (node.lineno, node.col_offset,
+                   f"{name}() outside QRFactorization.detach; hand on the "
+                   "store's views (matrix(), t_factor) and let the caller detach()")
+
+
+# ---------------------------------------------------------------------------
 # mutable-default / bare-except: classic footguns, enforced tree-wide
 
 

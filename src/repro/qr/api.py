@@ -45,11 +45,12 @@ from ..util.errors import (
     ConfigurationError,
     ReproError,
     ScheduleCertificationError,
+    StaleResultError,
 )
 from ..util.validation import as_f64_matrix, check_finite, check_tile_params, require
 from .backends import require_capability, run_backend, stage_input, worker_count
 from .parallel import serial_fallback
-from .reference import TileQRFactors
+from .reference import TileQRFactors, factor_records
 from .schedule import schedule_for
 
 __all__ = ["QRFactorization", "qr_factor", "lstsq"]
@@ -89,7 +90,10 @@ class QRFactorization:
         run_id: str | None = None,
         parent_run_id: str | None = None,
     ):
-        self._factors = factors
+        self._held = factors
+        #: ``(store, generation)`` while the factors are views of a session's
+        #: segment (the run envelope sets it); ``None``: they own their storage.
+        self._segment = None
         self.tree = tree
         self.backend = backend
         # RunStats (pulsar) / ParallelRunStats (parallel), else None.
@@ -136,8 +140,39 @@ class QRFactorization:
         return self._counters
 
     @property
+    def _factors(self) -> TileQRFactors:
+        """The one door to the data: every accessor below and
+        :func:`~repro.qr.persist.save_factorization` come through here, and a
+        session result whose segment has been loaded again stops here."""
+        if self._segment is not None and self._segment[0].generation != self._segment[1]:
+            raise StaleResultError(
+                f"the result of run {self.run_id} was a view of its session's segment, "
+                f"which run {self._segment[0].run_id} has since factored another matrix "
+                "in; call detach() on a result before the next factor() of its geometry"
+            )
+        return self._held
+
+    def detach(self) -> "QRFactorization":
+        """A result that owns its storage: ``self`` unless this one is a view
+        of a session's segment, then a copy of it that the next ``factor``
+        on the geometry does not touch (the one place tiles are copied out)."""
+        if self._segment is None:
+            return self
+        ib, store = self._factors.ib, self._segment[0]
+        ts = store.extract_ts()
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, _segment=None, _held=TileQRFactors(
+            store.extract_matrix(), factor_records(self._ops, ts.__getitem__), ib))
+        if self.stats is not None:
+            self.stats.bytes_out = store.bytes_out
+        return twin
+
+    def __getstate__(self):  # pickled or copied: the arrays, never the mapping
+        return self.detach().__dict__
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return (self._factors.m, self._factors.n)
+        return (self._held.m, self._held.n)
 
     @property
     def R(self) -> np.ndarray:
@@ -228,7 +263,7 @@ def qr_factor(
     >>> f_wf = qr_factor(a, nb=4, ib=2, tree="flat",
     ...                  backend="parallel", n_procs=2, batch="wavefront")
     >>> bool(np.array_equal(f_wf.R, f.R)), f_wf.stats.batch
-    (True, 1)
+    (True, 3)
 
     ``metrics=`` streams live counter/gauge samples to JSON-lines while
     the backend runs (one object per ~50 ms snapshot):
@@ -311,8 +346,10 @@ def qr_factor(
         where it selects the dispatcher's ready-pool discipline.
     n_procs, batch:
         ``backend="parallel"`` only: worker process count (default: usable
-        CPUs; ``1`` falls back to serial) and the most operations sent in
-        one dispatch message (default: auto-sized from the op count;
+        CPUs; ``1`` falls back to serial) and the most operations a worker
+        reports in one message (default: its whole share — one report per
+        worker — or a few dozen ops under ``trace=`` / ``metrics=`` /
+        ``events=`` / ``checkpoint=``, which read the count in between;
         ``stats.batch`` reports the int used).  Without a ``session`` the
         workers are the ones the process keeps for all such calls: forked
         by the first, grown to the largest ``n_procs`` asked for, idle
@@ -397,7 +434,11 @@ def qr_factor(
         The panel plans, op DAG and wavefront schedule are memoized per
         process for every caller (:mod:`repro.qr.schedule`), session or
         not; the session counts its own hits and misses on them.  Factors
-        stay bit-exact with the session-less path.  Supported for the
+        stay bit-exact with the session-less path, and a ``parallel`` result
+        *is* the session's segment: valid until the next ``factor`` on its
+        geometry (then every accessor raises
+        :class:`~repro.util.errors.StaleResultError`), through ``close()``
+        and eviction; :meth:`QRFactorization.detach` keeps one.  Supported for the
         ``serial``, ``batched``, and ``parallel`` backends; ``n_procs``
         must be omitted or equal the
         session's pool size.  ``session.factor(a, ...)`` is the convenience
@@ -588,6 +629,8 @@ def _run(
             entry = plan()
             tm, store = stage_input(backend, a, layout, entry, ib, session=session,
                                     n_procs=launch.get("n_procs"))
+            if store is not None:
+                store.run_id = run_id
             if on_failure == "fallback" and can_fail:
                 pristine = tm.copy()
             if ckpt is not None:
@@ -633,6 +676,8 @@ def _run(
     f.ops_skipped = len(skip or ())
     if session is not None:
         session.last_run_id = run_id
+        if store is not None and factors is store.factors:  # not a degraded run's copy
+            f._segment = (store, store.generation)
     if trace is not None:
         from ..obs.export import write_chrome_trace
 

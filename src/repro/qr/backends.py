@@ -187,19 +187,20 @@ def run_backend(
     ops = entry.ops
     common = dict(fault_plan=fault_plan, checkpoint=checkpoint,
                   skip=skip, preloaded_ts=preloaded_ts)
-    if backend == "serial":
-        return execute_ops(tm, ops, ib, **common), None
+    if backend == "serial":  # the entry, not its list: it keeps the factor-op table
+        return execute_ops(tm, entry, ib, **common), None
     if backend == "batched":
-        return execute_ops_batched(tm, ops, ib, wavefronts=entry.wavefronts(), **common), None
+        return execute_ops_batched(tm, entry, ib, wavefronts=entry.wavefronts(), **common), None
     if backend == "parallel":
-        if session is not None:  # never a resume: the session plans from scratch
-            return session._execute_parallel(
-                tm, entry, ib, arena=store, policy=policy, batch=batch,
-                fault_plan=fault_plan, checkpoint=checkpoint,
-            )
+        pool = None
+        if session is not None:
+            # Its worker count, and its pool for its arena.  Without one (no
+            # shared memory to be had) the call goes down the one-shot path,
+            # which names the reason and degrades to serial.
+            n_procs, pool = session.n_procs, session.pool if store is not None else None
         return _parallel.execute_ops_parallel(
             tm, ops, ib, n_procs=n_procs, policy=policy, batch=batch,
-            assignment=entry.assignment, arena=store, **common
+            assignment=entry.assignment, pool=pool, arena=store, **common
         )
     arr = build_qr_vsa(tm, entry.plans, ib=ib, total_workers=n_nodes * workers_per_node)
     stats = arr.run(

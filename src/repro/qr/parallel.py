@@ -1,85 +1,63 @@
 """Process-parallel shared-memory executor for tile QR.
 
 The serial reference executor and the threaded PULSAR backend both run
-their kernels under the GIL, so ``qr_factor`` uses one core no matter how
-many the machine has.  This module executes the *same* operation list
+their kernels under the GIL.  This module executes the *same* operation list
 (:mod:`repro.qr.ops`) across real OS processes:
 
 * the tiles, one slot per compact-WY ``T`` factor and one completion flag
   per op live in a single shared-memory segment per job
   (:class:`repro.tiles.shared.SharedTileStore`); workers attach once and
-  mutate tiles in place — no array is ever pickled;
-* *what runs where, and in which order*, is decided once per geometry, not
-  per op: :meth:`repro.qr.schedule.Schedule.assignment` list-schedules the
-  dataflow DAG on ``n_procs`` model workers under the PRT ready-pool policy
-  (``lazy`` takes the oldest ready op in program order, ``aggressive`` the
-  most recently enabled) and gives every rank its *share* — its ops in
-  start order, each with the ops it waits on;
+  mutate tiles in place — no array is ever pickled, and the factors a run
+  returns *are* that segment's views: nothing is copied out;
+* *what runs where, and in which order*, is decided once per geometry:
+  :meth:`repro.qr.schedule.Schedule.assignment` list-schedules the DAG on
+  ``n_procs`` model workers under the PRT ready-pool policy and gives every
+  rank its *share* — its ops in start order, each with the ops it waits on;
 * *when an op fires* is decided by the worker that owns it: it walks its
-  share and fires an op the moment the completion flags of its
-  predecessors are up in the segment, looking a few entries ahead
-  (:data:`LOOKAHEAD`) when the next one is not ready yet — the paper's
-  firing rule (a VDP fires when its input channels hold packets), with
-  nothing central between two firings.  A worker with nothing ready spins
-  briefly, then sleeps on its pipe with a capped back-off;
-* the parent only listens: after the lease it sends nothing per op, books
-  the reports workers send every ``batch`` ops, and watches sentinels and
-  the no-progress watchdog;
-* workers own no kernel code of their own: every op is one
-  :func:`repro.qr.execute.run_step` call on the shared store, the same step
-  runner the in-process schedules use;
+  share and fires an op the moment the completion flags of its predecessors
+  are up, looking :data:`LOOKAHEAD` entries ahead — the paper's firing rule,
+  with nothing central between two firings.  A worker with nothing ready
+  spins briefly, then sleeps on its pipe with a capped back-off;
+* the parent only listens: after the lease it sends nothing per op and reads
+  one report per worker when the worker stands still (every ``batch`` ops
+  where a recorder or a checkpoint reads its count, :func:`_auto_batch`),
+  and watches sentinels and the no-progress watchdog;
+* every op is one :func:`repro.qr.execute.run_step` call on the shared
+  store, the step runner the in-process schedules use;
 * there is one worker lifecycle, :class:`WorkerPool`, and workers are
-  spawned once per process, not once per call: every one-shot run leases
-  the module's kept pool (grown to the largest ``n_procs`` asked for,
-  ended by :func:`shutdown_workers` or at interpreter exit) and owns only
-  its segment, whose name is gone when the call returns and whose pages go
-  on as the factors it returns — nothing is copied out; a
+  spawned once per process: every one-shot run leases the module's kept pool
+  (ended by :func:`shutdown_workers` or at interpreter exit) and owns only
+  its segment, whose name is gone when the call returns; a
   :class:`~repro.qr.session.QRSession` keeps a pool of its own and one
   segment per cached plan.  A worker owns its end of one pipe and, while a
   job runs, one attachment — it closes everything else it was forked with,
   so it exits the moment its parent is gone, however the parent died.
 
 Because the dependency graph totally orders every tile's mutations, any
-legal schedule — whichever workers run whichever ops in whatever
-interleaving — produces factors **bit-identical** to the serial reference;
-the tests assert exactly that.
-
+legal schedule produces factors **bit-identical** to the serial reference.
 When ``n_procs == 1`` or shared memory is unavailable the executor falls
-back to the serial reference (same factors, ``stats.mode`` and an obs
-``fallback.serial`` counter record the fallback) instead of failing.
+back to the serial reference (``stats.mode``, ``fallback.serial``).
 
-Fault tolerance: the parent waits on every worker's pipe *and* its
-process sentinel, so a dead worker (crashed, OOM-killed, or killed by a
-:class:`~repro.faults.FaultPlan` crash schedule) is detected the moment the
-OS reaps it — the process sentinel is the heartbeat; a worker that is alive
-but silent is caught by the no-progress :class:`~repro.faults.Watchdog`
-instead (:class:`~repro.util.errors.WatchdogTimeout` after ``timeout_s``
-without a report, a death or a newly raised flag).  The unreported ops of a
-dead worker go to its replacement (``respawn=True``) or to a survivor, which
-picks the *adopt* message up from its pipe the next time it naps or runs
-out of work and merges the entries into its list by their position in the
-assignment's global order.  Handing them on is safe because operations are
-*idempotent on the shared tile store given DAG ordering*, and that
-idempotency is enforced, not assumed: a per-op completion flag in the job's
-segment is set after an op's tile mutations, so an op that already ran is
-skipped rather than re-applied (a QR kernel is destructive — factoring a
-tile twice would corrupt it).  No successor fires before the flag is up,
-and an op is only ever handed on after its owner's death is confirmed, so no
-two live workers run the same op concurrently.  A worker waiting on a flag
-of the dead one simply keeps napping until the new owner raises it.  The
-one unprotected window is a worker dying *inside* a kernel's tile writes;
-injected crashes land on op boundaries only, and docs/robustness.md spells
-out the residual risk.  :class:`ParallelExecutionError` is raised only once
-retries are exhausted (an op handed on more than :data:`MAX_REDISPATCH`
-times, or every worker dead with respawn disabled).
+Fault tolerance: the parent waits on every worker's pipe *and* its process
+sentinel, so a dead worker is detected the moment the OS reaps it; one that
+is alive but silent is caught by the no-progress
+:class:`~repro.faults.Watchdog` (``timeout_s`` without a report, a death or
+a newly raised flag).  What a dead worker had not *flagged* goes to its
+replacement (``respawn=True``) or to a survivor, which merges the *adopt*
+message into its list by position in the assignment's global order; what it
+had flagged is booked from the flags, reported or not.  Handing on is safe
+because an op runs only while its flag is clear and the flag goes up only
+after the op's tile mutations (a QR kernel is destructive — factoring a tile
+twice would corrupt it), no successor fires before the flag is up, and an op
+is handed on only after its owner's death is confirmed.  The one unprotected
+window is a worker dying *inside* a kernel's tile writes (docs/robustness.md).
+:class:`ParallelExecutionError` is raised only once an op was handed on more
+than :data:`MAX_REDISPATCH` times or every worker is dead with respawn off.
 
-Observability: workers report each op as absolute ``perf_counter`` start /
-end stamps (system-wide ``CLOCK_MONOTONIC`` on Linux), so with a recorder
-installed (:mod:`repro.obs`) the parent converts them into kernel spans on
-per-process lanes — aligned with its own ``pool.lease`` / ``attach``
-spans — and charges the exact :mod:`repro.kernels.flops`
-count per completed op.  Reports received from workers bump the
-``dispatch.batches`` counter.
+Observability: with a recorder installed (:mod:`repro.obs`) workers report
+each op's absolute ``perf_counter`` stamps and the parent turns them into
+kernel spans on per-process lanes, charged the exact
+:mod:`repro.kernels.flops` count; every report bumps ``dispatch.batches``.
 """
 
 from __future__ import annotations
@@ -187,6 +165,11 @@ class ParallelRunStats:
     n_procs: int = 1
     policy: str = "lazy"
     batch: int = 1  # most ops a worker reports in one message
+    # Parent traffic: pipe messages sent or read, bytes tiled into the
+    # segment, bytes copied out of it (``QRFactorization.detach``).
+    pipe_messages: int = 0
+    bytes_in: int = 0
+    bytes_out: int = 0
     elapsed_s: float = 0.0
     spawn_s: float = 0.0
     dispatch_s: float = 0.0  # parent time spent booking reports (not waiting)
@@ -271,7 +254,7 @@ def serial_fallback(a, ops, ib: int, reason: str, policy: str,
 
 def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
                generation: int, conn: Connection, share, batch: int,
-               park_every: int = 0) -> object:
+               park_every: int = 0, stamped: bool = False) -> object:
     """Fire one job's share of the schedule until a terminator arrives.
 
     ``share`` is the rank's ``(seq, idx, waits)`` entries in start order
@@ -284,10 +267,12 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
     (:data:`NAP_S`), where the parent's messages reach it.  With its list
     empty it blocks on the pipe and uses no CPU.
 
-    Messages to the parent: ``("done", rank, [(idx, t0, t1), ...], sdc,
-    wait_s)`` every ``batch`` ops and when the list runs empty — absolute
-    ``perf_counter`` stamps per op, the :class:`SDCGuard` delta and the
-    seconds spent with nothing ready since the previous report;
+    Messages to the parent: ``("done", rank, [idx, ...], sdc, wait_s, busy_s,
+    t_last, stamps)`` every ``batch`` ops and when the list runs empty — the
+    :class:`SDCGuard` delta, the seconds spent with nothing ready and inside
+    ops since the previous report, when the last op ended and, only when
+    ``stamped`` (the parent records spans), the absolute ``perf_counter``
+    ``(t0, t1)`` of each op;
     ``("parked", rank)`` after the report it flushes when it finds the
     segment's pause byte up — or has itself fired ``park_every`` ops since it
     last stood still (the checkpoint's ``every_ops``; 0: no checkpoint), so
@@ -319,16 +304,17 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
     ops_done = since_park = 0
     # Next entry last: firing the k-th entry of the window is ``pop(-k)``.
     todo = list(reversed(share))
-    done: list[tuple[int, float, float]] = []
-    wait_s = 0.0
+    done: list[int] = []
+    stamps = [] if stamped else None
+    wait_s = busy_s = 0.0
     ready, publish, pause, flags = store.ready, store.publish, store.pause, store.flags
     pipe_fd = conn.fileno()
 
     def report() -> None:
-        nonlocal done, wait_s
-        conn.send(("done", rank, done,
-                   guard.take_delta() if guard is not None else None, wait_s))
-        done, wait_s = [], 0.0
+        nonlocal done, stamps, wait_s, busy_s
+        conn.send(("done", rank, done, guard.take_delta() if guard is not None else None,
+                   wait_s, busy_s, t_prev, stamps))
+        done, stamps, wait_s, busy_s = [], [] if stamped else None, 0.0, 0.0
 
     def hear(until_resume: bool = False):
         """Block for the parent's word.  An adopt message is merged and the
@@ -395,7 +381,10 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
         ops_done += 1
         since_park += 1
         t_prev = time.perf_counter()
-        done.append((idx, t0, t_prev))
+        done.append(idx)
+        busy_s += t_prev - t0
+        if stamped:
+            stamps.append((t0, t_prev))
         if len(done) >= batch:
             report()
 
@@ -437,7 +426,7 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
 
     Each job starts with a header
     ``("job", shm_name, layout, ops, ib, fault_plan, run_id, batch,
-    park_every, share)``
+    park_every, stamped, share)``
     and ends with a terminator; in between the worker fires its ``share``
     on its own (:func:`_serve_job`).  A worker is only ever spawned for a
     job (:meth:`WorkerPool.spawn`, at lease time or after a mid-job death),
@@ -472,7 +461,8 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     store = None
     try:
         while job is not None:
-            _, shm_name, layout, ops, ib, fault_plan, run_id, batch, park_every, share = job
+            (_, shm_name, layout, ops, ib, fault_plan, run_id, batch, park_every,
+             stamped, share) = job
             _obs_context.activate(run_id)
             t_attach0 = time.perf_counter()
             if share is not None:
@@ -485,7 +475,7 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
                 store = SharedTileStore.attach(shm_name, layout, cached, ib)
             conn.send(("attached", rank, t_attach0, time.perf_counter(), run_id))
             end = _serve_job(store, cached.ops, ib, fault_plan, rank, generation,
-                             conn, cached_share, batch, park_every)
+                             conn, cached_share, batch, park_every, stamped)
             if end is None or end == "err":
                 break
             if end == ("detach",):
@@ -724,16 +714,15 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
 # --------------------------------------------------------------------------
 
 
-def _auto_batch(n_ops: int, n_procs: int) -> int:
-    """Report size: amortise IPC without leaving the parent's ledger stale.
-
-    A batch is a report, not a round trip — no worker waits for an answer —
-    so the size only trades pipe writes (some 20 us each, next to ops that
-    are single LAPACK calls of 20-50 us) against how fresh the parent's
-    count of completed ops is, which the checkpoint cadence and the
-    progress gauges read.
+def _auto_batch(n_ops: int, n_procs: int, watched: bool = False) -> int:
+    """Report size.  A batch is a report, not a round trip — no worker waits
+    for an answer — and every one wakes the parent on a core a worker is
+    using, so nobody reads one unless somebody reads the parent's count of
+    completed ops: the progress gauges of a recorder and the cadence of a
+    checkpoint (``watched``) get a report every few dozen ops, anyone else
+    one per worker and job, sent when the worker stands still.
     """
-    return max(1, min(32, n_ops // (n_procs * 8)))
+    return max(1, min(32, n_ops // (n_procs * 8))) if watched else max(1, n_ops)
 
 
 def execute_ops_parallel(
@@ -760,11 +749,13 @@ def execute_ops_parallel(
     ``arena`` the tiles of ``a`` are copied into a fresh one and ``a`` is
     *not* mutated (unlike :func:`~repro.qr.reference.execute_ops`); with it,
     ``a`` is the :class:`TileMatrix` of that segment's views the caller
-    loaded.  A one-shot run returns :class:`TileQRFactors` whose tiles and
-    ``T`` factors *are* the segment: its name is unlinked before this
-    function returns, its pages live as long as those arrays do
-    (:class:`~repro.tiles.shared.SharedTileStore`).  A session's segment is
-    loaded again by the next call, so its factors are owned copies.
+    loaded.  The :class:`TileQRFactors` returned *are* the segment — its
+    tile and ``T`` views, one skeleton per segment kept on the store — whose
+    pages live as long as those arrays do
+    (:class:`~repro.tiles.shared.SharedTileStore`).  A one-shot segment's name
+    is unlinked before this function returns; a session's is loaded again by
+    the next call on its geometry, which is when
+    :class:`~repro.qr.api.QRFactorization` stops handing these factors out.
 
     Parameters
     ----------
@@ -779,8 +770,10 @@ def execute_ops_parallel(
         ranks, ``"lazy"`` (program order) or ``"aggressive"`` (most
         recently enabled), mirroring the PRT.
     batch:
-        Most operations per worker message (default: auto-sized from the op
-        count).  A message is a report — workers never wait for an answer.
+        Most operations per worker message (default: :func:`_auto_batch` —
+        the whole share, i.e. one report per worker, unless a recorder or a
+        ``checkpoint`` reads the count in between).  A message is a report —
+        workers never wait for an answer.
         :func:`repro.qr.backends.run_backend` validates ``n_procs``,
         ``policy`` and ``batch`` for every backend; a direct caller passes
         values it has checked.
@@ -794,7 +787,7 @@ def execute_ops_parallel(
     respawn:
         Spawn a replacement process for each dead worker (capped at
         ``n_procs`` respawns per run), which takes over what the dead one
-        had not reported.  With ``respawn=False`` (or the budget spent) a
+        had not flagged done.  With ``respawn=False`` (or the budget spent) a
         survivor adopts it, and the run fails only when none remain.
     assignment:
         ``assignment(n_procs, policy)`` returns the shares of *exactly
@@ -809,22 +802,18 @@ def execute_ops_parallel(
         ``arena`` is the job's one segment, a
         :class:`~repro.tiles.shared.SharedTileStore` into which the caller
         has already loaded the input (flags cleared); ``pool`` the
-        :class:`WorkerPool` of a persistent session (see
-        :mod:`repro.qr.session` and ``docs/sessions.md``), which the job is
-        leased to (dead workers are respawned through it, preserving
-        generation tags) and handed back to with an ``("endjob",)`` message,
+        :class:`WorkerPool` of a persistent session (``docs/sessions.md``),
+        which the job is leased to and handed back to with ``("endjob",)``,
         and which never comes without the session's arena — both outlive
         this call.  Without ``pool`` the run is *one-shot*: it owns its
         segment from here on — the ``arena`` the run envelope tiled the input
         into (:func:`repro.qr.backends.stage_input`), or one made here from
         ``a`` — takes its name away on every way out, and leases the pool this
-        module keeps for the process — the same lease, the same parent loop,
-        ended with ``("detach",)`` so that no idle worker maps the unlinked
-        segment.  One-shot calls from several threads take turns at the
-        kept pool.  Its workers outlive the call (a repeat call forks
-        nothing; :func:`shutdown_workers` ends them) except under a
-        ``fault_plan``, which runs on fresh generation-0 workers and leaves
-        none behind, and after a job during which a worker died.
+        module keeps for the process (one caller at a time), ended with
+        ``("detach",)`` so that no idle worker maps the unlinked segment.
+        Those workers outlive the call (:func:`shutdown_workers` ends them)
+        except under a ``fault_plan``, which runs on fresh generation-0
+        workers and leaves none, and after a job during which one died.
     checkpoint:
         Optional bound :class:`~repro.qr.persist.CheckpointStore`.  When
         a snapshot falls due the parent raises the segment's pause byte;
@@ -837,8 +826,7 @@ def execute_ops_parallel(
         flags describe a consistent, predecessor-closed frontier: the parent
         captures the snapshot from the shared store, lowers the byte and
         tells the parked workers to resume.  The done mask is the flags, not
-        the parent's report ledger: a worker can die after flagging but
-        before reporting.
+        the parent's report ledger, here as at a worker's death.
     skip, preloaded_ts:
         Resume support (:func:`~repro.qr.persist.resume_factorization`):
         op indices whose writes are already present in ``a``'s tiles, and
@@ -851,8 +839,9 @@ def execute_ops_parallel(
     if n_procs is None:
         n_procs = default_n_procs()
     n_procs = max(1, min(n_procs, len(ops)))
+    rec = _obs_record._RECORDER
     if batch is None:
-        batch = _auto_batch(len(ops), n_procs)
+        batch = _auto_batch(len(ops), n_procs, rec is not None or checkpoint is not None)
     completed_set = frozenset() if skip is None else frozenset(int(i) for i in skip)
 
     def degrade(reason: str):
@@ -881,7 +870,6 @@ def execute_ops_parallel(
     # A fault plan kills generation 0 only, and its job must inject what it
     # says: on the kept pool it gets workers nobody has used and leaves none.
     fresh = one_shot and fault_plan is not None
-    rec = _obs_record._RECORDER
     ranks = range(n_procs)
     stats = ParallelRunStats(
         n_ops=len(ops), n_procs=n_procs, policy=policy, batch=batch,
@@ -930,9 +918,10 @@ def execute_ops_parallel(
             # (and, after a death, what handle_death builds from the shares).
             lease = pool.lease(n_procs, (
                 "job", store.name, a.layout, ops, ib, fault_plan, run_id, batch,
-                0 if checkpoint is None else checkpoint.every_ops, shares,
+                0 if checkpoint is None else checkpoint.every_ops, rec is not None, shares,
             ))
             stats.spawn_s = time.perf_counter() - t_run
+            stats.pipe_messages = lease["reused"]  # a spawned worker's header rode in the fork
             # Every span the parent records for worker-reported work hangs
             # off this root: the workers were leased (or spawned) because of it.
             root_span_id = None
@@ -976,9 +965,22 @@ def execute_ops_parallel(
                     "parallel.redispatched", lambda: stats.ops_redispatched
                 )
 
+            def book(w: int, idxs) -> None:
+                """Ops of ``w`` are done: said so in a report, or found flagged
+                at its death."""
+                nonlocal completed
+                completed += len(idxs)
+                owed[w] -= len(idxs)
+                if checkpoint is not None:
+                    checkpoint.note_done(len(idxs))
+                stats.per_worker_ops[w] += len(idxs)
+                for idx in idxs:
+                    reported[idx] = 1
+
             def handle_msg(w: int, msg) -> None:
                 """Book one worker message (attached / done / parked / err)."""
-                nonlocal completed, pausing
+                nonlocal pausing
+                stats.pipe_messages += 1
                 if msg[0] == "err":
                     _, _, idx, tb = msg
                     raise ParallelExecutionError(
@@ -1009,7 +1011,7 @@ def execute_ops_parallel(
                     pausing = True
                     store.pause[0] = 1
                     return
-                _, _, done, sdc, wait_s = msg
+                _, _, done, sdc, wait_s, busy_s, t_last, stamps = msg
                 if sdc is not None:
                     inj, det, rcv = sdc
                     stats.sdc_injected += inj
@@ -1024,17 +1026,13 @@ def execute_ops_parallel(
                             if n:
                                 rec.count(key, n)
                                 rec.event(etype, worker=w, span=root_span_id, n=n)
-                completed += len(done)
-                owed[w] -= len(done)
-                if checkpoint is not None:
-                    checkpoint.note_done(len(done))
-                stats.per_worker_ops[w] += len(done)
+                book(w, done)
                 stats.per_worker_wait_s[w] += wait_s
-                busy = 0.0
-                for idx, op_t0, op_t1 in done:
-                    reported[idx] = 1
-                    busy += op_t1 - op_t0
-                    if rec is not None:
+                stats.per_worker_busy_s[w] += busy_s
+                last_seen[w] = t_last
+                if rec is not None:
+                    rec.count(K_DISPATCH_BATCHES)
+                    for idx, (op_t0, op_t1) in zip(done, stamps):
                         # The worker's stamps become the op's kernel span on its
                         # lane, charged the op's exact flop count.
                         op = ops[idx]
@@ -1044,10 +1042,6 @@ def execute_ops_parallel(
                             rec.from_monotonic(op_t0), rec.from_monotonic(op_t1), w,
                             op=idx, parent=root_span_id,
                         )
-                stats.per_worker_busy_s[w] += busy
-                last_seen[w] = done[-1][2]
-                if rec is not None:
-                    rec.count(K_DISPATCH_BATCHES)
 
             def handle_death(w: int, *, proc=None, via_conn=None) -> None:
                 """Confirmed worker death: drain, hand its ops on, maybe respawn.
@@ -1087,12 +1081,15 @@ def execute_ops_parallel(
                     if code == _CRASH_EXIT_CODE:
                         rec.count(K_FAULT_CRASH)
                         rec.event("fault.crash", worker=w, span=root_span_id)
-                # What it leaves undone, in the assignment's global order.  An
-                # op that ran but went unreported is among them: its new owner
-                # skips it on the completion flag and reports it.
-                lost = tuple(sorted(
-                    e for entries in given[w] for e in entries if not reported[e[1]]
-                ))
+                # The done mask is the flags, not the reports: a flag goes up
+                # only after the op's tile writes (and their verification), and
+                # nobody raises one of a dead rank's.  What it flagged and had
+                # not reported yet is booked; what it leaves undone goes on, in
+                # the assignment's global order.
+                unreported = sorted(e for es in given[w] for e in es if not reported[e[1]])
+                up = bytes(store.flags)
+                book(w, [e[1] for e in unreported if up[e[1]]])
+                lost = tuple(e for e in unreported if not up[e[1]])
                 given[w], owed[w] = [], 0
                 for _, idx, _ in lost:
                     attempts[idx] += 1
@@ -1133,6 +1130,7 @@ def execute_ops_parallel(
                     heir = min(alive, key=lambda v: (owed[v], v))
                     try:
                         conns[heir].send(("adopt", lost))
+                        stats.pipe_messages += 1
                     except (BrokenPipeError, OSError):
                         pass  # its own sentinel is next; the entries go on from its ledger
                 given[heir].append(lost)
@@ -1165,6 +1163,7 @@ def execute_ops_parallel(
                     for w in sorted(parked):
                         try:
                             conns[w].send(("resume",))
+                            stats.pipe_messages += 1
                         except (BrokenPipeError, OSError):
                             pass  # dead: its sentinel is handled below
                     parked.clear()
@@ -1219,6 +1218,7 @@ def execute_ops_parallel(
             for w in alive:
                 try:
                     conns[w].send(terminator)
+                    stats.pipe_messages += 1
                 except (BrokenPipeError, OSError):
                     pass
             t_end = time.perf_counter()
@@ -1231,11 +1231,11 @@ def execute_ops_parallel(
                 checkpoint.write(store, store.t_factor, store.flags.astype(bool))
             if fresh or (one_shot and stats.workers_died):
                 pool.shutdown()
-            if one_shot:  # the factors are the segment: views that keep its pages
-                factored, get_t = store.matrix(), store.t_factor
-            else:  # the session's next call loads this segment again
-                factored, get_t = store.extract_matrix(), store.extract_ts().__getitem__
-            records = factor_records(ops, get_t)
+            # The factors are the segment — views that keep its pages — and
+            # their skeleton is a fact of it, built by the first run over it.
+            if store.factors is None:
+                store.factors = TileQRFactors(store.matrix(), factor_records(ops, store.t_factor), ib)
+            factors, stats.bytes_in = store.factors, store.bytes_in
             success = True
         finally:
             if rec is not None:
@@ -1253,4 +1253,4 @@ def execute_ops_parallel(
             if one_shot:
                 store.destroy()
 
-    return TileQRFactors(a=factored, records=records, ib=ib), stats
+    return factors, stats

@@ -140,24 +140,30 @@ class TileQRFactors:
         return np.concatenate(blocks)
 
 
-def factor_records(ops: list[Op], get_t) -> list[FactorRecord]:
-    """The record list of a finished run: one entry per factor op of ``ops``.
+def factor_ops(ops: list[Op]) -> tuple:
+    """``(op, T key)`` per factor op of ``ops``, in program order."""
+    return tuple((op, t_factor_key(op)) for op in ops if op.is_factor)
+
+
+def factor_records(ops, get_t) -> list[FactorRecord]:
+    """The record list of a finished run: one entry per factor op of ``ops``
+    — an operation list, filtered here (:func:`factor_ops`), or the
+    :class:`~repro.qr.schedule.Schedule` (or session plan entry) that holds
+    one and keeps that table.
 
     ``get_t`` maps a :func:`~repro.tiles.shared.t_factor_key` to that op's
     ``T`` factor.  Records come out in program order whatever schedule
     produced the factors, so every backend (and a resumed run) hands
     :class:`TileQRFactors` the same application order.
     """
-    return [
-        FactorRecord(op.kind, op.i, op.k2, op.j, get_t(t_factor_key(op)), op.m2, op.k)
-        for op in ops
-        if op.is_factor
-    ]
+    table = ops.factor_ops() if hasattr(ops, "factor_ops") else factor_ops(ops)
+    return [FactorRecord(op.kind, op.i, op.k2, op.j, get_t(key), op.m2, op.k)
+            for op, key in table]
 
 
 def execute_ops(
     a: TileMatrix,
-    ops: list[Op],
+    ops,
     ib: int,
     *,
     fault_plan=None,
@@ -169,13 +175,14 @@ def execute_ops(
 
     Returns the :class:`TileQRFactors` wrapping ``a`` and the recorded
     transformations.  ``ops`` must be in a sequentially valid order, e.g.
-    straight from :func:`repro.qr.ops.expand_plans`.  This is
+    straight from :func:`repro.qr.ops.expand_plans` — or the schedule
+    holding such a list (see :func:`factor_records`).  This is
     :func:`repro.qr.execute.run_schedule` in program order, one op per
     step; ``fault_plan`` / ``checkpoint`` / ``skip`` /
     ``preloaded_ts`` are documented there.
     """
     ts = run_schedule(
-        a, ops, ib, fault_plan=fault_plan, checkpoint=checkpoint,
+        a, getattr(ops, "ops", ops), ib, fault_plan=fault_plan, checkpoint=checkpoint,
         skip=skip, preloaded_ts=preloaded_ts,
     )
     return TileQRFactors(a=a, records=factor_records(ops, ts.__getitem__), ib=ib)

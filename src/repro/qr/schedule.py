@@ -35,6 +35,7 @@ from ..tiles.shared import _segment_plan
 from ..trees.plan import TreeKind, plan_all_panels
 from .dag import op_dependency_graph
 from .ops import expand_plans
+from .reference import factor_ops
 from .wavefront import compute_wavefronts
 
 __all__ = ["Schedule", "schedule_for", "list_schedule", "CAPACITY"]
@@ -131,7 +132,7 @@ def list_schedule(ops, graph, ib: int, n_procs: int, policy: str) -> tuple:
 class Schedule:
     """Plans and ops of one geometry, plus its lazily derived, then pinned,
     dependency graph, wavefront partition, per-``(n_procs, policy)`` worker
-    assignments and shared-segment offset tables."""
+    assignments, factor-op table and shared-segment offset tables."""
 
     def __init__(self, plans, ops, ib: int, layout: TileLayout):
         self.plans = plans
@@ -140,7 +141,7 @@ class Schedule:
         self.layout = layout
         self._graph = None
         self._wavefronts = None
-        self._segment_plan = None
+        self._segment_plan = self._factor_ops = None
         self._assignments: dict[tuple[int, str], tuple] = {}
 
     def graph(self):
@@ -169,6 +170,13 @@ class Schedule:
             shares = self._assignments.setdefault(
                 key, list_schedule(self.ops, self.graph(), self.ib, n_procs, policy))
         return shares
+
+    def factor_ops(self):
+        """:func:`~repro.qr.reference.factor_ops` of :attr:`ops`: what
+        :func:`~repro.qr.reference.factor_records` walks for every result."""
+        if self._factor_ops is None:
+            self._factor_ops = factor_ops(self.ops)
+        return self._factor_ops
 
     def segment_plan(self):
         """:func:`~repro.tiles.shared._segment_plan` of :attr:`ops`: where

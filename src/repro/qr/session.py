@@ -59,7 +59,7 @@ from ..obs.record import K_PLAN_EVICTIONS, K_PLAN_HITS, K_PLAN_MISSES
 from ..tiles.shared import SharedTileStore
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int
-from .parallel import WorkerPool, default_n_procs, execute_ops_parallel
+from .parallel import WorkerPool, default_n_procs
 from .schedule import CAPACITY, schedule_for
 
 __all__ = ["QRSession", "PlanCache", "PlanCacheStats", "WorkerPool"]
@@ -87,6 +87,9 @@ class _PlanEntry:
     @property
     def ops(self):
         return self.schedule.ops
+
+    def factor_ops(self):
+        return self.schedule.factor_ops()
 
     def graph(self):
         if self._graph is None:
@@ -119,8 +122,11 @@ class _PlanEntry:
         return self._arena
 
     def close(self) -> None:
+        """Take the segment's name away and let go of the store.  Its pages
+        stay with the results still made of them (each holds the store), so
+        neither ``close()`` nor an eviction makes a result dangle."""
         if self._arena is not None:
-            self._arena.destroy()
+            self._arena.unlink()
             self._arena = None
 
 
@@ -204,10 +210,9 @@ class QRSession:
     costs.  Every
     later call on that configuration is *warm*: plan, DAG, wavefronts,
     assignment, shared-memory arena, and worker processes are all reused —
-    each worker already holds its share — so the call reduces to copy-in,
-    kernels, copy-out (``stats.spawn_s`` collapses
-    to roughly zero).  Results are bit-exact with one-shot ``qr_factor``
-    on every backend.
+    each worker already holds its share — so the call reduces to one pass
+    in and the kernels (``stats.spawn_s`` collapses to roughly zero).
+    Results are bit-exact with one-shot ``qr_factor`` on every backend.
 
     Parameters
     ----------
@@ -247,7 +252,8 @@ class QRSession:
         return self._pool
 
     def close(self) -> None:
-        """Shut the pool down and destroy every cached arena (idempotent)."""
+        """Shut the pool down and unlink every cached arena (idempotent);
+        results made of one keep its pages."""
         if self._closed:
             return
         self._closed = True
@@ -317,25 +323,15 @@ class QRSession:
         (the pool is the point of having a session).  Accepts every
         :func:`~repro.qr.api.qr_factor` keyword except ``n_procs``, which
         is fixed by the pool.
+
+        Nothing is copied out: a ``parallel`` result is the views of this
+        geometry's segment, valid until the next ``factor`` on the geometry
+        loads it again — after that its accessors raise
+        :class:`~repro.util.errors.StaleResultError` — and through
+        :meth:`close` and eviction, which take only the segment's name.
+        ``result.detach()`` is the owned copy to keep across calls.
         """
         from .api import qr_factor
 
         kw.setdefault("backend", "parallel")
         return qr_factor(a, session=self, **kw)
-
-    def _execute_parallel(self, tm, entry, ib, *, arena, policy, batch,
-                          fault_plan, checkpoint=None):
-        """Run the parallel backend against the session's pool and ``arena``,
-        the entry's segment, whose views ``tm`` is made of
-        (:func:`repro.qr.backends.stage_input`).
-
-        Without one — no pool (``n_procs=1``), a one-op plan, or no shared
-        memory to create the segment in — ``tm`` is an ordinary tile matrix
-        and the call goes down the one-shot path, which names the reason and
-        degrades to serial.
-        """
-        kw = dict(n_procs=self.n_procs, policy=policy, batch=batch,
-                  fault_plan=fault_plan, checkpoint=checkpoint)
-        if arena is not None:
-            kw.update(assignment=entry.assignment, pool=self._pool, arena=arena)
-        return execute_ops_parallel(tm, entry.ops, ib, **kw)

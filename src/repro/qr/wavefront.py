@@ -150,10 +150,11 @@ def _signature(op: Op) -> tuple:
 
 
 def execute_ops_batched(
-    a: TileMatrix, ops: list[Op], ib: int, *, wavefronts=None,
+    a: TileMatrix, ops, ib: int, *, wavefronts=None,
     fault_plan=None, checkpoint=None, skip=None, preloaded_ts=None,
 ) -> TileQRFactors:
-    """Run an operation list on ``a`` (in place) with wavefront batching.
+    """Run an operation list (or the schedule holding it) on ``a`` (in
+    place) with wavefront batching.
 
     Semantically identical to :func:`repro.qr.reference.execute_ops` —
     factors come out bit-identical — but executes the DAG level by level,
@@ -168,10 +169,11 @@ def execute_ops_batched(
     ``checkpoint`` / ``skip`` / ``preloaded_ts`` are documented on
     :func:`repro.qr.execute.run_schedule`.
     """
+    held, ops = ops, getattr(ops, "ops", ops)  # a schedule keeps its factor-op table
     if wavefronts is None:
         wavefronts = compute_wavefronts(ops)
     ts = run_schedule(
         a, ops, ib, wavefronts, fault_plan=fault_plan, checkpoint=checkpoint,
         skip=skip, preloaded_ts=preloaded_ts,
     )
-    return TileQRFactors(a=a, records=factor_records(ops, ts.__getitem__), ib=ib)
+    return TileQRFactors(a=a, records=factor_records(held, ts.__getitem__), ib=ib)

@@ -179,7 +179,9 @@ class SharedTileStore:
     under the same plan: a one-shot run creates one per call and unlinks it
     before it returns, while a :class:`~repro.qr.session.QRSession` keeps one
     per cached plan and copies each new matrix in with :meth:`load`, so pool
-    workers that already attached to the segment never re-attach.
+    workers that already attached to the segment never re-attach.  Every
+    :meth:`load` bumps :attr:`generation`: a result made of this segment's
+    views is good for as long as the count it remembers is the current one.
     """
 
     def __init__(
@@ -228,6 +230,13 @@ class SharedTileStore:
         self.flags = np.ndarray((n_ops,), dtype=np.uint8, buffer=buf, offset=flags_off)
         #: The pause byte (a one-element view, after the flags).
         self.pause = np.ndarray((1,), dtype=np.uint8, buffer=buf, offset=flags_off + n_ops)
+        #: Times :meth:`load` ran, the run that loaded last (the run envelope
+        #: notes it) and what that load and later ``extract_*`` calls copied.
+        self.generation, self.run_id, self.bytes_in, self.bytes_out = 0, None, 0, 0
+        # The skeleton of every result over this segment, built once each: the
+        # validated grid of views (:meth:`matrix`) and, kept here by the first
+        # run that finishes (:mod:`repro.qr.parallel`), the factors around it.
+        self._matrix = self.factors = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -296,13 +305,15 @@ class SharedTileStore:
                     self._tiles[i][j][...] = a[lay.row_span(i), lay.col_span(j)]
         self.flags[:] = 0
         self.pause[0] = 0
+        self.generation += 1
+        self.bytes_in, self.bytes_out = 8 * self.layout.m * self.layout.n, 0
 
     def close(self) -> None:
         """Drop this store's views and its hold on the mapping, which goes
         with the last view taken from it (:meth:`matrix`, :meth:`t_factor`)."""
         self._tiles = []
         self._ts = {}
-        self.flags = self.pause = self._map = None
+        self.flags = self.pause = self._map = self._matrix = self.factors = None
 
     def unlink(self) -> None:
         """Remove the segment's name (creator only).  Its pages live on in
@@ -353,13 +364,18 @@ class SharedTileStore:
 
     def matrix(self) -> TileMatrix:
         """The tile grid as a :class:`TileMatrix` of views: what the segment
-        holds, under the interface everything outside the pool works on."""
-        return TileMatrix(self.layout, self._tiles)
+        holds, under the interface everything outside the pool works on —
+        one object per store, shape-checked once."""
+        if self._matrix is None:
+            self._matrix = TileMatrix(self.layout, self._tiles)
+        return self._matrix
 
     def extract_matrix(self) -> TileMatrix:
         """Copy the tile grid out into an ordinary (owned) TileMatrix."""
+        self.bytes_out += 8 * self.layout.m * self.layout.n
         return self.matrix().copy()
 
     def extract_ts(self) -> dict[tuple, np.ndarray]:
         """Copy every ``T`` factor out of the segment."""
+        self.bytes_out += sum(t.nbytes for t in self._ts.values())
         return {key: t.copy(order=TILE_ORDER) for key, t in self._ts.items()}

@@ -2,11 +2,14 @@
 
 A dense input is tiled straight into the job's shared segment (the fresh one
 of a one-shot call, the entry's arena of a session) in the one pass
-``TileMatrix.from_dense`` makes; a one-shot result *is* that segment, whose
-name is gone before the call returns and whose pages go with the result; a
-session result stays an owned copy.  Checked here: the tiling itself, what
-the parent copies per call (spies), how long name and mapping live, what a
-worker forked later inherits, and what happens when ``/dev/shm`` is full.
+``TileMatrix.from_dense`` makes; a result *is* that segment — a one-shot
+call's, whose name is gone before the call returns and whose pages go with
+the result, and a session's, good until the next ``factor`` on its geometry
+loads the segment again (then every accessor raises ``StaleResultError``;
+``detach()`` is the owned copy that stays).  Checked here: the tiling itself,
+what the parent copies per call (spies and the run's own counts), how long
+name, mapping and result live, what a worker forked later inherits, and what
+happens when ``/dev/shm`` is full.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ from repro.qr.parallel import execute_ops_parallel, shutdown_workers
 from repro.qr.schedule import Schedule, schedule_for
 from repro.tiles import TileMatrix
 from repro.tiles.layout import TileLayout
-from repro.tiles.shared import SharedTileStore
+from repro.tiles.shared import SharedTileStore, t_factor_key
 from repro.trees import TreeKind
-from repro.util import ParallelExecutionError, WatchdogTimeout
+from repro.faults import FaultPlan
+from repro.qr import CheckpointStore, resume_factorization, save_factorization
+from repro.util import ParallelExecutionError, StaleResultError, WatchdogTimeout
 from repro.util.validation import as_f64_matrix
 
 pytestmark = pytest.mark.usefixtures("no_new_shm")
@@ -128,7 +133,7 @@ def test_callers_array_is_untouched_and_factors_are_serial(matrix, kind):
     ref = qr_factor(x, **GEOMETRY)
     f = one_shot(x)
     with QRSession(n_procs=2) as sess:
-        cold, warm = sess.factor(x, **GEOMETRY), sess.factor(x, **GEOMETRY)
+        cold, warm = sess.factor(x, **GEOMETRY).detach(), sess.factor(x, **GEOMETRY)
     assert np.array_equal(x, kept) and x.dtype == kept.dtype
     assert all(same_factors(g, ref) for g in (f, cold, warm))
 
@@ -201,17 +206,123 @@ def test_one_shot_copies_one_matrix_in_and_nothing_out(matrix, serial, traffic):
 
 
 def test_session_copies_one_matrix_in_and_the_factors_out(matrix, serial, traffic):
+    """... out only when asked: the call moves one matrix in and nothing out,
+    ``detach()`` what every call used to copy — by the spies and by the
+    run's own counts."""
     with QRSession(n_procs=2) as sess:
         for call in ("cold", "warm", "warm"):
             traffic.update(bytes_in=0, bytes_out=0, loads=[], calls=[])
             f = sess.factor(matrix, **GEOMETRY)
             assert f.stats.mode == "parallel" and same_factors(f, serial), call
-            assert traffic["loads"] == ["ndarray"], call
-            assert traffic["calls"] == ["extract_matrix", "extract_ts"], call
-            assert traffic["bytes_in"] == matrix.nbytes, call
-            assert traffic["bytes_out"] == matrix.nbytes + t_bytes(f), call
-            # An owned copy: the next call reloads the segment under it.
-            assert all(t.flags.owndata for _, _, t in f._factors.a.iter_tiles())
+            assert traffic["loads"] == ["ndarray"] and traffic["calls"] == [], call
+            assert (traffic["bytes_in"], traffic["bytes_out"]) == (matrix.nbytes, 0), call
+            assert (f.stats.bytes_in, f.stats.bytes_out) == (matrix.nbytes, 0), call
+            assert f.stats.pipe_messages <= 8, call
+            # The result is the session's segment, not a copy of it.
+            (entry,) = sess.plan_cache._entries.values()
+            arena = entry._arena
+            assert all(np.shares_memory(t, arena.tile(i, j))
+                       for i, j, t in f._factors.a.iter_tiles()), call
+            assert all(np.shares_memory(r.t, arena.t_factor(t_factor_key(r)))
+                       for r in f._factors.records), call
+            owned = f.detach()
+            assert traffic["calls"] == ["extract_ts", "extract_matrix"], call
+            assert traffic["bytes_out"] == matrix.nbytes + t_bytes(f) == f.stats.bytes_out, call
+            assert same_factors(owned, serial) and owned.detach() is owned, call
+            assert all(t.flags.owndata for _, _, t in owned._factors.a.iter_tiles())
+            assert all(r.t.flags.owndata for r in owned._factors.records)
+
+
+# -- how long a session result lives ---------------------------------------------
+
+
+def accessors(f, a):
+    """Every way to the data of a result."""
+    b = np.ones(a.shape[0])
+    return [lambda: f.R, lambda: f.solve(b), lambda: f.q_matmul(b), lambda: f.qt_matmul(b),
+            f.q_thin, lambda: f.residuals(a), f.detach, lambda: pickle.dumps(f),
+            lambda: copy.deepcopy(f), lambda: save_factorization(os.devnull, f)]
+
+
+def test_the_next_factor_on_its_geometry_makes_a_result_stale(matrix, serial, tmp_path):
+    other = 3.0 - 2.0 * matrix  # other values everywhere: nothing recycled reads as right
+    elsewhere = dict(GEOMETRY, tree="flat")
+    with QRSession(n_procs=2) as sess:
+        f = sess.factor(matrix, **GEOMETRY)
+        kept = f.detach()
+        sess.factor(matrix, **elsewhere)  # another geometry, another segment
+        sess.factor(matrix, **GEOMETRY, backend="serial")  # nothing of the pool's
+        assert same_factors(f, serial) and f.shape == (M, N)
+        g = sess.factor(other, **GEOMETRY)
+        for read in accessors(f, matrix):
+            with pytest.raises(StaleResultError) as err:
+                read()
+            assert f.run_id in str(err.value) and g.run_id in str(err.value)
+        assert f.shape == (M, N) and f.stats.mode == "parallel"  # not data: still there
+        ref = qr_factor(other, **GEOMETRY)
+        assert same_factors(g, ref) and same_factors(kept, serial)
+        sess.factor(matrix, **GEOMETRY)
+        with pytest.raises(StaleResultError):
+            g.R
+    shutdown_workers()
+    assert same_factors(kept, serial) and same_factors(pickle.loads(pickle.dumps(kept)), serial)
+    save_factorization(tmp_path / "kept.npz", kept)
+
+
+@needs_proc
+@pytest.mark.parametrize("how", ["close", "evict"])
+def test_a_result_survives_the_session_that_made_it(matrix, serial, how, no_new_shm):
+    gc.collect()  # what an earlier test's tracebacks still hold
+    mapped = len(mapped_segments())
+    sess = QRSession(n_procs=2, plan_cache_size=1)
+    f = sess.factor(matrix, **GEOMETRY)
+    if how == "evict":
+        sess.factor(matrix, **dict(GEOMETRY, tree="flat"))  # the one slot goes to this one
+        assert sess.plan_cache.stats.evictions == 1
+    else:
+        sess.close()
+    assert len(shm_names() - no_new_shm) == (how == "evict"), "the name outlived its entry"
+    gc.collect()
+    assert same_factors(f, serial) and same_factors(f.detach(), serial)
+    x = np.ones(N)
+    assert np.allclose(f.solve(matrix @ x), x)
+    sess.close()
+    shutdown_workers()
+    assert shm_names() <= no_new_shm and len(mapped_segments()) == mapped + 1
+    assert same_factors(f, serial) and same_factors(copy.deepcopy(f), serial)
+    del f
+    gc.collect()
+    assert len(mapped_segments()) == mapped, "the mapping outlived the result"
+
+
+def test_a_degraded_session_call_returns_an_owned_result(matrix, serial, monkeypatch):
+    with QRSession(n_procs=2) as sess:
+        with monkeypatch.context() as patch:
+            patch.setattr(shared_mod.os, "posix_fallocate",
+                          lambda *a: (_ for _ in ()).throw(OSError(errno.ENOSPC, "full")))
+            f = sess.factor(matrix, **GEOMETRY)
+        assert f.stats.mode == "serial-fallback" and f.detach() is f
+        sess.factor(3.0 - matrix, **GEOMETRY)
+        sess.factor(3.0 - matrix, **GEOMETRY)
+        assert same_factors(f, serial)
+
+
+def test_session_results_under_faults_and_hooks_are_views_and_bit_exact(matrix, serial, tmp_path):
+    with QRSession(n_procs=2) as sess:
+        cases = dict(
+            crash=dict(fault_plan=FaultPlan(crash_workers={1: 5})),
+            flips=dict(fault_plan=FaultPlan(seed=17, flip_rate=0.3)),
+            checkpoint=dict(checkpoint=CheckpointStore(tmp_path / "c.npz", every_ops=7, every_s=3600.0)),
+            trace=dict(trace=tmp_path / "t.json"),
+            fallback=dict(on_failure="fallback"),
+        )
+        for name, kw in cases.items():
+            f = sess.factor(matrix, **GEOMETRY, **kw)
+            assert f.stats.mode == "parallel" and same_factors(f, serial), name
+            assert f.detach() is not f and same_factors(f.detach(), serial), name
+        assert f.stats.bytes_out > 0 and f.stats.workers_died == 0
+    resumed = resume_factorization(tmp_path / "c.npz", backend="parallel", n_procs=2)
+    assert same_factors(resumed, serial) and resumed.detach() is resumed
 
 
 def test_a_tile_matrix_input_is_copied_once(matrix, serial, traffic):

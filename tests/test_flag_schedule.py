@@ -10,7 +10,9 @@ the completion flags of its predecessors are up; the parent only listens.
   frontier is predecessor-closed.
 * *Real processes*: every tree, worker count, policy and report size gives
   the serial factors bit for bit; crashes at the first, a middle and the
-  last op of each rank are recovered by a replacement and by a survivor;
+  last op of each rank are recovered by a replacement and by a survivor,
+  which take over what the dead rank had not *flagged*, however little of
+  it the dead rank had reported;
   bit flips never show through a raised flag; checkpoints taken while
   workers park resume bit-exactly; a wedged worker ends in a typed error
   with nothing left behind.
@@ -190,12 +192,15 @@ class Model:
             self.since_park[w] = 0  # dry: it stands still until adopted entries arrive
 
     def kill(self, w):
-        """A confirmed death: what it was given and nobody reported goes on."""
+        """A confirmed death: what it flagged and had not reported is booked
+        from the flags, what it was given and had not flagged goes on."""
         self.alive.discard(w)
         self.parked.discard(w)
+        self.report(w)  # fired, or skipped on a flag: either way the flag is up
         lost = sorted(e for entries in self.given[w] for e in entries
                       if not self.reported[e[1]])
-        self.given[w], self.todo[w], self.unreported[w] = [], [], []
+        assert not any(self.flags[e[1]] for e in lost), "a finished op was handed on"
+        self.given[w], self.todo[w] = [], []
         for _, idx, _ in lost:
             self.attempts[idx] += 1
         if self.respawn and self.respawns < len(self.shares):
@@ -250,7 +255,8 @@ def test_model_terminates_fires_each_op_once_and_in_order(data):
         if action == "kill" and kills_left and (model.respawn or len(model.alive) > 1):
             victim = data.draw(st.sampled_from(sorted(model.alive)))
             if all(model.attempts[e[1]] < MAX_REDISPATCH
-                   for entries in model.given[victim] for e in entries):
+                   for entries in model.given[victim] for e in entries
+                   if not model.flags[e[1]]):  # a finished op is never handed on
                 kills_left -= 1
                 model.kill(victim)
                 continue
@@ -301,6 +307,28 @@ def test_model_survivor_adopts_at_every_point_of_a_checkpointed_run(tree, park_e
             break  # the run ended before the death: later ones are the same run
 
 
+@pytest.mark.parametrize("tree", sorted(TREES))
+def test_model_late_deaths_of_successive_owners_hand_on_one_op(tree):
+    """One report per job (``batch`` = everything), and rank 1 dies right
+    before the last op of its share as often as the retry budget allows: each
+    death hands on that one op and charges nothing to the ops before it."""
+    sched = schedule(tree)
+    shares = list_schedule(sched.ops, sched.graph(), IB, 2, "lazy")
+    model = Model(sched.ops, shares, sched.graph(), batch=10**6, respawn=True)
+    deaths = 0
+    for _ in range(20 * model.n):
+        if model.finished():
+            break
+        if deaths < MAX_REDISPATCH and len(model.todo[1]) == 1:
+            model.kill(1)
+            deaths += 1
+            assert sum(model.attempts) == deaths == max(model.attempts)
+            continue
+        movers = [w for w in sorted(model.alive) if model.can_step(w)]
+        model.step(movers[0])
+    assert model.finished() and deaths == MAX_REDISPATCH and model.fired == [1] * model.n
+
+
 # -- real processes: every configuration gives the serial factors ---------------------
 
 
@@ -337,12 +365,41 @@ def test_crash_at_any_op_of_any_rank_is_recovered(
     )
     assert np.array_equal(factors.r_factor(), serial["hier"].R)
     assert (stats.workers_died, stats.workers_respawned) == (1, int(respawn))
-    # Everything the dead worker had not reported goes on: its reports leave
-    # in fours, and the crash check comes before the op.
-    assert stats.ops_redispatched == len(share) - at // CRASH_BATCH * CRASH_BATCH
+    # What the dead worker had not flagged goes on, reported or not (its
+    # reports leave in fours); the crash check comes before the op.
+    assert stats.ops_redispatched == len(share) - at
     assert sum(stats.per_worker_ops.values()) == stats.n_ops
     if not respawn:
-        assert stats.per_worker_ops[1 - rank] == stats.n_ops - at // CRASH_BATCH * CRASH_BATCH
+        assert stats.per_worker_ops[1 - rank] == stats.n_ops - at
+
+
+class _LateDeaths(FaultPlan):
+    """Rank 1 dies right before the last op of its share, and its first
+    replacement — which is left that one op — right before it again."""
+
+    def worker_crash(self, rank, generation, ops_done):
+        return rank == 1 and generation < 2 and ops_done == (
+            self.crash_workers[1] if generation == 0 else 0)
+
+
+@pytest.mark.parametrize("batch", [None, 4])
+def test_late_deaths_of_successive_owners_hand_on_one_op_each(matrix, serial, batch,
+                                                              no_worker_left):
+    """The done mask is the flags: with one report per job nothing of the
+    dead rank's share was reported, and still only the op it had not finished
+    is handed on, counted, and charged against ``MAX_REDISPATCH``."""
+    sched = schedule("hier")
+    share = sched.assignment(2, "lazy")[1]
+    factors, stats = execute_ops_parallel(
+        TileMatrix.from_dense(matrix, NB), sched.ops, IB, n_procs=2, batch=batch,
+        timeout_s=60.0, assignment=sched.assignment,
+        fault_plan=_LateDeaths(crash_workers={1: len(share) - 1}),
+    )
+    assert np.array_equal(factors.r_factor(), serial["hier"].R)
+    assert [np.array_equal(r.t, s.t) for r, s in
+            zip(factors.records, serial["hier"]._factors.records)] == [True] * len(factors.records)
+    assert (stats.workers_died, stats.workers_respawned, stats.ops_redispatched) == (2, 2, 2)
+    assert stats.per_worker_ops == {w: len(s) for w, s in enumerate(sched.assignment(2, "lazy"))}
 
 
 # -- bit flips: a raised flag never endorses a corrupted tile --------------------------
@@ -590,7 +647,7 @@ def test_warm_session_call_derives_and_pickles_no_assignment(
     assert len(headers) == 6 and all(h[2] is h[3] is h[-1] is None for h in headers)
 
 
-@pytest.mark.parametrize("batch", [1, 5, 10**6])
+@pytest.mark.parametrize("batch", [1, 5, 10**6, None])
 def test_clean_job_is_one_assignment_down_and_reports_up(matrix, wire, batch, no_worker_left):
     sent, received = wire
     kw = dict(**geometry("hier"), backend="parallel", n_procs=2, batch=batch)
@@ -598,17 +655,52 @@ def test_clean_job_is_one_assignment_down_and_reports_up(matrix, wire, batch, no
     del sent[:], received[:]
     f = qr_factor(matrix, **kw)
     shares = schedule("hier").assignment(2, "lazy")
+    # Nobody reads the parent's count (no recorder, no checkpoint): left to
+    # itself a worker reports once, when it stands still.
+    size = f.stats.n_ops if batch is None else batch
     # Down: per worker the job header, then nothing until the terminator.
     assert [m[0] for m in sent] == ["job", "job", "detach", "detach"]
     # Up: per worker the attach echo and ceil(ops/batch) reports.
     assert sorted(m[0] for m in received) == sorted(
-        ["attached"] * 2 + ["done"] * sum(math.ceil(len(s) / batch) for s in shares))
+        ["attached"] * 2 + ["done"] * sum(math.ceil(len(s) / size) for s in shares))
     for rank in (0, 1):
         reports = [m for m in received if m[0] == "done" and m[1] == rank]
-        assert len(reports) == math.ceil(len(shares[rank]) / batch)
-        assert all(len(m[2]) <= batch for m in reports)
-        assert sorted(i for m in reports for i, _, _ in m[2]) == sorted(e[1] for e in shares[rank])
-    assert f.stats.batch == batch
+        assert len(reports) == math.ceil(len(shares[rank]) / size)
+        assert all(len(m[2]) <= size for m in reports)
+        assert sorted(i for m in reports for i in m[2]) == sorted(e[1] for e in shares[rank])
+        assert all(m[7] is None for m in reports)  # per-op stamps: only for a recorder
+    assert f.stats.batch == size
+    # The run's own count is what went over the pipes, and by default that is
+    # header, attach echo, one report and terminator per worker.
+    assert f.stats.pipe_messages == len(sent) + len(received)
+    if batch is None:
+        assert f.stats.pipe_messages == 8
+
+
+@pytest.mark.parametrize("watcher", ["trace", "checkpoint"])
+def test_a_recorder_or_a_checkpoint_keeps_the_report_cadence(
+        matrix, serial, wire, watcher, tmp_path, no_worker_left):
+    """Gauges and ``checkpoint.note_done`` read the parent's count of completed
+    ops, so with either of them a worker reports every few ops as it always
+    did — with per-op stamps only where spans are recorded."""
+    sent, received = wire
+    kw = dict(**geometry("hier"), backend="parallel", n_procs=2)
+    if watcher == "trace":
+        kw["trace"] = tmp_path / "run.json"
+    else:
+        kw["checkpoint"] = CheckpointStore(tmp_path / "run.npz", every_ops=10**6, every_s=3600.0)
+    qr_factor(matrix, **kw)
+    del sent[:], received[:]
+    f = qr_factor(matrix, **kw)
+    assert same_factors(f, serial["hier"])
+    size = max(1, min(32, f.stats.n_ops // 16))
+    assert f.stats.batch == size < f.stats.n_ops // 2
+    reports = [m for m in received if m[0] == "done"]
+    shares = schedule("hier").assignment(2, "lazy")
+    assert len(reports) == sum(math.ceil(len(s) / size) for s in shares)
+    assert all((m[7] is not None) == (watcher == "trace") for m in reports)
+    assert all(m[7] is None or len(m[7]) == len(m[2]) for m in reports)
+    assert f.stats.pipe_messages == len(sent) + len(received)
 
 
 # -- behaviour: what waiting and idling cost --------------------------------------------
@@ -638,9 +730,9 @@ def test_a_worker_held_on_a_flag_sleeps(matrix):
         assert not store.flags[1]
         store.publish(0)
         assert ours.poll(5.0)
-        _, rank, done, sdc, wait_s = ours.recv()
-        assert (rank, [d[0] for d in done], sdc) == (1, [1], None)
-        assert wait_s >= 0.045
+        _, rank, done, sdc, wait_s, busy_s, t_last, stamps = ours.recv()
+        assert (rank, done, sdc, stamps) == (1, [1], None, None)
+        assert wait_s >= 0.045 and 0.0 < busy_s < wait_s and t_last <= time.perf_counter()
         ours.send(("endjob",))
         thread.join(timeout=5.0)
         assert not thread.is_alive() and out["end"] == ("endjob",)

@@ -31,6 +31,7 @@ FIXTURE_RULES = [
     ("qr/bad_derive_once.py", "derive-once", 4),
     ("qr/bad_assignment.py", "derive-once", 2),
     ("qr/bad_segment_plan.py", "derive-once", 1),
+    ("qr/bad_copy_out.py", "copy-out", 3),
 ]
 
 

@@ -131,7 +131,7 @@ def test_session_and_one_shot_share_one_schedule(small_matrix, no_new_shm):
     qr_factor(small_matrix, **kw)
     shared = schedule_for(*_key())
     with QRSession(n_procs=2, plan_cache_size=1) as s1, QRSession(n_procs=2) as s2:
-        f1 = s1.factor(small_matrix, **kw)
+        f1 = s1.factor(small_matrix, **kw).detach()  # kept across the next factor
         s1.factor(small_matrix, **kw)
         s2.factor(small_matrix, **kw, backend="batched")
         (e1,), (e2,) = s1.plan_cache._entries.values(), s2.plan_cache._entries.values()

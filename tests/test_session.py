@@ -90,7 +90,7 @@ class TestBitExactness:
         shutdown_workers()  # the session's workers are then the only ones
         with QRSession(n_procs=2) as sess:
             sess.factor(random_dense(40, 24, seed=9), **KW)  # warm the plan
-            warm = sess.factor(small_matrix, **KW)
+            warm = sess.factor(small_matrix, **KW).detach()  # kept across the next factor
             wf = sess.factor(small_matrix, **KW, batch="wavefront")
         for f in (one, warm, wf):
             np.testing.assert_array_equal(ser.R, f.R)
@@ -138,7 +138,7 @@ class TestChaos:
     def test_worker_killed_between_calls(self, small_matrix):
         ser = qr_factor(small_matrix, **KW)
         with QRSession(n_procs=2) as sess:
-            f1 = sess.factor(small_matrix, **KW)
+            f1 = sess.factor(small_matrix, **KW).detach()  # kept across the next factor
             gen_before = dict(sess.pool.generations)
             sess.pool.procs[0].terminate()
             sess.pool.procs[0].join()

@@ -25,17 +25,17 @@ copy-in (``TileMatrix.from_dense`` and ``SharedTileStore.load``, whichever the
 checkout goes through), segment create (less the load inside it), pool lease,
 the window in which ops run (lease start to terminators, ``stats.elapsed_s``:
 workers fire from the moment they read their header, so the lease is inside
-it), pool shutdown, copy-out (``extract_*``), release (``destroy`` plus letting
-go of the result — owned arrays, or the mapping of a segment that is the
-result), the bytes the parent copied into tiles and out of the segment, and
-the bytes of job header pickled —
-next to a warm ``QRSession`` call and ``serial``, by timing the public
-methods from outside (it runs unchanged against another checkout's ``src`` on
+it), pool shutdown and release (``destroy`` plus letting go of the result —
+owned arrays, or the mapping of a segment that is the result) — next to a
+warm ``QRSession`` call and ``serial``, by timing the public methods from
+outside (it runs unchanged against another checkout's ``src`` on
 ``PYTHONPATH``).  The window is split per worker into seconds inside kernels
 and seconds with nothing ready (``stats.per_worker_busy_s`` /
-``per_worker_wait_s``; a checkout without the latter prints ``-``), next to
-the parent's CPU time during the call and the messages it sent and received
-on worker pipes — all four from the call with the shortest window.  Every
+``per_worker_wait_s``), next to the parent's CPU time during the call, and
+followed by the run's own traffic counts: the messages the parent sent and
+read on worker pipes and the bytes it tiled into and copied out of the
+segment (``stats.pipe_messages`` / ``bytes_in`` / ``bytes_out``; a checkout
+without a field prints ``-``) — all from the call with the shortest window.  Every
 table ends with this host's two-process probe: how much longer two CPU-bound
 children take than one (1.0: two cores delivered; 2.0: one).
 """
@@ -366,29 +366,18 @@ def probe_timeline():
 
 
 def probe_oneshot(calls=7):
-    from multiprocessing.connection import Connection
-    from multiprocessing.reduction import ForkingPickler
-
     from repro import QRSession, qr_factor
     from repro.qr import parallel
     from repro.qr.parallel import WorkerPool
     from repro.tiles.matrix import TileMatrix
     from repro.tiles.shared import SharedTileStore
 
-    spent = {}  # phase -> seconds (or bytes, or messages) accumulated during the current call
+    spent = {}  # phase -> seconds (or a count of the run's) during the current call
     stack = []  # stopwatches going, innermost last: a phase is charged its self time
 
-    def nbytes(x):
-        if isinstance(x, TileMatrix):
-            return sum(t.nbytes for _, _, t in x.iter_tiles())
-        if isinstance(x, dict):
-            return sum(t.nbytes for t in x.values())
-        return getattr(x, "nbytes", 0)
-
-    def timed(owner, method, phase, moved=None):
+    def timed(owner, method, phase):
         """Replace ``owner.method`` with itself plus a stopwatch on ``phase``
-        (less what nested stopwatches take); ``moved(args, result)`` is the
-        array or tile matrix the call copied, booked under ``moved``'s name."""
+        (less what nested stopwatches take)."""
         raw = owner.__dict__[method]
         inner = raw.__func__ if isinstance(raw, classmethod) else raw
 
@@ -402,46 +391,28 @@ def probe_oneshot(calls=7):
                 spent[phase] = spent.get(phase, 0.0) + took - stack.pop()
                 if stack:
                     stack[-1] += took
-            if moved is not None:
-                spent[moved[0]] = spent.get(moved[0], 0) + nbytes(moved[1](args, out))
             return out
 
         setattr(owner, method, classmethod(wrapper) if inner is not raw else wrapper)
 
     # Copy-in is whatever tiles the input or puts tiles into a segment;
     # ``create`` is charged what is left of it once its ``load`` is taken out.
-    copied_in = ("bytes copied in", lambda args, out: args[1])
-    copied_out = ("bytes copied out", lambda args, out: out)
     # (``from_dense`` less its validation, where the checkout has split the two.)
     tiler = "_from_validated" if hasattr(TileMatrix, "_from_validated") else "from_dense"
-    timed(TileMatrix, tiler, "copy-in", copied_in)
-    timed(SharedTileStore, "load", "copy-in", copied_in)
+    timed(TileMatrix, tiler, "copy-in")
+    timed(SharedTileStore, "load", "copy-in")
     timed(SharedTileStore, "create", "segment create")
     timed(WorkerPool, "lease", "pool.lease")
     timed(WorkerPool, "shutdown", "pool.shutdown")
-    timed(SharedTileStore, "extract_matrix", "copy-out", copied_out)
-    timed(SharedTileStore, "extract_ts", "copy-out", copied_out)
     timed(SharedTileStore, "destroy", "release")
-    raw_send, raw_recv = Connection.send, Connection.recv
 
-    def send(self, obj):
-        spent["pipe messages"] = spent.get("pipe messages", 0) + 1
-        if isinstance(obj, tuple) and obj and obj[0] == "job":
-            spent["header bytes"] = spent.get("header bytes", 0) + len(ForkingPickler.dumps(obj))
-        return raw_send(self, obj)
-
-    def recv(self):
-        spent["pipe messages"] = spent.get("pipe messages", 0) + 1
-        return raw_recv(self)
-
-    Connection.send, Connection.recv = send, recv
-
+    # What the run counted itself (``ParallelRunStats``), as the table names it.
+    counts = {"pipe messages": "pipe_messages", "bytes copied in": "bytes_in",
+              "bytes copied out": "bytes_out"}
     window = ["  kernels w0", "  kernels w1", "  nothing ready w0", "  nothing ready w1",
-              "  parent CPU", "pipe messages"]
-    counts = ("header bytes", "pipe messages", "bytes copied in", "bytes copied out")
+              "  parent CPU", *counts]
     phases = ["total", "copy-in", "segment create", "pool.lease", "window", *window,
-              "pool.shutdown", "copy-out", "release", "bytes copied in", "bytes copied out",
-              "header bytes"]
+              "pool.shutdown", "release"]
 
     def measure(call):
         """Per phase, the minimum over ``calls`` calls after one warm-up; the
@@ -465,8 +436,9 @@ def probe_oneshot(calls=7):
                 spent["  parent CPU"] = cpu
                 for w in (0, 1):
                     spent[f"  kernels w{w}"] = st.per_worker_busy_s[w]
-                    if hasattr(st, "per_worker_wait_s"):
-                        spent[f"  nothing ready w{w}"] = st.per_worker_wait_s[w]
+                    spent[f"  nothing ready w{w}"] = st.per_worker_wait_s[w]
+                spent.update((row, getattr(st, field)) for row, field in counts.items()
+                             if hasattr(st, field))
             if i:
                 shortest = spent.get("window", 0.0) <= best_of.get("window", float("inf"))
                 for phase, value in spent.items():
