@@ -628,7 +628,7 @@ def _run(
         try:
             entry = plan()
             tm, store = stage_input(backend, a, layout, entry, ib, session=session,
-                                    n_procs=launch.get("n_procs"))
+                                    n_procs=launch.get("n_procs"), recycle=fault_plan is None)
             if store is not None:
                 store.run_id = run_id
             if on_failure == "fallback" and can_fail:

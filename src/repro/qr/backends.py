@@ -124,25 +124,32 @@ def worker_count(backend: str, *, n_nodes: int = 1, workers_per_node: int = 1,
     return None
 
 
-def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_procs=None):
+def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_procs=None,
+                recycle=True):
     """Tile the validated input ``a`` — a dense float64 array or a
     :class:`TileMatrix` of geometry ``layout``, neither kept nor aliased —
     into the storage ``backend`` runs on; return ``(tm, store)``.
 
     For ``parallel`` with more than one worker that storage is the job's
-    shared segment — the fresh one of a one-shot call, the entry's arena of a
-    session, cold or warm — and ``a`` goes straight into it, in the one pass
+    shared segment — for a one-shot call a spare of the kept pool (``recycle``;
+    not under a fault plan) or else a fresh one, for a session the entry's
+    arena, cold or warm — and ``a`` goes straight into it, in the one pass
     :meth:`TileMatrix.from_dense` would have made: ``tm`` is the
     :class:`TileMatrix` of its views, ``store`` the segment
     :func:`run_backend` is to be handed.  Everywhere else ``tm`` is an owned
     tile matrix and ``store`` is ``None`` — also where the segment cannot be
     had, which the backend then finds out again, names and degrades on.
     """
-    if backend == "parallel" and min(
-            worker_count(backend, n_procs=n_procs, session=session), len(entry.ops)) > 1:
+    k = backend == "parallel" and min(
+        worker_count(backend, n_procs=n_procs, session=session), len(entry.ops))
+    if k > 1:
         try:
-            store = (SharedTileStore.create(a, entry, ib) if session is None
-                     else entry.arena_for(a, ib))
+            if session is not None:
+                store = entry.arena_for(a, ib)
+            else:
+                spare = recycle and _parallel._KEPT.take_spare(entry.ops, ib, k)
+                store = (SharedTileStore.recycle(a, entry, ib, *spare) if spare
+                         else SharedTileStore.create(a, entry, ib))
             return store.matrix(), store
         except OSError:
             pass

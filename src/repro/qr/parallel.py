@@ -26,11 +26,12 @@ their kernels under the GIL.  This module executes the *same* operation list
   store, the step runner the in-process schedules use;
 * there is one worker lifecycle, :class:`WorkerPool`, and workers are
   spawned once per process: every one-shot run leases the module's kept pool
-  (ended by :func:`shutdown_workers` or at interpreter exit) and owns only
-  its segment, whose name is gone when the call returns; a
+  (ended by :func:`shutdown_workers` or at interpreter exit) on a segment
+  whose name is gone when the call returns and which a later call loads
+  again once its result is gone (:data:`SPARE_SEGMENTS`); a
   :class:`~repro.qr.session.QRSession` keeps a pool of its own and one
-  segment per cached plan.  A worker owns its end of one pipe and, while a
-  job runs, one attachment — it closes everything else it was forked with,
+  segment per cached plan.  A worker owns its end of one pipe and the last
+  attachments it made — it closes everything else it was forked with,
   so it exits the moment its parent is gone, however the parent died.
 
 Because the dependency graph totally orders every tile's mutations, any
@@ -132,6 +133,11 @@ MAX_REDISPATCH = 2
 #: one a third; 4, 8 and 16 cannot be told apart.
 LOOKAHEAD = 8
 
+#: Segments a finished one-shot run may leave mapped for the next one, and
+#: attachments a worker keeps (of either pool).  Two, because ``f =
+#: qr_factor(...)`` in a loop still holds result *k* while call *k + 1* runs.
+SPARE_SEGMENTS = 2
+
 #: Scans of the look-ahead window that may fail back to back before a worker
 #: with nothing ready starts to sleep: some 20 us, the length of a short
 #: kernel, so a flag raised by a neighbour mid-op is seen without a syscall.
@@ -170,6 +176,10 @@ class ParallelRunStats:
     pipe_messages: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
+    # Whether the job ran on a mapping an earlier run left, and each worker's
+    # seconds from header to attach echo (mapping and view building, if any).
+    segment_recycled: bool = False
+    per_worker_attach_s: dict[int, float] = field(default_factory=dict)
     elapsed_s: float = 0.0
     spawn_s: float = 0.0
     dispatch_s: float = 0.0  # parent time spent booking reports (not waiting)
@@ -293,8 +303,8 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
 
     Returns the terminator received: ``None`` (shut the worker down),
     ``("endjob",)`` (job complete, the worker keeps its attachment and waits
-    for the next job), ``("detach",)`` (job complete and its segment is
-    about to be unlinked: drop the attachment, then wait), or the string
+    for the next job), ``("detach",)`` (job complete, drop the attachment,
+    then wait: a fault-plan run leaves nothing behind), or the string
     ``"err"`` after an execution error was reported.
     """
     crashy = fault_plan is not None and fault_plan.faulty_workers
@@ -402,7 +412,7 @@ _PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
 def _drop_inherited() -> None:
     """Close what a worker was forked with but does not own.
 
-    A worker owns its end of one pipe and, while a job runs, one attachment.
+    A worker owns its end of one pipe and the attachments it made itself.
     The parent-side pipe ends went at the fork (:func:`_after_fork_in_child`)
     and the parent's mappings of shared segments never came along
     (``MADV_DONTFORK``, :class:`~repro.tiles.shared.SharedTileStore`); here
@@ -436,14 +446,16 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     ``None`` instead of a header ends the worker.
 
     A header names only what the worker does not hold yet.  ``layout`` and
-    ``ops`` both ``None`` means "same segment as your previous job": the
-    worker keeps its attachment and operation list, so a warm
-    ``session.factor`` call costs it no re-attach and no unpickling.
-    ``ops`` alone ``None`` means "a new segment, the operation list you
-    already hold": the worker re-attaches by name with its cached list and
+    ``ops`` both ``None`` means "a segment you map": the worker keeps its
+    last :data:`SPARE_SEGMENTS` attachments by name (a name stays a unique id
+    after ``unlink``), each with the schedule it was attached under, so a
+    warm ``session.factor`` call and a one-shot call on a recycled segment
+    cost it no re-attach and no unpickling.
+    ``ops`` alone ``None`` means "a new segment, the operation list of your
+    previous job": the worker attaches by name with its cached list and
     the offset tables it derived for it (it keeps both as a
-    :class:`~repro.qr.schedule.Schedule` of its own) — a repeat one-shot
-    call, whose segment is new every time, pickles no op list and derives no
+    :class:`~repro.qr.schedule.Schedule` of its own) — a one-shot call that
+    found no spare pickles no op list and derives no
     table.  ``share`` ``None`` means "the share of your previous job" (the
     memoized assignment is one object per geometry, worker count and
     policy).  Either way ``spawn_s`` on the parent collapses to a couple of
@@ -456,9 +468,9 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     # and is echoed in the attach handshake, so the parent can verify the
     # worker is serving the run it thinks it is.
     _obs_record._RECORDER = None
-    cached: Schedule | None = None  # the op list held, and its segment tables
+    cached: Schedule | None = None  # the last job's op list, and its segment tables
     cached_share = None
-    store = None
+    held: dict[str, tuple] = {}  # name -> (attachment, its schedule), oldest first
     try:
         while job is not None:
             (_, shm_name, layout, ops, ib, fault_plan, run_id, batch, park_every,
@@ -467,26 +479,28 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
             t_attach0 = time.perf_counter()
             if share is not None:
                 cached_share = share
-            if store is None or store.name != shm_name:
-                if store is not None:
-                    store.close()
+            kept = held.pop(shm_name, None)
+            if kept is None:
                 if ops is not None:
                     cached = Schedule(None, ops, ib, layout)
-                store = SharedTileStore.attach(shm_name, layout, cached, ib)
+                kept = SharedTileStore.attach(shm_name, layout, cached, ib), cached
+            held[shm_name] = kept
+            store, cached = kept
+            if len(held) > SPARE_SEGMENTS:
+                held.pop(next(iter(held)))[0].close()
             conn.send(("attached", rank, t_attach0, time.perf_counter(), run_id))
             end = _serve_job(store, cached.ops, ib, fault_plan, rank, generation,
                              conn, cached_share, batch, park_every, stamped)
             if end is None or end == "err":
                 break
             if end == ("detach",):
-                store.close()
-                store = None
+                held.pop(shm_name)[0].close()
             job = conn.recv()
     except (EOFError, ConnectionError, KeyboardInterrupt):  # parent went away: just exit
         pass
     finally:
-        if store is not None:
-            store.close()
+        for kept in held.values():
+            kept[0].close()
         conn.close()
 
 
@@ -496,15 +510,18 @@ class WorkerPool:
     Each worker runs :func:`_worker_main`: a loop over *jobs*, where a job
     is a header naming the shared segment and the worker's share of the
     schedule, ended by ``("endjob",)`` or ``("detach",)``.  The pool tracks
-    which segment each worker has attached (:attr:`known`) and which
+    which segments each worker maps (:attr:`known`, its LRU mirrored) and which
     operation list and share it was last sent, and slims the header
-    accordingly (see :func:`_worker_main`): no layout and no op list for the
-    same segment, no op list for a new segment under the same list, no share
+    accordingly (see :func:`_worker_main`): no layout and no op list for a
+    segment it maps, no op list for a new segment under the same list, no share
     when it is the object the worker already holds — a warm lease costs one
     small pipe message per worker.  A
     :class:`~repro.qr.session.QRSession` keeps its pool across calls; every
     one-shot :func:`execute_ops_parallel` leases the one this module keeps
-    for the process (:func:`shutdown_workers` ends its workers).
+    for the process (:func:`shutdown_workers` ends its workers), which also
+    keeps the segments its last clean jobs ran on (:attr:`spares`): unlinked,
+    still mapped here and in the workers, and loaded again by a call under
+    their op list once the result made of them is gone (:meth:`take_spare`).
 
     Generation tags are the pool's crash-recovery bookkeeping, shared with
     the parent loop in :func:`execute_ops_parallel` (the
@@ -522,8 +539,11 @@ class WorkerPool:
         self.procs: dict[int, mp.process.BaseProcess] = {}
         self.conns: dict[int, Connection] = {}
         self.generations: dict[int, int] = {}
-        #: rank -> name of the shared segment the worker has attached.
-        self.known: dict[int, str] = {}
+        #: rank -> names of the segments the worker maps, oldest first.
+        self.known: dict[int, list[str]] = {}
+        #: ``(handle, mapping, weakref(root), ops, ib)`` per segment a clean
+        #: one-shot job left behind, newest first.
+        self.spares: list[tuple] = []
         # rank -> the op list and the share the worker holds, *by reference*:
         # the memoized ones of ``schedule_for`` are one object each however
         # often they are leased.
@@ -564,7 +584,7 @@ class WorkerPool:
         self.procs[rank] = p
         self.conns[rank] = parent_conn
         self.generations[rank] = generation
-        self.known[rank] = self._job[1]
+        self.known[rank] = [self._job[1]]
         self._ops_of[rank] = self._job[3]
         self._share_of[rank] = share
         rec = _obs_record._RECORDER
@@ -576,12 +596,15 @@ class WorkerPool:
         """Send a live worker the job header, less what it already holds."""
         job, share = self._job[:-1], self._job[-1][rank]
         shm_name, ops = job[1], job[3]
-        if self.known.get(rank) == shm_name:
+        names = self.known.setdefault(rank, [])
+        if shm_name in names:
+            names.remove(shm_name)
             job = job[:2] + (None, None) + job[4:]  # no layout, no op list
         elif self._ops_of.get(rank) is ops:
             job = job[:3] + (None,) + job[4:]  # new segment, no op list
         self.conns[rank].send(job + (None if self._share_of.get(rank) is share else share,))
-        self.known[rank] = shm_name
+        names.append(shm_name)
+        del names[:-SPARE_SEGMENTS]
         self._ops_of[rank] = ops
         self._share_of[rank] = share
 
@@ -619,6 +642,22 @@ class WorkerPool:
             rec.event("pool.lease", n_procs=k, spawned=spawned, reused=reused)
         return {"n_procs": k, "spawned": spawned, "reused": reused}
 
+    def holds(self, name: str, k: int) -> bool:
+        """Whether ranks ``0..k-1`` are alive and map segment ``name`` — the
+        only ones that can serve a segment whose name is gone."""
+        return all(name in self.known.get(w, ()) and self.procs[w].is_alive() for w in range(k))
+
+    def take_spare(self, ops, ib: int, k: int):
+        """``(handle, mapping)`` of the newest spare laid out for ``ops`` and
+        ``ib`` that nobody reads any more (its root is dead) and ranks
+        ``0..k-1`` map, or ``None``; taken under a lock, so by one caller."""
+        with _FORK_LOCK:
+            spares = self.spares  # one list, whoever ends the pool meanwhile
+            for i, (shm, buf, root, its_ops, its_ib) in enumerate(spares):
+                if its_ops is ops and its_ib == ib and root() is None and self.holds(shm.name, k):
+                    del spares[i]
+                    return shm, buf
+
     def reset(self) -> None:
         """Kill every worker after a failed job.
 
@@ -646,6 +685,7 @@ class WorkerPool:
         self.known.clear()
         self._ops_of.clear()
         self._share_of.clear()
+        self.spares = []  # nobody left who maps them
 
     def shutdown(self) -> None:
         """Graceful stop: ask each worker to exit, then make sure it did."""
@@ -666,8 +706,8 @@ class WorkerPool:
 #: The process's kept pool: every one-shot run leases it, so workers are
 #: forked once per process and grow to the largest ``n_procs`` asked for
 #: (each lease names its own ``k``; the pool's ``size`` is not read).
-#: It holds no segment and no tile — an idle worker pins the copy-on-write
-#: pages of its parent at fork time and one pipe.
+#: Idle it pins the copy-on-write pages of its parent at fork time, a pipe
+#: per worker and at most :data:`SPARE_SEGMENTS` unlinked segments.
 _KEPT = WorkerPool(1)
 
 #: Serialises the kept pool between one-shot calls from different threads:
@@ -680,7 +720,8 @@ def shutdown_workers() -> None:
 
     Idempotent, and never required: the next one-shot call forks new ones,
     and at interpreter exit ``multiprocessing`` stops them as it stops any
-    daemon.  Call it to give back what idle workers pin, or before a test
+    daemon.  Call it to give back what idle workers pin (spare segments
+    included: then a segment belongs to its result alone), or before a test
     that relies on what a worker inherits when it is forked.  A
     :class:`~repro.qr.session.QRSession` has its own pool and ``close()``.
     """
@@ -693,7 +734,8 @@ def _after_fork_in_child() -> None:
 
     Worker or not, the child closes its copies of the parent-side pipe ends
     (see :data:`_PARENT_ENDS`), forgets the kept workers — they are its
-    parent's children; a one-shot call made here forks its own — and
+    parent's children, and the spares are mapped in the parent only
+    (``MADV_DONTFORK``); a one-shot call made here makes its own — and
     replaces the lease lock, which a thread that does not exist here may
     hold.
     """
@@ -750,10 +792,11 @@ def execute_ops_parallel(
     *not* mutated (unlike :func:`~repro.qr.reference.execute_ops`); with it,
     ``a`` is the :class:`TileMatrix` of that segment's views the caller
     loaded.  The :class:`TileQRFactors` returned *are* the segment — its
-    tile and ``T`` views, one skeleton per segment kept on the store — whose
-    pages live as long as those arrays do
+    tile and ``T`` views, one skeleton per store — whose
+    pages nobody writes while one of those arrays, or a view of one, is alive
     (:class:`~repro.tiles.shared.SharedTileStore`).  A one-shot segment's name
-    is unlinked before this function returns; a session's is loaded again by
+    is unlinked before this function returns and its mapping kept as a spare
+    for a later call; a session's is loaded again by
     the next call on its geometry, which is when
     :class:`~repro.qr.api.QRFactorization` stops handing these factors out.
 
@@ -787,7 +830,8 @@ def execute_ops_parallel(
     respawn:
         Spawn a replacement process for each dead worker (capped at
         ``n_procs`` respawns per run), which takes over what the dead one
-        had not flagged done.  With ``respawn=False`` (or the budget spent) a
+        had not flagged done.  With ``respawn=False`` (or the budget spent, or
+        on a recycled segment, whose name is gone) a
         survivor adopts it, and the run fails only when none remain.
     assignment:
         ``assignment(n_procs, policy)`` returns the shares of *exactly
@@ -807,13 +851,16 @@ def execute_ops_parallel(
         and which never comes without the session's arena — both outlive
         this call.  Without ``pool`` the run is *one-shot*: it owns its
         segment from here on — the ``arena`` the run envelope tiled the input
-        into (:func:`repro.qr.backends.stage_input`), or one made here from
+        into (:func:`repro.qr.backends.stage_input`: a fresh one, or a spare
+        of the kept pool), or one made here from
         ``a`` — takes its name away on every way out, and leases the pool this
-        module keeps for the process (one caller at a time), ended with
-        ``("detach",)`` so that no idle worker maps the unlinked segment.
-        Those workers outlive the call (:func:`shutdown_workers` ends them)
+        module keeps for the process (one caller at a time).  A clean job
+        leaves its mapping to the pool as a spare; a recycled ``arena`` that a
+        leased rank does not map is moved to a fresh named segment first.
+        The workers outlive the call (:func:`shutdown_workers` ends them)
         except under a ``fault_plan``, which runs on fresh generation-0
-        workers and leaves none, and after a job during which one died.
+        workers, ends with ``("detach",)`` and leaves none and no spare, and
+        after a job during which one died.
     checkpoint:
         Optional bound :class:`~repro.qr.persist.CheckpointStore`.  When
         a snapshot falls due the parent raises the segment's pause byte;
@@ -853,35 +900,41 @@ def execute_ops_parallel(
     if n_procs == 1:
         return degrade("n_procs=1")
     # A session's segment already holds the tiles and cleared flags (the
-    # caller loaded the input) and outlives this call with its pool, whose
-    # workers keep their attachment.  A one-shot run's segment ends with the
-    # call in name — its pages go on as the factors — so the workers it
-    # leases (the process's kept pool, one caller at a time) drop theirs.
+    # caller loaded the input) and outlives this call with its pool.  A
+    # one-shot run's segment ends with the call in name — its pages go on as
+    # the factors, and as a spare of the process's kept pool (one caller at a
+    # time), whose workers keep their attachment like a session's.
     one_shot = pool is None
     require(one_shot or arena is not None, "a session's pool runs on its arena")
-    store, terminator, lock = arena, ("endjob",), contextlib.nullcontext()
+    store, lock = arena, contextlib.nullcontext()
     if one_shot:
-        if store is None:  # a direct caller: the tiles of ``a`` go in here
-            try:
-                store = SharedTileStore.create(a, ops, ib)
-            except OSError as exc:
-                return degrade(f"shared memory unavailable: {exc}")
-        pool, terminator, lock = _KEPT, ("detach",), _LEASE_LOCK
+        pool, lock = _KEPT, _LEASE_LOCK
     # A fault plan kills generation 0 only, and its job must inject what it
     # says: on the kept pool it gets workers nobody has used and leaves none.
     fresh = one_shot and fault_plan is not None
+    terminator = ("detach",) if fresh else ("endjob",)
     ranks = range(n_procs)
     stats = ParallelRunStats(
         n_ops=len(ops), n_procs=n_procs, policy=policy, batch=batch,
         per_worker_busy_s=dict.fromkeys(ranks, 0.0),
         per_worker_wait_s=dict.fromkeys(ranks, 0.0),
         per_worker_ops=dict.fromkeys(ranks, 0),
+        per_worker_attach_s=dict.fromkeys(ranks, 0.0),
     )
     with lock:
+        if fresh:
+            pool.shutdown()
+        if one_shot and (store is None or store.recycled and not pool.holds(store.name, n_procs)):
+            # A direct caller's tiles go in here; so do those of a segment
+            # without a name that a rank about to be leased does not map.
+            try:
+                store = SharedTileStore.create(a, ops, ib)
+            except OSError as exc:
+                return degrade(f"shared memory unavailable: {exc}")
+        stats.segment_recycled = store.recycled
+        respawn = respawn and not store.recycled  # nothing to attach by: survivors adopt
         success = False
         try:
-            if fresh:
-                pool.shutdown()
             if assignment is not None:
                 shares = assignment(n_procs, policy)
             else:  # a direct caller; run_backend and sessions pass the memo's
@@ -996,6 +1049,7 @@ def execute_ops_parallel(
                         )
                     attached.add(w)
                     last_seen[w] = a1
+                    stats.per_worker_attach_s[w] += a1 - a0
                     if rec is not None:
                         rec.add_span(
                             "attach", "dispatch",
@@ -1212,9 +1266,7 @@ def execute_ops_parallel(
                     pass  # died idle: the next lease respawns it
             # Hand the workers back to await the next job header (or the pool
             # owner's shutdown): ``("endjob",)`` keeps their store attachment,
-            # ``("detach",)`` drops it, and the pool is told so.
-            if terminator == ("detach",):
-                pool.known.clear()
+            # ``("detach",)`` drops it (those workers end below).
             for w in alive:
                 try:
                     conns[w].send(terminator)
@@ -1251,6 +1303,9 @@ def execute_ops_parallel(
                 # generations) is the only safe state to return the pool in.
                 pool.reset()
             if one_shot:
+                if success and not fresh and not stats.workers_died:
+                    with _FORK_LOCK:  # against take_spare in another thread
+                        pool.spares[:] = [(*store.spare(), ops, ib), *pool.spares][:SPARE_SEGMENTS]
                 store.destroy()
 
     return factors, stats

@@ -28,6 +28,7 @@ from __future__ import annotations
 import mmap
 import os
 import threading
+import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -159,11 +160,14 @@ class SharedTileStore:
 
     The *name* and the *mapping* have separate lives.  :meth:`unlink` removes
     the name, which is what workers attach by and what ``/dev/shm`` lists.
-    The mapping is this process's own ``mmap`` and lives as long as the views
-    taken from it: :meth:`close` drops the store's, and the pages go back
-    with the last view anywhere — at once when nobody kept one, with the
-    result when a one-shot run hands its tiles and ``T`` slots on as the
-    factors (:meth:`matrix`, :meth:`t_factor`).  No child forked later
+    The mapping is this process's own ``mmap``, and every view a store hands
+    out — tiles, ``T`` slots, flags, whatever is sliced from them — is built
+    on one *root* array made over it for this store, so the root lives
+    exactly as long as anybody can read these pages: :meth:`close` drops the
+    store's hold, a one-shot result (:meth:`matrix`, :meth:`t_factor`) keeps
+    the root for as long as one of its arrays is around, and once the root is
+    dead (:meth:`spare`) the mapping may be laid out again for the next run
+    under the same plan (:meth:`recycle`).  No child forked later
     inherits a mapping made here (``MADV_DONTFORK``): a worker attaches the
     segment it serves by name, and any other child must not touch a store,
     or a result that is one, of its parent.
@@ -176,10 +180,11 @@ class SharedTileStore:
     raises when a checkpoint falls due: workers read it before each op and
     park.  The layout is a pure function of ``(layout, ops,
     ib)`` (:func:`_segment_plan`), so one store fits every matrix factored
-    under the same plan: a one-shot run creates one per call and unlinks it
-    before it returns, while a :class:`~repro.qr.session.QRSession` keeps one
-    per cached plan and copies each new matrix in with :meth:`load`, so pool
-    workers that already attached to the segment never re-attach.  Every
+    under the same plan: a one-shot run unlinks its segment before it returns
+    and leaves the mapping to the next one (:mod:`repro.qr.parallel`), while a
+    :class:`~repro.qr.session.QRSession` keeps one per cached plan; either way
+    each new matrix is copied in with :meth:`load` and pool workers that
+    already attached to the segment never re-attach.  Every
     :meth:`load` bumps :attr:`generation`: a result made of this segment's
     views is good for as long as the count it remembers is the current one.
     """
@@ -193,6 +198,7 @@ class SharedTileStore:
         n_ops: int,
         *,
         owner: bool,
+        buf: mmap.mmap | None = None,
     ):
         self._shm = shm  # kept for the name and for unlink()
         self._owner = owner
@@ -203,17 +209,24 @@ class SharedTileStore:
             raise ConfigurationError(
                 f"shared segment holds {shm.size} bytes, layout needs {flags_off + n_ops + 1}"
             )
-        # Our own mapping, not ``shm.buf``: ``SharedMemory.close`` raises while
-        # a view is alive, this one is collected after the last of them.  The
-        # caller holds _FORK_LOCK until it is out of forks.
-        self._map = buf = mmap.mmap(shm._fd, shm.size)
-        if hasattr(mmap, "MADV_DONTFORK"):  # pragma: no branch - Linux
-            buf.madvise(mmap.MADV_DONTFORK)
-        shm.close()
+        #: Whether the mapping came from an earlier run (:meth:`recycle`).
+        self.recycled = buf is not None
+        if buf is None:
+            # Our own mapping, not ``shm.buf``: ``SharedMemory.close`` raises
+            # while a view is alive, this one is collected after the last of
+            # them.  The caller holds _FORK_LOCK until it is out of forks.
+            buf = mmap.mmap(shm._fd, shm.size)
+            if hasattr(mmap, "MADV_DONTFORK"):  # pragma: no branch - Linux
+                buf.madvise(mmap.MADV_DONTFORK)
+            shm.close()
+        self._map = buf
+        # This store's root: the base of every view below and of every view
+        # of one, so it is alive exactly while someone can read the pages.
+        self._root = root = np.frombuffer(buf, dtype=np.uint8)
         self._tiles = [
             [
                 np.ndarray(
-                    tile_index[(i, j)][1], dtype=np.float64, buffer=buf,
+                    tile_index[(i, j)][1], dtype=np.float64, buffer=root,
                     offset=tile_index[(i, j)][0] * 8, order=TILE_ORDER,
                 )
                 for j in range(layout.nt)
@@ -222,14 +235,14 @@ class SharedTileStore:
         ]
         self._ts = {
             key: np.ndarray(
-                shape, dtype=np.float64, buffer=buf, offset=off * 8, order=TILE_ORDER
+                shape, dtype=np.float64, buffer=root, offset=off * 8, order=TILE_ORDER
             )
             for key, (off, shape) in t_index.items()
         }
         #: One completion byte per op (a view like the tiles).
-        self.flags = np.ndarray((n_ops,), dtype=np.uint8, buffer=buf, offset=flags_off)
+        self.flags = np.ndarray((n_ops,), dtype=np.uint8, buffer=root, offset=flags_off)
         #: The pause byte (a one-element view, after the flags).
-        self.pause = np.ndarray((1,), dtype=np.uint8, buffer=buf, offset=flags_off + n_ops)
+        self.pause = np.ndarray((1,), dtype=np.uint8, buffer=root, offset=flags_off + n_ops)
         #: Times :meth:`load` ran, the run that loaded last (the run envelope
         #: notes it) and what that load and later ``extract_*`` calls copied.
         self.generation, self.run_id, self.bytes_in, self.bytes_out = 0, None, 0, 0
@@ -267,6 +280,15 @@ class SharedTileStore:
         return store
 
     @classmethod
+    def recycle(cls, a: TileMatrix | np.ndarray, ops, ib: int, shm, buf) -> "SharedTileStore":
+        """:meth:`create` without allocating or mapping anything: new views
+        over the handle and mapping a finished run under the same ``ops`` and
+        ``ib`` left (:meth:`spare`, its root dead), then :meth:`load`."""
+        store = cls(shm, ops.layout, ib, *_tables(ops.layout, ops, ib), owner=False, buf=buf)
+        store.load(a)
+        return store
+
+    @classmethod
     def attach(cls, name: str, layout: TileLayout, ops, ib: int) -> "SharedTileStore":
         """Attach to an existing segment from a worker process (untracked,
         see :func:`attach_untracked`); ``ops`` as for :meth:`create`."""
@@ -296,7 +318,7 @@ class SharedTileStore:
                 raise ShapeError(f"segment holds a {lay.m} x {lay.n} matrix, got {a.shape}")
             mt_f, nt_f = lay.m // nb, lay.n // nb
             full = np.ndarray(
-                (mt_f, nt_f, nb, nb), dtype=np.float64, buffer=self._map,
+                (mt_f, nt_f, nb, nb), dtype=np.float64, buffer=self._root,
                 strides=(8 * nb * lay.n, 8 * nb * nb, 8 * nb, 8),
             )
             full[...] = full_tiles(a, nb)
@@ -313,7 +335,12 @@ class SharedTileStore:
         with the last view taken from it (:meth:`matrix`, :meth:`t_factor`)."""
         self._tiles = []
         self._ts = {}
-        self.flags = self.pause = self._map = self._matrix = self.factors = None
+        self.flags = self.pause = self._map = self._root = self._matrix = self.factors = None
+
+    def spare(self) -> tuple:
+        """``(handle, mapping, weakref(root))``: what :meth:`recycle` needs,
+        once the reference is dead — nobody holds a view of these pages."""
+        return self._shm, self._map, weakref.ref(self._root)
 
     def unlink(self) -> None:
         """Remove the segment's name (creator only).  Its pages live on in

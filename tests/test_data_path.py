@@ -8,8 +8,9 @@ the result, and a session's, good until the next ``factor`` on its geometry
 loads the segment again (then every accessor raises ``StaleResultError``;
 ``detach()`` is the owned copy that stays).  Checked here: the tiling itself,
 what the parent copies per call (spies and the run's own counts), how long
-name, mapping and result live, what a worker forked later inherits, and what
-happens when ``/dev/shm`` is full.
+name, mapping and result live, when a later one-shot call may lay a mapping
+out again (never while anything reads it), what a worker forked later
+inherits, and what happens when ``/dev/shm`` is full.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import gc
 import multiprocessing as mp
 import os
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -365,7 +367,12 @@ def test_a_one_shot_result_outlives_everything_but_itself(matrix, serial, no_new
     blob, twin = pickle.dumps(f), copy.deepcopy(f)
     del f, g
     gc.collect()
-    assert len(mapped_segments()) == mapped, "the mapping outlived the result"
+    # ``f``'s pool is gone, so its segment was its own; ``g``'s is the kept
+    # pool's spare until that pool ends.
+    assert len(mapped_segments()) == mapped + 1, "a mapping outlived its result and its pool"
+    assert one_shot(matrix).stats.segment_recycled
+    shutdown_workers()
+    assert len(mapped_segments()) == mapped, "the mapping outlived the pool"
     for h in (pickle.loads(blob), twin):
         assert same_factors(h, serial)
 
@@ -377,6 +384,8 @@ def test_one_array_of_the_result_keeps_the_pages(matrix, serial):
     tile, want = f._factors.a.tile(1, 1), serial._factors.a.tile(1, 1)
     del f
     gc.collect()
+    assert len(mapped_segments()) == mapped + 1 and np.array_equal(tile, want)
+    shutdown_workers()  # no pool, no spare: the pages are the tile's alone
     assert len(mapped_segments()) == mapped + 1 and np.array_equal(tile, want)
     del tile
     assert len(mapped_segments()) == mapped
@@ -430,6 +439,185 @@ def test_a_bad_option_after_staging_leaves_nothing(matrix, no_new_shm):
     assert shm_names() <= no_new_shm
 
 
+# -- the segment the last call left behind -----------------------------------------
+#
+# A clean one-shot call leaves its (unlinked) mapping to the kept pool; a later
+# call under the same op list loads its input into it — once no array made of
+# it, and no view of one, is alive.
+
+
+def inputs(n, seed=31):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((M, N)) for _ in range(n)]
+
+
+def test_a_recycled_call_makes_maps_attaches_and_unlinks_nothing(matrix, serial, monkeypatch,
+                                                                 tmp_path, no_new_shm):
+    log = tmp_path / "calls"
+    log.touch()
+
+    def logged(owner, name, what, wrap=lambda f: f):
+        raw = getattr(owner, name)
+        raw = getattr(raw, "__func__", raw)
+
+        def spy(*args, **kw):  # to a file: a worker forked from here logs there too
+            if what != "create" or kw.get("create"):
+                with open(log, "a") as fh:
+                    fh.write(f"{what}\n")
+            return raw(*args, **kw)
+        monkeypatch.setattr(owner, name, wrap(spy))
+
+    logged(shared_mod.shared_memory.SharedMemory, "__init__", "create")
+    logged(shared_mod.shared_memory.SharedMemory, "unlink", "unlink")
+    logged(shared_mod.os, "posix_fallocate", "fallocate")
+    logged(SharedTileStore, "attach", "attach", classmethod)
+    seen = []
+    for call in range(5):
+        log.write_text("")
+        f = one_shot(matrix)  # rebinding: result k is alive while call k + 1 runs
+        assert shm_names() <= no_new_shm and same_factors(f, serial)
+        seen.append(sorted(log.read_text().split()))
+        assert f.stats.segment_recycled == (call >= 2)
+        assert f.stats.pipe_messages == (6 if call == 0 else 8)  # spawned: header in the fork
+        assert (f.stats.bytes_in, f.stats.bytes_out) == (matrix.nbytes, 0)
+    fresh = ["attach", "attach", "create", "fallocate", "unlink"]
+    assert seen == [fresh, fresh, [], [], []]
+
+
+def test_more_live_results_than_spares_stay_their_own(no_new_shm):
+    held = [(a, one_shot(a)) for a in inputs(3)]
+    assert not any(f.stats.segment_recycled for _, f in held)  # each in the other's way
+    refs = [qr_factor(a, **GEOMETRY) for a, _ in held]
+    for k, a in enumerate(inputs(5, seed=32)):
+        g = one_shot(a)
+        assert shm_names() <= no_new_shm
+        assert g.stats.segment_recycled == (k >= 2)  # its own two segments, taking turns
+        assert same_factors(g, qr_factor(a, **GEOMETRY))
+        assert all(same_factors(f, ref) for (_, f), ref in zip(held, refs))
+
+
+def test_a_view_of_a_tile_view_keeps_its_segment_out_of_reuse(matrix, serial):
+    f = one_shot(matrix)
+    corner, want = f._factors.a.tile(1, 1)[2:5, 1:][::2], serial._factors.a.tile(1, 1)[2:5, 1:][::2]
+    del f
+    gc.collect()
+    other = 3.0 - 2.0 * matrix  # other values everywhere
+    g = one_shot(other)
+    assert not g.stats.segment_recycled
+    assert same_factors(g, qr_factor(other, **GEOMETRY)) and np.array_equal(corner, want)
+    del corner, g
+    assert one_shot(matrix).stats.segment_recycled
+
+
+def test_a_result_in_a_cycle_delays_reuse_until_collected(matrix, serial):
+    class Node:
+        pass
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        node = Node()
+        node.me, node.f = node, one_shot(matrix)
+        kept, ref = node.f._factors.a.tile(0, 0), serial._factors.a.tile(0, 0).copy()
+        del node  # unreachable, not collected: its arrays still hold the root
+        g = one_shot(3.0 - matrix)
+        assert not g.stats.segment_recycled and np.array_equal(kept, ref)
+        del g, kept
+        gc.collect()
+        assert one_shot(matrix).stats.segment_recycled
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_another_plan_never_matches_a_spare(matrix, serial):
+    # binary and greedy lay 90 x 25 out in segments of one size, under two op lists.
+    trees = [schedule_for(TreeKind.coerce(t), M, N, 12, 4, 2, True) for t in ("binary", "greedy")]
+    sizes = {sched.segment_plan()[2] + len(sched.ops) for sched in trees}
+    assert len(sizes) == 1 and trees[0].ops != trees[1].ops
+    one_shot(matrix)
+    spares = parallel_mod._KEPT.spares
+    assert len(spares) == 1 and spares[0][2]() is None  # there for the taking
+    others = (dict(nb=16), dict(ib=6), dict(tree="binary"), dict(tree="greedy"), dict(tree="binary"))
+    for k, kw in enumerate(others):
+        f = one_shot(matrix, **kw)
+        assert f.stats.segment_recycled == (k == 4), kw  # binary's own, not greedy's
+        assert same_factors(f, qr_factor(matrix, **{**GEOMETRY, **kw})), kw
+    f = one_shot(matrix)  # its spare fell off the list long ago: a fresh one
+    assert not f.stats.segment_recycled and same_factors(f, serial)
+    # An equal list is not the list: the layout is a function of the object.
+    ops = schedule_for(TreeKind.HIER, M, N, 12, 4, 2, True).ops
+    del f
+    assert parallel_mod._KEPT.take_spare(list(ops), 4, 2) is None
+    assert parallel_mod._KEPT.take_spare(ops, 8, 2) is None
+    assert parallel_mod._KEPT.take_spare(ops, 4, 3) is None  # rank 2 maps nothing
+    assert parallel_mod._KEPT.take_spare(ops, 4, 2) is not None
+
+
+def test_threads_get_the_factors_of_their_own_inputs(no_new_shm):
+    mine = {t: inputs(3, seed=40 + t) for t in range(3)}
+    got, errors = {t: [] for t in mine}, []
+
+    def call(t):
+        try:
+            for a in mine[t]:
+                got[t].append(one_shot(a))
+        except BaseException as exc:  # surfaced below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=call, args=(t,)) for t in mine]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+    assert not any(th.is_alive() for th in threads) and not errors
+    assert shm_names() <= no_new_shm
+    for t, fs in got.items():
+        assert len(fs) == 3
+        assert all(same_factors(f, qr_factor(a, **GEOMETRY)) for f, a in zip(fs, mine[t]))
+
+
+@needs_proc
+def test_shutdown_workers_gives_every_mapping_back(matrix, serial):
+    gc.collect()
+    mapped = len(mapped_segments())
+    for a in (matrix, 2.0 * matrix, 3.0 * matrix):
+        f = one_shot(a)
+    assert f.stats.segment_recycled
+    workers = [p.pid for p in parallel_mod._KEPT.procs.values()]
+    assert [len(mapped_segments(pid)) for pid in workers] == [2, 2]
+    del f
+    assert len(mapped_segments()) == mapped + 2  # nobody's result: the pool's
+    shutdown_workers()
+    assert len(mapped_segments()) == mapped
+    assert not any(os.path.exists(f"/proc/{pid}") for pid in workers)
+
+
+@needs_proc
+@pytest.mark.skipif(mp.get_start_method() != "fork", reason="inheritance is a property of fork")
+def test_a_child_forked_while_spares_exist_makes_its_own(matrix, serial):
+    one_shot(matrix)
+    (spare,) = parallel_mod._KEPT.spares
+    pid = os.fork()
+    if pid == 0:  # the child: the spare is mapped in its parent only
+        code = 1
+        try:
+            ok = parallel_mod._KEPT.spares == [] and not mapped_segments()
+            first, second = one_shot(matrix), one_shot(3.0 - matrix)
+            ok = ok and not first.stats.segment_recycled and second.stats.segment_recycled is False
+            ok = ok and same_factors(first, serial)
+            del first, second
+            ok = ok and one_shot(matrix).stats.segment_recycled
+            shutdown_workers()
+            code = 0 if ok and not mapped_segments() else 2
+        finally:
+            os._exit(code)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert parallel_mod._KEPT.spares == [spare]
+    f = one_shot(matrix)
+    assert f.stats.segment_recycled and same_factors(f, serial)
+
+
 # -- /dev/shm exhaustion is an OSError, and an OSError is a fallback -------------
 
 
@@ -452,6 +640,21 @@ def test_one_shot_on_a_full_dev_shm_degrades_to_serial(matrix, serial, shm_full,
     assert "shared memory unavailable" in f.stats.fallback_reason
     assert "No space left" in f.stats.fallback_reason
     assert shm_names() <= no_new_shm and mp.active_children() == []
+
+
+def test_a_busy_spare_on_a_full_dev_shm_degrades_to_serial(matrix, serial, monkeypatch,
+                                                            no_new_shm):
+    held = one_shot(matrix)  # its segment is the pool's spare, and in use
+    with monkeypatch.context() as patch:
+        patch.setattr(shared_mod.os, "posix_fallocate",
+                      lambda *a: (_ for _ in ()).throw(OSError(errno.ENOSPC, "full")))
+        f = one_shot(3.0 - matrix)
+        assert f.stats.mode == "serial-fallback" and "shared memory unavailable" in f.stats.fallback_reason
+        assert same_factors(f, qr_factor(3.0 - matrix, **GEOMETRY)) and same_factors(held, serial)
+        del held
+        g = one_shot(matrix)  # free now: no segment is made, so none can fail
+        assert g.stats.mode == "parallel" and g.stats.segment_recycled and same_factors(g, serial)
+    assert shm_names() <= no_new_shm
 
 
 def test_cold_session_call_on_a_full_dev_shm_degrades_to_serial(matrix, serial, shm_full,
@@ -500,21 +703,19 @@ def test_workers_forked_while_results_live_map_none_of_them(matrix, serial, monk
     second = one_shot(matrix)  # forks the kept pool while ``first`` is alive
     with QRSession(n_procs=2) as sess:  # and a session pool while both are
         assert same_factors(sess.factor(matrix, **GEOMETRY), serial)
-        results, arena = names[:2], names[2]
+        (before, served, arena) = names
         assert len(mapped_segments()) == mapped + 3
-        workers = list(parallel_mod._KEPT.procs.values()) + list(sess.pool.procs.values())
-        assert len(workers) == 4
-        deadline = time.monotonic() + 5.0
-        for p in workers:
-            while True:  # ``detach`` is the worker's next step, not the parent's
+        # A worker maps what it attached itself — the segment it served, kept
+        # for the next call — and nothing that was mapped when it was forked.
+        for pool, own in ((parallel_mod._KEPT, served), (sess.pool, arena)):
+            assert len(pool.procs) == 2
+            for p in pool.procs.values():
                 lines = mapped_segments(p.pid)
-                if not any(name in line for name in results for line in lines):
-                    break
-                assert time.monotonic() < deadline, f"{p.name} maps a result: {lines}"
-                time.sleep(0.01)
-        for p in sess.pool.procs.values():  # its own attachment, nothing else
-            assert all(arena in line for line in mapped_segments(p.pid))
+                assert len(lines) == 1 and own in lines[0], f"{p.name} maps {lines}"
+                assert ("(deleted)" in lines[0]) == (own is served)
     assert same_factors(first, serial) and same_factors(second, serial)
     del first, second
     gc.collect()
+    assert len(mapped_segments()) == mapped + 1  # the kept pool's spare
+    shutdown_workers()
     assert len(mapped_segments()) == mapped

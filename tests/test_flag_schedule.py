@@ -659,7 +659,7 @@ def test_clean_job_is_one_assignment_down_and_reports_up(matrix, wire, batch, no
     # itself a worker reports once, when it stands still.
     size = f.stats.n_ops if batch is None else batch
     # Down: per worker the job header, then nothing until the terminator.
-    assert [m[0] for m in sent] == ["job", "job", "detach", "detach"]
+    assert [m[0] for m in sent] == ["job", "job", "endjob", "endjob"]
     # Up: per worker the attach echo and ceil(ops/batch) reports.
     assert sorted(m[0] for m in received) == sorted(
         ["attached"] * 2 + ["done"] * sum(math.ceil(len(s) / size) for s in shares))

@@ -2,11 +2,14 @@
 
 Workers are forked once per process, not once per call: a repeat one-shot
 call leases the workers the previous one left idle, sends them a header
-without an op list, and still creates and destroys its own segment.  What
-makes workers keepable is checked here too — an idle worker maps no
-segment, holds no descriptor but its own, and dies with its parent however
+without an op list, and loads its input into the segment the previous one
+left mapped (or makes a fresh one while that one's result is alive).  What
+makes workers keepable is checked here too — an idle worker maps only the
+last ``SPARE_SEGMENTS`` unlinked segments it served, holds no descriptor but
+its own, and dies with its parent however
 the parent dies — together with the cases where a job must *not* run on
-kept workers (fault plans) or leave any (a failed job, a worker's death).
+kept workers (fault plans) or leave any (a failed job, a worker's death),
+and what a death means on a segment nobody can attach any more.
 """
 
 from __future__ import annotations
@@ -65,17 +68,20 @@ def worker_pids():
     return {p.name: p.pid for p in mp.active_children() if p.name.startswith("qr-pool-")}
 
 
-def assert_no_segment_mapped(procs):
-    """A call returns once ``("detach",)`` is sent; the unmapping is the
-    worker's next step, not the parent's — so poll."""
-    deadline = time.monotonic() + 5.0
+def mapped_segments(pid):
+    with open(f"/proc/{pid}/maps") as fh:
+        return [line for line in fh if "psm_" in line]
+
+
+def assert_only_spares_mapped(procs, but_not=()):
+    """An idle worker maps the last segments it served and nothing else: at
+    most ``SPARE_SEGMENTS``, each without a name (a worker evicts before it
+    echoes its attach, so nothing is pending when a call has returned)."""
     for p in procs:
-        while True:
-            with open(f"/proc/{p.pid}/maps") as fh:
-                if "psm_" not in fh.read():
-                    break
-            assert time.monotonic() < deadline, f"{p.name} still maps a segment"
-            time.sleep(0.01)
+        lines = mapped_segments(p.pid)
+        assert len(lines) <= parallel_mod.SPARE_SEGMENTS, f"{p.name} maps {lines}"
+        assert all("(deleted)" in line for line in lines), f"{p.name} maps {lines}"
+        assert not any(name in line for name in but_not for line in lines)
 
 
 def records(f):
@@ -135,16 +141,37 @@ class TestReuse:
     def test_header_carries_the_op_list_once_per_geometry(self, matrix, serial, sent_headers):
         one_shot(matrix)
         assert sent_headers == []  # spawned: the header rode in the fork
-        one_shot(matrix)
-        assert [(h[2] is None, h[3] is None) for h in sent_headers] == [(False, True)] * 2
+        held = one_shot(matrix)  # on the spare: the workers map it
+        assert [(h[2] is None, h[3] is None) for h in sent_headers] == [(True, True)] * 2
         del sent_headers[:]
+        one_shot(matrix)  # ``held`` is in the way: a new segment under the list they hold
+        assert [(h[2] is None, h[3] is None) for h in sent_headers] == [(False, True)] * 2
+        del sent_headers[:], held
         ref_other = qr_factor(matrix, **OTHER)
         assert np.array_equal(one_shot(matrix, **OTHER).R, ref_other.R)
         assert [h[3] is None for h in sent_headers] == [False, False]
         del sent_headers[:]
-        assert same_factors(one_shot(matrix), serial)  # back: the worker holds OTHER's list
+        # Back: the workers hold OTHER's list now, and this geometry's with
+        # the attachment they kept.
         assert same_factors(one_shot(matrix), serial)
-        assert [h[3] is None for h in sent_headers] == [False, False, True, True]
+        assert same_factors(one_shot(matrix), serial)
+        assert [(h[2] is None, h[3] is None) for h in sent_headers] == [(True, True)] * 4
+
+    def test_a_session_alternating_two_geometries_sends_slim_headers(self, matrix, serial,
+                                                                    sent_headers):
+        from repro import QRSession
+
+        ref_other = qr_factor(matrix, **OTHER)
+        with QRSession(n_procs=2) as sess:
+            for call in range(6):
+                kw, ref = (GEOMETRY, serial) if call % 2 == 0 else (OTHER, ref_other)
+                del sent_headers[:]
+                assert np.array_equal(sess.factor(matrix, **kw).R, ref.R)
+                # Cold on the first geometry: the header rode in the fork.  Cold on
+                # the second: layout and op list.  From then on the workers map
+                # both segments and hold each one's schedule with it.
+                slim = [(h[2] is None, h[3] is None) for h in sent_headers]
+                assert slim == [[], [(False, False)] * 2][call] if call < 2 else [(True, True)] * 2
 
     def test_equal_but_not_identical_op_list_is_sent_in_full(self, matrix, serial, sent_headers):
         tm = TileMatrix.from_dense(matrix, 12)
@@ -187,8 +214,9 @@ class TestReuse:
         assert len(results) == 9 and all(same_factors(f, serial) for f in results)
         assert len(worker_pids()) == 2
         # The first call forked its workers while the other threads were
-        # creating their segments: none of those mappings went along.
-        assert_no_segment_mapped(parallel_mod._KEPT.procs.values())
+        # creating their segments: none of those mappings went along, and of
+        # the segments they served since they kept the last few.
+        assert_only_spares_mapped(parallel_mod._KEPT.procs.values())
 
     def test_no_worker_is_forked_between_a_mapping_and_its_listing(self, matrix, monkeypatch):
         """A segment another thread (a session, a second caller) has mapped
@@ -223,8 +251,8 @@ class TestReuse:
         one_shot(matrix)
         threads[0].join(timeout=10)
         assert len(stores) == 1
+        assert_only_spares_mapped(parallel_mod._KEPT.procs.values(), but_not=[stores[0].name])
         stores[0].destroy()
-        assert_no_segment_mapped(parallel_mod._KEPT.procs.values())
 
 
 class TestFaultsGetTheirOwnWorkers:
@@ -276,6 +304,72 @@ class TestFaultsGetTheirOwnWorkers:
         assert f.stats.workers_died == 0 and same_factors(f, serial)
         after = worker_pids()
         assert after["qr-pool-0g0"] == kept["qr-pool-0g0"] and "qr-pool-1g1" in after
+
+
+class TestDeathOnASegmentWithoutAName:
+    """A recycled segment has no name a replacement could attach by: a rank
+    that is not there to serve it sends the job to a fresh segment, and one
+    that dies while serving it leaves its ops to the survivors."""
+
+    @pytest.fixture
+    def kill_after_lease(self, monkeypatch):
+        """Ranks to ``SIGKILL`` the moment the next lease has gone out — with
+        ops slow enough that none of them is through its share by then."""
+        victims = []
+        raw_lease, raw_run_op = parallel_mod.WorkerPool.lease, core_mod.run_op
+        monkeypatch.setattr(core_mod, "run_op",
+                            lambda *args: time.sleep(0.001) or raw_run_op(*args))
+
+        def lease(pool, k, job):
+            out = raw_lease(pool, k, job)
+            while victims:
+                os.kill(pool.procs[victims.pop()].pid, signal.SIGKILL)
+            return out
+
+        monkeypatch.setattr(parallel_mod.WorkerPool, "lease", lease)
+        return victims
+
+    def test_an_idle_death_sends_the_next_call_to_a_fresh_segment(self, matrix, serial):
+        one_shot(matrix)
+        assert one_shot(matrix).stats.segment_recycled
+        kept = worker_pids()
+        os.kill(kept["qr-pool-0g0"], signal.SIGKILL)
+        deadline = time.monotonic() + 5.0
+        while parallel_mod._KEPT.alive_count() == 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        f = one_shot(matrix)
+        assert not f.stats.segment_recycled and f.stats.workers_died == 0
+        assert same_factors(f, serial) and "qr-pool-0g1" in worker_pids()
+        del f
+        assert one_shot(matrix).stats.segment_recycled  # both ranks map that one
+
+    def test_a_death_mid_job_is_adopted_not_respawned(self, matrix, serial, kill_after_lease):
+        one_shot(matrix)
+        kill_after_lease.append(1)
+        f = one_shot(matrix)
+        assert f.stats.mode == "parallel" and f.stats.segment_recycled
+        assert (f.stats.workers_died, f.stats.workers_respawned) == (1, 0)
+        assert same_factors(f, serial)
+        ops = f.stats.per_worker_ops
+        assert ops[0] + ops[1] == f.stats.n_ops and ops[0] >= f.stats.ops_redispatched > 0
+        assert mp.active_children() == [] and parallel_mod._KEPT.spares == []
+        del f
+        clean = one_shot(matrix)
+        assert not clean.stats.segment_recycled and clean.stats.workers_died == 0
+        assert same_factors(clean, serial) and len(worker_pids()) == 2
+
+    def test_every_rank_dead_is_the_typed_error_or_the_fallback(self, matrix, serial,
+                                                                kill_after_lease):
+        one_shot(matrix)
+        kill_after_lease.extend([0, 1])
+        with pytest.raises(ParallelExecutionError, match="no workers remain"):
+            one_shot(matrix)
+        assert mp.active_children() == [] and parallel_mod._KEPT.spares == []
+        one_shot(matrix)
+        kill_after_lease.extend([0, 1])
+        f = one_shot(matrix, on_failure="fallback")
+        assert f.stats.mode == "serial-fallback" and same_factors(f, serial)
+        assert same_factors(one_shot(matrix), serial)
 
 
 class TestFailedJobResets:
@@ -345,7 +439,12 @@ class TestWorkersOwnOnlyTheirOwn:
                 # A socketpair's two ends have distinct inodes: a parent-side
                 # one in a worker is an inherited copy, its own or a sibling's.
                 assert not held & pipes, f"{p.name} holds a parent-side pipe end"
-            assert_no_segment_mapped(parallel_mod._KEPT.procs.values())
+            kept = list(parallel_mod._KEPT.procs.values())
+            assert_only_spares_mapped(kept)
+            assert any(mapped_segments(p.pid) for p in kept)
+            shutdown_workers()
+            assert not any(p.is_alive() for p in kept)
+            assert len(mapped_segments(me)) == 1  # the session's arena: no spare is left
 
 
 CHILD_PRELUDE = """

@@ -22,7 +22,10 @@ workers (processes for ``np.dot``, threads for the GIL-free ``ctypes``
 overlap and how much longer the same ops take when two CPUs run them.
 ``oneshot`` splits a one-shot ``backend="parallel"`` call into its phases —
 copy-in (``TileMatrix.from_dense`` and ``SharedTileStore.load``, whichever the
-checkout goes through), segment create (less the load inside it), pool lease,
+checkout goes through), segment create (``create`` or, on a segment an earlier
+call left mapped, ``recycle`` — the view build — less the load inside it; the
+``recycled`` row counts the calls whose run said ``stats.segment_recycled``),
+pool lease,
 the window in which ops run (lease start to terminators, ``stats.elapsed_s``:
 workers fire from the moment they read their header, so the lease is inside
 it), pool shutdown and release (``destroy`` plus letting go of the result —
@@ -31,7 +34,9 @@ warm ``QRSession`` call and ``serial``, by timing the public methods from
 outside (it runs unchanged against another checkout's ``src`` on
 ``PYTHONPATH``).  The window is split per worker into seconds inside kernels
 and seconds with nothing ready (``stats.per_worker_busy_s`` /
-``per_worker_wait_s``), next to the parent's CPU time during the call, and
+``per_worker_wait_s``) and the seconds it took from its header to its attach
+echo (``per_worker_attach_s``: mapping and view building, nothing on a segment
+it maps already), next to the parent's CPU time during the call, and
 followed by the run's own traffic counts: the messages the parent sent and
 read on worker pipes and the bytes it tiled into and copied out of the
 segment (``stats.pipe_messages`` / ``bytes_in`` / ``bytes_out``; a checkout
@@ -402,6 +407,8 @@ def probe_oneshot(calls=7):
     timed(TileMatrix, tiler, "copy-in")
     timed(SharedTileStore, "load", "copy-in")
     timed(SharedTileStore, "create", "segment create")
+    if hasattr(SharedTileStore, "recycle"):  # the same phase on a mapping that is there
+        timed(SharedTileStore, "recycle", "segment create")
     timed(WorkerPool, "lease", "pool.lease")
     timed(WorkerPool, "shutdown", "pool.shutdown")
     timed(SharedTileStore, "destroy", "release")
@@ -410,14 +417,14 @@ def probe_oneshot(calls=7):
     counts = {"pipe messages": "pipe_messages", "bytes copied in": "bytes_in",
               "bytes copied out": "bytes_out"}
     window = ["  kernels w0", "  kernels w1", "  nothing ready w0", "  nothing ready w1",
-              "  parent CPU", *counts]
-    phases = ["total", "copy-in", "segment create", "pool.lease", "window", *window,
+              "  worker attach w0", "  worker attach w1", "  parent CPU", *counts]
+    phases = ["total", "copy-in", "segment create", "recycled", "pool.lease", "window", *window,
               "pool.shutdown", "release"]
 
     def measure(call):
         """Per phase, the minimum over ``calls`` calls after one warm-up; the
         rows of ``window`` are those of the call with the shortest window."""
-        best_of = {}
+        best_of, recycled = {}, 0
         for i in range(calls + 1):
             spent.clear()
             cpu0, t0 = time.process_time(), time.perf_counter()
@@ -437,6 +444,9 @@ def probe_oneshot(calls=7):
                 for w in (0, 1):
                     spent[f"  kernels w{w}"] = st.per_worker_busy_s[w]
                     spent[f"  nothing ready w{w}"] = st.per_worker_wait_s[w]
+                    if hasattr(st, "per_worker_attach_s"):
+                        spent[f"  worker attach w{w}"] = st.per_worker_attach_s[w]
+                recycled += bool(i and getattr(st, "segment_recycled", False))
                 spent.update((row, getattr(st, field)) for row, field in counts.items()
                              if hasattr(st, field))
             if i:
@@ -447,6 +457,8 @@ def probe_oneshot(calls=7):
                             best_of[phase] = value
                     else:
                         best_of[phase] = min(best_of.get(phase, float("inf")), value)
+        if hasattr(st, "segment_recycled"):
+            best_of["recycled"] = f"{recycled}/{calls}"
         return best_of
 
     for name, w in WORKLOADS.items():
@@ -467,8 +479,8 @@ def probe_oneshot(calls=7):
             for col in columns.values():
                 if phase not in col:
                     cells.append(f"{'-':>14s}")
-                elif phase in counts:
-                    cells.append(f"{col[phase]:14d}")
+                elif phase in counts or phase == "recycled":
+                    cells.append(f"{col[phase]:>14}")
                 else:
                     cells.append(f"{col[phase] * 1e3:14.2f}")
             print(f"  {phase:22s}" + "".join(cells))
