@@ -13,15 +13,13 @@ their kernels under the GIL.  This module executes the *same* operation list
   :meth:`repro.qr.schedule.Schedule.assignment` list-schedules the DAG on
   ``n_procs`` model workers under the PRT ready-pool policy and gives every
   rank its *share* — its ops in start order, each with the ops it waits on;
-* *when an op fires* is decided by the worker that owns it: it walks its
-  share and fires an op the moment the completion flags of its predecessors
-  are up, looking :data:`LOOKAHEAD` entries ahead — the paper's firing rule,
-  with nothing central between two firings.  A worker with nothing ready
-  spins briefly, then sleeps on its pipe with a capped back-off;
-* the parent only listens: after the lease it sends nothing per op and reads
-  one report per worker when the worker stands still (every ``batch`` ops
-  where a recorder or a checkpoint reads its count, :func:`_auto_batch`),
-  and watches sentinels and the no-progress watchdog;
+* *when an op fires, when a worker reports or stands still, what the parent
+  books and who takes over a dead worker's work* are the rules of
+  :mod:`repro.qr.protocol` — a :class:`~repro.qr.protocol.Walk` per worker
+  and the parent's :class:`~repro.qr.protocol.Ledger`.  This module only
+  carries them: a worker with nothing ready spins briefly, then sleeps on its
+  pipe with a capped back-off, and the parent reads reports, watches
+  sentinels and runs the no-progress watchdog;
 * every op is one :func:`repro.qr.execute.run_step` call on the shared
   store, the step runner the in-process schedules use;
 * there is one worker lifecycle, :class:`WorkerPool`, and workers are
@@ -42,18 +40,10 @@ back to the serial reference (``stats.mode``, ``fallback.serial``).
 Fault tolerance: the parent waits on every worker's pipe *and* its process
 sentinel, so a dead worker is detected the moment the OS reaps it; one that
 is alive but silent is caught by the no-progress
-:class:`~repro.faults.Watchdog` (``timeout_s`` without a report, a death or
-a newly raised flag).  What a dead worker had not *flagged* goes to its
-replacement (``respawn=True``) or to a survivor, which merges the *adopt*
-message into its list by position in the assignment's global order; what it
-had flagged is booked from the flags, reported or not.  Handing on is safe
-because an op runs only while its flag is clear and the flag goes up only
-after the op's tile mutations (a QR kernel is destructive — factoring a tile
-twice would corrupt it), no successor fires before the flag is up, and an op
-is handed on only after its owner's death is confirmed.  The one unprotected
-window is a worker dying *inside* a kernel's tile writes (docs/robustness.md).
-:class:`ParallelExecutionError` is raised only once an op was handed on more
-than :data:`MAX_REDISPATCH` times or every worker is dead with respawn off.
+:class:`~repro.faults.Watchdog` (``timeout_s`` without a report, a death, an
+attach echo or a newly raised flag).  What happens to a dead worker's work,
+and when the run fails instead, is rule 5 of :mod:`repro.qr.protocol`
+(docs/robustness.md).
 
 Observability: with a recorder installed (:mod:`repro.obs`) workers report
 each op's absolute ``perf_counter`` stamps and the parent turns them into
@@ -72,6 +62,7 @@ import time
 import traceback
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import resource_tracker
 from multiprocessing.connection import Connection, wait as conn_wait
 from select import select
@@ -105,6 +96,7 @@ from .checksum import SDCGuard
 from .dag import op_dependency_graph
 from .execute import run_step
 from .ops import Op
+from .protocol import LOOKAHEAD, MAX_REDISPATCH, Ledger, Walk  # noqa: F401
 from .reference import TileQRFactors, execute_ops, factor_records
 from .schedule import Schedule, list_schedule
 
@@ -121,26 +113,15 @@ __all__ = [
 #: tell an injected crash (counted under ``fault.crash``) from a real one.
 _CRASH_EXIT_CODE = 37
 
-#: Times one op may be handed on after worker deaths before the run fails
-#: with :class:`~repro.util.errors.ParallelExecutionError`.
-MAX_REDISPATCH = 2
-
-#: Entries of its list a worker examines for one whose flags are all up.
-#: Start order is the model's guess; real kernels finish in another order,
-#: and a short look-ahead lets a worker do useful work while the entry at
-#: its head waits.  Measured (docs/performance.md, Dispatch): 1 — strictly
-#: in order — costs the tall workload a sixth of its window and the burst
-#: one a third; 4, 8 and 16 cannot be told apart.
-LOOKAHEAD = 8
-
 #: Segments a finished one-shot run may leave mapped for the next one, and
 #: attachments a worker keeps (of either pool).  Two, because ``f =
 #: qr_factor(...)`` in a loop still holds result *k* while call *k + 1* runs.
 SPARE_SEGMENTS = 2
 
-#: Scans of the look-ahead window that may fail back to back before a worker
-#: with nothing ready starts to sleep: some 20 us, the length of a short
-#: kernel, so a flag raised by a neighbour mid-op is seen without a syscall.
+#: Scans of the look-ahead window (:data:`~repro.qr.protocol.LOOKAHEAD`)
+#: that may fail back to back before a worker with nothing ready starts to
+#: sleep: some 20 us, the length of a short kernel, so a flag raised by a
+#: neighbour mid-op is seen without a syscall.
 SPIN_SCANS = 20
 
 #: First and longest nap in seconds; each nap doubles the next.  The nap is
@@ -246,10 +227,8 @@ def serial_fallback(a, ops, ib: int, reason: str, policy: str,
         rec.count(K_FALLBACK_SERIAL)
         rec.event("fallback.serial", worker=0, reason=reason)
         end = rec.now()
-        rec.add_span(
-            "fallback", "dispatch", end - elapsed, end, worker=0,
-            args={"reason": reason},
-        )
+        rec.add_span("fallback", "dispatch", end - elapsed, end, worker=0,
+                     args={"reason": reason})
     return factors, ParallelRunStats(  # one lane: n_procs and batch stay at 1
         n_ops=len(ops), policy=policy, elapsed_s=elapsed,
         per_worker_busy_s={0: elapsed}, per_worker_ops={0: len(ops)},
@@ -265,41 +244,32 @@ def serial_fallback(a, ops, ib: int, reason: str, policy: str,
 def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
                generation: int, conn: Connection, share, batch: int,
                park_every: int = 0, stamped: bool = False) -> object:
-    """Fire one job's share of the schedule until a terminator arrives.
+    """Carry one job's :class:`~repro.qr.protocol.Walk` until a terminator.
 
     ``share`` is the rank's ``(seq, idx, waits)`` entries in start order
-    (:func:`repro.qr.schedule.list_schedule`).  The worker fires the first
-    of its next :data:`LOOKAHEAD` entries whose ``waits`` have all raised
-    their completion flags (:meth:`SharedTileStore.ready
-    <repro.tiles.shared.SharedTileStore.ready>`) — one 1-wide
-    :func:`repro.qr.execute.run_step`, timed on its own.  With none ready it
-    rescans :data:`SPIN_SCANS` times, then naps on its pipe
-    (:data:`NAP_S`), where the parent's messages reach it.  With its list
-    empty it blocks on the pipe and uses no CPU.
+    (:func:`repro.qr.schedule.list_schedule`); which entry fires, when a
+    report is due and when the worker stands still is the walk's to say
+    (:mod:`repro.qr.protocol`, rules 1–3), and the per-op checks run inline
+    over its lists (``tests/test_protocol.py`` holds them to the walk's
+    methods).  An op is one 1-wide
+    :func:`repro.qr.execute.run_step`, timed on its own.  With nothing ready
+    the worker rescans :data:`SPIN_SCANS` times, then naps on its pipe
+    (:data:`NAP_S`), where the parent's messages reach it; standing still it
+    blocks on the pipe and uses no CPU.
 
     Messages to the parent: ``("done", rank, [idx, ...], sdc, wait_s, busy_s,
-    t_last, stamps)`` every ``batch`` ops and when the list runs empty — the
-    :class:`SDCGuard` delta, the seconds spent with nothing ready and inside
-    ops since the previous report, when the last op ended and, only when
-    ``stamped`` (the parent records spans), the absolute ``perf_counter``
-    ``(t0, t1)`` of each op;
-    ``("parked", rank)`` after the report it flushes when it finds the
-    segment's pause byte up — or has itself fired ``park_every`` ops since it
-    last stood still (the checkpoint's ``every_ops``; 0: no checkpoint), so
-    that the work between two snapshots is bounded by what the workers
-    count, not by how fast the parent reacts; ``("err", rank, idx,
-    traceback)``.  Messages from the parent: ``("adopt", entries)`` — a dead
-    rank's entries, merged by ``seq``; ``("resume",)`` to a parked worker; a
+    t_last, stamps)`` — the :class:`SDCGuard` delta, the seconds spent with
+    nothing ready and inside ops since the previous report, when the last op
+    ended and, only when ``stamped`` (the parent records spans), the absolute
+    ``perf_counter`` ``(t0, t1)`` of each op; ``("parked", rank)`` after the
+    report it flushes when it parks; ``("err", rank, idx, traceback)``.
+    Messages from the parent: ``("adopt", entries)``, ``("resume",)`` and a
     terminator.
 
     Before each op the worker consults the :class:`~repro.faults.FaultPlan`
     crash schedule (generation 0 only) and ``os._exit``\\ s when told to;
     ``ops_done`` restarts at zero per job, so in a session the same schedule
-    applies to every ``factor`` call until the worker is respawned.  An op
-    only runs while its completion flag is clear, and ``run_step`` raises it
-    right after the op's tile mutations — under an armed SDC guard only once
-    its output verified; an op handed on whose flag is already up is
-    reported done without running.
+    applies to every ``factor`` call until the worker is respawned.
 
     Returns the terminator received: ``None`` (shut the worker down),
     ``("endjob",)`` (job complete, the worker keeps its attachment and waits
@@ -311,92 +281,72 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
     guard = None
     if fault_plan is not None and fault_plan.faulty_sdc:
         guard = SDCGuard(fault_plan, ops)
-    ops_done = since_park = 0
-    # Next entry last: firing the k-th entry of the window is ``pop(-k)``.
-    todo = list(reversed(share))
-    done: list[int] = []
-    stamps = [] if stamped else None
-    wait_s = busy_s = 0.0
+    walk = Walk(share, batch, park_every)
+    # Walk.stands_still / pick / fire / report_due, inline over the walk's
+    # own lists: the per-op path makes no call but the flag reads.
+    todo, done = walk.todo, walk.done
     ready, publish, pause, flags = store.ready, store.publish, store.pause, store.flags
     pipe_fd = conn.fileno()
-
-    def report() -> None:
-        nonlocal done, stamps, wait_s, busy_s
-        conn.send(("done", rank, done, guard.take_delta() if guard is not None else None,
-                   wait_s, busy_s, t_prev, stamps))
-        done, stamps, wait_s, busy_s = [], [] if stamped else None, 0.0, 0.0
-
-    def hear(until_resume: bool = False):
-        """Block for the parent's word.  An adopt message is merged and the
-        wait ends (unless parked: only ``resume`` ends that one); anything
-        else is a terminator and is returned as ``(terminator,)``."""
-        nonlocal todo
-        while True:
-            msg = conn.recv()
-            if msg is None or msg[0] not in ("adopt", "resume"):
-                return (msg,)
-            if msg[0] == "adopt":
-                todo = sorted(todo + list(msg[1]), reverse=True)
-            if not until_resume or msg[0] == "resume":
-                return None
-
+    ops_done = 0
+    stamps = [] if stamped else None
+    wait_s = busy_s = 0.0
+    waited, scans, nap = False, 0, NAP_S[0]
     t_prev = time.perf_counter()
     while True:
-        waited, scans, nap = False, 0, NAP_S[0]
-        while True:  # until an entry of the window may fire
-            end = None
-            if not todo or pause[0] or (park_every and since_park >= park_every):
-                # Out of work, or a checkpoint is due: report, then stand
-                # still until the parent's word.
-                if done:
-                    report()
-                # The parent captures only while every worker stands still,
-                # so the count restarts at every standstill — dry or parked —
-                # and never runs ahead of the checkpoint's own.
-                since_park = 0
-                parking = bool(todo)
-                if parking:
-                    conn.send(("parked", rank))
-                end = hear(until_resume=parking)
-            else:
-                for k in range(1, min(LOOKAHEAD, len(todo)) + 1):
-                    if ready(todo[-k][2]):
-                        break
-                else:
-                    k = 0
-                if k:
+        standing = not todo or pause[0] or (
+            park_every > 0 and walk.since_park >= park_every)
+        if done and (standing or len(done) >= batch):
+            conn.send(("done", rank, walk.flush(),
+                       guard.take_delta() if guard is not None else None,
+                       wait_s, busy_s, t_prev, stamps))
+            stamps, wait_s, busy_s = [] if stamped else None, 0.0, 0.0
+        if standing:
+            waited, parked = True, walk.stand()
+            if parked:
+                conn.send(("parked", rank))
+        else:
+            for k in range(1, min(LOOKAHEAD, len(todo)) + 1):
+                if ready(todo[-k][2]):
                     break
-                scans += 1
-                if scans > SPIN_SCANS:
-                    # ``select`` keeps microseconds (``conn.poll`` rounds its
-                    # timeout up to a millisecond).
-                    if select((pipe_fd,), (), (), nap)[0]:
-                        end = hear()
-                    nap = min(2.0 * nap, NAP_S[1])
-            waited = True
-            if end is not None:
-                return end[0]
-        idx = todo.pop(-k)[1]
-        if crashy and fault_plan.worker_crash(rank, generation, ops_done):
-            os._exit(_CRASH_EXIT_CODE)
-        t0 = time.perf_counter()
-        if waited:
-            wait_s += t0 - t_prev
-        if not flags[idx]:
-            try:
-                run_step(store, ops, [idx], ib, guard, publish)
-            except BaseException:
-                conn.send(("err", rank, idx, traceback.format_exc()))
-                return "err"
-        ops_done += 1
-        since_park += 1
-        t_prev = time.perf_counter()
-        done.append(idx)
-        busy_s += t_prev - t0
-        if stamped:
-            stamps.append((t0, t_prev))
-        if len(done) >= batch:
-            report()
+            else:
+                k = 0
+            if k:
+                idx = todo.pop(-k)[1]
+                done.append(idx)
+                walk.since_park += 1
+                if crashy and fault_plan.worker_crash(rank, generation, ops_done):
+                    os._exit(_CRASH_EXIT_CODE)
+                t0 = time.perf_counter()
+                if waited:
+                    wait_s += t0 - t_prev
+                if not flags[idx]:
+                    try:
+                        run_step(store, ops, [idx], ib, guard, publish)
+                    except BaseException:
+                        conn.send(("err", rank, idx, traceback.format_exc()))
+                        return "err"
+                ops_done += 1
+                t_prev = time.perf_counter()
+                busy_s += t_prev - t0
+                if stamped:
+                    stamps.append((t0, t_prev))
+                waited, scans, nap = False, 0, NAP_S[0]
+                continue
+            waited, scans, parked = True, scans + 1, False
+            if scans <= SPIN_SCANS:
+                continue
+            # ``select`` keeps microseconds (``conn.poll`` rounds its
+            # timeout up to a millisecond).
+            word = select((pipe_fd,), (), (), nap)[0]
+            nap = min(2.0 * nap, NAP_S[1])
+            if not word:
+                continue
+        while True:  # the parent's word: an adopt, a resume, or a terminator
+            msg = conn.recv()
+            if msg is None or msg[0] not in ("adopt", "resume"):
+                return msg
+            if walk.heard(msg, parked):
+                break
 
 
 #: Parent-side end of every live worker pipe in this process, whichever pool
@@ -565,20 +515,15 @@ class WorkerPool:
             share = self._job[-1][rank]
         old = self.conns.pop(rank, None)
         if old is not None:
-            try:
+            with contextlib.suppress(OSError):
                 old.close()
-            except OSError:
-                pass
         generation = self.generations.get(rank, -1) + 1
         with _FORK_LOCK:  # no fork between the pipe and its listing
             parent_conn, child_conn = self._ctx.Pipe()
             _PARENT_ENDS.add(parent_conn)
-        p = self._ctx.Process(
-            target=_worker_main,
-            args=(rank, generation, child_conn, self._job[:-1] + (share,)),
-            daemon=True,
-            name=f"qr-pool-{rank}g{generation}",
-        )
+        job = self._job[:-1] + (share,)
+        p = self._ctx.Process(target=_worker_main, args=(rank, generation, child_conn, job),
+                              daemon=True, name=f"qr-pool-{rank}g{generation}")
         p.start()
         child_conn.close()
         self.procs[rank] = p
@@ -616,24 +561,22 @@ class WorkerPool:
         ``run_id`` binds every worker's spans and events to the leasing run
         (trace-context propagation).  Returns the lease summary
         ``{"n_procs", "spawned", "reused"}`` recorded on the parent's
-        ``pool.lease`` span.
+        ``pool.lease`` span; a rank counts as reused only once its header
+        went down the pipe.
         """
         self._job = job
         spawned = reused = 0
         for rank in range(k):
             p = self.procs.get(rank)
-            if p is None or not p.is_alive():
-                self.spawn(rank)
-                spawned += 1
-                continue
-            reused += 1
-            try:
-                self._send_job(rank)
-            except (BrokenPipeError, OSError):
-                # Died between the liveness check and the send: one retry
-                # with a fresh process (the parent loop's watchdog and
-                # respawn machinery take over from here).
-                self.spawn(rank)
+            if p is not None and p.is_alive():
+                try:
+                    self._send_job(rank)
+                    reused += 1
+                    continue
+                except (BrokenPipeError, OSError):
+                    pass  # died between the liveness check and the send
+            self.spawn(rank)
+            spawned += 1
         rec = _obs_record._RECORDER
         if rec is not None:
             rec.count(K_POOL_LEASES)
@@ -662,10 +605,9 @@ class WorkerPool:
         """Kill every worker after a failed job.
 
         Workers may be wedged, mid-op or waiting on a flag nobody will
-        raise; fresh processes are the
-        only state safe to lease from again.  Generations are preserved
-        (and bump on the next spawn), so an injected-fault generation
-        never reappears.
+        raise; fresh processes are the only state safe to lease from again.
+        Generations are preserved (and bump on the next spawn), so an
+        injected-fault generation never reappears.
         """
         for p in self.procs.values():
             if p.is_alive():
@@ -676,10 +618,8 @@ class WorkerPool:
 
     def _forget_workers(self) -> None:
         for conn in self.conns.values():
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
         self.procs.clear()
         self.conns.clear()
         self.known.clear()
@@ -690,10 +630,8 @@ class WorkerPool:
     def shutdown(self) -> None:
         """Graceful stop: ask each worker to exit, then make sure it did."""
         for conn in self.conns.values():
-            try:
+            with contextlib.suppress(OSError):
                 conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
         deadline = time.perf_counter() + 5.0
         for p in self.procs.values():
             p.join(timeout=max(0.1, deadline - time.perf_counter()))
@@ -767,6 +705,40 @@ def _auto_batch(n_ops: int, n_procs: int, watched: bool = False) -> int:
     return max(1, min(32, n_ops // (n_procs * 8))) if watched else max(1, n_ops)
 
 
+def _stall_report(ledger: Ledger, store, stats: ParallelRunStats) -> str:
+    """What the watchdog says when the run stops moving."""
+    alive = sorted(ledger.alive)
+    return (
+        f"{ledger.completed}/{len(ledger.ops)} ops reported, "
+        f"{int(np.count_nonzero(store.flags))} flagged done; "
+        f"alive workers {alive}; unreported per worker "
+        f"{ {w: ledger.owed[w] for w in alive} }; parked {sorted(ledger.parked)}; "
+        f"died {stats.workers_died}, respawned {stats.workers_respawned}"
+    )
+
+
+def _record_report(rec, root, ops: list[Op], ib: int, w: int, done, stamps) -> None:
+    """A report's evidence: one ``dispatch.batches`` count, and the worker's
+    stamps as each op's kernel span on its lane, charged its exact flops."""
+    rec.count(K_DISPATCH_BATCHES)
+    for idx, (op_t0, op_t1) in zip(done, stamps):
+        op = ops[idx]
+        rec.record_kernel(
+            op.kind, KERNEL_CATEGORY[op.kind], kernel_flops(op.kind, op.m2, op.k, op.q, ib),
+            rec.from_monotonic(op_t0), rec.from_monotonic(op_t1), w, op=idx, parent=root,
+        )
+
+
+def _book_sdc(stats: ParallelRunStats, rec, root, w: int, sdc) -> None:
+    """Add a worker's :class:`SDCGuard` delta to the run's evidence."""
+    for attr, key, n in zip(("sdc_injected", "sdc_detected", "sdc_recovered"),
+                            (K_SDC_INJECTED, K_SDC_DETECTED, K_SDC_RECOVERED), sdc):
+        setattr(stats, attr, getattr(stats, attr) + n)
+        if rec is not None and n:
+            rec.count(key, n)
+            rec.event(key, worker=w, span=root, n=n)
+
+
 def execute_ops_parallel(
     a: TileMatrix,
     ops: list[Op],
@@ -828,11 +800,12 @@ def execute_ops_parallel(
         Optional :class:`~repro.faults.FaultPlan` whose ``crash_workers``
         schedule makes workers die abruptly (testing the recovery path).
     respawn:
-        Spawn a replacement process for each dead worker (capped at
-        ``n_procs`` respawns per run), which takes over what the dead one
-        had not flagged done.  With ``respawn=False`` (or the budget spent, or
-        on a recycled segment, whose name is gone) a
-        survivor adopts it, and the run fails only when none remain.
+        Spawn a replacement process for each dead worker that left work
+        undone (capped at ``n_procs`` respawns per run), which takes over
+        what the dead one had not flagged done.  With ``respawn=False`` (or
+        the budget spent, or on a recycled segment, whose name is gone) a
+        survivor adopts it, and the run fails only when none remain
+        (:mod:`repro.qr.protocol`, rule 5).
     assignment:
         ``assignment(n_procs, policy)`` returns the shares of *exactly
         these* ``ops`` (:func:`repro.qr.schedule.list_schedule`) —
@@ -862,18 +835,12 @@ def execute_ops_parallel(
         workers, ends with ``("detach",)`` and leaves none and no spare, and
         after a job during which one died.
     checkpoint:
-        Optional bound :class:`~repro.qr.persist.CheckpointStore`.  When
-        a snapshot falls due the parent raises the segment's pause byte;
-        each worker sees it before its next op, flushes its report, says it
-        is parked and waits (a worker also parks of its own accord after
-        ``every_ops`` ops since it last stood still, and the first
-        ``parked`` message raises the byte if it is not up yet — a parked
-        worker always has a capture coming).  Once every live worker is
-        parked or out of work no op is mid-execution, so the completion
-        flags describe a consistent, predecessor-closed frontier: the parent
-        captures the snapshot from the shared store, lowers the byte and
-        tells the parked workers to resume.  The done mask is the flags, not
-        the parent's report ledger, here as at a worker's death.
+        Optional bound :class:`~repro.qr.persist.CheckpointStore`.  The
+        parent raises the segment's pause byte when a snapshot falls due,
+        and captures it from the shared store — the completion flags are
+        the done mask — once every live worker stands still
+        (:mod:`repro.qr.protocol`, rules 3 and 4); the write overlaps the
+        workers' execution.
     skip, preloaded_ts:
         Resume support (:func:`~repro.qr.persist.resume_factorization`):
         op indices whose writes are already present in ``a``'s tiles, and
@@ -890,15 +857,10 @@ def execute_ops_parallel(
     if batch is None:
         batch = _auto_batch(len(ops), n_procs, rec is not None or checkpoint is not None)
     completed_set = frozenset() if skip is None else frozenset(int(i) for i in skip)
-
-    def degrade(reason: str):
-        return serial_fallback(
-            a.copy(), ops, ib, reason, policy, checkpoint=checkpoint,
-            skip=completed_set or None, preloaded_ts=preloaded_ts,
-        )
-
+    degrade = partial(serial_fallback, ops=ops, ib=ib, policy=policy, checkpoint=checkpoint,
+                      skip=completed_set or None, preloaded_ts=preloaded_ts)
     if n_procs == 1:
-        return degrade("n_procs=1")
+        return degrade(a.copy(), reason="n_procs=1")
     # A session's segment already holds the tiles and cleared flags (the
     # caller loaded the input) and outlives this call with its pool.  A
     # one-shot run's segment ends with the call in name — its pages go on as
@@ -930,10 +892,9 @@ def execute_ops_parallel(
             try:
                 store = SharedTileStore.create(a, ops, ib)
             except OSError as exc:
-                return degrade(f"shared memory unavailable: {exc}")
+                return degrade(a.copy(), reason=f"shared memory unavailable: {exc}")
         stats.segment_recycled = store.recycled
-        respawn = respawn and not store.recycled  # nothing to attach by: survivors adopt
-        success = False
+        success, gauges = False, {}
         try:
             if assignment is not None:
                 shares = assignment(n_procs, policy)
@@ -963,12 +924,10 @@ def execute_ops_parallel(
                 rec.name_lane(n_procs, "dispatcher")
             else:
                 run_id = _obs_context.current_run_id() or _obs_context.mint_run_id()
-            # The pool's own dicts, so pool.spawn() replacements are visible
-            # to the loop below.
+            # The pool's own dicts: pool.spawn() replacements show up here.
             procs, conns, generations = pool.procs, pool.conns, pool.generations
             t_run = time.perf_counter()
-            # The one place op indices go to a worker: its share at lease time
-            # (and, after a death, what handle_death builds from the shares).
+            # Op indices reach a worker here, and after a death as the ledger's heir.
             lease = pool.lease(n_procs, (
                 "job", store.name, a.layout, ops, ib, fault_plan, run_id, batch,
                 0 if checkpoint is None else checkpoint.every_ops, rec is not None, shares,
@@ -980,256 +939,55 @@ def execute_ops_parallel(
             root_span_id = None
             if rec is not None:
                 end = rec.now()
-                root_span_id = rec.add_span(
-                    "pool.lease", "dispatch", end - stats.spawn_s, end,
-                    worker=n_procs, args=lease,
-                ).span_id
+                root_span_id = rec.add_span("pool.lease", "dispatch", end - stats.spawn_s, end,
+                                            worker=n_procs, args=lease).span_id
 
-            alive = set(ranks)
-            # Workers whose attach echo for *this* job has been read.
-            attached: set[int] = set()
-            # The ledger: what each live rank was given (its share, then what
-            # it took over), how much of it is still unreported, which ops
-            # were reported by anyone, and when each rank last showed life.
-            given: dict[int, list] = {w: [shares[w]] for w in ranks}
-            owed = {w: len(shares[w]) for w in ranks}
-            reported = bytearray(len(ops))
-            last_seen: dict[int, float] = {}
-            attempts = [0] * len(ops)
-            respawns_used = 0
-            completed = len(completed_set)
-            flags_up = completed  # refreshed from the segment when the pipes are quiet
-            # Checkpoint park state: the pause byte is up, and who said so far
-            # that it stands still.
-            pausing = False
-            parked: set[int] = set()
-
+            # A recycled segment has no name to attach a replacement by.
+            ledger = Ledger(ops, shares, respawn and not store.recycled, len(completed_set))
+            attached: set[int] = set()  # whose attach echo for *this* job was read
+            last_seen: dict[int, float] = {}  # when each rank last showed life
+            flags_up = len(completed_set)  # refreshed from the segment when the pipes are quiet
             if rec is not None:
                 # Live state for the metrics sampler (vocabulary in
                 # repro.obs.sampler).  Read from the sampler thread while this
                 # thread mutates; Recorder.read_gauges tolerates torn reads.
-                rec.register_gauge(
-                    "parallel.inflight_ops", lambda: sum(list(owed.values()))
-                )
-                rec.register_gauge("parallel.workers_alive", lambda: len(alive))
-                rec.register_gauge("pool.workers_alive", pool.alive_count)
-                rec.register_gauge("parallel.completed_ops", lambda: completed)
-                rec.register_gauge(
-                    "parallel.redispatched", lambda: stats.ops_redispatched
-                )
+                gauges.update({
+                    "parallel.inflight_ops": ledger.inflight,
+                    "parallel.workers_alive": ledger.alive.__len__,
+                    "pool.workers_alive": pool.alive_count,
+                    "parallel.completed_ops": partial(getattr, ledger, "completed"),
+                    "parallel.redispatched": partial(getattr, stats, "ops_redispatched"),
+                })
+                for name, read in gauges.items():
+                    rec.register_gauge(name, read)
 
-            def book(w: int, idxs) -> None:
-                """Ops of ``w`` are done: said so in a report, or found flagged
-                at its death."""
-                nonlocal completed
-                completed += len(idxs)
-                owed[w] -= len(idxs)
-                if checkpoint is not None:
-                    checkpoint.note_done(len(idxs))
-                stats.per_worker_ops[w] += len(idxs)
-                for idx in idxs:
-                    reported[idx] = 1
-
-            def handle_msg(w: int, msg) -> None:
-                """Book one worker message (attached / done / parked / err)."""
-                nonlocal pausing
-                stats.pipe_messages += 1
-                if msg[0] == "err":
-                    _, _, idx, tb = msg
-                    raise ParallelExecutionError(
-                        f"worker {w} failed on {ops[idx].describe()}:\n{tb}"
-                    )
-                if msg[0] == "attached":
-                    _, _, a0, a1, echoed = msg
-                    if echoed != run_id:
-                        raise ParallelExecutionError(
-                            f"worker {w} attached for run {echoed!r} but this "
-                            f"dispatcher serves run {run_id!r} — job header and "
-                            "worker state disagree"
-                        )
-                    attached.add(w)
-                    last_seen[w] = a1
-                    stats.per_worker_attach_s[w] += a1 - a0
-                    if rec is not None:
-                        rec.add_span(
-                            "attach", "dispatch",
-                            rec.from_monotonic(a0), rec.from_monotonic(a1),
-                            worker=w, parent=root_span_id,
-                        )
-                    return
-                if msg[0] == "parked":
-                    # On the pause byte or on its own count: either way it
-                    # waits for a capture, so one is due — no parked worker is
-                    # ever left to a ``resume`` that nothing would send.
-                    parked.add(w)
-                    pausing = True
-                    store.pause[0] = 1
-                    return
-                _, _, done, sdc, wait_s, busy_s, t_last, stamps = msg
-                if sdc is not None:
-                    inj, det, rcv = sdc
-                    stats.sdc_injected += inj
-                    stats.sdc_detected += det
-                    stats.sdc_recovered += rcv
-                    if rec is not None:
-                        for key, etype, n in (
-                            (K_SDC_INJECTED, "sdc.injected", inj),
-                            (K_SDC_DETECTED, "sdc.detected", det),
-                            (K_SDC_RECOVERED, "sdc.recovered", rcv),
-                        ):
-                            if n:
-                                rec.count(key, n)
-                                rec.event(etype, worker=w, span=root_span_id, n=n)
-                book(w, done)
-                stats.per_worker_wait_s[w] += wait_s
-                stats.per_worker_busy_s[w] += busy_s
-                last_seen[w] = t_last
-                if rec is not None:
-                    rec.count(K_DISPATCH_BATCHES)
-                    for idx, (op_t0, op_t1) in zip(done, stamps):
-                        # The worker's stamps become the op's kernel span on its
-                        # lane, charged the op's exact flop count.
-                        op = ops[idx]
-                        rec.record_kernel(
-                            op.kind, KERNEL_CATEGORY[op.kind],
-                            kernel_flops(op.kind, op.m2, op.k, op.q, ib),
-                            rec.from_monotonic(op_t0), rec.from_monotonic(op_t1), w,
-                            op=idx, parent=root_span_id,
-                        )
-
-            def handle_death(w: int, *, proc=None, via_conn=None) -> None:
-                """Confirmed worker death: drain, hand its ops on, maybe respawn.
-
-                ``proc`` / ``via_conn`` identify which incarnation of rank ``w``
-                the triggering event (sentinel / EOF) belongs to; a stale event
-                for an already-replaced worker is ignored.
-                """
-                nonlocal respawns_used
-                if w not in alive:
-                    return
-                if proc is not None and procs[w] is not proc:
-                    return
-                if via_conn is not None and conns[w] is not via_conn:
-                    return
-                alive.discard(w)
-                # Drain reports the worker managed to send before dying, so a
-                # completed-and-reported op is never handed on.
-                try:
-                    while conns[w].poll(0):
-                        handle_msg(w, conns[w].recv())
-                except (EOFError, OSError):
-                    pass
-                attached.discard(w)  # a replacement echoes for itself
-                parked.discard(w)
-                last_seen.pop(w, None)
-                conns[w].close()
-                procs[w].join(timeout=5.0)
-                code = procs[w].exitcode
-                stats.workers_died += 1
-                if rec is not None:
-                    rec.count(K_WORKER_DEAD)
-                    rec.event(
-                        "worker.dead", worker=w, span=root_span_id,
-                        exit_code=code, generation=generations.get(w),
-                    )
-                    if code == _CRASH_EXIT_CODE:
-                        rec.count(K_FAULT_CRASH)
-                        rec.event("fault.crash", worker=w, span=root_span_id)
-                # The done mask is the flags, not the reports: a flag goes up
-                # only after the op's tile writes (and their verification), and
-                # nobody raises one of a dead rank's.  What it flagged and had
-                # not reported yet is booked; what it leaves undone goes on, in
-                # the assignment's global order.
-                unreported = sorted(e for es in given[w] for e in es if not reported[e[1]])
-                up = bytes(store.flags)
-                book(w, [e[1] for e in unreported if up[e[1]]])
-                lost = tuple(e for e in unreported if not up[e[1]])
-                given[w], owed[w] = [], 0
-                for _, idx, _ in lost:
-                    attempts[idx] += 1
-                    if attempts[idx] > MAX_REDISPATCH:
-                        raise ParallelExecutionError(
-                            f"worker {w} died (exit code {code}) and "
-                            f"{ops[idx].describe()} was already re-dispatched "
-                            f"{MAX_REDISPATCH} time(s) — retries exhausted"
-                        )
-                if lost:
-                    stats.ops_redispatched += len(lost)
-                    if rec is not None:
-                        rec.count(K_REDISPATCH_OPS, len(lost))
-                        rec.event(
-                            "retry.redispatch", worker=w, span=root_span_id,
-                            n_ops=len(lost),
-                        )
-                heir = w
-                if respawn and respawns_used < n_procs:
-                    respawns_used += 1
-                    stats.workers_respawned += 1
-                    if rec is not None:
-                        rec.count(K_WORKER_RESTART)
-                        rec.event(
-                            "worker.respawn", worker=w, span=root_span_id,
-                            generation=generations.get(w, 0) + 1,
-                        )
-                    pool.spawn(w, lost)
-                    alive.add(w)
-                elif not alive:
-                    raise ParallelExecutionError(
-                        f"worker {w} died (exit code {code}) and no workers remain"
-                        + ("; respawn budget exhausted" if respawn else "; respawn disabled")
-                    )
-                elif lost:
-                    # The survivor with the least left to do adopts them; it
-                    # reads the message the next time it naps or runs dry.
-                    heir = min(alive, key=lambda v: (owed[v], v))
-                    try:
-                        conns[heir].send(("adopt", lost))
-                        stats.pipe_messages += 1
-                    except (BrokenPipeError, OSError):
-                        pass  # its own sentinel is next; the entries go on from its ledger
-                given[heir].append(lost)
-                owed[heir] += len(lost)
-
-            def _stall_report() -> str:
-                return (
-                    f"{completed}/{len(ops)} ops reported, "
-                    f"{int(np.count_nonzero(store.flags))} flagged done; "
-                    f"alive workers {sorted(alive)}; unreported per worker "
-                    f"{ {w: owed[w] for w in sorted(alive)} }; parked {sorted(parked)}; "
-                    f"died {stats.workers_died}, respawned {stats.workers_respawned}"
-                )
-
-            wd = Watchdog(timeout_s, what="parallel dispatcher", report=_stall_report)
-            while completed < len(ops):
-                if checkpoint is not None and not pausing and checkpoint.due():
-                    pausing = True
-                    store.pause[0] = 1
-                if pausing and all(w in parked or not owed[w] for w in alive):
-                    # Every live worker stands still — parked, or blocked on
-                    # its pipe with nothing left — so no op is mid-execution
-                    # and the completion flags are a consistent, predecessor-
-                    # closed frontier.  Capture (cheap memcpys into parent-owned
-                    # buffers), let the workers go on, and let the
-                    # serialize-fsync-replace overlap with their execution.
-                    checkpoint.capture(store, store.t_factor, store.flags.astype(bool))
-                    pausing = False
-                    store.pause[0] = 0
-                    for w in sorted(parked):
-                        try:
-                            conns[w].send(("resume",))
-                            stats.pipe_messages += 1
-                        except (BrokenPipeError, OSError):
-                            pass  # dead: its sentinel is handled below
-                    parked.clear()
-                    checkpoint.flush()
+            wd = Watchdog(timeout_s, what="parallel dispatcher",
+                          report=partial(_stall_report, ledger, store, stats))
+            # Until every op is booked *and* every live worker's attach echo
+            # was read: a job of a few ops can complete first, and the pool's
+            # next job would read a straggler's echo as its own.
+            while not ledger.finished() or ledger.alive - attached:
+                if checkpoint is not None and not ledger.finished():
+                    if not ledger.pausing and checkpoint.due():
+                        ledger.pause()
+                        store.pause[0] = 1
+                    if ledger.capture_due():
+                        # Capture (cheap memcpys into parent-owned buffers),
+                        # let the workers go on, and let the
+                        # serialize-fsync-replace overlap with their execution.
+                        checkpoint.capture(store, store.t_factor, store.flags.astype(bool))
+                        store.pause[0] = 0
+                        for w in ledger.captured():
+                            with contextlib.suppress(OSError):  # dead: its sentinel is next
+                                conns[w].send(("resume",))
+                                stats.pipe_messages += 1
+                        checkpoint.flush()
                 # Wait on every live worker's pipe AND its process sentinel: the
                 # sentinel is the heartbeat — it fires the instant the OS reaps
                 # a dead worker, with no polling interval to tune.
-                sentinel_of = {procs[w].sentinel: (w, procs[w]) for w in alive}
-                conn_of = {conns[w]: w for w in alive}
-                got = conn_wait(
-                    list(conn_of) + list(sentinel_of), timeout=min(timeout_s, 0.5)
-                )
+                sentinel_of = {procs[w].sentinel: (w, procs[w]) for w in ledger.alive}
+                conn_of = {conns[w]: w for w in ledger.alive}
+                got = conn_wait([*conn_of, *sentinel_of], timeout=min(timeout_s, 0.5))
                 t0 = time.perf_counter()
                 if not got:
                     # Workers report every ``batch`` ops; between reports the
@@ -1238,41 +996,110 @@ def execute_ops_parallel(
                 for obj in got:
                     if obj in sentinel_of:
                         w, proc = sentinel_of[obj]
-                        handle_death(w, proc=proc)
-                        continue
-                    w = conn_of.get(obj)
-                    if w is None or w not in alive or conns[w] is not obj:
-                        continue  # stale handle: worker was replaced this round
+                        stale = procs[w] is not proc
+                    else:
+                        w, proc = conn_of[obj], None
+                        stale = conns[w] is not obj
+                    if stale or w not in ledger.alive:
+                        continue  # an event of a worker replaced, or dead, this round
+                    msgs, dead = [], proc is not None
                     try:
-                        msg = conns[w].recv()
+                        if not dead:  # a readable pipe: one message, or EOF
+                            msgs.append(conns[w].recv())
+                        # A death: all it sent before, so what it reported is not handed on.
+                        while dead and conns[w].poll(0):
+                            msgs.append(conns[w].recv())
                     except (EOFError, OSError):
-                        handle_death(w, via_conn=obj)
-                        continue
-                    handle_msg(w, msg)
-                wd.note_progress(
-                    (completed, flags_up, stats.workers_died, stats.workers_respawned)
-                )
+                        dead = True
+                    booked = ledger.completed
+                    for msg in msgs:
+                        stats.pipe_messages += 1
+                        if msg[0] == "err":
+                            raise ParallelExecutionError(
+                                f"worker {w} failed on {ops[msg[2]].describe()}:\n{msg[3]}"
+                            )
+                        if msg[0] == "attached":
+                            _, _, a0, a1, echoed = msg
+                            if echoed != run_id:
+                                raise ParallelExecutionError(
+                                    f"worker {w} attached for run {echoed!r} but this "
+                                    f"dispatcher serves run {run_id!r} — job header and "
+                                    "worker state disagree"
+                                )
+                            attached.add(w)
+                            last_seen[w] = a1
+                            stats.per_worker_attach_s[w] += a1 - a0
+                            if rec is not None:
+                                rec.add_span("attach", "dispatch", rec.from_monotonic(a0),
+                                             rec.from_monotonic(a1), worker=w, parent=root_span_id)
+                        elif msg[0] == "parked":
+                            ledger.on_parked(w)
+                            store.pause[0] = ledger.pausing
+                        else:
+                            _, _, done, sdc, wait_s, busy_s, t_last, stamps = msg
+                            ledger.on_report(w, done)
+                            stats.per_worker_wait_s[w] += wait_s
+                            stats.per_worker_busy_s[w] += busy_s
+                            last_seen[w] = t_last
+                            if sdc is not None:
+                                _book_sdc(stats, rec, root_span_id, w, sdc)
+                            if rec is not None:
+                                _record_report(rec, root_span_id, ops, ib, w, done, stamps)
+                    if dead:
+                        attached.discard(w)  # a replacement echoes for itself
+                        last_seen.pop(w, None)
+                        conns[w].close()
+                        procs[w].join(timeout=5.0)
+                        code = procs[w].exitcode
+                        stats.workers_died += 1
+                        if rec is not None:
+                            rec.count(K_WORKER_DEAD)
+                            rec.event("worker.dead", worker=w, span=root_span_id,
+                                      exit_code=code, generation=generations.get(w))
+                            if code == _CRASH_EXIT_CODE:
+                                rec.count(K_FAULT_CRASH)
+                                rec.event("fault.crash", worker=w, span=root_span_id)
+                        _, lost, heir = ledger.on_death(w, bytes(store.flags), code)
+                        stats.ops_redispatched += len(lost)
+                        if lost and rec is not None:
+                            rec.count(K_REDISPATCH_OPS, len(lost))
+                            rec.event("retry.redispatch", worker=w, span=root_span_id,
+                                      n_ops=len(lost))
+                        if heir == w:
+                            stats.workers_respawned += 1
+                            if rec is not None:
+                                rec.count(K_WORKER_RESTART)
+                                rec.event("worker.respawn", worker=w, span=root_span_id,
+                                          generation=generations.get(w, 0) + 1)
+                            pool.spawn(w, lost)
+                        elif heir is not None:
+                            # Read the next time it naps or runs dry; if it is
+                            # dead, its sentinel is next and the entries go on
+                            # from the ledger.
+                            with contextlib.suppress(OSError):
+                                conns[heir].send(("adopt", lost))
+                                stats.pipe_messages += 1
+                    # What the ledger booked for ``w`` — reported, or flagged at
+                    # its death — is the transport's to count, in one place.
+                    booked = ledger.completed - booked
+                    if booked:
+                        stats.per_worker_ops[w] += booked
+                        if checkpoint is not None:
+                            checkpoint.note_done(booked)
+                # An attach echo is progress too: after the last op is booked
+                # the loop waits for nothing else.
+                wd.note_progress((ledger.completed, flags_up, len(attached),
+                                  stats.workers_died, stats.workers_respawned))
                 wd.check()
                 stats.dispatch_s += time.perf_counter() - t0
 
-            # A job of a few ops can complete before every leased worker's attach
-            # echo was read; collect the stragglers, or the pool's next job would
-            # read them as its own and reject the stale run id.
-            for w in alive - attached:
-                try:
-                    if conns[w].poll(timeout_s):
-                        handle_msg(w, conns[w].recv())
-                except (EOFError, OSError):
-                    pass  # died idle: the next lease respawns it
             # Hand the workers back to await the next job header (or the pool
             # owner's shutdown): ``("endjob",)`` keeps their store attachment,
             # ``("detach",)`` drops it (those workers end below).
-            for w in alive:
-                try:
+            for w in ledger.alive:
+                with contextlib.suppress(OSError):
                     conns[w].send(terminator)
                     stats.pipe_messages += 1
-                except (BrokenPipeError, OSError):
-                    pass
             t_end = time.perf_counter()
             stats.elapsed_s = t_end - t_run
             for w, seen in last_seen.items():  # out of work while others were not
@@ -1286,17 +1113,13 @@ def execute_ops_parallel(
             # The factors are the segment — views that keep its pages — and
             # their skeleton is a fact of it, built by the first run over it.
             if store.factors is None:
-                store.factors = TileQRFactors(store.matrix(), factor_records(ops, store.t_factor), ib)
+                records = factor_records(ops, store.t_factor)
+                store.factors = TileQRFactors(store.matrix(), records, ib)
             factors, stats.bytes_in = store.factors, store.bytes_in
             success = True
         finally:
-            if rec is not None:
-                for g in (
-                    "parallel.inflight_ops", "parallel.workers_alive",
-                    "pool.workers_alive", "parallel.completed_ops",
-                    "parallel.redispatched",
-                ):
-                    rec.unregister_gauge(g)
+            for name in gauges:
+                rec.unregister_gauge(name)
             if not success:
                 # Workers may be mid-op, wedged, or napping on a flag that will
                 # never go up; a clean slate (fresh processes, bumped

@@ -88,7 +88,7 @@ def list_schedule(ops, graph, ib: int, n_procs: int, policy: str) -> tuple:
     An op starts in the model only after its predecessors finished, so
     ``seq`` is a topological order of the DAG and every share ascends in it.
     That is the deadlock-freedom precondition of the flag-driven workers
-    (:func:`repro.qr.parallel._serve_job`): however shares are later merged
+    (:class:`repro.qr.protocol.Walk`): however shares are later merged
     (a survivor adopting a dead rank's entries sorts by ``seq``), each
     worker's list stays a subsequence of one topological order, so the
     first unfinished op of that order is always the first unfinished entry

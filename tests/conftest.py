@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -47,6 +48,26 @@ def no_new_shm():
     before = segments()
     yield before
     assert segments() <= before, "leaked shared-memory segment"
+
+
+@pytest.fixture
+def wire(monkeypatch):
+    """What this process sends down and reads off worker pipes."""
+    sent, received = [], []
+    raw_send, raw_recv = Connection.send, Connection.recv
+
+    def send(self, obj):
+        sent.append(obj)
+        return raw_send(self, obj)
+
+    def recv(self):
+        obj = raw_recv(self)
+        received.append(obj)
+        return obj
+
+    monkeypatch.setattr(Connection, "send", send)
+    monkeypatch.setattr(Connection, "recv", recv)
+    return sent, received
 
 
 def qr_accuracy(a: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[float, float]:

@@ -3,9 +3,10 @@
 Workers are given their share of the schedule once and fire each op when
 the completion flags of its predecessors are up; the parent only listens.
 
-* *Model*: a pure-Python simulation of k ranks firing from a real
-  assignment under Hypothesis-chosen interleavings, with deaths (replaced
-  or adopted), parks and resumes thrown in — it always terminates, fires
+* *Protocol*: the :mod:`repro.qr.protocol` classes the workers and the
+  parent run — k ``Walk`` s, one ``Ledger`` and a ``bytearray`` of flags —
+  driven under Hypothesis-chosen interleavings, with deaths (replaced or
+  adopted), parks and resumes thrown in: a run always terminates, fires
   every op exactly once and never before a predecessor, and every snapshot
   frontier is predecessor-closed.
 * *Real processes*: every tree, worker count, policy and report size gives
@@ -28,7 +29,6 @@ import multiprocessing as mp
 import os
 import threading
 import time
-from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -48,13 +48,8 @@ from repro.analysis.races import (
 )
 from repro.faults import FaultPlan
 from repro.qr import CheckpointStore, resume_factorization
-from repro.qr.parallel import (
-    LOOKAHEAD,
-    MAX_REDISPATCH,
-    default_n_procs,
-    execute_ops_parallel,
-    shutdown_workers,
-)
+from repro.qr.parallel import default_n_procs, execute_ops_parallel, shutdown_workers
+from repro.qr.protocol import MAX_REDISPATCH, Ledger, Walk
 from repro.qr.schedule import list_schedule, schedule_for
 from repro.tiles import TileMatrix
 from repro.tiles.shared import SharedTileStore
@@ -111,123 +106,100 @@ def no_worker_left():
     assert mp.active_children() == []
 
 
-# -- the model -------------------------------------------------------------------
+# -- the protocol, driven without processes ----------------------------------------
 
 
-class Model:
-    """The protocol, minus processes: shares, flags, a ledger, a pause byte,
-    and the two op counts of a checkpointed run — each worker's own since it
-    last stood still, the parent's of what was reported since its last
-    snapshot (``park_every`` 0: no checkpoint, nobody counts)."""
+class Drive:
+    """k :class:`Walk` s, one :class:`Ledger` and a ``bytearray`` of flags: the
+    process backend's protocol with each message delivered by hand.  A worker
+    reads its inbox only when it naps or stands still, as it reads its pipe;
+    ``ops_since`` is the checkpoint's count of ops booked since its last
+    capture (``park_every`` 0: no checkpoint)."""
 
-    def __init__(self, ops, shares, graph, batch, respawn, park_every=0):
-        self.shares, self.batch, self.respawn = shares, batch, respawn
-        self.park_every = park_every
-        self.n = len(ops)
+    def __init__(self, ops, shares, graph, batch, respawn, park_every=0,
+                 walk=Walk, ledger=Ledger):
+        self.n, self.batch, self.park_every, self.walk = len(ops), batch, park_every, walk
         succ_index, succ_task, _ = graph.csr_lists()
         self.preds = [set() for _ in range(self.n)]
         for u in range(self.n):
             for v in succ_task[succ_index[u]:succ_index[u + 1]]:
                 self.preds[v].add(u)
-        self.flags = [False] * self.n
+        assert all(self.preds[idx] <= set(waits) for share in shares for _, idx, waits in share)
+        self.flags, self.pause = bytearray(self.n), bytearray(1)
         self.fired = [0] * self.n  # kernel executions per op
-        ranks = range(len(shares))
-        self.todo = {w: sorted(shares[w]) for w in ranks}
-        self.unreported = {w: [] for w in ranks}  # fired (or flag-skipped), not yet told
-        self.given = {w: [list(shares[w])] for w in ranks}
-        self.reported = [False] * self.n
-        self.alive = set(ranks)
-        self.parked: set[int] = set()
-        self.pause = False
-        self.since_park = dict.fromkeys(ranks, 0)
-        self.ops_since = 0
-        self.respawns = 0
-        self.attempts = [0] * self.n
-        self.snapshots = 0
+        self.ledger = ledger(ops, shares, respawn)
+        self.walks, self.standing, self.inbox = {}, {}, {}
+        for w, share in enumerate(shares):
+            self.start(w, share)
+        self.ops_since = self.snapshots = 0
 
-    # What a worker may do next, if anything.
-    def fireable(self, w):
-        for pos, (_, idx, waits) in enumerate(self.todo[w][:LOOKAHEAD]):
-            if all(self.flags[p] for p in waits):
-                return pos
-        return None
+    def start(self, w, share):
+        self.walks[w] = self.walk(share, self.batch, self.park_every)
+        self.standing[w], self.inbox[w] = None, []  # standing: None, or whether parked
 
-    def must_park(self, w):
-        return self.pause or (self.park_every and self.since_park[w] >= self.park_every)
+    def ready(self, waits):
+        return all(self.flags[p] for p in waits)
 
-    def can_step(self, w):
-        if w in self.parked or not self.todo[w]:
+    def book(self, w, idxs):
+        assert not any(self.ledger.reported[idx] for idx in idxs), "an op was reported twice"
+        self.ledger.on_report(w, idxs)
+        self.ops_since += len(idxs)
+
+    def hear(self, w):
+        if not self.inbox[w]:
             return False
-        return self.must_park(w) or self.fireable(w) is not None
-
-    def report(self, w):
-        for idx in self.unreported[w]:
-            assert not self.reported[idx], "an op was reported twice"
-            self.reported[idx] = True
-        self.ops_since += len(self.unreported[w])
-        self.unreported[w] = []
-
-    def snapshot_due(self):
-        """What the parent finds when it next looks at its own count."""
-        return bool(self.park_every) and not self.pause and self.ops_since >= self.park_every
+        if self.walks[w].heard(self.inbox[w].pop(0), bool(self.standing[w])):
+            self.standing[w] = None
+        return True
 
     def step(self, w):
-        if self.must_park(w):
-            self.report(w)
-            self.since_park[w] = 0
-            self.parked.add(w)
-            self.pause = True  # the parent's answer to a ``parked`` message
-            return
-        _, idx, waits = self.todo[w].pop(self.fireable(w))
+        """Rank ``w`` takes its next step, as ``_serve_job`` takes it; False if
+        it has none to take."""
+        if self.standing[w] is not None:
+            return self.hear(w)
+        walk = self.walks[w]
+        self.pause[0] = self.ledger.pausing  # the parent mirrors it into the byte
+        standing = walk.stands_still(self.pause[0])
+        reported = walk.report_due(standing)
+        if reported:
+            self.book(w, walk.flush())
+        if standing:
+            self.standing[w] = walk.stand()
+            if self.standing[w]:
+                self.ledger.on_parked(w)
+            return True
+        k = walk.pick(self.ready)
+        if not k:
+            return self.hear(w) or reported  # it naps on its pipe
+        idx = walk.fire(k)
         assert all(self.flags[p] for p in self.preds[idx]), "fired before a predecessor"
-        assert self.preds[idx] <= set(waits)
         if not self.flags[idx]:
             self.fired[idx] += 1
-            self.flags[idx] = True
-        self.unreported[w].append(idx)
-        self.since_park[w] += 1
-        if len(self.unreported[w]) >= self.batch or not self.todo[w]:
-            self.report(w)
-        if not self.todo[w]:
-            self.since_park[w] = 0  # dry: it stands still until adopted entries arrive
+            self.flags[idx] = 1
+        return True
 
     def kill(self, w):
-        """A confirmed death: what it flagged and had not reported is booked
-        from the flags, what it was given and had not flagged goes on."""
-        self.alive.discard(w)
-        self.parked.discard(w)
-        self.report(w)  # fired, or skipped on a flag: either way the flag is up
-        lost = sorted(e for entries in self.given[w] for e in entries
-                      if not self.reported[e[1]])
+        """A confirmed death: what it flagged is booked, the rest goes on."""
+        before = self.ledger.completed
+        _, lost, heir = self.ledger.on_death(w, self.flags)
         assert not any(self.flags[e[1]] for e in lost), "a finished op was handed on"
-        self.given[w], self.todo[w] = [], []
-        for _, idx, _ in lost:
-            self.attempts[idx] += 1
-        if self.respawn and self.respawns < len(self.shares):
-            self.respawns += 1
-            self.alive.add(w)
-            self.since_park[w] = 0
-            heir = w
-        else:
-            assert self.alive, "the model never kills the last worker"
-            heir = min(self.alive, key=lambda v: (len(self.todo[v]) + len(self.unreported[v]), v))
-        self.given[heir].append(lost)
-        self.todo[heir] = sorted(self.todo[heir] + lost)
+        self.ops_since += self.ledger.completed - before
+        if heir == w:
+            self.start(w, lost)
+        elif heir is not None:
+            self.inbox[heir].append(("adopt", lost))
 
-    def quiescent(self):
-        return all(w in self.parked or not (self.todo[w] or self.unreported[w])
-                   for w in self.alive)
+    def snapshot_due(self):
+        """What the parent finds when it next looks at the checkpoint's count."""
+        return bool(self.park_every) and not self.ledger.pausing and self.ops_since >= self.park_every
 
-    def snapshot(self):
+    def capture(self):
         done = {i for i in range(self.n) if self.flags[i]}
         assert all(self.preds[i] <= done for i in done), "frontier is not predecessor-closed"
         self.snapshots += 1
-        self.pause = False
         self.ops_since = 0
-        self.parked.clear()
-
-    def finished(self):
-        return all(self.reported)
+        for w in self.ledger.captured():
+            self.inbox[w].append(("resume",))
 
 
 @settings(max_examples=60, deadline=None,
@@ -240,71 +212,97 @@ def test_model_terminates_fires_each_op_once_and_in_order(data):
     sched = schedule(tree)
     shares = list_schedule(sched.ops, sched.graph(), IB, k, policy)
     assert certify_schedule(sched.ops, sched.graph(), assignment=shares).ok
-    model = Model(sched.ops, shares, sched.graph(),
-                  batch=data.draw(st.sampled_from([1, 3, 10**6])),
-                  respawn=data.draw(st.booleans()),
-                  park_every=data.draw(st.sampled_from([0, 1, 7])))
+    run = Drive(sched.ops, shares, sched.graph(),
+                batch=data.draw(st.sampled_from([1, 3, 10**6])),
+                respawn=data.draw(st.booleans()),
+                park_every=data.draw(st.sampled_from([0, 1, 7])))
+    ledger = run.ledger
     kills_left, pauses_left = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
-    for _ in range(20 * model.n):  # far more steps than any legal run takes
-        if model.finished():
+    for _ in range(20 * run.n):  # far more steps than any legal run takes
+        if ledger.finished():
             break
-        if model.pause and model.quiescent():
-            model.snapshot()
+        if ledger.capture_due():
+            run.capture()
             continue
         action = data.draw(st.sampled_from(["step", "step", "step", "kill", "pause"]))
-        if action == "kill" and kills_left and (model.respawn or len(model.alive) > 1):
-            victim = data.draw(st.sampled_from(sorted(model.alive)))
-            if all(model.attempts[e[1]] < MAX_REDISPATCH
-                   for entries in model.given[victim] for e in entries
-                   if not model.flags[e[1]]):  # a finished op is never handed on
+        if action == "kill" and kills_left and (ledger.respawns_left or len(ledger.alive) > 1):
+            victim = data.draw(st.sampled_from(sorted(ledger.alive)))
+            if all(ledger.attempts[e[1]] < MAX_REDISPATCH
+                   for entries in ledger.given[victim] for e in entries
+                   if not run.flags[e[1]]):  # a finished op is never handed on
                 kills_left -= 1
-                model.kill(victim)
+                run.kill(victim)
                 continue
-        if action == "pause" and pauses_left and not model.pause:
+        if action == "pause" and pauses_left and not ledger.pausing:
             pauses_left -= 1
-            model.pause = True
+            ledger.pause()
             continue
-        movers = [w for w in sorted(model.alive) if model.can_step(w)]
-        # The parent reads its own count whenever it gets round to it — at
-        # the latest when nobody else can move.
-        if model.snapshot_due() and (not movers or data.draw(st.booleans())):
-            model.pause = True
+        # The parent reads the checkpoint's count whenever it gets round to
+        # it — at the latest when nobody else can move.
+        if run.snapshot_due() and data.draw(st.booleans()):
+            ledger.pause()
             continue
+        alive = sorted(ledger.alive)
+        first = data.draw(st.integers(0, len(alive) - 1))
         # Deadlock freedom: while work remains somebody can always move.
-        assert movers, "no live worker can fire, park or report"
-        model.step(data.draw(st.sampled_from(movers)))
-    assert model.finished(), "the model did not terminate"
-    assert model.fired == [1] * model.n
+        if not any(run.step(w) for w in alive[first:] + alive[:first]):
+            assert run.snapshot_due(), "no live worker can fire, park or report"
+            ledger.pause()
+    assert ledger.finished(), "the model did not terminate"
+    assert run.fired == [1] * run.n
+
+
+def sweep_survivor_adopts(tree, park_every, walk=Walk, ledger=Ledger):
+    """Rank 0 runs as far ahead as it can, the parent looks at its count as
+    late as it can, and rank 1 dies at each step in turn with no replacement
+    — among them the runs where the survivor went dry before a snapshot and
+    adopts after it, with the two op counts furthest apart."""
+    sched = schedule(tree)
+    shares = list_schedule(sched.ops, sched.graph(), IB, 2, "lazy")
+    for kill_at in range(6 * len(sched.ops)):
+        run = Drive(sched.ops, shares, sched.graph(), batch=3, respawn=False,
+                    park_every=park_every, walk=walk, ledger=ledger)
+        for step in range(20 * run.n):
+            if run.ledger.finished():
+                break
+            if step == kill_at and 1 in run.ledger.alive:
+                run.kill(1)
+            elif run.ledger.capture_due():
+                run.capture()
+            elif not any(run.step(w) for w in sorted(run.ledger.alive)):
+                assert run.snapshot_due(), f"stalled at step {step}, rank 1 died at {kill_at}"
+                run.ledger.pause()
+        assert run.ledger.finished() and run.fired == [1] * run.n
+        if kill_at > step:
+            break  # the run ended before the death: later ones are the same run
 
 
 @pytest.mark.parametrize("park_every", [2, 3, 5, 7])
 @pytest.mark.parametrize("tree", sorted(TREES))
 def test_model_survivor_adopts_at_every_point_of_a_checkpointed_run(tree, park_every):
-    """Rank 0 runs as far ahead as it can, the parent looks at its count as
-    late as it can, and rank 1 dies at each step in turn with no replacement
-    — among them the runs where the survivor went dry before a snapshot and
-    adopts after it, with the two op counts furthest apart.  Nobody is ever
-    left parked with no snapshot coming."""
-    sched = schedule(tree)
-    shares = list_schedule(sched.ops, sched.graph(), IB, 2, "lazy")
-    for kill_at in range(6 * len(sched.ops)):
-        model = Model(sched.ops, shares, sched.graph(), batch=3, respawn=False,
-                      park_every=park_every)
-        for step in range(20 * model.n):
-            if model.finished():
-                break
-            if step == kill_at and 1 in model.alive:
-                model.kill(1)
-            elif model.pause and model.quiescent():
-                model.snapshot()
-            elif movers := [w for w in sorted(model.alive) if model.can_step(w)]:
-                model.step(movers[0])
-            else:
-                assert model.snapshot_due(), f"stalled at step {step}, rank 1 died at {kill_at}"
-                model.pause = True
-        assert model.finished() and model.fired == [1] * model.n
-        if kill_at > step:
-            break  # the run ended before the death: later ones are the same run
+    """Nobody is ever left parked with no snapshot coming."""
+    sweep_survivor_adopts(tree, park_every)
+
+
+class _CountsOnlyParks(Walk):
+    def stand(self):
+        if self.todo:
+            self.since_park = 0
+        return bool(self.todo)
+
+
+class _NoPauseOnParked(Ledger):
+    def on_parked(self, w):
+        self.parked.add(w)
+
+
+@pytest.mark.parametrize("tree, park_every", [("flat", 7), ("binary", 5)])
+def test_the_sweep_finds_the_stall_of_the_rule_before_review(tree, park_every):
+    """Under the rule the review replaced — a worker's count restarts only
+    when it parks, and a ``parked`` does not raise the pause — the same sweep
+    stalls: it drives the real rule, not a copy of it."""
+    with pytest.raises(AssertionError, match="stalled at step"):
+        sweep_survivor_adopts(tree, park_every, _CountsOnlyParks, _NoPauseOnParked)
 
 
 @pytest.mark.parametrize("tree", sorted(TREES))
@@ -314,19 +312,19 @@ def test_model_late_deaths_of_successive_owners_hand_on_one_op(tree):
     death hands on that one op and charges nothing to the ops before it."""
     sched = schedule(tree)
     shares = list_schedule(sched.ops, sched.graph(), IB, 2, "lazy")
-    model = Model(sched.ops, shares, sched.graph(), batch=10**6, respawn=True)
+    run = Drive(sched.ops, shares, sched.graph(), batch=10**6, respawn=True)
     deaths = 0
-    for _ in range(20 * model.n):
-        if model.finished():
+    for _ in range(20 * run.n):
+        if run.ledger.finished():
             break
-        if deaths < MAX_REDISPATCH and len(model.todo[1]) == 1:
-            model.kill(1)
+        if deaths < MAX_REDISPATCH and len(run.walks[1].todo) == 1:
+            run.kill(1)
             deaths += 1
-            assert sum(model.attempts) == deaths == max(model.attempts)
+            attempts = run.ledger.attempts
+            assert sum(attempts) == deaths == max(attempts)
             continue
-        movers = [w for w in sorted(model.alive) if model.can_step(w)]
-        model.step(movers[0])
-    assert model.finished() and deaths == MAX_REDISPATCH and model.fired == [1] * model.n
+        assert any(run.step(w) for w in sorted(run.ledger.alive))
+    assert run.ledger.finished() and deaths == MAX_REDISPATCH and run.fired == [1] * run.n
 
 
 # -- real processes: every configuration gives the serial factors ---------------------
@@ -551,26 +549,6 @@ def test_wedged_worker_raises_and_the_waiter_is_torn_down(matrix, monkeypatch, n
 
 
 # -- behaviour: what a repeat call does not pay ---------------------------------------
-
-
-@pytest.fixture
-def wire(monkeypatch):
-    """What this process sends down and reads off worker pipes."""
-    sent, received = [], []
-    raw_send, raw_recv = Connection.send, Connection.recv
-
-    def send(self, obj):
-        sent.append(obj)
-        return raw_send(self, obj)
-
-    def recv(self):
-        obj = raw_recv(self)
-        received.append(obj)
-        return obj
-
-    monkeypatch.setattr(Connection, "send", send)
-    monkeypatch.setattr(Connection, "recv", recv)
-    return sent, received
 
 
 @pytest.fixture

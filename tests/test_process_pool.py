@@ -173,6 +173,38 @@ class TestReuse:
                 slim = [(h[2] is None, h[3] is None) for h in sent_headers]
                 assert slim == [[], [(False, False)] * 2][call] if call < 2 else [(True, True)] * 2
 
+    def test_a_rank_dead_at_its_header_counts_as_spawned(self, matrix, serial, wire,
+                                                         monkeypatch, tmp_path):
+        """Alive at the check, dead at the send: the rank is respawned, and
+        the lease summary, the counters and the run's message count say so."""
+        from repro import QRSession
+
+        sent, received = wire
+        armed, summaries = [], []
+        raw_send_job, raw_lease = parallel_mod.WorkerPool._send_job, parallel_mod.WorkerPool.lease
+
+        def send_job(pool, rank):
+            if rank == 1 and armed:
+                armed.clear()
+                pool.procs[rank].kill()
+                pool.procs[rank].join()
+                raise BrokenPipeError
+            return raw_send_job(pool, rank)
+
+        monkeypatch.setattr(parallel_mod.WorkerPool, "_send_job", send_job)
+        monkeypatch.setattr(parallel_mod.WorkerPool, "lease", lambda pool, k, job: (
+            summaries.append(raw_lease(pool, k, job)) or summaries[-1]))
+        with QRSession(n_procs=2) as sess:
+            sess.factor(matrix, **GEOMETRY)
+            del sent[:], received[:], summaries[:]
+            armed.append(True)
+            f = sess.factor(matrix, **GEOMETRY, trace=str(tmp_path / "t.json"))
+            assert f.stats.pipe_messages == len(sent) + len(received)
+            assert sess.pool.generations == {0: 0, 1: 1}
+        assert summaries == [{"n_procs": 2, "spawned": 1, "reused": 1}]
+        assert (f.counters["pool.spawns"], f.counters["pool.reused"]) == (1, 1)
+        assert f.stats.workers_died == 0 and same_factors(f, serial)
+
     def test_equal_but_not_identical_op_list_is_sent_in_full(self, matrix, serial, sent_headers):
         tm = TileMatrix.from_dense(matrix, 12)
         ops = schedule_for(TreeKind.coerce("hier"), 90, 25, 12, 4, 2, True).ops
@@ -291,6 +323,38 @@ class TestFaultsGetTheirOwnWorkers:
         assert (f.stats.workers_died, f.stats.workers_respawned) == (1, 1)
         assert same_factors(f, serial)
         assert mp.active_children() == []
+
+    @pytest.mark.parametrize("late", ["dies", "stays silent"])
+    def test_a_rank_late_with_its_echo_after_the_last_op(self, matrix, serial, monkeypatch, late):
+        """Rank 1 has nothing to do and is slow to attach: rank 0 books every
+        op first, and the job still waits for rank 1's echo.  A death there
+        loses nothing — no heir, no error, the factors come back; silence is
+        the watchdog's, with every op booked."""
+        sched = schedule_for(TreeKind.coerce("hier"), 90, 25, 12, 4, 2, True)
+        everything = sched.assignment(1, "lazy")[0]
+        raw_attach = parallel_mod.SharedTileStore.attach
+
+        def attach(*args):
+            if mp.current_process().name.startswith("qr-pool-1"):
+                time.sleep(0.5)
+                if late == "dies":
+                    os._exit(3)
+                time.sleep(60.0)
+            return raw_attach(*args)
+
+        monkeypatch.setattr(parallel_mod.SharedTileStore, "attach", staticmethod(attach))
+        run = dict(n_procs=2, assignment=lambda n_procs, policy: (everything, ()))
+        tm = TileMatrix.from_dense(matrix, 12)
+        n = len(sched.ops)
+        if late == "dies":
+            factors, stats = execute_ops_parallel(tm, sched.ops, 4, **run)
+            assert np.array_equal(factors.r_factor(), serial.R)
+            assert (stats.workers_died, stats.workers_respawned, stats.ops_redispatched) == (1, 0, 0)
+            assert stats.per_worker_ops == {0: n, 1: 0}
+        else:
+            with pytest.raises(WatchdogTimeout, match=f"{n}/{n} ops reported"):
+                execute_ops_parallel(tm, sched.ops, 4, timeout_s=1.0, **run)
+        assert mp.active_children() == []  # a death ends the kept pool, a timeout resets it
 
     def test_an_idle_death_is_respawned_at_the_next_lease(self, matrix, serial, tmp_path):
         one_shot(matrix)

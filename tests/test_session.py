@@ -7,19 +7,35 @@ tests pin the session-specific bookkeeping: plan-cache hit/miss/eviction
 accounting (eviction must destroy the cached shared-memory arena),
 generation tags surviving across calls (so a generation-0 ``FaultPlan``
 cannot re-kill a respawned pool worker), and the ``pool.*`` / ``plan.*``
-observability counters.
+observability counters.  A Hypothesis state machine then factors on two
+geometries, kills idle workers, evicts, reads old results and closes, in any
+order.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing as mp
+import os
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro import FaultPlan, QRSession, qr_factor
 from repro.qr.parallel import shutdown_workers
 from repro.qr.session import PlanCache, WorkerPool
 from repro.tiles import random_dense
-from repro.util import ConfigurationError
+from repro.util import ConfigurationError, StaleResultError
 
 KW = dict(nb=8, ib=4, tree="hier", h=3)
 
@@ -216,3 +232,109 @@ class TestObservability:
         with QRSession(n_procs=2) as sess:
             sess.factor(small_matrix, **KW, trace=str(path))
         validate_chrome_trace(path)
+
+
+# -- a session under arbitrary sequences of calls ------------------------------------
+
+GEOMETRIES = {"hier": ((90, 25), dict(nb=12, ib=4, tree="hier", h=2)),
+              "flat": ((40, 24), dict(nb=8, ib=4, tree="flat"))}
+
+
+@functools.lru_cache(maxsize=None)
+def _case(geometry, seed):
+    """An input of the geometry and its serial factorization."""
+    shape, kw = GEOMETRIES[geometry]
+    a = np.random.default_rng(seed).standard_normal(shape)
+    return a, qr_factor(a, **kw)
+
+
+def _segments():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+class SessionMachine(RuleBasedStateMachine):
+    """One cache slot (``plan_cache_size=1``), so switching geometry evicts.
+    A result goes stale exactly when its segment is loaded again: a later
+    ``factor`` on its geometry with no eviction in between."""
+
+    def __init__(self):
+        super().__init__()
+        self.shm_before = _segments()
+        self.sess = QRSession(n_procs=2, plan_cache_size=1)
+        self.slot = None  # (geometry, segment number) the cache holds
+        self.segments = 0
+        self.results = []  # [result, geometry, seed, segment number, stale]
+        self.generations = {}
+        self.closed = False
+
+    @rule(geometry=st.sampled_from(sorted(GEOMETRIES)), seed=st.integers(0, 2))
+    def factor(self, geometry, seed):
+        a, ref = _case(geometry, seed)
+        if self.closed:
+            with pytest.raises(ConfigurationError, match="closed"):
+                self.sess.factor(a, **GEOMETRIES[geometry][1])
+            return
+        if self.slot is None or self.slot[0] != geometry:
+            self.segments += 1
+            self.slot = (geometry, self.segments)
+        f = self.sess.factor(a, **GEOMETRIES[geometry][1])
+        assert f.stats.mode == "parallel"
+        assert np.array_equal(f.R, ref.R)
+        for held in self.results:
+            held[4] = held[4] or held[3] == self.slot[1]
+        self.results.append([f, geometry, seed, self.slot[1], False])
+
+    @precondition(lambda self: not self.closed)
+    @rule(rank=st.sampled_from([0, 1]))
+    def kill_an_idle_worker(self, rank):
+        proc = self.sess.pool.procs.get(rank)
+        if proc is not None and proc.is_alive():  # forked by the first factor
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join(timeout=5.0)
+
+    @precondition(lambda self: self.results)
+    @rule(data=st.data())
+    def touch_an_older_result(self, data):
+        f, geometry, seed, _, stale = data.draw(st.sampled_from(self.results))
+        a, ref = _case(geometry, seed)
+        probe = np.linspace(0.0, 1.0, a.shape[0])
+        if stale:
+            with pytest.raises(StaleResultError):
+                f.qt_matmul(probe)
+        else:
+            assert np.array_equal(f.qt_matmul(probe), ref.qt_matmul(probe))
+
+    @precondition(lambda self: not self.closed)
+    @rule()
+    def close(self):
+        workers = list(self.sess.pool.procs.values())
+        self.sess.close()
+        self.closed = True
+        assert not any(p.is_alive() for p in workers) and mp.active_children() == []
+
+    @invariant()
+    def results_read_or_raise_as_their_segment_says(self):
+        for f, geometry, seed, _, stale in self.results:
+            if stale:
+                with pytest.raises(StaleResultError):
+                    f.R
+            else:
+                assert np.array_equal(f.R, _case(geometry, seed)[1].R)
+
+    @invariant()
+    def generations_never_go_back(self):
+        if not self.closed:
+            now = dict(self.sess.pool.generations)
+            assert all(now.get(rank, -1) >= g for rank, g in self.generations.items())
+            self.generations = now
+
+    def teardown(self):
+        if not self.closed:
+            self.close()
+        assert _segments() <= self.shm_before, "leaked shared-memory segment"
+
+
+def test_a_session_under_factor_kill_evict_touch_and_close(no_new_shm):
+    run_state_machine_as_test(SessionMachine, settings=settings(
+        max_examples=25, stateful_step_count=20, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow]))
