@@ -1,4 +1,4 @@
-"""Performance analytics: model-vs-measured gaps and benchmark gating.
+"""Performance analytics: model-vs-measured gaps for traced runs.
 
 Built on the evidence the observability layer records (:mod:`repro.obs`):
 
@@ -7,23 +7,13 @@ Built on the evidence the observability layer records (:mod:`repro.obs`):
   kernel kind and per tree phase, flagging kernels whose efficiency
   deviates from the model beyond a threshold;
 * :func:`analyze_factorization` bundles the critical-path, lane-attribution
-  and gap analyses for one traced :func:`repro.qr_factor` run;
-* :mod:`repro.perf.bench` maintains the append-only benchmark trajectory
-  (``results/BENCH_qr.json``) and implements the regression checks behind
-  ``tools/bench_gate.py``.
+  and gap analyses for one traced :func:`repro.qr_factor` run.
 
 See ``docs/performance.md`` for how to read the reports, and
 ``python -m repro.experiments perf`` for the three-backend comparison.
 """
 
 from .analyze import PerfAnalysis, analyze_factorization
-from .bench import (
-    append_entry,
-    baseline_for,
-    check_regression,
-    load_trajectory,
-    run_qr_benchmark,
-)
 from .gap import GapReport, KernelGap, gap_report
 
 __all__ = [
@@ -32,9 +22,4 @@ __all__ = [
     "gap_report",
     "PerfAnalysis",
     "analyze_factorization",
-    "run_qr_benchmark",
-    "load_trajectory",
-    "append_entry",
-    "baseline_for",
-    "check_regression",
 ]

@@ -167,8 +167,13 @@ class QRFactorization:
             self.stats.bytes_out = store.bytes_out
         return twin
 
-    def __getstate__(self):  # pickled or copied: the arrays, never the mapping
-        return self.detach().__dict__
+    def __getstate__(self):
+        """Pickled or copied: the arrays, never the mapping, and a snapshot
+        of :attr:`counters`, never the recorder (its locks and gauges)."""
+        state = dict(self.detach().__dict__)
+        if self.recorder is not None:
+            state.update(recorder=None, _counters=_obs_record.Counters(self.recorder.counters))
+        return state
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -476,6 +481,7 @@ def qr_factor(
     check_tile_params(m, n, layout.nb, ib)
     require(m >= n, f"tall-skinny QR requires m >= n, got {m} x {n}")
     kind = TreeKind.coerce(tree)
+    require(isinstance(shifted, (bool, np.bool_)), f"shifted must be a bool, got {shifted!r}")
     if h == "auto":
         from ..machine.model import kraken
         from ..trees.auto import choose_domain_size

@@ -39,7 +39,7 @@ from ..pulsar.runtime import POLICIES
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import SharedTileStore
 from ..util.errors import ConfigurationError
-from ..util.validation import check_positive_int, require
+from ..util.validation import check_nonnegative_int, check_positive_int, require
 from . import parallel as _parallel
 from .collector import assemble_factors
 from .reference import execute_ops
@@ -174,8 +174,9 @@ def run_backend(
     nothing is derived here.  ``skip`` / ``preloaded_ts`` are the resume
     path.  ``stats`` is ``None`` for the single-lane backends.
 
-    ``policy``, ``batch`` and ``n_procs`` are checked here, whichever backend
-    runs (only ``parallel`` uses the last two).  ``batch="wavefront"`` is an
+    ``policy``, ``batch``, ``n_procs`` and ``seed`` are checked here, whichever
+    backend runs (only ``parallel`` uses ``batch`` and ``n_procs``, only
+    ``pulsar`` uses ``seed``).  ``batch="wavefront"`` is an
     accepted spelling of the default: it once selected level-synchronous
     slice dispatch, callers still pass it, and it now means auto-sized
     batches (a batch is what a worker reports in one message).
@@ -191,6 +192,8 @@ def run_backend(
         check_positive_int(batch, "batch")
     if n_procs is not None:
         check_positive_int(n_procs, "n_procs")
+    if seed is not None:
+        check_nonnegative_int(seed, "seed")
     ops = entry.ops
     common = dict(fault_plan=fault_plan, checkpoint=checkpoint,
                   skip=skip, preloaded_ts=preloaded_ts)

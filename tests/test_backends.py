@@ -101,9 +101,19 @@ def test_batch_and_policy_are_validated_on_every_backend(small_matrix, backend, 
             qr_factor(small_matrix, **kw, batch=bad)
     with pytest.raises(ConfigurationError, match=r"policy must be one of \('lazy', 'aggressive'\)"):
         qr_factor(small_matrix, **kw, policy="zzz")
+    for bad in ("false", "True", 0, 1, None):
+        with pytest.raises(ConfigurationError, match="shifted must be a bool"):
+            qr_factor(small_matrix, **kw, shifted=bad)
+    for bad, text in (("x", "seed must be an int, got 'x'"), (True, "seed must be an int"),
+                      (2.5, "seed must be an int"), (-1, "seed must be >= 0")):
+        with pytest.raises(ConfigurationError, match=text):
+            qr_factor(small_matrix, **kw, seed=bad)
     ref = qr_factor(small_matrix, **GEOMETRY)
     for ok in (None, 5, "wavefront"):
         np.testing.assert_array_equal(ref.R, qr_factor(small_matrix, **kw, batch=ok).R)
+    for shifted in (False, np.bool_(True)):
+        np.testing.assert_array_equal(qr_factor(small_matrix, **GEOMETRY, shifted=bool(shifted)).R,
+                                      qr_factor(small_matrix, **kw, shifted=shifted, seed=7).R)
     if CAPABILITIES[backend]["resume"]:
         ck = str(tmp_path / "run.ckpt")
         qr_factor(small_matrix, **GEOMETRY, checkpoint=ck)

@@ -377,6 +377,20 @@ def test_a_one_shot_result_outlives_everything_but_itself(matrix, serial, no_new
         assert same_factors(h, serial)
 
 
+@pytest.mark.parametrize("backend", ["serial", "parallel"])
+@pytest.mark.parametrize("keyword,name", [("trace", "t.json"), ("metrics", "m.jsonl"),
+                                          ("events", "e.jsonl")])
+def test_a_recorded_result_pickles_and_copies(tmp_path, matrix, serial, backend, keyword, name):
+    # The copy carries the factors and a plain snapshot of the counters, not
+    # the live recorder with its locks and gauge callables.
+    f = qr_factor(matrix, **GEOMETRY, backend=backend, n_procs=2, **{keyword: tmp_path / name})
+    assert f.recorder is not None
+    for h in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert same_factors(h, f) and same_factors(h, serial)
+        assert h.recorder is None and h.counters == f.counters and h.counters["ops.total"] > 0
+    assert f.recorder is not None  # the original keeps its recorder
+
+
 @needs_proc
 def test_one_array_of_the_result_keeps_the_pages(matrix, serial):
     mapped = len(mapped_segments())

@@ -1,5 +1,5 @@
 """Performance analytics: critical paths, lane attribution, gap reports,
-metrics sampling, and the benchmark regression gate.
+and metrics sampling.
 
 The synthetic-DAG tests pin the analyses to hand-computable answers; the
 end-to-end tests check the invariants the docs promise (path + waits =
@@ -26,17 +26,10 @@ from repro.obs import (
     realized_critical_path,
 )
 from repro.obs import monitor as obs_monitor
-from repro.perf import (
-    analyze_factorization,
-    append_entry,
-    baseline_for,
-    check_regression,
-    gap_report,
-    load_trajectory,
-)
+from repro.perf import analyze_factorization, gap_report
 from repro.qr.dag import op_dependency_graph
 from repro.qr.ops import Op
-from repro.util.errors import ConfigurationError, TraceError
+from repro.util.errors import TraceError
 
 # ---------------------------------------------------------------------------
 # A hand-built 4-op DAG with a known dependency structure:
@@ -255,56 +248,6 @@ class TestSamplerAndMonitor:
         assert f.recorder is not None
         samples = [json.loads(l) for l in path.read_text().splitlines()]
         assert samples and samples[-1]["counters"]["ops.total"] > 0
-
-
-def _entry(serial=1.0, parallel=0.6, ops=876, flops=9_971_712, host=None):
-    return {
-        "config": {"m": 480, "n": 96, "nb": 16, "ib": 8, "tree": "hier",
-                   "h": 2, "procs": 2},
-        "host": host or {"cpu_count": 4, "machine": "x86_64", "system": "Linux"},
-        "measured": {"serial_s": serial, "parallel_s": parallel,
-                     "parallel_mode": "parallel"},
-        "counters": {"ops.total": ops, "flops.total": flops},
-    }
-
-
-class TestBenchGate:
-    def test_baseline_is_min_over_comparable_history(self):
-        entries = [
-            _entry(serial=1.2),
-            _entry(serial=0.9),
-            _entry(serial=1.1, host={"cpu_count": 64}),  # other host: excluded
-        ]
-        base = baseline_for(entries, _entry())
-        assert base["n"] == 2
-        assert base["times"]["serial_s"] == pytest.approx(0.9)
-        assert baseline_for([], _entry()) is None
-        assert baseline_for(entries, _entry(host={"cpu_count": 1})) is None
-
-    def test_injected_slowdown_fails_and_noise_passes(self):
-        base = baseline_for([_entry()], _entry())
-        assert check_regression(_entry(serial=1.2, parallel=0.7), base) == []
-        problems = check_regression(
-            _entry(serial=2.0, parallel=1.2), base, tolerance=0.5
-        )
-        assert len(problems) == 2
-        assert any("serial_s regressed" in p for p in problems)
-
-    def test_counter_drift_always_fails(self):
-        base = baseline_for([_entry()], _entry())
-        problems = check_regression(_entry(ops=877), base)
-        assert any("ops.total drifted" in p for p in problems)
-
-    def test_trajectory_roundtrip_and_validation(self, tmp_path):
-        path = tmp_path / "BENCH_qr.json"
-        assert load_trajectory(path) == []
-        append_entry(path, _entry())
-        append_entry(path, _entry(serial=0.8))
-        entries = load_trajectory(path)
-        assert [e["measured"]["serial_s"] for e in entries] == [1.0, 0.8]
-        (tmp_path / "bad.json").write_text("[]")
-        with pytest.raises(ConfigurationError):
-            load_trajectory(tmp_path / "bad.json")
 
 
 class TestEndToEnd:

@@ -19,6 +19,7 @@ from repro.analysis.races import (
     graph_edge_list,
     happens_before,
 )
+from repro.obs.adapters import counters_from_ops
 from repro.qr import CheckpointStore, resume_factorization
 from repro.qr.schedule import CAPACITY, Schedule, schedule_for
 from repro.tiles import random_dense
@@ -209,6 +210,26 @@ def test_resume_after_a_memo_hit_and_after_a_clear(tmp_path, small_matrix, backe
 
 
 # -- (6) structure ------------------------------------------------------------
+
+
+# Schedule facts of the four BENCHMARK.json workloads and of a small
+# 480x96 geometry, all with shifted boundaries: a change to the generated
+# operation list (a kernel added, dropped or reshaped) moves them.
+SCHEDULE_FACTS = [
+    # tree, m, n, nb, ib, h, ops.total, round(flops.total)
+    ("hier", 480, 96, 16, 8, 2, 876, 9_971_712),
+    ("hier", 4096, 512, 64, 32, 4, 2750, 2_410_850_987),
+    ("binary", 16384, 128, 64, 32, 4, 1531, 702_786_219),
+    ("hier", 2048, 1024, 128, 32, 4, 590, 3_883_226_453),
+    ("hier", 512, 128, 32, 16, 2, 217, 18_721_451),
+]
+
+
+@pytest.mark.parametrize("tree,m,n,nb,ib,h,ops,flops", SCHEDULE_FACTS,
+                         ids=["480x96", "tall", "skinny", "squat", "burst"])
+def test_schedule_facts_are_pinned(tree, m, n, nb, ib, h, ops, flops):
+    counters = counters_from_ops(schedule_for(TreeKind(tree), m, n, nb, ib, h, True).ops, ib)
+    assert (int(counters["ops.total"]), round(counters["flops.total"])) == (ops, flops)
 
 
 @pytest.mark.parametrize("module", ["api.py", "backends.py", "session.py", "persist.py"])

@@ -587,9 +587,3 @@ def test_build_record_and_find_prefix(tmp_path):
         reg.find("zzz")
     with pytest.raises(ConfigurationError, match="'run' id"):
         reg.append({"backend": "serial"})
-
-
-def test_registry_bench_key_registered():
-    from repro.perf.bench import TIME_KEYS
-
-    assert "telemetry_off_s" in TIME_KEYS

@@ -60,6 +60,8 @@ DEFAULT_FILES = (
     "docs/sessions.md",
     "docs/static-analysis.md",
     "docs/tuning.md",
+    "tools/README.md",
+    ".claude/skills/verify/SKILL.md",
 )
 
 
