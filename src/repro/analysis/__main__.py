@@ -17,11 +17,9 @@ import argparse
 import json
 import sys
 
-from ..tiles.layout import TileLayout
-from ..trees.plan import TreeKind, plan_all_panels
-from ..qr.ops import expand_plans
+from ..trees.plan import TreeKind
 from ..util.errors import ReproError
-from .races import certify_geometry, self_check
+from .races import _geometry_schedule, certify_geometry, self_check
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -61,14 +59,9 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(cert.to_json(), fh, indent=2, sort_keys=True)
         print(f"certificate written to {args.json}")
     if args.self_check:
-        layout = TileLayout(args.m, args.n, args.nb)
-        plans = plan_all_panels(
-            TreeKind.coerce(args.tree), layout.mt, layout.nt,
-            h=args.h, shifted=args.shifted,
-        )
-        ops = expand_plans(layout, plans)
-        try:
-            report = self_check(ops)
+        try:  # the schedule just certified, from the memo
+            report = self_check(_geometry_schedule(
+                args.m, args.n, args.nb, args.tree, args.h, args.shifted))
         except ReproError as exc:
             print(f"self-check FAILED: {exc}", file=sys.stderr)
             return 1

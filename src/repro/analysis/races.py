@@ -626,8 +626,10 @@ def swap_dependent_entries(assignment):
     raise ValueError("no rank owns both ends of a dependency")
 
 
-def self_check(ops: list[Op]) -> dict:
-    """Prove the certifier detects planted violations on this very plan.
+def self_check(ops) -> dict:
+    """Prove the certifier detects planted violations on this very plan:
+    ``ops``, an op list, or the :class:`~repro.qr.schedule.Schedule` holding
+    one, whose DAG, wavefronts and assignment are then the ones checked.
 
     Four stages, raising :class:`ScheduleCertificationError` on any miss:
 
@@ -642,17 +644,18 @@ def self_check(ops: list[Op]) -> dict:
        one entry waits on a predecessor fewer, and once a rank runs an op
        before its own predecessor.
 
-    The inner block size only weights the list schedule (half the tile
-    width here); any value yields an assignment the same checks apply to.
+    The inner block size only weights the list schedule (for a bare op list
+    half the tile width); any value yields an assignment the same checks
+    apply to.  Nothing of a given schedule is changed: every mutation is
+    made on a copy.
 
     Returns a report dict for logging / CI output.
     """
-    from ..qr.schedule import list_schedule
-    from ..qr.wavefront import compute_wavefronts
+    from ..qr.schedule import Schedule
 
-    graph = op_dependency_graph(ops)
-    wavefronts = compute_wavefronts(ops, graph)
-    assignment = list_schedule(ops, graph, max(1, ops[0].k // 2), 2, "lazy")
+    sched = ops if isinstance(ops, Schedule) else Schedule(None, ops, max(1, ops[0].k // 2), None)
+    ops, graph, wavefronts = sched.ops, sched.graph(), sched.wavefronts()
+    assignment = sched.assignment(2, "lazy")
     base = certify_schedule(ops, graph, wavefronts, assignment)
     if not base.ok:
         raise ScheduleCertificationError(
@@ -722,6 +725,19 @@ def self_check(ops: list[Op]) -> dict:
 # -- convenience entry point -------------------------------------------------
 
 
+def _geometry_schedule(m: int, n: int, nb: int, tree: str, h: int, shifted: bool):
+    """The memoized :class:`~repro.qr.schedule.Schedule` that
+    :func:`repro.qr.api.qr_factor` runs on this geometry, with the inner
+    block size at half the tile width; a geometry ``qr_factor`` refuses
+    raises :class:`~repro.util.errors.ConfigurationError` here too."""
+    from ..qr.schedule import schedule_for
+    from ..trees.plan import TreeKind
+    from ..util.validation import require
+
+    require(m >= n, f"tall-skinny QR requires m >= n, got {m} x {n}")
+    return schedule_for(TreeKind.coerce(tree), m, n, nb, max(1, nb // 2), h, shifted)
+
+
 def certify_geometry(
     m: int,
     n: int,
@@ -732,26 +748,19 @@ def certify_geometry(
     shifted: bool = True,
     wavefronts: bool = True,
 ) -> ScheduleCertificate:
-    """Plan a factorization and certify its schedule in one call.
+    """Certify the schedule :func:`repro.qr.api.qr_factor` runs on one geometry.
 
-    The same plan construction :func:`repro.qr.api.qr_factor` performs
-    (``plan_all_panels`` + ``expand_plans``), followed by
-    :func:`certify_schedule` — of the DAG, the wavefront partition and the
-    two-rank ``lazy`` worker assignment of the process backend, the one
-    :func:`self_check` mutates; used by the module CLI and the CI
-    schedule-certifier smoke.
+    The objects certified are the memo's own, those of ``schedule_for(kind,
+    m, n, nb, max(1, nb // 2), h, shifted)``: its ``ops``, ``graph()``,
+    ``wavefronts()`` and the two-rank ``lazy`` worker assignment
+    ``assignment(2, "lazy")`` — the one :func:`self_check` mutates; used by
+    the module CLI and the CI schedule-certifier smoke.  To certify the
+    assignment of another worker count or policy, hand the parts of the same
+    schedule to :func:`certify_schedule`::
+
+        s = schedule_for(kind, m, n, nb, ib, h, shifted)
+        certify_schedule(s.ops, s.graph(), s.wavefronts(), s.assignment(k, policy))
     """
-    from ..qr.schedule import list_schedule
-    from ..qr.wavefront import compute_wavefronts
-    from ..tiles.layout import TileLayout
-    from ..trees.plan import TreeKind, plan_all_panels
-    from ..qr.ops import expand_plans
-
-    layout = TileLayout(m, n, nb)
-    kind = TreeKind.coerce(tree)
-    plans = plan_all_panels(kind, layout.mt, layout.nt, h=h, shifted=shifted)
-    ops = expand_plans(layout, plans)
-    graph = op_dependency_graph(ops)
-    wfs = compute_wavefronts(ops, graph) if wavefronts else None
-    shares = list_schedule(ops, graph, max(1, nb // 2), 2, "lazy")
-    return certify_schedule(ops, graph, wfs, shares)
+    s = _geometry_schedule(m, n, nb, tree, h, shifted)
+    return certify_schedule(s.ops, s.graph(), s.wavefronts() if wavefronts else None,
+                            s.assignment(2, "lazy"))

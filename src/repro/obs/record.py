@@ -142,9 +142,9 @@ K_FALLBACK_SERIAL = "fallback.serial"  # degradations to the serial reference
 K_POOL_LEASES = "pool.leases"  # jobs leased to a worker pool
 K_POOL_SPAWNS = "pool.spawns"  # pool worker processes spawned (cold start or respawn)
 K_POOL_REUSED = "pool.reused"  # warm worker reuses across session.factor calls
-K_PLAN_HITS = "plan.hits"  # PlanCache hits (op DAG + wavefront schedule reused)
-K_PLAN_MISSES = "plan.misses"  # PlanCache misses (schedule derived from scratch)
-K_PLAN_EVICTIONS = "plan.evictions"  # LRU evictions (cached arena destroyed)
+K_PLAN_HITS = "plan.hits"  # PlanCache hits (this session's segment and pinned schedule reused)
+K_PLAN_MISSES = "plan.misses"  # PlanCache misses (schedule pinned from the process memo)
+K_PLAN_EVICTIONS = "plan.evictions"  # LRU evictions (the session's segment unlinked)
 
 # Silent-data-corruption defense and checkpoint/resume events
 # (repro.qr.checksum, repro.qr.persist; docs/robustness.md).

@@ -41,12 +41,7 @@ from ..obs import record as _obs_record
 from ..tiles.layout import TileLayout
 from ..tiles.matrix import TileMatrix
 from ..trees.plan import TreeKind
-from ..util.errors import (
-    ConfigurationError,
-    ReproError,
-    ScheduleCertificationError,
-    StaleResultError,
-)
+from ..util.errors import ConfigurationError, ReproError, StaleResultError
 from ..util.validation import as_f64_matrix, check_finite, check_tile_params, require
 from .backends import require_capability, run_backend, stage_input, worker_count
 from .parallel import serial_fallback
@@ -245,7 +240,6 @@ def qr_factor(
     on_failure: str = "raise",
     checkpoint=None,
     session=None,
-    verify_schedule: bool = False,
 ) -> QRFactorization:
     """Tree-based tile QR factorization of a tall-and-skinny matrix.
 
@@ -448,21 +442,6 @@ def qr_factor(
         must be omitted or equal the
         session's pool size.  ``session.factor(a, ...)`` is the convenience
         spelling of ``qr_factor(a, session=sess, backend="parallel", ...)``.
-    verify_schedule:
-        When ``True``, statically certify the op schedule before executing
-        it: the happens-before certifier (:mod:`repro.analysis.races`)
-        checks that every write-write and read-write conflict on a tile is
-        ordered by the dependency DAG and that the wavefront partition is
-        a tile-disjoint, level-ordered antichain cover — and, on
-        ``backend="parallel"``, that the assignment the workers will walk
-        gives every op to one rank, makes it wait on all its predecessors
-        and cannot deadlock — raising
-        :class:`~repro.util.errors.ScheduleCertificationError` otherwise.
-        Adds planning-time cost only (no per-op runtime overhead); off by
-        default.  What is certified is what will run: the memoized DAG,
-        wavefronts and assignment of :func:`repro.qr.schedule.schedule_for` (with
-        ``session=``, the ones pinned to its plan entry), so a corrupted
-        memo or cache entry is caught too.
 
     Returns
     -------
@@ -497,6 +476,10 @@ def qr_factor(
         raise ConfigurationError(f"h must be an int or 'auto', got {h!r}")
     require_capability(backend)
     if session is not None:
+        from .session import QRSession
+
+        require(isinstance(session, QRSession),
+                f"session must be a QRSession, got {type(session).__name__}")
         session._check_open()
         require_capability(backend, "session")
         if backend == "parallel" and n_procs is not None and n_procs != session.n_procs:
@@ -508,27 +491,9 @@ def qr_factor(
 
     def plan():
         # One derivation per geometry and process (repro.qr.schedule); a
-        # session wraps it in an entry of its own, counting plan.hits /
+        # session pins it in its plan cache, counting plan.hits /
         # plan.misses into the recording window the envelope calls this in.
-        entry = schedule_for(*key) if session is None else session.plan_cache.lookup(key)
-        if verify_schedule:
-            from ..analysis.races import certify_schedule
-
-            # On the process backend the assignment is load-bearing too: the
-            # shares the workers of this call will walk.
-            k = 0
-            if backend == "parallel":
-                k = min(worker_count(backend, n_procs=n_procs, session=session),
-                        len(entry.ops))
-            cert = certify_schedule(
-                entry.ops, graph=entry.graph(), wavefronts=entry.wavefronts(),
-                assignment=entry.assignment(k, policy) if k > 1 else None,
-            )
-            if not cert.ok:
-                raise ScheduleCertificationError(
-                    "schedule failed static certification: " + cert.summary()
-                )
-        return entry
+        return schedule_for(*key) if session is None else session.plan_cache.lookup(key)
 
     return _run(
         a, layout, plan, ib, kind, h, shifted, backend, session=session, policy=policy,
@@ -542,9 +507,13 @@ def qr_factor(
 def _check_target(keyword: str, path) -> None:
     """Make the directory of a telemetry target exist, or fail before the run.
 
+    ``path`` must be a ``str`` or :class:`os.PathLike` — anything else (an
+    ``int`` would be opened as a file descriptor, and closed) is refused.
     Only the directory is touched: a file already at ``path`` stays intact
     until the sink writes, so a run that fails leaves the old one behind.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigurationError(f"{keyword}= must be a str or os.PathLike path, got {path!r}")
     parent = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(parent, exist_ok=True)
@@ -573,7 +542,8 @@ def _run(
     is called inside the recording window, after every check below.  Once
     per run, in order: the ``on_failure`` check, ``checkpoint=`` coercion
     and capability check, the telemetry targets (:func:`_check_target` —
-    nothing runs if one cannot be written), a fresh run id activated with
+    nothing runs if one is not a path or cannot be written), the
+    ``fault_plan`` type, a fresh run id activated with
     :func:`use_run`, the
     recording window with its sinks (``run.start`` / ``run.end`` only when
     this call owns the window), the one copy of ``a`` into the tiles the
@@ -595,10 +565,19 @@ def _run(
         from .persist import as_checkpoint_store
 
         ckpt = as_checkpoint_store(checkpoint)
-    for keyword, target in (("trace", trace), ("metrics", metrics),
-                            ("events", events), ("registry", registry)):
-        if isinstance(target, (str, os.PathLike)):
+    for keyword, target in (("trace", trace), ("metrics", metrics), ("events", events)):
+        if target is not None:
             _check_target(keyword, target)
+    if registry is not None:
+        from ..obs.registry import RunRegistry
+
+        if not isinstance(registry, RunRegistry):
+            _check_target("registry", registry)
+    if fault_plan is not None:
+        from ..faults import FaultPlan
+
+        require(isinstance(fault_plan, FaultPlan),
+                f"fault_plan must be a FaultPlan, got {type(fault_plan).__name__}")
     # Degradation needs a pristine input: the pulsar build hands tiles to
     # the VSA, so snapshot before any backend touches them.  Serial only
     # needs one when the SDC guard is armed (SilentCorruptionError is the
@@ -648,8 +627,8 @@ def _run(
             )
             status = "ok"
         except ReproError as exc:
-            # A bad parameter would fail on the serial path too, and a plan
-            # that did not certify leaves nothing to re-run.
+            # A bad parameter would fail on the serial path too, and a run
+            # that never got its plan leaves nothing to re-run.
             if pristine is None or entry is None or isinstance(exc, ConfigurationError):
                 raise
             what = "backend" if skip is None else "resume"

@@ -132,8 +132,8 @@ def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_proc
 
     For ``parallel`` with more than one worker that storage is the job's
     shared segment — for a one-shot call a spare of the kept pool (``recycle``;
-    not under a fault plan) or else a fresh one, for a session the entry's
-    arena, cold or warm — and ``a`` goes straight into it, in the one pass
+    not under a fault plan) or else a fresh one, for a session its segment of
+    ``entry``, cold or warm — and ``a`` goes straight into it, in the one pass
     :meth:`TileMatrix.from_dense` would have made: ``tm`` is the
     :class:`TileMatrix` of its views, ``store`` the segment
     :func:`run_backend` is to be handed.  Everywhere else ``tm`` is an owned
@@ -145,7 +145,7 @@ def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_proc
     if k > 1:
         try:
             if session is not None:
-                store = entry.arena_for(a, ib)
+                store = session.plan_cache.segment(entry, a, ib)
             else:
                 spare = recycle and _parallel._KEPT.take_spare(entry.ops, ib, k)
                 store = (SharedTileStore.recycle(a, entry, ib, *spare) if spare
@@ -168,8 +168,7 @@ def run_backend(
 
     ``tm`` and ``store`` are what :func:`stage_input` returned.
     ``entry`` is the memoized :class:`~repro.qr.schedule.Schedule` of the
-    geometry — or, when the call runs through ``session``, that session's
-    plan entry, which adds the shared segment.  Its wavefronts feed ``batched``, its
+    geometry, with or without ``session``.  Its wavefronts feed ``batched``, its
     assignment the ``parallel`` workers, its plans the pulsar VSA builder;
     nothing is derived here.  ``skip`` / ``preloaded_ts`` are the resume
     path.  ``stats`` is ``None`` for the single-lane backends.
@@ -194,27 +193,26 @@ def run_backend(
         check_positive_int(n_procs, "n_procs")
     if seed is not None:
         check_nonnegative_int(seed, "seed")
-    ops = entry.ops
     common = dict(fault_plan=fault_plan, checkpoint=checkpoint,
                   skip=skip, preloaded_ts=preloaded_ts)
-    if backend == "serial":  # the entry, not its list: it keeps the factor-op table
+    if backend == "serial":  # the schedule, not its list: it keeps the factor-op table
         return execute_ops(tm, entry, ib, **common), None
     if backend == "batched":
         return execute_ops_batched(tm, entry, ib, wavefronts=entry.wavefronts(), **common), None
     if backend == "parallel":
         pool = None
         if session is not None:
-            # Its worker count, and its pool for its arena.  Without one (no
+            # Its worker count, and its pool for its segment.  Without one (no
             # shared memory to be had) the call goes down the one-shot path,
             # which names the reason and degrades to serial.
             n_procs, pool = session.n_procs, session.pool if store is not None else None
         return _parallel.execute_ops_parallel(
-            tm, ops, ib, n_procs=n_procs, policy=policy, batch=batch,
-            assignment=entry.assignment, pool=pool, arena=store, **common
+            tm, entry, ib, n_procs=n_procs, policy=policy, batch=batch,
+            pool=pool, arena=store, **common
         )
     arr = build_qr_vsa(tm, entry.plans, ib=ib, total_workers=n_nodes * workers_per_node)
     stats = arr.run(
         n_nodes=n_nodes, workers_per_node=workers_per_node, policy=policy,
         seed=seed, fault_plan=fault_plan,
     )
-    return assemble_factors(arr.store, ops, ib), stats
+    return assemble_factors(arr.store, entry.ops, ib), stats

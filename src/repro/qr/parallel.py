@@ -93,12 +93,11 @@ from ..tiles.shared import _FORK_LOCK, SharedTileStore, t_factor_key
 from ..util.errors import ParallelExecutionError
 from ..util.validation import check_positive_int, require
 from .checksum import SDCGuard
-from .dag import op_dependency_graph
 from .execute import run_step
 from .ops import Op
 from .protocol import LOOKAHEAD, MAX_REDISPATCH, Ledger, Walk  # noqa: F401
 from .reference import TileQRFactors, execute_ops, factor_records
-from .schedule import Schedule, list_schedule
+from .schedule import Schedule
 
 __all__ = [
     "ParallelRunStats",
@@ -741,7 +740,7 @@ def _book_sdc(stats: ParallelRunStats, rec, root, w: int, sdc) -> None:
 
 def execute_ops_parallel(
     a: TileMatrix,
-    ops: list[Op],
+    ops: list[Op] | Schedule,
     ib: int,
     *,
     n_procs: int | None = None,
@@ -750,7 +749,6 @@ def execute_ops_parallel(
     timeout_s: float = 120.0,
     fault_plan=None,
     respawn: bool = True,
-    assignment=None,
     pool=None,
     arena=None,
     checkpoint=None,
@@ -775,8 +773,14 @@ def execute_ops_parallel(
     Parameters
     ----------
     a, ops, ib:
-        As for the serial executor; ``ops`` must come from
-        :func:`repro.qr.ops.expand_plans`.
+        As for the serial executor: ``ops`` comes from
+        :func:`repro.qr.ops.expand_plans`, or is the
+        :class:`~repro.qr.schedule.Schedule` holding it, whose
+        :meth:`~repro.qr.schedule.Schedule.assignment` gives every rank its
+        share — :func:`~repro.qr.backends.run_backend` passes the memoized
+        one, so only the first call on a geometry derives it and a worker
+        that holds its share is not sent it again.  A bare list is wrapped in
+        a schedule of its own, derived here.
     n_procs:
         Worker process count (default: usable CPUs).  ``1`` falls back to
         the serial reference executor.
@@ -806,15 +810,6 @@ def execute_ops_parallel(
         the budget spent, or on a recycled segment, whose name is gone) a
         survivor adopts it, and the run fails only when none remain
         (:mod:`repro.qr.protocol`, rule 5).
-    assignment:
-        ``assignment(n_procs, policy)`` returns the shares of *exactly
-        these* ``ops`` (:func:`repro.qr.schedule.list_schedule`) —
-        :func:`~repro.qr.backends.run_backend` and a session pass the
-        memoized :meth:`Schedule.assignment
-        <repro.qr.schedule.Schedule.assignment>`, so only the first call on
-        a geometry derives it and a worker that holds its share is not sent
-        it again.  ``None`` (the default, for direct callers) derives graph
-        and shares here.
     pool, arena:
         ``arena`` is the job's one segment, a
         :class:`~repro.tiles.shared.SharedTileStore` into which the caller
@@ -850,6 +845,8 @@ def execute_ops_parallel(
         store's slots so successors read them as if computed this run.
     """
     require(a.m >= a.n, f"tile QR requires m >= n, got {a.m} x {a.n}")
+    sched = ops if isinstance(ops, Schedule) else Schedule(None, ops, ib, a.layout)
+    ops = sched.ops
     if n_procs is None:
         n_procs = default_n_procs()
     n_procs = max(1, min(n_procs, len(ops)))
@@ -890,17 +887,13 @@ def execute_ops_parallel(
             # A direct caller's tiles go in here; so do those of a segment
             # without a name that a rank about to be leased does not map.
             try:
-                store = SharedTileStore.create(a, ops, ib)
+                store = SharedTileStore.create(a, sched, ib)
             except OSError as exc:
                 return degrade(a.copy(), reason=f"shared memory unavailable: {exc}")
         stats.segment_recycled = store.recycled
         success, gauges = False, {}
         try:
-            if assignment is not None:
-                shares = assignment(n_procs, policy)
-            else:  # a direct caller; run_backend and sessions pass the memo's
-                graph = op_dependency_graph(ops)  # lint: disable=derive-once
-                shares = list_schedule(ops, graph, ib, n_procs, policy)  # lint: disable=derive-once
+            shares = sched.assignment(n_procs, policy)
             if completed_set:
                 # Resume: the ops' writes are already in the tiles (loaded from
                 # the checkpoint) — pre-flag them so successors fire and no
@@ -1113,7 +1106,7 @@ def execute_ops_parallel(
             # The factors are the segment — views that keep its pages — and
             # their skeleton is a fact of it, built by the first run over it.
             if store.factors is None:
-                records = factor_records(ops, store.t_factor)
+                records = factor_records(sched, store.t_factor)
                 store.factors = TileQRFactors(store.matrix(), records, ib)
             factors, stats.bytes_in = store.factors, store.bytes_in
             success = True

@@ -148,8 +148,8 @@ def factor_ops(ops: list[Op]) -> tuple:
 def factor_records(ops, get_t) -> list[FactorRecord]:
     """The record list of a finished run: one entry per factor op of ``ops``
     — an operation list, filtered here (:func:`factor_ops`), or the
-    :class:`~repro.qr.schedule.Schedule` (or session plan entry) that holds
-    one and keeps that table.
+    :class:`~repro.qr.schedule.Schedule` that holds one and keeps that
+    table.
 
     ``get_t`` maps a :func:`~repro.tiles.shared.t_factor_key` to that op's
     ``T`` factor.  Records come out in program order whatever schedule

@@ -10,8 +10,9 @@ returning one :class:`Schedule` per geometry, behind every backend.
 :func:`~repro.qr.api.qr_factor` (with or without a session),
 :func:`~repro.qr.backends.run_backend`,
 :func:`~repro.qr.persist.resume_factorization` and
-:class:`~repro.qr.session.PlanCache` all obtain plans, ops, graph,
-wavefronts and assignment from it, so a repeat call on a geometry pays
+:class:`~repro.qr.session.PlanCache` (which pins it) all obtain plans, ops,
+graph, wavefronts and assignment from it — the one object of a geometry, no
+caller keeps a copy of its parts — so a repeat call on a geometry pays
 copy-in and kernels only.  This is the one module of the execution path that
 calls ``plan_all_panels``, ``expand_plans``, ``op_dependency_graph``,
 ``compute_wavefronts``, :func:`list_schedule` or the segment's

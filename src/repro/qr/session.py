@@ -18,11 +18,10 @@ op list, dependency DAG, wavefront partition and worker assignment by
   generations and ``health()`` — whose workers keep their shared-memory
   attachment cached between jobs; and
 * a :class:`PlanCache` — an LRU keyed by
-  ``(tree, m, n, nb, ib, h, shifted)`` whose entries pair the process-wide
+  ``(tree, m, n, nb, ib, h, shifted)`` that pins the process-wide
   :class:`~repro.qr.schedule.Schedule` of that key (plans, ops, dependency
-  graph, wavefront partition, worker assignment) with what only a session
-  has: a
-  shared-memory *arena* — the one segment of a job (tiles, ``T`` slots,
+  graph, wavefront partition, worker assignment) next to what only a
+  session has: the one shared-memory segment of a job (tiles, ``T`` slots,
   completion flags; :class:`~repro.tiles.shared.SharedTileStore`) sized
   for that plan — and per-session hit/miss/eviction accounting.
 
@@ -60,74 +59,9 @@ from ..tiles.shared import SharedTileStore
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int
 from .parallel import WorkerPool, default_n_procs
-from .schedule import CAPACITY, schedule_for
+from .schedule import CAPACITY, Schedule, schedule_for
 
 __all__ = ["QRSession", "PlanCache", "PlanCacheStats", "WorkerPool"]
-
-
-class _PlanEntry:
-    """One session's view of a schedule: the shared, memoized
-    :class:`~repro.qr.schedule.Schedule` plus this session's arena.
-
-    The graph, wavefront partition and worker assignments come from the
-    schedule (derived once per process) and are pinned to the entry on first
-    use, so one session's entry can be inspected — or corrupted — without
-    touching what other callers of the memo see; ``verify_schedule=True``
-    certifies the pinned ones.
-    """
-
-    def __init__(self, key, schedule):
-        self.key = key
-        self.schedule = schedule
-        self._graph = None
-        self._wavefronts = None
-        self._assignments: dict[tuple[int, str], tuple] = {}
-        self._arena = None
-
-    @property
-    def ops(self):
-        return self.schedule.ops
-
-    def factor_ops(self):
-        return self.schedule.factor_ops()
-
-    def graph(self):
-        if self._graph is None:
-            self._graph = self.schedule.graph()
-        return self._graph
-
-    def wavefronts(self):
-        if self._wavefronts is None:
-            self._wavefronts = self.schedule.wavefronts()
-        return self._wavefronts
-
-    def assignment(self, n_procs: int, policy: str):
-        key = (n_procs, policy)
-        if key not in self._assignments:
-            self._assignments[key] = self.schedule.assignment(n_procs, policy)
-        return self._assignments[key]
-
-    def arena_for(self, a, ib) -> SharedTileStore:
-        """The entry's segment holding ``a`` (a dense array or a
-        :class:`~repro.tiles.matrix.TileMatrix`, tiled straight into it) with
-        every completion flag clear — created on first use, reloaded after.
-
-        Raises ``OSError`` where shared memory is unavailable; the caller
-        degrades to the serial fallback, exactly like the one-shot path.
-        """
-        if self._arena is None:
-            self._arena = SharedTileStore.create(a, self.schedule, ib)
-        else:
-            self._arena.load(a)
-        return self._arena
-
-    def close(self) -> None:
-        """Take the segment's name away and let go of the store.  Its pages
-        stay with the results still made of them (each holds the store), so
-        neither ``close()`` nor an eviction makes a result dangle."""
-        if self._arena is not None:
-            self._arena.unlink()
-            self._arena = None
 
 
 @dataclass
@@ -144,55 +78,81 @@ class PlanCache:
     """LRU cache of factorization plans keyed by
     ``(tree, m, n, nb, ib, h, shifted)``.
 
-    Everything under a key is a pure function of that key — the schedule
-    (shared with the whole process through
-    :func:`~repro.qr.schedule.schedule_for`) and the arena *layout* — so
-    entries never go stale and there is no invalidation beyond LRU
-    capacity eviction (evicting destroys the entry's shared-memory
-    segment, never the memoized schedule).  Hits, misses, and evictions are
-    tallied per session on :attr:`stats` always, and on the ``plan.*``
-    observability counters when a recording is active.
+    Per key it holds the process-wide :class:`~repro.qr.schedule.Schedule`
+    (the one :func:`~repro.qr.schedule.schedule_for` returned, pinned here so
+    a warm call derives nothing even after the memo has dropped the key)
+    and, once a ``parallel`` call has run on it, this session's segment
+    (:meth:`segment`).  Both are pure functions of the key, so entries never
+    go stale and there is no invalidation beyond LRU capacity eviction
+    (evicting unlinks the entry's segment, never touches the schedule).
+    Hits, misses, and evictions are tallied per session on :attr:`stats`
+    always, and on the ``plan.*`` observability counters when a recording
+    is active.
     """
 
     def __init__(self, maxsize: int = CAPACITY):
         check_positive_int(maxsize, "plan_cache_size")
         self.maxsize = maxsize
         self.stats = PlanCacheStats()
-        self._entries: OrderedDict[tuple, _PlanEntry] = OrderedDict()
+        self._entries: OrderedDict[tuple, Schedule] = OrderedDict()
+        self._segments: dict[Schedule, SharedTileStore] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: tuple) -> _PlanEntry:
-        """The entry for ``key`` — the argument tuple of
-        :func:`~repro.qr.schedule.schedule_for`, whose memoized schedule a
-        new entry wraps (evicting the least recently used entry past
+    def lookup(self, key: tuple) -> Schedule:
+        """The schedule of ``key`` — the argument tuple of
+        :func:`~repro.qr.schedule.schedule_for` — from this cache, or from
+        the memo on a miss (evicting the least recently used entry past
         capacity)."""
         rec = _obs_record._RECORDER
-        entry = self._entries.get(key)
-        if entry is not None:
+        schedule = self._entries.get(key)
+        if schedule is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
             if rec is not None:
                 rec.count(K_PLAN_HITS)
-            return entry
-        entry = _PlanEntry(key, schedule_for(*key))
-        self._entries[key] = entry
+            return schedule
+        schedule = self._entries[key] = schedule_for(*key)
         self.stats.misses += 1
         if rec is not None:
             rec.count(K_PLAN_MISSES)
         while len(self._entries) > self.maxsize:
-            _, evicted = self._entries.popitem(last=False)
-            evicted.close()
+            self._unlink(self._entries.popitem(last=False)[1])
             self.stats.evictions += 1
             if rec is not None:
                 rec.count(K_PLAN_EVICTIONS)
-        return entry
+        return schedule
+
+    def segment(self, schedule: Schedule, a, ib: int) -> SharedTileStore:
+        """This session's segment of ``schedule`` holding ``a`` (a dense array
+        or a :class:`~repro.tiles.matrix.TileMatrix`, tiled straight into it)
+        with every completion flag clear — created on first use, reloaded
+        after.
+
+        Raises ``OSError`` where shared memory is unavailable; the caller
+        degrades to the serial fallback, exactly like the one-shot path.
+        """
+        store = self._segments.get(schedule)
+        if store is None:
+            store = self._segments[schedule] = SharedTileStore.create(a, schedule, ib)
+        else:
+            store.load(a)
+        return store
+
+    def _unlink(self, schedule: Schedule) -> None:
+        """Take the name of ``schedule``'s segment away and let go of it.  Its
+        pages stay with the results still made of them (each holds the
+        store), so neither ``clear()`` nor an eviction makes a result
+        dangle."""
+        store = self._segments.pop(schedule, None)
+        if store is not None:
+            store.unlink()
 
     def clear(self) -> None:
-        """Drop every entry, destroying cached shared-memory arenas."""
-        for entry in self._entries.values():
-            entry.close()
+        """Drop every entry, unlinking the cached segments."""
+        for schedule in self._entries.values():
+            self._unlink(schedule)
         self._entries.clear()
 
 
@@ -209,7 +169,7 @@ class QRSession:
     spawns the pool, costing what a process's first one-shot ``qr_factor``
     costs.  Every
     later call on that configuration is *warm*: plan, DAG, wavefronts,
-    assignment, shared-memory arena, and worker processes are all reused —
+    assignment, shared-memory segment, and worker processes are all reused —
     each worker already holds its share — so the call reduces to one pass
     in and the kernels (``stats.spawn_s`` collapses to roughly zero).
     Results are bit-exact with one-shot ``qr_factor`` on every backend.
@@ -252,7 +212,7 @@ class QRSession:
         return self._pool
 
     def close(self) -> None:
-        """Shut the pool down and unlink every cached arena (idempotent);
+        """Shut the pool down and unlink every cached segment (idempotent);
         results made of one keep its pages."""
         if self._closed:
             return

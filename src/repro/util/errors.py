@@ -81,14 +81,16 @@ class ScheduleError(ReproError):
 
 
 class ScheduleCertificationError(ScheduleError):
-    """The static schedule certifier found an unordered conflicting pair.
+    """The static schedule certifier cannot vouch for a schedule.
 
-    Raised by ``qr_factor(..., verify_schedule=True)`` and by the
-    certifier's self-check (:mod:`repro.analysis.races`) when a plan's op
-    DAG fails to order a write-write or read-write conflict, or a
-    wavefront partition is not a legal level-ordered antichain cover.
-    The message carries the certificate summary; the full violation list
-    is on the :class:`~repro.analysis.races.ScheduleCertificate`.
+    Raised by the certifier's self-check (:mod:`repro.analysis.races`, and
+    ``python -m repro.analysis --self-check``) when a valid plan does not
+    certify or a planted violation — a dropped DAG edge, swapped
+    wavefronts, a dropped wait or swapped entries of a worker assignment —
+    goes unflagged, and by :func:`~repro.analysis.races.certify_schedule`
+    when its region model drifts from :mod:`repro.qr.ops`.  An ordinary
+    violation is not raised: it is reported on the
+    :class:`~repro.analysis.races.ScheduleCertificate`.
     """
 
 

@@ -108,6 +108,11 @@ def test_batch_and_policy_are_validated_on_every_backend(small_matrix, backend, 
                       (2.5, "seed must be an int"), (-1, "seed must be >= 0")):
         with pytest.raises(ConfigurationError, match=text):
             qr_factor(small_matrix, **kw, seed=bad)
+    for bad in ("x", 3):
+        with pytest.raises(ConfigurationError, match="fault_plan must be a FaultPlan, got"):
+            qr_factor(small_matrix, **kw, fault_plan=bad)
+        with pytest.raises(ConfigurationError, match="session must be a QRSession, got"):
+            qr_factor(small_matrix, **kw, session=bad)
     ref = qr_factor(small_matrix, **GEOMETRY)
     for ok in (None, 5, "wavefront"):
         np.testing.assert_array_equal(ref.R, qr_factor(small_matrix, **kw, batch=ok).R)
@@ -121,3 +126,5 @@ def test_batch_and_policy_are_validated_on_every_backend(small_matrix, backend, 
             resume_factorization(ck, backend=backend, batch="foo")
         with pytest.raises(ConfigurationError, match="policy must be"):
             resume_factorization(ck, backend=backend, policy="zzz")
+        with pytest.raises(ConfigurationError, match="fault_plan must be a FaultPlan"):
+            resume_factorization(ck, backend=backend, fault_plan="x")

@@ -221,8 +221,7 @@ def test_session_copies_one_matrix_in_and_the_factors_out(matrix, serial, traffi
             assert (f.stats.bytes_in, f.stats.bytes_out) == (matrix.nbytes, 0), call
             assert f.stats.pipe_messages <= 8, call
             # The result is the session's segment, not a copy of it.
-            (entry,) = sess.plan_cache._entries.values()
-            arena = entry._arena
+            (arena,) = sess.plan_cache._segments.values()
             assert all(np.shares_memory(t, arena.tile(i, j))
                        for i, j, t in f._factors.a.iter_tiles()), call
             assert all(np.shares_memory(r.t, arena.t_factor(t_factor_key(r)))
@@ -432,8 +431,8 @@ def test_a_failed_run_leaves_neither_name_nor_mapping(matrix, serial, monkeypatc
         patch.setattr(core_mod, "run_op", wedge if failure is WatchdogTimeout else boom)
         sched, store = _staged(matrix)
         with pytest.raises(failure):
-            execute_ops_parallel(store.matrix(), sched.ops, GEOMETRY["ib"], n_procs=2,
-                                 assignment=sched.assignment, arena=store, timeout_s=0.5)
+            execute_ops_parallel(store.matrix(), sched, GEOMETRY["ib"], n_procs=2,
+                                 arena=store, timeout_s=0.5)
     assert shm_names() <= no_new_shm and len(mapped_segments()) == mapped
     assert mp.active_children() == []
     with monkeypatch.context() as patch:

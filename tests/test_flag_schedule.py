@@ -41,21 +41,16 @@ import repro.qr.parallel as parallel_mod
 import repro.qr.schedule as schedule_mod
 import repro.tiles.shared as shared_mod
 from repro import QRSession, qr_factor
-from repro.analysis.races import (
-    certify_schedule,
-    drop_assignment_wait,
-    swap_dependent_entries,
-)
+from repro.analysis.races import certify_schedule
 from repro.faults import FaultPlan
 from repro.qr import CheckpointStore, resume_factorization
 from repro.qr.parallel import default_n_procs, execute_ops_parallel, shutdown_workers
 from repro.qr.protocol import MAX_REDISPATCH, Ledger, Walk
-from repro.qr.schedule import list_schedule, schedule_for
+from repro.qr.schedule import Schedule, list_schedule, schedule_for
 from repro.tiles import TileMatrix
 from repro.tiles.shared import SharedTileStore
 from repro.trees import TreeKind
 from repro.util import WatchdogTimeout
-from repro.util.errors import ScheduleCertificationError
 
 pytestmark = pytest.mark.usefixtures("no_new_shm")
 
@@ -358,8 +353,8 @@ def test_crash_at_any_op_of_any_rank_is_recovered(
     at = {"first": 0, "middle": len(share) // 2, "last": len(share) - 1}[where]
     tm = TileMatrix.from_dense(matrix, NB)
     factors, stats = execute_ops_parallel(
-        tm, sched.ops, IB, n_procs=2, batch=CRASH_BATCH, respawn=respawn, timeout_s=60.0,
-        assignment=sched.assignment, fault_plan=FaultPlan(crash_workers={rank: at}),
+        tm, sched, IB, n_procs=2, batch=CRASH_BATCH, respawn=respawn, timeout_s=60.0,
+        fault_plan=FaultPlan(crash_workers={rank: at}),
     )
     assert np.array_equal(factors.r_factor(), serial["hier"].R)
     assert (stats.workers_died, stats.workers_respawned) == (1, int(respawn))
@@ -389,9 +384,8 @@ def test_late_deaths_of_successive_owners_hand_on_one_op_each(matrix, serial, ba
     sched = schedule("hier")
     share = sched.assignment(2, "lazy")[1]
     factors, stats = execute_ops_parallel(
-        TileMatrix.from_dense(matrix, NB), sched.ops, IB, n_procs=2, batch=batch,
-        timeout_s=60.0, assignment=sched.assignment,
-        fault_plan=_LateDeaths(crash_workers={1: len(share) - 1}),
+        TileMatrix.from_dense(matrix, NB), sched, IB, n_procs=2, batch=batch,
+        timeout_s=60.0, fault_plan=_LateDeaths(crash_workers={1: len(share) - 1}),
     )
     assert np.array_equal(factors.r_factor(), serial["hier"].R)
     assert [np.array_equal(r.t, s.t) for r, s in
@@ -510,13 +504,13 @@ def test_a_survivor_that_ran_dry_adopts_under_a_checkpoint(
     snapshot coming (``every_s`` is an hour: a stall is a ``WatchdogTimeout``)."""
     sched = schedule("hier")
     order = list_schedule(sched.ops, sched.graph(), IB, 1, "lazy")[0]
-    shares = (order[:6], order[6:])
+    injected = Schedule(None, sched.ops, IB, sched.layout)
+    injected._assignments[2, "lazy"] = (order[:6], order[6:])
     tm = TileMatrix.from_dense(matrix, NB)
     ckpt = CheckpointStore(tmp_path / "adopt.npz", every_ops=7, every_s=3600.0)
     ckpt.bind(tm, sched.ops, IB, "hier", 2, True)
     factors, stats = execute_ops_parallel(
-        tm, sched.ops, IB, n_procs=2, batch=1, respawn=False, timeout_s=10.0,
-        assignment=lambda n_procs, policy: shares, checkpoint=ckpt,
+        tm, injected, IB, n_procs=2, batch=1, respawn=False, timeout_s=10.0, checkpoint=ckpt,
         fault_plan=FaultPlan(crash_workers={1: at}),
     )
     assert np.array_equal(factors.r_factor(), serial["hier"].R)
@@ -542,8 +536,8 @@ def test_wedged_worker_raises_and_the_waiter_is_torn_down(matrix, monkeypatch, n
         lambda store, op, ib: time.sleep(60.0) if op is sched.ops[0] else raw_run_op(store, op, ib))
     t0 = time.perf_counter()
     with pytest.raises(WatchdogTimeout, match="0/44 ops reported, 0 flagged done"):
-        execute_ops_parallel(TileMatrix.from_dense(matrix, NB), sched.ops, IB, n_procs=2,
-                             timeout_s=1.0, assignment=sched.assignment)
+        execute_ops_parallel(TileMatrix.from_dense(matrix, NB), sched, IB, n_procs=2,
+                             timeout_s=1.0)
     assert time.perf_counter() - t0 < 20.0
     assert mp.active_children() == []
 
@@ -618,11 +612,25 @@ def test_warm_session_call_derives_and_pickles_no_assignment(
         for _ in range(3):
             assert same_factors(sess.factor(matrix, **geometry("hier")), serial["hier"])
         assert len(segment_plans()) == 3  # the cold call's: parent and two workers
-        (entry,) = sess.plan_cache._entries.values()
-        assert entry.assignment(2, "lazy") is schedule("hier").assignment(2, "lazy")
+        (pinned,) = sess.plan_cache._entries.values()
+        assert pinned is schedule("hier")  # the memo's object, not a copy of its parts
     assert derivations == [(2, "lazy")]
     headers = [m for m in sent if isinstance(m, tuple) and m[0] == "job"]
     assert len(headers) == 6 and all(h[2] is h[3] is h[-1] is None for h in headers)
+
+
+@needs_fork
+def test_a_warm_session_call_outlives_the_memo(matrix, serial, derivations, segment_plans):
+    """The plan cache pins its schedule: once the process memo has dropped the
+    key, a warm call still derives no assignment and no segment tables."""
+    schedule_for.cache_clear()
+    with QRSession(n_procs=2) as sess:
+        sess.factor(matrix, **geometry("hier"))
+        cold = len(segment_plans())
+        schedule_for.cache_clear()
+        assert same_factors(sess.factor(matrix, **geometry("hier")), serial["hier"])
+        assert sess.plan_cache.stats.hits == 1
+    assert derivations == [(2, "lazy")] and len(segment_plans()) == cold == 3
 
 
 @pytest.mark.parametrize("batch", [1, 5, 10**6, None])
@@ -765,35 +773,6 @@ def test_busy_plus_wait_accounts_for_the_window():
             assert stats.dispatch_s < stats.elapsed_s
     # The quietest call: what is in neither bucket is per-op loop overhead.
     assert min(gaps) < 0.10, f"unattributed share of the window: {min(gaps):.1%}"
-
-
-# -- behaviour: verify_schedule certifies the assignment ---------------------------------
-
-
-@pytest.mark.parametrize("mutate", [drop_assignment_wait, swap_dependent_entries],
-                         ids=["dropped-wait", "swapped-entries"])
-def test_verify_schedule_rejects_a_mutated_assignment(matrix, serial, mutate, no_worker_left):
-    kw = dict(**geometry("hier"), verify_schedule=True)
-    # A session certifies the assignment pinned to its own entry ...
-    with QRSession(n_procs=2) as sess:
-        assert same_factors(sess.factor(matrix, **kw), serial["hier"])
-        (entry,) = sess.plan_cache._entries.values()
-        entry._assignments[2, "lazy"], _ = mutate(entry.assignment(2, "lazy"))
-        with pytest.raises(ScheduleCertificationError, match="assignment-"):
-            sess.factor(matrix, **kw)
-        sess.factor(matrix, **kw, backend="batched")  # which only parallel walks
-    # ... a one-shot call the memo's, which the session's poison never reached.
-    one_shot = dict(kw, backend="parallel", n_procs=2)
-    assert same_factors(qr_factor(matrix, **one_shot), serial["hier"])
-    sched = schedule("hier")
-    sched._assignments[2, "lazy"], _ = mutate(sched.assignment(2, "lazy"))
-    try:
-        with pytest.raises(ScheduleCertificationError, match="assignment-"):
-            qr_factor(matrix, **one_shot)
-        qr_factor(matrix, **dict(one_shot, n_procs=3))  # another worker count, another assignment
-    finally:
-        schedule_for.cache_clear()
-    assert same_factors(qr_factor(matrix, **one_shot), serial["hier"])
 
 
 # -- behaviour: the release/acquire pair ----------------------------------------------------

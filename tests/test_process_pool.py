@@ -34,7 +34,7 @@ from repro import qr_factor
 from repro.faults import FaultPlan
 from repro.qr.ops import expand_plans
 from repro.qr.parallel import execute_ops_parallel, shutdown_workers
-from repro.qr.schedule import schedule_for
+from repro.qr.schedule import Schedule, schedule_for
 from repro.tiles import TileMatrix
 from repro.trees import TreeKind, plan_all_panels
 from repro.util import ParallelExecutionError, WatchdogTimeout
@@ -343,17 +343,18 @@ class TestFaultsGetTheirOwnWorkers:
             return raw_attach(*args)
 
         monkeypatch.setattr(parallel_mod.SharedTileStore, "attach", staticmethod(attach))
-        run = dict(n_procs=2, assignment=lambda n_procs, policy: (everything, ()))
+        injected = Schedule(None, sched.ops, 4, sched.layout)
+        injected._assignments[2, "lazy"] = (everything, ())
         tm = TileMatrix.from_dense(matrix, 12)
         n = len(sched.ops)
         if late == "dies":
-            factors, stats = execute_ops_parallel(tm, sched.ops, 4, **run)
+            factors, stats = execute_ops_parallel(tm, injected, 4, n_procs=2)
             assert np.array_equal(factors.r_factor(), serial.R)
             assert (stats.workers_died, stats.workers_respawned, stats.ops_redispatched) == (1, 0, 0)
             assert stats.per_worker_ops == {0: n, 1: 0}
         else:
             with pytest.raises(WatchdogTimeout, match=f"{n}/{n} ops reported"):
-                execute_ops_parallel(tm, sched.ops, 4, timeout_s=1.0, **run)
+                execute_ops_parallel(tm, injected, 4, n_procs=2, timeout_s=1.0)
         assert mp.active_children() == []  # a death ends the kept pool, a timeout resets it
 
     def test_an_idle_death_is_respawned_at_the_next_lease(self, matrix, serial, tmp_path):

@@ -131,9 +131,18 @@ def test_unwritable_target_fails_before_the_backend(
     a, _ = matrix
     blocker = tmp_path / "a-file"
     blocker.write_text("not a directory")
-    for target in (blocker / "t.out", tmp_path):  # parent is a file; target is a directory
-        with pytest.raises(ConfigurationError, match=f"{keyword}="):
-            qr_factor(a, **GEOMETRY, backend=backend, **extra, **{keyword: target})
+    r, w = os.pipe()
+    os.set_blocking(w, False)  # a sink that writes into it fails rather than hangs
+    try:
+        # Parent is a file; target is a directory; not a path at all (an int
+        # would be opened as a descriptor — fd 1 for True — and closed).
+        for target in (blocker / "t.out", tmp_path, True, w, 2.5):
+            with pytest.raises(ConfigurationError, match=f"{keyword}="):
+                qr_factor(a, **GEOMETRY, backend=backend, **extra, **{keyword: target})
+        os.fstat(w)  # the caller's descriptor is still open
+    finally:
+        os.close(r)
+        os.close(w)
     assert backend_spy == []
     assert blocker.read_text() == "not a directory"
 
@@ -207,8 +216,8 @@ def test_session_keeps_one_segment_per_plan(matrix, tmp_path, no_new_shm):
             _same_factors(f, ref)
             assert f.stats.sdc_injected > 0
             assert f.stats.sdc_detected == f.stats.sdc_recovered == f.stats.sdc_injected
-        (entry,) = sess.plan_cache._entries.values()
-        assert set.union(*seen) == {entry._arena.name} and all(len(s) == 1 for s in seen)
+        (segment,) = sess.plan_cache._segments.values()
+        assert set.union(*seen) == {segment.name} and all(len(s) == 1 for s in seen)
 
 
 def test_job_header_names_one_segment(matrix, monkeypatch):
@@ -279,6 +288,7 @@ def test_retired_options_stay_retired():
         (anomaly_flags, "window"), (anomaly_flags, "wall_factor"),
         (render_dashboard, "n_events"), (simulate_vsa, "preload_available_at"),
         (parallel_mod.execute_ops_parallel, "max_redispatch"),
+        (parallel_mod.execute_ops_parallel, "assignment"), (qr_factor, "verify_schedule"),
         (MetricsSampler.__init__, "rate_keys"), (build_record, "written"),
         (format_table, "min_width"), (TileLayout.nbytes, "dtype_size"),
     ]
@@ -311,7 +321,6 @@ def test_public_signatures_are_unchanged():
         n_nodes=1, workers_per_node=1, policy="lazy", seed=None, n_procs=None,
         batch=None, trace=None, metrics=None, events=None, registry=None,
         fault_plan=None, on_failure="raise", checkpoint=None, session=None,
-        verify_schedule=False,
     )
     assert _params(resume_factorization) == _pos("path") + _kw(
         backend="serial", n_procs=None, policy="lazy", batch=None,

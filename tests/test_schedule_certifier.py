@@ -1,9 +1,13 @@
 """The happens-before schedule certifier: clean plans certify, mutations don't.
 
-Three layers of evidence:
+Four layers of evidence:
 
 * every planner output across tree kinds, shapes, and domain sizes
-  certifies clean, including preset-derived geometries;
+  certifies clean, including preset-derived geometries, and a geometry
+  ``qr_factor`` refuses does not;
+* what the backends run — the memoized schedule of every bench geometry,
+  its DAG, wavefronts and two-rank assignments — certifies clean, and a
+  dropped wait or swapped entries of its assignment are flagged;
 * a Hypothesis property: dropping a random DAG edge is flagged *exactly*
   when it breaks the transitive happens-before of its endpoints (so the
   certifier neither misses planted races nor cries wolf on transitively
@@ -16,30 +20,34 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.__main__ import main as certifier_cli
 from repro.analysis.races import (
     ancestor_closure,
     certify_geometry,
     certify_schedule,
+    drop_assignment_wait,
     drop_graph_edge,
     graph_edge_list,
     happens_before,
     op_access_regions,
     regions_overlap,
     self_check,
+    swap_dependent_entries,
     swap_wavefronts,
 )
 from repro.experiments.presets import scaled
 from repro.qr.dag import op_dependency_graph
 from repro.qr.ops import expand_plans
+from repro.qr.schedule import schedule_for
 from repro.qr.wavefront import compute_wavefronts
 from repro.tiles.layout import TileLayout
 from repro.trees.plan import TreeKind, plan_all_panels
-from repro.util.errors import ScheduleCertificationError
+from repro.util.errors import ConfigurationError
+from tests.test_schedule_memo import SCHEDULE_FACTS, SCHEDULE_IDS
 
 TREES = ["flat", "binary", "hier", "greedy"]
 GEOMETRIES = [
@@ -90,6 +98,31 @@ def test_preset_geometries_certify_clean():
             cfg.fig10_m[0], cfg.n, cfg.nb, tree=tree, h=cfg.h
         )
         assert cert.ok, f"{tree}: {cert.summary()}"
+
+
+def test_a_geometry_qr_factor_refuses_does_not_certify(capsys):
+    with pytest.raises(ConfigurationError, match="requires m >= n, got 10 x 20"):
+        certify_geometry(10, 20, 4)
+    assert certifier_cli(["--m", "10", "--n", "20", "--nb", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert "CERTIFIED" not in out and "requires m >= n" in err
+
+
+@pytest.mark.parametrize("tree,m,n,nb,ib,h", [row[:6] for row in SCHEDULE_FACTS],
+                         ids=SCHEDULE_IDS)
+def test_what_the_backends_run_certifies_at_bench_size(tree, m, n, nb, ib, h):
+    """The memo's own objects, not a re-plan: the DAG and wavefronts the
+    in-process backends walk and the shares two pool workers are given."""
+    s = schedule_for(TreeKind(tree), m, n, nb, ib, h, True)
+    lazy = s.assignment(2, "lazy")
+    for shares in (lazy, s.assignment(2, "aggressive")):
+        cert = certify_schedule(s.ops, s.graph(), s.wavefronts(), shares)
+        assert cert.ok, cert.summary()
+    for mutate in (drop_assignment_wait, swap_dependent_entries):
+        mutated, pair = mutate(lazy)
+        cert = certify_schedule(s.ops, s.graph(), assignment=mutated)
+        assert not cert.ok, f"{mutate.__name__} on ops {pair} went unflagged"
+        assert all(v.kind.startswith("assignment-") for v in cert.violations)
 
 
 def test_certificate_json_and_summary():
@@ -194,42 +227,3 @@ def test_merging_dependent_wavefronts_is_flagged():
     cert = certify_schedule(ops, graph, merged)
     assert not cert.ok
     assert all(v.kind.startswith("wavefront-") for v in cert.violations)
-
-
-# -- qr_factor integration ----------------------------------------------------
-
-
-def test_qr_factor_verify_schedule_serial_and_batched():
-    from repro.qr.api import qr_factor
-
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((256, 64))
-    ref = qr_factor(a, nb=32, ib=16)
-    for backend in ("serial", "batched"):
-        f = qr_factor(a, nb=32, ib=16, backend=backend, verify_schedule=True)
-        np.testing.assert_array_equal(f.R, ref.R)
-
-
-def test_qr_factor_verify_schedule_rejects_poisoned_session_cache():
-    import repro
-    from repro.qr.api import qr_factor
-
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((256, 64))
-    with repro.QRSession(n_procs=2) as sess:
-        qr_factor(a, nb=32, ib=16, backend="batched", session=sess,
-                  verify_schedule=True)
-        (entry,) = sess.plan_cache._entries.values()
-        graph = entry.graph()
-        # Poison the cached DAG: drop the first load-bearing edge.
-        for idx in range(len(graph_edge_list(graph))):
-            mutated, (u, v) = drop_graph_edge(graph, idx)
-            anc = ancestor_closure(mutated)
-            if not happens_before(anc, u, v):
-                break
-        else:
-            pytest.fail("no load-bearing edge found")
-        entry._graph = mutated
-        with pytest.raises(ScheduleCertificationError, match="certification"):
-            qr_factor(a, nb=32, ib=16, backend="batched", session=sess,
-                      verify_schedule=True)

@@ -1,7 +1,7 @@
 """The process-wide schedule memo (``repro.qr.schedule``): one derivation of
 plans -> ops -> DAG -> wavefronts per geometry, shared by every backend, the
-sessions and resume — and still certifiable, isolated per session entry, and
-the only derivation site under ``src/repro/qr``."""
+sessions and resume — one object per geometry, which a session pins rather
+than copies, and the only derivation site under ``src/repro/qr``."""
 
 from __future__ import annotations
 
@@ -13,19 +13,12 @@ import pytest
 
 import repro
 from repro import QRSession, qr_factor
-from repro.analysis.races import (
-    ancestor_closure,
-    drop_graph_edge,
-    graph_edge_list,
-    happens_before,
-)
 from repro.obs.adapters import counters_from_ops
 from repro.qr import CheckpointStore, resume_factorization
 from repro.qr.schedule import CAPACITY, Schedule, schedule_for
 from repro.tiles import random_dense
 from repro.tiles.shared import attach_untracked
 from repro.trees import TreeKind
-from repro.util.errors import ScheduleCertificationError
 
 QR_DIR = pathlib.Path(repro.__file__).parent / "qr"
 DERIVATIONS = {"plan_all_panels", "expand_plans", "op_dependency_graph", "compute_wavefronts",
@@ -34,8 +27,8 @@ DERIVATIONS = {"plan_all_panels", "expand_plans", "op_dependency_graph", "comput
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    """Each test starts on an empty memo and leaves none of its entries
-    (a poisoned one least of all) to the rest of the suite."""
+    """Each test starts on an empty memo and leaves none of its entries to
+    the rest of the suite."""
     schedule_for.cache_clear()
     yield
     schedule_for.cache_clear()
@@ -43,15 +36,6 @@ def fresh_memo():
 
 def _key(m=40, n=24, nb=8, ib=4, tree="hier", h=3, shifted=True):
     return (TreeKind.coerce(tree), m, n, nb, ib, h, shifted)
-
-
-def _poison(graph):
-    """``graph`` minus its first load-bearing edge."""
-    for idx in range(len(graph_edge_list(graph))):
-        mutated, (u, v) = drop_graph_edge(graph, idx)
-        if not happens_before(ancestor_closure(mutated), u, v):
-            return mutated
-    pytest.fail("no load-bearing edge found")
 
 
 def _assert_same_factors(ref, other):
@@ -133,54 +117,26 @@ def test_session_and_one_shot_share_one_schedule(small_matrix, no_new_shm):
     shared = schedule_for(*_key())
     with QRSession(n_procs=2, plan_cache_size=1) as s1, QRSession(n_procs=2) as s2:
         f1 = s1.factor(small_matrix, **kw).detach()  # kept across the next factor
-        s1.factor(small_matrix, **kw)
+        segment = s1.factor(small_matrix, **kw)._segment[0]
         s2.factor(small_matrix, **kw, backend="batched")
+        # Both caches pin the memo's own schedule, no copy of it; only the
+        # session that ran on the pool has a segment.
         (e1,), (e2,) = s1.plan_cache._entries.values(), s2.plan_cache._entries.values()
-        assert e1.schedule is shared and e2.schedule is shared and e1 is not e2
-        assert e1.ops is shared.ops and e2.wavefronts() is shared.wavefronts()
+        assert e1 is shared and e2 is shared
+        assert s1.plan_cache._segments == {shared: segment} and s2.plan_cache._segments == {}
         # Accounting is the session's own, whatever the memo had already.
         assert (s1.plan_cache.stats.hits, s1.plan_cache.stats.misses) == (1, 1)
         assert (s2.plan_cache.stats.hits, s2.plan_cache.stats.misses) == (0, 1)
-        # Eviction destroys the session's arena, never the memoized schedule.
-        name = e1._arena.name
+        # Eviction unlinks the session's segment, never the memoized schedule.
         s1.factor(small_matrix, nb=8, ib=4, tree="flat")
-        assert s1.plan_cache.stats.evictions == 1 and e1._arena is None
+        assert s1.plan_cache.stats.evictions == 1 and shared not in s1.plan_cache._segments
         with pytest.raises(OSError):
-            attach_untracked(name)
-        assert schedule_for(*_key()) is shared and shared.graph() is e2.graph()
+            attach_untracked(segment.name)
+        assert schedule_for(*_key()) is shared
     np.testing.assert_array_equal(f1.R, qr_factor(small_matrix, **kw).R)
 
 
-# -- (4) certification: isolated per session entry, live on the memo -----------
-
-
-def test_poisoned_session_entry_does_not_leak_into_the_memo(small_matrix):
-    kw = dict(nb=8, ib=4, tree="hier", h=3, verify_schedule=True)
-    with QRSession(n_procs=2) as sess:
-        sess.factor(small_matrix, backend="batched", **kw)
-        (entry,) = sess.plan_cache._entries.values()
-        entry._graph = _poison(entry.graph())
-        with pytest.raises(ScheduleCertificationError, match="certification"):
-            sess.factor(small_matrix, backend="batched", **kw)
-        # Same key, no session: the memo's own graph is intact.
-        for backend, extra in BACKENDS:
-            qr_factor(small_matrix, backend=backend, **kw, **extra)
-        assert schedule_for(*_key()).graph() is not entry.graph()
-
-
-@pytest.mark.parametrize("backend,extra", BACKENDS, ids=[b for b, _ in BACKENDS])
-def test_poisoned_memo_is_caught_by_one_shot_verify_schedule(small_matrix, backend, extra):
-    kw = dict(nb=8, ib=4, tree="hier", h=3, backend=backend, **extra)
-    ref = qr_factor(small_matrix, verify_schedule=True, **kw)
-    sched = schedule_for(*_key())
-    sched._graph = _poison(sched.graph())
-    with pytest.raises(ScheduleCertificationError, match="certification"):
-        qr_factor(small_matrix, verify_schedule=True, **kw)
-    schedule_for.cache_clear()
-    np.testing.assert_array_equal(ref.R, qr_factor(small_matrix, verify_schedule=True, **kw).R)
-
-
-# -- (5) resume ---------------------------------------------------------------
+# -- (4) resume ---------------------------------------------------------------
 
 
 class _Abort(Exception):
@@ -209,7 +165,7 @@ def test_resume_after_a_memo_hit_and_after_a_clear(tmp_path, small_matrix, backe
         _assert_same_factors(clean, f)
 
 
-# -- (6) structure ------------------------------------------------------------
+# -- (5) structure ------------------------------------------------------------
 
 
 # Schedule facts of the four BENCHMARK.json workloads and of a small
@@ -225,8 +181,10 @@ SCHEDULE_FACTS = [
 ]
 
 
-@pytest.mark.parametrize("tree,m,n,nb,ib,h,ops,flops", SCHEDULE_FACTS,
-                         ids=["480x96", "tall", "skinny", "squat", "burst"])
+SCHEDULE_IDS = ["480x96", "tall", "skinny", "squat", "burst"]
+
+
+@pytest.mark.parametrize("tree,m,n,nb,ib,h,ops,flops", SCHEDULE_FACTS, ids=SCHEDULE_IDS)
 def test_schedule_facts_are_pinned(tree, m, n, nb, ib, h, ops, flops):
     counters = counters_from_ops(schedule_for(TreeKind(tree), m, n, nb, ib, h, True).ops, ib)
     assert (int(counters["ops.total"]), round(counters["flops.total"])) == (ops, flops)

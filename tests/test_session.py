@@ -71,15 +71,12 @@ class TestPlanCache:
     def test_eviction_destroys_arena(self):
         with QRSession(n_procs=2, plan_cache_size=1) as sess:
             a = random_dense(40, 24, seed=0)
-            sess.factor(a, **KW)
-            entry = next(iter(sess.plan_cache._entries.values()))
-            arena = entry._arena
-            assert arena is not None
+            arena = sess.factor(a, **KW)._segment[0]
             name = arena.name
-            sess.factor(a, nb=8, ib=4, tree="flat")  # evicts the hier entry
+            flat = sess.factor(a, nb=8, ib=4, tree="flat")  # evicts the hier entry
             assert sess.plan_cache.stats.evictions == 1
             assert len(sess.plan_cache) == 1
-            assert entry._arena is None  # close() ran
+            assert list(sess.plan_cache._segments.values()) == [flat._segment[0]]
             from repro.tiles.shared import attach_untracked
 
             with pytest.raises(OSError):
