@@ -180,19 +180,32 @@ class QRFactorization:
         return self._factors.r_factor()
 
     def q_matmul(self, c: np.ndarray) -> np.ndarray:
-        """``Q @ c`` without forming Q (``c`` is ``(m, q)`` or ``(m,)``)."""
-        return self._apply(c, trans=False)
+        """``Q @ c`` without forming Q: ``c`` is ``(m, q)`` or ``(m,)``, the
+        result has its shape.  An ``(m, 0)`` ``c`` gives an ``(m, 0)`` float64
+        array; a complex one is a :class:`ConfigurationError` (never its real
+        part); a NaN/Inf in ``c`` propagates into the result, as in any
+        product."""
+        return self._factors.apply_q(c)
 
     def qt_matmul(self, c: np.ndarray) -> np.ndarray:
-        """``Q^T @ c`` without forming Q."""
-        return self._apply(c, trans=True)
+        """``Q^T @ c`` without forming Q; shapes, empty, complex and non-finite
+        ``c`` as in :meth:`q_matmul`."""
+        return self._factors.apply_qt(c)
 
     def q_thin(self) -> np.ndarray:
         """Materialise the thin orthonormal factor (``m x n``)."""
         return self._factors.q_thin()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Least-squares solution of ``min_x ||A x - b||``."""
+        """Least-squares solution of ``min_x ||A x - b||``.
+
+        ``b`` is ``(m, q)`` or ``(m,)``; ``x`` is ``(n, q)`` or ``(n,)``, and
+        an ``(m, 0)`` ``b`` gives an ``(n, 0)`` float64 ``x``, as
+        :func:`numpy.linalg.lstsq` does.  A complex ``b``, or a NaN/Inf in
+        it, is a :class:`ConfigurationError` naming it; a NaN/Inf in R or
+        ``Q^T b``, or a finite but badly scaled R whose back-substitution
+        overflows, raises :class:`ValueError` rather than returning one.
+        """
         return self._factors.solve_ls(b)
 
     def residuals(self, a: np.ndarray) -> dict[str, float]:
@@ -207,14 +220,6 @@ class QRFactorization:
         res = float(np.linalg.norm(a - q @ self.R) / max(np.linalg.norm(a), 1e-300))
         orth = float(np.linalg.norm(q.T @ q - np.eye(self.shape[1])))
         return {"factorization": res, "orthogonality": orth}
-
-    def _apply(self, c: np.ndarray, trans: bool) -> np.ndarray:
-        c = np.asarray(c, dtype=np.float64)
-        squeeze = c.ndim == 1
-        if squeeze:
-            c = c[:, None]
-        out = self._factors.apply_qt(c) if trans else self._factors.apply_q(c)
-        return out[:, 0] if squeeze else out
 
 
 def qr_factor(

@@ -20,13 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
 from .. import kernels
 from ..tiles.layout import TILE_ORDER
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import t_factor_key
-from ..util.errors import ShapeError
+from ..util.errors import ConfigurationError, ShapeError
+from ..util.validation import check_finite
 from .execute import run_schedule
 from .ops import Op
 
@@ -86,12 +88,12 @@ class TileQRFactors:
     # -- applying the implicit Q ------------------------------------------
 
     def apply_qt(self, c: np.ndarray) -> np.ndarray:
-        """Return ``Q^T @ c`` for a dense ``(m, q)`` array ``c``."""
-        return self._apply(c, trans=True)
+        """Return ``Q^T @ c`` for ``c`` of shape ``(m, q)`` or ``(m,)``."""
+        return self._operate(c, "c", self.m, lambda c: np.concatenate(self._apply(c, True)))
 
     def apply_q(self, c: np.ndarray) -> np.ndarray:
-        """Return ``Q @ c`` for a dense ``(m, q)`` array ``c``."""
-        return self._apply(c, trans=False)
+        """Return ``Q @ c`` for ``c`` of shape ``(m, q)`` or ``(m,)``."""
+        return self._operate(c, "c", self.m, lambda c: np.concatenate(self._apply(c, False)))
 
     def q_thin(self) -> np.ndarray:
         """Materialise the thin ``(m, n)`` orthonormal factor ``Q``."""
@@ -103,41 +105,81 @@ class TileQRFactors:
         """Least-squares solution of ``min_x ||A x - b||_2``.
 
         This is the paper's motivating application (Section I): apply
-        ``Q^T`` to ``b`` and back-substitute against R.
+        ``Q^T`` to ``b`` one tile row at a time and back-substitute against
+        R with one ``dtrtrs``.  A NaN/Inf in ``b`` is a
+        :class:`~repro.util.errors.ConfigurationError` naming the entry; one
+        in R or ``Q^T b`` raises :class:`ValueError` without a scan of R: one
+        off the diagonal reaches ``x`` (``inf * 0`` is NaN), so the checks
+        are R's ``n`` diagonal entries and the ``n x q`` result — which also
+        catches a finite but badly scaled R whose back-substitution
+        overflows.
         """
-        b = np.asarray(b, dtype=np.float64)
-        squeeze = b.ndim == 1
-        if squeeze:
-            b = b[:, None]
-        if b.shape[0] != self.m:
-            raise ShapeError(f"b has {b.shape[0]} rows, expected {self.m}")
-        y = self.apply_qt(b)[: self.n, :]
-        x = scipy.linalg.solve_triangular(self.r_factor(), y, lower=False)
-        return x[:, 0] if squeeze else x
+        return self._operate(b, "b", self.n, self._solve)
 
-    def _apply(self, c: np.ndarray, trans: bool) -> np.ndarray:
-        c = np.asarray(c, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] != self.m:
-            raise ShapeError(f"c must be ({self.m}, q), got {c.shape}")
-        layout = self.a.layout
-        # One column-major array per tile row — one copy in here, one copy out
-        # below — so every record's kernel runs in place like a factorization
-        # update, instead of copying a row slice of ``c`` in and out per record.
+    def _operate(self, c: object, name: str, rows_out: int, body) -> np.ndarray:
+        """``body`` on operand ``c`` — one coercion for every entry point:
+        a real ``(m, q)`` or ``(m,)`` array, or a :class:`ConfigurationError`
+        (complex) / :class:`ShapeError` naming ``name``; an ``(m, 0)`` one
+        gives a ``(rows_out, 0)`` result, a 1-D one a 1-D result."""
+        arr = np.asarray(c)
+        if np.iscomplexobj(arr):
+            raise ConfigurationError(f"{name} must be real, got dtype {arr.dtype}")
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim not in (1, 2) or arr.shape[0] != self.m:
+            raise ShapeError(f"{name} must be ({self.m}, q) or ({self.m},), got {arr.shape}")
+        if arr.ndim == 1:
+            return body(arr[:, None])[:, 0]
+        return body(arr) if arr.shape[1] else np.zeros((rows_out, 0))
+
+    def _apply(self, c: np.ndarray, trans: bool) -> list[np.ndarray]:
+        """``Q^T c`` / ``Q c`` as one column-major block per tile row."""
+        layout, grid = self.a.layout, self.a.grid
+        # One copy in here — the caller concatenates the blocks it needs —
+        # so every record's kernel runs in place like a factorization
+        # update, instead of copying a row slice of ``c`` in and out per
+        # record.
         blocks = [
             np.array(c[layout.row_span(i)], order=TILE_ORDER) for i in range(layout.mt)
         ]
-        records = self.records if trans else list(reversed(self.records))
-        for rec in records:
+        for rec in self.records if trans else reversed(self.records):
             if rec.kind == "GEQRT":
-                kernels.ormqr(self.a.tile(rec.i, rec.j), rec.t, blocks[rec.i], trans=trans)
+                kernels.ormqr(grid[rec.i][rec.j], rec.t, blocks[rec.i], trans=trans)
             elif rec.kind == "TSQRT":
-                v2 = self.a.tile(rec.k2, rec.j)
-                kernels.tsmqr(v2, rec.t, blocks[rec.i], blocks[rec.k2], trans=trans)
+                kernels.tsmqr(grid[rec.k2][rec.j], rec.t, blocks[rec.i], blocks[rec.k2],
+                              trans=trans)
             else:  # TTQRT
-                v2 = self.a.tile(rec.k2, rec.j)[: rec.m2, : rec.k]
+                v2 = grid[rec.k2][rec.j][: rec.m2, : rec.k]
                 c2 = blocks[rec.k2][: rec.m2, :]
                 kernels.ttmqr(v2, rec.t, blocks[rec.i], c2, trans=trans)
-        return np.concatenate(blocks)
+        return blocks
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        check_finite(b, "b")
+        layout, grid, nb, n = self.a.layout, self.a.grid, self.a.nb, self.n
+        for j in range(layout.nt):
+            diag = np.diagonal(grid[j][j])
+            if not np.isfinite(diag).all():
+                k = int(np.argmin(np.isfinite(diag)))
+                raise ValueError(f"R has a non-finite diagonal entry {diag[k]} at "
+                                 f"({j * nb + k}, {j * nb + k})")
+        y = np.concatenate(self._apply(b, True)[: layout.nt])[:n]
+        # R's tiles on and above the diagonal, row-major and never zeroed:
+        # LAPACK reads only the upper triangle.  ``r.T`` is the Fortran-order
+        # lower triangle that ``scipy.linalg.solve_triangular`` hands
+        # ``dtrtrs`` for a C-order R, so x is bit-equal to that dense route.
+        r = np.empty((n, n))
+        for j in range(layout.nt):
+            cols = layout.col_span(j)
+            for i in range(j + 1):
+                rows = slice(i * nb, min((i + 1) * nb, n))
+                r[rows, cols] = grid[i][j][: rows.stop - rows.start]
+        x, info = dtrtrs(r.T, y, lower=1, trans=1, overwrite_b=1)
+        if info > 0:
+            raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        if not np.isfinite(x).all():
+            raise ValueError("the least-squares solution is not finite: R or Q^T b "
+                             "holds a NaN/Inf, or the back-substitution overflowed")
+        return x
 
 
 def factor_ops(ops: list[Op]) -> tuple:

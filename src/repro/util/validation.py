@@ -84,8 +84,12 @@ def check_finite(arr: np.ndarray, name: str = "A", origin: tuple[int, int] = (0,
 
 def as_f64_matrix(a: object, name: str = "A") -> np.ndarray:
     """Coerce ``a`` to a 2-D C-contiguous float64 array, validating shape
-    and that every entry is finite."""
-    arr = np.asarray(a, dtype=np.float64)
+    and that every entry is finite.  A complex ``a`` is refused, not cut to
+    its real part."""
+    arr = np.asarray(a)
+    if np.iscomplexobj(arr):
+        raise ConfigurationError(f"{name} must be real, got dtype {arr.dtype}")
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size == 0:

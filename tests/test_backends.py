@@ -101,6 +101,9 @@ def test_batch_and_policy_are_validated_on_every_backend(small_matrix, backend, 
             qr_factor(small_matrix, **kw, batch=bad)
     with pytest.raises(ConfigurationError, match=r"policy must be one of \('lazy', 'aggressive'\)"):
         qr_factor(small_matrix, **kw, policy="zzz")
+    for bad in (small_matrix + 1j, small_matrix.astype(complex)):
+        with pytest.raises(ConfigurationError, match="A must be real, got dtype complex128"):
+            qr_factor(bad, **kw)
     for bad in ("false", "True", 0, 1, None):
         with pytest.raises(ConfigurationError, match="shifted must be a bool"):
             qr_factor(small_matrix, **kw, shifted=bad)
