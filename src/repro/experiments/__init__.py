@@ -2,9 +2,9 @@
 
 Each ``run_*`` function returns an :class:`ExperimentResult` whose text
 rendering mirrors the corresponding paper artefact.  The CLI
-(``python -m repro.experiments <name>``) wraps them; the benchmark suite in
-``benchmarks/`` calls the same functions so the harness and the CLI can
-never drift apart.
+(``python -m repro.experiments <name> [--scale 1]``) wraps them, and
+``tests/test_experiments.py`` asserts each figure's shape on the same
+functions at reduced scale, so the CLI and the checks can never drift apart.
 """
 
 from .chaos import run_chaos, run_chaos_sdc
@@ -15,7 +15,7 @@ from .memory_limits import run_memory_limits
 from .perf import run_perf
 from .figure10 import run_figure10, simulate_tree_qr
 from .figure11 import run_figure11
-from .presets import PAPER, ExperimentConfig, active_config, full_scale_requested, scaled
+from .presets import PAPER, ExperimentConfig, scaled
 from .report import ExperimentResult
 from .scheduling import run_scheduling
 from .section6a import run_section6a_strong, run_section6a_weak
@@ -27,8 +27,6 @@ __all__ = [
     "ExperimentConfig",
     "PAPER",
     "scaled",
-    "active_config",
-    "full_scale_requested",
     "simulate_tree_qr",
     "run_figure10",
     "run_figure11",

@@ -1,7 +1,7 @@
 """Performance analytics experiment: four backends, one matrix, three lenses.
 
 Not a paper artefact — an evaluation of this reproduction's performance
-analytics (:mod:`repro.perf`) on live runs.  The experiment factors one
+analytics (:mod:`repro.obs.analysis`) on live runs.  The experiment factors one
 fixed matrix on the ``serial``, ``batched``, ``pulsar`` and ``parallel``
 backends with tracing on, then prints for each:
 
@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from ..perf import analyze_factorization
+from ..obs.analysis import analyze_factorization
 from ..qr.api import qr_factor
 from .presets import ExperimentConfig
 from .report import ExperimentResult

@@ -5,20 +5,19 @@ ib=48, h=6; Figure 10's m-sweep at 9,216 cores; Figure 11's core sweep at
 368,640 x 4,608).  ``scaled(k)`` shrinks every extensive quantity by ``k``
 while keeping the tile size, aspect ratios and tiles-per-core roughly
 constant, so the *shape* of every result is preserved at a fraction of the
-simulation cost — this is what the pytest benchmarks run by default.
-Set the environment variable ``REPRO_FULL=1`` to run paper-size
-configurations everywhere.
+simulation cost — this is what the tests run.  ``python -m
+repro.experiments <exp> --scale 1`` (or ``results/run_full.sh``) runs the
+paper-size configuration.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..machine.model import MachineModel, kraken
 from ..util.validation import check_positive_int, require
 
-__all__ = ["ExperimentConfig", "PAPER", "scaled", "active_config", "full_scale_requested"]
+__all__ = ["ExperimentConfig", "PAPER", "scaled"]
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,3 @@ def scaled(factor: int) -> ExperimentConfig:
         fig11_cores=tuple(cores(c) for c in PAPER.fig11_cores),
     )
 
-
-def full_scale_requested() -> bool:
-    """True when the environment opts into paper-size runs."""
-    return os.environ.get("REPRO_FULL", "").strip() in ("1", "true", "yes")
-
-
-def active_config(default_factor: int = 8) -> ExperimentConfig:
-    """The configuration benchmarks should use right now."""
-    return PAPER if full_scale_requested() else scaled(default_factor)

@@ -25,10 +25,10 @@ Observability: the six kernels exported here are thin shims over the real
 implementations.  When a recorder is installed (:mod:`repro.obs`) each
 invocation is timed into a :class:`~repro.obs.record.Span` on the calling
 thread's lane and charged with its exact :mod:`~repro.kernels.flops`
-count, so *every* in-process backend (serial reference, PULSAR threads,
-domino array) reports identical per-kernel evidence with no per-backend
-code.  With no recorder the shim is one global load and one branch —
-tracing off costs nothing measurable.
+count, so *every* in-process backend (serial reference, PULSAR threads)
+reports identical per-kernel evidence with no per-backend code.  With no
+recorder the shim is one global load and one branch — tracing off costs
+nothing measurable.
 """
 
 from functools import wraps as _wraps

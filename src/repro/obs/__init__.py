@@ -15,8 +15,9 @@ incompatible shapes.  This package gives them one schema:
 * :func:`validate_chrome_trace` — structural schema check (also a CLI:
   ``python -m repro.obs.validate trace.json``);
 * analysis — :func:`realized_critical_path` / :func:`lane_attribution`
-  answer "where did the time go" from recorded spans (see
-  ``docs/performance.md``);
+  answer "where did the time go" from recorded spans, :func:`gap_report`
+  whether the machine model predicts it, and :func:`analyze_factorization`
+  runs all three on one traced call (see ``docs/performance.md``);
 * :class:`MetricsSampler` — a background thread streaming counter/gauge
   snapshots to JSON-lines while a backend runs (tail, summarise, or
   dashboard with ``python -m repro.obs.monitor metrics.jsonl``);
@@ -45,9 +46,14 @@ from .adapters import (
 from .analysis import (
     CriticalPathResult,
     CriticalPathStep,
+    GapReport,
+    KernelGap,
     LaneUsage,
+    PerfAnalysis,
+    analyze_factorization,
     attribution_table,
     causal_edges,
+    gap_report,
     lane_attribution,
     match_spans_to_ops,
     realized_critical_path,
@@ -105,6 +111,11 @@ __all__ = [
     "CriticalPathStep",
     "CriticalPathResult",
     "LaneUsage",
+    "gap_report",
+    "GapReport",
+    "KernelGap",
+    "analyze_factorization",
+    "PerfAnalysis",
     "MetricsSampler",
     "KERNEL_CATEGORY",
     "KIND_CATEGORY",

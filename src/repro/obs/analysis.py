@@ -2,8 +2,9 @@
 
 The recording layer (:mod:`repro.obs.record`) captures *what happened*;
 this module answers the paper's actual question — whether the pipeline
-stayed busy and the panel critical path stayed short (Sec. VI-A).  Three
-analyses, all operating on the same :class:`~repro.obs.record.Span` model
+stayed busy and the panel critical path stayed short (Sec. VI-A) — and
+whether the machine model the DES experiments trust is telling the truth.
+The analyses all operate on the same :class:`~repro.obs.record.Span` model
 so they apply to every backend alike:
 
 * :func:`match_spans_to_ops` joins measured kernel spans back onto the
@@ -20,16 +21,29 @@ so they apply to every backend alike:
   (kernel execution), **overhead** (non-kernel span time: firings, proxy
   work, dispatch) and **idle** (no span at all); the three sum to the wall
   time exactly, per lane.
+* :func:`gap_report` replays the operation list through the machine model
+  (:mod:`repro.machine`) and compares predicted against measured time per
+  kernel kind and per tree phase, flagging kinds whose efficiency deviates
+  from the model beyond a threshold.
+* :func:`analyze_factorization` bundles all three for one traced
+  :func:`repro.qr_factor` run.
+
+See ``docs/performance.md`` for how to read the reports, and
+``python -m repro.experiments perf`` for the backend comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..util.errors import TraceError
 from ..util.formatting import format_table
 from .adapters import KERNEL_CATEGORY
 from .record import Span
+
+if TYPE_CHECKING:  # the machine model imports the kernels, which import obs
+    from ..machine.model import MachineModel
 
 __all__ = [
     "match_spans_to_ops",
@@ -40,6 +54,11 @@ __all__ = [
     "CriticalPathStep",
     "CriticalPathResult",
     "LaneUsage",
+    "KernelGap",
+    "GapReport",
+    "gap_report",
+    "PerfAnalysis",
+    "analyze_factorization",
 ]
 
 
@@ -346,4 +365,241 @@ def attribution_table(lanes: list[LaneUsage]) -> str:
     return format_table(
         ["lane", "label", "kernels", "busy_ms", "overhead_ms", "idle_ms", "busy_frac"],
         rows,
+    )
+
+
+# --------------------------------------------------------------------------
+# Model-vs-measured gaps
+# --------------------------------------------------------------------------
+#
+# The DES experiments trust :class:`~repro.machine.model.MachineModel` to
+# price every kernel; the real backends measure those same kernels.  Because
+# this library's kernels run on whatever machine hosts them — not on Kraken
+# — absolute times differ from the model by a large common factor.  The
+# report therefore normalises: ``scale`` is the overall measured/predicted
+# ratio, and each kind's ``normalized`` column is its own ratio divided by
+# ``scale``.  A kind with ``normalized`` near 1.0 has the efficiency
+# *profile* the model assumes, whatever the hardware; a kind far from 1.0
+# is mis-modelled (or mis-implemented) relative to the others, and gets
+# flagged.
+
+
+@dataclass(frozen=True)
+class KernelGap:
+    """Predicted vs measured totals for one kernel kind."""
+
+    kind: str
+    cat: str
+    count: int
+    predicted_s: float
+    measured_s: float
+    #: measured / predicted (raw — includes the host-vs-model speed gap).
+    ratio: float
+    #: ratio divided by the report's overall scale; 1.0 = exactly the
+    #: relative efficiency the machine model assumes.
+    normalized: float
+    flagged: bool
+
+
+@dataclass
+class GapReport:
+    """Per-kind and per-phase model-vs-measured accounting."""
+
+    rows: list[KernelGap]
+    phases: list[KernelGap]
+    predicted_total_s: float
+    measured_total_s: float
+    #: Overall measured/predicted ratio — the host-vs-model speed factor.
+    scale: float
+    threshold: float
+    #: Model-side bounds from the op DAG priced with predicted durations.
+    model_critical_path_s: float
+    model_work_s: float
+    #: Ops without a measured span (not in any total).
+    unmeasured: int = 0
+    #: Measured wall time of the run, when the caller knows it.
+    measured_wall_s: float | None = None
+
+    def flagged(self) -> list[str]:
+        """Kernel kinds deviating from the model beyond the threshold."""
+        return [r.kind for r in self.rows if r.flagged]
+
+    def table(self) -> str:
+        return self._render(self.rows, "kind")
+
+    def phase_table(self) -> str:
+        return self._render(self.phases, "phase")
+
+    def _render(self, rows: list[KernelGap], label: str) -> str:
+        body = [
+            [
+                r.kind, r.count, f"{r.predicted_s * 1e3:.3f}",
+                f"{r.measured_s * 1e3:.3f}", f"{r.ratio:.1f}",
+                f"{r.normalized:.3f}", "FLAG" if r.flagged else "ok",
+            ]
+            for r in rows
+        ]
+        return format_table(
+            [label, "ops", "model_ms", "measured_ms", "ratio", "normalized", "gap"],
+            body,
+        )
+
+    def summary(self) -> str:
+        parts = [
+            f"host runs {self.scale:.1f}x the model's predicted times; "
+            f"model bounds: work {self.model_work_s * 1e3:.3f} ms, "
+            f"critical path {self.model_critical_path_s * 1e3:.3f} ms"
+        ]
+        if self.measured_wall_s is not None:
+            parts.append(f"measured wall {self.measured_wall_s * 1e3:.3f} ms")
+        bad = self.flagged()
+        parts.append(
+            f"flagged (|normalized - 1| > {self.threshold}): "
+            + (", ".join(bad) if bad else "none")
+        )
+        return "; ".join(parts)
+
+
+def gap_report(
+    ops,
+    ib: int,
+    machine: MachineModel,
+    op_spans,
+    *,
+    threshold: float = 0.5,
+    wall_s: float | None = None,
+) -> GapReport:
+    """Compare measured kernel times against the machine model's predictions.
+
+    Parameters
+    ----------
+    ops, ib:
+        The operation list and inner block size that produced the spans.
+    machine:
+        The model to replay the ops through
+        (:meth:`~repro.machine.model.MachineModel.kernel_seconds` per op).
+    op_spans:
+        Output of :func:`match_spans_to_ops` — one measured span or
+        ``None`` per op.  Totals cover matched ops only, so predicted and
+        measured columns always describe the same work.
+    threshold:
+        Flag a kind when its normalised ratio leaves ``1 ± threshold``.
+    wall_s:
+        Optionally the run's measured wall time, echoed in the summary
+        next to the model's critical-path bound.
+    """
+    if len(op_spans) != len(ops):
+        raise TraceError(f"op_spans has {len(op_spans)} entries for {len(ops)} ops")
+    predicted_all = [
+        machine.kernel_seconds(op.kind, op.m2, op.k, op.q, ib) for op in ops
+    ]
+    per_kind: dict[str, list[float]] = {}
+    per_phase: dict[str, list[float]] = {}
+    unmeasured = 0
+    for op, pred, span in zip(ops, predicted_all, op_spans):
+        if span is None:
+            unmeasured += 1
+            continue
+        for key, acc in ((op.kind, per_kind), (KERNEL_CATEGORY[op.kind], per_phase)):
+            row = acc.setdefault(key, [0, 0.0, 0.0])
+            row[0] += 1
+            row[1] += pred
+            row[2] += span.duration
+    if not per_kind:
+        raise TraceError("no measured spans matched any op; nothing to compare")
+
+    predicted_total = sum(v[1] for v in per_kind.values())
+    measured_total = sum(v[2] for v in per_kind.values())
+    scale = measured_total / predicted_total if predicted_total > 0 else float("nan")
+
+    def rows_of(acc: dict, cat_of) -> list[KernelGap]:
+        rows = []
+        for key in sorted(acc, key=lambda k: -acc[k][2]):
+            n, pred, meas = acc[key]
+            ratio = meas / pred if pred > 0 else float("nan")
+            norm = ratio / scale if scale > 0 else float("nan")
+            rows.append(KernelGap(
+                kind=key, cat=cat_of(key), count=n,
+                predicted_s=pred, measured_s=meas, ratio=ratio,
+                normalized=norm, flagged=abs(norm - 1.0) > threshold,
+            ))
+        return rows
+
+    from ..qr.dag import op_dependency_graph
+
+    graph = op_dependency_graph(ops, durations=predicted_all)
+    return GapReport(
+        rows=rows_of(per_kind, lambda k: KERNEL_CATEGORY[k]),
+        phases=rows_of(per_phase, lambda k: k),
+        predicted_total_s=predicted_total,
+        measured_total_s=measured_total,
+        scale=scale,
+        threshold=threshold,
+        model_critical_path_s=graph.critical_path(),
+        model_work_s=sum(predicted_all),
+        unmeasured=unmeasured,
+        measured_wall_s=wall_s,
+    )
+
+
+# --------------------------------------------------------------------------
+# One call per traced factorization
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class PerfAnalysis:
+    """The three analyses of one recorded run, ready to print."""
+
+    backend: str
+    critical_path: CriticalPathResult
+    lanes: list[LaneUsage]
+    gap: GapReport
+
+    def to_text(self) -> str:
+        return "\n\n".join([
+            f"[{self.backend}] {self.critical_path.summary()}",
+            self.critical_path.table(),
+            attribution_table(self.lanes),
+            self.gap.table(),
+            self.gap.summary(),
+        ])
+
+
+def analyze_factorization(
+    f,
+    *,
+    machine: MachineModel | None = None,
+    threshold: float = 0.5,
+) -> PerfAnalysis:
+    """Analyse a :class:`~repro.qr.api.QRFactorization` recorded with ``trace=``.
+
+    Joins the run's spans onto its operation list, extracts the realized
+    critical path, attributes each lane's wall time, and compares measured
+    kernel times against ``machine`` (default: the paper's Kraken model).
+
+    >>> import numpy as np
+    >>> from repro import qr_factor
+    >>> from repro.obs import analyze_factorization
+    >>> a = np.arange(48.0).reshape(12, 4) + 10.0 * np.eye(12, 4)
+    >>> f = qr_factor(a, nb=4, ib=2, tree="flat", trace="/dev/null")
+    >>> pa = analyze_factorization(f)
+    >>> len(pa.critical_path.steps) >= 1 and pa.gap.unmeasured
+    0
+    """
+    if f.recorder is None:
+        raise TraceError(
+            "factorization was not recorded; pass trace= (or metrics=) to qr_factor"
+        )
+    if machine is None:
+        from ..machine.model import kraken
+
+        machine = kraken()
+    ops, ib = f._ops, f._ib
+    op_spans = match_spans_to_ops(f.recorder.spans, ops)
+    return PerfAnalysis(
+        backend=f.backend,
+        critical_path=realized_critical_path(ops, op_spans),
+        lanes=lane_attribution(f.recorder.spans, f.recorder.lane_names),
+        gap=gap_report(ops, ib, machine, op_spans, threshold=threshold),
     )

@@ -11,7 +11,6 @@ from .persist import (
     save_factorization,
 )
 from .verify import VerificationReport, verify_factorization
-from .domino import build_domino_vsa
 from .ops import FACTOR_KINDS, UPDATE_KINDS, Op, expand_plans
 from .parallel import ParallelRunStats, default_n_procs, execute_ops_parallel
 from .reference import FactorRecord, TileQRFactors, execute_ops
@@ -33,7 +32,6 @@ __all__ = [
     "assemble_factors",
     "QRArray",
     "build_qr_vsa",
-    "build_domino_vsa",
     "make_qr_cost_fn",
     "save_factorization",
     "load_factorization",

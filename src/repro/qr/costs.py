@@ -1,10 +1,10 @@
 """Per-firing cost functions for virtual-time execution of the QR arrays.
 
-Bridges the array builders (:mod:`repro.qr.vsa3d`, :mod:`repro.qr.domino`)
-and the runtime-in-the-loop simulator (:mod:`repro.dessim.vsasim`): given a
-VDP about to fire, return the seconds its kernel takes under a machine
-model.  The kernel kind and tile shapes are recovered from the VDP's local
-store — the same information its body uses to run the real numerics.
+Bridges the array builder (:mod:`repro.qr.vsa3d`) and the
+runtime-in-the-loop simulator (:mod:`repro.dessim.vsasim`): given a VDP
+about to fire, return the seconds its kernel takes under a machine model.
+The kernel kind and tile shapes are recovered from the VDP's local store —
+the same information its body uses to run the real numerics.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ __all__ = ["make_qr_cost_fn"]
 def make_qr_cost_fn(
     layout: TileLayout, machine: MachineModel, ib: int
 ) -> Callable[[VDP], float]:
-    """Cost function covering 3D-array and domino VDP stores."""
+    """Cost function over the 3D array's domain and binary VDP stores."""
 
     def cost(vdp: VDP) -> float:
         s = vdp.store
         t = vdp.firing_index
         k = s["k"]
-        if "members" in s:  # 3D array: domain (red/orange) VDP
+        if "members" in s:  # domain (red/orange) VDP
             row = s["members"][t]
             m2 = layout.tile_rows(row)
             if s["factor_col"]:
@@ -37,19 +37,9 @@ def make_qr_cost_fn(
                 kind = "ORMQR" if t == 0 else "TSMQR"
                 q = layout.tile_cols(s["col"])
             return machine.kernel_seconds(kind, m2, k, q, ib)
-        if "m2" in s:  # 3D array: binary (blue) VDP
-            q = 0 if s["factor_col"] else layout.tile_cols(s["col"])
-            kind = "TTQRT" if s["factor_col"] else "TTMQR"
-            return machine.kernel_seconds(kind, s["m2"], k, q, ib)
-        # Domino VDP: (i, j) with tiles of panel i streaming through.
-        i, j = s["i"], s["j"]
-        m2 = layout.tile_rows(i + t)
-        if i == j:
-            kind = "GEQRT" if t == 0 else "TSQRT"
-            q = 0
-        else:
-            kind = "ORMQR" if t == 0 else "TSMQR"
-            q = layout.tile_cols(j)
-        return machine.kernel_seconds(kind, m2, k, q, ib)
+        # binary (blue) VDP
+        q = 0 if s["factor_col"] else layout.tile_cols(s["col"])
+        kind = "TTQRT" if s["factor_col"] else "TTMQR"
+        return machine.kernel_seconds(kind, s["m2"], k, q, ib)
 
     return cost

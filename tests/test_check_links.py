@@ -32,7 +32,7 @@ def test_stale_repo_paths_are_flagged(tmp_path):
     page.write_text(
         "| E3 | `benchmarks/bench_fig7_traces.py`; `... fig7` |\n"        # stale
         "| E4 | `benchmarks/bench_section6a.py`; `... sec6a` |\n"          # stale
-        "| ok | `benchmarks/bench_fig7.py`, `benchmarks/bench_sec6a.py` |\n"
+        "| ok | `tests/test_experiments.py`, `src/repro/experiments/figure7.py` |\n"
         "run `python tools/check_links.py docs/*.md`, see `src/repro/qr/parallel.py:42`,\n"
         "`tests/test_check_links.py::test_stale_repo_paths_are_flagged`, `src/…` and `docs/`.\n"
         "```\n`tools/not_checked_inside_a_fence.py`\n```\n"

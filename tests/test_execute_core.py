@@ -198,7 +198,7 @@ def test_only_the_core_references_the_tile_kernels():
     no executor needs — is a second execution path growing back.  Allowed
     besides the core: Q application (``TileQRFactors._apply``) and the
     PULSAR VDP bodies, which fire kernels on channel-delivered tiles."""
-    allowed_files = {"execute.py", "vsa3d.py", "domino.py"}
+    allowed_files = {"execute.py", "vsa3d.py"}
     core = {name for _, name in _kernel_references(QR_DIR / "execute.py")}
     assert core == {k.lower() for k in KERNELS}
     for path in sorted(QR_DIR.glob("*.py")):

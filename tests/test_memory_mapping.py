@@ -92,6 +92,7 @@ class TestMemoryExperiment:
         assert len(res.rows) == len(CFG.fig11_cores)
         max_ms = res.column("max_m")
         assert max_ms == sorted(max_ms)  # more nodes -> larger feasible m
+        assert max_ms[-1] > 5 * max_ms[0]
         assert res.notes
 
 

@@ -21,12 +21,13 @@ from repro.obs import (
     MetricsSampler,
     Recorder,
     Span,
+    analyze_factorization,
+    gap_report,
     lane_attribution,
     match_spans_to_ops,
     realized_critical_path,
 )
 from repro.obs import monitor as obs_monitor
-from repro.perf import analyze_factorization, gap_report
 from repro.qr.dag import op_dependency_graph
 from repro.qr.ops import Op
 from repro.util.errors import TraceError

@@ -1,4 +1,4 @@
-"""Preset environment handling and example smoke tests."""
+"""Preset validation and example smoke tests."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from repro.experiments import active_config, full_scale_requested, scaled
+from repro.experiments import scaled
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -22,21 +22,6 @@ def load_example(name: str):
 
 
 class TestEnvironmentSwitch:
-    def test_default_is_scaled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert not full_scale_requested()
-        assert active_config(default_factor=8).name == "paper/8"
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes"])
-    def test_full_scale_opt_in(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_FULL", value)
-        assert full_scale_requested()
-        assert active_config().name == "paper"
-
-    def test_garbage_value_means_scaled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "maybe")
-        assert not full_scale_requested()
-
     def test_scaled_validates(self):
         with pytest.raises(Exception):
             scaled(0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import qr_factor
-from repro.qr import build_qr_vsa
+from repro.qr import assemble_factors, build_qr_vsa, expand_plans
 from repro.tiles import TileMatrix, random_dense
 from repro.trees import plan_all_panels
 from repro.util import ConfigurationError
@@ -93,6 +93,46 @@ class TestArrayStructure:
         arr, _ = self.make("flat", workers=4)
         with pytest.raises(ConfigurationError):
             arr.run(n_nodes=3)  # 4 workers not divisible by 3 nodes
+
+
+@pytest.mark.parametrize("m,n", [(40, 24), (37, 21), (64, 16), (96, 40), (32, 8)])
+class TestFlatTreeIsFigure9:
+    """The flat tree of the 3D array is the paper's Figure 9 domino QR.
+
+    Figure 9 creates one VDP per (panel ``i``, column ``j >= i``) and
+    streams the ``mt - i`` tiles below the diagonal through each; these
+    closed forms pin that shape on the one builder (nb 8, ib 4, 6 workers),
+    ragged and single-panel geometries included.
+    """
+
+    def make(self, m, n):
+        a0 = random_dense(m, n, seed=62)
+        tm = TileMatrix.from_dense(a0, 8)
+        plans = plan_all_panels("flat", tm.mt, tm.nt)
+        return a0, tm, build_qr_vsa(tm, plans, ib=4, total_workers=6)
+
+    def test_one_vdp_per_panel_column(self, m, n):
+        _, tm, arr = self.make(m, n)
+        nt = tm.nt
+        assert arr.n_vdps == nt * (nt + 1) // 2
+        assert {(i, j) for _kind, i, _d, j in arr.vsa.vdps} == {
+            (i, j) for i in range(nt) for j in range(i, nt)
+        }
+
+    def test_counter_is_tiles_streaming_through(self, m, n):
+        _, tm, arr = self.make(m, n)
+        for (_kind, i, _d, _j), vdp in arr.vsa.vdps.items():
+            assert vdp.counter == tm.mt - i
+
+    def test_firings_and_factors(self, m, n):
+        a0, tm, arr = self.make(m, n)
+        stats = arr.run(deadlock_timeout=30)
+        mt, nt = tm.mt, tm.nt
+        assert stats.firings == sum((nt - i) * (mt - i) for i in range(nt))
+        plans = plan_all_panels("flat", mt, nt)
+        fac = assemble_factors(arr.store, expand_plans(tm.layout, plans), 4)
+        ser = qr_factor(a0, nb=8, ib=4, tree="flat")
+        np.testing.assert_array_equal(ser.R, fac.r_factor())
 
 
 class TestMessageTraffic:

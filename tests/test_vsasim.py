@@ -204,11 +204,11 @@ class TestQRUnderVirtualTime:
 
 class TestDominoUnderVirtualTime:
     def test_domino_virtual_run(self):
-        from repro.qr.domino import build_domino_vsa
-
+        """Figure 9's domino QR is the 3D array's flat tree, in virtual time too."""
         a0 = random_dense(40, 24, seed=62)
         tm = TileMatrix.from_dense(a0, 8)
-        arr = build_domino_vsa(tm, ib=4, total_workers=6)
+        plans = plan_all_panels("flat", tm.mt, tm.nt)
+        arr = build_qr_vsa(tm, plans, ib=4, total_workers=6)
         res = simulate_vsa(
             arr.vsa,
             mapping=arr.mapping,
@@ -216,8 +216,8 @@ class TestDominoUnderVirtualTime:
             total_workers=6,
             cost_fn=make_qr_cost_fn(tm.layout, MACH, 4),
         )
-        plans = plan_all_panels("flat", tm.mt, tm.nt)
         factors = assemble_factors(arr.store, expand_plans(tm.layout, plans), 4)
         ser = qr_factor(a0, nb=8, ib=4, tree="flat")
         np.testing.assert_array_equal(ser.R, factors.r_factor())
-        assert res.makespan > 0 and res.firings > 0
+        assert res.firings == sum((tm.nt - i) * (tm.mt - i) for i in range(tm.nt))
+        assert res.makespan > 0
