@@ -1,12 +1,12 @@
-"""Comparison baselines: block QR (real), ScaLAPACK and PaRSEC models."""
+"""Comparison baselines: ScaLAPACK and PaRSEC performance models.
 
-from .block_qr import block_qr, block_qr_r
+The numerical oracle is LAPACK itself (``numpy.linalg.qr``), not a
+second QR here."""
+
 from .parsec import DEFAULT_OVERHEAD_FACTOR, ParsecModel, parsec_qr_simulate
 from .scalapack import ScalapackEstimate, scalapack_qr_gflops, scalapack_qr_time
 
 __all__ = [
-    "block_qr",
-    "block_qr_r",
     "ScalapackEstimate",
     "scalapack_qr_time",
     "scalapack_qr_gflops",

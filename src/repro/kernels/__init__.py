@@ -47,7 +47,6 @@ from .flops import (
     ttqrt_flops,
 )
 from .geqrt import geqrt as _geqrt, ormqr as _ormqr
-from .householder import larfg, larft_column
 from .tsqrt import (
     tsmqr as _tsmqr,
     tsqrt as _tsqrt,
@@ -103,8 +102,6 @@ ttmqr = _instrumented(
 )
 
 __all__ = [
-    "larfg",
-    "larft_column",
     "geqrt",
     "ormqr",
     "tsqrt",

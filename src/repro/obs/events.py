@@ -211,11 +211,22 @@ class EventLog:
 
 
 def read_events(path: str | os.PathLike) -> list[dict]:
-    """Parse an events JSON-lines file back into flat dicts."""
+    """Parse a JSON-lines file — an event log, sampler metrics, a run
+    registry — back into dicts, one per line.
+
+    A last line with no newline that does not parse is a record still being
+    appended (or the torn tail a writer killed mid-append leaves): it is
+    skipped.  A bad line that ends in a newline raises
+    :class:`json.JSONDecodeError`.
+    """
     out = []
     with open(path, encoding="utf-8") as f:
         for line in f:
-            line = line.strip()
-            if line:
+            if not line.strip():
+                continue
+            try:
                 out.append(json.loads(line))
+            except json.JSONDecodeError:
+                if line.endswith("\n"):
+                    raise
     return out

@@ -34,18 +34,9 @@ import time
 from pathlib import Path
 
 from ..util.formatting import format_table
+from .events import read_events
 
 __all__ = ["summarize", "render_dashboard", "main"]
-
-
-def _load(path: Path) -> list[dict]:
-    samples = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                samples.append(json.loads(line))
-    return samples
 
 
 def summarize(samples: list[dict]) -> str:
@@ -167,7 +158,7 @@ def render_dashboard(samples: list[dict], events: list[dict] | None = None) -> s
 def _load_optional(path: Path | None) -> list[dict]:
     if path is None or not path.exists():
         return []
-    return _load(path)
+    return read_events(path)
 
 
 def _dashboard(
@@ -235,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.path.exists():
         print(f"error: {args.path} does not exist", file=sys.stderr)
         return 2
-    print(summarize(_load(args.path)))
+    print(summarize(read_events(args.path)))
     return 0
 
 

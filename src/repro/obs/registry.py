@@ -47,6 +47,7 @@ from pathlib import Path
 
 from ..util.errors import ConfigurationError
 from ..util.formatting import format_table
+from .events import read_events
 
 __all__ = [
     "RunRegistry",
@@ -126,13 +127,7 @@ class RunRegistry:
         """Every record, oldest first (missing file reads as empty)."""
         if not self.path.exists():
             return []
-        out = []
-        with open(self.path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
+        return read_events(self.path)
 
     def find(self, run_prefix: str) -> dict:
         """The unique record whose run id starts with ``run_prefix``."""

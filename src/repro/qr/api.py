@@ -84,12 +84,17 @@ class QRFactorization:
         recorder=None,
         run_id: str | None = None,
         parent_run_id: str | None = None,
+        h: int | None = None,
+        shifted: bool | None = None,
     ):
         self._held = factors
         #: ``(store, generation)`` while the factors are views of a session's
         #: segment (the run envelope sets it); ``None``: they own their storage.
         self._segment = None
         self.tree = tree
+        #: The ``h`` (``"auto"`` resolved) and ``shifted`` the tree was planned with.
+        self.h = h
+        self.shifted = shifted
         self.backend = backend
         # RunStats (pulsar) / ParallelRunStats (parallel), else None.
         self.stats = stats
@@ -661,7 +666,7 @@ def _run(
     wall_s = time.perf_counter() - t_run0
     f = QRFactorization(
         factors, kind, backend, stats=stats, ops=entry.ops, ib=ib,
-        recorder=recorder, run_id=run_id, parent_run_id=parent_run_id,
+        recorder=recorder, run_id=run_id, parent_run_id=parent_run_id, h=h, shifted=shifted,
     )
     f.ops_skipped = len(skip or ())
     if session is not None:

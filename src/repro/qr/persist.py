@@ -5,19 +5,17 @@ A :class:`~repro.qr.reference.TileQRFactors` is an implicit object (tiles +
 factored once and its ``Q``/``R`` reused across runs — the standard
 workflow when the same design matrix serves many right-hand sides.
 
-Two archive kinds share one format family (``.npz``, no pickling, so
-archives are portable and safe to load):
-
-* **Factorizations** (:func:`save_factorization` /
-  :func:`load_factorization`): the finished product — every tile, every
-  ``T`` factor, the record table, and the geometry.
-* **Checkpoints** (:class:`CheckpointStore` /
-  :func:`resume_factorization`): a mid-run snapshot — the completed-op
-  frontier (a done mask over the op list) plus the current tiles and the
-  ``T`` factors of completed factor ops.  ``qr_factor(..., checkpoint=)``
-  writes them incrementally; a run killed mid-DAG resumes from the latest
-  snapshot, skipping completed ops, bit-exact with an uninterrupted run
-  (``docs/robustness.md``, "Checkpoint/resume").
+There is one archive format (``.npz``, no pickling, so archives are
+portable and safe to load): a snapshot of the completed-op frontier — a
+done mask over the op list, the current tiles and the ``T`` factors of
+completed factor ops.  ``qr_factor(..., checkpoint=)`` writes them
+incrementally and uncompressed (:class:`CheckpointStore`); a run killed
+mid-DAG resumes from the latest one, skipping completed ops, bit-exact with
+an uninterrupted run (``docs/robustness.md``, "Checkpoint/resume").  A
+saved factorization (:func:`save_factorization`) is a *finished*
+checkpoint, compressed.  So :func:`load_factorization` and
+:func:`resume_factorization` each accept both; only an unfinished snapshot
+is refused by the former.
 
 Writes are crash-safe: the archive is assembled in a temporary file in the
 destination directory, fsynced, and atomically renamed over the target with
@@ -37,13 +35,14 @@ import tempfile
 import time
 import zipfile
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
 from ..obs import context as _obs_context
 from ..obs import record as _obs_record
 from ..obs.record import K_CKPT_BYTES, K_CKPT_WRITES, K_RESUME_SKIPPED
-from ..tiles.layout import TILE_ORDER, TileLayout
+from ..tiles.layout import TILE_ORDER
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import t_factor_key
 from ..trees.plan import TreeKind
@@ -51,8 +50,8 @@ from ..util.errors import ConfigurationError, ReproError
 from ..util.validation import as_f64_matrix, require
 from .api import QRFactorization, _run
 from .backends import require_capability
-from .reference import FactorRecord, TileQRFactors
-from .schedule import schedule_for
+from .reference import TileQRFactors, factor_records
+from .schedule import Schedule, schedule_for
 
 __all__ = [
     "save_factorization",
@@ -64,10 +63,6 @@ __all__ = [
 
 #: Version 2 added the ``__format__`` marker and the whole-archive digest.
 _FORMAT_VERSION = 2
-_KIND_CODES = {"GEQRT": 0, "TSQRT": 1, "TTQRT": 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-
-_FMT_FACTORIZATION = "qr-factorization"
 _FMT_CHECKPOINT = "qr-checkpoint"
 
 
@@ -168,39 +163,133 @@ def _read_archive(path: str | os.PathLike, what: str) -> dict[str, np.ndarray]:
     return arrays
 
 
+# -- the one archive: assembly and validated read ------------------------------
+
+
+def _head(tm, ib: int, tree: str, h: int, shifted: bool, n_ops: int,
+          run_id: str | None) -> dict[str, np.ndarray]:
+    """The geometry entries of an archive of ``tm``'s shape and the run id
+    that wrote it (empty outside a run; a resume names it as its parent)."""
+    return {
+        "__meta__": np.array([_FORMAT_VERSION, tm.m, tm.n, tm.nb, ib, h, int(shifted),
+                              n_ops], dtype=np.int64),
+        "__tree__": np.array([tree], dtype="U16"),
+        "__run__": np.array([run_id or ""], dtype="U64"),
+    }
+
+
+def _archive_arrays(head, done, a, ts) -> dict[str, np.ndarray]:
+    """The archive of one frontier, digest included: ``done`` is the uint8
+    done mask over the op list, ``a`` the dense tiles, ``ts`` maps an op
+    index to its ``T`` factor.  The ``T`` factors go into two flat entries
+    (index + concatenated data): ``np.savez`` pays per-entry zip overhead,
+    so one entry per ``T`` factor would dominate the write cost."""
+    t_idxs = sorted(ts)
+    t_index = np.zeros((len(t_idxs), 4), dtype=np.int64)
+    chunks = []
+    offset = 0
+    for row, idx in enumerate(t_idxs):
+        t = ts[idx]
+        t_index[row] = (idx, t.shape[0], t.shape[1], offset)
+        chunks.append(t.ravel())
+        offset += t.size
+    arrays = {
+        "__format__": np.array([_FMT_CHECKPOINT], dtype="U32"),
+        **head,
+        "__done__": done,
+        "__a__": a,
+        "__t_index__": t_index,
+        "__t_data__": (
+            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.float64)
+        ),
+    }
+    arrays["__digest__"] = _archive_digest(arrays)
+    return arrays
+
+
+class _Snapshot(NamedTuple):
+    """A validated archive; ``ts`` maps an op index to its ``T`` factor."""
+
+    tree: TreeKind
+    h: int
+    shifted: bool
+    entry: Schedule  # holds the geometry: ``layout``, ``ib``, ``ops``
+    a: np.ndarray
+    skip: frozenset
+    ts: dict
+    run_id: str | None
+
+
+def _read_snapshot(path: str | os.PathLike) -> _Snapshot:
+    """:func:`_read_archive`, then the payload against the planner: its op
+    count, the done mask's and the tiles' shapes, a ``T`` per done factor op."""
+    data = _read_archive(path, _FMT_CHECKPOINT)
+    m, n, nb, ib, h, shifted, n_ops = (int(x) for x in data["__meta__"][1:])
+    tree = TreeKind.coerce(str(data["__tree__"][0]))
+    entry = schedule_for(tree, m, n, nb, ib, h, bool(shifted))
+    ops = entry.ops
+    if len(ops) != n_ops:
+        raise ConfigurationError(
+            f"{os.fspath(path)!r} records {n_ops} ops but the planner "
+            f"produced {len(ops)} for the same geometry — archive written "
+            "by an incompatible build"
+        )
+    done = data["__done__"].astype(bool)
+    if done.shape != (n_ops,):
+        raise ConfigurationError(
+            f"{os.fspath(path)!r} has a malformed done mask "
+            f"(shape {done.shape}, expected ({n_ops},))"
+        )
+    try:
+        a_snap = as_f64_matrix(data["__a__"], "snapshot")
+        if a_snap.shape != (m, n):
+            raise ValueError(
+                f"snapshot shape {a_snap.shape}, geometry says ({m}, {n})"
+            )
+        skip = frozenset(int(i) for i in np.flatnonzero(done))
+        t_index, t_data = data["__t_index__"], data["__t_data__"]
+        ts = {}
+        for row in t_index:
+            idx, rows, cols, offset = (int(x) for x in row)
+            ts[idx] = np.array(
+                t_data[offset:offset + rows * cols].reshape(rows, cols),
+                order=TILE_ORDER,
+            )
+        missing = {i for i in skip if ops[i].is_factor} - ts.keys()
+        if missing:
+            raise KeyError(f"T factors for completed ops {sorted(missing)[:5]}")
+    except (KeyError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{os.fspath(path)!r} is internally inconsistent: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    # Empty (or absent) for archives written outside a run or by older builds.
+    run_id = str(data["__run__"][0]) if "__run__" in data else ""
+    return _Snapshot(tree, h, bool(shifted), entry, a_snap, skip, ts, run_id or None)
+
+
 # -- whole-factorization save/load --------------------------------------------
 
 
 def save_factorization(path: str | os.PathLike, f: QRFactorization) -> None:
-    """Write ``f`` to ``path`` as an ``.npz`` archive (atomically).
+    """Write ``f`` to ``path`` as the archive a finished checkpointed run
+    leaves (every op done), compressed and atomically.
 
     Mirrors NumPy's path handling: ``.npz`` is appended when missing.  The
     data goes to a temporary file first and only an ``os.replace`` makes it
     visible under the final name, so a crash mid-save cannot corrupt or
-    truncate an existing archive.  A whole-archive digest is stored so
-    :func:`load_factorization` can reject damaged files.
+    truncate an existing archive.
     """
     factors = f._factors
-    a = factors.a
-    arrays: dict[str, np.ndarray] = {
-        "__format__": np.array([_FMT_FACTORIZATION], dtype="U32"),
-        "__meta__": np.array(
-            [_FORMAT_VERSION, a.m, a.n, a.nb, factors.ib], dtype=np.int64
-        ),
-        "__tree__": np.array([f.tree.value], dtype="U16"),
-        "__records__": np.array(
-            [
-                [_KIND_CODES[r.kind], r.i, r.k2, r.j, r.m2, r.k]
-                for r in factors.records
-            ],
-            dtype=np.int64,
-        ).reshape(len(factors.records), 6),
-    }
-    for i, j, tile in a.iter_tiles():
-        arrays[f"tile_{i}_{j}"] = tile
-    for idx, rec in enumerate(factors.records):
-        arrays[f"t_{idx}"] = rec.t
-    arrays["__digest__"] = _archive_digest(arrays)
+    a, ops = factors.a, f._ops
+    # Records come in program order: one per factor op of the op list.
+    factor_idx = (idx for idx, op in enumerate(ops) if op.is_factor)
+    arrays = _archive_arrays(
+        _head(a, factors.ib, f.tree.value, f.h, f.shifted, len(ops), f.run_id),
+        np.ones(len(ops), dtype=np.uint8),
+        a.to_dense(),
+        {idx: rec.t for idx, rec in zip(factor_idx, factors.records)},
+    )
     final = os.fspath(path)
     if not final.endswith(".npz"):
         final += ".npz"  # match np.savez path normalisation
@@ -208,45 +297,32 @@ def save_factorization(path: str | os.PathLike, f: QRFactorization) -> None:
 
 
 def load_factorization(path: str | os.PathLike) -> QRFactorization:
-    """Load a factorization previously written by :func:`save_factorization`.
+    """Load a finished archive: a :func:`save_factorization` one or the
+    checkpoint a completed ``qr_factor(..., checkpoint=)`` run left.
 
-    Validates the format marker, version, and whole-archive digest before
-    touching any payload; truncated or tampered archives raise a
-    :class:`~repro.util.errors.ConfigurationError`.
+    Validates the format marker, version, whole-archive digest and the
+    geometry's op list before touching any payload; truncated or tampered
+    archives raise a :class:`~repro.util.errors.ConfigurationError`, and so
+    does an unfinished snapshot — :func:`resume_factorization` finishes it.
     """
-    data = _read_archive(path, _FMT_FACTORIZATION)
-    meta = data["__meta__"]
-    m, n, nb, ib = (int(x) for x in meta[1:])
-    tree = TreeKind.coerce(str(data["__tree__"][0]))
-    layout = TileLayout(m, n, nb)
-    try:
-        tiles = [
-            [data[f"tile_{i}_{j}"] for j in range(layout.nt)]
-            for i in range(layout.mt)
-        ]
-        a = TileMatrix(layout, tiles)
-        rec_table = data["__records__"]
-        records = []
-        for idx in range(rec_table.shape[0]):
-            code, i, k2, j, m2, k = (int(x) for x in rec_table[idx])
-            records.append(
-                FactorRecord(
-                    kind=_KIND_NAMES[code],
-                    i=i,
-                    k2=k2,
-                    j=j,
-                    t=data[f"t_{idx}"],
-                    m2=m2,
-                    k=k,
-                )
-            )
-    except (KeyError, ValueError, IndexError) as exc:
+    snap = _read_snapshot(path)
+    ops = snap.entry.ops
+    if len(snap.skip) != len(ops):
         raise ConfigurationError(
-            f"{os.fspath(path)!r} is internally inconsistent: "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
-    factors = TileQRFactors(a=a, records=records, ib=ib)
-    return QRFactorization(factors, tree, backend="loaded")
+            f"{os.fspath(path)!r} is an unfinished checkpoint "
+            f"({len(snap.skip)} of {len(ops)} ops done); "
+            "finish it with resume_factorization"
+        )
+    ts = {t_factor_key(ops[idx]): t for idx, t in snap.ts.items()}
+    ib = snap.entry.ib
+    factors = TileQRFactors(
+        TileMatrix._from_validated(snap.a, snap.entry.layout.nb),
+        factor_records(snap.entry, ts.__getitem__), ib,
+    )
+    return QRFactorization(
+        factors, snap.tree, backend="loaded", ops=ops, ib=ib,
+        run_id=snap.run_id, h=snap.h, shifted=snap.shifted,
+    )
 
 
 # -- incremental checkpoints --------------------------------------------------
@@ -298,15 +374,8 @@ class CheckpointStore:
              shifted: bool) -> None:
         """Attach this store to one run's geometry and pristine tiles."""
         self._ops = ops
-        self._meta = np.array(
-            [_FORMAT_VERSION, tm.m, tm.n, tm.nb, ib, h, int(shifted), len(ops)],
-            dtype=np.int64,
-        )
-        self._tree = np.array([tree_kind], dtype="U16")
-        # The writing run's trace-context id travels in the archive so a
-        # resume can record its causal parent.  Optional entry — archives
-        # written outside a run (or by older builds) simply omit the edge.
-        self._run = np.array([_obs_context.current_run_id() or ""], dtype="U64")
+        self._head = _head(tm, ib, tree_kind, h, shifted, len(ops),
+                           _obs_context.current_run_id())
         # One dense staging buffer instead of one archive entry per tile:
         # ``np.savez`` pays per-entry zip overhead, so hundreds of small
         # entries would dominate the write cost (measured ~30ms vs ~3ms on
@@ -369,31 +438,7 @@ class CheckpointStore:
             return
         done_mask = self._pending_done
         self._pending_done = None
-        # Pack the T factors into two flat entries (index + concatenated
-        # data): ``np.savez`` pays per-entry zip overhead, so one entry per
-        # T factor would dominate the write cost.
-        t_idxs = sorted(self._staged_ts)
-        t_index = np.zeros((len(t_idxs), 4), dtype=np.int64)
-        chunks = []
-        offset = 0
-        for row, idx in enumerate(t_idxs):
-            t = self._staged_ts[idx]
-            t_index[row] = (idx, t.shape[0], t.shape[1], offset)
-            chunks.append(t.ravel())
-            offset += t.size
-        arrays = {
-            "__format__": np.array([_FMT_CHECKPOINT], dtype="U32"),
-            "__meta__": self._meta,
-            "__tree__": self._tree,
-            "__run__": self._run,
-            "__done__": done_mask,
-            "__a__": self._a,
-            "__t_index__": t_index,
-            "__t_data__": (
-                np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.float64)
-            ),
-        }
-        arrays["__digest__"] = _archive_digest(arrays)
+        arrays = _archive_arrays(self._head, done_mask, self._a, self._staged_ts)
         rec = _obs_record._RECORDER
         if rec is not None:
             with rec.span("ckpt.write", "checkpoint", ops_done=int(done_mask.sum())):
@@ -465,63 +510,21 @@ def resume_factorization(
     with the restored frontier and the archived run as parent.
     """
     require_capability(backend, "resume")
-    data = _read_archive(path, _FMT_CHECKPOINT)
-    meta = data["__meta__"]
-    m, n, nb, ib, h, shifted, n_ops = (int(x) for x in meta[1:])
-    tree = TreeKind.coerce(str(data["__tree__"][0]))
-    entry = schedule_for(tree, m, n, nb, ib, h, bool(shifted))
-    ops = entry.ops
-    if len(ops) != n_ops:
-        raise ConfigurationError(
-            f"{os.fspath(path)!r} records {n_ops} ops but the planner "
-            f"produced {len(ops)} for the same geometry — archive written "
-            "by an incompatible build"
-        )
-    done = data["__done__"].astype(bool)
-    if done.shape != (n_ops,):
-        raise ConfigurationError(
-            f"{os.fspath(path)!r} has a malformed done mask "
-            f"(shape {done.shape}, expected ({n_ops},))"
-        )
-    try:
-        a_snap = as_f64_matrix(data["__a__"], "snapshot")
-        if a_snap.shape != (m, n):
-            raise ValueError(
-                f"snapshot shape {a_snap.shape}, geometry says ({m}, {n})"
-            )
-        skip = frozenset(int(i) for i in np.flatnonzero(done))
-        t_index, t_data = data["__t_index__"], data["__t_data__"]
-        preloaded_ts = {}
-        for row in t_index:
-            idx, rows, cols, offset = (int(x) for x in row)
-            preloaded_ts[idx] = np.array(
-                t_data[offset:offset + rows * cols].reshape(rows, cols),
-                order=TILE_ORDER,
-            )
-        missing = {i for i in skip if ops[i].is_factor} - preloaded_ts.keys()
-        if missing:
-            raise KeyError(f"T factors for completed ops {sorted(missing)[:5]}")
-    except (KeyError, ValueError) as exc:
-        raise ConfigurationError(
-            f"{os.fspath(path)!r} is internally inconsistent: "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
+    snap = _read_snapshot(path)
     # The resumed run is a *new* run whose causal parent is the run that
-    # wrote the snapshot (recorded in the archive's ``__run__`` entry; empty
-    # for archives written outside a run or by older builds).
-    parent_run = None
-    if "__run__" in data:
-        parent_run = str(data["__run__"][0]) or None
+    # wrote the snapshot.
     rec = _obs_record._RECORDER
     if rec is not None:
-        rec.count(K_RESUME_SKIPPED, len(skip))
+        rec.count(K_RESUME_SKIPPED, len(snap.skip))
         rec.event(
-            "resume", path=os.fspath(path), ops_skipped=len(skip),
-            parent_run=parent_run,
+            "resume", path=os.fspath(path), ops_skipped=len(snap.skip),
+            parent_run=snap.run_id,
         )
     return _run(
-        a_snap, TileLayout(m, n, nb), lambda: entry, ib, tree, h, bool(shifted), backend, policy=policy,
-        fault_plan=fault_plan, on_failure=on_failure, checkpoint=checkpoint,
-        skip=skip, preloaded_ts=preloaded_ts, parent_run_id=parent_run,
+        snap.a, snap.entry.layout, lambda: snap.entry, snap.entry.ib, snap.tree, snap.h,
+        snap.shifted,
+        backend, policy=policy, fault_plan=fault_plan, on_failure=on_failure,
+        checkpoint=checkpoint, skip=snap.skip, preloaded_ts=snap.ts,
+        parent_run_id=snap.run_id,
         n_procs=n_procs, batch=batch,
     )

@@ -2,57 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.baselines import (
     ParsecModel,
-    block_qr,
-    block_qr_r,
     parsec_qr_simulate,
     scalapack_qr_time,
 )
 from repro.machine import kraken
-from repro.tiles import TileLayout, random_dense
+from repro.tiles import TileLayout
 from repro.trees import plan_all_panels
 from repro.util import ConfigurationError
-
-
-class TestBlockQR:
-    def test_accuracy(self):
-        a = random_dense(50, 30, seed=20)
-        q, r = block_qr(a, nb=8)
-        assert np.linalg.norm(a - q @ r) / np.linalg.norm(a) < 1e-13
-        np.testing.assert_allclose(q.T @ q, np.eye(30), atol=1e-13)
-        np.testing.assert_array_equal(r, np.triu(r))
-
-    def test_matches_numpy_r(self):
-        a = random_dense(64, 16, seed=21)
-        r = block_qr_r(a, nb=8)
-        np.testing.assert_allclose(np.abs(r), np.abs(np.linalg.qr(a, mode="r")), atol=1e-11)
-
-    def test_matches_tree_qr_r(self):
-        """Block QR and tile-tree QR are the same mathematical object."""
-        from repro import qr_factor
-
-        a = random_dense(48, 16, seed=22)
-        r_block = np.abs(block_qr_r(a, nb=8))
-        r_tree = np.abs(qr_factor(a, nb=8, ib=4, tree="hier", h=3).R)
-        np.testing.assert_allclose(r_block, r_tree, atol=1e-11)
-
-    def test_nb_larger_than_n(self):
-        a = random_dense(20, 6, seed=23)
-        q, r = block_qr(a, nb=64)
-        assert np.linalg.norm(a - q @ r) < 1e-12
-
-    def test_rejects_wide(self):
-        with pytest.raises(ConfigurationError):
-            block_qr(random_dense(5, 10, seed=0))
-
-    def test_inner_blocking(self):
-        a = random_dense(40, 24, seed=24)
-        q, r = block_qr(a, nb=12, ib=4)
-        assert np.linalg.norm(a - q @ r) / np.linalg.norm(a) < 1e-13
 
 
 class TestScalapackModel:

@@ -1,4 +1,4 @@
-"""Unit tests for the six tile kernels and the Householder primitives."""
+"""Unit tests for the six tile kernels."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.kernels import (
     geqrt,
-    larfg,
     ormqr,
     tsmqr,
     tsqrt,
@@ -24,38 +23,47 @@ def reflector_matrix(v_tail: np.ndarray, tau: float, n: int) -> np.ndarray:
     return np.eye(n) - tau * np.outer(v, v)
 
 
-class TestLarfg:
+def geqrt_column(x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """One-column GEQRT: ``(R[0, 0], V tail, T[0, 0])`` of ``x``."""
+    a = np.array(x, dtype=float).reshape(-1, 1)
+    t = geqrt(a, 1)
+    return a[0, 0], a[1:, 0], t[0, 0]
+
+
+class TestGeqrtOneColumn:
+    """The elementary reflector LAPACK's ``dlarfg`` makes, seen through the
+    kernel that runs: ``H x = R[0, 0] e_1`` with ``H = I - T v v^T``."""
+
     def test_annihilates_tail(self, rng):
         x = rng.standard_normal(7)
-        beta, v, tau = larfg(x)
-        h = reflector_matrix(v, tau, 7)
-        hx = h @ x
+        beta, v, tau = geqrt_column(x)
+        hx = reflector_matrix(v, tau, 7) @ x
         assert hx[0] == pytest.approx(beta)
         np.testing.assert_allclose(hx[1:], 0.0, atol=1e-13)
 
-    def test_norm_preserved(self, rng):
+    def test_reflects_to_minus_sign_norm(self, rng):
         x = rng.standard_normal(5)
-        beta, _, _ = larfg(x)
-        assert abs(beta) == pytest.approx(np.linalg.norm(x))
+        beta, _, tau = geqrt_column(x)
+        assert beta == pytest.approx(-np.sign(x[0]) * np.linalg.norm(x), rel=1e-14)
+        assert 0.0 <= tau <= 2.0
 
     def test_orthogonality(self, rng):
         x = rng.standard_normal(6)
-        _, v, tau = larfg(x)
+        _, v, tau = geqrt_column(x)
         h = reflector_matrix(v, tau, 6)
         np.testing.assert_allclose(h @ h.T, np.eye(6), atol=1e-13)
 
-    def test_zero_tail_identity(self):
-        beta, v, tau = larfg(np.array([3.0, 0.0, 0.0]))
-        assert tau == 0.0
-        assert beta == 3.0
+    def test_zero_tail_is_identity(self):
+        beta, v, tau = geqrt_column([3.0, 0.0, 0.0])
+        assert (beta, tau) == (3.0, 0.0)  # LAPACK's H = I encoding
         np.testing.assert_array_equal(v, 0.0)
 
     def test_sign_avoids_cancellation(self):
-        beta, _, _ = larfg(np.array([5.0, 1e-8]))
-        assert beta < 0  # beta takes the opposite sign of alpha
+        beta, _, _ = geqrt_column([5.0, 1e-8])
+        assert beta == -5.0  # beta takes the opposite sign of alpha
 
     def test_length_one(self):
-        beta, v, tau = larfg(np.array([2.0]))
+        beta, v, tau = geqrt_column([2.0])
         assert (beta, tau) == (2.0, 0.0)
         assert v.size == 0
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels import geqrt, kernel_flops, larfg, ormqr, tsmqr, tsqrt, ttmqr, ttqrt
+from repro.kernels import geqrt, kernel_flops, ormqr, tsmqr, tsqrt, ttmqr, ttqrt
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -21,13 +21,14 @@ def finite_matrix(m: int, n: int, seed: int) -> np.ndarray:
 
 @settings(**SETTINGS)
 @given(n=st.integers(1, 16), seed=st.integers(0, 2**31 - 1))
-def test_larfg_reflects_to_norm(n, seed):
+def test_geqrt_column_reflects_to_norm(n, seed):
     x = np.random.default_rng(seed).standard_normal(n)
-    beta, v, tau = larfg(x)
-    assert abs(abs(beta) - np.linalg.norm(x)) <= 1e-10 * max(1.0, np.linalg.norm(x))
-    assert len(v) == n - 1
+    a = x.reshape(n, 1).copy()
+    t = geqrt(a, 1)
+    assert abs(abs(a[0, 0]) - np.linalg.norm(x)) <= 1e-10 * max(1.0, np.linalg.norm(x))
+    assert t.shape == (1, 1)
     # H must be a valid reflector: tau in [0, 2] for real data.
-    assert 0.0 <= tau <= 2.0
+    assert 0.0 <= t[0, 0] <= 2.0
 
 
 @settings(**SETTINGS)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.obs import recording
 from repro.qr import (
     CheckpointStore,
     load_factorization,
@@ -14,6 +15,8 @@ from repro.qr import (
     save_factorization,
 )
 from repro.qr.api import qr_factor
+from repro.qr.persist import _archive_digest
+from repro.tiles import random_dense
 from repro.util import ConfigurationError
 
 KW = dict(nb=8, ib=4, tree="hier", h=3)
@@ -34,6 +37,28 @@ def checkpointed(tmp_path, small_matrix):
     path = tmp_path / "c.npz"
     f = qr_factor(small_matrix, **KW, checkpoint=path)
     return path, f
+
+
+def _arrays(path) -> dict[str, np.ndarray]:
+    with np.load(path) as data:
+        return {k: np.array(data[k]) for k in data.files}
+
+
+def _rewrite(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` back under a freshly derived digest."""
+    arrays = {k: v for k, v in arrays.items() if k != "__digest__"}
+    arrays["__digest__"] = _archive_digest(arrays)
+    np.savez(path, **arrays)
+
+
+def _kernel_counters(f) -> dict[str, float]:
+    return {k: v for k, v in f.counters.items() if k.startswith(("ops.", "flops."))}
+
+
+def _same_factors(f, g) -> None:
+    np.testing.assert_array_equal(f.R, g.R)
+    probe = np.linspace(-1.0, 1.0, f.shape[0])
+    np.testing.assert_array_equal(f.qt_matmul(probe), g.qt_matmul(probe))
 
 
 class TestFactorizationArchive:
@@ -61,13 +86,16 @@ class TestFactorizationArchive:
         with pytest.raises(ConfigurationError):
             load_factorization(path)
 
-    def test_wrong_format_marker_rejected(self, saved, checkpointed, tmp_path):
-        fact_path, _ = saved
-        ckpt_path, _ = checkpointed
-        with pytest.raises(ConfigurationError, match="qr-checkpoint"):
-            load_factorization(ckpt_path)
-        with pytest.raises(ConfigurationError, match="qr-factorization"):
-            resume_factorization(fact_path)
+    def test_wrong_format_marker_rejected(self, saved):
+        """The per-tile archive format of earlier builds is retired: its
+        marker is refused with the typed error, by both readers."""
+        path, _ = saved
+        arrays = _arrays(path)
+        arrays["__format__"] = np.array(["qr-factorization"], dtype="U32")
+        _rewrite(path, arrays)
+        for reader in (load_factorization, resume_factorization):
+            with pytest.raises(ConfigurationError, match="qr-factorization"):
+                reader(path)
 
     def test_legacy_archive_without_marker_rejected(self, tmp_path):
         path = tmp_path / "old.npz"
@@ -140,13 +168,86 @@ class TestCheckpointArchive:
 
     def test_geometry_mismatch_rejected(self, checkpointed):
         path, _ = checkpointed
-        with np.load(path) as data:
-            arrays = {k: np.array(data[k]) for k in data.files}
+        arrays = _arrays(path)
         arrays["__meta__"][-1] += 1  # claim one more op than the planner makes
-        del arrays["__digest__"]
-        arrays["__digest__"] = __import__(
-            "repro.qr.persist", fromlist=["_archive_digest"]
-        )._archive_digest(arrays)
-        np.savez(path, **arrays)
+        _rewrite(path, arrays)
         with pytest.raises(ConfigurationError, match="ops"):
             resume_factorization(path)
+
+
+GEOMETRIES = [(40, 24), (37, 21)]  # even and ragged under nb=8
+TREES = ["flat", "binary", "hier", "greedy"]
+
+
+class TestOneArchiveFormat:
+    """A saved factorization is a finished checkpoint: each reader takes both."""
+
+    @pytest.mark.parametrize("shape", GEOMETRIES, ids=["40x24", "37x21"])
+    @pytest.mark.parametrize("tree", TREES)
+    def test_round_trips_are_bit_exact(self, tmp_path, tree, shape):
+        a = random_dense(*shape, seed=81)
+        ck = tmp_path / "run.ckpt.npz"
+        f = qr_factor(a, **dict(KW, tree=tree), checkpoint=ck)
+        save_factorization(tmp_path / "f.npz", f)
+        loaded_ckpt = load_factorization(ck)
+        _same_factors(f, loaded_ckpt)
+        _same_factors(f, load_factorization(tmp_path / "f.npz"))
+        resumed = resume_factorization(tmp_path / "f.npz")
+        assert resumed.ops_skipped == f.counters["ops.total"]
+        _same_factors(f, resumed)
+        assert resumed.parent_run_id == f.run_id
+        assert loaded_ckpt.backend == "loaded"
+        assert (loaded_ckpt.h, loaded_ckpt.shifted) == (f.h, f.shifted)
+
+    @pytest.mark.parametrize("h", [3, "auto"])
+    def test_load_save_load_is_bit_exact(self, tmp_path, small_matrix, h):
+        f = qr_factor(small_matrix, **dict(KW, h=h))
+        assert isinstance(f.h, int)  # "auto" is resolved before planning
+        save_factorization(tmp_path / "a.npz", f)
+        g = load_factorization(tmp_path / "a.npz")
+        save_factorization(tmp_path / "b.npz", g)
+        _same_factors(f, load_factorization(tmp_path / "b.npz"))
+        first, second = _arrays(tmp_path / "a.npz"), _arrays(tmp_path / "b.npz")
+        assert first.keys() == second.keys()
+        for name in first:
+            np.testing.assert_array_equal(first[name], second[name])
+
+    def test_unfinished_snapshot_only_resumes(self, tmp_path, small_matrix):
+        path = tmp_path / "run.ckpt.npz"
+
+        class Abort(Exception):
+            pass
+
+        def abort(writes):
+            raise Abort
+
+        with pytest.raises(Abort):
+            qr_factor(small_matrix, **KW,
+                      checkpoint=CheckpointStore(path, every_ops=5, on_write=abort))
+        with pytest.raises(ConfigurationError, match="resume_factorization"):
+            load_factorization(path)
+        _same_factors(qr_factor(small_matrix, **KW), resume_factorization(path))
+
+    def test_loaded_counters_are_the_originals(self, tmp_path, small_matrix):
+        f = qr_factor(small_matrix, **KW)
+        save_factorization(tmp_path / "f.npz", f)
+        assert _kernel_counters(load_factorization(tmp_path / "f.npz")) == _kernel_counters(f)
+
+    def test_saving_is_not_a_checkpoint_write(self, tmp_path, small_matrix):
+        f = qr_factor(small_matrix, **KW)
+        with recording() as rec:
+            save_factorization(tmp_path / "f.npz", f)
+        assert not [k for k in rec.counters if k.startswith("ckpt.")]
+        assert not [k for k in rec.events.totals() if k.startswith("ckpt.")]
+
+    def test_saved_archive_is_compressed_and_checkpoints_are_not(
+        self, tmp_path, small_matrix
+    ):
+        import zipfile
+
+        f = qr_factor(small_matrix, **KW, checkpoint=tmp_path / "c.npz")
+        save_factorization(tmp_path / "f.npz", f)
+        with zipfile.ZipFile(tmp_path / "f.npz") as saved:
+            assert {i.compress_type for i in saved.infolist()} == {zipfile.ZIP_DEFLATED}
+        with zipfile.ZipFile(tmp_path / "c.npz") as ckpt:
+            assert {i.compress_type for i in ckpt.infolist()} == {zipfile.ZIP_STORED}

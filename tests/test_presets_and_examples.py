@@ -41,6 +41,19 @@ class TestExampleSmoke:
         out = capsys.readouterr().out
         assert "bit-identical: True" in out
 
+    def test_factor_once_solve_many(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["factor_once_solve_many.py"])
+        load_example("factor_once_solve_many").main()
+        out = capsys.readouterr().out
+        assert "[PASS]" in out and "saved implicit factors" in out
+
+    def test_trace_visualization(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["trace_visualization.py"])
+        load_example("trace_visualization").main()
+        out = capsys.readouterr().out
+        assert "--- fixed domain boundaries ---" in out
+        assert "--- shifted domain boundaries ---" in out
+
     def test_least_squares_fitting(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["least_squares_fitting.py"])
         load_example("least_squares_fitting").main()

@@ -196,6 +196,24 @@ def test_registry_cli_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _tear(path) -> None:
+    """Leave ``path`` as a writer killed mid-append does: a last line with
+    no newline that does not parse."""
+    with open(path, "a", encoding="utf-8") as f:
+        f.write('{"t": 9.5, "ty')
+
+
+def test_registry_cli_list_survives_a_torn_last_line(tmp_path, capsys):
+    a = np.random.default_rng(3).standard_normal((M, N))
+    path = tmp_path / "runs.jsonl"
+    f = qr_factor(a, nb=NB, ib=IB, registry=path)
+    _tear(path)
+    assert [r["run"] for r in RunRegistry(path).load()] == [f.run_id]
+    assert obs_registry.main(["list", str(path)]) == 0
+    assert f.run_id in capsys.readouterr().out
+    assert RunRegistry(tmp_path / "none.jsonl").load() == []
+
+
 def test_validator_cli_run_mode(faulty_parallel, capsys):
     tmp = faulty_parallel["tmp"]
     rc = obs_validate.main([
@@ -260,6 +278,20 @@ def test_event_sink_writes_flat_jsonl(tmp_path):
     [ev] = read_events(path)
     assert ev == {"t": 0.5, "type": "worker.dead", "run": "r-1", "worker": 3,
                   "exit_code": 9}
+
+
+def test_read_events_skips_only_a_torn_last_line(tmp_path):
+    path = tmp_path / "ev.jsonl"
+    log = EventLog()
+    log.open_sink(path)
+    log.emit(Event(0.5, "worker.dead", "r-1", worker=3, data={"exit_code": 9}))
+    log.close_sink()
+    _tear(path)
+    assert [e["type"] for e in read_events(path)] == ["worker.dead"]
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("\n")  # the torn line is now a finished, bad one
+    with pytest.raises(json.JSONDecodeError):
+        read_events(path)
 
 
 def test_event_vocabulary_never_shadows_the_envelope():
@@ -496,6 +528,17 @@ def test_monitor_dashboard_follow_exits_on_timeout(metrics_run):
         "--follow", "--timeout", "0.2",
     ])
     assert rc == 0
+
+
+def test_monitor_survives_a_torn_last_line(metrics_run, capsys):
+    f, metrics, events = metrics_run
+    _tear(metrics)
+    _tear(events)
+    assert obs_monitor.main([str(metrics)]) == 0
+    assert "samples over" in capsys.readouterr().out
+    assert obs_monitor.main([str(metrics), "--dashboard", "--events", str(events)]) == 0
+    out = capsys.readouterr().out
+    assert f"run {f.run_id}" in out and "run.end" in out
 
 
 def test_monitor_events_requires_dashboard(metrics_run, capsys):
