@@ -18,9 +18,10 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from repro.dessim import KIND_BINARY, KIND_PANEL, overlap_fraction, trace_to_csv
+from repro.dessim import KIND_BINARY, KIND_PANEL, overlap_fraction
 from repro.experiments import run_figure10, scaled, simulate_tree_qr, trace_gantt
 from repro.experiments.svgplot import chart_from_result
+from repro.obs import spans_to_csv
 
 
 def main() -> None:
@@ -46,7 +47,7 @@ def main() -> None:
         print()
         if args.outdir is not None:
             args.outdir.mkdir(parents=True, exist_ok=True)
-            (args.outdir / f"trace_{label}.csv").write_text(trace_to_csv(res.trace))
+            (args.outdir / f"trace_{label}.csv").write_text(spans_to_csv(res.spans()))
 
     if args.outdir is not None:
         fig10 = run_figure10(cfg)

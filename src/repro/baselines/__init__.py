@@ -4,12 +4,11 @@ The numerical oracle is LAPACK itself (``numpy.linalg.qr``), not a
 second QR here."""
 
 from .parsec import DEFAULT_OVERHEAD_FACTOR, ParsecModel, parsec_qr_simulate
-from .scalapack import ScalapackEstimate, scalapack_qr_gflops, scalapack_qr_time
+from .scalapack import ScalapackEstimate, scalapack_qr_time
 
 __all__ = [
     "ScalapackEstimate",
     "scalapack_qr_time",
-    "scalapack_qr_gflops",
     "ParsecModel",
     "parsec_qr_simulate",
     "DEFAULT_OVERHEAD_FACTOR",

@@ -30,7 +30,7 @@ from ..kernels.flops import qr_useful_flops
 from ..machine.model import MachineModel
 from ..util.validation import check_positive_int, require
 
-__all__ = ["ScalapackEstimate", "scalapack_qr_time", "scalapack_qr_gflops"]
+__all__ = ["ScalapackEstimate", "scalapack_qr_time"]
 
 #: Fraction of peak the panel's BLAS-2 column kernels achieve (matvec +
 #: rank-1 update are memory-bound: a few percent of peak on Istanbul).
@@ -139,7 +139,3 @@ def scalapack_qr_time(
         gflops=qr_useful_flops(m, n) / total / 1e9,
     )
 
-
-def scalapack_qr_gflops(m: int, n: int, cores: int, machine: MachineModel, nb: int = 64) -> float:
-    """Convenience wrapper returning only the modelled Gflop/s."""
-    return scalapack_qr_time(m, n, cores, machine, nb=nb).gflops

@@ -1,8 +1,13 @@
-"""Discrete-event simulation backend: task graphs, engine, trace analysis."""
+"""Discrete-event simulation backend: task graphs, engine, trace analysis.
+
+The one virtual-time path: :func:`repro.qr.dag.build_qr_taskgraph` prices
+the op DAG on a machine model and :func:`simulate` list-schedules it; the
+figure experiments and the PaRSEC baseline all run it.  A trace exports
+as CSV through ``SimResult.spans()`` and :func:`repro.obs.spans_to_csv`.
+"""
 
 from .engine import SimResult, simulate
 from .graph import TaskGraph, TaskGraphBuilder
-from .vsasim import VirtualRunResult, simulate_vsa
 from .trace import (
     KIND_BINARY,
     KIND_PANEL,
@@ -11,7 +16,6 @@ from .trace import (
     gantt,
     lanes_from_trace,
     overlap_fraction,
-    trace_to_csv,
 )
 
 __all__ = [
@@ -19,8 +23,6 @@ __all__ = [
     "TaskGraphBuilder",
     "SimResult",
     "simulate",
-    "VirtualRunResult",
-    "simulate_vsa",
     "KIND_PANEL",
     "KIND_UPDATE",
     "KIND_BINARY",
@@ -28,5 +30,4 @@ __all__ = [
     "lanes_from_trace",
     "overlap_fraction",
     "gantt",
-    "trace_to_csv",
 ]

@@ -157,41 +157,3 @@ class TaskGraph:
         if seen != self.n_tasks:
             raise SimulationError("task graph contains a cycle")
         return float((finish + self.duration).max())
-
-    def critical_path_tasks(self) -> list[int]:
-        """Task indices along one longest dependency chain, source to sink.
-
-        The same topological sweep as :meth:`critical_path`, additionally
-        remembering which predecessor's arrival bound each task's earliest
-        start; walking those bindings back from the latest finisher yields
-        the chain whose length :meth:`critical_path` reports (ties broken
-        arbitrarily but deterministically).
-        """
-        indeg = self.n_deps.copy()
-        finish = np.zeros(self.n_tasks)
-        binding = np.full(self.n_tasks, -1, dtype=np.int64)
-        stack = list(np.flatnonzero(indeg == 0))
-        seen = 0
-        while stack:
-            t = stack.pop()
-            seen += 1
-            ft = finish[t] + self.duration[t]
-            lo, hi = self.succ_index[t], self.succ_index[t + 1]
-            for e in range(lo, hi):
-                d = self.succ_task[e]
-                arr = ft + self.succ_delay[e]
-                if arr > finish[d]:
-                    finish[d] = arr
-                    binding[d] = t
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    stack.append(d)
-        if seen != self.n_tasks:
-            raise SimulationError("task graph contains a cycle")
-        t = int((finish + self.duration).argmax())
-        path = [t]
-        while binding[t] >= 0:
-            t = int(binding[t])
-            path.append(t)
-        path.reverse()
-        return path

@@ -2,7 +2,7 @@
 
 Traces come out of :func:`repro.dessim.simulate` as
 ``(worker, start, end, kind, meta)`` records.  This module turns them into
-per-worker lanes, overlap metrics, ASCII Gantt charts, and CSV exports.
+per-worker lanes, overlap metrics and ASCII Gantt charts.
 
 Kind codes follow the paper's trace colouring: ``0`` = flat-tree panel
 kernels (red), ``1`` = flat-tree trailing updates (orange), ``2`` =
@@ -12,12 +12,11 @@ anything else rather than silently rendering an unknown symbol.
 
 For cross-backend analysis, convert these records to the unified span
 model with :func:`repro.obs.spans_from_des_trace` (or
-``SimResult.spans()``) and export them with :mod:`repro.obs.export`.
+``SimResult.spans()``) and export them with :mod:`repro.obs.export`
+(Chrome trace, summary table, :func:`~repro.obs.export.spans_to_csv`).
 """
 
 from __future__ import annotations
-
-import io
 
 from ..util.errors import TraceError
 from ..util.formatting import ascii_gantt
@@ -30,7 +29,6 @@ __all__ = [
     "lanes_from_trace",
     "overlap_fraction",
     "gantt",
-    "trace_to_csv",
 ]
 
 KIND_PANEL = 0
@@ -105,12 +103,3 @@ def gantt(trace: list[tuple], n_workers: int, width: int = 100) -> str:
     lanes = lanes_from_trace(trace, n_workers)
     return ascii_gantt(lanes, width=width, lane_labels=[f"w{i}" for i in range(n_workers)])
 
-
-def trace_to_csv(trace: list[tuple]) -> str:
-    """Serialise a trace to CSV (worker, start, end, kind, meta...)."""
-    buf = io.StringIO()
-    buf.write("worker,start,end,kind,meta\n")
-    for w, s, e, k, meta in trace:
-        meta_s = ";".join(str(x) for x in meta)
-        buf.write(f"{w},{s:.9f},{e:.9f},{k},{meta_s}\n")
-    return buf.getvalue()

@@ -19,7 +19,7 @@ from .presets import PAPER, ExperimentConfig, scaled
 from .report import ExperimentResult
 from .scheduling import run_scheduling
 from .section6a import run_section6a_strong, run_section6a_weak
-from .tuning import best_configuration, run_tuning
+from .tuning import run_tuning
 from .weak import memory_per_node, run_weak_scaling
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "run_section6a_strong",
     "run_section6a_weak",
     "run_tuning",
-    "best_configuration",
     "run_scheduling",
     "run_weak_scaling",
     "memory_per_node",

@@ -14,7 +14,7 @@ from .figure10 import simulate_tree_qr
 from .presets import ExperimentConfig, PAPER
 from .report import ExperimentResult
 
-__all__ = ["run_tuning", "best_configuration"]
+__all__ = ["run_tuning"]
 
 NB_CHOICES = (192, 240)
 H_CHOICES = (6, 12)
@@ -46,19 +46,3 @@ def run_tuning(
         ))
     return result
 
-
-def best_configuration(
-    cfg: ExperimentConfig, tree: str, m: int, cores: int
-) -> tuple[float, ExperimentConfig]:
-    """The paper's best-of protocol for one (tree, size, cores) point."""
-    best_g = -1.0
-    best_cfg = cfg
-    h_values = H_CHOICES if tree == "hier" else (cfg.h,)
-    for nb in NB_CHOICES:
-        for h in h_values:
-            c = replace(cfg, nb=nb, h=h)
-            res, qtg = simulate_tree_qr(m, cfg.n, cores, tree, c)
-            g = res.gflops(qtg.useful_flops)
-            if g > best_g:
-                best_g, best_cfg = g, c
-    return best_g, best_cfg

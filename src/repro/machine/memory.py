@@ -68,10 +68,6 @@ class MemoryBreakdown:
     def fits(self) -> bool:
         return self.total <= self.usable
 
-    @property
-    def utilisation(self) -> float:
-        return self.total / self.usable
-
 
 def _vsa_extent(layout: TileLayout, h: int) -> tuple[float, float]:
     """(VDP count, channel count) of the hierarchical 3D array (estimate).

@@ -24,7 +24,6 @@ from .record import Counters, Recorder, Span
 __all__ = [
     "KERNEL_CATEGORY",
     "KIND_CATEGORY",
-    "kernel_span_name",
     "spans_from_des_trace",
     "recorder_from_sim_result",
     "counters_from_ops",
@@ -45,11 +44,6 @@ KERNEL_CATEGORY = {
 
 #: DES trace kind codes (:mod:`repro.dessim.trace`) to span categories.
 KIND_CATEGORY = {0: "panel", 1: "update", 2: "binary"}
-
-
-def kernel_span_name(kind: str) -> str:
-    """Span name used for a kernel invocation (currently the kind itself)."""
-    return kind
 
 
 def spans_from_des_trace(trace: list[tuple]) -> list[Span]:

@@ -425,22 +425,16 @@ class GapReport:
         return [r.kind for r in self.rows if r.flagged]
 
     def table(self) -> str:
-        return self._render(self.rows, "kind")
-
-    def phase_table(self) -> str:
-        return self._render(self.phases, "phase")
-
-    def _render(self, rows: list[KernelGap], label: str) -> str:
         body = [
             [
                 r.kind, r.count, f"{r.predicted_s * 1e3:.3f}",
                 f"{r.measured_s * 1e3:.3f}", f"{r.ratio:.1f}",
                 f"{r.normalized:.3f}", "FLAG" if r.flagged else "ok",
             ]
-            for r in rows
+            for r in self.rows
         ]
         return format_table(
-            [label, "ops", "model_ms", "measured_ms", "ratio", "normalized", "gap"],
+            ["kind", "ops", "model_ms", "measured_ms", "ratio", "normalized", "gap"],
             body,
         )
 

@@ -6,8 +6,8 @@ thread that every ``interval`` seconds snapshots
 
 * the recorder's **counters** (cumulative — firings, ops, flops, bytes,
   retransmits...),
-* every registered **gauge** (instantaneous backend state: ready-queue
-  depth, in-flight ops, live workers; see
+* every registered **gauge** (instantaneous backend state: progress,
+  in-flight ops, queue depths, live workers; see
   :meth:`~repro.obs.record.Recorder.register_gauge`), and
 * **rates** — the per-second derivative of selected counters over the last
   sampling interval (firings/s, ops/s, flops/s, bytes/s),
@@ -35,15 +35,14 @@ Gauge vocabulary
 ``pulsar.workers_alive``   live worker threads across nodes
 ``pulsar.outgoing_depth``  packets queued on node outgoing channels
 ``pulsar.fabric_inflight`` messages in flight inside the fabric
-``parallel.ready_ops``     ops ready to dispatch (dependencies met)
 ``parallel.inflight_ops``  ops dispatched, completion not yet reported
 ``parallel.workers_alive`` live worker processes
 ``parallel.completed_ops`` ops whose completion was processed
 ``parallel.redispatched``  in-flight ops re-dispatched after worker deaths
 ``pool.workers_alive``     live processes in the leased pool
                            (:class:`repro.qr.parallel.WorkerPool`: a
-                           :class:`repro.QRSession`'s, or the one a one-shot
-                           run keeps for the call)
+                           :class:`repro.QRSession`'s, or the one the
+                           process keeps for one-shot runs)
 ========================== ===================================================
 """
 

@@ -21,13 +21,13 @@ Real Python threads are used, so firing rules, queue synchronisation and
 termination are exercised genuinely; wall-clock *performance* at scale is
 instead measured by the discrete-event backend (:mod:`repro.dessim`).
 
-Fault tolerance: when a :class:`~repro.faults.FaultPlan` (or
-``reliable=True``) is configured, the proxy speaks a sequence-numbered
+Fault tolerance: when a :class:`~repro.faults.FaultPlan` that can drop,
+duplicate or delay packets is configured, the proxy speaks a sequence-numbered
 ack/retransmit protocol over the fabric — per ``(src, dst, tag)`` stream
 sequence numbers, per-packet acknowledgements, timeout + capped exponential
 backoff retransmission, duplicate suppression and in-order reassembly on
 the receive side — so a run over a lossy fabric still produces bit-identical
-results.  Packets unacknowledged after ``max_retries`` attempts raise
+results.  Packets unacknowledged after :data:`MAX_RETRIES` attempts raise
 :class:`~repro.util.errors.RetryExhaustedError`; proxies shut down via a
 coordinated quiescence check (all workers finished, every proxy idle, the
 fabric empty) so a node never exits while a peer still needs its
@@ -57,7 +57,6 @@ from ..netsim.fabric import Fabric, SendRequest, _copy_payload, payload_nbytes
 from ..obs import context as _obs_context
 from ..obs import record as _obs_record
 from ..obs.record import (
-    K_BYTES_MOVED,
     K_FIRINGS,
     K_PACKETS_BYPASSED,
     K_PACKETS_PUSHED,
@@ -73,7 +72,7 @@ from ..util.errors import (
     TagError,
     VSAError,
 )
-from ..util.validation import check_positive, check_positive_int, require
+from ..util.validation import check_positive_int, require
 from .channel import Channel
 from .packet import Packet
 from .vdp import VDP
@@ -84,18 +83,23 @@ __all__ = ["PRTConfig", "RunStats", "PRT"]
 #: Supported scheduling policies (paper Section IV-A).
 POLICIES = ("lazy", "aggressive")
 
+#: Reliable-protocol retransmission: the first timeout in seconds, doubled
+#: per attempt and capped at ``RETRY_BACKOFF_CAP``; a packet still
+#: unacknowledged after ``MAX_RETRIES`` retransmissions aborts the run with
+#: :class:`~repro.util.errors.RetryExhaustedError`.
+RETRY_TIMEOUT = 0.05
+RETRY_BACKOFF_CAP = 1.0
+MAX_RETRIES = 12
+
 
 @dataclass(frozen=True)
 class PRTConfig:
     """Runtime launch configuration.
 
     ``fault_plan`` plugs a :class:`~repro.faults.FaultPlan` into the
-    fabric; ``reliable`` selects the ack/retransmit proxy protocol
-    (default: on exactly when the plan can inject fabric faults).
-    ``retry_timeout`` is the initial retransmission timeout, doubled per
-    attempt and capped at ``retry_backoff_cap`` seconds; a packet still
-    unacknowledged after ``max_retries`` retransmissions aborts the run
-    with :class:`~repro.util.errors.RetryExhaustedError`.
+    fabric; the proxies speak the ack/retransmit protocol exactly when the
+    plan can inject fabric faults (``fault_plan.faulty_fabric``).
+    ``jitter`` and ``seed`` shuffle fabric deliveries (tests only).
     """
 
     n_nodes: int = 1
@@ -106,25 +110,11 @@ class PRTConfig:
     deadlock_timeout: float = 20.0
     max_tag: int = 16 * 1024
     fault_plan: object | None = None
-    reliable: bool | None = None
-    retry_timeout: float = 0.05
-    retry_backoff_cap: float = 1.0
-    max_retries: int = 12
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_nodes, "n_nodes")
         check_positive_int(self.workers_per_node, "workers_per_node")
         require(self.policy in POLICIES, f"policy must be one of {POLICIES}, got {self.policy!r}")
-        check_positive(self.retry_timeout, "retry_timeout")
-        check_positive(self.retry_backoff_cap, "retry_backoff_cap")
-        check_positive_int(self.max_retries, "max_retries")
-
-    @property
-    def wants_reliable(self) -> bool:
-        """Whether the proxies should speak the ack/retransmit protocol."""
-        if self.reliable is not None:
-            return self.reliable
-        return self.fault_plan is not None and getattr(self.fault_plan, "faulty_fabric", False)
 
     @property
     def total_workers(self) -> int:
@@ -196,7 +186,7 @@ class PRT:
         self._firings_lock = threading.Lock()
         self._per_worker: dict[int, int] = {}
         self._ran = False
-        self._reliable = cfg.wants_reliable
+        self._reliable = cfg.fault_plan is not None and cfg.fault_plan.faulty_fabric
         self._proxy_stop = threading.Event()
         self._retransmits = 0
         self._dup_suppressed = 0
@@ -593,7 +583,7 @@ class PRT:
 
         Sender side keeps every packet in ``unacked`` until its ack
         arrives, retransmitting on a deadline with capped exponential
-        backoff; ``max_retries`` exceeded is a fatal
+        backoff; :data:`MAX_RETRIES` exceeded is a fatal
         :class:`RetryExhaustedError`.  Receiver side acks *every* data
         packet (the previous ack may itself have been lost), suppresses
         duplicates, and reassembles each stream in sequence order through a
@@ -605,7 +595,6 @@ class PRT:
         duplicates for as long as any peer might still be retrying.
         """
         rec = self._rec
-        cfg = self.cfg
         rank = node.rank
         next_seq: dict[tuple[int, int], int] = {}  # (dst, tag) -> next seq
         unacked: dict[tuple[int, int, int], _UnackedSend] = {}
@@ -629,7 +618,7 @@ class PRT:
                 # VDP mutates its tile afterwards.
                 payload = _copy_payload(pkt.data)
                 unacked[(ch.dst_node, ch.tag, seq)] = _UnackedSend(
-                    payload, 0, time.monotonic() + cfg.retry_timeout
+                    payload, 0, time.monotonic() + RETRY_TIMEOUT
                 )
                 self.fabric.isend(rank, ch.dst_node, ch.tag, ("D", seq, payload))
                 if rec is not None:
@@ -684,11 +673,11 @@ class PRT:
                 if now < snd.deadline or self._abort.is_set():
                     continue
                 snd.attempts += 1
-                if snd.attempts > cfg.max_retries:
+                if snd.attempts > MAX_RETRIES:
                     dst, tag, seq = key
                     self._fail(RetryExhaustedError(
                         f"node {rank}: packet seq {seq} to node {dst} (tag {tag}) "
-                        f"unacknowledged after {cfg.max_retries} retransmissions"
+                        f"unacknowledged after {MAX_RETRIES} retransmissions"
                     ))
                     break
                 self.fabric.isend(rank, key[0], key[1], ("D", key[2], snd.payload))
@@ -698,9 +687,7 @@ class PRT:
                     rec.event(
                         "retry.resend", dst=key[0], seq=key[2], n=snd.attempts
                     )
-                snd.deadline = now + min(
-                    cfg.retry_timeout * (2.0 ** snd.attempts), cfg.retry_backoff_cap
-                )
+                snd.deadline = now + min(RETRY_TIMEOUT * (2.0 ** snd.attempts), RETRY_BACKOFF_CAP)
                 progress = True
             # Publish quiescence for the coordinated shutdown decision.
             with node.cond:

@@ -150,7 +150,6 @@ class VSA:
         seed: int | None = None,
         deadlock_timeout: float = 20.0,
         fault_plan=None,
-        reliable: bool | None = None,
     ):
         """Execute the array on the threaded PULSAR Runtime.
 
@@ -179,9 +178,6 @@ class VSA:
             Optional :class:`~repro.faults.FaultPlan` injected into the
             fabric; implies the ack/retransmit proxy protocol when it can
             drop/duplicate/delay messages.
-        reliable:
-            Force the ack/retransmit protocol on (``True``) or off
-            (``False``); default ``None`` derives it from ``fault_plan``.
 
         Returns
         -------
@@ -198,6 +194,5 @@ class VSA:
             seed=seed,
             deadlock_timeout=deadlock_timeout,
             fault_plan=fault_plan,
-            reliable=reliable,
         )
         return PRT(self, cfg, mapping=mapping).run()

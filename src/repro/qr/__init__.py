@@ -3,14 +3,12 @@
 from .api import QRFactorization, lstsq, qr_factor
 from .checksum import SDCGuard, tile_checksum
 from .collector import ResultStore, assemble_factors
-from .costs import make_qr_cost_fn
 from .persist import (
     CheckpointStore,
     load_factorization,
     resume_factorization,
     save_factorization,
 )
-from .verify import VerificationReport, verify_factorization
 from .ops import FACTOR_KINDS, UPDATE_KINDS, Op, expand_plans
 from .parallel import ParallelRunStats, default_n_procs, execute_ops_parallel
 from .reference import FactorRecord, TileQRFactors, execute_ops
@@ -32,15 +30,12 @@ __all__ = [
     "assemble_factors",
     "QRArray",
     "build_qr_vsa",
-    "make_qr_cost_fn",
     "save_factorization",
     "load_factorization",
     "CheckpointStore",
     "resume_factorization",
     "SDCGuard",
     "tile_checksum",
-    "VerificationReport",
-    "verify_factorization",
     "QRFactorization",
     "qr_factor",
     "lstsq",

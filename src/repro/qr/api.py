@@ -100,8 +100,9 @@ class QRFactorization:
         self.stats = stats
         self._ops = ops
         self._ib = ib
-        #: The :class:`repro.obs.Recorder` of the run when ``trace=`` was
-        #: given to :func:`qr_factor`, else ``None``.
+        #: The :class:`repro.obs.Recorder` of the run when ``trace=``,
+        #: ``metrics=`` or ``events=`` was given to :func:`qr_factor`, else
+        #: ``None``.
         self.recorder = recorder
         #: Identity of the run that produced this factorization (minted by
         #: :func:`qr_factor` whether or not telemetry was recorded; see
@@ -239,7 +240,6 @@ def qr_factor(
     n_nodes: int = 1,
     workers_per_node: int = 1,
     policy: str = "lazy",
-    seed: int | None = None,
     n_procs: int | None = None,
     batch: int | str | None = None,
     trace: str | os.PathLike | None = None,
@@ -348,11 +348,11 @@ def qr_factor(
     backend:
         ``"serial"``, ``"batched"``, ``"parallel"``, or ``"pulsar"``
         (see :mod:`repro.qr.backends`).
-    n_nodes, workers_per_node, policy, seed:
+    n_nodes, workers_per_node, policy:
         PULSAR launch parameters (``backend="pulsar"`` only): simulated node
-        count, worker threads per node, lazy/aggressive scheduling, network
-        jitter seed.  ``policy`` is shared with ``backend="parallel"``,
-        where it selects the dispatcher's ready-pool discipline.
+        count, worker threads per node, lazy/aggressive scheduling.
+        ``policy`` is shared with ``backend="parallel"``, where it selects
+        the dispatcher's ready-pool discipline.
     n_procs, batch:
         ``backend="parallel"`` only: worker process count (default: usable
         CPUs; ``1`` falls back to serial) and the most operations a worker
@@ -510,7 +510,7 @@ def qr_factor(
         trace=trace, metrics=metrics, events=events, registry=registry,
         fault_plan=fault_plan, on_failure=on_failure, checkpoint=checkpoint,
         n_procs=n_procs, batch=batch, n_nodes=n_nodes,
-        workers_per_node=workers_per_node, seed=seed,
+        workers_per_node=workers_per_node,
     )
 
 
@@ -564,8 +564,8 @@ def _run(
     degradation — the checkpoint store re-bound to the pristine copy and
     handed on, so a degraded run still ends with an all-ops-done archive —
     and the :class:`QRFactorization` with its trace / registry write-out.
-    ``launch`` (``n_procs``, ``batch``, ``n_nodes``, ``workers_per_node``,
-    ``seed``) goes to :func:`~repro.qr.backends.run_backend` untouched.
+    ``launch`` (``n_procs``, ``batch``, ``n_nodes``, ``workers_per_node``)
+    goes to :func:`~repro.qr.backends.run_backend` untouched.
     """
     require(on_failure in ("raise", "fallback"),
             f"on_failure must be 'raise' or 'fallback', got {on_failure!r}")

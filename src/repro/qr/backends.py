@@ -39,7 +39,7 @@ from ..pulsar.runtime import POLICIES
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import SharedTileStore
 from ..util.errors import ConfigurationError
-from ..util.validation import check_nonnegative_int, check_positive_int, require
+from ..util.validation import check_positive_int, require
 from . import parallel as _parallel
 from .collector import assemble_factors
 from .reference import execute_ops
@@ -161,7 +161,7 @@ def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_proc
 def run_backend(
     backend: str, tm, entry, ib: int, *, store=None,
     session=None, n_procs=None, policy="lazy", batch=None,
-    n_nodes=1, workers_per_node=1, seed=None,
+    n_nodes=1, workers_per_node=1,
     fault_plan=None, checkpoint=None, skip=None, preloaded_ts=None,
 ):
     """Execute ``entry.ops`` on ``tm`` with ``backend``; return ``(factors, stats)``.
@@ -173,9 +173,9 @@ def run_backend(
     nothing is derived here.  ``skip`` / ``preloaded_ts`` are the resume
     path.  ``stats`` is ``None`` for the single-lane backends.
 
-    ``policy``, ``batch``, ``n_procs`` and ``seed`` are checked here, whichever
-    backend runs (only ``parallel`` uses ``batch`` and ``n_procs``, only
-    ``pulsar`` uses ``seed``).  ``batch="wavefront"`` is an
+    ``policy``, ``batch`` and ``n_procs`` are checked here, whichever backend
+    runs (only ``parallel`` uses ``batch`` and ``n_procs``).
+    ``batch="wavefront"`` is an
     accepted spelling of the default: it once selected level-synchronous
     slice dispatch, callers still pass it, and it now means auto-sized
     batches (a batch is what a worker reports in one message).
@@ -191,8 +191,6 @@ def run_backend(
         check_positive_int(batch, "batch")
     if n_procs is not None:
         check_positive_int(n_procs, "n_procs")
-    if seed is not None:
-        check_nonnegative_int(seed, "seed")
     common = dict(fault_plan=fault_plan, checkpoint=checkpoint,
                   skip=skip, preloaded_ts=preloaded_ts)
     if backend == "serial":  # the schedule, not its list: it keeps the factor-op table
@@ -211,8 +209,6 @@ def run_backend(
             pool=pool, arena=store, **common
         )
     arr = build_qr_vsa(tm, entry.plans, ib=ib, total_workers=n_nodes * workers_per_node)
-    stats = arr.run(
-        n_nodes=n_nodes, workers_per_node=workers_per_node, policy=policy,
-        seed=seed, fault_plan=fault_plan,
-    )
+    stats = arr.run(n_nodes=n_nodes, workers_per_node=workers_per_node, policy=policy,
+                    fault_plan=fault_plan)
     return assemble_factors(arr.store, entry.ops, ib), stats

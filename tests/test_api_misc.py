@@ -52,6 +52,12 @@ class TestQRFactorizationSurface:
         with pytest.raises(ShapeError):
             f.residuals(np.zeros(5))
 
+    def test_residuals_flag_the_wrong_matrix(self, fac):
+        a, f = fac
+        assert f.residuals(a)["factorization"] < 1e-13
+        other = random_dense(40, 24, seed=72)
+        assert f.residuals(other)["factorization"] > 0.5
+
     def test_vector_vs_matrix_apply(self, fac):
         a, f = fac
         v = np.ones(40)

@@ -14,8 +14,8 @@ from repro.dessim import (
     lanes_from_trace,
     overlap_fraction,
     simulate,
-    trace_to_csv,
 )
+from repro.obs import spans_to_csv
 from repro.util import ConfigurationError, SimulationError
 
 
@@ -214,6 +214,8 @@ class TestTrace:
 
     def test_csv_export(self):
         res = self.make_trace()
-        csv = trace_to_csv(res.trace)
-        assert csv.startswith("worker,start,end,kind,meta")
-        assert "GEQRT" in csv
+        csv = spans_to_csv(res.spans())
+        header, *rows = csv.splitlines()
+        assert header == "worker,start,end,cat,name,args"
+        assert rows[0].startswith("0,0.000000000,2.000000000,panel,GEQRT,")
+        assert rows[1].startswith("1,2.000000000,4.000000000,binary,TTQRT,")

@@ -25,6 +25,7 @@ from repro.experiments import (
     scaled,
     trace_gantt,
 )
+from repro.util import ConfigurationError
 
 CFG = scaled(32)  # very small: keeps the full experiment suite fast
 
@@ -45,6 +46,10 @@ class TestPresets:
 
     def test_scale_one_is_paper(self):
         assert scaled(1) is PAPER
+
+    def test_scaled_validates(self):
+        with pytest.raises(ConfigurationError, match="factor must be positive, got 0"):
+            scaled(0)
 
 
 class TestExperimentResult:

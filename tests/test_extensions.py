@@ -1,5 +1,5 @@
-"""Tests for the extension modules: auto tree selection, verification
-reports, factor persistence, and SVG chart rendering."""
+"""Tests for the extension modules: auto tree selection, factor
+persistence, and SVG chart rendering."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.experiments.report import ExperimentResult
 from repro.experiments.svgplot import LineChart, Series, chart_from_result
 from repro.machine import kraken
 from repro.qr.persist import load_factorization, save_factorization
-from repro.qr.verify import verify_factorization
 from repro.tiles import random_dense
 from repro.trees.auto import choose_domain_size, panel_depth_model
 from repro.util import ConfigurationError
@@ -53,34 +52,6 @@ class TestAutoDomainSize:
 
     def test_single_row(self):
         assert choose_domain_size(1, machine=self.MACH, nb=192, ib=48) == 1
-
-
-class TestVerification:
-    def test_good_factorization_passes(self):
-        a = random_dense(40, 24, seed=70)
-        rep = verify_factorization(qr_factor(a, nb=8, ib=4, tree="hier", h=3), a)
-        assert rep.passed
-        assert "PASS" in rep.summary()
-        assert rep.r_diag_min > 0.0
-
-    def test_wrong_matrix_fails(self):
-        a = random_dense(40, 24, seed=71)
-        other = random_dense(40, 24, seed=72)
-        rep = verify_factorization(qr_factor(a, nb=8, ib=4), other)
-        assert not rep.passed
-        assert "FAIL" in rep.summary()
-
-    def test_worst_column_identified(self):
-        a = random_dense(40, 24, seed=73)
-        rep = verify_factorization(qr_factor(a, nb=8, ib=4), a)
-        assert 0 <= rep.worst_column < 24
-        assert rep.worst_column_error <= rep.threshold
-
-    def test_threshold_scales_with_tol_factor(self):
-        a = random_dense(40, 24, seed=74)
-        f = qr_factor(a, nb=8, ib=4)
-        strict = verify_factorization(f, a, tol_factor=1e-3)
-        assert not strict.passed  # nothing survives an impossible threshold
 
 
 class TestPersistence:

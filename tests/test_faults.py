@@ -14,6 +14,7 @@ import pytest
 from repro.faults import FaultPlan, Watchdog
 from repro.netsim import Fabric
 from repro.pulsar import PRT, PRTConfig, VDP, VSA, Packet
+from repro.pulsar import runtime as runtime_mod
 from repro.qr.api import qr_factor
 from repro.qr.ops import expand_plans
 from repro.qr.parallel import execute_ops_parallel
@@ -144,12 +145,16 @@ class TestPulsarReliability:
         assert stats.retransmits >= stats.faults_dropped > 0
 
     def test_reliable_protocol_without_faults(self):
+        # A fabric-faulty plan turns the protocol on; at this rate (and
+        # seed) it never fires, so the run shows the protocol's clean path.
         results: list = []
         vsa = _cross_node_pipeline(results)
-        cfg = PRTConfig(n_nodes=2, workers_per_node=1, reliable=True, deadlock_timeout=30.0)
+        plan = FaultPlan(seed=1, drop_rate=1e-12, duplicate_rate=1e-12, delay_rate=1e-12)
+        cfg = PRTConfig(n_nodes=2, workers_per_node=1, fault_plan=plan, deadlock_timeout=30.0)
         stats = PRT(vsa, cfg, mapping=lambda t: t[0]).run()
         assert results == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert stats.reliable and stats.retransmits == 0
+        assert stats.faults_dropped == stats.faults_duplicated == stats.faults_delayed == 0
 
     def test_clean_run_stays_unreliable_by_default(self):
         results: list = []
@@ -161,13 +166,15 @@ class TestPulsarReliability:
         assert not stats.reliable
         assert results == [0.0, 1.0, 2.0, 3.0, 4.0]
 
-    def test_retry_budget_exhaustion_raises(self):
+    def test_retry_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(runtime_mod, "RETRY_TIMEOUT", 0.01)
+        monkeypatch.setattr(runtime_mod, "RETRY_BACKOFF_CAP", 0.02)
+        monkeypatch.setattr(runtime_mod, "MAX_RETRIES", 3)
         results: list = []
         vsa = _cross_node_pipeline(results)
         cfg = PRTConfig(
             n_nodes=2, workers_per_node=1,
             fault_plan=FaultPlan(seed=0, drop_rate=0.999),
-            retry_timeout=0.01, retry_backoff_cap=0.02, max_retries=3,
             deadlock_timeout=30.0,
         )
         with pytest.raises(RetryExhaustedError):

@@ -16,6 +16,8 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib.util
 import inspect
 import os
 import pathlib
@@ -276,25 +278,37 @@ def test_certifier_cli_has_one_home():
 
 def test_retired_options_stay_retired():
     from repro.analysis.races import certify_schedule, self_check
-    from repro.dessim import simulate_vsa
     from repro.obs.monitor import render_dashboard
     from repro.obs.registry import anomaly_flags, build_record
     from repro.obs.sampler import MetricsSampler
+    from repro.pulsar import VSA, PRTConfig
+    from repro.qr.backends import run_backend
     from repro.tiles.layout import TileLayout
     from repro.util.formatting import format_table
 
     retired = [
         (certify_schedule, "max_violations"), (self_check, "max_edges"),
         (anomaly_flags, "window"), (anomaly_flags, "wall_factor"),
-        (render_dashboard, "n_events"), (simulate_vsa, "preload_available_at"),
+        (render_dashboard, "n_events"),
         (parallel_mod.execute_ops_parallel, "max_redispatch"),
         (parallel_mod.execute_ops_parallel, "assignment"), (qr_factor, "verify_schedule"),
         (MetricsSampler.__init__, "rate_keys"), (build_record, "written"),
         (format_table, "min_width"), (TileLayout.nbytes, "dtype_size"),
+        (qr_factor, "seed"), (run_backend, "seed"), (VSA.run, "reliable"),
+        (PRTConfig, "reliable"), (PRTConfig, "retry_timeout"),
+        (PRTConfig, "retry_backoff_cap"), (PRTConfig, "max_retries"),
     ]
     left = [(f.__qualname__, p) for f, p in retired if p in inspect.signature(f).parameters]
     assert left == []
     assert parallel_mod.MAX_REDISPATCH == 2
+    assert [f.name for f in dataclasses.fields(PRTConfig)] == [
+        "n_nodes", "workers_per_node", "policy", "jitter", "seed", "deadlock_timeout",
+        "max_tag", "fault_plan",
+    ]
+    # The virtual-time VDP simulator, its cost function and the second
+    # accuracy report are gone with no alias.
+    for module in ("repro.dessim.vsasim", "repro.qr.costs", "repro.qr.verify"):
+        assert importlib.util.find_spec(module) is None, module
 
 
 # -- (5) frozen signatures -----------------------------------------------------------
@@ -318,8 +332,8 @@ def _pos(*names):
 def test_public_signatures_are_unchanged():
     assert _params(qr_factor) == _pos("a") + _kw(
         nb=128, ib=32, tree=TreeKind.HIER, h=6, shifted=True, backend="serial",
-        n_nodes=1, workers_per_node=1, policy="lazy", seed=None, n_procs=None,
-        batch=None, trace=None, metrics=None, events=None, registry=None,
+        n_nodes=1, workers_per_node=1, policy="lazy", n_procs=None, batch=None,
+        trace=None, metrics=None, events=None, registry=None,
         fault_plan=None, on_failure="raise", checkpoint=None, session=None,
     )
     assert _params(resume_factorization) == _pos("path") + _kw(

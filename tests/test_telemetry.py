@@ -11,6 +11,7 @@ deltas, and a resumed run records the snapshot writer as its parent.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -43,8 +44,9 @@ from repro.obs import (
 )
 from repro.obs import monitor as obs_monitor
 from repro.obs import registry as obs_registry
+from repro.obs import sampler as obs_sampler
 from repro.obs import validate as obs_validate
-from repro.obs.record import Span
+from repro.obs.record import Recorder, Span
 from repro.qr.persist import CheckpointStore, resume_factorization
 from repro.qr.session import QRSession
 from repro.util.errors import ConfigurationError, TraceError, WatchdogTimeout
@@ -609,6 +611,28 @@ def test_sampler_thread_survives_a_raising_gauge(tmp_path):
         assert sampler.n_samples >= 2  # thread kept running after the error
     samples = [json.loads(line) for line in path.read_text().splitlines()]
     assert samples[-1]["gauges"].get("good.gauge") == 4.0
+
+
+def test_gauge_table_lists_exactly_the_registered_gauges(tmp_path, small_matrix, monkeypatch):
+    """The sampler's vocabulary table names every gauge a backend registers
+    during a sampled run, and nothing else."""
+    registered: set[str] = set()
+    register = Recorder.register_gauge
+
+    def spy(self, name, fn):
+        registered.add(name)
+        register(self, name, fn)
+
+    monkeypatch.setattr(Recorder, "register_gauge", spy)
+    geometry = dict(nb=8, ib=4, tree="hier", h=3)
+    for i, kw in enumerate((
+        dict(backend="serial"), dict(backend="batched"),
+        dict(backend="parallel", n_procs=2),
+        dict(backend="pulsar", n_nodes=2, workers_per_node=1),
+    )):
+        qr_factor(small_matrix, **geometry, **kw, metrics=tmp_path / f"m{i}.jsonl")
+    table = set(re.findall(r"^``([a-z_.]+)``", obs_sampler.__doc__, re.MULTILINE))
+    assert table == registered
 
 
 # -- registry primitives -----------------------------------------------------
