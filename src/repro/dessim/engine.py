@@ -62,9 +62,9 @@ class SimResult:
         """The trace as unified :class:`repro.obs.Span` records (virtual time).
 
         Requires ``simulate(..., record_trace=True)``; raises
-        :class:`~repro.util.errors.TraceError` otherwise.  Use
-        :func:`repro.obs.recorder_from_sim_result` for a full virtual-clock
-        recorder (spans + counters + lane names) ready for export.
+        :class:`~repro.util.errors.TraceError` otherwise.  The spans export
+        as they are: ``write_chrome_trace(path, res.spans(), clock="virtual")``
+        or ``spans_to_csv(res.spans())``.
         """
         from ..obs.adapters import spans_from_des_trace
         from ..util.errors import TraceError

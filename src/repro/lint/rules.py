@@ -119,8 +119,8 @@ def check_counter_keys(ctx: FileContext) -> Iterator[Finding]:
         if key not in keys:
             yield (node.lineno, node.col_offset,
                    f"counter key {key!r} is not in the canonical vocabulary; "
-                   "add a K_* constant to repro.obs.record (or "
-                   "register_counter_prefix) so validate_counters accepts it")
+                   "add a K_* constant to repro.obs.record so "
+                   "validate_counters accepts it")
 
 
 @rule(

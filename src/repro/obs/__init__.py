@@ -5,11 +5,13 @@ the threaded PULSAR runtime, the process-parallel dispatcher, and the
 discrete-event simulator — historically reported what happened in four
 incompatible shapes.  This package gives them one schema:
 
-* :class:`Span` — a named, categorised interval on a worker lane;
+* :class:`Span` — a named, categorised interval on a worker lane (the
+  simulator's trace converts with :func:`spans_from_des_trace`);
 * :class:`Counters` — typed event totals (per-kernel flops, firings,
-  packets by-passed, bytes moved, queue depths);
-* :class:`Recorder` — the process-global sink with a no-op fast path when
-  tracing is disabled;
+  packets by-passed, bytes moved, queue depths, faults, retries): the one
+  tally of how many times anything happened;
+* :class:`Recorder` — the process-global real-time sink with a no-op fast
+  path when tracing is disabled;
 * exporters — Chrome-trace/Perfetto JSON (:func:`write_chrome_trace`),
   summary tables (:func:`span_summary`, :func:`counter_summary`), CSV;
 * :func:`validate_chrome_trace` — structural schema check (also a CLI:
@@ -27,8 +29,9 @@ incompatible shapes.  This package gives them one schema:
   thread of one factorization share one identity (and causal
   ``span_id``/``parent_id`` edges — see :func:`causal_edges`);
 * :class:`EventLog` — typed, schema-validated runtime events (retries,
-  respawns, SDC repairs, checkpoint writes, stalls) correlated to spans;
-* :class:`RunRegistry` — an append-only per-run summary store with
+  respawns, SDC repairs, checkpoint writes, stalls) correlated to spans:
+  the narrative of who, which op and which span, kept in a bounded ring;
+* :class:`RunRegistry` — an append-only per-run counter summary store with
   cross-run diffing (``python -m repro.obs.registry list|show|diff``).
 
 Quick start: ``qr_factor(a, backend="parallel", trace="t.json")`` records
@@ -40,7 +43,6 @@ from .adapters import (
     KERNEL_CATEGORY,
     KIND_CATEGORY,
     counters_from_ops,
-    recorder_from_sim_result,
     spans_from_des_trace,
 )
 from .analysis import (
@@ -76,17 +78,14 @@ from .record import (
     current_op,
     current_span_id,
     get_recorder,
-    install,
     recording,
     set_current_op,
     set_worker_lane,
-    uninstall,
 )
 from .registry import RunRegistry, anomaly_flags, build_record, diff_records
 from .sampler import MetricsSampler
 from .validate import (
     canonical_counter_keys,
-    register_counter_prefix,
     validate_chrome_trace,
     validate_counters,
     validate_run_telemetry,
@@ -97,8 +96,6 @@ __all__ = [
     "Counters",
     "Recorder",
     "get_recorder",
-    "install",
-    "uninstall",
     "recording",
     "set_worker_lane",
     "current_lane",
@@ -120,7 +117,6 @@ __all__ = [
     "KERNEL_CATEGORY",
     "KIND_CATEGORY",
     "spans_from_des_trace",
-    "recorder_from_sim_result",
     "counters_from_ops",
     "to_chrome_trace",
     "des_traces_to_chrome",
@@ -132,7 +128,6 @@ __all__ = [
     "validate_counters",
     "validate_run_telemetry",
     "canonical_counter_keys",
-    "register_counter_prefix",
     "causal_edges",
     "current_span_id",
     "RunContext",

@@ -1,15 +1,15 @@
 """Backend adapters: every execution path in, one span model out.
 
-Three of the four execution paths (serial reference, threaded PULSAR
-runtime, process-parallel dispatcher) record spans *live* through the
-global :class:`~repro.obs.record.Recorder` — the kernel shim in
+The executing backends (serial reference, threaded PULSAR runtime,
+process-parallel dispatcher) record spans *live* through the global
+:class:`~repro.obs.record.Recorder` — the kernel shim in
 :mod:`repro.kernels` stamps every kernel invocation, and the runtimes add
-their own firing/proxy/dispatch events.  The fourth path, the
-discrete-event simulator, produces its evidence after the fact as
-``(worker, start, end, kind, meta)`` tuples in *virtual* seconds; this
-module converts those records into the same :class:`~repro.obs.record.Span`
-schema so one exporter and one summary table cover real-time, virtual-time
-and multiprocess runs alike.
+their own firing/proxy/dispatch events.  The discrete-event simulator
+produces its evidence after the fact as ``(worker, start, end, kind,
+meta)`` tuples in *virtual* seconds; :func:`spans_from_des_trace` converts
+those records into the same :class:`~repro.obs.record.Span` schema, so one
+exporter and one summary table cover real-time, virtual-time and
+multiprocess runs alike.
 
 It also derives the model-side counters: :func:`counters_from_ops` walks an
 operation list and charges each op with its :func:`repro.kernels.flops`
@@ -19,13 +19,12 @@ against.
 
 from __future__ import annotations
 
-from .record import Counters, Recorder, Span
+from .record import Counters, Span
 
 __all__ = [
     "KERNEL_CATEGORY",
     "KIND_CATEGORY",
     "spans_from_des_trace",
-    "recorder_from_sim_result",
     "counters_from_ops",
 ]
 
@@ -78,30 +77,6 @@ def spans_from_des_trace(trace: list[tuple]) -> list[Span]:
         spans.append(Span(name, cat, float(start), float(end), int(w), args))
     spans.sort(key=lambda s: (s.start, s.end, s.worker))
     return spans
-
-
-def recorder_from_sim_result(result, *, ops=None, ib: int | None = None) -> Recorder:
-    """Wrap a :class:`~repro.dessim.engine.SimResult` in a virtual recorder.
-
-    The result must have been simulated with ``record_trace=True``.  When
-    the originating operation list is supplied, per-kernel flop counters
-    are attached so DES recordings carry the same counter vocabulary as
-    live ones.
-    """
-    from ..util.errors import TraceError
-
-    if result.trace is None:
-        raise TraceError(
-            "SimResult has no trace; run simulate(..., record_trace=True)"
-        )
-    rec = Recorder(clock="virtual")
-    rec.ingest_spans(spans_from_des_trace(result.trace), clock="virtual")
-    rec.counters.add("tasks", result.n_tasks)
-    for w in range(result.n_workers):
-        rec.lane_names[w] = f"worker {w}"
-    if ops is not None and ib is not None:
-        rec.counters.merge(counters_from_ops(ops, ib))
-    return rec
 
 
 def counters_from_ops(ops, ib: int) -> Counters:

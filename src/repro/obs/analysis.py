@@ -8,10 +8,9 @@ The analyses all operate on the same :class:`~repro.obs.record.Span` model
 so they apply to every backend alike:
 
 * :func:`match_spans_to_ops` joins measured kernel spans back onto the
-  operation list.  Spans tagged with an op index (``Span.args["op"]``, see
-  :meth:`Recorder.record_kernel`) match exactly even when lanes finish work
-  out of program order; untagged traces fall back to per-kind schedule
-  order, which is sound for the serial executor.
+  operation list by the op index every backend tags them with
+  (``Span.args["op"]``, see :meth:`Recorder.record_kernel`), so the join is
+  exact even when lanes finish work out of program order.
 * :func:`realized_critical_path` walks the dataflow DAG
   (:func:`repro.qr.dag.op_dependency_graph`) *backwards* from the last
   kernel to finish, at each step following the predecessor that finished
@@ -73,74 +72,67 @@ def causal_edges(spans) -> dict[int, int | None]:
     edges recorded by the tracer (:attr:`~repro.obs.record.Span.parent_id`)
     say one span *caused* the other — a kernel fired inside a PULSAR
     firing, a worker attach triggered by a pool lease.  This helper
-    extracts those edges and enforces their invariants:
+    extracts those edges and enforces their invariants (see
+    :func:`_check_edges`).  Spans without an id (``span_id == 0`` —
+    DES-derived or hand-built spans) carry no identity and are skipped.
+    Roots map to ``None``.
+    """
+    return _check_edges((repr(s.name), s.span_id, s.parent_id) for s in spans if s.span_id)
 
-    * span ids are unique (a duplicate means two spans claim the same
-      identity — a recorder bug or a spliced trace);
-    * every ``parent_id`` resolves to a span present in the trace (an
-      orphan edge means the parent was dropped or the trace truncated).
 
-    Spans without an id (``span_id == 0`` — DES-derived or hand-built
-    spans) carry no identity and are skipped.  Roots map to ``None``.
+def _check_edges(nodes) -> dict[int, int | None]:
+    """``span_id -> parent_id`` of ``(label, span_id, parent_id)`` triples.
+
+    Raises :class:`TraceError`, naming the offender's ``label``, when
+
+    * a span id repeats (two spans claim the same identity — a recorder
+      bug or a spliced trace), or
+    * a ``parent_id`` resolves to no span present in the trace (an orphan
+      edge: the parent was dropped or the trace truncated).
+
+    :func:`causal_edges` labels spans by name; the trace validator labels
+    them by their index in ``traceEvents``.
     """
     edges: dict[int, int | None] = {}
-    for s in spans:
-        if not s.span_id:
-            continue
-        if s.span_id in edges:
-            raise TraceError(f"duplicate span id {s.span_id} ({s.name!r})")
-        edges[s.span_id] = s.parent_id
-    orphans = sorted(
-        sid for sid, parent in edges.items()
-        if parent is not None and parent not in edges
-    )
-    if orphans:
-        raise TraceError(
-            f"{len(orphans)} span(s) reference parents absent from the "
-            f"trace: ids {orphans[:5]}"
-        )
+    children = []
+    for label, sid, parent in nodes:
+        if sid in edges:
+            raise TraceError(f"{label}: duplicate span id {sid}")
+        edges[sid] = parent
+        if parent is not None:
+            children.append((label, sid, parent))
+    for label, sid, parent in children:
+        if parent not in edges:
+            raise TraceError(
+                f"{label}: orphan causal edge, parent span {parent!r} of span "
+                f"{sid} is absent from the trace"
+            )
     return edges
 
 
 def match_spans_to_ops(spans, ops) -> list[Span | None]:
     """One measured kernel span per op (schedule order), ``None`` if unmeasured.
 
-    When any kernel span carries an op index the join is by identity:
-    ``Span.args["op"]`` must be a valid index whose op kind matches the span
-    name (anything else raises :class:`TraceError`); if an op was measured
-    twice — possible when the fault layer re-dispatches in-flight work — the
-    first report wins.  Traces without op tags (DES exports, pre-existing
-    files) are matched per kind in recording order, which equals schedule
-    order only for serial execution; mixed traces use the tagged spans only.
+    The join is by identity: ``Span.args["op"]`` must be a valid index whose
+    op kind matches the span name (anything else raises
+    :class:`TraceError`); if an op was measured twice — possible when the
+    fault layer re-dispatches in-flight work — the first report wins.
+    Kernel spans without an op tag match nothing.
     """
-    kspans = _kernel_spans(spans)
     n = len(ops)
     out: list[Span | None] = [None] * n
-    tagged = [s for s in kspans if "op" in s.args]
-    if tagged:
-        for s in tagged:
-            i = s.args["op"]
-            if not isinstance(i, int) or not 0 <= i < n:
-                raise TraceError(f"span {s.name!r} tagged with invalid op index {i!r}")
-            if ops[i].kind != s.name:
-                raise TraceError(
-                    f"span {s.name!r} tagged as op {i}, but op {i} is {ops[i].kind}"
-                )
-            if out[i] is None:
-                out[i] = s
-        return out
-    by_kind: dict[str, list[Span]] = {}
-    for s in kspans:
-        by_kind.setdefault(s.name, []).append(s)
-    cursor = {k: 0 for k in by_kind}
-    for i, op in enumerate(ops):
-        queue = by_kind.get(op.kind)
-        if queue is None:
+    for s in _kernel_spans(spans):
+        if "op" not in s.args:
             continue
-        j = cursor[op.kind]
-        if j < len(queue):
-            out[i] = queue[j]
-            cursor[op.kind] = j + 1
+        i = s.args["op"]
+        if not isinstance(i, int) or not 0 <= i < n:
+            raise TraceError(f"span {s.name!r} tagged with invalid op index {i!r}")
+        if ops[i].kind != s.name:
+            raise TraceError(
+                f"span {s.name!r} tagged as op {i}, but op {i} is {ops[i].kind}"
+            )
+        if out[i] is None:
+            out[i] = s
     return out
 
 
@@ -566,7 +558,8 @@ def analyze_factorization(
     machine: MachineModel | None = None,
     threshold: float = 0.5,
 ) -> PerfAnalysis:
-    """Analyse a :class:`~repro.qr.api.QRFactorization` recorded with ``trace=``.
+    """Analyse a :class:`~repro.qr.api.QRFactorization` recorded with
+    ``trace=``, ``metrics=`` or ``events=``.
 
     Joins the run's spans onto its operation list, extracts the realized
     critical path, attributes each lane's wall time, and compares measured
@@ -583,7 +576,8 @@ def analyze_factorization(
     """
     if f.recorder is None:
         raise TraceError(
-            "factorization was not recorded; pass trace= (or metrics=) to qr_factor"
+            "factorization was not recorded; pass trace=, metrics= or events= "
+            "to qr_factor"
         )
     if machine is None:
         from ..machine.model import kraken

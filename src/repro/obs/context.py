@@ -50,7 +50,6 @@ __all__ = [
     "current_run_id",
     "use_run",
     "activate",
-    "deactivate",
 ]
 
 # Disambiguates runs minted within the same second by the same process.
@@ -96,7 +95,7 @@ def current_run_id() -> str | None:
 
 
 def activate(run_id: str, parent_run_id: str | None = None) -> RunContext:
-    """Bind a run context to the calling thread until :func:`deactivate`.
+    """Bind a run context to the calling thread for the rest of its life.
 
     The non-contextmanager spelling for worker threads/processes that
     receive the propagated id at their entry point and never leave it.
@@ -104,11 +103,6 @@ def activate(run_id: str, parent_run_id: str | None = None) -> RunContext:
     ctx = RunContext(run_id, parent_run_id)
     _STATE.ctx = ctx
     return ctx
-
-
-def deactivate() -> None:
-    """Clear the calling thread's run context (missing context is fine)."""
-    _STATE.ctx = None
 
 
 @contextmanager

@@ -20,9 +20,12 @@ same fail-fast contract the counter vocabulary has.
 The log lives on the :class:`~repro.obs.record.Recorder` and shares its
 no-op fast path: with no recorder installed, instrumented sites never
 construct an event.  In memory the log is a bounded ring (oldest events
-drop first; per-type totals survive the ring); ``qr_factor(events=path)``
-additionally streams every event to a JSON-lines file, one flushed line
-per event so a killed run keeps everything emitted before the kill.
+drop first); ``qr_factor(events=path)`` additionally streams every event
+to a JSON-lines file, one flushed line per event so a killed run keeps
+everything emitted before the kill.  How many of each a run had is the
+recorder's counters' job, not the log's: every counted event type has a
+counter, and an event that stands for several occurrences says how many
+in its data (a worker's SDC delta as ``n``, a re-dispatch as ``n_ops``).
 
 Doctest::
 
@@ -32,8 +35,6 @@ Doctest::
     ...     _ = log.emit(Event(0.1 * n, "ckpt.write", "r-1", data={"ops_done": n}))
     >>> [e.data["ops_done"] for e in log.tail(5)]  # ring kept the newest 2
     [1, 2]
-    >>> log.totals()["ckpt.write"]  # ...but totals saw all 3
-    3
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import json
 import os
 import threading
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..util.errors import TraceError
@@ -131,45 +133,42 @@ class Event:
         return out
 
 
-def _check(event: Event) -> None:
-    allowed = EVENT_TYPES.get(event.type)
+def _check(etype: str | None, fields: Iterable[str]) -> None:
+    """Reject an event type outside :data:`EVENT_TYPES` or a data field its
+    schema does not declare (the emitter and the validator both ask here)."""
+    allowed = EVENT_TYPES.get(etype)
     if allowed is None:
         raise TraceError(
-            f"unknown event type {event.type!r}; the vocabulary is "
+            f"unknown event type {etype!r}; the vocabulary is "
             f"{sorted(EVENT_TYPES)}"
         )
-    extra = set(event.data) - allowed
+    extra = set(fields) - allowed
     if extra:
         raise TraceError(
-            f"event {event.type!r} carries undeclared fields {sorted(extra)}; "
+            f"event {etype!r} carries undeclared fields {sorted(extra)}; "
             f"the schema allows {sorted(allowed)}"
         )
 
 
 class EventLog:
-    """Thread-safe bounded ring of events with per-type totals and a sink.
+    """Thread-safe bounded ring of events with an optional JSON-lines sink.
 
     The ring bounds memory for long runs (a stalled reliable-transport
-    loop can retransmit thousands of times); :meth:`totals` is maintained
-    separately so registry records stay exact even after the ring wraps.
+    loop can retransmit thousands of times); the sink keeps every event.
     """
 
     def __init__(self, capacity: int = 4096):
         if capacity <= 0:
             raise ValueError(f"event ring capacity must be positive, got {capacity}")
         self._ring: deque[Event] = deque(maxlen=capacity)
-        self._totals: dict[str, int] = {}
         self._lock = threading.Lock()
         self._sink = None
-        self.n_emitted = 0
 
     def emit(self, event: Event) -> Event:
         """Validate ``event`` against the schema, ring it, stream it."""
-        _check(event)
+        _check(event.type, event.data)
         with self._lock:
             self._ring.append(event)
-            self._totals[event.type] = self._totals.get(event.type, 0) + 1
-            self.n_emitted += 1
             sink = self._sink
             if sink is not None and not sink.closed:
                 sink.write(json.dumps(event.to_json(), sort_keys=True) + "\n")
@@ -185,11 +184,6 @@ class EventLog:
         """Everything still in the ring, oldest first."""
         with self._lock:
             return list(self._ring)
-
-    def totals(self) -> dict[str, int]:
-        """Per-type emission counts over the whole run (ring-overflow safe)."""
-        with self._lock:
-            return dict(self._totals)
 
     # -- JSONL sink ----------------------------------------------------------
 

@@ -21,6 +21,7 @@ Doctest::
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -211,10 +212,15 @@ def counter_summary(counters: Counters | Mapping[str, float]) -> str:
 
 
 def spans_to_csv(spans: Iterable[Span]) -> str:
-    """Spans as CSV (``worker,start,end,cat,name,args``)."""
+    """Spans as CSV (``worker,start,end,cat,name,args``).
+
+    Fields are quoted where they need it, so an argument such as a VDP
+    tuple or a fallback reason with a comma keeps its row at six fields.
+    """
     buf = io.StringIO()
-    buf.write("worker,start,end,cat,name,args\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(("worker", "start", "end", "cat", "name", "args"))
     for s in spans:
         args = ";".join(f"{k}={v}" for k, v in sorted(s.args.items()))
-        buf.write(f"{s.worker},{s.start:.9f},{s.end:.9f},{s.cat},{s.name},{args}\n")
+        out.writerow((s.worker, f"{s.start:.9f}", f"{s.end:.9f}", s.cat, s.name, args))
     return buf.getvalue()

@@ -12,7 +12,8 @@ per new sample — like ``tail -f`` but rendered::
     python -m repro.obs.monitor metrics.jsonl --follow
 
 ``--follow`` polls until interrupted (Ctrl-C) or, with ``--timeout S``,
-until the file has not grown for ``S`` seconds (useful in scripts).
+until the file has not grown for ``S`` seconds (useful in scripts).  When
+a later run rewrites the file, following starts again from its first line.
 
 Dashboard mode renders a live health view — run identity, the newest
 gauge/rate values (worker liveness, queue depths, wavefront progress),
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -80,6 +82,10 @@ def _follow(path: Path, timeout: float | None, poll: float = 0.1) -> int:
     while True:
         try:
             with open(path, encoding="utf-8") as f:
+                if os.fstat(f.fileno()).st_size < pos:
+                    # A new run rewrote the file (the sampler opens it "w"):
+                    # start over rather than resume mid-line.
+                    pos, buffer = 0, ""
                 f.seek(pos)
                 chunk = f.read()
                 pos = f.tell()

@@ -1,7 +1,7 @@
 """Span/counter recording core of the observability layer.
 
-One process-global :class:`Recorder` (installed with :func:`recording` or
-:func:`install`) collects two kinds of evidence while any backend executes:
+One process-global :class:`Recorder` (installed with :func:`recording`)
+collects two kinds of evidence while any backend executes:
 
 * :class:`Span` records — named, categorised ``[start, end)`` intervals on a
   *lane* (a worker thread, a worker process, a proxy, the dispatcher...);
@@ -17,16 +17,11 @@ it is ``None``.  With no recorder installed the per-call cost is one global
 load and one comparison — unmeasurable next to a NumPy kernel — which is
 how ``qr_factor`` keeps its throughput when tracing is off.
 
-Clocks: a real-time recorder stamps spans with ``time.perf_counter()``
-relative to its installation instant (``Recorder.now``).  Virtual-time
-spans (from the discrete-event simulator) are constructed by the adapter
-in :mod:`repro.obs.adapters` with simulated seconds and ingested through
-:meth:`Recorder.ingest_spans`; the recorder's ``clock`` label travels into
-the export so tools can tell them apart.  The two domains may never meet:
-every recording entry point checks that the span's clock matches the
-recorder's and raises :class:`~repro.util.errors.TraceError` otherwise, so
-a simulated span can never silently interleave with wall-clock spans on
-one lane.
+Clock: a recorder stamps spans with ``time.perf_counter()`` relative to its
+creation instant (``Recorder.now``), so it only ever holds real-time spans.
+Simulated runs never pass through one: :meth:`repro.dessim.engine.SimResult.spans`
+converts a DES trace to spans in virtual seconds, which export directly
+(``write_chrome_trace(path, res.spans(), clock="virtual")``).
 
 Causality: every recorder-built span carries a ``span_id`` unique within
 the run, allocated when the span *opens* (so children observe it), and a
@@ -57,7 +52,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -70,8 +65,6 @@ __all__ = [
     "Counters",
     "Recorder",
     "get_recorder",
-    "install",
-    "uninstall",
     "recording",
     "set_worker_lane",
     "current_lane",
@@ -170,16 +163,16 @@ class Span:
         ``"binary"``; runtime events use ``"runtime"``, ``"proxy"``,
         ``"dispatch"``.
     start, end:
-        Seconds since the recorder's origin (real time) or simulated
-        seconds (virtual time); ``end >= start``.
+        Seconds since the recorder's origin, or simulated seconds for
+        spans converted from a DES trace; ``end >= start``.
     worker:
         Lane id — worker thread / process rank / proxy lane.
     args:
         Free-form details (op description, VDP tuple, batch size...).
     span_id:
         Identity unique within the run, allocated by the recorder when
-        the span opens; ``0`` means "no identity" (adapter-built virtual
-        spans from the simulator keep the default).
+        the span opens; ``0`` means "no identity" (spans converted from
+        a DES trace keep the default).
     parent_id:
         ``span_id`` of the span that caused this one (the enclosing
         :meth:`Recorder.span` block, or an explicitly supplied parent for
@@ -237,9 +230,6 @@ class Recorder:
 
     Parameters
     ----------
-    clock:
-        ``"real"`` (spans stamped with :meth:`now`) or ``"virtual"``
-        (spans carry simulated seconds supplied by an adapter).
     run_id:
         Identity of the run this recorder records (minted fresh when not
         supplied; ``qr_factor`` passes the run id it minted so recorder,
@@ -260,10 +250,7 @@ class Recorder:
         exported as Chrome-trace thread names.
     """
 
-    def __init__(self, clock: str = "real", run_id: str | None = None):
-        if clock not in ("real", "virtual"):
-            raise ValueError(f"clock must be 'real' or 'virtual', got {clock!r}")
-        self.clock = clock
+    def __init__(self, run_id: str | None = None):
         self.run_id = run_id or mint_run_id()
         self.spans: list[Span] = []
         self.counters = Counters()
@@ -279,7 +266,7 @@ class Recorder:
     # -- clock ---------------------------------------------------------------
 
     def now(self) -> float:
-        """Seconds since this recorder was created (real-time clock)."""
+        """Seconds since this recorder was created."""
         return time.perf_counter() - self._t0
 
     def from_monotonic(self, t: float) -> float:
@@ -305,14 +292,6 @@ class Recorder:
             raise TraceError(f"span lane must be a non-negative integer, got {worker!r}")
         return lane
 
-    def _check_clock(self, expected: str, what: str) -> None:
-        if self.clock != expected:
-            raise TraceError(
-                f"{what} carries {expected}-clock timestamps but this recorder "
-                f"records {self.clock} time; mixing clock domains on one lane "
-                "would interleave incomparable spans"
-            )
-
     # -- recording -----------------------------------------------------------
 
     def new_span_id(self) -> int:
@@ -331,7 +310,7 @@ class Recorder:
         span_id: int | None = None,
         parent: int | None = None,
     ) -> Span:
-        """Append one completed real-time span (times in recorder seconds).
+        """Append one completed span (times in recorder seconds).
 
         ``span_id`` is allocated here unless the caller already holds one
         (a :meth:`span` block allocated at open).  ``parent`` defaults to
@@ -339,7 +318,6 @@ class Recorder:
         causing span's id explicitly when recording work that happened on
         another thread or process.
         """
-        self._check_clock("real", f"add_span({name!r})")
         if end < start:
             raise TraceError(f"span {name!r} ends before it starts ({end} < {start})")
         if parent is None:
@@ -353,23 +331,6 @@ class Recorder:
         with self._lock:
             self.spans.append(s)
         return s
-
-    def ingest_spans(self, spans: Iterable[Span], clock: str = "virtual") -> None:
-        """Bulk-append adapter-built spans stamped in ``clock`` time.
-
-        The entry point for the DES adapter: the spans carry simulated
-        seconds, so the recorder must be a virtual-clock one — feeding them
-        to a real-time recorder (or vice versa) raises ``TraceError``.
-        """
-        self._check_clock(clock, f"ingest_spans(clock={clock!r})")
-        checked = []
-        for s in spans:
-            if s.end < s.start:
-                raise TraceError(f"span {s.name!r} ends before it starts ({s.end} < {s.start})")
-            self._check_lane(s.worker)
-            checked.append(s)
-        with self._lock:
-            self.spans.extend(checked)
 
     def count(self, key: str, value: float = 1.0) -> None:
         with self._lock:
@@ -399,7 +360,6 @@ class Recorder:
         passes the causing span explicitly when it records worker-reported
         kernels from the parent process.
         """
-        self._check_clock("real", f"record_kernel({kind!r})")
         lane = self._check_lane(worker)
         args = {} if op is None else {"op": op}
         if parent is None:
@@ -436,13 +396,12 @@ class Recorder:
 
     @contextmanager
     def span(self, name: str, cat: str = "default", worker: int | None = None, **args):
-        """Context manager recording a real-time span around its body.
+        """Context manager recording a span around its body.
 
         The span's id is allocated on entry and pushed on a thread-local
         stack, so everything recorded inside the block on this thread
         (nested blocks, kernel-shim spans, events) parents to it.
         """
-        self._check_clock("real", f"span({name!r})")
         lane = current_lane() if worker is None else worker
         span_id = self.new_span_id()
         parent = current_span_id()
@@ -534,24 +493,8 @@ def get_recorder() -> Recorder | None:
     return _RECORDER
 
 
-def install(recorder: Recorder | None = None) -> Recorder:
-    """Install ``recorder`` (or a fresh real-time one) process-globally."""
-    global _RECORDER
-    if recorder is None:
-        recorder = Recorder()
-    _RECORDER = recorder
-    return recorder
-
-
-def uninstall() -> Recorder | None:
-    """Remove the global recorder; returns the one that was installed."""
-    global _RECORDER
-    rec, _RECORDER = _RECORDER, None
-    return rec
-
-
 @contextmanager
-def recording(clock: str = "real", run_id: str | None = None):
+def recording(run_id: str | None = None):
     """Install a fresh :class:`Recorder` for the duration of the block.
 
     Restores whatever recorder (usually none) was installed before, so
@@ -559,7 +502,7 @@ def recording(clock: str = "real", run_id: str | None = None):
     """
     global _RECORDER
     prev = _RECORDER
-    rec = Recorder(clock=clock, run_id=run_id)
+    rec = Recorder(run_id=run_id)
     _RECORDER = rec
     try:
         yield rec

@@ -3,10 +3,13 @@
 Spans and events answer "what happened inside run X"; the registry
 answers "how does run X compare to every run before it".  Each completed
 ``qr_factor`` call with ``registry=`` appends **one JSON line** — run
-identity, geometry, backend, wall time, counter totals, event totals —
-to a registry file.  Append-only and line-oriented on purpose: concurrent
-runs append without coordination, a killed run costs at most its own
-line, and the file greps like a log.
+identity, geometry, backend, wall time, counter totals — to a registry
+file.  The counters are the run's one tally: every counted event type
+has a counter, so the record keeps no second per-event total (lines
+written with an ``events`` section still load; it is ignored).
+Append-only and line-oriented on purpose: concurrent runs append without
+coordination, a killed run costs at most its own line, and the file
+greps like a log.
 
 Inspect from the shell::
 
@@ -18,8 +21,8 @@ Inspect from the shell::
 against the trailing window of *comparable* runs (same backend, same
 geometry): a wall time far above the trailing minimum, fault/SDC/retry
 activity where the history had none, or a serial fallback.  ``diff``
-prints every counter and event total that changed between two runs — the
-tool for "this run retried 14 times, the last one retried zero".
+prints every counter that changed between two runs — the tool for "this
+run retried 14 times, the last one retried zero".
 
 Doctest::
 
@@ -27,7 +30,7 @@ Doctest::
     >>> from repro.obs.registry import RunRegistry, diff_records
     >>> reg = RunRegistry(os.path.join(tempfile.mkdtemp(), "runs.jsonl"))
     >>> base = {"run": "a", "backend": "parallel", "wall_s": 1.0,
-    ...         "counters": {"ops.total": 9.0}, "events": {}}
+    ...         "counters": {"ops.total": 9.0}}
     >>> reg.append(base)
     >>> reg.append({**base, "run": "b", "wall_s": 1.5,
     ...             "counters": {"ops.total": 9.0, "worker.dead": 1.0}})
@@ -76,7 +79,6 @@ def build_record(
     geometry: dict,
     wall_s: float,
     counters: dict,
-    events: dict | None = None,
     parent_run_id: str | None = None,
     status: str = "ok",
 ) -> dict:
@@ -90,7 +92,6 @@ def build_record(
         "status": status,
         "wall_s": round(float(wall_s), 6),
         "counters": {k: round(float(v), 6) for k, v in sorted(counters.items())},
-        "events": dict(events or {}),
     }
 
 
@@ -150,26 +151,23 @@ def diff_records(a: dict, b: dict) -> dict:
     """What changed between two records.
 
     Returns ``{"runs": (id_a, id_b), "wall_s": (a, b), "counters": {key:
-    (a, b)}, "events": {type: (a, b)}, "comparable": bool}`` where the
-    counter/event maps contain only keys whose values differ.  Counter
-    deltas are exactly how injected faults surface: a crash-plan run
-    differs from a clean one on ``fault.crash`` / ``worker.dead`` /
-    ``worker.restart`` / ``retry.redispatch``.
+    (a, b)}, "comparable": bool}`` where the counter map contains only
+    keys whose values differ.  Counter deltas are exactly how injected
+    faults surface: a crash-plan run differs from a clean one on
+    ``fault.crash`` / ``worker.dead`` / ``worker.restart`` /
+    ``retry.redispatch``.
     """
-    def changed(ka: dict, kb: dict) -> dict:
-        out = {}
-        for key in sorted(set(ka) | set(kb)):
-            va, vb = ka.get(key, 0.0), kb.get(key, 0.0)
-            if va != vb:
-                out[key] = (va, vb)
-        return out
-
+    ka, kb = a.get("counters", {}), b.get("counters", {})
+    counters = {}
+    for key in sorted(set(ka) | set(kb)):
+        va, vb = ka.get(key, 0.0), kb.get(key, 0.0)
+        if va != vb:
+            counters[key] = (va, vb)
     return {
         "runs": (a.get("run"), b.get("run")),
         "comparable": _comparable(a, b),
         "wall_s": (a.get("wall_s"), b.get("wall_s")),
-        "counters": changed(a.get("counters", {}), b.get("counters", {})),
-        "events": changed(a.get("events", {}), b.get("events", {})),
+        "counters": counters,
     }
 
 
@@ -248,16 +246,14 @@ def _cmd_diff(reg: RunRegistry, run_a: str, run_b: str) -> int:
     wa, wb = d["wall_s"]
     if wa is not None and wb is not None:
         print(f"wall_s: {wa:.4f} -> {wb:.4f} ({wb - wa:+.4f})")
-    for label, group in (("counter", d["counters"]), ("event", d["events"])):
-        if not group:
-            continue
-        rows = [
-            [key, f"{va:g}", f"{vb:g}", f"{vb - va:+g}"]
-            for key, (va, vb) in group.items()
-        ]
-        print(format_table([label, a, b, "delta"], rows))
-    if not d["counters"] and not d["events"]:
-        print("no counter or event differences")
+    if not d["counters"]:
+        print("no counter differences")
+        return 0
+    rows = [
+        [key, f"{va:g}", f"{vb:g}", f"{vb - va:+g}"]
+        for key, (va, vb) in d["counters"].items()
+    ]
+    print(format_table(["counter", a, b, "delta"], rows))
     return 0
 
 
@@ -272,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     p_show = sub.add_parser("show", help="full record of one run")
     p_show.add_argument("path", type=Path)
     p_show.add_argument("run", help="run id (unique prefix accepted)")
-    p_diff = sub.add_parser("diff", help="counter/event deltas between two runs")
+    p_diff = sub.add_parser("diff", help="counter deltas between two runs")
     p_diff.add_argument("path", type=Path)
     p_diff.add_argument("run_a")
     p_diff.add_argument("run_b")

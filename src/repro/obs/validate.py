@@ -1,19 +1,21 @@
 """Structural validation of Chrome-trace JSON documents and run telemetry.
 
 A cheap, dependency-free schema check used by the tests and the CI trace
-smoke job: it does not replace loading a file in Perfetto, but it catches
-every malformation we have a name for — missing keys, negative durations,
-timestamps running backwards within a lane, unmatched ``"B"``/``"E"``
-begin/end pairs, and counters emitted under names outside the canonical
-``K_*`` vocabulary (typo'd counter keys otherwise vanish into dashboards
-silently; register project-specific families with
-:func:`register_counter_prefix`).
+smoke job: it does not replace loading a file in Perfetto, but it checks
+what the exporter (:mod:`repro.obs.export`) writes — ``"X"`` complete
+events and ``"M"`` metadata, nothing else — and catches every malformation
+we have a name for: an unknown phase, missing keys, negative durations,
+timestamps running backwards within a lane, and counters emitted under
+names outside the canonical ``K_*`` vocabulary (typo'd counter keys
+otherwise vanish into dashboards silently).
 
 :func:`validate_run_telemetry` adds the **causal** checks for traces
 written by a live run (``qr_factor(trace=...)``): the document must name
 its ``run_id``, every span must carry a unique ``span`` id, every
 ``parent`` edge must resolve to a recorded span (zero orphans), and an
 optional events JSONL file must match the event schema and the same run.
+The edge and event-schema rules are the ones :func:`repro.obs.causal_edges`
+and the event log apply; this module only adds the indices.
 
 Run as a module to validate files from the shell::
 
@@ -24,11 +26,12 @@ Doctest::
 
     >>> from repro.obs import validate_chrome_trace
     >>> doc = {"traceEvents": [
-    ...     {"name": "a", "ph": "B", "ts": 0.0, "pid": 0, "tid": 0},
-    ...     {"name": "a", "ph": "E", "ts": 5.0, "pid": 0, "tid": 0},
+    ...     {"name": "thread_name", "ph": "M", "pid": 0, "tid": 0,
+    ...      "args": {"name": "worker 0"}},
+    ...     {"name": "GEQRT", "ph": "X", "ts": 0.0, "dur": 5.0, "pid": 0, "tid": 0},
     ... ]}
     >>> validate_chrome_trace(doc)["traceEvents"][1]["ph"]
-    'E'
+    'X'
 """
 
 from __future__ import annotations
@@ -39,30 +42,26 @@ import os
 import sys
 
 from ..util.errors import TraceError
+from .analysis import _check_edges
+from .events import _RESERVED, read_events
+from .events import _check as _check_event_schema
 
 __all__ = [
     "validate_chrome_trace",
     "validate_counters",
     "validate_run_telemetry",
     "canonical_counter_keys",
-    "register_counter_prefix",
     "main",
 ]
 
-#: Event phases the validator understands (the subset we emit or accept).
-_KNOWN_PH = {"X", "B", "E", "C", "M", "i", "I"}
-#: Phases that must carry a numeric timestamp.
-_TIMED_PH = {"X", "B", "E", "C", "i", "I"}
+#: Event phases the exporter writes: complete spans and lane metadata.
+_KNOWN_PH = {"X", "M"}
 
 # -- counter vocabulary ------------------------------------------------------
 
 #: Kernel kinds whose derived ``flops.<KIND>`` / ``ops.<KIND>`` keys are
 #: canonical (see :meth:`repro.obs.record.Recorder.record_kernel`).
 _KERNEL_KINDS = ("GEQRT", "ORMQR", "TSQRT", "TSMQR", "TTQRT", "TTMQR")
-
-#: Prefixes registered at runtime for project-specific counter families;
-#: keys starting with one of these always pass the vocabulary lint.
-_DYNAMIC_PREFIXES: set[str] = set()
 
 
 def canonical_counter_keys() -> frozenset[str]:
@@ -85,38 +84,20 @@ def canonical_counter_keys() -> frozenset[str]:
     return frozenset(keys)
 
 
-def register_counter_prefix(prefix: str) -> None:
-    """Whitelist every counter key starting with ``prefix``.
-
-    For experiment scripts and downstream users that report their own
-    counter families through the shared recorder; library code must use
-    the ``K_*`` constants instead.
-    """
-    if not prefix:
-        raise TraceError("counter prefix must be a non-empty string")
-    _DYNAMIC_PREFIXES.add(str(prefix))
-
-
 def validate_counters(counters: dict) -> dict:
     """Reject counter keys outside the canonical vocabulary.
 
     Returns ``counters`` unchanged when every key is either a ``K_*``
-    constant, a derived per-kernel key, or covered by a registered
-    dynamic prefix — otherwise raises :class:`TraceError` naming every
-    offender (this is how a typo'd key fails at test time instead of
-    silently splitting a metric in two).
+    constant or a derived per-kernel key — otherwise raises
+    :class:`TraceError` naming every offender (this is how a typo'd key
+    fails at test time instead of silently splitting a metric in two).
     """
     known = canonical_counter_keys()
-    unknown = [
-        key for key in counters
-        if key not in known
-        and not any(key.startswith(p) for p in _DYNAMIC_PREFIXES)
-    ]
+    unknown = [key for key in counters if key not in known]
     if unknown:
         raise TraceError(
             f"counters outside the canonical K_* vocabulary: {sorted(unknown)}; "
-            "add a K_* constant in repro.obs.record or register a prefix with "
-            "repro.obs.validate.register_counter_prefix"
+            "add a K_* constant in repro.obs.record"
         )
     return counters
 
@@ -129,13 +110,12 @@ def _check_event(i: int, ev: object) -> dict:
         raise TraceError(f"traceEvents[{i}] has unknown phase {ph!r}")
     if "name" not in ev:
         raise TraceError(f"traceEvents[{i}] ({ph!r}) has no name")
-    if ph in _TIMED_PH:
+    if ph == "X":
         ts = ev.get("ts")
         if not isinstance(ts, numbers.Real) or ts < 0:
             raise TraceError(
                 f"traceEvents[{i}] ({ev.get('name')!r}) has invalid ts {ts!r}"
             )
-    if ph == "X":
         dur = ev.get("dur")
         if not isinstance(dur, numbers.Real) or dur < 0:
             raise TraceError(
@@ -152,12 +132,12 @@ def validate_chrome_trace(doc: dict | str | os.PathLike) -> dict:
     Checks
     ------
     * the top level is an object with a ``traceEvents`` list;
-    * every event is an object with a known ``ph``, a ``name``, and (for
-      timed phases) a non-negative numeric ``ts`` (``dur`` for ``"X"``);
-    * within each ``(pid, tid)`` lane, timestamps are monotone
+    * every event is an object with a ``name`` and phase ``"X"`` or
+      ``"M"``, and every ``"X"`` has a non-negative numeric ``ts`` and
+      ``dur``;
+    * within each ``(pid, tid)`` lane, span timestamps are monotone
       non-decreasing in file order;
-    * ``"B"``/``"E"`` pairs match per lane with LIFO nesting and matching
-      names, and no ``"B"`` is left open at the end.
+    * ``otherData.counters``, when present, passes :func:`validate_counters`.
 
     Raises
     ------
@@ -178,11 +158,8 @@ def validate_chrome_trace(doc: dict | str | os.PathLike) -> dict:
         raise TraceError("trace document has no 'traceEvents' list")
 
     last_ts: dict[tuple, float] = {}
-    open_spans: dict[tuple, list[tuple[int, str]]] = {}
     for i, ev in enumerate(events):
-        ev = _check_event(i, ev)
-        ph = ev["ph"]
-        if ph not in _TIMED_PH:
+        if _check_event(i, ev)["ph"] != "X":
             continue
         lane = (ev.get("pid", 0), ev.get("tid", 0))
         ts = float(ev["ts"])
@@ -192,28 +169,6 @@ def validate_chrome_trace(doc: dict | str | os.PathLike) -> dict:
                 f"(previous {last_ts[lane]})"
             )
         last_ts[lane] = ts
-        if ph == "B":
-            open_spans.setdefault(lane, []).append((i, ev["name"]))
-        elif ph == "E":
-            stack = open_spans.get(lane)
-            if not stack:
-                raise TraceError(
-                    f"traceEvents[{i}]: 'E' ({ev['name']!r}) with no open 'B' "
-                    f"on lane {lane}"
-                )
-            bi, bname = stack.pop()
-            if bname != ev["name"]:
-                raise TraceError(
-                    f"traceEvents[{i}]: 'E' ({ev['name']!r}) does not match "
-                    f"open 'B' ({bname!r}, traceEvents[{bi}]) on lane {lane}"
-                )
-    dangling = {lane: stack for lane, stack in open_spans.items() if stack}
-    if dangling:
-        lane, stack = next(iter(dangling.items()))
-        bi, bname = stack[-1]
-        raise TraceError(
-            f"unclosed 'B' event {bname!r} (traceEvents[{bi}]) on lane {lane}"
-        )
     other = doc.get("otherData")
     if isinstance(other, dict) and isinstance(other.get("counters"), dict):
         validate_counters(other["counters"])
@@ -242,8 +197,7 @@ def validate_run_telemetry(
     run_id = doc.get("otherData", {}).get("run_id")
     if not run_id:
         raise TraceError("run telemetry must carry otherData.run_id")
-    span_ids: set[int] = set()
-    parents: list[tuple[int, int]] = []
+    nodes = []
     for i, ev in enumerate(doc["traceEvents"]):
         if ev.get("ph") != "X":
             continue
@@ -254,35 +208,17 @@ def validate_run_telemetry(
                 f"traceEvents[{i}] ({ev.get('name')!r}) has no span id; every "
                 "live-run span must carry args.span"
             )
-        if sid in span_ids:
-            raise TraceError(f"traceEvents[{i}]: duplicate span id {sid}")
-        span_ids.add(sid)
-        if "parent" in args:
-            parents.append((i, args["parent"]))
-    for i, pid in parents:
-        if pid not in span_ids:
-            raise TraceError(
-                f"traceEvents[{i}]: orphan causal edge — parent span {pid!r} "
-                "was never recorded"
-            )
+        nodes.append((f"traceEvents[{i}]", sid, args.get("parent")))
+    span_ids = _check_edges(nodes)
     if events is not None:
         if isinstance(events, (str, os.PathLike)):
-            from .events import read_events
-
             events = read_events(events)
-        from .events import EVENT_TYPES, _RESERVED
-
         for i, ev in enumerate(events):
             etype = ev.get("type")
-            allowed = EVENT_TYPES.get(etype)
-            if allowed is None:
-                raise TraceError(f"events[{i}] has unknown type {etype!r}")
-            extra = set(ev) - _RESERVED - allowed
-            if extra:
-                raise TraceError(
-                    f"events[{i}] ({etype!r}) carries undeclared fields "
-                    f"{sorted(extra)}"
-                )
+            try:
+                _check_event_schema(etype, set(ev) - _RESERVED)
+            except TraceError as exc:
+                raise TraceError(f"events[{i}]: {exc}") from None
             if ev.get("run") != run_id:
                 raise TraceError(
                     f"events[{i}] ({etype!r}) belongs to run {ev.get('run')!r}, "

@@ -396,7 +396,7 @@ def qr_factor(
     registry:
         Path (or :class:`repro.obs.registry.RunRegistry`) of an
         append-only run registry: after the run one summary line — run
-        id, geometry, backend, wall time, counter and event totals — is
+        id, geometry, backend, wall time, counter totals — is
         appended for cross-run ``list``/``show``/``diff`` with
         ``python -m repro.obs.registry``.  Works with or without tracing.
     fault_plan:
@@ -677,7 +677,7 @@ def _run(
         from ..obs.export import write_chrome_trace
 
         write_chrome_trace(
-            trace, recorder.spans, counters=f.counters, clock=recorder.clock,
+            trace, recorder.spans, counters=f.counters,
             lane_names=recorder.lane_names, run_id=run_id,
         )
     if registry is not None:
@@ -687,7 +687,6 @@ def _run(
         reg.append(build_record(
             run_id=run_id, parent_run_id=parent_run_id, backend=backend,
             geometry=geometry, wall_s=wall_s, counters=f.counters, status=status,
-            events=recorder.events.totals() if recorder is not None else None,
         ))
     return f
 

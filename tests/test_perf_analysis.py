@@ -4,8 +4,8 @@ and metrics sampling.
 The synthetic-DAG tests pin the analyses to hand-computable answers; the
 end-to-end tests check the invariants the docs promise (path + waits =
 wall window, busy + overhead + idle = wall per lane, gap join complete);
-the hygiene tests pin the clock/lane validation that keeps virtual-time
-and real-time spans from silently interleaving.
+the hygiene tests pin the lane validation that keeps phantom lanes out of
+traces and attribution tables.
 """
 
 from __future__ import annotations
@@ -76,10 +76,13 @@ class TestMatchSpansToOps:
         with pytest.raises(TraceError, match="op 0 is GEQRT"):
             match_spans_to_ops([Span("TSQRT", "panel", 0, 1, 0, {"op": 0})], _OPS)
 
-    def test_untagged_fallback_matches_in_schedule_order(self):
+    def test_untagged_spans_match_nothing(self):
+        # Every backend tags its kernel spans; an untagged one is not guessed
+        # onto an op by kind and recording order.
         spans = [Span(op.kind, "panel", i, i + 1, 0, {}) for i, op in enumerate(_OPS)]
-        matched = match_spans_to_ops(spans, _OPS)
-        assert [s.start for s in matched] == [0, 1, 2, 3]
+        assert match_spans_to_ops(spans, _OPS) == [None] * len(_OPS)
+        matched = match_spans_to_ops(spans + [_span(2, 9, 10)], _OPS)
+        assert [s and s.start for s in matched] == [None, None, 9, None]
 
 
 class TestRealizedCriticalPath:
@@ -192,11 +195,6 @@ class TestGapReport:
 
 
 class TestClockAndLaneHygiene:
-    def test_kernel_recording_needs_a_real_clock(self):
-        rec = Recorder(clock="virtual")
-        with pytest.raises(TraceError, match="virtual"):
-            rec.record_kernel("GEQRT", "panel", 1.0, 0.0, 1.0, 0)
-
     def test_lane_ids_must_be_nonnegative_integers(self):
         rec = Recorder()
         with pytest.raises(TraceError):
@@ -205,16 +203,6 @@ class TestClockAndLaneHygiene:
             rec.record_kernel("GEQRT", "panel", 1.0, 0.0, 1.0, -1)
         with pytest.raises(TraceError):
             rec.name_lane(-3, "bogus")
-
-    def test_virtual_spans_cannot_enter_a_real_recorder(self):
-        rec = Recorder()
-        with pytest.raises(TraceError, match="clock"):
-            rec.ingest_spans([Span("task", "sim", 0.0, 1.0, 0, {})])
-
-    def test_virtual_recorder_accepts_ingested_des_spans(self):
-        rec = Recorder(clock="virtual")
-        rec.ingest_spans([Span("task", "sim", 0.0, 1.0, 0, {})])
-        assert len(rec.spans) == 1
 
 
 class TestSamplerAndMonitor:

@@ -238,7 +238,7 @@ class TestOneArchiveFormat:
         with recording() as rec:
             save_factorization(tmp_path / "f.npz", f)
         assert not [k for k in rec.counters if k.startswith("ckpt.")]
-        assert not [k for k in rec.events.totals() if k.startswith("ckpt.")]
+        assert not [e for e in rec.events.snapshot() if e.type.startswith("ckpt.")]
 
     def test_saved_archive_is_compressed_and_checkpoints_are_not(
         self, tmp_path, small_matrix

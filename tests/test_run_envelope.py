@@ -309,6 +309,21 @@ def test_retired_options_stay_retired():
     # accuracy report are gone with no alias.
     for module in ("repro.dessim.vsasim", "repro.qr.costs", "repro.qr.verify"):
         assert importlib.util.find_spec(module) is None, module
+    # A recorder holds real-time spans only, counters are the one tally, and
+    # the hooks nothing called are gone, none of them under another name.
+    from repro import obs
+    from repro.obs import EventLog, Recorder, adapters, context, record, recording, validate
+
+    assert [p for f, p in ((Recorder.__init__, "clock"), (recording, "clock"))
+            if p in inspect.signature(f).parameters] == []
+    gone = [
+        (Recorder, "ingest_spans"), (Recorder, "clock"), (EventLog, "totals"),
+        (obs, "recorder_from_sim_result"), (adapters, "recorder_from_sim_result"),
+        (obs, "register_counter_prefix"), (validate, "register_counter_prefix"),
+        (obs, "install"), (obs, "uninstall"), (record, "install"), (record, "uninstall"),
+        (context, "deactivate"),
+    ]
+    assert [name for owner, name in gone if hasattr(owner, name)] == []
 
 
 # -- (5) frozen signatures -----------------------------------------------------------

@@ -30,13 +30,13 @@ from repro.obs import (
     RunRegistry,
     anomaly_flags,
     build_record,
+    canonical_counter_keys,
     causal_edges,
     current_run_id,
     diff_records,
     mint_run_id,
     read_events,
     recording,
-    register_counter_prefix,
     use_run,
     validate_chrome_trace,
     validate_counters,
@@ -167,7 +167,8 @@ def test_registry_diff_surfaces_injected_faults(faulty_parallel):
                 "retry.redispatch", "sdc.injected", "sdc.recovered"):
         va, vb = d["counters"][key]
         assert va == 0 and vb >= 1
-    assert d["events"]["worker.respawn"] == (0, 1)
+    # The counters are the record's one tally: no second, per-event one.
+    assert "events" not in recs[1] and "events" not in d
 
 
 def test_registry_anomaly_flags_fire_on_fault_families(faulty_parallel):
@@ -258,13 +259,12 @@ def test_event_schema_rejects_unknown_types_and_fields():
         log.emit(Event(0.0, "fault.crash", "r-1", data={"bogus": 1}))
 
 
-def test_event_ring_bounds_memory_but_totals_survive():
+def test_event_ring_bounds_memory():
     log = EventLog(capacity=4)
     for i in range(10):
         log.emit(Event(float(i), "ckpt.write", "r-1", data={"ops_done": i}))
     assert [e.data["ops_done"] for e in log.snapshot()] == [6, 7, 8, 9]
-    assert log.totals() == {"ckpt.write": 10}
-    assert log.n_emitted == 10
+    assert [e.data["ops_done"] for e in log.tail(2)] == [8, 9]
 
 
 def test_event_sink_writes_flat_jsonl(tmp_path):
@@ -309,16 +309,6 @@ def test_canonical_counters_pass_and_typos_fail():
     validate_counters({"ops.total": 1, "flops.GEQRT": 2, "worker.dead": 0})
     with pytest.raises(TraceError, match="wroker.dead"):
         validate_counters({"wroker.dead": 1})
-
-
-def test_registered_prefix_is_allowed():
-    with pytest.raises(TraceError):
-        validate_counters({"myexp.iterations": 3})
-    register_counter_prefix("myexp.")
-    try:
-        validate_counters({"myexp.iterations": 3})
-    finally:
-        obs_validate._DYNAMIC_PREFIXES.discard("myexp.")
 
 
 def test_chrome_trace_validation_lints_counters():
@@ -445,8 +435,56 @@ def test_pulsar_lossy_fabric_emits_retry_events(tmp_path):
         fault_plan=plan,
     )
     validate_run_telemetry(doc, events=events)
-    if f.stats.retransmits:  # drop pattern is seed-deterministic but keep robust
-        assert any(e["type"] == "retry.resend" for e in events)
+    assert f.stats.retransmits > 0
+    assert any(e["type"] == "retry.resend" for e in events)
+
+
+#: Event types whose counter goes by another name; every other event type
+#: with a counter shares its name.
+_COUNTER_OF = {
+    "pool.spawn": "pool.spawns",
+    "pool.lease": "pool.leases",
+    "worker.respawn": "worker.restart",
+    "ckpt.write": "ckpt.writes",
+}
+#: The data field an event carries when it stands for several occurrences
+#: (a worker's SDC delta, the ops re-dispatched after a death).  Every other
+#: event is one occurrence: ``retry.resend``'s ``n`` is the attempt number.
+_COUNT_FIELD = {
+    "sdc.injected": "n", "sdc.detected": "n", "sdc.recovered": "n",
+    "retry.redispatch": "n_ops",
+}
+
+
+def test_counters_and_the_event_log_agree(tmp_path):
+    """Each counter equals the occurrences its events stand for."""
+    runs = {
+        "faulty": dict(
+            a=np.random.default_rng(0).standard_normal((320, 64)), nb=16, ib=8,
+            tree="hier", h=2, backend="parallel", n_procs=2,
+            fault_plan=FaultPlan(crash_workers={1: 1}, flip_rate=0.3, seed=7),
+        ),
+        "lossy": dict(
+            a=np.random.default_rng(8).standard_normal((M, N)), nb=NB, ib=IB,
+            backend="pulsar", n_nodes=2, workers_per_node=1,
+            fault_plan=FaultPlan(drop_rate=0.3, seed=5),
+        ),
+    }
+    counted = {
+        etype: _COUNTER_OF.get(etype, etype) for etype in EVENT_TYPES
+        if _COUNTER_OF.get(etype, etype) in canonical_counter_keys()
+    }
+    assert set(_COUNTER_OF) <= set(counted)
+    for tag, kw in runs.items():
+        path = tmp_path / f"{tag}.jsonl"
+        f = qr_factor(kw.pop("a"), **kw, events=path)
+        tally = {etype: 0 for etype in counted}
+        for e in read_events(path):
+            if e["type"] in counted:
+                tally[e["type"]] += e.get(_COUNT_FIELD.get(e["type"]), 1)
+        assert any(tally.values()), tag
+        for etype, key in counted.items():
+            assert f.counters.get(key, 0) == tally[etype], (tag, etype)
 
 
 # -- watchdog ----------------------------------------------------------------
@@ -510,6 +548,37 @@ def test_monitor_follow_tails_until_timeout(metrics_run, capsys):
     assert obs_monitor.main([str(metrics), "--follow", "--timeout", "0.2"]) == 0
     out = capsys.readouterr().out
     assert out.count("t=") >= 1
+
+
+def test_monitor_follow_starts_over_when_a_run_rewrites_the_file(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "metrics.jsonl"
+
+    def write(mode, ts, **gauges):
+        with open(path, mode, encoding="utf-8") as f:
+            for t in ts:
+                f.write(json.dumps({"t": t, "gauges": gauges}) + "\n")
+
+    write("w", [0.0, 0.1, 0.2, 0.3, 0.4])
+    # Each poll's sleep moves the file on: a new run rewrites it (shorter,
+    # with longer lines), appends past the old offset, then the user quits.
+    steps = iter([
+        lambda: write("w", [0.0], **{"parallel.workers_alive": 2}),
+        lambda: write("a", [0.1, 0.2, 0.3, 0.4, 0.5], **{"parallel.workers_alive": 2}),
+    ])
+
+    def sleep(_):
+        step = next(steps, None)
+        if step is None:
+            raise KeyboardInterrupt
+        step()
+
+    monkeypatch.setattr(obs_monitor.time, "sleep", sleep)
+    assert obs_monitor.main([str(path), "--follow"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert lines[5].startswith("t=0.000s") and "parallel.workers_alive=2" in lines[5]
 
 
 def test_monitor_dashboard_cli(metrics_run, capsys):
@@ -654,3 +723,9 @@ def test_build_record_and_find_prefix(tmp_path):
         reg.find("zzz")
     with pytest.raises(ConfigurationError, match="'run' id"):
         reg.append({"backend": "serial"})
+    # Lines written when records also kept per-event totals still load and
+    # diff; the old section is ignored.
+    reg.append({**rec, "run": "legacy", "events": {"run.start": 1}})
+    assert "events" not in rec and reg.find("legacy")["events"] == {"run.start": 1}
+    assert diff_records(rec, reg.find("legacy"))["counters"] == {}
+    assert obs_registry.main(["list", str(reg.path)]) == 0

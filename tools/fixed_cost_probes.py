@@ -491,10 +491,10 @@ def probe_oneshot(calls=7):
                   for _ in range(calls)]
         lease_ms = [1e3 * (s.end - s.start) for f in traced for s in f.recorder.spans
                     if s.name == "pool.lease"]
-        spawns = [f.recorder.events.totals().get("pool.spawn", 0) for f in traced]
+        spawns = [int(f.counters.get("pool.spawns", 0)) for f in traced]
         print(f"  traced: pool.lease span {lease_ms[0]:.2f} ms on the first call, median "
               f"{statistics.median(lease_ms[1:]):.2f} ms on {calls - 1} repeats; "
-              f"pool.spawn events per call {spawns}")
+              f"pool.spawns per call {spawns}")
         # Beside every table: what the host delivered while it was taken.
         getattr(parallel, "shutdown_workers", lambda: None)()
         one, two = _interleaved_minima(_burn_wall, rounds=3)
