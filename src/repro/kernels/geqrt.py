@@ -23,6 +23,12 @@ is then not the one passed in) and stores the result back into exactly the
 region the kernel owns.  Both paths run the same LAPACK routine on the same
 values and leading dimension, so they agree bit for bit; the copy is only
 slower.
+
+Checks cost on the failure path only: a plain positive ``int`` ``ib`` skips
+:func:`~repro.util.validation.check_positive_int` (anything else goes through
+it), ``info`` and the ``T`` padding are looked at by :func:`_block_t` only
+when one of them needs it, and an operand already of the block's shape is
+passed as is, not as a slice of itself.
 """
 
 from __future__ import annotations
@@ -52,11 +58,6 @@ def _block_t(name: str, t: np.ndarray, info: int, ib: int) -> np.ndarray:
     return out
 
 
-def _lapack_t(t: np.ndarray, k: int) -> np.ndarray:
-    """The ``(min(ib, k), k)`` block LAPACK expects of an ``(ib, k)`` ``T``."""
-    return t if t.shape[0] <= k else t[:k]
-
-
 def geqrt(a: np.ndarray, ib: int) -> np.ndarray:
     """Factor tile ``a`` in place; return the ``T`` factor.
 
@@ -77,11 +78,13 @@ def geqrt(a: np.ndarray, ib: int) -> np.ndarray:
         ``[k0, k0+kb)`` hold the ``kb x kb`` upper-triangular ``T`` of the
         block starting at column ``k0`` (LAPACK ``dgeqrt`` layout).
     """
-    check_positive_int(ib, "ib")
+    if type(ib) is not int or ib <= 0:
+        ib = check_positive_int(ib, "ib")
     if a.ndim != 2:
         raise ShapeError(f"geqrt expects a 2-D tile, got ndim={a.ndim}")
     out, t, info = dgeqrt(min(ib, *a.shape), a, overwrite_a=1)
-    t = _block_t("geqrt", t, info, ib)
+    if info or t.shape[0] != ib:
+        t = _block_t("geqrt", t, info, ib)
     if out is not a:  # LAPACK factored a copy; GEQRT owns the whole tile
         a[...] = out
     return t
@@ -113,8 +116,10 @@ def ormqr(v_tile: np.ndarray, t: np.ndarray, c: np.ndarray, trans: bool = True) 
     if t.shape[1] != k:
         raise ShapeError(f"ormqr: t has {t.shape[1]} columns, expected {k}")
     out, info = dgemqrt(
-        v_tile[:, :k], _lapack_t(t, k), c, trans=b"T" if trans else b"N", overwrite_c=1
+        v_tile if n == k else v_tile[:, :k], t if t.shape[0] <= k else t[:k], c,
+        trans=b"T" if trans else b"N", overwrite_c=1,
     )
-    _check_info("ormqr", info)
+    if info:
+        _check_info("ormqr", info)
     if out is not c:
         c[...] = out

@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dtpmqrt, dtpqrt
 
 from ..util.errors import ShapeError
 from ..util.validation import check_positive_int
-from .geqrt import _block_t, _check_info, _lapack_t
+from .geqrt import _block_t, _check_info
 
 __all__ = ["tsqrt", "ttqrt", "tsmqr", "ttmqr"]
 
@@ -74,14 +74,16 @@ def tsqrt(r: np.ndarray, a2: np.ndarray, ib: int) -> np.ndarray:
         ``(ib, k)`` compact-WY factors, one triangular block per ``ib``
         columns (layout as in :func:`repro.kernels.geqrt.geqrt`).
     """
-    check_positive_int(ib, "ib")
+    if type(ib) is not int or ib <= 0:
+        ib = check_positive_int(ib, "ib")
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ShapeError(f"tsqrt: r must be square, got {r.shape}")
     k = r.shape[1]
     if a2.ndim != 2 or a2.shape[1] != k:
         raise ShapeError(f"tsqrt: a2 must have {k} columns, got {a2.shape}")
     r_out, v2, t, info = dtpqrt(0, min(ib, k), r, a2, overwrite_a=1, overwrite_b=1)
-    t = _block_t("tsqrt", t, info, ib)
+    if info or t.shape[0] != ib:
+        t = _block_t("tsqrt", t, info, ib)
     if r_out is not r:
         np.copyto(r, r_out, where=_triu_mask(k, k))
     if v2 is not a2:
@@ -102,7 +104,8 @@ def ttqrt(r1: np.ndarray, r2: np.ndarray, ib: int) -> np.ndarray:
     GEQRT/TS steps, so this kernel uses and writes only the upper
     trapezoids (reflector ``j`` has ``min(j+1, m2)`` explicit entries).
     """
-    check_positive_int(ib, "ib")
+    if type(ib) is not int or ib <= 0:
+        ib = check_positive_int(ib, "ib")
     if r1.ndim != 2 or r1.shape[0] != r1.shape[1]:
         raise ShapeError(f"ttqrt: r1 must be square, got {r1.shape}")
     k = r1.shape[1]
@@ -110,7 +113,8 @@ def ttqrt(r1: np.ndarray, r2: np.ndarray, ib: int) -> np.ndarray:
         raise ShapeError(f"ttqrt: incompatible shapes, {r1.shape} vs {r2.shape}")
     m2 = r2.shape[0]
     r_out, v2, t, info = dtpqrt(m2, min(ib, k), r1, r2, overwrite_a=1, overwrite_b=1)
-    t = _block_t("ttqrt", t, info, ib)
+    if info or t.shape[0] != ib:
+        t = _block_t("ttqrt", t, info, ib)
     if r_out is not r1:
         np.copyto(r1, r_out, where=_triu_mask(k, k))
     if v2 is not r2:
@@ -128,12 +132,13 @@ def _tpmqrt(name: str, l: int, v2, t, c1, c2, trans: bool) -> None:
         raise ShapeError(
             f"{name}: c2 shape {c2.shape} incompatible with v2 {v2.shape} / c1 {c1.shape}"
         )
-    top = c1[:k]
+    top = c1 if c1.shape[0] == k else c1[:k]
     a, b, info = dtpmqrt(
-        l, v2, _lapack_t(t, k), top, c2, trans=b"T" if trans else b"N",
+        l, v2, t if t.shape[0] <= k else t[:k], top, c2, trans=b"T" if trans else b"N",
         overwrite_a=1, overwrite_b=1,
     )
-    _check_info(name, info)
+    if info:
+        _check_info(name, info)
     if a is not top:
         top[...] = a
     if b is not c2:

@@ -5,10 +5,12 @@ tile kernels (paper Sec. V-B), and every executor just a different walk of
 that list.  This is the only module in :mod:`repro.qr` that turns an
 :class:`~repro.qr.ops.Op` into a kernel call:
 
-* :data:`KERNELS` maps a kind to its kernel — one arithmetic per kind.  The
-  views of :func:`~repro.qr.ops.operand_views` already are the argument
-  lists — factor kernels take ``(*written, ib)`` and return ``T``, update
-  kernels take ``(v, T, *written)`` — so no per-kind code remains.
+* :data:`KERNELS` maps a kind to its kernel — one arithmetic per kind.  An
+  op carries its operand coordinates in argument order and its ``T`` key
+  (:class:`~repro.qr.ops.Op`, derived with the schedule) — factor kernels
+  take ``(*written, ib)`` and return ``T``, update kernels take
+  ``(v, T, *written)`` — so no per-kind code remains and nothing is
+  resolved per op.
 * :func:`run_step` runs one step — the kernel of each member, in place on
   its tile views — on any *store* offering ``tile(i, j)``, ``get_t(key)``
   and ``put_t(key, t)``: :class:`LocalStore` in process,
@@ -30,7 +32,6 @@ import numpy as np
 
 from .. import kernels
 from ..obs import record as _obs_record
-from ..tiles.shared import t_factor_key
 from ..util.validation import require
 from .checksum import SDCGuard
 from .ops import Op, operand_views
@@ -71,16 +72,19 @@ class LocalStore:
 def run_op(store, op: Op, ib: int) -> None:
     """Run one op's kernel in place on ``store``.
 
-    A factor kernel's ``T`` is deposited with ``store.put_t`` so the update
-    kernels of the same panel find it.  This is also what the SDC guard
-    re-invokes to recompute a single op.
+    The views are read off ``op.operands`` and the ``T`` factor is found by
+    ``op.t_key`` — both derived with the op, once per geometry — so nothing
+    but the views is made per op.  A factor kernel's ``T`` is deposited with
+    ``store.put_t`` so the update kernels of the same panel find it.  This
+    is also what the SDC guard re-invokes to recompute a single op.
     """
-    reads, writes = operand_views(store, op)
-    kernel = KERNELS[op.kind]
+    tile, views = store.tile, []
+    for i, j, sub in op.operands:  # a loop: no comprehension frame per op
+        views.append(tile(i, j) if sub is None else tile(i, j)[sub])
     if op.is_factor:
-        store.put_t(t_factor_key(op), kernel(*writes, ib))
+        store.put_t(op.t_key, KERNELS[op.kind](*views, ib))
     else:
-        kernel(*reads, store.get_t(t_factor_key(op)), *writes)
+        KERNELS[op.kind](views[0], store.get_t(op.t_key), *views[1:])
 
 
 def run_step(store, ops: list[Op], members, ib: int, guard=None, on_done=None) -> None:
@@ -138,7 +142,7 @@ def run_schedule(
     store = LocalStore(a)
     skip = frozenset() if skip is None else frozenset(skip)
     for idx in skip.intersection(preloaded_ts or ()):
-        store.put_t(t_factor_key(ops[idx]), preloaded_ts[idx])
+        store.put_t(ops[idx].t_key, preloaded_ts[idx])
     guard = SDCGuard(fault_plan, ops) if fault_plan is not None and fault_plan.faulty_sdc else None
     done = None
     if checkpoint is not None:

@@ -14,9 +14,10 @@ tiles each op reads/writes, so the same list drives
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from ..tiles.layout import TileLayout
+from ..tiles.shared import t_factor_key
 from ..trees.plan import PanelPlan
 
 __all__ = ["Op", "FACTOR_KINDS", "UPDATE_KINDS", "expand_plans", "operand_views"]
@@ -25,6 +26,7 @@ __all__ = ["Op", "FACTOR_KINDS", "UPDATE_KINDS", "expand_plans", "operand_views"
 FACTOR_KINDS = ("GEQRT", "TSQRT", "TTQRT")
 #: Kernels that apply reflectors to trailing tiles (update work).
 UPDATE_KINDS = ("ORMQR", "TSMQR", "TTMQR")
+_KINDS = FACTOR_KINDS + UPDATE_KINDS
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,20 @@ class Op:
     level, domain:
         Tree placement carried over from the :class:`Elimination` for trace
         colouring and thread mapping.
+    operands:
+        The kernel's tile operands in argument order, reads first: one
+        ``(i, j, sub)`` per view, ``sub`` the index of a ragged sub-block of
+        tile ``(i, j)`` or ``None`` for the whole tile (:func:`operand_views`).
+    t_key:
+        The ``T`` factor the op produces or applies
+        (:func:`~repro.tiles.shared.t_factor_key`).
+    is_factor:
+        Whether the kind computes reflectors (:data:`FACTOR_KINDS`).
+
+    The last three are facts of the geometry, derived once when the op is
+    made, and take no part in equality or hashing.  An op made with the
+    ``layout`` (:func:`expand_plans`) slices only a tile larger than its
+    block; one made without slices every block the kind names.
     """
 
     kind: str
@@ -65,10 +81,17 @@ class Op:
     q: int
     level: int = 0
     domain: int = 0
+    layout: InitVar[TileLayout | None] = None
+    operands: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    t_key: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    is_factor: bool = field(default=False, init=False, compare=False, repr=False)
 
-    @property
-    def is_factor(self) -> bool:
-        return self.kind in FACTOR_KINDS
+    def __post_init__(self, layout):
+        if self.kind not in _KINDS:
+            return  # not a tile kernel: whoever runs it says so
+        object.__setattr__(self, "operands", _operands(self, layout))
+        object.__setattr__(self, "t_key", t_factor_key(self))
+        object.__setattr__(self, "is_factor", self.kind in FACTOR_KINDS)
 
     def reads(self) -> tuple[tuple[int, int], ...]:
         """Tiles read (but not written) by this op — the V/T sources."""
@@ -99,13 +122,43 @@ class Op:
         return f"{self.kind}({','.join(parts)}{tail})"
 
 
+def _operands(op: Op, layout: TileLayout | None) -> tuple:
+    """``op.operands``: what :func:`operand_views` returns, as coordinates.
+
+    A TS/TT op works on the ``k x k`` pivot block, a TT op on the ``m2``
+    leading rows of its second tile too; with the ``layout`` a block that
+    is the whole tile takes no slice.
+    """
+    i, k2, j, l, m2, k = op.i, op.k2, op.j, op.l, op.m2, op.k
+
+    def block(ti, tj, rows, cols):
+        if layout is not None and layout.tile_shape(ti, tj) == (rows, cols):
+            return (ti, tj, None)
+        return (ti, tj, (slice(None, rows), slice(None, cols)))
+
+    if op.kind == "GEQRT":
+        return ((i, j, None),)
+    if op.kind == "ORMQR":
+        return ((i, j, None), (i, l, None))
+    if op.kind == "TSQRT":
+        return (block(i, j, k, k), (k2, j, None))
+    if op.kind == "TSMQR":
+        return ((k2, j, None), (i, l, None), (k2, l, None))
+    if op.kind == "TTQRT":
+        return (block(i, j, k, k), block(k2, j, m2, k))
+    # TTMQR
+    q = layout.tile_cols(l) if layout is not None else None
+    return (block(k2, j, m2, k), (i, l, None), block(k2, l, m2, q))
+
+
 def operand_views(a, op: Op):
     """Per-op operand views: ``(inputs_read, inouts_written)`` tile sub-blocks.
 
     ``a`` is anything with a ``tile(i, j) -> ndarray`` accessor (a
     :class:`~repro.tiles.matrix.TileMatrix` or a
-    :class:`~repro.tiles.shared.SharedTileStore`).  The views are the
-    kernels' argument lists (:data:`repro.qr.execute.KERNELS`: factor
+    :class:`~repro.tiles.shared.SharedTileStore`); the views are read off
+    ``op.operands``, as :func:`repro.qr.execute.run_op` reads them.  They are
+    the kernels' argument lists (:data:`repro.qr.execute.KERNELS`: factor
     kernels take ``(*written, ib)``, update kernels ``(*read, T, *written)``),
     and the *written* ones cover exactly the storage regions the op's
     kernel mutates — the unit the SDC guard (:mod:`repro.qr.checksum`)
@@ -114,25 +167,12 @@ def operand_views(a, op: Op):
     ``[:m2, :]`` sub-view is not contiguous and takes the kernels' copy
     path (:mod:`repro.kernels.geqrt`).
     """
-    if op.kind == "GEQRT":
-        return (), (a.tile(op.i, op.j),)
-    if op.kind == "ORMQR":
-        return (a.tile(op.i, op.j),), (a.tile(op.i, op.l),)
-    if op.kind == "TSQRT":
-        return (), (a.tile(op.i, op.j)[: op.k, : op.k], a.tile(op.k2, op.j))
-    if op.kind == "TSMQR":
-        return (a.tile(op.k2, op.j),), (a.tile(op.i, op.l), a.tile(op.k2, op.l))
-    if op.kind == "TTQRT":
-        return (), (
-            a.tile(op.i, op.j)[: op.k, : op.k],
-            a.tile(op.k2, op.j)[: op.m2, : op.k],
-        )
-    if op.kind == "TTMQR":
-        return (a.tile(op.k2, op.j)[: op.m2, : op.k],), (
-            a.tile(op.i, op.l),
-            a.tile(op.k2, op.l)[: op.m2, :],
-        )
-    raise ValueError(f"unknown op kind {op.kind!r}")  # pragma: no cover
+    if op.operands is None:
+        raise ValueError(f"unknown op kind {op.kind!r}")
+    views = tuple(a.tile(i, j) if sub is None else a.tile(i, j)[sub]
+                  for i, j, sub in op.operands)
+    reads = 0 if op.is_factor else 1
+    return views[:reads], views[reads:]
 
 
 def expand_plans(layout: TileLayout, plans: list[PanelPlan]) -> list[Op]:
@@ -150,10 +190,11 @@ def expand_plans(layout: TileLayout, plans: list[PanelPlan]) -> list[Op]:
         kcols = layout.tile_cols(j)
         for i in plan.geqrt_rows:
             mi = layout.tile_rows(i)
-            ops.append(Op("GEQRT", i, -1, j, -1, m2=mi, k=min(mi, kcols), q=0))
+            ops.append(Op("GEQRT", i, -1, j, -1, m2=mi, k=min(mi, kcols), q=0, layout=layout))
             for col in range(j + 1, nt):
                 ops.append(
-                    Op("ORMQR", i, -1, j, col, m2=mi, k=min(mi, kcols), q=layout.tile_cols(col))
+                    Op("ORMQR", i, -1, j, col, m2=mi, k=min(mi, kcols), q=layout.tile_cols(col),
+                       layout=layout)
                 )
         for e in plan.eliminations:
             # TS consumes the full second tile; TT only its (trapezoidal)
@@ -164,21 +205,12 @@ def expand_plans(layout: TileLayout, plans: list[PanelPlan]) -> list[Op]:
             fac = "TSQRT" if e.kind == "TS" else "TTQRT"
             upd = "TSMQR" if e.kind == "TS" else "TTMQR"
             ops.append(
-                Op(fac, e.piv, e.row, j, -1, m2=m2, k=kcols, q=0, level=e.level, domain=e.domain)
+                Op(fac, e.piv, e.row, j, -1, m2=m2, k=kcols, q=0, level=e.level, domain=e.domain,
+                   layout=layout)
             )
             for col in range(j + 1, nt):
                 ops.append(
-                    Op(
-                        upd,
-                        e.piv,
-                        e.row,
-                        j,
-                        col,
-                        m2=m2,
-                        k=kcols,
-                        q=layout.tile_cols(col),
-                        level=e.level,
-                        domain=e.domain,
-                    )
+                    Op(upd, e.piv, e.row, j, col, m2=m2, k=kcols, q=layout.tile_cols(col),
+                       level=e.level, domain=e.domain, layout=layout)
                 )
     return ops

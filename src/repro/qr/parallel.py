@@ -89,7 +89,7 @@ from ..obs.record import (
     K_WORKER_RESTART,
 )
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import _FORK_LOCK, SharedTileStore, t_factor_key
+from ..tiles.shared import _FORK_LOCK, SharedTileStore
 from ..util.errors import ParallelExecutionError
 from ..util.validation import check_positive_int, require
 from .checksum import SDCGuard
@@ -903,7 +903,7 @@ def execute_ops_parallel(
                     store.flags[idx] = 1
                     op = ops[idx]
                     if op.is_factor and preloaded_ts is not None and idx in preloaded_ts:
-                        store.put_t(t_factor_key(op), preloaded_ts[idx])
+                        store.put_t(op.t_key, preloaded_ts[idx])
                 shares = tuple(tuple(e for e in share if e[1] not in completed_set)
                                for share in shares)
 

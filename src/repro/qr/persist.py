@@ -44,7 +44,6 @@ from ..obs import record as _obs_record
 from ..obs.record import K_CKPT_BYTES, K_CKPT_WRITES, K_RESUME_SKIPPED
 from ..tiles.layout import TILE_ORDER
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import t_factor_key
 from ..trees.plan import TreeKind
 from ..util.errors import ConfigurationError, ReproError
 from ..util.validation import as_f64_matrix, require
@@ -313,7 +312,7 @@ def load_factorization(path: str | os.PathLike) -> QRFactorization:
             f"({len(snap.skip)} of {len(ops)} ops done); "
             "finish it with resume_factorization"
         )
-    ts = {t_factor_key(ops[idx]): t for idx, t in snap.ts.items()}
+    ts = {ops[idx].t_key: t for idx, t in snap.ts.items()}
     ib = snap.entry.ib
     factors = TileQRFactors(
         TileMatrix._from_validated(snap.a, snap.entry.layout.nb),
@@ -402,9 +401,8 @@ class CheckpointStore:
 
         ``tiles`` is anything with ``tile(i, j)`` (the
         :class:`~repro.tiles.matrix.TileMatrix` or the parallel backend's
-        shared-memory store); ``t_lookup`` maps a
-        :func:`~repro.tiles.shared.t_factor_key` to the completed op's
-        ``T`` array.  Only tiles dirtied by ops completed since the last
+        shared-memory store); ``t_lookup`` maps an op's ``t_key`` to the
+        completed op's ``T`` array.  Only tiles dirtied by ops completed since the last
         snapshot are re-copied, so steady-state capture cost tracks the op
         rate, not the matrix size.
 
@@ -423,7 +421,7 @@ class CheckpointStore:
             op = self._ops[idx]
             dirty.update(op.writes())
             if op.is_factor:
-                self._staged_ts[int(idx)] = np.array(t_lookup(t_factor_key(op)))
+                self._staged_ts[int(idx)] = np.array(t_lookup(op.t_key))
         layout = self._layout
         for i, j in dirty:
             self._a[layout.row_span(i), layout.col_span(j)] = tiles.tile(i, j)

@@ -18,6 +18,7 @@ schedule order, with exact per-kernel flop counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -26,7 +27,6 @@ from scipy.linalg.lapack import dtrtrs
 from .. import kernels
 from ..tiles.layout import TILE_ORDER
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import t_factor_key
 from ..util.errors import ConfigurationError, ShapeError
 from ..util.validation import check_finite
 from .execute import run_schedule
@@ -35,13 +35,13 @@ from .ops import Op
 __all__ = ["FactorRecord", "TileQRFactors", "factor_records", "execute_ops"]
 
 
-@dataclass(frozen=True)
-class FactorRecord:
+class FactorRecord(NamedTuple):
     """One stored panel transformation (factor kernel + its ``T``).
 
     The reflector vectors themselves stay inside the factored tile matrix
     (below-diagonal storage), exactly as in PLASMA; only ``T`` and the shape
-    metadata need to be kept on the side.
+    metadata need to be kept on the side.  A tuple, because every result
+    makes one per factor op.
     """
 
     kind: str  # GEQRT | TSQRT | TTQRT
@@ -183,8 +183,8 @@ class TileQRFactors:
 
 
 def factor_ops(ops: list[Op]) -> tuple:
-    """``(op, T key)`` per factor op of ``ops``, in program order."""
-    return tuple((op, t_factor_key(op)) for op in ops if op.is_factor)
+    """The factor ops of ``ops``, in program order."""
+    return tuple(op for op in ops if op.is_factor)
 
 
 def factor_records(ops, get_t) -> list[FactorRecord]:
@@ -193,14 +193,14 @@ def factor_records(ops, get_t) -> list[FactorRecord]:
     :class:`~repro.qr.schedule.Schedule` that holds one and keeps that
     table.
 
-    ``get_t`` maps a :func:`~repro.tiles.shared.t_factor_key` to that op's
-    ``T`` factor.  Records come out in program order whatever schedule
-    produced the factors, so every backend (and a resumed run) hands
-    :class:`TileQRFactors` the same application order.
+    ``get_t`` maps an op's ``t_key`` to its ``T`` factor.  Records come out
+    in program order whatever schedule produced the factors, so every
+    backend (and a resumed run) hands :class:`TileQRFactors` the same
+    application order.
     """
     table = ops.factor_ops() if hasattr(ops, "factor_ops") else factor_ops(ops)
-    return [FactorRecord(op.kind, op.i, op.k2, op.j, get_t(key), op.m2, op.k)
-            for op, key in table]
+    return [FactorRecord(op.kind, op.i, op.k2, op.j, get_t(op.t_key), op.m2, op.k)
+            for op in table]
 
 
 def execute_ops(

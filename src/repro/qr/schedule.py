@@ -45,10 +45,14 @@ __all__ = ["Schedule", "schedule_for", "list_schedule", "CAPACITY"]
 #: default ``plan_cache_size`` of a :class:`~repro.qr.session.QRSession`.
 CAPACITY = 8
 
-#: What one op costs the list-schedule model beyond its arithmetic, in flops:
-#: the per-op Python around a LAPACK call (operand views, ``T`` store, stamps
-#: — some 25 us) at the ~1.6 Gflop/s the tile kernels reach on this class of
-#: host (``tools/fixed_cost_probes.py glue``; docs/performance.md, Dispatch).
+#: What one op costs the list-schedule model beyond its arithmetic, in flops.
+#: A weight of the model, left as it is on purpose: every worker assignment,
+#: and so every ``parallel`` timing, follows from it.  It no longer equals the
+#: per-op Python it was sized after (40 kflop is 25 us at 1.6 Gflop/s): the
+#: core's driver costs 1.2–3.1 us per op with the kernels stubbed out, and the
+#: core runs 3–5 us per op slower than a bare loop of the same LAPACK calls
+#: (``tools/fixed_cost_probes.py glue`` on a 2-vCPU x86 VM; docs/performance.md,
+#: "One op, one LAPACK call").
 OP_OVERHEAD_FLOPS = 4.0e4
 
 

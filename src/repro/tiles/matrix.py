@@ -101,7 +101,16 @@ class TileMatrix:
             [block[i, j].T if i < mt_f and j < nt_f else ragged(i, j) for j in range(layout.nt)]
             for i in range(layout.mt)
         ]
-        return cls(layout, tiles)
+        return cls._adopt(layout, tiles)
+
+    @classmethod
+    def _adopt(cls, layout: TileLayout, tiles: list[list[np.ndarray]]) -> "TileMatrix":
+        """``TileMatrix(layout, tiles)`` without the shape checks, for a grid
+        built from ``layout`` itself (:meth:`from_dense`, a shared segment's
+        views) — the checks are for grids from outside."""
+        self = cls.__new__(cls)
+        self.layout, self._tiles = layout, tiles
+        return self
 
     @classmethod
     def zeros(cls, m: int, n: int, nb: int) -> "TileMatrix":

@@ -120,7 +120,7 @@ def _segment_plan(
     for op in ops:
         if not op.is_factor:
             continue
-        key = t_factor_key(op)
+        key = op.t_key
         if key in t_index:
             raise ConfigurationError(f"duplicate T factor key {key} in operation list")
         t_index[key] = (off, (ib, op.k))
@@ -223,20 +223,34 @@ class SharedTileStore:
         # This store's root: the base of every view below and of every view
         # of one, so it is alive exactly while someone can read the pages.
         self._root = root = np.frombuffer(buf, dtype=np.uint8)
+
+        def view(off: int, shape: tuple) -> np.ndarray:
+            return np.ndarray(shape, dtype=np.float64, buffer=root, offset=off * 8,
+                              order=TILE_ORDER)
+
+        # The full tiles are ``[i, j].T`` of one C-order block over them (the
+        # block :meth:`load` copies into), the full-width ``T`` slots ``[s].T``
+        # of another: an index and a transpose each, where a view of its own
+        # costs a buffer export.  Ragged ones get a view of their own.
+        nb = layout.nb
+        mt_f, nt_f = layout.m // nb, layout.n // nb
+        self._full = np.ndarray(
+            (mt_f, nt_f, nb, nb), dtype=np.float64, buffer=root,
+            strides=(8 * nb * layout.n, 8 * nb * nb, 8 * nb, 8),
+        )
         self._tiles = [
             [
-                np.ndarray(
-                    tile_index[(i, j)][1], dtype=np.float64, buffer=root,
-                    offset=tile_index[(i, j)][0] * 8, order=TILE_ORDER,
-                )
+                self._full[i, j].T if i < mt_f and j < nt_f else view(*tile_index[(i, j)])
                 for j in range(layout.nt)
             ]
             for i in range(layout.mt)
         ]
+        start, size = layout.m * layout.n, ib * nb  # the T region; one full slot
+        slots = np.ndarray(((flags_off // 8 - start) // size, nb, ib), dtype=np.float64,
+                           buffer=root, offset=start * 8)
         self._ts = {
-            key: np.ndarray(
-                shape, dtype=np.float64, buffer=root, offset=off * 8, order=TILE_ORDER
-            )
+            key: slots[(off - start) // size].T
+            if shape[1] == nb and (off - start) % size == 0 else view(off, shape)
             for key, (off, shape) in t_index.items()
         }
         #: One completion byte per op (a view like the tiles).
@@ -316,12 +330,8 @@ class SharedTileStore:
             lay, nb = self.layout, self.layout.nb
             if a.shape != (lay.m, lay.n):
                 raise ShapeError(f"segment holds a {lay.m} x {lay.n} matrix, got {a.shape}")
-            mt_f, nt_f = lay.m // nb, lay.n // nb
-            full = np.ndarray(
-                (mt_f, nt_f, nb, nb), dtype=np.float64, buffer=self._root,
-                strides=(8 * nb * lay.n, 8 * nb * nb, 8 * nb, 8),
-            )
-            full[...] = full_tiles(a, nb)
+            mt_f, nt_f = self._full.shape[:2]
+            self._full[...] = full_tiles(a, nb)
             for i in range(lay.mt):
                 for j in range(nt_f if i < mt_f else 0, lay.nt):
                     self._tiles[i][j][...] = a[lay.row_span(i), lay.col_span(j)]
@@ -335,7 +345,8 @@ class SharedTileStore:
         with the last view taken from it (:meth:`matrix`, :meth:`t_factor`)."""
         self._tiles = []
         self._ts = {}
-        self.flags = self.pause = self._map = self._root = self._matrix = self.factors = None
+        self.flags = self.pause = self._map = self._root = self._full = None
+        self._matrix = self.factors = None
 
     def spare(self) -> tuple:
         """``(handle, mapping, weakref(root))``: what :meth:`recycle` needs,
@@ -392,9 +403,9 @@ class SharedTileStore:
     def matrix(self) -> TileMatrix:
         """The tile grid as a :class:`TileMatrix` of views: what the segment
         holds, under the interface everything outside the pool works on —
-        one object per store, shape-checked once."""
+        one object per store, its grid laid out from the layout here."""
         if self._matrix is None:
-            self._matrix = TileMatrix(self.layout, self._tiles)
+            self._matrix = TileMatrix._adopt(self.layout, self._tiles)
         return self._matrix
 
     def extract_matrix(self) -> TileMatrix:

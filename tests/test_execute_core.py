@@ -5,18 +5,21 @@ Checks the three properties every backend leans on: a step gives the same
 bits whether it runs scalar, stacked, or on a shared-memory store; an armed
 SDC guard repairs a corrupted member of a stacked step before announcing it
 done; and a resumed schedule emits the records an uninterrupted one does.
-A structural test pins the design: inside ``src/repro/qr`` the tile kernels
-are referenced by the core only.
+Two structural tests pin the design: inside ``src/repro/qr`` the tile
+kernels are referenced by the core only, and a run on a derived geometry
+resolves no operand and no ``T`` key per op.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
+from repro import qr_factor
 from repro.faults import FaultPlan
 from repro.qr.checksum import SDCGuard
 from repro.qr.execute import KERNELS, LocalStore, run_schedule, run_step
@@ -209,3 +212,32 @@ def test_only_the_core_references_the_tile_kernels():
             if not (path.name == "reference.py" and ref[0] == "TileQRFactors._apply")
         ]
         assert not stray, f"{path.name} references tile kernels outside the core: {stray}"
+
+
+@pytest.mark.parametrize("backend", ["serial", "batched"])
+def test_a_derived_geometry_resolves_nothing_per_op(backend, monkeypatch):
+    """Operands and ``T`` keys are facts of the geometry, carried by the ops
+    the schedule memo holds: once a geometry is derived, running it again
+    calls neither :func:`t_factor_key` nor :func:`operand_views`, under
+    whatever name a ``repro`` module holds them.  300 x 80 with ``nb=32``
+    has a ragged last tile row and column, so sliced operands run too."""
+    a = random_dense(300, 80, seed=3)
+    kw = dict(nb=32, ib=8, tree="hier", h=2, backend=backend)
+    ref = qr_factor(a, **kw)  # derives the geometry: plans, ops, wavefronts
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for mod in list(sys.modules.values()):
+        if not getattr(mod, "__name__", "").startswith("repro"):
+            continue
+        for name, fn in (("t_factor_key", t_factor_key), ("operand_views", operand_views)):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, spy(name, fn))
+    f = qr_factor(a, **kw)
+    assert calls == []
+    assert np.array_equal(f.R, ref.R)

@@ -1,6 +1,6 @@
 """Numerical and storage conformance of the LAPACK-backed tile kernels.
 
-The kernel-level slice of ROADMAP item 4.  Four groups:
+The kernel-level slice of ROADMAP item 4.  Five groups:
 
 * **Scale robustness.**  ``dlarfg`` rescales before it squares, so the
   factorization is scale-invariant far outside ``sqrt(realmax)``: ``R`` of
@@ -15,6 +15,9 @@ The kernel-level slice of ROADMAP item 4.  Four groups:
   schedule certifier declares written.  NaN sentinels in the foreign storage
   (strictly-lower of a pivot triangle, below-trapezoid of a TT tile) must
   come back bit-identical and must not leak into any output.
+* **Checks.**  A bad ``ib`` raises the validator's error and a NumPy integer
+  one gives the bits a plain ``int`` does: the kernels' fast path for a
+  positive ``int`` changes nothing else.
 * **In place or by copy.**  On Fortran-contiguous operands every kernel is
   one LAPACK call working in place; C-order and strided operands are copied
   in and stored back under the kernel's region mask.  Both paths keep the
@@ -35,7 +38,7 @@ from repro.kernels import geqrt, ormqr, tsmqr, tsqrt, ttmqr, ttqrt
 from repro.kernels.batched import geqrt_batched, tsqrt_batched, ttqrt_batched
 from repro.kernels.geqrt import _block_t
 from repro.tiles import random_dense
-from repro.util import ShapeError
+from repro.util import ConfigurationError, ShapeError
 
 EPS = np.finfo(np.float64).eps
 GEOMETRY = dict(nb=8, ib=4, tree="hier", h=2)  # 96 x 24: TS and TT kernels, 3 panels
@@ -232,6 +235,48 @@ def test_lapack_info_is_a_typed_error():
         _block_t("geqrt", np.zeros((2, 4)), -3, 2)
 
 
+def _factor_operands(kernel: str, ib_seed: int) -> list[np.ndarray]:
+    """Fresh Fortran-order operands of a factor kernel (8 x 8 blocks)."""
+    rng = np.random.default_rng(ib_seed)
+    first = np.array(rng.standard_normal((8, 8)), order="F")
+    if kernel == "geqrt":
+        return [first]
+    second = rng.standard_normal((8, 8))
+    return [np.array(np.triu(first), order="F"),
+            np.array(np.triu(second) if kernel == "ttqrt" else second, order="F")]
+
+
+FACTOR_KERNELS = {"geqrt": geqrt, "tsqrt": tsqrt, "ttqrt": ttqrt}
+
+
+@pytest.mark.parametrize("kernel", FACTOR_KERNELS)
+@pytest.mark.parametrize("ib,message", [
+    (0, "ib must be positive, got 0"),
+    (-1, "ib must be positive, got -1"),
+    (True, "ib must be an int, got True"),
+    (2.0, "ib must be an int, got 2.0"),
+])
+def test_factor_kernels_reject_a_bad_ib(kernel, ib, message):
+    """The kernels skip the validator for a positive ``int`` only: every
+    other ``ib`` still meets it, with its messages."""
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        FACTOR_KERNELS[kernel](*_factor_operands(kernel, 1), ib)
+
+
+@pytest.mark.parametrize("kernel", FACTOR_KERNELS)
+@pytest.mark.parametrize("ib", [3, 8, 12], ids=["ib_lt_k", "ib_eq_k", "ib_gt_k"])
+def test_factor_kernels_take_a_numpy_integer_ib(kernel, ib):
+    """A NumPy integer ``ib`` takes the validator's path and gives the same
+    bits as the ``int``: ``T`` (padded when ``ib > k``) and tiles."""
+    plain, numpy_ib = _factor_operands(kernel, ib), _factor_operands(kernel, ib)
+    t_plain = FACTOR_KERNELS[kernel](*plain, ib)
+    t_numpy = FACTOR_KERNELS[kernel](*numpy_ib, np.int64(ib))
+    assert t_numpy.shape == t_plain.shape == (ib, 8)
+    assert np.array_equal(_bits(t_numpy), _bits(t_plain))
+    for got, want in zip(numpy_ib, plain):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 # --------------------------------------------------------------------------
 # Traced wide factor steps
 # --------------------------------------------------------------------------
@@ -328,6 +373,7 @@ def test_ormqr_never_reads_the_r_part_of_its_v_tile(m, n, ib, trans):
     c0 = rng.standard_normal((m, 6))
     want = np.array(c0, order="F")
     ormqr(v_clean, t, want, trans=trans)
+    assert (t.shape[0] > min(m, n)) == (ib > min(m, n))  # k_lt_ib: LAPACK gets t[:k]
     for v_layout in LAYOUTS:
         for c_layout in LAYOUTS:
             v, c = _laid_out(v0, v_layout), _laid_out(c0, c_layout)
@@ -360,9 +406,10 @@ def test_pair_update_kernels_in_place_and_by_copy_agree(kernel, k, m2, ib, trans
     want1, want2 = np.array(c1_0[:k], order="F"), np.array(c2_0, order="F")
     update(v_clean, t, want1, want2, trans=trans)  # exact-k c1: fully in place
     assert not np.array_equal(want2, c2_0)
+    assert (t.shape[0] > k) == (ib > k)  # k_lt_ib: the kernel passes LAPACK t[:k]
     for layout in LAYOUTS:
         v, c1, c2 = _laid_out(v0, layout), _laid_out(c1_0, layout), _laid_out(c2_0, layout)
-        update(v, t, c1, c2, trans=trans)
+        update(v, _laid_out(t, layout), c1, c2, trans=trans)
         assert np.array_equal(_bits(c1[:k]), _bits(want1))
         assert np.array_equal(_bits(c1[k:]), _bits(c1_0[k:]))  # rows past k: not ours
         assert np.array_equal(_bits(c2), _bits(want2))

@@ -190,6 +190,36 @@ class TestSharedTileStore:
             store.close()
             store.unlink()
 
+    @pytest.mark.parametrize("m,n,nb,ib", [(64, 24, 8, 4), (77, 21, 8, 3), (40, 36, 16, 16)],
+                             ids=["full", "ragged", "ragged_k_lt_ib"])
+    def test_every_view_hangs_off_the_root_and_owns_its_bytes(self, m, n, nb, ib):
+        """Full tiles and full-width ``T`` slots are ``.T`` of two blocks,
+        ragged ones views of their own: all of them have the store's root as
+        base (the spare rule's liveness test) and no two share a byte."""
+        a = np.random.default_rng(m).standard_normal((m, n))
+        tm = TileMatrix.from_dense(a, nb)
+        layout = tm.layout
+        ops = expand_plans(layout, plan_all_panels("hier", layout.mt, layout.nt, h=2))
+        store = SharedTileStore.create(tm, ops, ib)
+        try:
+            views = [store.tile(i, j) for i in range(layout.mt) for j in range(layout.nt)]
+            views += [store.get_t(op.t_key) for op in ops if op.is_factor]
+            for x, view in enumerate(views):
+                assert view.base is store._root and view.flags.f_contiguous
+                view[...] = x
+            assert [view.min() for view in views] == [view.max() for view in views] == list(
+                range(len(views)))
+            for i in range(layout.mt):
+                for j in range(layout.nt):
+                    assert store.tile(i, j).shape == layout.tile_shape(i, j)
+            for op in ops:
+                if op.is_factor:
+                    assert store.get_t(op.t_key).shape == (ib, op.k)
+            store.load(a)  # a dense input goes through the full-tile block
+            np.testing.assert_array_equal(store.matrix().to_dense(), a)
+        finally:
+            store.destroy()
+
     def test_input_matrix_not_mutated(self, small_matrix):
         before = small_matrix.copy()
         qr_factor(small_matrix, nb=8, ib=4, tree="hier", h=3, backend="parallel", n_procs=2)

@@ -15,6 +15,7 @@ order.
 from __future__ import annotations
 
 import functools
+import gc
 import multiprocessing as mp
 import os
 import signal
@@ -328,6 +329,11 @@ class SessionMachine(RuleBasedStateMachine):
     def teardown(self):
         if not self.closed:
             self.close()
+        # The held results map their segments, and Hypothesis keeps the
+        # machine (and so them) in reference cycles: drop and collect them
+        # here, or the mappings outlive the test.
+        self.results.clear()
+        gc.collect()
         assert _segments() <= self.shm_before, "leaked shared-memory segment"
 
 
