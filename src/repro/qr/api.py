@@ -41,7 +41,7 @@ from ..obs import record as _obs_record
 from ..tiles.layout import TileLayout
 from ..tiles.matrix import TileMatrix
 from ..trees.plan import TreeKind
-from ..util.errors import ConfigurationError, ReproError, StaleResultError
+from ..util.errors import ConfigurationError, ReproError, ShapeError, StaleResultError
 from ..util.validation import as_f64_matrix, check_finite, check_tile_params, require
 from .backends import require_capability, run_backend, stage_input, worker_count
 from .parallel import serial_fallback
@@ -219,11 +219,17 @@ class QRFactorization:
 
         Returns ``{"factorization": ||A - QR|| / ||A||,
         "orthogonality": ||Q^T Q - I||}`` — the two standard backward-error
-        checks for a QR code.
+        checks for a QR code.  An ``a`` of another shape than the factored
+        matrix is a :class:`ShapeError`, never broadcast.
         """
         a = as_f64_matrix(a)
+        if a.shape != self.shape:
+            raise ShapeError(f"A must have the factored shape {self.shape}, got {a.shape}")
         q = self.q_thin()
-        res = float(np.linalg.norm(a - q @ self.R) / max(np.linalg.norm(a), 1e-300))
+        d = np.matmul(q, self.R)
+        np.subtract(a, d, out=d)  # A - QR in the one temporary
+        res = float(np.linalg.norm(d) / max(np.linalg.norm(a), 1e-300))
+        del d  # gone before the n x n temporaries of Q^T Q - I
         orth = float(np.linalg.norm(q.T @ q - np.eye(self.shape[1])))
         return {"factorization": res, "orthogonality": orth}
 

@@ -22,9 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgemqrt, dtpmqrt, dtrtrs
 
-from .. import kernels
+from ..kernels.flops import ormqr_flops, tsmqr_flops, ttmqr_flops
+from ..kernels.geqrt import _check_info
+from ..obs import record as _obs_record
+from ..obs.adapters import KERNEL_CATEGORY
 from ..tiles.layout import TILE_ORDER
 from ..tiles.matrix import TileMatrix
 from ..util.errors import ConfigurationError, ShapeError
@@ -67,11 +70,24 @@ class TileQRFactors:
         recorded transforms applied forward``).
     ib:
         Inner block size used throughout.
+
+    Applying ``Q`` or ``Q^T`` walks the *call list*: one entry per record,
+    built on first use (:func:`_build_calls`) and kept for the ``records``
+    list and matrix it was built from.  It holds views of tiles and ``T``
+    slots, never anything derived from their values, so a session's
+    skeleton, whose views a later ``factor`` refills, keeps it across calls.
+    Pickles and copies drop it.
     """
 
     a: TileMatrix
     records: list[FactorRecord] = field(default_factory=list)
     ib: int = 48
+    _calls: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_calls", None)
+        return state
 
     @property
     def m(self) -> int:
@@ -89,17 +105,20 @@ class TileQRFactors:
 
     def apply_qt(self, c: np.ndarray) -> np.ndarray:
         """Return ``Q^T @ c`` for ``c`` of shape ``(m, q)`` or ``(m,)``."""
-        return self._operate(c, "c", self.m, lambda c: np.concatenate(self._apply(c, True)))
+        return self._operate(c, "c", self.m, lambda c: self._apply(self._load(c), True, self.m))
 
     def apply_q(self, c: np.ndarray) -> np.ndarray:
         """Return ``Q @ c`` for ``c`` of shape ``(m, q)`` or ``(m,)``."""
-        return self._operate(c, "c", self.m, lambda c: np.concatenate(self._apply(c, False)))
+        return self._operate(c, "c", self.m, lambda c: self._apply(self._load(c), False, self.m))
 
     def q_thin(self) -> np.ndarray:
-        """Materialise the thin ``(m, n)`` orthonormal factor ``Q``."""
-        c = np.zeros((self.m, self.n))
-        c[: self.n, : self.n] = np.eye(self.n)
-        return self.apply_q(c)
+        """Materialise the thin ``(m, n)`` orthonormal factor ``Q``: the
+        identity is written straight into the operand buffer."""
+        n, nb = self.n, self.a.nb
+        buf = np.zeros((self.a.mt, n, nb))
+        j = np.arange(n)
+        buf[j // nb, j, j % nb] = 1.0
+        return self._apply(buf, False, self.m)
 
     def solve_ls(self, b: np.ndarray) -> np.ndarray:
         """Least-squares solution of ``min_x ||A x - b||_2``.
@@ -131,38 +150,51 @@ class TileQRFactors:
             return body(arr[:, None])[:, 0]
         return body(arr) if arr.shape[1] else np.zeros((rows_out, 0))
 
-    def _apply(self, c: np.ndarray, trans: bool) -> list[np.ndarray]:
-        """``Q^T c`` / ``Q c`` as one column-major block per tile row."""
-        layout, grid = self.a.layout, self.a.grid
-        # One copy in here — the caller concatenates the blocks it needs —
-        # so every record's kernel runs in place like a factorization
-        # update, instead of copying a row slice of ``c`` in and out per
-        # record.
-        blocks = [
-            np.array(c[layout.row_span(i)], order=TILE_ORDER) for i in range(layout.mt)
-        ]
-        for rec in self.records if trans else reversed(self.records):
-            if rec.kind == "GEQRT":
-                kernels.ormqr(grid[rec.i][rec.j], rec.t, blocks[rec.i], trans=trans)
-            elif rec.kind == "TSQRT":
-                kernels.tsmqr(grid[rec.k2][rec.j], rec.t, blocks[rec.i], blocks[rec.k2],
-                              trans=trans)
-            else:  # TTQRT
-                v2 = grid[rec.k2][rec.j][: rec.m2, : rec.k]
-                c2 = blocks[rec.k2][: rec.m2, :]
-                kernels.ttmqr(v2, rec.t, blocks[rec.i], c2, trans=trans)
-        return blocks
+    def _load(self, c: np.ndarray) -> np.ndarray:
+        """``c`` laid out as one ``(mt, q, nb)`` buffer whose ``[i].T`` is
+        tile row ``i``'s block, column-major as LAPACK updates it in place:
+        one strided copy for the full tile rows, one more for a ragged last."""
+        nb, q = self.a.nb, c.shape[1]
+        full, rest = divmod(self.m, nb)
+        buf = np.empty((self.a.mt, q, nb))
+        buf[:full].transpose(0, 2, 1)[...] = c[: full * nb].reshape(full, nb, q)
+        if rest:
+            buf[full, :, :rest] = c[full * nb :].T
+        return buf
+
+    def _apply(self, buf: np.ndarray, trans: bool, rows: int) -> np.ndarray:
+        """``Q^T`` / ``Q`` applied to the laid-out operand ``buf`` in place,
+        one LAPACK call per record; returns its first ``rows`` rows as a
+        Fortran-order ``(rows, q)`` array."""
+        calls = self._call_list()
+        blocks = list(buf.transpose(0, 2, 1))
+        last = self.m - (len(blocks) - 1) * self.a.nb
+        if last != self.a.nb:  # a ragged last tile row: LAPACK copies it in and out
+            blocks[-1] = blocks[-1][:last]
+        recorder = _obs_record._RECORDER
+        if recorder is None:
+            _run_calls(calls if trans else reversed(calls), blocks, trans)
+        else:
+            _run_traced(calls, self.records, blocks, trans, recorder)
+        q, nb = buf.shape[1], buf.shape[2]
+        full, rest = divmod(rows, nb)
+        out = np.empty((rows, q), order=TILE_ORDER)
+        out.T[:, : full * nb].reshape(q, full, nb)[...] = buf[:full].transpose(1, 0, 2)
+        if rest:
+            out.T[:, full * nb :] = buf[full, :, :rest]
+        return out
+
+    def _call_list(self) -> list[tuple]:
+        """The call list of :attr:`records` on :attr:`a`, built once per
+        pair of the two."""
+        cached = self._calls
+        if cached is None or cached[0] is not self.records or cached[1] is not self.a:
+            cached = self._calls = (self.records, self.a, _build_calls(self.a.grid, self.records))
+        return cached[2]
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
         check_finite(b, "b")
         layout, grid, nb, n = self.a.layout, self.a.grid, self.a.nb, self.n
-        for j in range(layout.nt):
-            diag = np.diagonal(grid[j][j])
-            if not np.isfinite(diag).all():
-                k = int(np.argmin(np.isfinite(diag)))
-                raise ValueError(f"R has a non-finite diagonal entry {diag[k]} at "
-                                 f"({j * nb + k}, {j * nb + k})")
-        y = np.concatenate(self._apply(b, True)[: layout.nt])[:n]
         # R's tiles on and above the diagonal, row-major and never zeroed:
         # LAPACK reads only the upper triangle.  ``r.T`` is the Fortran-order
         # lower triangle that ``scipy.linalg.solve_triangular`` hands
@@ -173,6 +205,11 @@ class TileQRFactors:
             for i in range(j + 1):
                 rows = slice(i * nb, min((i + 1) * nb, n))
                 r[rows, cols] = grid[i][j][: rows.stop - rows.start]
+        diag = np.diagonal(r)
+        if not np.isfinite(diag).all():
+            k = int(np.argmin(np.isfinite(diag)))
+            raise ValueError(f"R has a non-finite diagonal entry {diag[k]} at ({k}, {k})")
+        y = self._apply(self._load(b), True, n)
         x, info = dtrtrs(r.T, y, lower=1, trans=1, overwrite_b=1)
         if info > 0:
             raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
@@ -180,6 +217,93 @@ class TileQRFactors:
             raise ValueError("the least-squares solution is not finite: R or Q^T b "
                              "holds a NaN/Inf, or the back-substitution overflowed")
         return x
+
+
+def _build_calls(grid: list[list[np.ndarray]], records: list[FactorRecord]) -> list[tuple]:
+    """One ``(l, v, t, i, k2)`` entry per record, the arguments of its one
+    LAPACK call: ``l < 0`` for ``dgemqrt`` (ORMQR), else ``dtpmqrt``'s ``l``
+    (``0`` for TS, ``m2`` for TT); ``v`` the reflector view and ``t`` the
+    ``T`` view cut to ``k`` rows, exactly as :mod:`repro.kernels` slices
+    them; ``i`` / ``k2`` the tile rows of the two operand blocks.  The
+    checks that involve only the record run here."""
+    calls = []
+    for rec in records:
+        t = rec.t
+        if rec.kind == "GEQRT":
+            v = grid[rec.i][rec.j]
+            m, n = v.shape
+            k = min(m, n)
+            if t.shape[1] != k:
+                raise ShapeError(f"ormqr: t has {t.shape[1]} columns, expected {k}")
+            if n != k:
+                v = v[:, :k]
+            l = -1
+        elif rec.kind == "TSQRT":
+            v, l = grid[rec.k2][rec.j], 0
+        else:  # TTQRT
+            v = grid[rec.k2][rec.j][: rec.m2, : rec.k]
+            l = v.shape[0]
+        k = v.shape[1]
+        calls.append((l, v, t if t.shape[0] <= k else t[:k], rec.i, rec.k2))
+    return calls
+
+
+def _run_calls(calls, blocks: list[np.ndarray], trans: bool) -> None:
+    """Each entry of ``calls`` as its one f2py call on the tile-row
+    ``blocks``, in place, with the checks of :func:`repro.kernels.ormqr` /
+    ``tsmqr`` / ``ttmqr`` on the operands (same types and messages)."""
+    # side, trans and the overwrite flags by position: f2py parses keywords
+    # about a microsecond slower per call.
+    tr = b"T" if trans else b"N"
+    for l, v, t, i, k2 in calls:
+        c1 = blocks[i]
+        if l < 0:
+            if c1.shape[0] != v.shape[0]:
+                raise ShapeError(f"ormqr: c has {c1.shape[0]} rows, expected {v.shape[0]}")
+            out, info = dgemqrt(v, t, c1, b"L", tr, 1)
+            if info:
+                _check_info("ormqr", info)
+            if out is not c1:
+                c1[...] = out
+            continue
+        m2, k = v.shape
+        c2 = blocks[k2]
+        if l and c2.shape[0] != m2:  # TT on a block taller than its reflectors
+            c2 = c2[:m2]
+        if c1.shape[0] < k:
+            raise ShapeError(f"{'ttmqr' if l else 'tsmqr'}: c1 needs >= {k} rows, "
+                             f"got {c1.shape[0]}")
+        if c2.shape[0] != m2 or c1.shape[1] != c2.shape[1]:
+            raise ShapeError(f"{'ttmqr' if l else 'tsmqr'}: c2 shape {c2.shape} incompatible "
+                             f"with v2 {v.shape} / c1 {c1.shape}")
+        top = c1 if c1.shape[0] == k else c1[:k]
+        a, b, info = dtpmqrt(l, v, t, top, c2, b"L", tr, 1, 1)
+        if info:
+            _check_info("ttmqr" if l else "tsmqr", info)
+        if a is not top:
+            top[...] = a
+        if b is not c2:
+            c2[...] = b
+
+
+def _run_traced(calls, records, blocks, trans: bool, recorder) -> None:
+    """:func:`_run_calls` one entry at a time, each a kernel span on the
+    calling lane with the name and flop count :mod:`repro.kernels`' shims
+    give the same call."""
+    q = blocks[0].shape[1]
+    pairs = zip(calls, records) if trans else zip(reversed(calls), reversed(records))
+    for call, rec in pairs:
+        l, v, ib = call[0], call[1], rec.t.shape[0]
+        if l < 0:
+            kind, flops = "ORMQR", ormqr_flops(v.shape[0], v.shape[1], q, ib)
+        elif l:
+            kind, flops = "TTMQR", ttmqr_flops(v.shape[1], q, ib)
+        else:
+            kind, flops = "TSMQR", tsmqr_flops(v.shape[1], v.shape[0], q, ib)
+        start = recorder.now()
+        _run_calls((call,), blocks, trans)
+        recorder.record_kernel(kind, KERNEL_CATEGORY[kind], flops, start, recorder.now(),
+                               _obs_record.current_lane(), op=_obs_record.current_op())
 
 
 def factor_ops(ops: list[Op]) -> tuple:

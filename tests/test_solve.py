@@ -11,13 +11,22 @@ without the scan.
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from repro import QRSession, qr_factor
+from repro import QRSession, kernels, qr_factor
 from repro.obs import recording
 from repro.obs.adapters import KERNEL_CATEGORY
+from repro.qr import reference
 from repro.qr.ops import expand_plans
 from repro.qr.reference import execute_ops
 from repro.tiles import TileMatrix, random_dense
@@ -178,3 +187,223 @@ def test_a_session_refuses_a_complex_matrix():
     with QRSession(n_procs=2) as sess:
         with pytest.raises(ConfigurationError, match="A must be real"):
             sess.factor(a, nb=8, ib=4, tree="hier", h=3)
+
+
+class TestResidualsOperand:
+    """``residuals(a)`` takes the factored matrix and nothing that merely
+    broadcasts against it."""
+
+    @pytest.fixture(scope="class")
+    def fac(self):
+        a = random_dense(64, 16, seed=11)
+        return qr_factor(a, nb=8, ib=4, tree="hier", h=2), a
+
+    @pytest.mark.parametrize("cut", [np.s_[:, :1], np.s_[:1, :], np.s_[:32]])
+    def test_a_of_another_shape_is_a_shape_error_naming_a(self, fac, cut):
+        f, a = fac
+        with pytest.raises(ShapeError, match="A must have the factored shape"):
+            f.residuals(a[cut])
+
+
+# -- the Q path: one LAPACK call per record ------------------------------------
+
+#: Ragged geometries for the Q path: ``m`` not a multiple of ``nb`` (a TT
+#: block with ``m2 < nb`` on the binary and greedy trees), a narrow last
+#: tile column, square, and ``n < nb``.
+Q_GEOMETRIES = [(50, 27, 8), (61, 20, 8), (24, 24, 8), (40, 5, 8), (64, 16, 8)]
+
+
+def _kernel_loop(f, c, trans):
+    """``Q^T c`` / ``Q c`` applied record by record through the public
+    :mod:`repro.kernels` functions, one Fortran-order block per tile row."""
+    layout, grid = f.a.layout, f.a.grid
+    blocks = [np.array(c[layout.row_span(i)], order="F") for i in range(layout.mt)]
+    for rec in f.records if trans else reversed(f.records):
+        if rec.kind == "GEQRT":
+            kernels.ormqr(grid[rec.i][rec.j], rec.t, blocks[rec.i], trans=trans)
+        elif rec.kind == "TSQRT":
+            kernels.tsmqr(grid[rec.k2][rec.j], rec.t, blocks[rec.i], blocks[rec.k2],
+                          trans=trans)
+        else:
+            kernels.ttmqr(grid[rec.k2][rec.j][: rec.m2, : rec.k], rec.t, blocks[rec.i],
+                          blocks[rec.k2][: rec.m2, :], trans=trans)
+    return np.concatenate(blocks)
+
+
+def _kernel_loop_q_thin(f):
+    c = np.zeros((f.m, f.n))
+    c[: f.n, : f.n] = np.eye(f.n)
+    return _kernel_loop(f, c, False)
+
+
+class TestQPathAgainstTheKernelLoop:
+    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("m,n,nb", Q_GEOMETRIES)
+    def test_products_and_q_thin_are_bit_equal(self, m, n, nb, tree):
+        a = random_dense(m, n, seed=m * n + nb)
+        f = qr_factor(a, nb=nb, ib=4, tree=tree, h=2)
+        fac = f._factors
+        c = random_dense(m, 5, seed=3)
+        for operand in (c, np.asfortranarray(c), c[:, ::2], c[:, 1]):
+            wide = operand[:, None] if operand.ndim == 1 else operand
+            for entry, trans in ((f.qt_matmul, True), (f.q_matmul, False)):
+                out = entry(operand)
+                ref = _kernel_loop(fac, wide, trans)
+                assert np.array_equal(out, ref[:, 0] if operand.ndim == 1 else ref)
+        assert np.array_equal(f.q_thin(), _kernel_loop_q_thin(fac))
+
+    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("m,n,nb", Q_GEOMETRIES)
+    def test_residuals_are_bit_equal(self, m, n, nb, tree):
+        a = random_dense(m, n, seed=m + nb)
+        f = qr_factor(a, nb=nb, ib=4, tree=tree, h=2)
+        q = _kernel_loop_q_thin(f._factors)
+        res = float(np.linalg.norm(a - q @ f.R) / max(np.linalg.norm(a), 1e-300))
+        orth = float(np.linalg.norm(q.T @ q - np.eye(n)))
+        assert f.residuals(a) == {"factorization": res, "orthogonality": orth}
+
+    @pytest.mark.parametrize("entry", ["q_matmul", "q_thin"])
+    def test_one_kernel_span_per_record_backwards(self, entry):
+        f, _ = _factors(50, 27, 8, tree="binary")
+        c = random_dense(50, 3, seed=2)
+        with recording() as rec:
+            f.apply_q(c) if entry == "q_matmul" else f.q_thin()
+        with recording() as ref:
+            _kernel_loop(f, c, False) if entry == "q_matmul" else _kernel_loop_q_thin(f)
+        kernel_spans = [s.name for s in rec.spans if s.name in KERNEL_CATEGORY]
+        assert kernel_spans == [{"GEQRT": "ORMQR", "TSQRT": "TSMQR", "TTQRT": "TTMQR"}[r.kind]
+                                for r in reversed(f.records)]
+        assert "TTMQR" in kernel_spans
+        assert dict(rec.counters) == dict(ref.counters)  # same flops, kernel by kernel
+
+    def test_peak_memory_stays_near_two_copies_of_a(self):
+        a = random_dense(1024, 128, seed=5)
+        f = qr_factor(a, nb=32, ib=16, tree="hier", h=2)
+        f.residuals(a)  # the call list is built outside the measurement
+        for call in (lambda: f.residuals(a), f.q_thin):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * a.nbytes, peak / a.nbytes
+
+
+class TestCallList:
+    """The call list: built once per record list, views only, never pickled."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = []
+        real = reference._build_calls
+
+        def spy(grid, records):
+            count.append(len(records))
+            return real(grid, records)
+
+        monkeypatch.setattr(reference, "_build_calls", spy)
+        return count
+
+    @pytest.mark.parametrize("entry", ["solve", "qt_matmul"])
+    def test_a_second_call_builds_nothing(self, builds, entry):
+        f = qr_factor(random_dense(50, 27, seed=1), nb=8, ib=4, tree="greedy")
+        b = random_dense(50, 2, seed=2)
+        first = getattr(f, entry)(b)
+        assert builds == [len(f._factors.records)]
+        assert np.array_equal(getattr(f, entry)(b), first)
+        f.q_matmul(b), f.q_thin(), f.residuals(random_dense(50, 27, seed=1))
+        assert len(builds) == 1
+
+    def test_a_replaced_record_list_is_rebuilt(self, builds):
+        fac, _ = _factors(50, 27, 8)
+        b = random_dense(50, 2, seed=2)
+        x = fac.solve_ls(b)
+        fac.records = list(fac.records)
+        assert np.array_equal(fac.solve_ls(b), x) and len(builds) == 2
+
+    def test_a_warm_session_reuses_the_list_across_factor_calls(self, builds):
+        kw = dict(nb=8, ib=4, tree="hier", h=3)
+        a1, a2 = random_dense(40, 24, seed=1), random_dense(40, 24, seed=2)
+        b = random_dense(40, 2, seed=3)
+        with QRSession(n_procs=2) as sess:
+            sess.factor(a1, **kw).solve(b)
+            assert len(builds) == 1
+            x = sess.factor(a2, **kw).solve(b)
+        assert len(builds) == 1
+        assert np.array_equal(x, qr_factor(a2, **kw).solve(b))
+
+    def test_a_stale_result_raises_before_any_apply(self, monkeypatch):
+        applied = []
+        real = reference._run_calls
+        monkeypatch.setattr(reference, "_run_calls",
+                            lambda *args: applied.append(1) or real(*args))
+        kw = dict(nb=8, ib=4, tree="hier", h=3)
+        b = random_dense(40, 2, seed=3)
+        with QRSession(n_procs=2) as sess:
+            first = sess.factor(random_dense(40, 24, seed=1), **kw)
+            first.solve(b)
+            sess.factor(random_dense(40, 24, seed=2), **kw)
+            del applied[:]
+            for call in (lambda: first.solve(b), lambda: first.qt_matmul(b), first.q_thin):
+                with pytest.raises(StaleResultError):
+                    call()
+        assert applied == []
+
+    def test_pickles_without_the_list(self):
+        f = qr_factor(random_dense(50, 27, seed=4), nb=8, ib=4, tree="binary")
+        b = random_dense(50, 3, seed=5)
+        before = pickle.dumps(f)
+        x = f.solve(b)
+        after = pickle.dumps(f)
+        assert len(after) == len(before)
+        twin = pickle.loads(after)
+        assert twin._factors._calls is None
+        assert np.array_equal(twin.solve(b), x)
+
+
+LEAST_SQUARES_SMOKE = """
+    import numpy as np
+    from repro import QRSession, qr_factor
+    from repro.util import ConfigurationError
+
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((512, 128)), rng.standard_normal((512, 16))
+    kw = dict(nb=32, ib=16, tree="hier", h=2)
+    xs = {name: qr_factor(a, backend=name, **kw).solve(b) for name in ("serial", "batched")}
+    xs["parallel"] = qr_factor(a, backend="parallel", n_procs=2, **kw).solve(b)
+    xs["pulsar"] = qr_factor(a, backend="pulsar", n_nodes=2, workers_per_node=1,
+                             **kw).solve(b)
+    with QRSession(n_procs=2) as sess:
+        sess.factor(a, **kw)
+        f = sess.factor(a, **kw)
+        xs["session"] = f.solve(b)
+        try:
+            f.solve(b + 1j)
+        except ConfigurationError as exc:
+            assert "b must be real" in str(exc), exc
+        else:
+            raise AssertionError("a complex b was solved")
+    ref = np.linalg.lstsq(a, b, rcond=None)[0]
+    for name, x in xs.items():
+        assert np.array_equal(x, xs["serial"]), f"{name} differs from serial"
+        err = np.abs(x - ref).max() / np.abs(ref).max()
+        assert err <= 1e-10, f"{name}: {err:.2e} from lstsq"
+    print(f"four backends and a session bit-equal, {err:.1e} from lstsq, complex b refused")
+"""
+
+
+def test_least_squares_smoke_under_dev_mode():
+    """The burst geometry on all four backends and a warm session, in a fresh
+    interpreter under ``-X dev -W error``: bit-equal solutions within 1e-10
+    of ``numpy.linalg.lstsq``, a complex ``b`` refused, and nothing at all on
+    stderr (no warning, no leaked resource)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", textwrap.dedent(LEAST_SQUARES_SMOKE)],
+        env=env, timeout=120, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "complex b refused" in done.stdout

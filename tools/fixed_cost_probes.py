@@ -3,12 +3,13 @@
 factorization is per-op Python, and whether this host's CPUs add throughput
 for kernels of tile size.
 
-Four probes, each printing one table; BLAS is pinned to one thread first::
+Five probes, each printing one table; BLAS is pinned to one thread first::
 
     PYTHONPATH=src python tools/fixed_cost_probes.py glue       # per-op Python
     PYTHONPATH=src python tools/fixed_cost_probes.py scaling    # 1 vs 2 CPUs
     PYTHONPATH=src python tools/fixed_cost_probes.py timeline   # worker overlap
     PYTHONPATH=src python tools/fixed_cost_probes.py oneshot    # per-call phases
+    PYTHONPATH=src python tools/fixed_cost_probes.py qt         # Q^T b per record
 
 ``glue`` runs each benchmark geometry three ways — the execution core
 (``execute_ops``), a bare loop over SciPy's f2py LAPACK wrappers with every
@@ -43,6 +44,11 @@ segment (``stats.pipe_messages`` / ``bytes_in`` / ``bytes_out``; a checkout
 without a field prints ``-``) — all from the call with the shortest window.  Every
 table ends with this host's two-process probe: how much longer two CPU-bound
 children take than one (1.0: two cores delivered; 2.0: one).
+``qt`` times ``f.qt_matmul(b)`` (16 columns) on each bench geometry against a
+bare loop of the same f2py calls with every operand pre-resolved on one
+reused buffer, checks the two bit-equal and prints microseconds per record;
+it uses only the public result and its records, so it too runs against
+another checkout.
 """
 
 from __future__ import annotations
@@ -367,6 +373,68 @@ def probe_timeline():
               f"{(busy[0] + busy[1]) / serial_busy:17.2f}")
 
 
+# -- qt ------------------------------------------------------------------------
+
+
+def _bare_qt(fac, q):
+    """``Q^T c`` as a bare loop of the factorization's f2py calls, one per
+    record, every operand pre-resolved on one reused ``(mt, q, nb)`` buffer
+    (full tiles only: the bench geometries are not ragged)."""
+    grid, nb, mt = fac.a.grid, fac.a.nb, fac.a.mt
+    assert fac.m == mt * nb, "ragged tile rows"
+    buf = np.empty((mt, q, nb))
+    blocks = list(buf.transpose(0, 2, 1))
+    calls = []
+    for rec in fac.records:
+        if rec.kind == "GEQRT":
+            v = grid[rec.i][rec.j]
+            k = min(v.shape)
+            calls.append((lapack.dgemqrt, (v[:, :k], rec.t[:k], blocks[rec.i], b"L", b"T", 1)))
+        else:
+            v = grid[rec.k2][rec.j][: rec.m2, : rec.k]
+            el = 0 if rec.kind == "TSQRT" else v.shape[0]
+            calls.append((lapack.dtpmqrt, (el, v, rec.t[: rec.k], blocks[rec.i][: rec.k],
+                                           blocks[rec.k2], b"L", b"T", 1, 1)))
+
+    def run(c):
+        buf.transpose(0, 2, 1)[...] = c.reshape(mt, nb, q)
+        for fn, args in calls:
+            if fn(*args)[-1] != 0:
+                raise RuntimeError("LAPACK info != 0")
+        out = np.empty((fac.m, q), order="F")
+        out.T.reshape(q, mt, nb)[...] = buf.transpose(1, 0, 2)
+        return out
+
+    return run
+
+
+def probe_qt(rounds=40, q=16):
+    from repro import qr_factor
+
+    print(f"{'workload':18s} {'records':>7s} {'qt_matmul ms':>12s} {'bare ms':>8s} "
+          f"{'qt_matmul us/rec':>16s} {'bare us/rec':>11s} {'gap us/rec':>10s}")
+    for name, w in WORKLOADS.items():
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((w.m, w.n)), rng.standard_normal((w.m, q))
+        f = qr_factor(a, **w.geometry)
+        fac = f._factors
+        bare = _bare_qt(fac, q)
+        assert np.array_equal(f.qt_matmul(b), bare(b)), "bare loop is not bit-equal"
+        # Interleaved calls, median of each: a loaded phase of the host then
+        # costs both sides a round.
+        lib, loop = [], []
+        for _ in range(rounds):
+            for fn, times in ((f.qt_matmul, lib), (bare, loop)):
+                t0 = time.perf_counter()
+                fn(b)
+                times.append(time.perf_counter() - t0)
+        n_rec = len(fac.records)
+        lib_s, loop_s = statistics.median(lib), statistics.median(loop)
+        print(f"{name:18s} {n_rec:7d} {lib_s * 1e3:12.3f} {loop_s * 1e3:8.3f} "
+              f"{lib_s / n_rec * 1e6:16.2f} {loop_s / n_rec * 1e6:11.2f} "
+              f"{(lib_s - loop_s) / n_rec * 1e6:10.2f}")
+
+
 # -- oneshot -------------------------------------------------------------------
 
 
@@ -522,7 +590,7 @@ def _burn_wall(n_workers):
 
 if __name__ == "__main__":
     probes = {"glue": probe_glue, "scaling": probe_scaling, "timeline": probe_timeline,
-              "oneshot": probe_oneshot}
+              "oneshot": probe_oneshot, "qt": probe_qt}
     if len(sys.argv) != 2 or sys.argv[1] not in probes:
         sys.exit(f"usage: fixed_cost_probes.py {{{'|'.join(probes)}}}")
     probes[sys.argv[1]]()
