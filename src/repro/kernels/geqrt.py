@@ -115,9 +115,11 @@ def ormqr(v_tile: np.ndarray, t: np.ndarray, c: np.ndarray, trans: bool = True) 
         raise ShapeError(f"ormqr: c has {c.shape[0]} rows, expected {m}")
     if t.shape[1] != k:
         raise ShapeError(f"ormqr: t has {t.shape[1]} columns, expected {k}")
+    # side, trans and overwrite_c by position: f2py parses keywords about a
+    # microsecond slower per call.
     out, info = dgemqrt(
         v_tile if n == k else v_tile[:, :k], t if t.shape[0] <= k else t[:k], c,
-        trans=b"T" if trans else b"N", overwrite_c=1,
+        b"L", b"T" if trans else b"N", 1,
     )
     if info:
         _check_info("ormqr", info)

@@ -133,9 +133,9 @@ def _tpmqrt(name: str, l: int, v2, t, c1, c2, trans: bool) -> None:
             f"{name}: c2 shape {c2.shape} incompatible with v2 {v2.shape} / c1 {c1.shape}"
         )
     top = c1 if c1.shape[0] == k else c1[:k]
+    # side, trans and the overwrite flags by position, as in ormqr.
     a, b, info = dtpmqrt(
-        l, v2, t if t.shape[0] <= k else t[:k], top, c2, trans=b"T" if trans else b"N",
-        overwrite_a=1, overwrite_b=1,
+        l, v2, t if t.shape[0] <= k else t[:k], top, c2, b"L", b"T" if trans else b"N", 1, 1,
     )
     if info:
         _check_info(name, info)

@@ -9,10 +9,12 @@ checks) is validated against this executor: given the same operation list
 they must produce *bit-identical* factors, since the kernels are
 deterministic and the sequential order is a legal schedule of the DAG.
 
-Observability comes for free: the kernels imported from
-:mod:`repro.kernels` are instrumented shims, so running under an installed
-recorder (:mod:`repro.obs`) yields one span per kernel on lane 0 in
-schedule order, with exact per-kernel flop counters.
+Observability comes for free: the factorization runs the instrumented
+kernel shims of :mod:`repro.kernels`, so an installed recorder
+(:mod:`repro.obs`) sees one span per kernel on lane 0 in schedule order,
+with exact per-kernel flop counters.  Applying ``Q`` makes one apply-kernel
+call per record: the bare kernel when no recorder is installed, its shim
+(and so the same span and flop count) when one is.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgemqrt, dtpmqrt, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
-from ..kernels.flops import ormqr_flops, tsmqr_flops, ttmqr_flops
-from ..kernels.geqrt import _check_info
+from .. import kernels
 from ..obs import record as _obs_record
-from ..obs.adapters import KERNEL_CATEGORY
 from ..tiles.layout import TILE_ORDER
 from ..tiles.matrix import TileMatrix
 from ..util.errors import ConfigurationError, ShapeError
@@ -71,23 +71,14 @@ class TileQRFactors:
     ib:
         Inner block size used throughout.
 
-    Applying ``Q`` or ``Q^T`` walks the *call list*: one entry per record,
-    built on first use (:func:`_build_calls`) and kept for the ``records``
-    list and matrix it was built from.  It holds views of tiles and ``T``
-    slots, never anything derived from their values, so a session's
-    skeleton, whose views a later ``factor`` refills, keeps it across calls.
-    Pickles and copies drop it.
+    Applying ``Q`` or ``Q^T`` lays the operand out once and makes one
+    apply-kernel call per record on it (:meth:`_apply`); nothing about the
+    records is kept between calls.
     """
 
     a: TileMatrix
     records: list[FactorRecord] = field(default_factory=list)
     ib: int = 48
-    _calls: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_calls", None)
-        return state
 
     @property
     def m(self) -> int:
@@ -124,8 +115,8 @@ class TileQRFactors:
         """Least-squares solution of ``min_x ||A x - b||_2``.
 
         This is the paper's motivating application (Section I): apply
-        ``Q^T`` to ``b`` one tile row at a time and back-substitute against
-        R with one ``dtrtrs``.  A NaN/Inf in ``b`` is a
+        ``Q^T`` to ``b`` with one apply-kernel call per record and
+        back-substitute against R with one ``dtrtrs``.  A NaN/Inf in ``b`` is a
         :class:`~repro.util.errors.ConfigurationError` naming the entry; one
         in R or ``Q^T b`` raises :class:`ValueError` without a scan of R: one
         off the diagonal reaches ``x`` (``inf * 0`` is NaN), so the checks
@@ -164,33 +155,32 @@ class TileQRFactors:
 
     def _apply(self, buf: np.ndarray, trans: bool, rows: int) -> np.ndarray:
         """``Q^T`` / ``Q`` applied to the laid-out operand ``buf`` in place,
-        one LAPACK call per record; returns its first ``rows`` rows as a
-        Fortran-order ``(rows, q)`` array."""
-        calls = self._call_list()
+        one apply-kernel call per record on its tile-row blocks (the
+        arguments the factorization's updates take); returns its first
+        ``rows`` rows as a Fortran-order ``(rows, q)`` array."""
+        grid, nb = self.a.grid, self.a.nb
         blocks = list(buf.transpose(0, 2, 1))
-        last = self.m - (len(blocks) - 1) * self.a.nb
-        if last != self.a.nb:  # a ragged last tile row: LAPACK copies it in and out
+        last = self.m - (len(blocks) - 1) * nb
+        if last != nb:  # a ragged last tile row: LAPACK copies it in and out
             blocks[-1] = blocks[-1][:last]
-        recorder = _obs_record._RECORDER
-        if recorder is None:
-            _run_calls(calls if trans else reversed(calls), blocks, trans)
-        else:
-            _run_traced(calls, self.records, blocks, trans, recorder)
-        q, nb = buf.shape[1], buf.shape[2]
+        ormqr, tsmqr, ttmqr = kernels.ormqr, kernels.tsmqr, kernels.ttmqr
+        if _obs_record._RECORDER is None:  # the bare kernels the shims wrap
+            ormqr, tsmqr, ttmqr = ormqr.__wrapped__, tsmqr.__wrapped__, ttmqr.__wrapped__
+        for rec in self.records if trans else reversed(self.records):
+            if rec.kind == "GEQRT":
+                ormqr(grid[rec.i][rec.j], rec.t, blocks[rec.i], trans=trans)
+            elif rec.kind == "TSQRT":
+                tsmqr(grid[rec.k2][rec.j], rec.t, blocks[rec.i], blocks[rec.k2], trans=trans)
+            else:  # TTQRT
+                ttmqr(grid[rec.k2][rec.j][: rec.m2, : rec.k], rec.t, blocks[rec.i],
+                      blocks[rec.k2][: rec.m2], trans=trans)
+        q = buf.shape[1]
         full, rest = divmod(rows, nb)
         out = np.empty((rows, q), order=TILE_ORDER)
         out.T[:, : full * nb].reshape(q, full, nb)[...] = buf[:full].transpose(1, 0, 2)
         if rest:
             out.T[:, full * nb :] = buf[full, :, :rest]
         return out
-
-    def _call_list(self) -> list[tuple]:
-        """The call list of :attr:`records` on :attr:`a`, built once per
-        pair of the two."""
-        cached = self._calls
-        if cached is None or cached[0] is not self.records or cached[1] is not self.a:
-            cached = self._calls = (self.records, self.a, _build_calls(self.a.grid, self.records))
-        return cached[2]
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
         check_finite(b, "b")
@@ -217,93 +207,6 @@ class TileQRFactors:
             raise ValueError("the least-squares solution is not finite: R or Q^T b "
                              "holds a NaN/Inf, or the back-substitution overflowed")
         return x
-
-
-def _build_calls(grid: list[list[np.ndarray]], records: list[FactorRecord]) -> list[tuple]:
-    """One ``(l, v, t, i, k2)`` entry per record, the arguments of its one
-    LAPACK call: ``l < 0`` for ``dgemqrt`` (ORMQR), else ``dtpmqrt``'s ``l``
-    (``0`` for TS, ``m2`` for TT); ``v`` the reflector view and ``t`` the
-    ``T`` view cut to ``k`` rows, exactly as :mod:`repro.kernels` slices
-    them; ``i`` / ``k2`` the tile rows of the two operand blocks.  The
-    checks that involve only the record run here."""
-    calls = []
-    for rec in records:
-        t = rec.t
-        if rec.kind == "GEQRT":
-            v = grid[rec.i][rec.j]
-            m, n = v.shape
-            k = min(m, n)
-            if t.shape[1] != k:
-                raise ShapeError(f"ormqr: t has {t.shape[1]} columns, expected {k}")
-            if n != k:
-                v = v[:, :k]
-            l = -1
-        elif rec.kind == "TSQRT":
-            v, l = grid[rec.k2][rec.j], 0
-        else:  # TTQRT
-            v = grid[rec.k2][rec.j][: rec.m2, : rec.k]
-            l = v.shape[0]
-        k = v.shape[1]
-        calls.append((l, v, t if t.shape[0] <= k else t[:k], rec.i, rec.k2))
-    return calls
-
-
-def _run_calls(calls, blocks: list[np.ndarray], trans: bool) -> None:
-    """Each entry of ``calls`` as its one f2py call on the tile-row
-    ``blocks``, in place, with the checks of :func:`repro.kernels.ormqr` /
-    ``tsmqr`` / ``ttmqr`` on the operands (same types and messages)."""
-    # side, trans and the overwrite flags by position: f2py parses keywords
-    # about a microsecond slower per call.
-    tr = b"T" if trans else b"N"
-    for l, v, t, i, k2 in calls:
-        c1 = blocks[i]
-        if l < 0:
-            if c1.shape[0] != v.shape[0]:
-                raise ShapeError(f"ormqr: c has {c1.shape[0]} rows, expected {v.shape[0]}")
-            out, info = dgemqrt(v, t, c1, b"L", tr, 1)
-            if info:
-                _check_info("ormqr", info)
-            if out is not c1:
-                c1[...] = out
-            continue
-        m2, k = v.shape
-        c2 = blocks[k2]
-        if l and c2.shape[0] != m2:  # TT on a block taller than its reflectors
-            c2 = c2[:m2]
-        if c1.shape[0] < k:
-            raise ShapeError(f"{'ttmqr' if l else 'tsmqr'}: c1 needs >= {k} rows, "
-                             f"got {c1.shape[0]}")
-        if c2.shape[0] != m2 or c1.shape[1] != c2.shape[1]:
-            raise ShapeError(f"{'ttmqr' if l else 'tsmqr'}: c2 shape {c2.shape} incompatible "
-                             f"with v2 {v.shape} / c1 {c1.shape}")
-        top = c1 if c1.shape[0] == k else c1[:k]
-        a, b, info = dtpmqrt(l, v, t, top, c2, b"L", tr, 1, 1)
-        if info:
-            _check_info("ttmqr" if l else "tsmqr", info)
-        if a is not top:
-            top[...] = a
-        if b is not c2:
-            c2[...] = b
-
-
-def _run_traced(calls, records, blocks, trans: bool, recorder) -> None:
-    """:func:`_run_calls` one entry at a time, each a kernel span on the
-    calling lane with the name and flop count :mod:`repro.kernels`' shims
-    give the same call."""
-    q = blocks[0].shape[1]
-    pairs = zip(calls, records) if trans else zip(reversed(calls), reversed(records))
-    for call, rec in pairs:
-        l, v, ib = call[0], call[1], rec.t.shape[0]
-        if l < 0:
-            kind, flops = "ORMQR", ormqr_flops(v.shape[0], v.shape[1], q, ib)
-        elif l:
-            kind, flops = "TTMQR", ttmqr_flops(v.shape[1], q, ib)
-        else:
-            kind, flops = "TSMQR", tsmqr_flops(v.shape[1], v.shape[0], q, ib)
-        start = recorder.now()
-        _run_calls((call,), blocks, trans)
-        recorder.record_kernel(kind, KERNEL_CATEGORY[kind], flops, start, recorder.now(),
-                               _obs_record.current_lane(), op=_obs_record.current_op())
 
 
 def factor_ops(ops: list[Op]) -> tuple:

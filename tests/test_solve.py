@@ -1,7 +1,7 @@
 """The least-squares solve, and the operand rules of ``solve``,
 ``qt_matmul`` and ``q_matmul``.
 
-``solve`` applies ``Q^T`` to ``b`` one tile row at a time and
+``solve`` applies ``Q^T`` to ``b`` one kernel call per record and
 back-substitutes with one ``dtrtrs`` on R's upper tiles, neither zeroing
 the rest nor scanning R.  These tests pin it bit for bit against the dense
 route (``solve_triangular`` on ``f.R``), against ``numpy.linalg.lstsq``,
@@ -26,7 +26,6 @@ import scipy.linalg
 from repro import QRSession, kernels, qr_factor
 from repro.obs import recording
 from repro.obs.adapters import KERNEL_CATEGORY
-from repro.qr import reference
 from repro.qr.ops import expand_plans
 from repro.qr.reference import execute_ops
 from repro.tiles import TileMatrix, random_dense
@@ -279,7 +278,7 @@ class TestQPathAgainstTheKernelLoop:
     def test_peak_memory_stays_near_two_copies_of_a(self):
         a = random_dense(1024, 128, seed=5)
         f = qr_factor(a, nb=32, ib=16, tree="hier", h=2)
-        f.residuals(a)  # the call list is built outside the measurement
+        f.residuals(a)  # first-call allocations stay outside the measurement
         for call in (lambda: f.residuals(a), f.q_thin):
             tracemalloc.start()
             try:
@@ -290,76 +289,16 @@ class TestQPathAgainstTheKernelLoop:
             assert peak < 2.5 * a.nbytes, peak / a.nbytes
 
 
-class TestCallList:
-    """The call list: built once per record list, views only, never pickled."""
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        count = []
-        real = reference._build_calls
-
-        def spy(grid, records):
-            count.append(len(records))
-            return real(grid, records)
-
-        monkeypatch.setattr(reference, "_build_calls", spy)
-        return count
-
-    @pytest.mark.parametrize("entry", ["solve", "qt_matmul"])
-    def test_a_second_call_builds_nothing(self, builds, entry):
-        f = qr_factor(random_dense(50, 27, seed=1), nb=8, ib=4, tree="greedy")
-        b = random_dense(50, 2, seed=2)
-        first = getattr(f, entry)(b)
-        assert builds == [len(f._factors.records)]
-        assert np.array_equal(getattr(f, entry)(b), first)
-        f.q_matmul(b), f.q_thin(), f.residuals(random_dense(50, 27, seed=1))
-        assert len(builds) == 1
-
-    def test_a_replaced_record_list_is_rebuilt(self, builds):
-        fac, _ = _factors(50, 27, 8)
-        b = random_dense(50, 2, seed=2)
-        x = fac.solve_ls(b)
-        fac.records = list(fac.records)
-        assert np.array_equal(fac.solve_ls(b), x) and len(builds) == 2
-
-    def test_a_warm_session_reuses_the_list_across_factor_calls(self, builds):
-        kw = dict(nb=8, ib=4, tree="hier", h=3)
-        a1, a2 = random_dense(40, 24, seed=1), random_dense(40, 24, seed=2)
-        b = random_dense(40, 2, seed=3)
-        with QRSession(n_procs=2) as sess:
-            sess.factor(a1, **kw).solve(b)
-            assert len(builds) == 1
-            x = sess.factor(a2, **kw).solve(b)
-        assert len(builds) == 1
-        assert np.array_equal(x, qr_factor(a2, **kw).solve(b))
-
-    def test_a_stale_result_raises_before_any_apply(self, monkeypatch):
-        applied = []
-        real = reference._run_calls
-        monkeypatch.setattr(reference, "_run_calls",
-                            lambda *args: applied.append(1) or real(*args))
-        kw = dict(nb=8, ib=4, tree="hier", h=3)
-        b = random_dense(40, 2, seed=3)
-        with QRSession(n_procs=2) as sess:
-            first = sess.factor(random_dense(40, 24, seed=1), **kw)
-            first.solve(b)
-            sess.factor(random_dense(40, 24, seed=2), **kw)
-            del applied[:]
-            for call in (lambda: first.solve(b), lambda: first.qt_matmul(b), first.q_thin):
-                with pytest.raises(StaleResultError):
-                    call()
-        assert applied == []
-
-    def test_pickles_without_the_list(self):
-        f = qr_factor(random_dense(50, 27, seed=4), nb=8, ib=4, tree="binary")
-        b = random_dense(50, 3, seed=5)
-        before = pickle.dumps(f)
-        x = f.solve(b)
-        after = pickle.dumps(f)
-        assert len(after) == len(before)
-        twin = pickle.loads(after)
-        assert twin._factors._calls is None
-        assert np.array_equal(twin.solve(b), x)
+def test_a_solve_leaves_the_pickle_as_it_was():
+    """Applying ``Q`` keeps nothing on the result: the pickle is the same
+    size before and after a ``solve``, and its copy solves bit-equal."""
+    f = qr_factor(random_dense(50, 27, seed=4), nb=8, ib=4, tree="binary")
+    b = random_dense(50, 3, seed=5)
+    before = pickle.dumps(f)
+    x = f.solve(b)
+    after = pickle.dumps(f)
+    assert len(after) == len(before)
+    assert np.array_equal(pickle.loads(after).solve(b), x)
 
 
 LEAST_SQUARES_SMOKE = """
