@@ -14,7 +14,12 @@ TTMQR    Apply a TTQRT transformation to a pair of trailing tiles.
 Each is one LAPACK call through SciPy — ``dgeqrt``/``dgemqrt`` for
 GEQRT/ORMQR, ``dtpqrt``/``dtpmqrt`` with ``l = 0`` for TSQRT/TSMQR and
 ``l = m2`` for TTQRT/TTMQR, the routines PLASMA's kernels of the same names
-wrap.  On Fortran-contiguous float64 operands — the column-major tiles of
+wrap.  They (and ``dtrtrs``, for ``solve``) come from SciPy's f2py module
+``_flapack`` through :mod:`repro.kernels._lapack`, which does not run
+``scipy.linalg``'s package ``__init__`` — its array-API imports cost a
+fresh process ~0.25 s and ~18 MiB.  SciPy stays a hard dependency, and the
+Fortran functions are the very objects ``scipy.linalg.lapack`` hands out.
+On Fortran-contiguous float64 operands — the column-major tiles of
 :mod:`repro.tiles` and the ``(ib, k)`` ``T`` factors the factor kernels
 return — LAPACK works in place; any other operand (C-order, strided, a
 ragged sub-view) is copied in, and the result stored back into exactly the

@@ -34,10 +34,10 @@ passed as is, not as a slice of itself.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from ..util.errors import ShapeError
 from ..util.validation import check_positive_int
+from ._lapack import dgemqrt, dgeqrt
 
 __all__ = ["geqrt", "ormqr"]
 

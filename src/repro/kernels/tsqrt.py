@@ -31,10 +31,10 @@ triangle; ``A2``'s upper trapezoid for TT; the whole of an update kernel's
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dtpmqrt, dtpqrt
 
 from ..util.errors import ShapeError
 from ..util.validation import check_positive_int
+from ._lapack import dtpmqrt, dtpqrt
 from .geqrt import _block_t, _check_info
 
 __all__ = ["tsqrt", "ttqrt", "tsmqr", "ttmqr"]

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dtrtrs
+from numpy.linalg import LinAlgError
 
 from .. import kernels
+from ..kernels._lapack import dtrtrs
 from ..obs import record as _obs_record
 from ..tiles.layout import TILE_ORDER
 from ..tiles.matrix import TileMatrix

@@ -530,6 +530,24 @@ def _run_child(code, timeout, **streams):
     )
 
 
+class TestWorkersKeepTheCallersBlas:
+    def test_parallel_matches_serial_under_two_blas_threads(self, monkeypatch):
+        """OpenBLAS rounds tile kernels differently under one thread and
+        under two (at ``nb=64`` here), so workers that ran BLAS on a thread
+        count of their own would stop matching the caller's serial factors
+        bit for bit: they keep the setting they were forked with."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        done = _run_child("""
+            b = np.random.default_rng(0).standard_normal((256, 128))
+            g = dict(nb=64, ib=32, tree="hier", h=2)
+            ref = qr_factor(b, **g)
+            f = qr_factor(b, backend="parallel", n_procs=2, **g)
+            print(f.stats.mode, np.array_equal(ref.R, f.R))
+        """, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["parallel", "True"]
+
+
 class TestParentGoesAway:
     def test_resource_tracker_stops_while_workers_are_kept(self):
         """What ``bench/__main__.py`` does on its way out: the tracker exits

@@ -102,10 +102,12 @@ class TestBitExactness:
         ser = qr_factor(small_matrix, **KW)
         one = qr_factor(small_matrix, **KW, backend="parallel", n_procs=2)
         shutdown_workers()  # the session's workers are then the only ones
+        other = random_dense(40, 24, seed=9)
         with QRSession(n_procs=2) as sess:
-            sess.factor(random_dense(40, 24, seed=9), **KW)  # warm the plan
+            cold = sess.factor(other, **KW).detach()  # forks the pool, warms the plan
             warm = sess.factor(small_matrix, **KW).detach()  # kept across the next factor
             wf = sess.factor(small_matrix, **KW, batch="wavefront")
+        np.testing.assert_array_equal(qr_factor(other, **KW).R, cold.R)
         for f in (one, warm, wf):
             np.testing.assert_array_equal(ser.R, f.R)
         probe = np.linspace(0.0, 1.0, small_matrix.shape[0])
@@ -226,10 +228,12 @@ class TestObservability:
     def test_traces_validate(self, small_matrix, tmp_path):
         from repro.obs.validate import validate_chrome_trace
 
-        path = tmp_path / "session.json"
+        paths = [tmp_path / "cold.json", tmp_path / "warm.json"]
         with QRSession(n_procs=2) as sess:
-            sess.factor(small_matrix, **KW, trace=str(path))
-        validate_chrome_trace(path)
+            for path in paths:
+                sess.factor(small_matrix, **KW, trace=str(path))
+        for path in paths:
+            validate_chrome_trace(path)
 
 
 # -- a session under arbitrary sequences of calls ------------------------------------

@@ -3,13 +3,14 @@
 factorization is per-op Python, and whether this host's CPUs add throughput
 for kernels of tile size.
 
-Five probes, each printing one table; BLAS is pinned to one thread first::
+Six probes, each printing one table; BLAS is pinned to one thread first::
 
     PYTHONPATH=src python tools/fixed_cost_probes.py glue       # per-op Python
     PYTHONPATH=src python tools/fixed_cost_probes.py scaling    # 1 vs 2 CPUs
     PYTHONPATH=src python tools/fixed_cost_probes.py timeline   # worker overlap
     PYTHONPATH=src python tools/fixed_cost_probes.py oneshot    # per-call phases
     PYTHONPATH=src python tools/fixed_cost_probes.py qt         # Q^T b per record
+    PYTHONPATH=src python tools/fixed_cost_probes.py cold       # a fresh process
 
 ``glue`` runs each benchmark geometry three ways — the execution core
 (``execute_ops``), a bare loop over SciPy's f2py LAPACK wrappers with every
@@ -49,6 +50,14 @@ bare loop of the same f2py calls with every operand pre-resolved on one
 reused buffer, checks the two bit-equal and prints microseconds per record;
 it uses only the public result and its records, so it too runs against
 another checkout.
+``cold`` runs the benchmark's ``setup_s`` probe (a ``QRSession``, one
+``batch="wavefront"`` factor of the workload's input, one solve, close) in
+fresh interpreters and splits each one's wall time into interpreter start,
+NumPy, the LAPACK module (``repro/kernels/_lapack.py`` run on its own, or
+``scipy.linalg.lapack`` on a checkout without it), the rest of ``repro``,
+inputs, cold factor, first solve, close and exit, with the modules loaded,
+peak RSS and whether ``scipy.linalg`` was imported; the clock
+(``perf_counter``, i.e. ``CLOCK_MONOTONIC``) is shared by parent and child.
 """
 
 from __future__ import annotations
@@ -569,6 +578,72 @@ def probe_oneshot(calls=7):
         print(f"  two-process probe: two CPU-bound children take {two / one:.2f}x as long as one")
 
 
+# -- cold ----------------------------------------------------------------------
+
+COLD_CHILD = """
+import time
+t = [time.perf_counter()]
+import importlib.util, json, os, resource, sys
+import numpy as np
+t.append(time.perf_counter())
+repro_dir = importlib.util.find_spec("repro").submodule_search_locations[0]
+loader = os.path.join(repro_dir, "kernels", "_lapack.py")
+if os.path.exists(loader):  # it imports nothing of repro, so it runs on its own
+    spec = importlib.util.spec_from_file_location("lapack_probe", loader)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+else:
+    import scipy.linalg.lapack
+t.append(time.perf_counter())
+from repro import QRSession
+t.append(time.perf_counter())
+sys.path.insert(0, {root!r})
+from bench.workloads import WORKLOADS, make_inputs, worker_count
+w = WORKLOADS[{name!r}]
+a, b = make_inputs(w, 0)
+t.append(time.perf_counter())
+sess = QRSession(n_procs=worker_count())
+f = sess.factor(a, batch="wavefront", **w.geometry)
+t.append(time.perf_counter())
+f.solve(b)
+t.append(time.perf_counter())
+sess.close()
+t.append(time.perf_counter())
+print(json.dumps(dict(t=t, modules=len(sys.modules), scipy_linalg="scipy.linalg" in sys.modules,
+                      rss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)))
+"""
+
+COLD_PHASES = ("interpreter", "NumPy", "LAPACK module", "repro", "inputs", "cold factor",
+               "first solve", "close", "exit")
+
+
+def probe_cold(runs=9):
+    import json
+    import subprocess
+
+    root = str(pathlib.Path(__file__).resolve().parent.parent)
+    for name in WORKLOADS:
+        code = COLD_CHILD.format(root=root, name=name)
+        rows, walls, facts = {phase: [] for phase in COLD_PHASES}, [], []
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            out = subprocess.run([sys.executable, "-c", code], check=True,
+                                 capture_output=True, text=True).stdout
+            t1 = time.perf_counter()
+            child = json.loads(out)
+            stamps = [t0, *child["t"], t1]
+            for phase, start, end in zip(COLD_PHASES, stamps, stamps[1:]):
+                rows[phase].append(end - start)
+            walls.append(t1 - t0)
+            facts.append((child["modules"], child["rss_mib"], child["scipy_linalg"]))
+        print(f"{name}  (ms, median of {runs} fresh processes)")
+        for phase in COLD_PHASES:
+            print(f"  {phase:16s}{statistics.median(rows[phase]) * 1e3:10.1f}")
+        print(f"  {'total':16s}{statistics.median(walls) * 1e3:10.1f}")
+        modules, rss, linalg = (statistics.median(col) for col in zip(*facts))
+        print(f"  modules {modules:.0f}, peak RSS {rss:.1f} MiB, "
+              f"scipy.linalg imported: {bool(linalg)}")
+
+
 def _burn(out, n=2_000_000):
     t0, x = time.perf_counter(), 0
     for i in range(n):
@@ -590,7 +665,7 @@ def _burn_wall(n_workers):
 
 if __name__ == "__main__":
     probes = {"glue": probe_glue, "scaling": probe_scaling, "timeline": probe_timeline,
-              "oneshot": probe_oneshot, "qt": probe_qt}
+              "oneshot": probe_oneshot, "qt": probe_qt, "cold": probe_cold}
     if len(sys.argv) != 2 or sys.argv[1] not in probes:
         sys.exit(f"usage: fixed_cost_probes.py {{{'|'.join(probes)}}}")
     probes[sys.argv[1]]()
