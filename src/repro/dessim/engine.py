@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..pulsar.runtime import POLICIES
+from ..qr.schedule import POLICIES
 from ..util.errors import SimulationError
 from ..util.validation import check_positive, require
 from .graph import TaskGraph

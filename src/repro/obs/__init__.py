@@ -39,57 +39,62 @@ spans from whichever backend runs and writes a Perfetto-loadable JSON; see
 ``docs/observability.md`` for the per-backend recipes.
 """
 
-from .adapters import (
-    KERNEL_CATEGORY,
-    KIND_CATEGORY,
-    counters_from_ops,
-    spans_from_des_trace,
-)
-from .analysis import (
-    CriticalPathResult,
-    CriticalPathStep,
-    GapReport,
-    KernelGap,
-    LaneUsage,
-    PerfAnalysis,
-    analyze_factorization,
-    attribution_table,
-    causal_edges,
-    gap_report,
-    lane_attribution,
-    match_spans_to_ops,
-    realized_critical_path,
-)
-from .context import RunContext, current_run_id, mint_run_id, use_run
-from .events import EVENT_TYPES, Event, EventLog, read_events
-from .export import (
-    counter_summary,
-    des_traces_to_chrome,
-    span_summary,
-    spans_to_csv,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from .record import (
-    Counters,
-    Recorder,
-    Span,
-    current_lane,
-    current_op,
-    current_span_id,
-    get_recorder,
-    recording,
-    set_current_op,
-    set_worker_lane,
-)
-from .registry import RunRegistry, anomaly_flags, build_record, diff_records
-from .sampler import MetricsSampler
-from .validate import (
-    canonical_counter_keys,
-    validate_chrome_trace,
-    validate_counters,
-    validate_run_telemetry,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - import-time typing only
+    from .adapters import (
+        KERNEL_CATEGORY,
+        KIND_CATEGORY,
+        counters_from_ops,
+        spans_from_des_trace,
+    )
+    from .analysis import (
+        CriticalPathResult,
+        CriticalPathStep,
+        GapReport,
+        KernelGap,
+        LaneUsage,
+        PerfAnalysis,
+        analyze_factorization,
+        attribution_table,
+        causal_edges,
+        gap_report,
+        lane_attribution,
+        match_spans_to_ops,
+        realized_critical_path,
+    )
+    from .context import RunContext, current_run_id, mint_run_id, use_run
+    from .events import EVENT_TYPES, Event, EventLog, read_events
+    from .export import (
+        counter_summary,
+        des_traces_to_chrome,
+        span_summary,
+        spans_to_csv,
+        to_chrome_trace,
+        write_chrome_trace,
+    )
+    from .record import (
+        Counters,
+        Recorder,
+        Span,
+        current_lane,
+        current_op,
+        current_span_id,
+        get_recorder,
+        recording,
+        set_current_op,
+        set_worker_lane,
+    )
+    from .registry import RunRegistry, anomaly_flags, build_record, diff_records
+    from .sampler import MetricsSampler
+    from .validate import (
+        canonical_counter_keys,
+        validate_chrome_trace,
+        validate_counters,
+        validate_run_telemetry,
+    )
 
 __all__ = [
     "Span",
@@ -143,3 +148,42 @@ __all__ = [
     "diff_records",
     "anomaly_flags",
 ]
+
+#: The submodule of each public name, imported on first access (PEP 562)
+#: so that a process that records nothing loads none of the analysis, export,
+#: registry, sampler or validation modules.
+_HOME = {
+    "adapters": ("KERNEL_CATEGORY", "KIND_CATEGORY", "counters_from_ops", "spans_from_des_trace"),
+    "analysis": (
+        "CriticalPathResult", "CriticalPathStep", "GapReport", "KernelGap", "LaneUsage",
+        "PerfAnalysis", "analyze_factorization", "attribution_table", "causal_edges",
+        "gap_report", "lane_attribution", "match_spans_to_ops", "realized_critical_path",
+    ),
+    "context": ("RunContext", "current_run_id", "mint_run_id", "use_run"),
+    "events": ("EVENT_TYPES", "Event", "EventLog", "read_events"),
+    "export": (
+        "counter_summary", "des_traces_to_chrome", "span_summary", "spans_to_csv",
+        "to_chrome_trace", "write_chrome_trace",
+    ),
+    "record": (
+        "Counters", "Recorder", "Span", "current_lane", "current_op", "current_span_id",
+        "get_recorder", "recording", "set_current_op", "set_worker_lane",
+    ),
+    "registry": ("RunRegistry", "anomaly_flags", "build_record", "diff_records"),
+    "sampler": ("MetricsSampler",),
+    "validate": (
+        "canonical_counter_keys", "validate_chrome_trace", "validate_counters",
+        "validate_run_telemetry",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

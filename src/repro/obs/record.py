@@ -137,7 +137,7 @@ K_POOL_SPAWNS = "pool.spawns"  # pool worker processes spawned (cold start or re
 K_POOL_REUSED = "pool.reused"  # warm worker reuses across session.factor calls
 K_PLAN_HITS = "plan.hits"  # PlanCache hits (this session's segment and pinned schedule reused)
 K_PLAN_MISSES = "plan.misses"  # PlanCache misses (schedule pinned from the process memo)
-K_PLAN_EVICTIONS = "plan.evictions"  # LRU evictions (the session's segment unlinked)
+K_PLAN_EVICTIONS = "plan.evictions"  # LRU evictions (the session's segment let go)
 
 # Silent-data-corruption defense and checkpoint/resume events
 # (repro.qr.checksum, repro.qr.persist; docs/robustness.md).

@@ -72,6 +72,7 @@ from ..util.errors import (
     TagError,
     VSAError,
 )
+from ..qr.schedule import POLICIES
 from ..util.validation import check_positive_int, require
 from .channel import Channel
 from .packet import Packet
@@ -79,9 +80,6 @@ from .vdp import VDP
 from .vsa import VSA
 
 __all__ = ["PRTConfig", "RunStats", "PRT"]
-
-#: Supported scheduling policies (paper Section IV-A).
-POLICIES = ("lazy", "aggressive")
 
 #: Reliable-protocol retransmission: the first timeout in seconds, doubled
 #: per attempt and capped at ``RETRY_BACKOFF_CAP``; a packet still

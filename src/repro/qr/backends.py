@@ -35,15 +35,13 @@ that one table and reach the executor through one function,
 
 from __future__ import annotations
 
-from ..pulsar.runtime import POLICIES
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import SharedTileStore
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int, require
 from . import parallel as _parallel
-from .collector import assemble_factors
 from .reference import execute_ops
-from .vsa3d import build_qr_vsa
+from .schedule import POLICIES
 from .wavefront import execute_ops_batched
 
 __all__ = [
@@ -208,6 +206,9 @@ def run_backend(
             tm, entry, ib, n_procs=n_procs, policy=policy, batch=batch,
             pool=pool, arena=store, **common
         )
+    from .collector import assemble_factors  # the pulsar path alone loads the runtime
+    from .vsa3d import build_qr_vsa
+
     arr = build_qr_vsa(tm, entry.plans, ib=ib, total_workers=n_nodes * workers_per_node)
     stats = arr.run(n_nodes=n_nodes, workers_per_node=workers_per_node, policy=policy,
                     fault_plan=fault_plan)

@@ -27,16 +27,18 @@ not a generic list schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..dessim.graph import TaskGraph, TaskGraphBuilder
 from ..dessim.trace import KIND_BINARY, KIND_PANEL, KIND_UPDATE
 from ..kernels.flops import kernel_flops, qr_useful_flops
-from ..machine.model import MachineModel
 from ..tiles.layout import TileLayout
 from ..trees.plan import PanelPlan
 from ..util.validation import require
-from .mapping import VDPThreadMap
 from .ops import expand_plans
+
+if TYPE_CHECKING:  # pragma: no cover - the DES path imports them when it runs
+    from ..machine.model import MachineModel
 
 __all__ = ["QRTaskGraph", "build_qr_taskgraph", "op_dependency_graph"]
 
@@ -136,6 +138,8 @@ def build_qr_taskgraph(
     record_meta:
         Attach ``(kind, j, l)`` metadata per task for trace analysis.
     """
+    from .mapping import VDPThreadMap
+
     require(broadcast in ("chain", "direct"), f"unknown broadcast scheme {broadcast!r}")
     workers = machine.workers_for_cores(cores)
     nodes = machine.nodes_for_cores(cores)

@@ -25,12 +25,15 @@ their kernels under the GIL.  This module executes the *same* operation list
 * there is one worker lifecycle, :class:`WorkerPool`, and workers are
   spawned once per process: every one-shot run leases the module's kept pool
   (ended by :func:`shutdown_workers` or at interpreter exit) on a segment
-  whose name is gone when the call returns and which a later call loads
-  again once its result is gone (:data:`SPARE_SEGMENTS`); a
-  :class:`~repro.qr.session.QRSession` keeps a pool of its own and one
-  segment per cached plan.  A worker owns its end of one pipe and the last
-  attachments it made — it closes everything else it was forked with,
-  so it exits the moment its parent is gone, however the parent died.
+  whose descriptor the parent closes when the call returns and which a
+  later call loads again once its result is gone (:data:`SPARE_SEGMENTS`);
+  a :class:`~repro.qr.session.QRSession` keeps a pool of its own and one
+  segment per cached plan.  Segments are anonymous (``memfd``): a worker
+  is sent the descriptor of each one it is to map, down its own socket,
+  maps it and closes it.  A worker owns its end of one pipe and the last
+  mappings it made — it closes every pipe end and segment descriptor it
+  was forked with, so it exits the moment its parent is gone, however the
+  parent died, and nothing it holds outlives it.
 
 Because the dependency graph totally orders every tile's mutations, any
 legal schedule produces factors **bit-identical** to the serial reference.
@@ -63,8 +66,8 @@ import traceback
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import resource_tracker
 from multiprocessing.connection import Connection, wait as conn_wait
+from multiprocessing.reduction import recv_handle, send_handle
 from select import select
 
 import numpy as np
@@ -89,7 +92,7 @@ from ..obs.record import (
     K_WORKER_RESTART,
 )
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import _FORK_LOCK, SharedTileStore
+from ..tiles.shared import _FORK_LOCK, SharedTileStore, descriptor
 from ..util.errors import ParallelExecutionError
 from ..util.validation import check_positive_int, require
 from .checksum import SDCGuard
@@ -358,28 +361,6 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
 _PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
 
 
-def _drop_inherited() -> None:
-    """Close what a worker was forked with but does not own.
-
-    A worker owns its end of one pipe and the attachments it made itself.
-    The parent-side pipe ends went at the fork (:func:`_after_fork_in_child`)
-    and the parent's mappings of shared segments never came along
-    (``MADV_DONTFORK``, :class:`~repro.tiles.shared.SharedTileStore`); here
-    goes the resource tracker's pipe — workers attach untracked and never
-    talk to it, while the tracker waits for the last copy of that descriptor
-    before it exits.  The parent's *objects* over those mappings (stores,
-    one-shot results) did come along, over addresses now free for the
-    worker's own attachments: nothing here reads them, and ``gc.freeze``
-    keeps the collector from ever finalizing one.
-    """
-    gc.freeze()
-    tracker = resource_tracker._resource_tracker
-    fd = getattr(tracker, "_fd", None)
-    if fd is not None:
-        os.close(fd)
-        tracker._fd = None
-
-
 def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     """Worker process: serve factorization jobs until told to exit.
 
@@ -394,14 +375,20 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     the pipe after each ``("endjob",)`` / ``("detach",)``, and a bare
     ``None`` instead of a header ends the worker.
 
+    ``shm_name`` is the segment's string id; the segment itself arrives as
+    a descriptor on the same socket, right after any header that carries a
+    ``layout`` — at spawn and at lease alike — and the worker maps it and
+    closes the descriptor at once (:meth:`SharedTileStore.attach`): an idle
+    worker holds mappings, never a descriptor.
+
     A header names only what the worker does not hold yet.  ``layout`` and
     ``ops`` both ``None`` means "a segment you map": the worker keeps its
-    last :data:`SPARE_SEGMENTS` attachments by name (a name stays a unique id
-    after ``unlink``), each with the schedule it was attached under, so a
-    warm ``session.factor`` call and a one-shot call on a recycled segment
-    cost it no re-attach and no unpickling.
+    last :data:`SPARE_SEGMENTS` attachments by id, each with the schedule
+    it was attached under, so a warm ``session.factor`` call and a one-shot
+    call on a recycled segment cost it no new mapping, no descriptor and no
+    unpickling.
     ``ops`` alone ``None`` means "a new segment, the operation list of your
-    previous job": the worker attaches by name with its cached list and
+    previous job": the worker maps the descriptor with its cached list and
     the offset tables it derived for it (it keeps both as a
     :class:`~repro.qr.schedule.Schedule` of its own) — a one-shot call that
     found no spare pickles no op list and derives no
@@ -410,7 +397,12 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     policy).  Either way ``spawn_s`` on the parent collapses to a couple of
     pipe messages.
     """
-    _drop_inherited()
+    # The parent's *objects* over its mappings (stores, one-shot results) came
+    # along, over addresses now free for the worker's own mappings: nothing
+    # here reads them, and ``gc.freeze`` keeps the collector from ever
+    # finalizing one.  Its pipe ends and segment descriptors went at the fork
+    # (``_after_fork_in_child`` here and in :mod:`repro.tiles.shared`).
+    gc.freeze()
     # A forked child inherits the parent's recorder; spans must be recorded
     # by the parent from the reported stamps, not duplicated here.  The run
     # identity *does* survive the boundary: it arrives in the job header
@@ -428,11 +420,15 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
             t_attach0 = time.perf_counter()
             if share is not None:
                 cached_share = share
+            # A header with a layout is followed by the segment's descriptor.
+            fd = None if layout is None else recv_handle(conn)
             kept = held.pop(shm_name, None)
             if kept is None:
                 if ops is not None:
                     cached = Schedule(None, ops, ib, layout)
-                kept = SharedTileStore.attach(shm_name, layout, cached, ib), cached
+                kept = SharedTileStore.attach(shm_name, fd, layout, cached, ib), cached
+            elif fd is not None:
+                os.close(fd)
             held[shm_name] = kept
             store, cached = kept
             if len(held) > SPARE_SEGMENTS:
@@ -453,6 +449,13 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
         conn.close()
 
 
+def _send_descriptor(conn: Connection, fd: int, pid: int) -> None:
+    """Send a worker a copy of segment descriptor ``fd`` down its own socket,
+    right after the header that announces it (:func:`_worker_main`)."""
+    with _FORK_LOCK:  # ``send_handle`` works on a duplicate of the pipe end
+        send_handle(conn, fd, pid)
+
+
 class WorkerPool:
     """Worker processes leased out one factorization at a time.
 
@@ -468,9 +471,10 @@ class WorkerPool:
     :class:`~repro.qr.session.QRSession` keeps its pool across calls; every
     one-shot :func:`execute_ops_parallel` leases the one this module keeps
     for the process (:func:`shutdown_workers` ends its workers), which also
-    keeps the segments its last clean jobs ran on (:attr:`spares`): unlinked,
-    still mapped here and in the workers, and loaded again by a call under
-    their op list once the result made of them is gone (:meth:`take_spare`).
+    keeps the segments its last clean jobs ran on (:attr:`spares`): their
+    descriptors closed, still mapped here and in the workers, and loaded
+    again by a call under their op list once the result made of them is
+    gone (:meth:`take_spare`).
 
     Generation tags are the pool's crash-recovery bookkeeping, shared with
     the parent loop in :func:`execute_ops_parallel` (the
@@ -490,7 +494,7 @@ class WorkerPool:
         self.generations: dict[int, int] = {}
         #: rank -> names of the segments the worker maps, oldest first.
         self.known: dict[int, list[str]] = {}
-        #: ``(handle, mapping, weakref(root), ops, ib)`` per segment a clean
+        #: ``(name, mapping, weakref(root), ops, ib)`` per segment a clean
         #: one-shot job left behind, newest first.
         self.spares: list[tuple] = []
         # rank -> the op list and the share the worker holds, *by reference*:
@@ -520,11 +524,18 @@ class WorkerPool:
         with _FORK_LOCK:  # no fork between the pipe and its listing
             parent_conn, child_conn = self._ctx.Pipe()
             _PARENT_ENDS.add(parent_conn)
-        job = self._job[:-1] + (share,)
+        # Without a descriptor (a recycled segment: nobody new can map it)
+        # the worker has nothing to serve; it exits at once and is booked
+        # dead like any other.
+        fd = descriptor(self._job[1])
+        job = None if fd is None else self._job[:-1] + (share,)
         p = self._ctx.Process(target=_worker_main, args=(rank, generation, child_conn, job),
                               daemon=True, name=f"qr-pool-{rank}g{generation}")
         p.start()
         child_conn.close()
+        if fd is not None:
+            with contextlib.suppress(OSError):  # dead already: its sentinel says so
+                _send_descriptor(parent_conn, fd, p.pid)
         self.procs[rank] = p
         self.conns[rank] = parent_conn
         self.generations[rank] = generation
@@ -546,7 +557,10 @@ class WorkerPool:
             job = job[:2] + (None, None) + job[4:]  # no layout, no op list
         elif self._ops_of.get(rank) is ops:
             job = job[:3] + (None,) + job[4:]  # new segment, no op list
-        self.conns[rank].send(job + (None if self._share_of.get(rank) is share else share,))
+        conn = self.conns[rank]
+        conn.send(job + (None if self._share_of.get(rank) is share else share,))
+        if job[2] is not None:  # a new segment: its descriptor follows the header
+            _send_descriptor(conn, descriptor(shm_name), self.procs[rank].pid)
         names.append(shm_name)
         del names[:-SPARE_SEGMENTS]
         self._ops_of[rank] = ops
@@ -586,19 +600,19 @@ class WorkerPool:
 
     def holds(self, name: str, k: int) -> bool:
         """Whether ranks ``0..k-1`` are alive and map segment ``name`` — the
-        only ones that can serve a segment whose name is gone."""
+        only ones that can serve a segment whose descriptor is closed."""
         return all(name in self.known.get(w, ()) and self.procs[w].is_alive() for w in range(k))
 
     def take_spare(self, ops, ib: int, k: int):
-        """``(handle, mapping)`` of the newest spare laid out for ``ops`` and
+        """``(name, mapping)`` of the newest spare laid out for ``ops`` and
         ``ib`` that nobody reads any more (its root is dead) and ranks
         ``0..k-1`` map, or ``None``; taken under a lock, so by one caller."""
         with _FORK_LOCK:
             spares = self.spares  # one list, whoever ends the pool meanwhile
-            for i, (shm, buf, root, its_ops, its_ib) in enumerate(spares):
-                if its_ops is ops and its_ib == ib and root() is None and self.holds(shm.name, k):
+            for i, (name, buf, root, its_ops, its_ib) in enumerate(spares):
+                if its_ops is ops and its_ib == ib and root() is None and self.holds(name, k):
                     del spares[i]
-                    return shm, buf
+                    return name, buf
 
     def reset(self) -> None:
         """Kill every worker after a failed job.
@@ -644,7 +658,8 @@ class WorkerPool:
 #: forked once per process and grow to the largest ``n_procs`` asked for
 #: (each lease names its own ``k``; the pool's ``size`` is not read).
 #: Idle it pins the copy-on-write pages of its parent at fork time, a pipe
-#: per worker and at most :data:`SPARE_SEGMENTS` unlinked segments.
+#: per worker and at most :data:`SPARE_SEGMENTS` segments nobody holds a
+#: descriptor of.
 _KEPT = WorkerPool(1)
 
 #: Serialises the kept pool between one-shot calls from different threads:
@@ -764,8 +779,8 @@ def execute_ops_parallel(
     loaded.  The :class:`TileQRFactors` returned *are* the segment — its
     tile and ``T`` views, one skeleton per store — whose
     pages nobody writes while one of those arrays, or a view of one, is alive
-    (:class:`~repro.tiles.shared.SharedTileStore`).  A one-shot segment's name
-    is unlinked before this function returns and its mapping kept as a spare
+    (:class:`~repro.tiles.shared.SharedTileStore`).  A one-shot segment's
+    descriptor is closed before this function returns and its mapping kept as a spare
     for a later call; a session's is loaded again by
     the next call on its geometry, which is when
     :class:`~repro.qr.api.QRFactorization` stops handing these factors out.
@@ -807,7 +822,7 @@ def execute_ops_parallel(
         Spawn a replacement process for each dead worker that left work
         undone (capped at ``n_procs`` respawns per run), which takes over
         what the dead one had not flagged done.  With ``respawn=False`` (or
-        the budget spent, or on a recycled segment, whose name is gone) a
+        the budget spent, or on a recycled segment, whose descriptor is closed) a
         survivor adopts it, and the run fails only when none remain
         (:mod:`repro.qr.protocol`, rule 5).
     pool, arena:
@@ -821,10 +836,10 @@ def execute_ops_parallel(
         segment from here on — the ``arena`` the run envelope tiled the input
         into (:func:`repro.qr.backends.stage_input`: a fresh one, or a spare
         of the kept pool), or one made here from
-        ``a`` — takes its name away on every way out, and leases the pool this
+        ``a`` — closes its descriptor on every way out, and leases the pool this
         module keeps for the process (one caller at a time).  A clean job
         leaves its mapping to the pool as a spare; a recycled ``arena`` that a
-        leased rank does not map is moved to a fresh named segment first.
+        leased rank does not map is moved to a fresh segment first.
         The workers outlive the call (:func:`shutdown_workers` ends them)
         except under a ``fault_plan``, which runs on fresh generation-0
         workers, ends with ``("detach",)`` and leaves none and no spare, and
@@ -860,7 +875,7 @@ def execute_ops_parallel(
         return degrade(a.copy(), reason="n_procs=1")
     # A session's segment already holds the tiles and cleared flags (the
     # caller loaded the input) and outlives this call with its pool.  A
-    # one-shot run's segment ends with the call in name — its pages go on as
+    # one-shot run's descriptor ends with the call — its pages go on as
     # the factors, and as a spare of the process's kept pool (one caller at a
     # time), whose workers keep their attachment like a session's.
     one_shot = pool is None
@@ -885,7 +900,7 @@ def execute_ops_parallel(
             pool.shutdown()
         if one_shot and (store is None or store.recycled and not pool.holds(store.name, n_procs)):
             # A direct caller's tiles go in here; so do those of a segment
-            # without a name that a rank about to be leased does not map.
+            # without a descriptor that a rank about to be leased does not map.
             try:
                 store = SharedTileStore.create(a, sched, ib)
             except OSError as exc:
@@ -935,7 +950,7 @@ def execute_ops_parallel(
                 root_span_id = rec.add_span("pool.lease", "dispatch", end - stats.spawn_s, end,
                                             worker=n_procs, args=lease).span_id
 
-            # A recycled segment has no name to attach a replacement by.
+            # A recycled segment has no descriptor to send a replacement.
             ledger = Ledger(ops, shares, respawn and not store.recycled, len(completed_set))
             attached: set[int] = set()  # whose attach echo for *this* job was read
             last_seen: dict[int, float] = {}  # when each rank last showed life

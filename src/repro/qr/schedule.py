@@ -39,7 +39,7 @@ from .ops import expand_plans
 from .reference import factor_ops
 from .wavefront import compute_wavefronts
 
-__all__ = ["Schedule", "schedule_for", "list_schedule", "CAPACITY"]
+__all__ = ["Schedule", "schedule_for", "list_schedule", "CAPACITY", "POLICIES"]
 
 #: Geometries kept before the least recently used one is dropped — the
 #: default ``plan_cache_size`` of a :class:`~repro.qr.session.QRSession`.
@@ -54,6 +54,11 @@ CAPACITY = 8
 #: (``tools/fixed_cost_probes.py glue`` on a 2-vCPU x86 VM; docs/performance.md,
 #: "One op, one LAPACK call").
 OP_OVERHEAD_FLOPS = 4.0e4
+
+
+#: The ready-pool disciplines (paper Section IV-A), interpreted by
+#: :class:`_ReadyPool` here and by the PULSAR runtime and the DES engine.
+POLICIES = ("lazy", "aggressive")
 
 
 class _ReadyPool:

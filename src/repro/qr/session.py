@@ -84,7 +84,8 @@ class PlanCache:
     and, once a ``parallel`` call has run on it, this session's segment
     (:meth:`segment`).  Both are pure functions of the key, so entries never
     go stale and there is no invalidation beyond LRU capacity eviction
-    (evicting unlinks the entry's segment, never touches the schedule).
+    (evicting closes the descriptor of the entry's segment, never touches the
+    schedule).
     Hits, misses, and evictions are tallied per session on :attr:`stats`
     always, and on the ``plan.*`` observability counters when a recording
     is active.
@@ -118,7 +119,7 @@ class PlanCache:
         if rec is not None:
             rec.count(K_PLAN_MISSES)
         while len(self._entries) > self.maxsize:
-            self._unlink(self._entries.popitem(last=False)[1])
+            self._release(self._entries.popitem(last=False)[1])
             self.stats.evictions += 1
             if rec is not None:
                 rec.count(K_PLAN_EVICTIONS)
@@ -140,8 +141,8 @@ class PlanCache:
             store.load(a)
         return store
 
-    def _unlink(self, schedule: Schedule) -> None:
-        """Take the name of ``schedule``'s segment away and let go of it.  Its
+    def _release(self, schedule: Schedule) -> None:
+        """Close the descriptor of ``schedule``'s segment and let go of it.  Its
         pages stay with the results still made of them (each holds the
         store), so neither ``clear()`` nor an eviction makes a result
         dangle."""
@@ -150,9 +151,9 @@ class PlanCache:
             store.unlink()
 
     def clear(self) -> None:
-        """Drop every entry, unlinking the cached segments."""
+        """Drop every entry, closing the descriptors of the cached segments."""
         for schedule in self._entries.values():
-            self._unlink(schedule)
+            self._release(schedule)
         self._entries.clear()
 
 
@@ -212,7 +213,7 @@ class QRSession:
         return self._pool
 
     def close(self) -> None:
-        """Shut the pool down and unlink every cached segment (idempotent);
+        """Shut the pool down and let go of every cached segment (idempotent);
         results made of one keep its pages."""
         if self._closed:
             return
@@ -288,7 +289,7 @@ class QRSession:
         geometry's segment, valid until the next ``factor`` on the geometry
         loads it again — after that its accessors raise
         :class:`~repro.util.errors.StaleResultError` — and through
-        :meth:`close` and eviction, which take only the segment's name.
+        :meth:`close` and eviction, which close only the segment's descriptor.
         ``result.detach()`` is the owned copy to keep across calls.
         """
         from .api import qr_factor

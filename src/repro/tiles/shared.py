@@ -3,10 +3,13 @@
 A :class:`SharedTileStore` places every tile of a :class:`TileMatrix`, one
 slot per compact-WY ``T`` factor the operation list will produce, one
 completion-flag byte per operation and one pause byte inside a single
-``multiprocessing.shared_memory`` segment — one job, one segment.  Worker
-processes attach to it once, by name, and from then on read and mutate
-tiles in place through NumPy views: no array ever crosses a pipe, only
-small operation indices do.
+anonymous shared segment — an ``os.memfd_create`` file, one job, one
+segment.  It has no name in any file system: the parent holds its
+descriptor, hands a copy to each worker over the worker's own socket, and
+the worker maps it once and closes the copy; from then on both read and
+mutate tiles in place through NumPy views: no array ever crosses a pipe,
+only small operation indices do.  The pages go when the last process that
+maps or holds them lets go, so no crash can leak one.
 
 Tiles and ``T`` slots are column-major views
 (:data:`~repro.tiles.layout.TILE_ORDER`), like the owned tiles of a
@@ -14,7 +17,8 @@ Tiles and ``T`` slots are column-major views
 The segment layout (offset of every tile, ``T`` slot and the flag array) is
 a pure function of the tile geometry and the operation list, so the parent
 and every worker compute identical offset tables independently; only the
-segment *name* travels to the workers.
+segment's descriptor and its string id (:attr:`SharedTileStore.name`)
+travel to the workers.
 
 The completion flag is the only hand-off between two workers: one raises
 ``flags[idx]`` after op ``idx``'s tile writes (:meth:`SharedTileStore.publish`),
@@ -25,11 +29,12 @@ makes the store a release and the load an acquire on every CPU.
 
 from __future__ import annotations
 
+import ctypes
+import errno
 import mmap
 import os
 import threading
 import weakref
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -37,31 +42,7 @@ from ..util.errors import ConfigurationError, ShapeError
 from .layout import TILE_ORDER, TileLayout
 from .matrix import TileMatrix, full_tiles
 
-__all__ = ["SharedTileStore", "t_factor_key", "attach_untracked", "fence"]
-
-
-def attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker registration.
-
-    The attaching process must not adopt the segment in the (shared)
-    resource tracker — only the creator owns it, and concurrent
-    register/unregister from several workers corrupts the tracker's
-    cache.  Python < 3.13 lacks ``SharedMemory(track=False)``, so
-    registration is suppressed for the duration of the attach.
-    """
-    from multiprocessing import resource_tracker
-
-    orig_register = resource_tracker.register
-
-    def _skip_shm(name_: str, rtype: str) -> None:
-        if rtype != "shared_memory":
-            orig_register(name_, rtype)
-
-    resource_tracker.register = _skip_shm
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = orig_register
+__all__ = ["SharedTileStore", "t_factor_key", "descriptor", "fence"]
 
 
 _FENCE_LOCK = threading.Lock()
@@ -139,15 +120,71 @@ def _tables(layout: TileLayout, ops, ib: int) -> tuple[tuple, int]:
 
 
 #: Held while a segment is mapped *and* kept out of forks (``MADV_DONTFORK``,
-#: :class:`SharedTileStore`), and while a worker's pipe is made and listed in
-#: :mod:`repro.qr.parallel` — and taken by every ``fork`` of this process (the
-#: hooks below), so no child is ever forked between the two steps.
+#: :class:`SharedTileStore`), while a segment descriptor is made and listed
+#: in :data:`_HELD` or closed and delisted, and while a worker's pipe is made
+#: and listed in :mod:`repro.qr.parallel` — and taken by every ``fork`` of
+#: this process (the hooks below), so no child is ever forked between two
+#: such steps.
 _FORK_LOCK = threading.Lock()
+
+#: Segment id -> the descriptor this process holds for it: what a worker
+#: that does not map the segment yet is sent (:func:`descriptor`).  A
+#: forked child closes every one first thing (:func:`_after_fork_in_child`):
+#: a copy left in a long-lived child would keep the pages after their last
+#: user is gone.
+_HELD: dict[str, int] = {}
+
+
+def descriptor(name: str) -> int | None:
+    """The descriptor this process holds for segment ``name``, or ``None``
+    once the creator has let go of it (:meth:`SharedTileStore.unlink`)."""
+    return _HELD.get(name)
+
+
+def _after_fork_in_child() -> None:
+    """No segment descriptor of the parent's belongs to a forked child: its
+    workers are sent theirs, any other child has no business with them."""
+    for fd in _HELD.values():
+        os.close(fd)
+    _HELD.clear()
+    _FORK_LOCK.release()
+
 
 if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
     os.register_at_fork(before=_FORK_LOCK.acquire,
                         after_in_parent=_FORK_LOCK.release,
-                        after_in_child=_FORK_LOCK.release)
+                        after_in_child=_after_fork_in_child)
+
+
+_LIBC = ctypes.CDLL(None, use_errno=True)
+_LIBC.mmap.restype = ctypes.c_void_p
+_LIBC.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int,
+                       ctypes.c_int, ctypes.c_long)
+_LIBC.munmap.restype = _LIBC.madvise.restype = ctypes.c_int
+_LIBC.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+_LIBC.madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+_MAP_FAILED = ctypes.c_void_p(-1).value
+
+
+def _map(fd: int, size: int):
+    """This process's own shared mapping of ``size`` bytes of segment ``fd``,
+    kept out of forks (``MADV_DONTFORK``): a ``ctypes`` array over the
+    pages, unmapped when the last object over it goes.  The caller holds
+    :data:`_FORK_LOCK` until it is out of forks.
+
+    Not ``mmap.mmap``: that keeps a duplicate of ``fd`` for as long as the
+    mapping lives, a descriptor every later fork would inherit and that
+    would keep the pages past their last user.  This mapping holds none.
+    """
+    addr = _LIBC.mmap(None, size, mmap.PROT_READ | mmap.PROT_WRITE, mmap.MAP_SHARED, fd, 0)
+    if addr == _MAP_FAILED:
+        err = ctypes.get_errno()
+        raise OSError(err, os.strerror(err))
+    if hasattr(mmap, "MADV_DONTFORK"):  # pragma: no branch - Linux
+        _LIBC.madvise(addr, size, mmap.MADV_DONTFORK)
+    buf = (ctypes.c_char * size).from_address(addr)
+    weakref.finalize(buf, _LIBC.munmap, addr, size).atexit = False
+    return buf
 
 
 class SharedTileStore:
@@ -155,11 +192,13 @@ class SharedTileStore:
     the pause byte.
 
     Create it in the parent with :meth:`create`, attach from workers with
-    :meth:`attach`.  Only the creator may :meth:`unlink`; every process must
-    :meth:`close` when done.
+    :meth:`attach`.  Only the creator holds a descriptor, until
+    :meth:`unlink`; every process must :meth:`close` when done.
 
-    The *name* and the *mapping* have separate lives.  :meth:`unlink` removes
-    the name, which is what workers attach by and what ``/dev/shm`` lists.
+    The *descriptor* and the *mapping* have separate lives.  The creator's
+    descriptor is what a worker that does not map the segment yet is sent
+    (:func:`descriptor`); :meth:`unlink` closes it, after which nobody new
+    can map the segment.  No file system ever lists it.
     The mapping is this process's own ``mmap``, and every view a store hands
     out — tiles, ``T`` slots, flags, whatever is sliced from them — is built
     on one *root* array made over it for this store, so the root lives
@@ -168,9 +207,10 @@ class SharedTileStore:
     the root for as long as one of its arrays is around, and once the root is
     dead (:meth:`spare`) the mapping may be laid out again for the next run
     under the same plan (:meth:`recycle`).  No child forked later
-    inherits a mapping made here (``MADV_DONTFORK``): a worker attaches the
-    segment it serves by name, and any other child must not touch a store,
-    or a result that is one, of its parent.
+    inherits a mapping made here (``MADV_DONTFORK``) or a descriptor held
+    here: a worker maps the segment it serves from the descriptor it is
+    sent, and any other child must not touch a store, or a result that is
+    one, of its parent.
 
     :attr:`flags` is the ``uint8[len(ops)]`` completion ledger of the
     parallel backend — its enforced idempotency: a worker sets
@@ -180,45 +220,40 @@ class SharedTileStore:
     raises when a checkpoint falls due: workers read it before each op and
     park.  The layout is a pure function of ``(layout, ops,
     ib)`` (:func:`_segment_plan`), so one store fits every matrix factored
-    under the same plan: a one-shot run unlinks its segment before it returns
-    and leaves the mapping to the next one (:mod:`repro.qr.parallel`), while a
-    :class:`~repro.qr.session.QRSession` keeps one per cached plan; either way
-    each new matrix is copied in with :meth:`load` and pool workers that
-    already attached to the segment never re-attach.  Every
+    under the same plan: a one-shot run closes its descriptor before it
+    returns and leaves the mapping to the next one (:mod:`repro.qr.parallel`),
+    while a :class:`~repro.qr.session.QRSession` keeps one segment per cached
+    plan; either way each new matrix is copied in with :meth:`load` and pool
+    workers that already map the segment never map it again.  Every
     :meth:`load` bumps :attr:`generation`: a result made of this segment's
     views is good for as long as the count it remembers is the current one.
     """
 
     def __init__(
         self,
-        shm: shared_memory.SharedMemory,
+        name: str,
+        buf,
         layout: TileLayout,
         ib: int,
         plan: tuple,
         n_ops: int,
         *,
         owner: bool,
-        buf: mmap.mmap | None = None,
+        recycled: bool = False,
     ):
-        self._shm = shm  # kept for the name and for unlink()
+        #: The segment's id: the ``memfd`` name ``/proc/<pid>/maps`` shows,
+        #: and the key of the job headers and the pool's ``known`` lists.
+        self.name = name
         self._owner = owner
         self.layout = layout
         self.ib = ib
         tile_index, t_index, flags_off = plan  # this geometry's _segment_plan
-        if shm.size < flags_off + n_ops + 1:
+        if len(buf) < flags_off + n_ops + 1:
             raise ConfigurationError(
-                f"shared segment holds {shm.size} bytes, layout needs {flags_off + n_ops + 1}"
+                f"shared segment holds {len(buf)} bytes, layout needs {flags_off + n_ops + 1}"
             )
         #: Whether the mapping came from an earlier run (:meth:`recycle`).
-        self.recycled = buf is not None
-        if buf is None:
-            # Our own mapping, not ``shm.buf``: ``SharedMemory.close`` raises
-            # while a view is alive, this one is collected after the last of
-            # them.  The caller holds _FORK_LOCK until it is out of forks.
-            buf = mmap.mmap(shm._fd, shm.size)
-            if hasattr(mmap, "MADV_DONTFORK"):  # pragma: no branch - Linux
-                buf.madvise(mmap.MADV_DONTFORK)
-            shm.close()
+        self.recycled = recycled
         self._map = buf
         # This store's root: the base of every view below and of every view
         # of one, so it is alive exactly while someone can read the pages.
@@ -274,45 +309,52 @@ class SharedTileStore:
         ``ops`` is the operation list or the schedule that holds it
         (:func:`_tables`); a dense ``a`` needs the latter, for its layout.
 
-        The pages are reserved here: a ``/dev/shm`` too small raises
+        The pages are reserved here: memory too short to hold them raises
         ``OSError`` (``ENOSPC``), which callers turn into the serial fallback,
         where ``ftruncate`` alone would let the first store die of ``SIGBUS``.
+        So does a platform without ``os.memfd_create``.
         """
+        if not hasattr(os, "memfd_create"):
+            raise OSError(errno.ENOSYS, "os.memfd_create is unavailable on this platform")
         layout = a.layout if isinstance(a, TileMatrix) else ops.layout
         plan, n_ops = _tables(layout, ops, ib)
         size = plan[2] + n_ops + 1
+        name = f"psm_{os.urandom(8).hex()}"
         with _FORK_LOCK:
-            shm = shared_memory.SharedMemory(create=True, size=size)
+            fd = _HELD[name] = os.memfd_create(name, os.MFD_CLOEXEC)
             try:
-                os.posix_fallocate(shm._fd, 0, size)
-                store = cls(shm, layout, ib, plan, n_ops, owner=True)
+                os.ftruncate(fd, size)
+                os.posix_fallocate(fd, 0, size)
+                store = cls(name, _map(fd, size), layout, ib, plan, n_ops, owner=True)
             except BaseException:
-                shm.close()
-                shm.unlink()
+                del _HELD[name]
+                os.close(fd)
                 raise
         store.load(a)
         return store
 
     @classmethod
-    def recycle(cls, a: TileMatrix | np.ndarray, ops, ib: int, shm, buf) -> "SharedTileStore":
+    def recycle(cls, a: TileMatrix | np.ndarray, ops, ib: int, name: str, buf) -> "SharedTileStore":
         """:meth:`create` without allocating or mapping anything: new views
-        over the handle and mapping a finished run under the same ``ops`` and
-        ``ib`` left (:meth:`spare`, its root dead), then :meth:`load`."""
-        store = cls(shm, ops.layout, ib, *_tables(ops.layout, ops, ib), owner=False, buf=buf)
+        over the mapping a finished run under the same ``ops`` and ``ib``
+        left (:meth:`spare`, its root dead), then :meth:`load`."""
+        store = cls(name, buf, ops.layout, ib, *_tables(ops.layout, ops, ib), owner=False,
+                    recycled=True)
         store.load(a)
         return store
 
     @classmethod
-    def attach(cls, name: str, layout: TileLayout, ops, ib: int) -> "SharedTileStore":
-        """Attach to an existing segment from a worker process (untracked,
-        see :func:`attach_untracked`); ``ops`` as for :meth:`create`."""
+    def attach(cls, name: str, fd: int, layout: TileLayout, ops, ib: int) -> "SharedTileStore":
+        """Map segment ``name`` from a descriptor of it — a worker's, as it
+        was sent (:mod:`repro.qr.parallel`) — and close the descriptor;
+        ``ops`` as for :meth:`create`."""
         plan, n_ops = _tables(layout, ops, ib)
-        with _FORK_LOCK:
-            return cls(attach_untracked(name), layout, ib, plan, n_ops, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
+        try:
+            with _FORK_LOCK:
+                return cls(name, _map(fd, os.fstat(fd).st_size), layout, ib, plan,
+                           n_ops, owner=False)
+        finally:
+            os.close(fd)
 
     def load(self, a: TileMatrix | np.ndarray) -> None:
         """Copy ``a`` in and clear every completion flag and the pause byte.
@@ -349,16 +391,19 @@ class SharedTileStore:
         self._matrix = self.factors = None
 
     def spare(self) -> tuple:
-        """``(handle, mapping, weakref(root))``: what :meth:`recycle` needs,
+        """``(name, mapping, weakref(root))``: what :meth:`recycle` needs,
         once the reference is dead — nobody holds a view of these pages."""
-        return self._shm, self._map, weakref.ref(self._root)
+        return self.name, self._map, weakref.ref(self._root)
 
     def unlink(self) -> None:
-        """Remove the segment's name (creator only).  Its pages live on in
-        whatever still maps them."""
+        """Close the creator's descriptor (creator only): nobody new can map
+        the segment.  Its pages live on in whatever still maps them."""
         if self._owner:
             self._owner = False  # once: a second call, by whoever, is a no-op
-            self._shm.unlink()
+            with _FORK_LOCK:
+                fd = _HELD.pop(self.name, None)
+                if fd is not None:  # None in a child forked since: closed there
+                    os.close(fd)
 
     def destroy(self) -> None:
         """:meth:`close` + :meth:`unlink`: the creator's way out."""

@@ -22,9 +22,12 @@ the concurrency cap (more domains than workers gain nothing) is respected.
 from __future__ import annotations
 
 from math import ceil, log2
+from typing import TYPE_CHECKING
 
-from ..machine.model import MachineModel
 from ..util.validation import check_positive, check_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; callers pass the model in
+    from ..machine.model import MachineModel
 
 __all__ = ["panel_depth_model", "choose_domain_size"]
 

@@ -38,6 +38,21 @@ def small_tiles(small_matrix: np.ndarray) -> TileMatrix:
     return TileMatrix.from_dense(small_matrix, 8)
 
 
+def segment_descriptors(pid="self") -> list[str]:
+    """The ids (``psm_…``) of the shared segments process ``pid`` holds a
+    descriptor of: a segment is an anonymous ``memfd``, and a descriptor
+    of one shows in ``/proc/<pid>/fd`` as ``/memfd:<id> (deleted)``."""
+    held = []
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:  # closed since the listing
+            continue
+        if target.startswith("/memfd:psm_"):
+            held.append(target[len("/memfd:"):].split()[0])
+    return held
+
+
 @pytest.fixture
 def no_new_shm():
     """Fail the test if it leaves a ``/dev/shm`` segment behind; yields the

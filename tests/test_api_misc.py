@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +31,43 @@ class TestTopLevelPackage:
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
+
+    @pytest.mark.parametrize("package", ["repro.qr", "repro.obs", "repro.dessim"])
+    def test_lazy_subpackages_resolve_every_export(self, package):
+        pkg = importlib.import_module(package)
+        assert all(getattr(pkg, name) is not None for name in pkg.__all__)
+        with pytest.raises(AttributeError):
+            pkg.does_not_exist
+
+    def test_a_factor_and_solve_import_only_what_they_run(self):
+        """A process that factors and solves through a session and a one-shot
+        call loads none of the PULSAR runtime, the simulated network, the
+        machine models, the DES engine, the trace tooling or the
+        persistence and VSA layers."""
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from repro import QRSession, qr_factor
+            a = np.random.default_rng(0).standard_normal((96, 40))
+            b = np.random.default_rng(1).standard_normal(96)
+            kw = dict(nb=16, ib=8, tree="hier", h=2)
+            with QRSession(n_procs=2) as sess:
+                x = sess.factor(a, **kw).solve(b)
+            assert np.array_equal(qr_factor(a, **kw).solve(b), x)
+            print(*sorted(m for m in sys.modules if m.startswith("repro.")))
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.split()
+        assert "repro.qr.session" in loaded and "repro.qr.parallel" in loaded
+        unused = ("repro.pulsar", "repro.netsim", "repro.machine", "repro.dessim.engine",
+                  *(f"repro.obs.{m}" for m in ("analysis", "export", "registry", "sampler",
+                                               "validate")),
+                  *(f"repro.qr.{m}" for m in ("persist", "vsa3d", "mapping")))
+        assert [m for m in loaded if m.startswith(unused)] == []
 
 
 class TestQRFactorizationSurface:

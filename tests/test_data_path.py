@@ -3,14 +3,15 @@
 A dense input is tiled straight into the job's shared segment (the fresh one
 of a one-shot call, the entry's arena of a session) in the one pass
 ``TileMatrix.from_dense`` makes; a result *is* that segment — a one-shot
-call's, whose name is gone before the call returns and whose pages go with
-the result, and a session's, good until the next ``factor`` on its geometry
+call's, whose descriptor is closed before the call returns and whose pages
+go with the result, and a session's, good until the next ``factor`` on its geometry
 loads the segment again (then every accessor raises ``StaleResultError``;
 ``detach()`` is the owned copy that stays).  Checked here: the tiling itself,
 what the parent copies per call (spies and the run's own counts), how long
-name, mapping and result live, when a later one-shot call may lay a mapping
+descriptor, mapping and result live, when a later one-shot call may lay a mapping
 out again (never while anything reads it), what a worker forked later
-inherits, and what happens when ``/dev/shm`` is full.
+inherits, that nothing is ever named, and what happens when the pages
+cannot be had.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ import gc
 import multiprocessing as mp
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -42,11 +46,13 @@ from repro.faults import FaultPlan
 from repro.qr import CheckpointStore, resume_factorization, save_factorization
 from repro.util import ParallelExecutionError, StaleResultError, WatchdogTimeout
 from repro.util.validation import as_f64_matrix
+from tests.conftest import segment_descriptors
 
 pytestmark = pytest.mark.usefixtures("no_new_shm")
 
 GEOMETRY = dict(nb=12, ib=4, tree="hier", h=2)
 M, N = 90, 25  # ragged in both directions under nb=12
+SRC = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(parallel_mod.__file__))))
 
 
 @pytest.fixture(scope="module")
@@ -274,15 +280,19 @@ def test_the_next_factor_on_its_geometry_makes_a_result_stale(matrix, serial, tm
 @pytest.mark.parametrize("how", ["close", "evict"])
 def test_a_result_survives_the_session_that_made_it(matrix, serial, how, no_new_shm):
     gc.collect()  # what an earlier test's tracebacks still hold
-    mapped = len(mapped_segments())
+    mapped, before = len(mapped_segments()), set(segment_descriptors())
     sess = QRSession(n_procs=2, plan_cache_size=1)
     f = sess.factor(matrix, **GEOMETRY)
+    own = f._segment[0].name
+    assert set(segment_descriptors()) - before == {own}
     if how == "evict":
         sess.factor(matrix, **dict(GEOMETRY, tree="flat"))  # the one slot goes to this one
         assert sess.plan_cache.stats.evictions == 1
     else:
         sess.close()
-    assert len(shm_names() - no_new_shm) == (how == "evict"), "the name outlived its entry"
+    held = set(segment_descriptors()) - before
+    assert own not in held, "the descriptor outlived its entry"
+    assert len(held) == (how == "evict"), "the live entry's descriptor is held, no other"
     gc.collect()
     assert same_factors(f, serial) and same_factors(f.detach(), serial)
     x = np.ones(N)
@@ -290,6 +300,7 @@ def test_a_result_survives_the_session_that_made_it(matrix, serial, how, no_new_
     sess.close()
     shutdown_workers()
     assert shm_names() <= no_new_shm and len(mapped_segments()) == mapped + 1
+    assert set(segment_descriptors()) <= before
     assert same_factors(f, serial) and same_factors(copy.deepcopy(f), serial)
     del f
     gc.collect()
@@ -344,14 +355,14 @@ def test_fallback_takes_its_pristine_copy_from_the_segment(matrix, serial, traff
     assert traffic["loads"] == ["ndarray"] and traffic["calls"] == ["copy"]
 
 
-# -- how long the name and the mapping live -------------------------------------
+# -- how long the descriptor and the mapping live -------------------------------
 
 
 @needs_proc
 def test_a_one_shot_result_outlives_everything_but_itself(matrix, serial, no_new_shm):
-    mapped = len(mapped_segments())
+    mapped, before = len(mapped_segments()), set(segment_descriptors())
     f = one_shot(matrix)
-    assert shm_names() <= no_new_shm, "the name outlived the call"
+    assert set(segment_descriptors()) <= before, "the descriptor outlived the call"
     assert len(mapped_segments()) == mapped + 1
     assert any("(deleted)" in line for line in mapped_segments())
     shutdown_workers()
@@ -454,7 +465,7 @@ def test_a_bad_option_after_staging_leaves_nothing(matrix, no_new_shm):
 
 # -- the segment the last call left behind -----------------------------------------
 #
-# A clean one-shot call leaves its (unlinked) mapping to the kept pool; a later
+# A clean one-shot call leaves its mapping (no descriptor) to the kept pool; a later
 # call under the same op list loads its input into it — once no array made of
 # it, and no view of one, is alive.
 
@@ -466,6 +477,8 @@ def inputs(n, seed=31):
 
 def test_a_recycled_call_makes_maps_attaches_and_unlinks_nothing(matrix, serial, monkeypatch,
                                                                  tmp_path, no_new_shm):
+    """A fresh segment is made, reserved, sent to each worker, mapped there
+    and its descriptor closed; a recycled one does none of that."""
     log = tmp_path / "calls"
     log.touch()
 
@@ -474,16 +487,17 @@ def test_a_recycled_call_makes_maps_attaches_and_unlinks_nothing(matrix, serial,
         raw = getattr(raw, "__func__", raw)
 
         def spy(*args, **kw):  # to a file: a worker forked from here logs there too
-            if what != "create" or kw.get("create"):
+            if what != "close" or args[0]._owner:  # the creator's descriptor, once
                 with open(log, "a") as fh:
                     fh.write(f"{what}\n")
             return raw(*args, **kw)
         monkeypatch.setattr(owner, name, wrap(spy))
 
-    logged(shared_mod.shared_memory.SharedMemory, "__init__", "create")
-    logged(shared_mod.shared_memory.SharedMemory, "unlink", "unlink")
+    logged(shared_mod.os, "memfd_create", "create")
     logged(shared_mod.os, "posix_fallocate", "fallocate")
+    logged(parallel_mod, "_send_descriptor", "send")
     logged(SharedTileStore, "attach", "attach", classmethod)
+    logged(SharedTileStore, "unlink", "close")
     seen = []
     for call in range(5):
         log.write_text("")
@@ -493,7 +507,7 @@ def test_a_recycled_call_makes_maps_attaches_and_unlinks_nothing(matrix, serial,
         assert f.stats.segment_recycled == (call >= 2)
         assert f.stats.pipe_messages == (6 if call == 0 else 8)  # spawned: header in the fork
         assert (f.stats.bytes_in, f.stats.bytes_out) == (matrix.nbytes, 0)
-    fresh = ["attach", "attach", "create", "fallocate", "unlink"]
+    fresh = ["attach", "attach", "close", "create", "fallocate", "send", "send"]
     assert seen == [fresh, fresh, [], [], []]
 
 
@@ -631,7 +645,7 @@ def test_a_child_forked_while_spares_exist_makes_its_own(matrix, serial):
     assert f.stats.segment_recycled and same_factors(f, serial)
 
 
-# -- /dev/shm exhaustion is an OSError, and an OSError is a fallback -------------
+# -- pages that cannot be had are an OSError, and an OSError is a fallback -------
 
 
 @pytest.fixture
@@ -690,7 +704,7 @@ def test_the_pages_are_reserved_when_the_segment_is_created(matrix, monkeypatch)
                         lambda fd, off, size: reserved.append((off, size)) or raw(fd, off, size))
     sched, store = _staged(matrix)
     try:
-        assert reserved == [(0, store._map.size())]
+        assert reserved == [(0, len(store._map))]
     finally:
         store.destroy()
 
@@ -718,17 +732,54 @@ def test_workers_forked_while_results_live_map_none_of_them(matrix, serial, monk
         assert same_factors(sess.factor(matrix, **GEOMETRY), serial)
         (before, served, arena) = names
         assert len(mapped_segments()) == mapped + 3
+        # The parent still holds the session arena's descriptor, and no
+        # descriptor of a one-shot segment whose call has returned.
+        held = segment_descriptors()
+        assert arena in held and before not in held and served not in held
         # A worker maps what it attached itself — the segment it served, kept
-        # for the next call — and nothing that was mapped when it was forked.
+        # for the next call — and nothing that was mapped when it was forked;
+        # it holds no descriptor at all.
         for pool, own in ((parallel_mod._KEPT, served), (sess.pool, arena)):
             assert len(pool.procs) == 2
             for p in pool.procs.values():
                 lines = mapped_segments(p.pid)
                 assert len(lines) == 1 and own in lines[0], f"{p.name} maps {lines}"
-                assert ("(deleted)" in lines[0]) == (own is served)
+                assert segment_descriptors(p.pid) == [], f"{p.name} holds a descriptor"
     assert same_factors(first, serial) and same_factors(second, serial)
     del first, second
     gc.collect()
     assert len(mapped_segments()) == mapped + 1  # the kept pool's spare
     shutdown_workers()
     assert len(mapped_segments()) == mapped
+
+
+# -- nothing is ever named ---------------------------------------------------------
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_nothing_is_ever_named():
+    """A live session arena and a live one-shot result, in a fresh process:
+    no segment shows in ``/dev/shm``, and multiprocessing's resource
+    tracker — a second interpreter whose only job is to unlink names — was
+    never started."""
+    code = textwrap.dedent("""
+        import os
+        from multiprocessing import resource_tracker
+        import numpy as np
+        from repro import QRSession, qr_factor
+        before = sorted(os.listdir("/dev/shm"))
+        a = np.random.default_rng(0).standard_normal((90, 25))
+        kw = dict(nb=12, ib=4, tree="hier", h=2)
+        with QRSession(n_procs=2) as sess:
+            warm = sess.factor(a, **kw)
+            one = qr_factor(a, **kw, backend="parallel", n_procs=2)
+            assert warm.stats.mode == one.stats.mode == "parallel"
+            assert np.array_equal(warm.R, one.R)
+            assert sorted(os.listdir("/dev/shm")) == before, "a segment was named"
+            assert resource_tracker._resource_tracker._pid is None, "a tracker was started"
+        print("ok")
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout.split(), done.stderr) == (0, ["ok"], "")

@@ -5,11 +5,12 @@ call leases the workers the previous one left idle, sends them a header
 without an op list, and loads its input into the segment the previous one
 left mapped (or makes a fresh one while that one's result is alive).  What
 makes workers keepable is checked here too — an idle worker maps only the
-last ``SPARE_SEGMENTS`` unlinked segments it served, holds no descriptor but
-its own, and dies with its parent however
-the parent dies — together with the cases where a job must *not* run on
-kept workers (fault plans) or leave any (a failed job, a worker's death),
-and what a death means on a segment nobody can attach any more.
+last ``SPARE_SEGMENTS`` segments it served, holds no descriptor but its own
+pipe end (no segment descriptor: it closes the one it is sent once it has
+mapped it), and dies with its parent however the parent dies — together
+with the cases where a job must *not* run on kept workers (fault plans) or
+leave any (a failed job, a worker's death), and what a death means on a
+segment nobody can map any more.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.qr.schedule import Schedule, schedule_for
 from repro.tiles import TileMatrix
 from repro.trees import TreeKind, plan_all_panels
 from repro.util import ParallelExecutionError, WatchdogTimeout
+from tests.conftest import segment_descriptors
 
 pytestmark = [
     pytest.mark.usefixtures("no_new_shm"),
@@ -75,13 +77,15 @@ def mapped_segments(pid):
 
 def assert_only_spares_mapped(procs, but_not=()):
     """An idle worker maps the last segments it served and nothing else: at
-    most ``SPARE_SEGMENTS``, each without a name (a worker evicts before it
-    echoes its attach, so nothing is pending when a call has returned)."""
+    most ``SPARE_SEGMENTS`` (a worker evicts before it echoes its attach, so
+    nothing is pending when a call has returned), and holds a descriptor of
+    none."""
     for p in procs:
         lines = mapped_segments(p.pid)
         assert len(lines) <= parallel_mod.SPARE_SEGMENTS, f"{p.name} maps {lines}"
         assert all("(deleted)" in line for line in lines), f"{p.name} maps {lines}"
         assert not any(name in line for name in but_not for line in lines)
+        assert segment_descriptors(p.pid) == [], f"{p.name} holds a segment descriptor"
 
 
 def records(f):
@@ -251,28 +255,28 @@ class TestReuse:
         assert_only_spares_mapped(parallel_mod._KEPT.procs.values())
 
     def test_no_worker_is_forked_between_a_mapping_and_its_listing(self, matrix, monkeypatch):
-        """A segment another thread (a session, a second caller) has mapped
+        """A segment another thread (a session, a second caller) has made
         but not yet listed must not go along with a fork: the worker could
-        not close a mapping it was never told about, and would pin the
+        not close a descriptor it was never told about, and would pin the
         segment for as long as it idles."""
         import repro.tiles.shared as shared_mod
 
         tm = TileMatrix.from_dense(matrix, 12)
         ops = schedule_for(TreeKind.coerce("hier"), 90, 25, 12, 4, 2, True).ops
         mapped, stores, threads = threading.Event(), [], []
-        raw_shm = shared_mod.shared_memory.SharedMemory
+        raw_create = os.memfd_create
         raw_spawn = parallel_mod.WorkerPool.spawn
 
-        def slow_map(*args, **kw):
-            shm = raw_shm(*args, **kw)
+        def slow_create(*args):
+            fd = raw_create(*args)
             mapped.set()
-            time.sleep(0.1)  # mapped, not listed yet
-            return shm
+            time.sleep(0.1)  # made, not listed yet
+            return fd
 
         def spawn(pool, rank):
             if not threads:  # the first fork finds the other thread in between
                 with monkeypatch.context() as m:
-                    m.setattr(shared_mod.shared_memory, "SharedMemory", slow_map)
+                    m.setattr(shared_mod.os, "memfd_create", slow_create)
                     threads.append(threading.Thread(
                         target=lambda: stores.append(shared_mod.SharedTileStore.create(tm, ops, 4))))
                     threads[0].start()
@@ -372,7 +376,7 @@ class TestFaultsGetTheirOwnWorkers:
 
 
 class TestDeathOnASegmentWithoutAName:
-    """A recycled segment has no name a replacement could attach by: a rank
+    """A recycled segment has no descriptor to send a replacement: a rank
     that is not there to serve it sends the job to a fresh segment, and one
     that dies while serving it leaves its ops to the survivors."""
 
@@ -407,6 +411,24 @@ class TestDeathOnASegmentWithoutAName:
         assert same_factors(f, serial) and "qr-pool-0g1" in worker_pids()
         del f
         assert one_shot(matrix).stats.segment_recycled  # both ranks map that one
+
+    def test_a_rank_forked_for_a_spare_exits_and_is_adopted(self, matrix, serial, monkeypatch):
+        """A rank that dies after the last look at the spare and before the
+        lease is forked with no job — there is no descriptor to send it — so
+        it exits at once, quietly, and the survivor does its share."""
+        one_shot(matrix)
+        assert one_shot(matrix).stats.segment_recycled
+        os.kill(worker_pids()["qr-pool-0g0"], signal.SIGKILL)
+        deadline = time.monotonic() + 5.0
+        while parallel_mod._KEPT.alive_count() == 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # The race, made certain: the spare still looks served by both ranks.
+        monkeypatch.setattr(parallel_mod.WorkerPool, "holds", lambda pool, name, k: True)
+        f = one_shot(matrix)
+        assert f.stats.mode == "parallel" and f.stats.segment_recycled
+        assert (f.stats.workers_died, f.stats.workers_respawned) == (1, 0)
+        assert f.stats.per_worker_ops[1] == f.stats.n_ops and same_factors(f, serial)
+        assert mp.active_children() == [] and parallel_mod._KEPT.spares == []
 
     def test_a_death_mid_job_is_adopted_not_respawned(self, matrix, serial, kill_after_lease):
         one_shot(matrix)
@@ -491,8 +513,9 @@ class TestWorkersOwnOnlyTheirOwn:
             one_shot(matrix, n_procs=3)
             one_shot(matrix, n_procs=3)
             me = os.getpid()
-            tracker = _inodes(me, [resource_tracker._resource_tracker._fd])
-            assert len(tracker) == 1
+            # Segments are anonymous: no resource tracker was started, so
+            # there is no tracker pipe for a worker to inherit.
+            assert resource_tracker._resource_tracker._pid is None
             pools = (parallel_mod._KEPT, sess.pool)
             pipes = _inodes(me, [c.fileno() for pool in pools for c in pool.conns.values()])
             assert len(pipes) == 5
@@ -500,10 +523,11 @@ class TestWorkersOwnOnlyTheirOwn:
             assert len(workers) == 5
             for p in workers:
                 held = _inodes(p.pid)
-                assert not held & tracker, f"{p.name} holds the tracker's pipe"
                 # A socketpair's two ends have distinct inodes: a parent-side
                 # one in a worker is an inherited copy, its own or a sibling's.
                 assert not held & pipes, f"{p.name} holds a parent-side pipe end"
+                # The descriptor a worker is sent goes once it has mapped it.
+                assert segment_descriptors(p.pid) == [], f"{p.name} holds a segment descriptor"
             kept = list(parallel_mod._KEPT.procs.values())
             assert_only_spares_mapped(kept)
             assert any(mapped_segments(p.pid) for p in kept)
@@ -530,6 +554,47 @@ def _run_child(code, timeout, **streams):
     )
 
 
+class TestKeptPoolSmoke:
+    def test_repeat_forks_nothing_crash_meets_fresh_workers_traces_validate(self, tmp_path):
+        """Two one-shot calls and a crash-plan call in one fresh process: the
+        repeat call forks nothing, the fault plan meets fresh generation-0
+        workers and leaves none, every factor is serial's, a later call keeps
+        its two workers, no resource tracker was started (so stopping it the
+        way ``bench/__main__.py`` does returns at once), and the three traces
+        validate."""
+        from repro.obs.validate import main as validate
+
+        traces = [tmp_path / f"kept_{name}.json" for name in ("first", "repeat", "crash")]
+        done = _run_child(f"""
+            from multiprocessing import resource_tracker
+            from repro.faults import FaultPlan
+            first_t, repeat_t, crash_t = {[str(t) for t in traces]!r}
+            a = np.random.default_rng(0).standard_normal((320, 64))
+            kw = dict(nb=16, ib=8, tree="hier", h=2)
+            ref = qr_factor(a, **kw)
+            kw.update(backend="parallel", n_procs=2)
+            first = qr_factor(a, **kw, trace=first_t)
+            repeat = qr_factor(a, **kw, trace=repeat_t)
+            assert first.counters["pool.spawns"] == 2, first.counters
+            assert repeat.counters.get("pool.spawns", 0) == 0, repeat.counters
+            assert repeat.counters["pool.reused"] == 2, repeat.counters
+            crash = qr_factor(a, **kw, trace=crash_t,
+                              fault_plan=FaultPlan(crash_workers={{0: 3}}))
+            assert (crash.stats.workers_died, crash.stats.workers_respawned) == (1, 1)
+            assert mp.active_children() == [], "a fault-plan job left workers"
+            for f in (first, repeat, crash):
+                assert np.array_equal(ref.R, f.R)
+            again = qr_factor(a, **kw)
+            assert np.array_equal(ref.R, again.R) and len(mp.active_children()) == 2
+            assert resource_tracker._resource_tracker._pid is None, "a tracker was started"
+            resource_tracker._resource_tracker._stop()
+            print("ok")
+        """, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ok"]
+        assert [validate([str(t)]) for t in traces] == [0, 0, 0]
+
+
 class TestWorkersKeepTheCallersBlas:
     def test_parallel_matches_serial_under_two_blas_threads(self, monkeypatch):
         """OpenBLAS rounds tile kernels differently under one thread and
@@ -550,12 +615,13 @@ class TestWorkersKeepTheCallersBlas:
 
 class TestParentGoesAway:
     def test_resource_tracker_stops_while_workers_are_kept(self):
-        """What ``bench/__main__.py`` does on its way out: the tracker exits
-        only when the last copy of its pipe's write end is closed."""
+        """What ``bench/__main__.py`` does on its way out returns at once with
+        workers kept: no segment has a name, so no tracker was ever started."""
         done = _run_child("""
             from multiprocessing import resource_tracker
             qr_factor(a, backend="parallel", n_procs=2, **kw)
             assert len(mp.active_children()) == 2
+            assert resource_tracker._resource_tracker._pid is None
             resource_tracker._resource_tracker._stop()
             print("stopped")
         """, timeout=10)
@@ -569,6 +635,7 @@ class TestParentGoesAway:
             "session": "sess = QRSession(n_procs=2); sess.factor(a, **kw)",
         }[owner]
         pid_file = tmp_path / "pids"
+        shm_before = sorted(os.listdir("/dev/shm"))
         # Output goes to a file: a surviving worker would hold a captured
         # pipe open and turn the failure into a hang.
         done = _run_child(f"""
@@ -586,6 +653,8 @@ class TestParentGoesAway:
                    and time.monotonic() < deadline):
                 time.sleep(0.02)
             assert [pid for pid in pids if os.path.exists(f"/proc/{pid}")] == []
+            # Nobody was left to unlink a name, and none was left behind.
+            assert sorted(os.listdir("/dev/shm")) == shm_before
         finally:
             for pid in pids:
                 try:

@@ -20,7 +20,7 @@ from repro.qr.dag import op_dependency_graph
 from repro.qr.ops import Op, expand_plans
 from repro.qr.parallel import execute_ops_parallel
 from repro.tiles import SharedTileStore, TileMatrix, random_dense
-from repro.tiles.shared import t_factor_key
+from repro.tiles.shared import descriptor, t_factor_key
 from repro.trees import plan_all_panels
 from repro.util import ParallelExecutionError
 
@@ -148,9 +148,13 @@ class TestSharedTileStore:
         try:
             np.testing.assert_array_equal(store.tile(1, 0), small_tiles.tile(1, 0))
             store.tile(1, 0)[0, 0] = 42.0
-            # A second mapping of the same segment sees the mutation.
-            other = SharedTileStore.attach(store.name, small_tiles.layout, ops, 4)
+            # A second mapping of the same segment, made from a copy of the
+            # creator's descriptor, sees the mutation; attach closes the copy.
+            fd = os.dup(descriptor(store.name))
+            other = SharedTileStore.attach(store.name, fd, small_tiles.layout, ops, 4)
             assert other.tile(1, 0)[0, 0] == 42.0
+            with pytest.raises(OSError):
+                os.fstat(fd)
             other.close()
             out = store.extract_matrix()
             assert out.tile(1, 0)[0, 0] == 42.0
@@ -174,7 +178,8 @@ class TestSharedTileStore:
         )
         store = SharedTileStore.create(c_grid, ops, 4)
         try:
-            other = SharedTileStore.attach(store.name, small_tiles.layout, ops, 4)
+            other = SharedTileStore.attach(store.name, os.dup(descriptor(store.name)),
+                                           small_tiles.layout, ops, 4)
             keys = [t_factor_key(op) for op in ops if op.is_factor]
             store.put_t(keys[0], np.arange(4.0 * ops[0].k).reshape(4, ops[0].k))
             for view in (store, other):

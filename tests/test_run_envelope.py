@@ -36,9 +36,10 @@ from repro.qr.persist import CheckpointStore
 from repro.qr.schedule import schedule_for
 from repro.qr.wavefront import execute_ops_batched
 from repro.tiles import TileMatrix
-from repro.tiles.shared import SharedTileStore, _segment_plan
+from repro.tiles.shared import SharedTileStore, _segment_plan, descriptor
 from repro.trees.plan import TreeKind
 from repro.util import ConfigurationError, ReproError
+from tests.conftest import segment_descriptors
 
 SRC = pathlib.Path(repro.__file__).parent
 GEOMETRY = dict(nb=32, ib=16, tree="hier", h=2)
@@ -174,7 +175,8 @@ def test_flags_live_in_the_store_segment(matrix, no_new_shm):
         assert _segment_plan(tm.layout, ops, 16)[2] % 64 == 0
         assert store.flags.shape == (len(ops),) and not store.flags.any()
         store.flags[3] = 1
-        other = SharedTileStore.attach(store.name, tm.layout, ops, 16)
+        fd = os.dup(descriptor(store.name))
+        other = SharedTileStore.attach(store.name, fd, tm.layout, ops, 16)
         assert other.flags[3] == 1 and other.flags.sum() == 1
         other.flags[5] = 1
         assert store.flags[5] == 1
@@ -192,28 +194,29 @@ def test_flags_live_in_the_store_segment(matrix, no_new_shm):
 
 
 def _new_segments(before):
-    return set(os.listdir("/dev/shm")) - before
+    return set(segment_descriptors()) - before
 
 
 def test_one_shot_parallel_run_creates_one_segment(matrix, tmp_path, no_new_shm):
     a, ref = matrix
-    seen = []
+    seen, before = [], set(segment_descriptors())
     ck = CheckpointStore(tmp_path / "ck.npz", every_ops=4,
-                         on_write=lambda n: seen.append(_new_segments(no_new_shm)))
+                         on_write=lambda n: seen.append(_new_segments(before)))
     f = qr_factor(a, **GEOMETRY, backend="parallel", n_procs=2, checkpoint=ck)
     assert f.stats.mode == "parallel"
     _same_factors(f, ref)
     assert len(seen) >= 2 and all(len(s) == 1 for s in seen) and len(set.union(*seen)) == 1
+    assert _new_segments(before) == set(), "the descriptor outlived the call"
 
 
 def test_session_keeps_one_segment_per_plan(matrix, tmp_path, no_new_shm):
     a, ref = matrix
-    seen = []
+    seen, before = [], set(segment_descriptors())
     flips = FaultPlan(seed=17, flip_rate=0.3)
     with QRSession(n_procs=2) as sess:
         for call in range(2):
             ck = CheckpointStore(tmp_path / f"ck{call}.npz", every_ops=4,
-                                 on_write=lambda n: seen.append(_new_segments(no_new_shm)))
+                                 on_write=lambda n: seen.append(_new_segments(before)))
             f = sess.factor(a, **GEOMETRY, checkpoint=ck, fault_plan=flips)
             _same_factors(f, ref)
             assert f.stats.sdc_injected > 0
@@ -252,14 +255,13 @@ def _calls(tree, name):
 
 def test_no_shared_arena_and_one_create_site():
     assert [p for p in SRC.rglob("*.py") if "SharedArena" in p.read_text()] == []
-    creates = [
-        (path.relative_to(SRC).as_posix(), call.lineno)
-        for path, tree in _trees(SRC)
-        for call in _calls(tree, "SharedMemory")
-        if any(kw.arg == "create" and getattr(kw.value, "value", None) is True
-               for kw in call.keywords)
-    ]
-    assert [p for p, _ in creates] == ["tiles/shared.py"]
+    sites = {
+        name: [path.relative_to(SRC).as_posix() for path, tree in _trees(SRC)
+               for _ in _calls(tree, name)]
+        for name in ("memfd_create", "SharedMemory")
+    }
+    # One way to make a segment, and it is anonymous: nothing in src names one.
+    assert sites == {"memfd_create": ["tiles/shared.py"], "SharedMemory": []}
 
 
 def test_one_way_into_run_backend():
@@ -357,7 +359,7 @@ def test_public_signatures_are_unchanged():
     )
     assert _params(QRSession.__init__) == _kw(n_procs=None, plan_cache_size=8)
     assert _params(SharedTileStore.create) == _pos("a", "ops", "ib")
-    assert _params(SharedTileStore.attach) == _pos("name", "layout", "ops", "ib")
+    assert _params(SharedTileStore.attach) == _pos("name", "fd", "layout", "ops", "ib")
     assert _params(SharedTileStore.close) == _params(SharedTileStore.unlink) == []
     assert _params(execute_ops_batched) == _pos("a", "ops", "ib") + _kw(
         wavefronts=None, fault_plan=None, checkpoint=None, skip=None, preloaded_ts=None,

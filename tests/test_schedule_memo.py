@@ -17,7 +17,7 @@ from repro.obs.adapters import counters_from_ops
 from repro.qr import CheckpointStore, resume_factorization
 from repro.qr.schedule import CAPACITY, Schedule, schedule_for
 from repro.tiles import random_dense
-from repro.tiles.shared import attach_untracked
+from tests.conftest import segment_descriptors
 from repro.trees import TreeKind
 
 QR_DIR = pathlib.Path(repro.__file__).parent / "qr"
@@ -127,11 +127,12 @@ def test_session_and_one_shot_share_one_schedule(small_matrix, no_new_shm):
         # Accounting is the session's own, whatever the memo had already.
         assert (s1.plan_cache.stats.hits, s1.plan_cache.stats.misses) == (1, 1)
         assert (s2.plan_cache.stats.hits, s2.plan_cache.stats.misses) == (0, 1)
-        # Eviction unlinks the session's segment, never the memoized schedule.
+        # Eviction closes the session's segment descriptor, never touches the
+        # memoized schedule.
+        assert segment.name in segment_descriptors()
         s1.factor(small_matrix, nb=8, ib=4, tree="flat")
         assert s1.plan_cache.stats.evictions == 1 and shared not in s1.plan_cache._segments
-        with pytest.raises(OSError):
-            attach_untracked(segment.name)
+        assert segment.name not in segment_descriptors()
         assert schedule_for(*_key()) is shared
     np.testing.assert_array_equal(f1.R, qr_factor(small_matrix, **kw).R)
 

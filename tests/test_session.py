@@ -37,6 +37,7 @@ from repro.qr.parallel import shutdown_workers
 from repro.qr.session import PlanCache, WorkerPool
 from repro.tiles import random_dense
 from repro.util import ConfigurationError, StaleResultError
+from tests.conftest import segment_descriptors
 
 KW = dict(nb=8, ib=4, tree="hier", h=3)
 
@@ -74,14 +75,14 @@ class TestPlanCache:
             a = random_dense(40, 24, seed=0)
             arena = sess.factor(a, **KW)._segment[0]
             name = arena.name
+            assert name in segment_descriptors()
             flat = sess.factor(a, nb=8, ib=4, tree="flat")  # evicts the hier entry
             assert sess.plan_cache.stats.evictions == 1
             assert len(sess.plan_cache) == 1
             assert list(sess.plan_cache._segments.values()) == [flat._segment[0]]
-            from repro.tiles.shared import attach_untracked
-
-            with pytest.raises(OSError):
-                attach_untracked(name)  # segment unlinked with the entry
+            # The descriptor went with the entry: nobody new can map it.
+            held = segment_descriptors()
+            assert name not in held and flat._segment[0].name in held
 
     def test_lru_order(self):
         from repro.trees import TreeKind

@@ -55,9 +55,14 @@ another checkout.
 fresh interpreters and splits each one's wall time into interpreter start,
 NumPy, the LAPACK module (``repro/kernels/_lapack.py`` run on its own, or
 ``scipy.linalg.lapack`` on a checkout without it), the rest of ``repro``,
-inputs, cold factor, first solve, close and exit, with the modules loaded,
-peak RSS and whether ``scipy.linalg`` was imported; the clock
-(``perf_counter``, i.e. ``CLOCK_MONOTONIC``) is shared by parent and child.
+inputs, cold factor, first solve, close, stopping multiprocessing's resource
+tracker the way ``bench/__main__.py`` does, and exit, with the modules
+loaded (all, and those of ``repro`` with their lines of source), peak RSS,
+whether ``scipy.linalg`` was imported and whether a resource tracker ran;
+the clock (``perf_counter``, i.e. ``CLOCK_MONOTONIC``) is shared by parent
+and child.  ``PYTHONDONTWRITEBYTECODE=1`` in the environment makes every
+child compile ``repro`` from source, as a fresh checkout does; the header of
+each table says which.
 """
 
 from __future__ import annotations
@@ -608,12 +613,39 @@ f.solve(b)
 t.append(time.perf_counter())
 sess.close()
 t.append(time.perf_counter())
+# What bench/__main__.py does on its way out: stop multiprocessing's
+# resource tracker, waiting for it, if anything started one.
+from multiprocessing import resource_tracker
+tracker = resource_tracker._resource_tracker
+tracker_ran = tracker._pid is not None
+tracker._stop()
+t.append(time.perf_counter())
+ours = [m for m in list(sys.modules.values()) if m.__name__.split(".")[0] == "repro"]
+lines = 0
+for m in ours:
+    with open(m.__file__, "rb") as fh:
+        lines += fh.read().count(b"\\n")
 print(json.dumps(dict(t=t, modules=len(sys.modules), scipy_linalg="scipy.linalg" in sys.modules,
-                      rss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)))
+                      rss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                      tracker=tracker_ran, repro_modules=len(ours), repro_lines=lines)))
 """
 
 COLD_PHASES = ("interpreter", "NumPy", "LAPACK module", "repro", "inputs", "cold factor",
-               "first solve", "close", "exit")
+               "first solve", "close", "tracker stop", "exit")
+
+
+def _bytecode_state() -> str:
+    """Whether a fresh child finds ``repro``'s bytecode cached or compiles it."""
+    import importlib.util
+
+    spec = importlib.util.find_spec("repro")
+    files = list(pathlib.Path(spec.submodule_search_locations[0]).rglob("*.py"))
+    cached = sum(pathlib.Path(importlib.util.cache_from_source(str(f))).exists() for f in files)
+    if cached == len(files):
+        return "bytecode cached"
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        return f"{cached} of {len(files)} files cached: every child compiles what it imports"
+    return "bytecode written by the first child"
 
 
 def probe_cold(runs=9):
@@ -622,6 +654,7 @@ def probe_cold(runs=9):
 
     root = str(pathlib.Path(__file__).resolve().parent.parent)
     for name in WORKLOADS:
+        bytecode = _bytecode_state()
         code = COLD_CHILD.format(root=root, name=name)
         rows, walls, facts = {phase: [] for phase in COLD_PHASES}, [], []
         for _ in range(runs):
@@ -634,14 +667,16 @@ def probe_cold(runs=9):
             for phase, start, end in zip(COLD_PHASES, stamps, stamps[1:]):
                 rows[phase].append(end - start)
             walls.append(t1 - t0)
-            facts.append((child["modules"], child["rss_mib"], child["scipy_linalg"]))
-        print(f"{name}  (ms, median of {runs} fresh processes)")
+            facts.append((child["modules"], child["rss_mib"], child["scipy_linalg"],
+                          child["tracker"], child["repro_modules"], child["repro_lines"]))
+        print(f"{name}  (ms, median of {runs} fresh processes; {bytecode})")
         for phase in COLD_PHASES:
             print(f"  {phase:16s}{statistics.median(rows[phase]) * 1e3:10.1f}")
         print(f"  {'total':16s}{statistics.median(walls) * 1e3:10.1f}")
-        modules, rss, linalg = (statistics.median(col) for col in zip(*facts))
-        print(f"  modules {modules:.0f}, peak RSS {rss:.1f} MiB, "
-              f"scipy.linalg imported: {bool(linalg)}")
+        modules, rss, linalg, tracker, ours, lines = (statistics.median(col) for col in zip(*facts))
+        print(f"  modules {modules:.0f} (repro {ours:.0f}, {lines:.0f} lines), "
+              f"peak RSS {rss:.1f} MiB, scipy.linalg imported: {bool(linalg)}, "
+              f"resource tracker ran: {bool(tracker)}")
 
 
 def _burn(out, n=2_000_000):
