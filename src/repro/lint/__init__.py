@@ -11,8 +11,8 @@ introduced and until now only policed at runtime:
   validator uses (:func:`repro.obs.canonical_counter_keys`,
   :data:`repro.obs.EVENT_TYPES`), so the static and dynamic checks cannot
   drift apart;
-* ``SharedMemory(create=True)`` must come with ``close``/``unlink``
-  handling (``shm-lifecycle``);
+* a file that makes a segment with ``os.memfd_create`` must also
+  ``os.close`` a descriptor (``shm-lifecycle``);
 * atomic persistence: ``os.replace`` without ``os.fsync`` in the same
   function is a torn-write bug waiting for a power cut (``atomic-write``);
 * tile storage is allocated in the tiles layer's memory order: a
@@ -24,8 +24,6 @@ introduced and until now only policed at runtime:
   :mod:`repro.qr.schedule` only — the
   process-wide memo — not by an executor or API layer per call
   (``derive-once``);
-* inside ``qr/``, factors are copied out of a shared segment by
-  ``QRFactorization.detach`` only (``copy-out``);
 * no mutable default arguments (``mutable-default``);
 * no bare ``except:`` (``bare-except``).
 
@@ -37,7 +35,7 @@ Run it over a tree::
 
 Suppress a finding in code with a trailing comment on the offending line::
 
-    shm = SharedMemory(create=True, size=64)  # lint: disable=shm-lifecycle
+    fd = os.memfd_create("scratch")  # lint: disable=shm-lifecycle
 
 or a whole file with ``# lint: disable-file=<rule>`` on any line.  Every
 rule has a violation fixture under ``tests/lint_fixtures/`` and the CI

@@ -155,41 +155,32 @@ def check_event_types(ctx: FileContext) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# shm-lifecycle: SharedMemory(create=True) needs close/unlink handling
+# shm-lifecycle: os.memfd_create needs a descriptor close
 
 
 @rule(
     "shm-lifecycle",
-    "a file that calls SharedMemory(create=True) must also close() and "
-    "unlink() a segment somewhere — leaked segments outlive the process",
+    "a file that calls os.memfd_create must also os.close a descriptor "
+    "somewhere — a segment descriptor never closed keeps its pages for as "
+    "long as the process, and every child forked from it, lives",
 )
 def check_shm_lifecycle(ctx: FileContext) -> Iterator[Finding]:
-    creations = []
-    has_close = has_unlink = False
+    creations, has_close = [], False
     for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Attribute):
-            if node.attr == "close":
-                has_close = True
-            elif node.attr == "unlink":
-                has_unlink = True
         if not isinstance(node, ast.Call):
             continue
         name = ctx.dotted_name(node.func)
-        if name is None or name.split(".")[-1] != "SharedMemory":
+        if name is None:
             continue
-        for kw in node.keywords:
-            if (kw.arg == "create"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True):
-                creations.append(node)
-    if creations and not (has_close and has_unlink):
-        missing = [m for m, ok in (("close", has_close), ("unlink", has_unlink))
-                   if not ok]
+        if name.split(".")[-2:] == ["os", "close"]:
+            has_close = True
+        elif name.split(".")[-1] == "memfd_create":
+            creations.append(node)
+    if not has_close:
         for node in creations:
             yield (node.lineno, node.col_offset,
-                   "SharedMemory(create=True) without any "
-                   f"{'/'.join(missing)}() call in this file; the segment "
-                   "would leak past process exit")
+                   "os.memfd_create without any os.close() call in this "
+                   "file; the segment's pages would outlive their last user")
 
 
 # ---------------------------------------------------------------------------
@@ -340,34 +331,6 @@ def check_derive_once(ctx: FileContext) -> Iterator[Finding]:
                    f"{name}() outside repro.qr.schedule; take plans, ops, "
                    "graph(), wavefronts(), assignment() and segment_plan() "
                    "from schedule_for(...) instead")
-
-
-# ---------------------------------------------------------------------------
-# copy-out: one place copies factors out of a shared segment
-
-
-@rule(
-    "copy-out",
-    "inside qr/, SharedTileStore.extract_matrix/extract_ts are called only by "
-    "QRFactorization.detach — a result is the segment's views, and a copy "
-    "made anywhere else is a matrix and its T factors moved per call again",
-    scope=("qr",),
-)
-def check_copy_out(ctx: FileContext) -> Iterator[Finding]:
-    allowed = {
-        id(node)
-        for cls in ast.walk(ctx.tree) if isinstance(cls, ast.ClassDef) and cls.name == "QRFactorization"
-        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "detach"
-        for node in ast.walk(fn)
-    }
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call) or id(node) in allowed:
-            continue
-        name = getattr(node.func, "attr", getattr(node.func, "id", None))
-        if name in ("extract_matrix", "extract_ts"):
-            yield (node.lineno, node.col_offset,
-                   f"{name}() outside QRFactorization.detach; hand on the "
-                   "store's views (matrix(), t_factor) and let the caller detach()")
 
 
 # ---------------------------------------------------------------------------

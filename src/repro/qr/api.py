@@ -41,11 +41,11 @@ from ..obs import record as _obs_record
 from ..tiles.layout import TileLayout
 from ..tiles.matrix import TileMatrix
 from ..trees.plan import TreeKind
-from ..util.errors import ConfigurationError, ReproError, ShapeError, StaleResultError
+from ..util.errors import ConfigurationError, ReproError, ShapeError
 from ..util.validation import as_f64_matrix, check_finite, check_tile_params, require
 from .backends import require_capability, run_backend, stage_input, worker_count
 from .parallel import serial_fallback
-from .reference import TileQRFactors, factor_records
+from .reference import TileQRFactors
 from .schedule import schedule_for
 
 __all__ = ["QRFactorization", "qr_factor", "lstsq"]
@@ -87,10 +87,9 @@ class QRFactorization:
         h: int | None = None,
         shifted: bool | None = None,
     ):
-        self._held = factors
-        #: ``(store, generation)`` while the factors are views of a session's
-        #: segment (the run envelope sets it); ``None``: they own their storage.
-        self._segment = None
+        # The one door to the data: every accessor below and
+        # :func:`~repro.qr.persist.save_factorization` come through here.
+        self._factors = factors
         self.tree = tree
         #: The ``h`` (``"auto"`` resolved) and ``shifted`` the tree was planned with.
         self.h = h
@@ -140,45 +139,17 @@ class QRFactorization:
                 self._counters = counters_from_ops(self._ops, self._ib)
         return self._counters
 
-    @property
-    def _factors(self) -> TileQRFactors:
-        """The one door to the data: every accessor below and
-        :func:`~repro.qr.persist.save_factorization` come through here, and a
-        session result whose segment has been loaded again stops here."""
-        if self._segment is not None and self._segment[0].generation != self._segment[1]:
-            raise StaleResultError(
-                f"the result of run {self.run_id} was a view of its session's segment, "
-                f"which run {self._segment[0].run_id} has since factored another matrix "
-                "in; call detach() on a result before the next factor() of its geometry"
-            )
-        return self._held
-
-    def detach(self) -> "QRFactorization":
-        """A result that owns its storage: ``self`` unless this one is a view
-        of a session's segment, then a copy of it that the next ``factor``
-        on the geometry does not touch (the one place tiles are copied out)."""
-        if self._segment is None:
-            return self
-        ib, store = self._factors.ib, self._segment[0]
-        ts = store.extract_ts()
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__, _segment=None, _held=TileQRFactors(
-            store.extract_matrix(), factor_records(self._ops, ts.__getitem__), ib))
-        if self.stats is not None:
-            self.stats.bytes_out = store.bytes_out
-        return twin
-
     def __getstate__(self):
         """Pickled or copied: the arrays, never the mapping, and a snapshot
         of :attr:`counters`, never the recorder (its locks and gauges)."""
-        state = dict(self.detach().__dict__)
+        state = dict(self.__dict__)
         if self.recorder is not None:
             state.update(recorder=None, _counters=_obs_record.Counters(self.recorder.counters))
         return state
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self._held.m, self._held.n)
+        return (self._factors.m, self._factors.n)
 
     @property
     def R(self) -> np.ndarray:
@@ -442,18 +413,14 @@ def qr_factor(
     session:
         Optional :class:`repro.QRSession` (see :mod:`repro.qr.session` and
         ``docs/sessions.md``).  ``backend="parallel"`` runs on the
-        session's own worker pool and the one shared-memory segment its
-        :class:`~repro.qr.session.PlanCache` keeps per geometry — warm
-        repeat calls skip segment creation and attach as well as the spawn
-        a repeat one-shot call already skips (``stats.spawn_s ~ 0``).
-        The panel plans, op DAG and wavefront schedule are memoized per
-        process for every caller (:mod:`repro.qr.schedule`), session or
-        not; the session counts its own hits and misses on them.  Factors
-        stay bit-exact with the session-less path, and a ``parallel`` result
-        *is* the session's segment: valid until the next ``factor`` on its
-        geometry (then every accessor raises
-        :class:`~repro.util.errors.StaleResultError`), through ``close()``
-        and eviction; :meth:`QRFactorization.detach` keeps one.  Supported for the
+        session's own worker pool, which keeps its workers across calls
+        (``stats.spawn_s ~ 0``), and on the free shared-memory segments the
+        process keeps for every caller, session or not.  The panel plans,
+        op DAG and wavefront schedule are memoized per process for every
+        caller (:mod:`repro.qr.schedule`); the session counts its own hits
+        and misses on them.  Factors stay bit-exact with the session-less
+        path, and a ``parallel`` result is, as a one-shot one, views of its
+        segment that no later call loads while the result lives.  Supported for the
         ``serial``, ``batched``, and ``parallel`` backends; ``n_procs``
         must be omitted or equal the
         session's pool size.  ``session.factor(a, ...)`` is the convenience
@@ -629,9 +596,7 @@ def _run(
         try:
             entry = plan()
             tm, store = stage_input(backend, a, layout, entry, ib, session=session,
-                                    n_procs=launch.get("n_procs"), recycle=fault_plan is None)
-            if store is not None:
-                store.run_id = run_id
+                                    n_procs=launch.get("n_procs"))
             if on_failure == "fallback" and can_fail:
                 pristine = tm.copy()
             if ckpt is not None:
@@ -657,9 +622,9 @@ def _run(
             )
             status = "fallback"
         finally:
-            if store is not None and session is None:
-                # The backend took the name away itself, unless the run never
-                # got that far (a bad ``policy``, a checkpoint that cannot bind).
+            if store is not None and status != "ok":
+                # A failed backend let go of the segment itself; one never
+                # reached (a bad ``policy``, a checkpoint that cannot bind) did not.
                 store.destroy()
             if sampler is not None:
                 sampler.stop()
@@ -677,8 +642,6 @@ def _run(
     f.ops_skipped = len(skip or ())
     if session is not None:
         session.last_run_id = run_id
-        if store is not None and factors is store.factors:  # not a degraded run's copy
-            f._segment = (store, store.generation)
     if trace is not None:
         from ..obs.export import write_chrome_trace
 

@@ -36,7 +36,6 @@ that one table and reach the executor through one function,
 from __future__ import annotations
 
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import SharedTileStore
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int, require
 from . import parallel as _parallel
@@ -122,16 +121,15 @@ def worker_count(backend: str, *, n_nodes: int = 1, workers_per_node: int = 1,
     return None
 
 
-def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_procs=None,
-                recycle=True):
+def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_procs=None):
     """Tile the validated input ``a`` — a dense float64 array or a
     :class:`TileMatrix` of geometry ``layout``, neither kept nor aliased —
     into the storage ``backend`` runs on; return ``(tm, store)``.
 
     For ``parallel`` with more than one worker that storage is the job's
-    shared segment — for a one-shot call a spare of the kept pool (``recycle``;
-    not under a fault plan) or else a fresh one, for a session its segment of
-    ``entry``, cold or warm — and ``a`` goes straight into it, in the one pass
+    shared segment — a free one under ``entry`` whose result is gone, else a
+    new one (:func:`repro.qr.parallel.take_segment`), session or not — and
+    ``a`` goes straight into it, in the one pass
     :meth:`TileMatrix.from_dense` would have made: ``tm`` is the
     :class:`TileMatrix` of its views, ``store`` the segment
     :func:`run_backend` is to be handed.  Everywhere else ``tm`` is an owned
@@ -142,12 +140,7 @@ def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_proc
         worker_count(backend, n_procs=n_procs, session=session), len(entry.ops))
     if k > 1:
         try:
-            if session is not None:
-                store = session.plan_cache.segment(entry, a, ib)
-            else:
-                spare = recycle and _parallel._KEPT.take_spare(entry.ops, ib, k)
-                store = (SharedTileStore.recycle(a, entry, ib, *spare) if spare
-                         else SharedTileStore.create(a, entry, ib))
+            store = _parallel.take_segment(a, entry, ib)
             return store.matrix(), store
         except OSError:
             pass
@@ -198,10 +191,7 @@ def run_backend(
     if backend == "parallel":
         pool = None
         if session is not None:
-            # Its worker count, and its pool for its segment.  Without one (no
-            # shared memory to be had) the call goes down the one-shot path,
-            # which names the reason and degrades to serial.
-            n_procs, pool = session.n_procs, session.pool if store is not None else None
+            n_procs, pool = session.n_procs, session.pool
         return _parallel.execute_ops_parallel(
             tm, entry, ib, n_procs=n_procs, policy=policy, batch=batch,
             pool=pool, arena=store, **common

@@ -24,16 +24,19 @@ their kernels under the GIL.  This module executes the *same* operation list
   store, the step runner the in-process schedules use;
 * there is one worker lifecycle, :class:`WorkerPool`, and workers are
   spawned once per process: every one-shot run leases the module's kept pool
-  (ended by :func:`shutdown_workers` or at interpreter exit) on a segment
-  whose descriptor the parent closes when the call returns and which a
-  later call loads again once its result is gone (:data:`SPARE_SEGMENTS`);
-  a :class:`~repro.qr.session.QRSession` keeps a pool of its own and one
-  segment per cached plan.  Segments are anonymous (``memfd``): a worker
-  is sent the descriptor of each one it is to map, down its own socket,
-  maps it and closes it.  A worker owns its end of one pipe and the last
-  mappings it made — it closes every pipe end and segment descriptor it
-  was forked with, so it exits the moment its parent is gone, however the
-  parent died, and nothing it holds outlives it.
+  (ended by :func:`shutdown_workers` or at interpreter exit), a
+  :class:`~repro.qr.session.QRSession` a pool of its own;
+* there is one segment rule, for both: a finished run's segment joins the
+  process's free list (:data:`SPARE_SEGMENTS` of them, descriptor, views
+  and record skeleton kept), and a later run under the same op list loads
+  its input into one only once nobody holds the result made of it
+  (:func:`take_segment`), so a result stays valid for as long as it lives.
+  Segments are anonymous (``memfd``): a worker of either pool is sent the
+  descriptor of each one it is to map, down its own socket, maps it and
+  closes it.  A worker owns its end of one pipe and the last mappings it
+  made — it closes every pipe end and segment descriptor it was forked
+  with, so it exits the moment its parent is gone, however the parent
+  died, and nothing it holds outlives it.
 
 Because the dependency graph totally orders every tile's mutations, any
 legal schedule produces factors **bit-identical** to the serial reference.
@@ -108,6 +111,7 @@ __all__ = [
     "WorkerPool",
     "execute_ops_parallel",
     "shutdown_workers",
+    "take_segment",
     "default_n_procs",
 ]
 
@@ -115,9 +119,9 @@ __all__ = [
 #: tell an injected crash (counted under ``fault.crash``) from a real one.
 _CRASH_EXIT_CODE = 37
 
-#: Segments a finished one-shot run may leave mapped for the next one, and
-#: attachments a worker keeps (of either pool).  Two, because ``f =
-#: qr_factor(...)`` in a loop still holds result *k* while call *k + 1* runs.
+#: Entries of the free-segment list (:data:`_FREE`), and attachments a
+#: worker keeps (of either pool).  Two, because ``f = qr_factor(...)`` in a
+#: loop still holds result *k* while call *k + 1* runs.
 SPARE_SEGMENTS = 2
 
 #: Scans of the look-ahead window (:data:`~repro.qr.protocol.LOOKAHEAD`)
@@ -154,12 +158,10 @@ class ParallelRunStats:
     n_procs: int = 1
     policy: str = "lazy"
     batch: int = 1  # most ops a worker reports in one message
-    # Parent traffic: pipe messages sent or read, bytes tiled into the
-    # segment, bytes copied out of it (``QRFactorization.detach``).
+    # Parent traffic: pipe messages sent or read, bytes tiled into the segment.
     pipe_messages: int = 0
     bytes_in: int = 0
-    bytes_out: int = 0
-    # Whether the job ran on a mapping an earlier run left, and each worker's
+    # Whether the job ran on a segment an earlier run left, and each worker's
     # seconds from header to attach echo (mapping and view building, if any).
     segment_recycled: bool = False
     per_worker_attach_s: dict[int, float] = field(default_factory=dict)
@@ -384,17 +386,15 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     A header names only what the worker does not hold yet.  ``layout`` and
     ``ops`` both ``None`` means "a segment you map": the worker keeps its
     last :data:`SPARE_SEGMENTS` attachments by id, each with the schedule
-    it was attached under, so a warm ``session.factor`` call and a one-shot
-    call on a recycled segment cost it no new mapping, no descriptor and no
-    unpickling.
+    it was attached under, so a call on a free segment it served before
+    costs it no new mapping, no descriptor and no unpickling.
     ``ops`` alone ``None`` means "a new segment, the operation list of your
     previous job": the worker maps the descriptor with its cached list and
     the offset tables it derived for it (it keeps both as a
-    :class:`~repro.qr.schedule.Schedule` of its own) — a one-shot call that
-    found no spare pickles no op list and derives no
-    table.  ``share`` ``None`` means "the share of your previous job" (the
-    memoized assignment is one object per geometry, worker count and
-    policy).  Either way ``spawn_s`` on the parent collapses to a couple of
+    :class:`~repro.qr.schedule.Schedule` of its own) — a call on a segment
+    the worker does not map pickles no op list and derives no table.
+    ``share`` ``None`` means "the share of your previous job" (the memoized
+    assignment is one object per geometry, worker count and policy).  Either way ``spawn_s`` on the parent collapses to a couple of
     pipe messages.
     """
     # The parent's *objects* over its mappings (stores, one-shot results) came
@@ -470,11 +470,8 @@ class WorkerPool:
     small pipe message per worker.  A
     :class:`~repro.qr.session.QRSession` keeps its pool across calls; every
     one-shot :func:`execute_ops_parallel` leases the one this module keeps
-    for the process (:func:`shutdown_workers` ends its workers), which also
-    keeps the segments its last clean jobs ran on (:attr:`spares`): their
-    descriptors closed, still mapped here and in the workers, and loaded
-    again by a call under their op list once the result made of them is
-    gone (:meth:`take_spare`).
+    for the process (:func:`shutdown_workers` ends its workers).  Segments
+    are not a pool's: any worker is sent any segment's descriptor.
 
     Generation tags are the pool's crash-recovery bookkeeping, shared with
     the parent loop in :func:`execute_ops_parallel` (the
@@ -494,9 +491,6 @@ class WorkerPool:
         self.generations: dict[int, int] = {}
         #: rank -> names of the segments the worker maps, oldest first.
         self.known: dict[int, list[str]] = {}
-        #: ``(name, mapping, weakref(root), ops, ib)`` per segment a clean
-        #: one-shot job left behind, newest first.
-        self.spares: list[tuple] = []
         # rank -> the op list and the share the worker holds, *by reference*:
         # the memoized ones of ``schedule_for`` are one object each however
         # often they are leased.
@@ -524,18 +518,13 @@ class WorkerPool:
         with _FORK_LOCK:  # no fork between the pipe and its listing
             parent_conn, child_conn = self._ctx.Pipe()
             _PARENT_ENDS.add(parent_conn)
-        # Without a descriptor (a recycled segment: nobody new can map it)
-        # the worker has nothing to serve; it exits at once and is booked
-        # dead like any other.
-        fd = descriptor(self._job[1])
-        job = None if fd is None else self._job[:-1] + (share,)
-        p = self._ctx.Process(target=_worker_main, args=(rank, generation, child_conn, job),
+        p = self._ctx.Process(target=_worker_main,
+                              args=(rank, generation, child_conn, self._job[:-1] + (share,)),
                               daemon=True, name=f"qr-pool-{rank}g{generation}")
         p.start()
         child_conn.close()
-        if fd is not None:
-            with contextlib.suppress(OSError):  # dead already: its sentinel says so
-                _send_descriptor(parent_conn, fd, p.pid)
+        with contextlib.suppress(OSError):  # dead already: its sentinel says so
+            _send_descriptor(parent_conn, descriptor(self._job[1]), p.pid)
         self.procs[rank] = p
         self.conns[rank] = parent_conn
         self.generations[rank] = generation
@@ -598,22 +587,6 @@ class WorkerPool:
             rec.event("pool.lease", n_procs=k, spawned=spawned, reused=reused)
         return {"n_procs": k, "spawned": spawned, "reused": reused}
 
-    def holds(self, name: str, k: int) -> bool:
-        """Whether ranks ``0..k-1`` are alive and map segment ``name`` — the
-        only ones that can serve a segment whose descriptor is closed."""
-        return all(name in self.known.get(w, ()) and self.procs[w].is_alive() for w in range(k))
-
-    def take_spare(self, ops, ib: int, k: int):
-        """``(name, mapping)`` of the newest spare laid out for ``ops`` and
-        ``ib`` that nobody reads any more (its root is dead) and ranks
-        ``0..k-1`` map, or ``None``; taken under a lock, so by one caller."""
-        with _FORK_LOCK:
-            spares = self.spares  # one list, whoever ends the pool meanwhile
-            for i, (name, buf, root, its_ops, its_ib) in enumerate(spares):
-                if its_ops is ops and its_ib == ib and root() is None and self.holds(name, k):
-                    del spares[i]
-                    return name, buf
-
     def reset(self) -> None:
         """Kill every worker after a failed job.
 
@@ -638,7 +611,6 @@ class WorkerPool:
         self.known.clear()
         self._ops_of.clear()
         self._share_of.clear()
-        self.spares = []  # nobody left who maps them
 
     def shutdown(self) -> None:
         """Graceful stop: ask each worker to exit, then make sure it did."""
@@ -658,9 +630,18 @@ class WorkerPool:
 #: forked once per process and grow to the largest ``n_procs`` asked for
 #: (each lease names its own ``k``; the pool's ``size`` is not read).
 #: Idle it pins the copy-on-write pages of its parent at fork time, a pipe
-#: per worker and at most :data:`SPARE_SEGMENTS` segments nobody holds a
-#: descriptor of.
+#: per worker and the last :data:`SPARE_SEGMENTS` segments each worker served.
 _KEPT = WorkerPool(1)
+
+#: The process's free segments, newest first, at most :data:`SPARE_SEGMENTS`:
+#: ``(store, op list, weakref(result))`` per segment a clean run of either
+#: pool finished on.  The store keeps its descriptor, its views and its
+#: record skeleton; the result is the run's own
+#: :class:`~repro.qr.reference.TileQRFactors`, and the segment is loaded
+#: again only once that is gone (:func:`take_segment`).  An entry that falls
+#: off the list closes its descriptor and drops its views; its pages stay
+#: with the result while it lives.  Read and written under ``_FORK_LOCK``.
+_FREE: list[tuple] = []
 
 #: Serialises the kept pool between one-shot calls from different threads:
 #: held from before the lease until the workers are handed back (or reset).
@@ -668,17 +649,53 @@ _LEASE_LOCK = threading.Lock()
 
 
 def shutdown_workers() -> None:
-    """End the workers one-shot ``backend="parallel"`` calls have left idle.
+    """End the workers one-shot ``backend="parallel"`` calls have left idle,
+    and let go of the free segments.
 
-    Idempotent, and never required: the next one-shot call forks new ones,
-    and at interpreter exit ``multiprocessing`` stops them as it stops any
-    daemon.  Call it to give back what idle workers pin (spare segments
-    included: then a segment belongs to its result alone), or before a test
-    that relies on what a worker inherits when it is forked.  A
-    :class:`~repro.qr.session.QRSession` has its own pool and ``close()``.
+    Idempotent, and never required: the next call forks new workers or
+    makes new segments, and at interpreter exit ``multiprocessing`` stops
+    the workers as it stops any daemon.  Call it to give back what idle
+    workers and free segments pin (then a segment belongs to its result
+    alone), or before a test that relies on what a worker inherits when it
+    is forked.  A :class:`~repro.qr.session.QRSession` has its own pool and
+    ``close()``.
     """
     with _LEASE_LOCK:
         _KEPT.shutdown()
+    _trim_free(0)
+
+
+def take_segment(a, sched: Schedule, ib: int) -> SharedTileStore:
+    """A segment laid out for ``sched`` and ``ib`` holding ``a`` (a dense
+    array or a :class:`TileMatrix`) with every flag clear: the newest free
+    one under the same op list whose result is gone, else a new one
+    (``OSError`` where none can be had).  Taken under a lock, so by one
+    caller; the run on it gives it back (:func:`execute_ops_parallel`)."""
+    with _FORK_LOCK:
+        free = [i for i, (store, ops, result) in enumerate(_FREE)
+                if ops is sched.ops and store.ib == ib and result() is None]
+        store = _FREE.pop(free[0])[0] if free else None
+    if store is None:
+        return SharedTileStore.create(a, sched, ib)
+    store.load(a)
+    return store
+
+
+def _give_back(store: SharedTileStore, ops: list, result: TileQRFactors) -> None:
+    """Put the segment of a finished run at the head of :data:`_FREE`."""
+    with _FORK_LOCK:
+        _FREE.insert(0, (store, ops, weakref.ref(result)))
+    _trim_free(SPARE_SEGMENTS)
+
+
+def _trim_free(keep: int) -> None:
+    """Cut :data:`_FREE` to ``keep`` entries; what falls off closes its
+    descriptor and drops its views."""
+    with _FORK_LOCK:
+        dropped = _FREE[keep:]
+        del _FREE[keep:]
+    for store, _, _ in dropped:
+        store.destroy()
 
 
 def _after_fork_in_child() -> None:
@@ -686,10 +703,11 @@ def _after_fork_in_child() -> None:
 
     Worker or not, the child closes its copies of the parent-side pipe ends
     (see :data:`_PARENT_ENDS`), forgets the kept workers — they are its
-    parent's children, and the spares are mapped in the parent only
-    (``MADV_DONTFORK``); a one-shot call made here makes its own — and
-    replaces the lease lock, which a thread that does not exist here may
-    hold.
+    parent's children — and the free segments, which are mapped in the
+    parent only (``MADV_DONTFORK``) and whose descriptors the fork hook of
+    :mod:`repro.tiles.shared` has closed; a call made here makes its own.
+    It also replaces the lease lock, which a thread that does not exist
+    here may hold.
     """
     global _LEASE_LOCK
     _LEASE_LOCK = threading.Lock()
@@ -697,6 +715,7 @@ def _after_fork_in_child() -> None:
         conn.close()
     _KEPT._forget_workers()
     _KEPT.generations.clear()
+    del _FREE[:]
 
 
 if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
@@ -773,17 +792,14 @@ def execute_ops_parallel(
     """Run an operation list on ``a`` across worker processes.
 
     The factorization happens in the job's shared segment.  Without
-    ``arena`` the tiles of ``a`` are copied into a fresh one and ``a`` is
-    *not* mutated (unlike :func:`~repro.qr.reference.execute_ops`); with it,
-    ``a`` is the :class:`TileMatrix` of that segment's views the caller
-    loaded.  The :class:`TileQRFactors` returned *are* the segment — its
-    tile and ``T`` views, one skeleton per store — whose
-    pages nobody writes while one of those arrays, or a view of one, is alive
-    (:class:`~repro.tiles.shared.SharedTileStore`).  A one-shot segment's
-    descriptor is closed before this function returns and its mapping kept as a spare
-    for a later call; a session's is loaded again by
-    the next call on its geometry, which is when
-    :class:`~repro.qr.api.QRFactorization` stops handing these factors out.
+    ``arena`` the tiles of ``a`` are copied into one (:func:`take_segment`)
+    and ``a`` is *not* mutated (unlike
+    :func:`~repro.qr.reference.execute_ops`); with it, ``a`` is the
+    :class:`TileMatrix` of that segment's views the caller loaded.  The
+    :class:`TileQRFactors` returned is a new object around the segment's
+    tile and ``T`` views (one skeleton per store), and nobody loads the
+    segment again while it is alive: a clean run gives the segment to the
+    free list (:data:`_FREE`) with a weak reference to it.
 
     Parameters
     ----------
@@ -822,28 +838,23 @@ def execute_ops_parallel(
         Spawn a replacement process for each dead worker that left work
         undone (capped at ``n_procs`` respawns per run), which takes over
         what the dead one had not flagged done.  With ``respawn=False`` (or
-        the budget spent, or on a recycled segment, whose descriptor is closed) a
-        survivor adopts it, and the run fails only when none remain
-        (:mod:`repro.qr.protocol`, rule 5).
+        the budget spent) a survivor adopts it, and the run fails only when
+        none remain (:mod:`repro.qr.protocol`, rule 5).
     pool, arena:
         ``arena`` is the job's one segment, a
         :class:`~repro.tiles.shared.SharedTileStore` into which the caller
-        has already loaded the input (flags cleared); ``pool`` the
-        :class:`WorkerPool` of a persistent session (``docs/sessions.md``),
-        which the job is leased to and handed back to with ``("endjob",)``,
-        and which never comes without the session's arena — both outlive
-        this call.  Without ``pool`` the run is *one-shot*: it owns its
-        segment from here on — the ``arena`` the run envelope tiled the input
-        into (:func:`repro.qr.backends.stage_input`: a fresh one, or a spare
-        of the kept pool), or one made here from
-        ``a`` — closes its descriptor on every way out, and leases the pool this
-        module keeps for the process (one caller at a time).  A clean job
-        leaves its mapping to the pool as a spare; a recycled ``arena`` that a
-        leased rank does not map is moved to a fresh segment first.
-        The workers outlive the call (:func:`shutdown_workers` ends them)
-        except under a ``fault_plan``, which runs on fresh generation-0
-        workers, ends with ``("detach",)`` and leaves none and no spare, and
-        after a job during which one died.
+        has already loaded the input (flags cleared) — the run envelope's
+        (:func:`repro.qr.backends.stage_input`); without it the segment is
+        taken here.  Either way the run owns it from here on: a clean run
+        gives it to the free list, any other closes its descriptor.
+        ``pool`` is the :class:`WorkerPool` of a persistent session
+        (``docs/sessions.md``), which the job is leased to and handed back
+        to with ``("endjob",)``.  Without ``pool`` the run is *one-shot*
+        and leases the pool this module keeps for the process (one caller
+        at a time).  The workers outlive the call (:func:`shutdown_workers`
+        ends them) except under a one-shot ``fault_plan``, which runs on
+        fresh generation-0 workers, ends with ``("detach",)`` and leaves
+        none, and after a one-shot job during which one died.
     checkpoint:
         Optional bound :class:`~repro.qr.persist.CheckpointStore`.  The
         parent raises the segment's pause byte when a snapshot falls due,
@@ -873,13 +884,9 @@ def execute_ops_parallel(
                       skip=completed_set or None, preloaded_ts=preloaded_ts)
     if n_procs == 1:
         return degrade(a.copy(), reason="n_procs=1")
-    # A session's segment already holds the tiles and cleared flags (the
-    # caller loaded the input) and outlives this call with its pool.  A
-    # one-shot run's descriptor ends with the call — its pages go on as
-    # the factors, and as a spare of the process's kept pool (one caller at a
-    # time), whose workers keep their attachment like a session's.
+    # A one-shot run leases the process's kept pool (one caller at a time),
+    # whose workers keep their attachment like a session's.
     one_shot = pool is None
-    require(one_shot or arena is not None, "a session's pool runs on its arena")
     store, lock = arena, contextlib.nullcontext()
     if one_shot:
         pool, lock = _KEPT, _LEASE_LOCK
@@ -898,14 +905,14 @@ def execute_ops_parallel(
     with lock:
         if fresh:
             pool.shutdown()
-        if one_shot and (store is None or store.recycled and not pool.holds(store.name, n_procs)):
-            # A direct caller's tiles go in here; so do those of a segment
-            # without a descriptor that a rank about to be leased does not map.
+        if store is None:  # a direct caller's tiles go in here
             try:
-                store = SharedTileStore.create(a, sched, ib)
+                store = take_segment(a, sched, ib)
             except OSError as exc:
                 return degrade(a.copy(), reason=f"shared memory unavailable: {exc}")
-        stats.segment_recycled = store.recycled
+        # Only a finished run builds the records, and only a finished run
+        # puts a segment on the free list.
+        stats.segment_recycled = store.records is not None
         success, gauges = False, {}
         try:
             shares = sched.assignment(n_procs, policy)
@@ -950,8 +957,7 @@ def execute_ops_parallel(
                 root_span_id = rec.add_span("pool.lease", "dispatch", end - stats.spawn_s, end,
                                             worker=n_procs, args=lease).span_id
 
-            # A recycled segment has no descriptor to send a replacement.
-            ledger = Ledger(ops, shares, respawn and not store.recycled, len(completed_set))
+            ledger = Ledger(ops, shares, respawn, len(completed_set))
             attached: set[int] = set()  # whose attach echo for *this* job was read
             last_seen: dict[int, float] = {}  # when each rank last showed life
             flags_up = len(completed_set)  # refreshed from the segment when the pipes are quiet
@@ -1118,25 +1124,24 @@ def execute_ops_parallel(
                 checkpoint.write(store, store.t_factor, store.flags.astype(bool))
             if fresh or (one_shot and stats.workers_died):
                 pool.shutdown()
-            # The factors are the segment — views that keep its pages — and
-            # their skeleton is a fact of it, built by the first run over it.
-            if store.factors is None:
-                records = factor_records(sched, store.t_factor)
-                store.factors = TileQRFactors(store.matrix(), records, ib)
-            factors, stats.bytes_in = store.factors, store.bytes_in
+            # The factors are the segment's views — views that keep its pages —
+            # whose skeleton is a fact of it, built by the first run over it;
+            # the object around them is this run's, what the free list watches.
+            if store.records is None:
+                store.records = factor_records(sched, store.t_factor)
+            factors = TileQRFactors(store.matrix(), store.records, ib)
+            stats.bytes_in = store.bytes_in
             success = True
         finally:
             for name in gauges:
                 rec.unregister_gauge(name)
-            if not success:
+            if success:
+                _give_back(store, ops, factors)
+            else:
                 # Workers may be mid-op, wedged, or napping on a flag that will
                 # never go up; a clean slate (fresh processes, bumped
                 # generations) is the only safe state to return the pool in.
                 pool.reset()
-            if one_shot:
-                if success and not fresh and not stats.workers_died:
-                    with _FORK_LOCK:  # against take_spare in another thread
-                        pool.spares[:] = [(*store.spare(), ops, ib), *pool.spares][:SPARE_SEGMENTS]
                 store.destroy()
 
     return factors, stats

@@ -1,29 +1,24 @@
 """Persistent factorization sessions: reusable worker pool + plan cache.
 
-One-shot ``qr_factor(backend="parallel")`` pays, on every call, for things
-that do not depend on the matrix *values* at all: creating a shared-memory
-segment, attaching the workers to it, faulting its pages in and destroying
-it.  In the tall-skinny batch regime the paper targets, the same
-``(shape, nb, ib, tree, h)`` configuration is factored over and over, and
-all of that is pure, repeated overhead.  (The other value-independent
-costs are kept per process for *every* caller, session or not: panel plans,
-op list, dependency DAG, wavefront partition and worker assignment by
-:mod:`repro.qr.schedule`, the worker processes by the pool
-:mod:`repro.qr.parallel` keeps behind one-shot calls.)
+In the tall-skinny batch regime the paper targets, the same
+``(shape, nb, ib, tree, h)`` configuration is factored over and over.  What
+does not depend on the matrix *values* is kept per process for *every*
+caller, session or not: panel plans, op list, dependency DAG, wavefront
+partition and worker assignment by :mod:`repro.qr.schedule`, the worker
+processes of one-shot calls and the free shared-memory segments (views,
+record skeleton and descriptor with each) by :mod:`repro.qr.parallel`.
 
-:class:`QRSession` amortises it.  A session owns
+A :class:`QRSession` owns
 
 * a :class:`~repro.qr.parallel.WorkerPool` of its own — the class of the
   pool kept behind one-shot calls, a separate instance with its own
   generations and ``health()`` — whose workers keep their shared-memory
-  attachment cached between jobs; and
+  attachments cached between jobs; and
 * a :class:`PlanCache` — an LRU keyed by
   ``(tree, m, n, nb, ib, h, shifted)`` that pins the process-wide
   :class:`~repro.qr.schedule.Schedule` of that key (plans, ops, dependency
-  graph, wavefront partition, worker assignment) next to what only a
-  session has: the one shared-memory segment of a job (tiles, ``T`` slots,
-  completion flags; :class:`~repro.tiles.shared.SharedTileStore`) sized
-  for that plan — and per-session hit/miss/eviction accounting.
+  graph, wavefront partition, worker assignment), with per-session
+  hit/miss/eviction accounting.
 
 ``session.factor(a, ...)`` routes through :func:`repro.qr.api.qr_factor`
 (and accepts the same keywords), so every guarantee of the one-shot path
@@ -55,7 +50,6 @@ from dataclasses import dataclass
 
 from ..obs import record as _obs_record
 from ..obs.record import K_PLAN_EVICTIONS, K_PLAN_HITS, K_PLAN_MISSES
-from ..tiles.shared import SharedTileStore
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int
 from .parallel import WorkerPool, default_n_procs
@@ -80,12 +74,9 @@ class PlanCache:
 
     Per key it holds the process-wide :class:`~repro.qr.schedule.Schedule`
     (the one :func:`~repro.qr.schedule.schedule_for` returned, pinned here so
-    a warm call derives nothing even after the memo has dropped the key)
-    and, once a ``parallel`` call has run on it, this session's segment
-    (:meth:`segment`).  Both are pure functions of the key, so entries never
-    go stale and there is no invalidation beyond LRU capacity eviction
-    (evicting closes the descriptor of the entry's segment, never touches the
-    schedule).
+    a warm call derives nothing even after the memo has dropped the key).
+    It is a pure function of the key, so entries never go stale and there is
+    no invalidation beyond LRU capacity eviction.
     Hits, misses, and evictions are tallied per session on :attr:`stats`
     always, and on the ``plan.*`` observability counters when a recording
     is active.
@@ -96,7 +87,6 @@ class PlanCache:
         self.maxsize = maxsize
         self.stats = PlanCacheStats()
         self._entries: OrderedDict[tuple, Schedule] = OrderedDict()
-        self._segments: dict[Schedule, SharedTileStore] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -119,41 +109,14 @@ class PlanCache:
         if rec is not None:
             rec.count(K_PLAN_MISSES)
         while len(self._entries) > self.maxsize:
-            self._release(self._entries.popitem(last=False)[1])
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
             if rec is not None:
                 rec.count(K_PLAN_EVICTIONS)
         return schedule
 
-    def segment(self, schedule: Schedule, a, ib: int) -> SharedTileStore:
-        """This session's segment of ``schedule`` holding ``a`` (a dense array
-        or a :class:`~repro.tiles.matrix.TileMatrix`, tiled straight into it)
-        with every completion flag clear — created on first use, reloaded
-        after.
-
-        Raises ``OSError`` where shared memory is unavailable; the caller
-        degrades to the serial fallback, exactly like the one-shot path.
-        """
-        store = self._segments.get(schedule)
-        if store is None:
-            store = self._segments[schedule] = SharedTileStore.create(a, schedule, ib)
-        else:
-            store.load(a)
-        return store
-
-    def _release(self, schedule: Schedule) -> None:
-        """Close the descriptor of ``schedule``'s segment and let go of it.  Its
-        pages stay with the results still made of them (each holds the
-        store), so neither ``clear()`` nor an eviction makes a result
-        dangle."""
-        store = self._segments.pop(schedule, None)
-        if store is not None:
-            store.unlink()
-
     def clear(self) -> None:
-        """Drop every entry, closing the descriptors of the cached segments."""
-        for schedule in self._entries.values():
-            self._release(schedule)
+        """Drop every entry."""
         self._entries.clear()
 
 
@@ -170,9 +133,10 @@ class QRSession:
     spawns the pool, costing what a process's first one-shot ``qr_factor``
     costs.  Every
     later call on that configuration is *warm*: plan, DAG, wavefronts,
-    assignment, shared-memory segment, and worker processes are all reused —
-    each worker already holds its share — so the call reduces to one pass
-    in and the kernels (``stats.spawn_s`` collapses to roughly zero).
+    assignment, and worker processes are all reused — each worker already
+    holds its share — and so is a free shared-memory segment the workers
+    map, so the call reduces to one pass in and the kernels
+    (``stats.spawn_s`` collapses to roughly zero).
     Results are bit-exact with one-shot ``qr_factor`` on every backend.
 
     Parameters
@@ -213,8 +177,8 @@ class QRSession:
         return self._pool
 
     def close(self) -> None:
-        """Shut the pool down and let go of every cached segment (idempotent);
-        results made of one keep its pages."""
+        """Shut the pool down and drop the cached plans (idempotent); results
+        keep their segments, and the free ones stay the process's."""
         if self._closed:
             return
         self._closed = True
@@ -285,12 +249,10 @@ class QRSession:
         :func:`~repro.qr.api.qr_factor` keyword except ``n_procs``, which
         is fixed by the pool.
 
-        Nothing is copied out: a ``parallel`` result is the views of this
-        geometry's segment, valid until the next ``factor`` on the geometry
-        loads it again — after that its accessors raise
-        :class:`~repro.util.errors.StaleResultError` — and through
-        :meth:`close` and eviction, which close only the segment's descriptor.
-        ``result.detach()`` is the owned copy to keep across calls.
+        Nothing is copied out: a ``parallel`` result is the views of its
+        segment, valid for as long as it lives — through later calls,
+        :meth:`close` and eviction; no call loads a segment whose result is
+        alive.
         """
         from .api import qr_factor
 

@@ -203,10 +203,8 @@ class SharedTileStore:
     out — tiles, ``T`` slots, flags, whatever is sliced from them — is built
     on one *root* array made over it for this store, so the root lives
     exactly as long as anybody can read these pages: :meth:`close` drops the
-    store's hold, a one-shot result (:meth:`matrix`, :meth:`t_factor`) keeps
-    the root for as long as one of its arrays is around, and once the root is
-    dead (:meth:`spare`) the mapping may be laid out again for the next run
-    under the same plan (:meth:`recycle`).  No child forked later
+    store's hold, and a result (:meth:`matrix`, :attr:`records`) keeps the
+    root for as long as one of its arrays is around.  No child forked later
     inherits a mapping made here (``MADV_DONTFORK``) or a descriptor held
     here: a worker maps the segment it serves from the descriptor it is
     sent, and any other child must not touch a store, or a result that is
@@ -220,13 +218,10 @@ class SharedTileStore:
     raises when a checkpoint falls due: workers read it before each op and
     park.  The layout is a pure function of ``(layout, ops,
     ib)`` (:func:`_segment_plan`), so one store fits every matrix factored
-    under the same plan: a one-shot run closes its descriptor before it
-    returns and leaves the mapping to the next one (:mod:`repro.qr.parallel`),
-    while a :class:`~repro.qr.session.QRSession` keeps one segment per cached
-    plan; either way each new matrix is copied in with :meth:`load` and pool
-    workers that already map the segment never map it again.  Every
-    :meth:`load` bumps :attr:`generation`: a result made of this segment's
-    views is good for as long as the count it remembers is the current one.
+    under the same plan: :mod:`repro.qr.parallel` keeps the segments of
+    finished runs, descriptor and views included, and loads the next
+    matrix into one with :meth:`load` once nobody holds the result made of
+    it; pool workers that already map the segment never map it again.
     """
 
     def __init__(
@@ -239,7 +234,6 @@ class SharedTileStore:
         n_ops: int,
         *,
         owner: bool,
-        recycled: bool = False,
     ):
         #: The segment's id: the ``memfd`` name ``/proc/<pid>/maps`` shows,
         #: and the key of the job headers and the pool's ``known`` lists.
@@ -252,8 +246,6 @@ class SharedTileStore:
             raise ConfigurationError(
                 f"shared segment holds {len(buf)} bytes, layout needs {flags_off + n_ops + 1}"
             )
-        #: Whether the mapping came from an earlier run (:meth:`recycle`).
-        self.recycled = recycled
         self._map = buf
         # This store's root: the base of every view below and of every view
         # of one, so it is alive exactly while someone can read the pages.
@@ -292,13 +284,12 @@ class SharedTileStore:
         self.flags = np.ndarray((n_ops,), dtype=np.uint8, buffer=root, offset=flags_off)
         #: The pause byte (a one-element view, after the flags).
         self.pause = np.ndarray((1,), dtype=np.uint8, buffer=root, offset=flags_off + n_ops)
-        #: Times :meth:`load` ran, the run that loaded last (the run envelope
-        #: notes it) and what that load and later ``extract_*`` calls copied.
-        self.generation, self.run_id, self.bytes_in, self.bytes_out = 0, None, 0, 0
+        #: Bytes the last :meth:`load` copied in.
+        self.bytes_in = 0
         # The skeleton of every result over this segment, built once each: the
         # validated grid of views (:meth:`matrix`) and, kept here by the first
-        # run that finishes (:mod:`repro.qr.parallel`), the factors around it.
-        self._matrix = self.factors = None
+        # run that finishes (:mod:`repro.qr.parallel`), the factor records.
+        self._matrix = self.records = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -330,16 +321,6 @@ class SharedTileStore:
                 del _HELD[name]
                 os.close(fd)
                 raise
-        store.load(a)
-        return store
-
-    @classmethod
-    def recycle(cls, a: TileMatrix | np.ndarray, ops, ib: int, name: str, buf) -> "SharedTileStore":
-        """:meth:`create` without allocating or mapping anything: new views
-        over the mapping a finished run under the same ``ops`` and ``ib``
-        left (:meth:`spare`, its root dead), then :meth:`load`."""
-        store = cls(name, buf, ops.layout, ib, *_tables(ops.layout, ops, ib), owner=False,
-                    recycled=True)
         store.load(a)
         return store
 
@@ -379,8 +360,7 @@ class SharedTileStore:
                     self._tiles[i][j][...] = a[lay.row_span(i), lay.col_span(j)]
         self.flags[:] = 0
         self.pause[0] = 0
-        self.generation += 1
-        self.bytes_in, self.bytes_out = 8 * self.layout.m * self.layout.n, 0
+        self.bytes_in = 8 * self.layout.m * self.layout.n
 
     def close(self) -> None:
         """Drop this store's views and its hold on the mapping, which goes
@@ -388,12 +368,7 @@ class SharedTileStore:
         self._tiles = []
         self._ts = {}
         self.flags = self.pause = self._map = self._root = self._full = None
-        self._matrix = self.factors = None
-
-    def spare(self) -> tuple:
-        """``(name, mapping, weakref(root))``: what :meth:`recycle` needs,
-        once the reference is dead — nobody holds a view of these pages."""
-        return self.name, self._map, weakref.ref(self._root)
+        self._matrix = self.records = None
 
     def unlink(self) -> None:
         """Close the creator's descriptor (creator only): nobody new can map
@@ -452,13 +427,3 @@ class SharedTileStore:
         if self._matrix is None:
             self._matrix = TileMatrix._adopt(self.layout, self._tiles)
         return self._matrix
-
-    def extract_matrix(self) -> TileMatrix:
-        """Copy the tile grid out into an ordinary (owned) TileMatrix."""
-        self.bytes_out += 8 * self.layout.m * self.layout.n
-        return self.matrix().copy()
-
-    def extract_ts(self) -> dict[tuple, np.ndarray]:
-        """Copy every ``T`` factor out of the segment."""
-        self.bytes_out += sum(t.nbytes for t in self._ts.values())
-        return {key: t.copy(order=TILE_ORDER) for key, t in self._ts.items()}

@@ -24,7 +24,6 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
     "ParallelExecutionError",
-    "StaleResultError",
     "SilentCorruptionError",
     "WatchdogTimeout",
     "RetryExhaustedError",
@@ -104,11 +103,6 @@ class DeadlockError(SimulationError):
 
 class ParallelExecutionError(ReproError):
     """A worker process of the parallel backend failed or disappeared."""
-
-
-class StaleResultError(ReproError):
-    """A session result was read after a later ``factor`` on its geometry
-    reloaded the segment its tiles live in (``detach()`` keeps a result)."""
 
 
 class SilentCorruptionError(ReproError):

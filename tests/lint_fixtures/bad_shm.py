@@ -1,7 +1,9 @@
-"""Fixture: a shared-memory segment created and never closed/unlinked."""
+"""Fixture: an anonymous segment made and its descriptor never closed."""
 
-from multiprocessing import shared_memory
+import os
 
 
 def leak(size):
-    return shared_memory.SharedMemory(create=True, size=size)
+    fd = os.memfd_create("psm_leak", os.MFD_CLOEXEC)
+    os.ftruncate(fd, size)
+    return fd

@@ -26,11 +26,16 @@ def collect(item, acc=None):
     return acc
 
 
-def attach(name):
-    # SharedMemory without create=True (attach) needs no unlink here.
-    from multiprocessing import shared_memory
+def segment(size):
+    # A memfd whose descriptor is closed once it is mapped.
+    import mmap
 
-    return shared_memory.SharedMemory(name=name)
+    fd = os.memfd_create("psm_clean", os.MFD_CLOEXEC)
+    try:
+        os.ftruncate(fd, size)
+        return mmap.mmap(fd, size)
+    finally:
+        os.close(fd)
 
 
 def narrow(fn):

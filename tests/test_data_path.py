@@ -1,17 +1,18 @@
 """The data path of the process backend: one copy in, none out.
 
-A dense input is tiled straight into the job's shared segment (the fresh one
-of a one-shot call, the entry's arena of a session) in the one pass
-``TileMatrix.from_dense`` makes; a result *is* that segment — a one-shot
-call's, whose descriptor is closed before the call returns and whose pages
-go with the result, and a session's, good until the next ``factor`` on its geometry
-loads the segment again (then every accessor raises ``StaleResultError``;
-``detach()`` is the owned copy that stays).  Checked here: the tiling itself,
-what the parent copies per call (spies and the run's own counts), how long
-descriptor, mapping and result live, when a later one-shot call may lay a mapping
-out again (never while anything reads it), what a worker forked later
-inherits, that nothing is ever named, and what happens when the pages
-cannot be had.
+A dense input is tiled straight into the job's shared segment in the one
+pass ``TileMatrix.from_dense`` makes; a result *is* that segment's views,
+session or not.  A finished run's segment joins the process's free list
+(two entries, each with its descriptor, its views and its record skeleton),
+and a later call under the same op list loads its input into one only once
+the result made of it is gone — so a result stays valid for as long as it
+lives, and a copy is made only when asked (pickling, ``copy.deepcopy``).
+Checked here: the tiling itself, what the parent copies per call (spies and
+the run's own counts), how long descriptor, mapping and result live, when a
+later call may load a segment again (never while its result is alive), what
+a worker forked later inherits, that nothing is ever named, what happens
+when the pages cannot be had, and both rules end to end in a ``-X dev -W
+error`` child.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.tiles.shared import SharedTileStore, t_factor_key
 from repro.trees import TreeKind
 from repro.faults import FaultPlan
 from repro.qr import CheckpointStore, resume_factorization, save_factorization
-from repro.util import ParallelExecutionError, StaleResultError, WatchdogTimeout
+from repro.util import ParallelExecutionError, WatchdogTimeout
 from repro.util.validation import as_f64_matrix
 from tests.conftest import segment_descriptors
 
@@ -141,7 +142,7 @@ def test_callers_array_is_untouched_and_factors_are_serial(matrix, kind):
     ref = qr_factor(x, **GEOMETRY)
     f = one_shot(x)
     with QRSession(n_procs=2) as sess:
-        cold, warm = sess.factor(x, **GEOMETRY).detach(), sess.factor(x, **GEOMETRY)
+        cold, warm = sess.factor(x, **GEOMETRY), sess.factor(x, **GEOMETRY)
     assert np.array_equal(x, kept) and x.dtype == kept.dtype
     assert all(same_factors(g, ref) for g in (f, cold, warm))
 
@@ -151,16 +152,14 @@ def test_callers_array_is_untouched_and_factors_are_serial(matrix, kind):
 
 @pytest.fixture
 def traffic(monkeypatch):
-    """Bytes the parent copies into and out of a segment, and every call of a
-    function the dense path no longer goes through (``extract_matrix`` is a
-    ``TileMatrix.copy`` of the views; that one is the copy-out, counted there)."""
-    seen = dict(bytes_in=0, bytes_out=0, loads=[], calls=[])
-    extracting = []
+    """Bytes the parent copies into a segment, and every call of a function
+    the dense path no longer goes through."""
+    seen = dict(bytes_in=0, loads=[], calls=[])
 
     def nbytes(x):
         if isinstance(x, TileMatrix):
             return sum(t.nbytes for _, _, t in x.iter_tiles())
-        return sum(t.nbytes for t in x.values()) if isinstance(x, dict) else x.nbytes
+        return x.nbytes
 
     raw_load = SharedTileStore.load
 
@@ -169,73 +168,52 @@ def traffic(monkeypatch):
         seen["bytes_in"] += nbytes(a)
         return raw_load(self, a)
 
-    def counted_out(name):
-        raw = getattr(SharedTileStore, name)
-
-        def method(self):
-            seen["calls"].append(name)
-            extracting.append(name)
-            out = raw(self)
-            extracting.pop()
-            seen["bytes_out"] += nbytes(out)
-            return out
-        return method
-
     def counted(owner, name, wrap=lambda f: f):
         raw = getattr(owner, name)
         raw = getattr(raw, "__func__", raw)
 
         def method(*args, **kw):
-            if not extracting:
-                seen["calls"].append(name)
+            seen["calls"].append(name)
             return raw(*args, **kw)
         return wrap(method)
 
     monkeypatch.setattr(SharedTileStore, "load", load)
-    monkeypatch.setattr(SharedTileStore, "extract_matrix", counted_out("extract_matrix"))
-    monkeypatch.setattr(SharedTileStore, "extract_ts", counted_out("extract_ts"))
     monkeypatch.setattr(TileMatrix, "from_dense", counted(TileMatrix, "from_dense", classmethod))
     monkeypatch.setattr(TileMatrix, "copy", counted(TileMatrix, "copy"))
     return seen
 
 
-def t_bytes(f):
-    return sum(r.t.nbytes for r in f._factors.records)
-
-
 def test_one_shot_copies_one_matrix_in_and_nothing_out(matrix, serial, traffic):
     for _ in range(2):  # first call and repeat call alike
-        traffic.update(bytes_in=0, bytes_out=0, loads=[], calls=[])
+        traffic.update(bytes_in=0, loads=[], calls=[])
         f = one_shot(matrix)
         assert f.stats.mode == "parallel" and same_factors(f, serial)
         assert traffic["loads"] == ["ndarray"] and traffic["calls"] == []
-        assert (traffic["bytes_in"], traffic["bytes_out"]) == (matrix.nbytes, 0)
+        assert traffic["bytes_in"] == f.stats.bytes_in == matrix.nbytes
         assert not any(t.flags.owndata for _, _, t in f._factors.a.iter_tiles())
 
 
 def test_session_copies_one_matrix_in_and_the_factors_out(matrix, serial, traffic):
     """... out only when asked: the call moves one matrix in and nothing out,
-    ``detach()`` what every call used to copy — by the spies and by the
-    run's own counts."""
+    and a copy of the result (``copy.deepcopy``, pickling) is the owned one."""
     with QRSession(n_procs=2) as sess:
         for call in ("cold", "warm", "warm"):
-            traffic.update(bytes_in=0, bytes_out=0, loads=[], calls=[])
+            traffic.update(bytes_in=0, loads=[], calls=[])
             f = sess.factor(matrix, **GEOMETRY)
             assert f.stats.mode == "parallel" and same_factors(f, serial), call
             assert traffic["loads"] == ["ndarray"] and traffic["calls"] == [], call
-            assert (traffic["bytes_in"], traffic["bytes_out"]) == (matrix.nbytes, 0), call
-            assert (f.stats.bytes_in, f.stats.bytes_out) == (matrix.nbytes, 0), call
+            assert traffic["bytes_in"] == f.stats.bytes_in == matrix.nbytes, call
             assert f.stats.pipe_messages <= 8, call
-            # The result is the session's segment, not a copy of it.
-            (arena,) = sess.plan_cache._segments.values()
-            assert all(np.shares_memory(t, arena.tile(i, j))
+            # The result is the segment the run gave back, not a copy of it.
+            store, _, result = parallel_mod._FREE[0]
+            assert result() is f._factors, call
+            assert all(np.shares_memory(t, store.tile(i, j))
                        for i, j, t in f._factors.a.iter_tiles()), call
-            assert all(np.shares_memory(r.t, arena.t_factor(t_factor_key(r)))
+            assert all(np.shares_memory(r.t, store.t_factor(t_factor_key(r)))
                        for r in f._factors.records), call
-            owned = f.detach()
-            assert traffic["calls"] == ["extract_ts", "extract_matrix"], call
-            assert traffic["bytes_out"] == matrix.nbytes + t_bytes(f) == f.stats.bytes_out, call
-            assert same_factors(owned, serial) and owned.detach() is owned, call
+            owned = copy.deepcopy(f)
+            assert traffic["calls"] == [], call
+            assert same_factors(owned, serial), call
             assert all(t.flags.owndata for _, _, t in owned._factors.a.iter_tiles())
             assert all(r.t.flags.owndata for r in owned._factors.records)
 
@@ -247,33 +225,28 @@ def accessors(f, a):
     """Every way to the data of a result."""
     b = np.ones(a.shape[0])
     return [lambda: f.R, lambda: f.solve(b), lambda: f.q_matmul(b), lambda: f.qt_matmul(b),
-            f.q_thin, lambda: f.residuals(a), f.detach, lambda: pickle.dumps(f),
+            f.q_thin, lambda: f.residuals(a), lambda: pickle.dumps(f),
             lambda: copy.deepcopy(f), lambda: save_factorization(os.devnull, f)]
 
 
-def test_the_next_factor_on_its_geometry_makes_a_result_stale(matrix, serial, tmp_path):
-    other = 3.0 - 2.0 * matrix  # other values everywhere: nothing recycled reads as right
+def test_a_kept_session_result_stays_valid_across_later_calls(matrix, serial, tmp_path):
+    other = 3.0 - 2.0 * matrix  # other values everywhere: a reloaded segment reads as wrong
     elsewhere = dict(GEOMETRY, tree="flat")
+    b = np.ones(M)
     with QRSession(n_procs=2) as sess:
         f = sess.factor(matrix, **GEOMETRY)
-        kept = f.detach()
         sess.factor(matrix, **elsewhere)  # another geometry, another segment
         sess.factor(matrix, **GEOMETRY, backend="serial")  # nothing of the pool's
-        assert same_factors(f, serial) and f.shape == (M, N)
-        g = sess.factor(other, **GEOMETRY)
+        for _ in range(4):  # the free segments take turns; f's is not one of them
+            g = sess.factor(other, **GEOMETRY)
+            assert same_factors(f, serial) and f.shape == (M, N)
+        assert same_factors(g, qr_factor(other, **GEOMETRY))
         for read in accessors(f, matrix):
-            with pytest.raises(StaleResultError) as err:
-                read()
-            assert f.run_id in str(err.value) and g.run_id in str(err.value)
-        assert f.shape == (M, N) and f.stats.mode == "parallel"  # not data: still there
-        ref = qr_factor(other, **GEOMETRY)
-        assert same_factors(g, ref) and same_factors(kept, serial)
-        sess.factor(matrix, **GEOMETRY)
-        with pytest.raises(StaleResultError):
-            g.R
+            read()  # every way to the data works
+        assert np.array_equal(f.solve(b), serial.solve(b))
     shutdown_workers()
-    assert same_factors(kept, serial) and same_factors(pickle.loads(pickle.dumps(kept)), serial)
-    save_factorization(tmp_path / "kept.npz", kept)
+    assert same_factors(f, serial) and same_factors(pickle.loads(pickle.dumps(f)), serial)
+    save_factorization(tmp_path / "kept.npz", f)
 
 
 @needs_proc
@@ -283,24 +256,20 @@ def test_a_result_survives_the_session_that_made_it(matrix, serial, how, no_new_
     mapped, before = len(mapped_segments()), set(segment_descriptors())
     sess = QRSession(n_procs=2, plan_cache_size=1)
     f = sess.factor(matrix, **GEOMETRY)
-    own = f._segment[0].name
-    assert set(segment_descriptors()) - before == {own}
+    assert len(set(segment_descriptors()) - before) == 1  # the free list keeps it
     if how == "evict":
         sess.factor(matrix, **dict(GEOMETRY, tree="flat"))  # the one slot goes to this one
         assert sess.plan_cache.stats.evictions == 1
     else:
         sess.close()
-    held = set(segment_descriptors()) - before
-    assert own not in held, "the descriptor outlived its entry"
-    assert len(held) == (how == "evict"), "the live entry's descriptor is held, no other"
     gc.collect()
-    assert same_factors(f, serial) and same_factors(f.detach(), serial)
+    assert same_factors(f, serial)
     x = np.ones(N)
     assert np.allclose(f.solve(matrix @ x), x)
     sess.close()
     shutdown_workers()
     assert shm_names() <= no_new_shm and len(mapped_segments()) == mapped + 1
-    assert set(segment_descriptors()) <= before
+    assert set(segment_descriptors()) <= before, "a descriptor outlived the free list"
     assert same_factors(f, serial) and same_factors(copy.deepcopy(f), serial)
     del f
     gc.collect()
@@ -313,7 +282,8 @@ def test_a_degraded_session_call_returns_an_owned_result(matrix, serial, monkeyp
             patch.setattr(shared_mod.os, "posix_fallocate",
                           lambda *a: (_ for _ in ()).throw(OSError(errno.ENOSPC, "full")))
             f = sess.factor(matrix, **GEOMETRY)
-        assert f.stats.mode == "serial-fallback" and f.detach() is f
+        assert f.stats.mode == "serial-fallback"
+        assert all(t.flags.owndata for _, _, t in f._factors.a.iter_tiles())
         sess.factor(3.0 - matrix, **GEOMETRY)
         sess.factor(3.0 - matrix, **GEOMETRY)
         assert same_factors(f, serial)
@@ -331,10 +301,10 @@ def test_session_results_under_faults_and_hooks_are_views_and_bit_exact(matrix, 
         for name, kw in cases.items():
             f = sess.factor(matrix, **GEOMETRY, **kw)
             assert f.stats.mode == "parallel" and same_factors(f, serial), name
-            assert f.detach() is not f and same_factors(f.detach(), serial), name
-        assert f.stats.bytes_out > 0 and f.stats.workers_died == 0
+            assert not any(t.flags.owndata for _, _, t in f._factors.a.iter_tiles()), name
+        assert f.stats.workers_died == 0
     resumed = resume_factorization(tmp_path / "c.npz", backend="parallel", n_procs=2)
-    assert same_factors(resumed, serial) and resumed.detach() is resumed
+    assert same_factors(resumed, serial)
 
 
 def test_a_tile_matrix_input_is_copied_once(matrix, serial, traffic):
@@ -343,7 +313,7 @@ def test_a_tile_matrix_input_is_copied_once(matrix, serial, traffic):
     f = one_shot(tm)
     assert same_factors(f, serial)
     assert traffic["loads"] == ["TileMatrix"] and traffic["calls"] == []
-    assert (traffic["bytes_in"], traffic["bytes_out"]) == (matrix.nbytes, 0)
+    assert traffic["bytes_in"] == matrix.nbytes
     assert np.array_equal(tm.to_dense(), matrix)  # the caller's tiles are not the job's
 
 
@@ -362,10 +332,11 @@ def test_fallback_takes_its_pristine_copy_from_the_segment(matrix, serial, traff
 def test_a_one_shot_result_outlives_everything_but_itself(matrix, serial, no_new_shm):
     mapped, before = len(mapped_segments()), set(segment_descriptors())
     f = one_shot(matrix)
-    assert set(segment_descriptors()) <= before, "the descriptor outlived the call"
+    assert len(set(segment_descriptors()) - before) == 1  # the free list's, not the result's
     assert len(mapped_segments()) == mapped + 1
     assert any("(deleted)" in line for line in mapped_segments())
     shutdown_workers()
+    assert set(segment_descriptors()) <= before, "the descriptor outlived the free list"
     assert same_factors(f, serial)
     other = np.random.default_rng(5).standard_normal((M, N))
     g = one_shot(other)  # same geometry, another segment
@@ -377,12 +348,12 @@ def test_a_one_shot_result_outlives_everything_but_itself(matrix, serial, no_new
     blob, twin = pickle.dumps(f), copy.deepcopy(f)
     del f, g
     gc.collect()
-    # ``f``'s pool is gone, so its segment was its own; ``g``'s is the kept
-    # pool's spare until that pool ends.
-    assert len(mapped_segments()) == mapped + 1, "a mapping outlived its result and its pool"
+    # ``f``'s segment left the free list with the pool; ``g``'s is on it
+    # until the list is given back.
+    assert len(mapped_segments()) == mapped + 1, "a mapping outlived its result and the list"
     assert one_shot(matrix).stats.segment_recycled
     shutdown_workers()
-    assert len(mapped_segments()) == mapped, "the mapping outlived the pool"
+    assert len(mapped_segments()) == mapped, "the mapping outlived the free list"
     for h in (pickle.loads(blob), twin):
         assert same_factors(h, serial)
 
@@ -409,7 +380,7 @@ def test_one_array_of_the_result_keeps_the_pages(matrix, serial):
     del f
     gc.collect()
     assert len(mapped_segments()) == mapped + 1 and np.array_equal(tile, want)
-    shutdown_workers()  # no pool, no spare: the pages are the tile's alone
+    shutdown_workers()  # no free list: the pages are the tile's alone
     assert len(mapped_segments()) == mapped + 1 and np.array_equal(tile, want)
     del tile
     assert len(mapped_segments()) == mapped
@@ -465,9 +436,9 @@ def test_a_bad_option_after_staging_leaves_nothing(matrix, no_new_shm):
 
 # -- the segment the last call left behind -----------------------------------------
 #
-# A clean one-shot call leaves its mapping (no descriptor) to the kept pool; a later
-# call under the same op list loads its input into it — once no array made of
-# it, and no view of one, is alive.
+# A clean call leaves its segment, descriptor and views with it, to the free list;
+# a later call under the same op list loads its input into it — once the factors
+# object of the result made of it is gone.
 
 
 def inputs(n, seed=31):
@@ -477,8 +448,9 @@ def inputs(n, seed=31):
 
 def test_a_recycled_call_makes_maps_attaches_and_unlinks_nothing(matrix, serial, monkeypatch,
                                                                  tmp_path, no_new_shm):
-    """A fresh segment is made, reserved, sent to each worker, mapped there
-    and its descriptor closed; a recycled one does none of that."""
+    """A fresh segment is made, reserved, sent to each worker and mapped
+    there; a recycled one does none of that, and nobody closes a descriptor
+    while the free list has room."""
     log = tmp_path / "calls"
     log.touch()
 
@@ -506,8 +478,8 @@ def test_a_recycled_call_makes_maps_attaches_and_unlinks_nothing(matrix, serial,
         seen.append(sorted(log.read_text().split()))
         assert f.stats.segment_recycled == (call >= 2)
         assert f.stats.pipe_messages == (6 if call == 0 else 8)  # spawned: header in the fork
-        assert (f.stats.bytes_in, f.stats.bytes_out) == (matrix.nbytes, 0)
-    fresh = ["attach", "attach", "close", "create", "fallocate", "send", "send"]
+        assert f.stats.bytes_in == matrix.nbytes
+    fresh = ["attach", "attach", "create", "fallocate", "send", "send"]
     assert seen == [fresh, fresh, [], [], []]
 
 
@@ -523,17 +495,20 @@ def test_more_live_results_than_spares_stay_their_own(no_new_shm):
         assert all(same_factors(f, ref) for (_, f), ref in zip(held, refs))
 
 
-def test_a_view_of_a_tile_view_keeps_its_segment_out_of_reuse(matrix, serial):
+def test_held_factors_keep_their_segment_out_of_reuse(matrix, serial):
+    """The factors object of a result is what the free list watches: held
+    on its own, it keeps the segment out of reuse as the result does."""
     f = one_shot(matrix)
-    corner, want = f._factors.a.tile(1, 1)[2:5, 1:][::2], serial._factors.a.tile(1, 1)[2:5, 1:][::2]
+    factors, want = f._factors, serial._factors.a.tile(1, 1).copy()
     del f
     gc.collect()
     other = 3.0 - 2.0 * matrix  # other values everywhere
     g = one_shot(other)
     assert not g.stats.segment_recycled
-    assert same_factors(g, qr_factor(other, **GEOMETRY)) and np.array_equal(corner, want)
-    del corner, g
-    assert one_shot(matrix).stats.segment_recycled
+    assert same_factors(g, qr_factor(other, **GEOMETRY))
+    assert np.array_equal(factors.a.tile(1, 1), want)
+    del factors
+    assert one_shot(matrix).stats.segment_recycled  # ``g`` is alive: that was f's
 
 
 def test_a_result_in_a_cycle_delays_reuse_until_collected(matrix, serial):
@@ -563,22 +538,24 @@ def test_another_plan_never_matches_a_spare(matrix, serial):
     sizes = {sched.segment_plan()[2] + len(sched.ops) for sched in trees}
     assert len(sizes) == 1 and trees[0].ops != trees[1].ops
     one_shot(matrix)
-    spares = parallel_mod._KEPT.spares
-    assert len(spares) == 1 and spares[0][2]() is None  # there for the taking
+    free = parallel_mod._FREE
+    assert len(free) == 1 and free[0][2]() is None  # there for the taking
     others = (dict(nb=16), dict(ib=6), dict(tree="binary"), dict(tree="greedy"), dict(tree="binary"))
     for k, kw in enumerate(others):
         f = one_shot(matrix, **kw)
         assert f.stats.segment_recycled == (k == 4), kw  # binary's own, not greedy's
         assert same_factors(f, qr_factor(matrix, **{**GEOMETRY, **kw})), kw
-    f = one_shot(matrix)  # its spare fell off the list long ago: a fresh one
+    f = one_shot(matrix)  # its segment fell off the list long ago: a fresh one
     assert not f.stats.segment_recycled and same_factors(f, serial)
-    # An equal list is not the list: the layout is a function of the object.
-    ops = schedule_for(TreeKind.HIER, M, N, 12, 4, 2, True).ops
     del f
-    assert parallel_mod._KEPT.take_spare(list(ops), 4, 2) is None
-    assert parallel_mod._KEPT.take_spare(ops, 8, 2) is None
-    assert parallel_mod._KEPT.take_spare(ops, 4, 3) is None  # rank 2 maps nothing
-    assert parallel_mod._KEPT.take_spare(ops, 4, 2) is not None
+    # An equal list is not the list, and another ``ib`` is another layout:
+    # the layout is a function of the object and of ``ib``.
+    hier = schedule_for(TreeKind.HIER, M, N, 12, 4, 2, True)
+    for sched, ib in ((Schedule(None, list(hier.ops), 4, hier.layout), 4),
+                      (Schedule(None, hier.ops, 8, hier.layout), 8), (hier, 4)):
+        store = parallel_mod.take_segment(matrix, sched, ib)
+        assert (store.records is not None) == (sched is hier)  # a finished run's
+        store.destroy()
 
 
 def test_threads_get_the_factors_of_their_own_inputs(no_new_shm):
@@ -614,7 +591,7 @@ def test_shutdown_workers_gives_every_mapping_back(matrix, serial):
     workers = [p.pid for p in parallel_mod._KEPT.procs.values()]
     assert [len(mapped_segments(pid)) for pid in workers] == [2, 2]
     del f
-    assert len(mapped_segments()) == mapped + 2  # nobody's result: the pool's
+    assert len(mapped_segments()) == mapped + 2  # nobody's result: the free list's
     shutdown_workers()
     assert len(mapped_segments()) == mapped
     assert not any(os.path.exists(f"/proc/{pid}") for pid in workers)
@@ -624,12 +601,12 @@ def test_shutdown_workers_gives_every_mapping_back(matrix, serial):
 @pytest.mark.skipif(mp.get_start_method() != "fork", reason="inheritance is a property of fork")
 def test_a_child_forked_while_spares_exist_makes_its_own(matrix, serial):
     one_shot(matrix)
-    (spare,) = parallel_mod._KEPT.spares
+    (spare,) = parallel_mod._FREE
     pid = os.fork()
     if pid == 0:  # the child: the spare is mapped in its parent only
         code = 1
         try:
-            ok = parallel_mod._KEPT.spares == [] and not mapped_segments()
+            ok = parallel_mod._FREE == [] and not mapped_segments() and not segment_descriptors()
             first, second = one_shot(matrix), one_shot(3.0 - matrix)
             ok = ok and not first.stats.segment_recycled and second.stats.segment_recycled is False
             ok = ok and same_factors(first, serial)
@@ -640,7 +617,7 @@ def test_a_child_forked_while_spares_exist_makes_its_own(matrix, serial):
         finally:
             os._exit(code)
     assert os.waitpid(pid, 0)[1] == 0
-    assert parallel_mod._KEPT.spares == [spare]
+    assert parallel_mod._FREE == [spare]
     f = one_shot(matrix)
     assert f.stats.segment_recycled and same_factors(f, serial)
 
@@ -726,16 +703,16 @@ def test_workers_forked_while_results_live_map_none_of_them(matrix, serial, monk
     monkeypatch.setattr(SharedTileStore, "create", classmethod(create))
     mapped = len(mapped_segments())
     first = one_shot(matrix)
-    shutdown_workers()
+    shutdown_workers()  # ``first``'s segment leaves the free list, descriptor closed
     second = one_shot(matrix)  # forks the kept pool while ``first`` is alive
     with QRSession(n_procs=2) as sess:  # and a session pool while both are
         assert same_factors(sess.factor(matrix, **GEOMETRY), serial)
         (before, served, arena) = names
         assert len(mapped_segments()) == mapped + 3
-        # The parent still holds the session arena's descriptor, and no
-        # descriptor of a one-shot segment whose call has returned.
+        # The parent holds the descriptors of the free segments and none of
+        # one that left the list.
         held = segment_descriptors()
-        assert arena in held and before not in held and served not in held
+        assert arena in held and served in held and before not in held
         # A worker maps what it attached itself — the segment it served, kept
         # for the next call — and nothing that was mapped when it was forked;
         # it holds no descriptor at all.
@@ -748,7 +725,7 @@ def test_workers_forked_while_results_live_map_none_of_them(matrix, serial, monk
     assert same_factors(first, serial) and same_factors(second, serial)
     del first, second
     gc.collect()
-    assert len(mapped_segments()) == mapped + 1  # the kept pool's spare
+    assert len(mapped_segments()) == mapped + 2  # the two free segments
     shutdown_workers()
     assert len(mapped_segments()) == mapped
 
@@ -783,3 +760,164 @@ def test_nothing_is_ever_named():
     done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
                           env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout.split(), done.stderr) == (0, ["ok"], "")
+
+
+# -- one free list for one-shot calls and sessions ----------------------------------
+
+
+def test_a_session_call_runs_on_the_segment_a_one_shot_call_left(matrix, serial):
+    f = one_shot(matrix)
+    ((store, _, _),) = parallel_mod._FREE
+    del f
+    with QRSession(n_procs=2) as sess:
+        g = sess.factor(matrix, **GEOMETRY)
+        assert g.stats.segment_recycled and same_factors(g, serial)
+        assert parallel_mod._FREE[0][0] is store
+        del g
+        h = one_shot(3.0 - matrix)  # and back again
+        assert h.stats.segment_recycled and parallel_mod._FREE[0][0] is store
+        assert same_factors(h, qr_factor(3.0 - matrix, **GEOMETRY))
+
+
+@needs_proc
+@pytest.mark.parametrize("calls,most", [(1, 3), (5, 4)])
+def test_the_bench_pattern_maps_no_more_segments_than_it_did(matrix, serial, calls, most):
+    """``python3 -m bench`` holds its warm-up one-shot and session results
+    for the whole run and times ``calls`` calls per sample, each result
+    rebound to the next: 3 segments with one call per sample and 4 with
+    five, as when a session kept a segment of its own per geometry."""
+    gc.collect()
+    mapped, peak = len(mapped_segments()), 0
+
+    def sample(fn):
+        nonlocal peak
+        for _ in range(calls):
+            out = fn()
+            assert same_factors(out, serial)
+            peak = max(peak, len(mapped_segments()) - mapped)
+
+    with QRSession(n_procs=2) as sess:
+        timed = [lambda: one_shot(matrix), lambda: sess.factor(matrix, **GEOMETRY)]
+        warm = [fn() for fn in timed]
+        for _ in range(3):
+            for fn in timed:
+                sample(fn)
+        assert all(same_factors(f, serial) for f in warm)
+    assert peak <= most
+
+
+_CHILD_PROBES = """
+    import gc, os, resource
+    import numpy as np
+
+    def shm():
+        return sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []
+
+    def mapped():
+        with open("/proc/self/maps") as fh:
+            return sum("psm_" in line for line in fh)
+
+    def descriptors():
+        fds = os.listdir("/proc/self/fd")
+        return sum(os.readlink(f"/proc/self/fd/{fd}").startswith("/memfd:psm_")
+                   for fd in fds if os.path.exists(f"/proc/self/fd/{fd}"))
+
+    def peak_kib():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+"""
+
+
+def _dev_mode_child(code: str, timeout: float) -> str:
+    """Run ``code`` after :data:`_CHILD_PROBES` under ``-X dev -W error``:
+    its stdout is returned.  A mapping closed while a view
+    of it is alive prints "Exception ignored ... BufferError", an unclosed
+    file a ResourceWarning — stderr must stay empty."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c",
+                           textwrap.dedent(_CHILD_PROBES) + textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    return done.stdout
+
+
+@needs_proc
+def test_one_shot_calls_take_turns_on_two_segments_under_dev_mode():
+    """Thirty one-shot calls with the result rebound each time: from the
+    third on each runs on the segment of the result before last, nothing is
+    named, peak RSS does not grow by a segment and at most the two free
+    segments are mapped.  Then results kept: every call makes a segment, and
+    the free list still holds two descriptors — one that falls off closes
+    its own; none is left once the list is given back."""
+    out = _dev_mode_child("""
+        from repro import qr_factor
+        from repro.qr.parallel import SPARE_SEGMENTS, shutdown_workers
+
+        before = shm()
+        a = np.random.default_rng(0).standard_normal((2048, 256))
+        kw = dict(nb=64, ib=32, tree="hier", h=4)
+        ref = qr_factor(a, **kw)
+        kw.update(backend="parallel", n_procs=2)
+        for _ in range(2):  # forks the workers, fills the memo; the second call runs
+            f = qr_factor(a, **kw)  # while the first one's result is alive, as below
+        rss0 = peak_kib()
+        for i in range(30):  # the third call on: the segment of the result before last
+            f = qr_factor(a, **kw)
+            assert f.stats.mode == "parallel" and np.array_equal(ref.R, f.R), f"call {i}"
+            assert f.stats.segment_recycled, f"call {i} made a segment"
+            assert shm() == before, f"call {i} named a segment"
+        grown_kib, segment_kib = peak_kib() - rss0, a.nbytes // 1024
+        assert grown_kib < segment_kib, f"peak RSS grew {grown_kib} KiB over 30 calls"
+        assert mapped() <= SPARE_SEGMENTS, "more than the two free segments is mapped"
+        assert descriptors() <= SPARE_SEGMENTS
+        inputs = [(k + 2.0) * a for k in range(4)]
+        kept = [qr_factor(x, **kw) for x in inputs]
+        assert not any(g.stats.segment_recycled for g in kept[1:])
+        assert descriptors() <= SPARE_SEGMENTS, "a descriptor outlived its place on the list"
+        for x, g in zip(inputs, kept):
+            assert np.array_equal(g.R, qr_factor(x, **dict(kw, backend="serial")).R)
+        del f, g, kept
+        gc.collect()
+        shutdown_workers()
+        assert mapped() == 0, "a mapping outlived its result and the free list"
+        assert descriptors() == 0, "a descriptor outlived the free list"
+        assert shm() == before
+        print(grown_kib)
+    """, timeout=180)
+    assert int(out) < 2048 * 256 * 8 // 1024
+
+
+@needs_proc
+def test_a_kept_session_result_stays_bit_equal_under_dev_mode():
+    """Two hundred warm session calls on the burst geometry with the result
+    rebound each time, while the first result is kept: every call exchanges
+    at most eight pipe messages with its two workers, moves one matrix in,
+    names nothing, peak RSS does not grow by a segment once the pinned
+    results exist — and the first result is still bit-equal to serial."""
+    out = _dev_mode_child("""
+        from repro import QRSession, qr_factor
+
+        a = np.random.default_rng(0).standard_normal((512, 128))
+        other = 3.0 - 2.0 * a  # other values everywhere: a reloaded segment reads as wrong
+        kw = dict(nb=32, ib=16, tree="hier", h=2)
+        ref, ref_other = qr_factor(a, **kw).R, qr_factor(other, **kw).R
+        with QRSession(n_procs=2) as sess:
+            first = sess.factor(a, **kw)  # forks the pool, makes its segment
+            listed = shm()
+            for _ in range(2):  # the two segments the loop below takes turns on
+                f = sess.factor(other, **kw)
+            rss0 = peak_kib()
+            for i in range(200):
+                f = sess.factor(other, **kw)
+                assert f.stats.mode == "parallel" and np.array_equal(ref_other, f.R), f"call {i}"
+                assert f.stats.segment_recycled, f"call {i} made a segment"
+                assert f.stats.pipe_messages <= 8, f"call {i}: {f.stats.pipe_messages} messages"
+                assert f.stats.bytes_in == a.nbytes, f"call {i}"
+                assert shm() == listed, f"call {i} changed /dev/shm"
+            grown_kib = peak_kib() - rss0
+            assert grown_kib < a.nbytes // 1024, f"peak RSS grew {grown_kib} KiB over 200 calls"
+            assert np.array_equal(first.R, ref), "a kept result was loaded again"
+        assert np.array_equal(ref, first.R) and np.array_equal(ref_other, f.R)
+        print(grown_kib)
+    """, timeout=180)
+    assert int(out) < 512 * 128 * 8 // 1024

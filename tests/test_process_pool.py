@@ -2,15 +2,15 @@
 
 Workers are forked once per process, not once per call: a repeat one-shot
 call leases the workers the previous one left idle, sends them a header
-without an op list, and loads its input into the segment the previous one
-left mapped (or makes a fresh one while that one's result is alive).  What
-makes workers keepable is checked here too — an idle worker maps only the
-last ``SPARE_SEGMENTS`` segments it served, holds no descriptor but its own
-pipe end (no segment descriptor: it closes the one it is sent once it has
-mapped it), and dies with its parent however the parent dies — together
-with the cases where a job must *not* run on kept workers (fault plans) or
-leave any (a failed job, a worker's death), and what a death means on a
-segment nobody can map any more.
+without an op list, and loads its input into a free segment whose result
+is gone (or makes a fresh one while those results are alive).  What makes
+workers keepable is checked here too — an idle worker maps only the last
+``SPARE_SEGMENTS`` segments it served, holds no descriptor but its own pipe
+end (no segment descriptor: it closes the one it is sent once it has mapped
+it), and dies with its parent however the parent dies — together with the
+cases where a job must *not* run on kept workers (fault plans) or leave any
+(a failed job, a worker's death), and what a death means on a reused
+segment.
 """
 
 from __future__ import annotations
@@ -376,9 +376,10 @@ class TestFaultsGetTheirOwnWorkers:
 
 
 class TestDeathOnASegmentWithoutAName:
-    """A recycled segment has no descriptor to send a replacement: a rank
-    that is not there to serve it sends the job to a fresh segment, and one
-    that dies while serving it leaves its ops to the survivors."""
+    """Segments are anonymous and the parent keeps the descriptor of every
+    free one: a rank that is not there to serve a reused segment is forked
+    and sent it like any other, one that dies while serving it is respawned,
+    and only with respawns off do the survivors adopt its ops."""
 
     @pytest.fixture
     def kill_after_lease(self, monkeypatch):
@@ -398,7 +399,7 @@ class TestDeathOnASegmentWithoutAName:
         monkeypatch.setattr(parallel_mod.WorkerPool, "lease", lease)
         return victims
 
-    def test_an_idle_death_sends_the_next_call_to_a_fresh_segment(self, matrix, serial):
+    def test_an_idle_death_is_respawned_on_the_reused_segment(self, matrix, serial, tmp_path):
         one_shot(matrix)
         assert one_shot(matrix).stats.segment_recycled
         kept = worker_pids()
@@ -406,52 +407,58 @@ class TestDeathOnASegmentWithoutAName:
         deadline = time.monotonic() + 5.0
         while parallel_mod._KEPT.alive_count() == 2 and time.monotonic() < deadline:
             time.sleep(0.01)
-        f = one_shot(matrix)
-        assert not f.stats.segment_recycled and f.stats.workers_died == 0
+        f = one_shot(matrix, trace=str(tmp_path / "t.json"))
+        assert f.stats.segment_recycled and f.stats.workers_died == 0
+        assert (f.counters["pool.spawns"], f.counters["pool.reused"]) == (1, 1)
         assert same_factors(f, serial) and "qr-pool-0g1" in worker_pids()
-        del f
-        assert one_shot(matrix).stats.segment_recycled  # both ranks map that one
 
-    def test_a_rank_forked_for_a_spare_exits_and_is_adopted(self, matrix, serial, monkeypatch):
-        """A rank that dies after the last look at the spare and before the
-        lease is forked with no job — there is no descriptor to send it — so
-        it exits at once, quietly, and the survivor does its share."""
-        one_shot(matrix)
-        assert one_shot(matrix).stats.segment_recycled
-        os.kill(worker_pids()["qr-pool-0g0"], signal.SIGKILL)
-        deadline = time.monotonic() + 5.0
-        while parallel_mod._KEPT.alive_count() == 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        # The race, made certain: the spare still looks served by both ranks.
-        monkeypatch.setattr(parallel_mod.WorkerPool, "holds", lambda pool, name, k: True)
-        f = one_shot(matrix)
-        assert f.stats.mode == "parallel" and f.stats.segment_recycled
-        assert (f.stats.workers_died, f.stats.workers_respawned) == (1, 0)
-        assert f.stats.per_worker_ops[1] == f.stats.n_ops and same_factors(f, serial)
-        assert mp.active_children() == [] and parallel_mod._KEPT.spares == []
-
-    def test_a_death_mid_job_is_adopted_not_respawned(self, matrix, serial, kill_after_lease):
+    def test_a_death_mid_job_is_respawned_not_adopted(self, matrix, serial, kill_after_lease):
         one_shot(matrix)
         kill_after_lease.append(1)
         f = one_shot(matrix)
         assert f.stats.mode == "parallel" and f.stats.segment_recycled
-        assert (f.stats.workers_died, f.stats.workers_respawned) == (1, 0)
+        assert (f.stats.workers_died, f.stats.workers_respawned) == (1, 1)
         assert same_factors(f, serial)
         ops = f.stats.per_worker_ops
-        assert ops[0] + ops[1] == f.stats.n_ops and ops[0] >= f.stats.ops_redispatched > 0
-        assert mp.active_children() == [] and parallel_mod._KEPT.spares == []
+        assert ops[0] + ops[1] == f.stats.n_ops and f.stats.ops_redispatched > 0
+        assert mp.active_children() == []  # a death ends the kept pool
         del f
         clean = one_shot(matrix)
-        assert not clean.stats.segment_recycled and clean.stats.workers_died == 0
+        assert clean.stats.segment_recycled and clean.stats.workers_died == 0
         assert same_factors(clean, serial) and len(worker_pids()) == 2
 
+    def test_a_death_mid_job_is_adopted_not_respawned(self, matrix, serial, kill_after_lease):
+        """... when respawns are off, on a reused segment as on a new one."""
+        tm = TileMatrix.from_dense(matrix, 12)
+        sched = schedule_for(TreeKind.coerce("hier"), 90, 25, 12, 4, 2, True)
+        execute_ops_parallel(tm, sched, 4, n_procs=2)
+        kill_after_lease.append(1)
+        factors, stats = execute_ops_parallel(tm, sched, 4, n_procs=2, respawn=False)
+        assert stats.mode == "parallel" and stats.segment_recycled
+        assert (stats.workers_died, stats.workers_respawned) == (1, 0)
+        assert np.array_equal(factors.r_factor(), serial.R)
+        ops = stats.per_worker_ops
+        assert ops[0] + ops[1] == stats.n_ops and ops[0] >= stats.ops_redispatched > 0
+        assert mp.active_children() == []
+
     def test_every_rank_dead_is_the_typed_error_or_the_fallback(self, matrix, serial,
-                                                                kill_after_lease):
+                                                                kill_after_lease, monkeypatch):
+        """Every rank killed, and every replacement too: the respawn budget
+        is spent, no rank is left, and the reused segment goes with the run."""
+        raw_spawn = parallel_mod.WorkerPool.spawn
+
+        def spawn(pool, rank, share=None):
+            raw_spawn(pool, rank, share)
+            if share is not None:  # a replacement, mid-job
+                os.kill(pool.procs[rank].pid, signal.SIGKILL)
+
+        monkeypatch.setattr(parallel_mod.WorkerPool, "spawn", spawn)
         one_shot(matrix)
         kill_after_lease.extend([0, 1])
-        with pytest.raises(ParallelExecutionError, match="no workers remain"):
+        # Rule 5 of repro.qr.protocol: whichever death comes last ends the run.
+        with pytest.raises(ParallelExecutionError, match="no workers remain|retries exhausted"):
             one_shot(matrix)
-        assert mp.active_children() == [] and parallel_mod._KEPT.spares == []
+        assert mp.active_children() == [] and parallel_mod._FREE == []
         one_shot(matrix)
         kill_after_lease.extend([0, 1])
         f = one_shot(matrix, on_failure="fallback")
@@ -533,7 +540,7 @@ class TestWorkersOwnOnlyTheirOwn:
             assert any(mapped_segments(p.pid) for p in kept)
             shutdown_workers()
             assert not any(p.is_alive() for p in kept)
-            assert len(mapped_segments(me)) == 1  # the session's arena: no spare is left
+            assert mapped_segments(me) == []  # no result is held: no free segment is left
 
 
 CHILD_PRELUDE = """

@@ -9,8 +9,10 @@ floating-point noise.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing as mp
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -156,9 +158,9 @@ class TestSharedTileStore:
             with pytest.raises(OSError):
                 os.fstat(fd)
             other.close()
-            out = store.extract_matrix()
+            out = copy.deepcopy(store.matrix())
             assert out.tile(1, 0)[0, 0] == 42.0
-            # Extraction copies: mutating the store no longer changes `out`.
+            # A copy of the views: mutating the store no longer changes `out`.
             store.tile(1, 0)[0, 0] = 7.0
             assert out.tile(1, 0)[0, 0] == 42.0
         finally:
@@ -166,9 +168,10 @@ class TestSharedTileStore:
             store.unlink()
 
     def test_tiles_and_t_slots_are_column_major(self, small_tiles):
-        """``create`` / ``attach`` views and ``extract_*`` copies are all
-        Fortran-contiguous, whatever order the source tiles have — so worker
-        kernels run LAPACK in place on the segment."""
+        """``create`` / ``attach`` views and the copies a pickled or copied
+        result makes of them are all Fortran-contiguous, whatever order the
+        source tiles have — so worker kernels run LAPACK in place on the
+        segment."""
         ops = expand_plans(
             small_tiles.layout, plan_all_panels("hier", small_tiles.mt, small_tiles.nt, h=3)
         )
@@ -189,8 +192,9 @@ class TestSharedTileStore:
                 assert all(view.get_t(key).flags.f_contiguous for key in keys)
             assert other.get_t(keys[0])[1, 2] == ops[0].k + 2.0
             other.close()
-            assert all(t.flags.f_contiguous for _, _, t in store.extract_matrix().iter_tiles())
-            assert all(t.flags.f_contiguous for t in store.extract_ts().values())
+            copied = pickle.loads(pickle.dumps(store.matrix()))
+            assert all(t.flags.f_contiguous for _, _, t in copied.iter_tiles())
+            assert all(copy.deepcopy(store.get_t(key)).flags.f_contiguous for key in keys)
         finally:
             store.close()
             store.unlink()

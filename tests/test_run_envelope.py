@@ -185,7 +185,7 @@ def test_flags_live_in_the_store_segment(matrix, no_new_shm):
         store.flags[:] = 255
         for i, j, tile in tm.iter_tiles():
             np.testing.assert_array_equal(store.tile(i, j), tile)
-        assert all(not t.any() for t in store.extract_ts().values())
+        assert all(not store.t_factor(op.t_key).any() for op in ops if op.is_factor)
         store.load(tm)
         assert not store.flags.any()
     finally:
@@ -206,10 +206,16 @@ def test_one_shot_parallel_run_creates_one_segment(matrix, tmp_path, no_new_shm)
     assert f.stats.mode == "parallel"
     _same_factors(f, ref)
     assert len(seen) >= 2 and all(len(s) == 1 for s in seen) and len(set.union(*seen)) == 1
-    assert _new_segments(before) == set(), "the descriptor outlived the call"
+    # The segment is free for the next call, its descriptor with it, until
+    # the free list is given back.
+    assert _new_segments(before) == set.union(*seen)
+    parallel_mod.shutdown_workers()
+    assert _new_segments(before) == set(), "the descriptor outlived the free list"
 
 
 def test_session_keeps_one_segment_per_plan(matrix, tmp_path, no_new_shm):
+    """A session whose results are gone between calls runs every call on
+    one plan on one segment."""
     a, ref = matrix
     seen, before = [], set(segment_descriptors())
     flips = FaultPlan(seed=17, flip_rate=0.3)
@@ -221,8 +227,9 @@ def test_session_keeps_one_segment_per_plan(matrix, tmp_path, no_new_shm):
             _same_factors(f, ref)
             assert f.stats.sdc_injected > 0
             assert f.stats.sdc_detected == f.stats.sdc_recovered == f.stats.sdc_injected
-        (segment,) = sess.plan_cache._segments.values()
-        assert set.union(*seen) == {segment.name} and all(len(s) == 1 for s in seen)
+            assert f.stats.segment_recycled == (call > 0)
+            del f
+        assert len(set.union(*seen)) == 1 and all(len(s) == 1 for s in seen)
 
 
 def test_job_header_names_one_segment(matrix, monkeypatch):

@@ -17,7 +17,6 @@ from repro.obs.adapters import counters_from_ops
 from repro.qr import CheckpointStore, resume_factorization
 from repro.qr.schedule import CAPACITY, Schedule, schedule_for
 from repro.tiles import random_dense
-from tests.conftest import segment_descriptors
 from repro.trees import TreeKind
 
 QR_DIR = pathlib.Path(repro.__file__).parent / "qr"
@@ -116,23 +115,21 @@ def test_session_and_one_shot_share_one_schedule(small_matrix, no_new_shm):
     qr_factor(small_matrix, **kw)
     shared = schedule_for(*_key())
     with QRSession(n_procs=2, plan_cache_size=1) as s1, QRSession(n_procs=2) as s2:
-        f1 = s1.factor(small_matrix, **kw).detach()  # kept across the next factor
-        segment = s1.factor(small_matrix, **kw)._segment[0]
+        f1 = s1.factor(small_matrix, **kw)  # kept across the next factor
+        s1.factor(small_matrix, **kw)
         s2.factor(small_matrix, **kw, backend="batched")
-        # Both caches pin the memo's own schedule, no copy of it; only the
-        # session that ran on the pool has a segment.
+        # Both caches pin the memo's own schedule, no copy of it, and
+        # nothing else: segments are the process's, not a session's.
         (e1,), (e2,) = s1.plan_cache._entries.values(), s2.plan_cache._entries.values()
         assert e1 is shared and e2 is shared
-        assert s1.plan_cache._segments == {shared: segment} and s2.plan_cache._segments == {}
+        assert set(vars(s1.plan_cache)) == {"maxsize", "stats", "_entries"}
         # Accounting is the session's own, whatever the memo had already.
         assert (s1.plan_cache.stats.hits, s1.plan_cache.stats.misses) == (1, 1)
         assert (s2.plan_cache.stats.hits, s2.plan_cache.stats.misses) == (0, 1)
-        # Eviction closes the session's segment descriptor, never touches the
-        # memoized schedule.
-        assert segment.name in segment_descriptors()
+        # Eviction drops the session's pin, never the memoized schedule.
         s1.factor(small_matrix, nb=8, ib=4, tree="flat")
-        assert s1.plan_cache.stats.evictions == 1 and shared not in s1.plan_cache._segments
-        assert segment.name not in segment_descriptors()
+        assert s1.plan_cache.stats.evictions == 1
+        assert shared not in s1.plan_cache._entries.values()
         assert schedule_for(*_key()) is shared
     np.testing.assert_array_equal(f1.R, qr_factor(small_matrix, **kw).R)
 

@@ -4,12 +4,12 @@ The session must be an invisible optimisation: every ``session.factor``
 call returns factors bit-identical to a fresh one-shot ``qr_factor`` —
 warm pool or cold, crashed workers or not.  On top of that invariant these
 tests pin the session-specific bookkeeping: plan-cache hit/miss/eviction
-accounting (eviction must destroy the cached shared-memory arena),
+accounting (eviction drops a plan, never a result or a segment),
 generation tags surviving across calls (so a generation-0 ``FaultPlan``
 cannot re-kill a respawned pool worker), and the ``pool.*`` / ``plan.*``
 observability counters.  A Hypothesis state machine then factors on two
-geometries, kills idle workers, evicts, reads old results and closes, in any
-order.
+geometries, kills idle workers, evicts, reads and drops old results and
+closes, in any order: every result it holds reads as its serial twin.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from repro import FaultPlan, QRSession, qr_factor
 from repro.qr.parallel import shutdown_workers
 from repro.qr.session import PlanCache, WorkerPool
 from repro.tiles import random_dense
-from repro.util import ConfigurationError, StaleResultError
-from tests.conftest import segment_descriptors
+import repro.qr.parallel as parallel_mod
+from repro.util import ConfigurationError
 
 KW = dict(nb=8, ib=4, tree="hier", h=3)
 
@@ -70,19 +70,20 @@ class TestPlanCache:
             sess.factor(a, nb=8, ib=4, tree="hier", h="auto")
             assert sess.plan_cache.stats.hits == 1
 
-    def test_eviction_destroys_arena(self):
+    def test_eviction_leaves_results_and_segments_alone(self):
         with QRSession(n_procs=2, plan_cache_size=1) as sess:
             a = random_dense(40, 24, seed=0)
-            arena = sess.factor(a, **KW)._segment[0]
-            name = arena.name
-            assert name in segment_descriptors()
+            hier = sess.factor(a, **KW)
             flat = sess.factor(a, nb=8, ib=4, tree="flat")  # evicts the hier entry
             assert sess.plan_cache.stats.evictions == 1
             assert len(sess.plan_cache) == 1
-            assert list(sess.plan_cache._segments.values()) == [flat._segment[0]]
-            # The descriptor went with the entry: nobody new can map it.
-            held = segment_descriptors()
-            assert name not in held and flat._segment[0].name in held
+            # Segments are the process's: both stay free for their op lists.
+            assert len(parallel_mod._FREE) == 2
+            np.testing.assert_array_equal(hier.R, qr_factor(a, **KW).R)
+            np.testing.assert_array_equal(flat.R, qr_factor(a, nb=8, ib=4, tree="flat").R)
+            del hier
+            again = sess.factor(a, **KW)  # a miss again, on the segment hier left
+            assert again.stats.segment_recycled and sess.plan_cache.stats.misses == 3
 
     def test_lru_order(self):
         from repro.trees import TreeKind
@@ -105,8 +106,8 @@ class TestBitExactness:
         shutdown_workers()  # the session's workers are then the only ones
         other = random_dense(40, 24, seed=9)
         with QRSession(n_procs=2) as sess:
-            cold = sess.factor(other, **KW).detach()  # forks the pool, warms the plan
-            warm = sess.factor(small_matrix, **KW).detach()  # kept across the next factor
+            cold = sess.factor(other, **KW)  # forks the pool, warms the plan
+            warm = sess.factor(small_matrix, **KW)  # kept across the next factor
             wf = sess.factor(small_matrix, **KW, batch="wavefront")
         np.testing.assert_array_equal(qr_factor(other, **KW).R, cold.R)
         for f in (one, warm, wf):
@@ -155,7 +156,7 @@ class TestChaos:
     def test_worker_killed_between_calls(self, small_matrix):
         ser = qr_factor(small_matrix, **KW)
         with QRSession(n_procs=2) as sess:
-            f1 = sess.factor(small_matrix, **KW).detach()  # kept across the next factor
+            f1 = sess.factor(small_matrix, **KW)  # kept across the next factor
             gen_before = dict(sess.pool.generations)
             sess.pool.procs[0].terminate()
             sess.pool.procs[0].join()
@@ -257,16 +258,14 @@ def _segments():
 
 class SessionMachine(RuleBasedStateMachine):
     """One cache slot (``plan_cache_size=1``), so switching geometry evicts.
-    A result goes stale exactly when its segment is loaded again: a later
-    ``factor`` on its geometry with no eviction in between."""
+    Every result the machine holds reads as its serial twin, whatever came
+    after it: no call loads a segment whose result is alive."""
 
     def __init__(self):
         super().__init__()
         self.shm_before = _segments()
         self.sess = QRSession(n_procs=2, plan_cache_size=1)
-        self.slot = None  # (geometry, segment number) the cache holds
-        self.segments = 0
-        self.results = []  # [result, geometry, seed, segment number, stale]
+        self.results = []  # [result, geometry, seed]
         self.generations = {}
         self.closed = False
 
@@ -277,15 +276,10 @@ class SessionMachine(RuleBasedStateMachine):
             with pytest.raises(ConfigurationError, match="closed"):
                 self.sess.factor(a, **GEOMETRIES[geometry][1])
             return
-        if self.slot is None or self.slot[0] != geometry:
-            self.segments += 1
-            self.slot = (geometry, self.segments)
         f = self.sess.factor(a, **GEOMETRIES[geometry][1])
         assert f.stats.mode == "parallel"
         assert np.array_equal(f.R, ref.R)
-        for held in self.results:
-            held[4] = held[4] or held[3] == self.slot[1]
-        self.results.append([f, geometry, seed, self.slot[1], False])
+        self.results.append([f, geometry, seed])
 
     @precondition(lambda self: not self.closed)
     @rule(rank=st.sampled_from([0, 1]))
@@ -298,14 +292,16 @@ class SessionMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.results)
     @rule(data=st.data())
     def touch_an_older_result(self, data):
-        f, geometry, seed, _, stale = data.draw(st.sampled_from(self.results))
+        f, geometry, seed = data.draw(st.sampled_from(self.results))
         a, ref = _case(geometry, seed)
         probe = np.linspace(0.0, 1.0, a.shape[0])
-        if stale:
-            with pytest.raises(StaleResultError):
-                f.qt_matmul(probe)
-        else:
-            assert np.array_equal(f.qt_matmul(probe), ref.qt_matmul(probe))
+        assert np.array_equal(f.qt_matmul(probe), ref.qt_matmul(probe))
+
+    @precondition(lambda self: self.results)
+    @rule(data=st.data())
+    def drop_a_result(self, data):
+        """Its segment is free for the next call on its geometry."""
+        self.results.pop(data.draw(st.integers(0, len(self.results) - 1)))
 
     @precondition(lambda self: not self.closed)
     @rule()
@@ -316,13 +312,9 @@ class SessionMachine(RuleBasedStateMachine):
         assert not any(p.is_alive() for p in workers) and mp.active_children() == []
 
     @invariant()
-    def results_read_or_raise_as_their_segment_says(self):
-        for f, geometry, seed, _, stale in self.results:
-            if stale:
-                with pytest.raises(StaleResultError):
-                    f.R
-            else:
-                assert np.array_equal(f.R, _case(geometry, seed)[1].R)
+    def held_results_read_as_their_serial_twins(self):
+        for f, geometry, seed in self.results:
+            assert np.array_equal(f.R, _case(geometry, seed)[1].R)
 
     @invariant()
     def generations_never_go_back(self):

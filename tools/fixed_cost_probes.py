@@ -24,10 +24,10 @@ workers (processes for ``np.dot``, threads for the GIL-free ``ctypes``
 overlap and how much longer the same ops take when two CPUs run them.
 ``oneshot`` splits a one-shot ``backend="parallel"`` call into its phases —
 copy-in (``TileMatrix.from_dense`` and ``SharedTileStore.load``, whichever the
-checkout goes through), segment create (``create`` or, on a segment an earlier
-call left mapped, ``recycle`` — the view build — less the load inside it; the
-``recycled`` row counts the calls whose run said ``stats.segment_recycled``),
-pool lease,
+checkout goes through), segment create (``create`` or, on a checkout that
+rebuilds the views of a segment an earlier call left mapped, ``recycle``,
+less the load inside it; the ``recycled`` row counts the calls, one-shot and
+warm session alike, whose run said ``stats.segment_recycled``), pool lease,
 the window in which ops run (lease start to terminators, ``stats.elapsed_s``:
 workers fire from the moment they read their header, so the lease is inside
 it), pool shutdown and release (``destroy`` plus letting go of the result —
@@ -41,8 +41,9 @@ echo (``per_worker_attach_s``: mapping and view building, nothing on a segment
 it maps already), next to the parent's CPU time during the call, and
 followed by the run's own traffic counts: the messages the parent sent and
 read on worker pipes and the bytes it tiled into and copied out of the
-segment (``stats.pipe_messages`` / ``bytes_in`` / ``bytes_out``; a checkout
-without a field prints ``-``) — all from the call with the shortest window.  Every
+segment (``stats.pipe_messages`` / ``bytes_in``, and ``bytes_out`` — bytes
+copied out — on a checkout whose runs count it; a row whose field the
+checkout lacks is left out) — all from the call with the shortest window.  Every
 table ends with this host's two-process probe: how much longer two CPU-bound
 children take than one (1.0: two cores delivered; 2.0: one).
 ``qt`` times ``f.qt_matmul(b)`` (16 columns) on each bench geometry against a
@@ -496,8 +497,9 @@ def probe_oneshot(calls=7):
     timed(SharedTileStore, "destroy", "release")
 
     # What the run counted itself (``ParallelRunStats``), as the table names it.
-    counts = {"pipe messages": "pipe_messages", "bytes copied in": "bytes_in",
-              "bytes copied out": "bytes_out"}
+    counts = {row: field for row, field in (
+        ("pipe messages", "pipe_messages"), ("bytes copied in", "bytes_in"),
+        ("bytes copied out", "bytes_out")) if hasattr(parallel.ParallelRunStats, field)}
     window = ["  kernels w0", "  kernels w1", "  nothing ready w0", "  nothing ready w1",
               "  worker attach w0", "  worker attach w1", "  parent CPU", *counts]
     phases = ["total", "copy-in", "segment create", "recycled", "pool.lease", "window", *window,
