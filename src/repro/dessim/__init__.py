@@ -23,21 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing only
         overlap_fraction,
     )
 
-__all__ = [
-    "TaskGraph",
-    "TaskGraphBuilder",
-    "SimResult",
-    "simulate",
-    "KIND_PANEL",
-    "KIND_UPDATE",
-    "KIND_BINARY",
-    "KIND_SYMBOLS",
-    "lanes_from_trace",
-    "overlap_fraction",
-    "gantt",
-]
-
-#: The submodule of each public name, imported on first access (PEP 562)
+#: The submodule of each public name (the one export table: ``__all__`` is
+#: its names), imported on first access (PEP 562)
 #: so that the task-graph types of the op DAG come without the simulation
 #: engine.
 _HOME = {
@@ -49,6 +36,7 @@ _HOME = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

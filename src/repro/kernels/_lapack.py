@@ -25,17 +25,28 @@ which clones NumPy's namespace and so imports ``numpy.f2py``,
 Either way each routine is the same function object SciPy itself calls, so
 results do not depend on which step ran.  SciPy stays a hard dependency;
 only its package ``__init__`` is skipped.
+
+Every tile kernel runs on one BLAS thread, whatever the caller set: tiles
+are too small for BLAS threads to pay, unpinned pool workers oversubscribe
+the host, and OpenBLAS rounds a kernel differently under one thread than
+under two.  :data:`one_blas_thread` and :func:`pin_process` set the OpenBLAS
+that ``_flapack`` links (NumPy's own copy is left alone); where it exports no
+``openblas_set_num_threads_local`` (MKL, an OpenBLAS before 0.3.27) they do
+nothing, and the caller's ``OPENBLAS_NUM_THREADS`` / ``MKL_NUM_THREADS`` decide.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from types import ModuleType
 
-__all__ = ["load", "dgeqrt", "dgemqrt", "dtpqrt", "dtpmqrt", "dtrtrs"]
+__all__ = ["load", "dgeqrt", "dgemqrt", "dtpqrt", "dtpmqrt", "dtrtrs", "one_blas_thread",
+           "pin_process"]
 
 #: The module's name inside SciPy, as ``scipy.linalg`` imports it.
 NAME = "scipy.linalg._flapack"
@@ -80,3 +91,51 @@ dgemqrt = _FLAPACK.dgemqrt
 dtpqrt = _FLAPACK.dtpqrt
 dtpmqrt = _FLAPACK.dtpmqrt
 dtrtrs = _FLAPACK.dtrtrs
+
+
+def _thread_setter():
+    """``openblas_set_num_threads_local`` of the BLAS ``_flapack`` links, or
+    ``None``: ``dlsym`` on the extension's own handle searches what it links,
+    not the ``RTLD_LOCAL`` libraries beside it, where NumPy's copy lives."""
+    try:
+        setter = ctypes.CDLL(_FLAPACK.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError, TypeError):
+        return None
+    setter.argtypes, setter.restype = (ctypes.c_int,), ctypes.c_int
+    return setter
+
+
+_SET_THREADS = _thread_setter()
+
+
+class _OneBlasThread:
+    """``with one_blas_thread:`` runs on one BLAS thread, then restores the
+    count.  The count is the library's, not the thread's, so holders are
+    counted across threads: the first sets it, the last restores it."""
+
+    def __init__(self):
+        self._lock, self._depth, self._saved = threading.Lock(), 0, 0
+
+    def __enter__(self) -> None:
+        if _SET_THREADS is not None:
+            with self._lock:
+                if self._depth == 0:
+                    self._saved = _SET_THREADS(1)
+                self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        if _SET_THREADS is not None:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    _SET_THREADS(self._saved)
+
+
+one_blas_thread = _OneBlasThread()
+
+
+def pin_process() -> None:
+    """One BLAS thread for the rest of this process (a pool worker: it runs
+    only kernels); takes no lock, so a freshly forked child may call it."""
+    if _SET_THREADS is not None:
+        _SET_THREADS(1)

@@ -96,60 +96,8 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing only
         validate_run_telemetry,
     )
 
-__all__ = [
-    "Span",
-    "Counters",
-    "Recorder",
-    "get_recorder",
-    "recording",
-    "set_worker_lane",
-    "current_lane",
-    "set_current_op",
-    "current_op",
-    "match_spans_to_ops",
-    "realized_critical_path",
-    "lane_attribution",
-    "attribution_table",
-    "CriticalPathStep",
-    "CriticalPathResult",
-    "LaneUsage",
-    "gap_report",
-    "GapReport",
-    "KernelGap",
-    "analyze_factorization",
-    "PerfAnalysis",
-    "MetricsSampler",
-    "KERNEL_CATEGORY",
-    "KIND_CATEGORY",
-    "spans_from_des_trace",
-    "counters_from_ops",
-    "to_chrome_trace",
-    "des_traces_to_chrome",
-    "write_chrome_trace",
-    "span_summary",
-    "counter_summary",
-    "spans_to_csv",
-    "validate_chrome_trace",
-    "validate_counters",
-    "validate_run_telemetry",
-    "canonical_counter_keys",
-    "causal_edges",
-    "current_span_id",
-    "RunContext",
-    "mint_run_id",
-    "current_run_id",
-    "use_run",
-    "Event",
-    "EventLog",
-    "EVENT_TYPES",
-    "read_events",
-    "RunRegistry",
-    "build_record",
-    "diff_records",
-    "anomaly_flags",
-]
-
-#: The submodule of each public name, imported on first access (PEP 562)
+#: The submodule of each public name (the one export table: ``__all__`` is
+#: its names), imported on first access (PEP 562)
 #: so that a process that records nothing loads none of the analysis, export,
 #: registry, sampler or validation modules.
 _HOME = {
@@ -177,6 +125,7 @@ _HOME = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -95,7 +95,6 @@ __all__ = [
     "K_POOL_REUSED",
     "K_PLAN_HITS",
     "K_PLAN_MISSES",
-    "K_PLAN_EVICTIONS",
     "K_SDC_INJECTED",
     "K_SDC_DETECTED",
     "K_SDC_RECOVERED",
@@ -129,15 +128,14 @@ K_WORKER_RESTART = "worker.restart"  # replacement workers spawned
 K_REDISPATCH_OPS = "retry.redispatch"  # in-flight ops re-dispatched after a death
 K_FALLBACK_SERIAL = "fallback.serial"  # degradations to the serial reference
 
-# Worker-pool and plan-cache events (repro.qr.parallel, repro.qr.session;
-# docs/sessions.md).  A one-shot parallel run leases a pool of its own, so
-# it reports pool.leases == 1 and pool.spawns == n_procs.
+# Worker-pool and session plan events (repro.qr.parallel, repro.qr.session;
+# docs/sessions.md).  A one-shot parallel run leases the pool the process
+# keeps: pool.leases == 1, and pool.spawns == n_procs only on the first.
 K_POOL_LEASES = "pool.leases"  # jobs leased to a worker pool
 K_POOL_SPAWNS = "pool.spawns"  # pool worker processes spawned (cold start or respawn)
 K_POOL_REUSED = "pool.reused"  # warm worker reuses across session.factor calls
-K_PLAN_HITS = "plan.hits"  # PlanCache hits (this session's segment and pinned schedule reused)
-K_PLAN_MISSES = "plan.misses"  # PlanCache misses (schedule pinned from the process memo)
-K_PLAN_EVICTIONS = "plan.evictions"  # LRU evictions (the session's segment let go)
+K_PLAN_HITS = "plan.hits"  # session calls on a geometry the session factored before
+K_PLAN_MISSES = "plan.misses"  # session calls on a geometry new to the session
 
 # Silent-data-corruption defense and checkpoint/resume events
 # (repro.qr.checksum, repro.qr.persist; docs/robustness.md).

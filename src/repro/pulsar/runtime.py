@@ -53,6 +53,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from ..kernels._lapack import one_blas_thread
 from ..netsim.fabric import Fabric, SendRequest, _copy_payload, payload_nbytes
 from ..obs import context as _obs_context
 from ..obs import record as _obs_record
@@ -471,24 +472,25 @@ class PRT:
         alive = list(self._worker_vdps[wid])
         aggressive = self.cfg.policy == "aggressive"
         try:
-            while alive and not self._abort.is_set():
-                fired_any = False
-                for vdp in list(alive):
-                    while True:
+            with one_blas_thread:  # a firing is a kernel
+                while alive and not self._abort.is_set():
+                    fired_any = False
+                    for vdp in list(alive):
+                        while True:
+                            with node.cond:
+                                ready = vdp.ready()
+                            if not ready or self._abort.is_set():
+                                break
+                            self._fire(vdp, wid)
+                            fired_any = True
+                            if not aggressive:
+                                break
+                        if vdp.destroyed:
+                            alive.remove(vdp)
+                    if not fired_any and alive and not self._abort.is_set():
                         with node.cond:
-                            ready = vdp.ready()
-                        if not ready or self._abort.is_set():
-                            break
-                        self._fire(vdp, wid)
-                        fired_any = True
-                        if not aggressive:
-                            break
-                    if vdp.destroyed:
-                        alive.remove(vdp)
-                if not fired_any and alive and not self._abort.is_set():
-                    with node.cond:
-                        if not any(v.ready() for v in alive):
-                            node.cond.wait(timeout=0.01)
+                            if not any(v.ready() for v in alive):
+                                node.cond.wait(timeout=0.01)
         except BaseException:
             pass  # recorded by _fire; terminate the thread quietly
         finally:

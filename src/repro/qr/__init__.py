@@ -17,39 +17,11 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing only
     from .ops import FACTOR_KINDS, UPDATE_KINDS, Op, expand_plans
     from .parallel import ParallelRunStats, default_n_procs, execute_ops_parallel
     from .reference import FactorRecord, TileQRFactors, execute_ops
-    from .session import PlanCache, QRSession, WorkerPool
+    from .session import QRSession, WorkerPool
     from .vsa3d import QRArray, build_qr_vsa
 
-__all__ = [
-    "Op",
-    "FACTOR_KINDS",
-    "UPDATE_KINDS",
-    "expand_plans",
-    "FactorRecord",
-    "TileQRFactors",
-    "execute_ops",
-    "ParallelRunStats",
-    "execute_ops_parallel",
-    "default_n_procs",
-    "ResultStore",
-    "assemble_factors",
-    "QRArray",
-    "build_qr_vsa",
-    "save_factorization",
-    "load_factorization",
-    "CheckpointStore",
-    "resume_factorization",
-    "SDCGuard",
-    "tile_checksum",
-    "QRFactorization",
-    "qr_factor",
-    "lstsq",
-    "QRSession",
-    "PlanCache",
-    "WorkerPool",
-]
-
-#: The submodule of each public name, imported on first access (PEP 562)
+#: The submodule of each public name (the one export table: ``__all__`` is
+#: its names), imported on first access (PEP 562)
 #: so that a process that factors loads neither the PULSAR array builder nor
 #: the persistence layer until it uses one.
 _HOME = {
@@ -62,10 +34,11 @@ _HOME = {
     "ops": ("FACTOR_KINDS", "UPDATE_KINDS", "Op", "expand_plans"),
     "parallel": ("ParallelRunStats", "default_n_procs", "execute_ops_parallel"),
     "reference": ("FactorRecord", "TileQRFactors", "execute_ops"),
-    "session": ("PlanCache", "QRSession", "WorkerPool"),
+    "session": ("QRSession", "WorkerPool"),
     "vsa3d": ("QRArray", "build_qr_vsa"),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -280,7 +280,7 @@ def qr_factor(
     True
 
     ``session=`` (a :class:`repro.QRSession`) reuses a persistent worker
-    pool and cached plan across calls — see ``docs/sessions.md``:
+    pool across calls — see ``docs/sessions.md``:
 
     >>> from repro import QRSession
     >>> with QRSession(n_procs=2) as sess:
@@ -473,10 +473,12 @@ def qr_factor(
     key = (kind, m, n, layout.nb, ib, h, shifted)
 
     def plan():
-        # One derivation per geometry and process (repro.qr.schedule); a
-        # session pins it in its plan cache, counting plan.hits /
-        # plan.misses into the recording window the envelope calls this in.
-        return schedule_for(*key) if session is None else session.plan_cache.lookup(key)
+        # One derivation per geometry and process (repro.qr.schedule), for
+        # every caller; a session counts plan.hits / plan.misses into the
+        # recording window the envelope calls this in.
+        if session is not None:
+            session._count_plan(key)
+        return schedule_for(*key)
 
     return _run(
         a, layout, plan, ib, kind, h, shifted, backend, session=session, policy=policy,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
+from ..kernels._lapack import one_blas_thread
 from ..obs import record as _obs_record
 from ..util.validation import require
 from .checksum import SDCGuard
@@ -136,7 +137,8 @@ def run_schedule(
     always a predecessor-closed frontier, since every DAG predecessor of a
     step ran in an earlier one.  ``skip`` holds op indices already executed
     on ``a`` (resume): their tile mutations are trusted and their ``T``
-    factors come from ``preloaded_ts`` (op index -> array).
+    factors come from ``preloaded_ts`` (op index -> array).  The kernels run
+    on one BLAS thread (:data:`~repro.kernels._lapack.one_blas_thread`).
     """
     require(a.m >= a.n, f"tile QR requires m >= n, got {a.m} x {a.n}")
     store = LocalStore(a)
@@ -160,22 +162,23 @@ def run_schedule(
         rec.name_lane(0, name)
         rec.register_gauge(f"{name}.ops_done", lambda: progress[0])
     try:
-        for step in steps:
-            live = [idx for idx in step if idx not in skip] if skip else step
-            run_step(store, ops, live, ib, guard)
-            progress[0] += len(step)
-            if not live:
-                continue
-            if batched and rec is not None:
-                rec.count(_obs_record.K_BATCH_CALLS)
-                rec.count(_obs_record.K_BATCH_OPS, len(live))
+        with one_blas_thread:
+            for step in steps:
+                live = [idx for idx in step if idx not in skip] if skip else step
+                run_step(store, ops, live, ib, guard)
+                progress[0] += len(step)
+                if not live:
+                    continue
+                if batched and rec is not None:
+                    rec.count(_obs_record.K_BATCH_CALLS)
+                    rec.count(_obs_record.K_BATCH_OPS, len(live))
+                if done is not None:
+                    done[live] = True
+                    checkpoint.note_done(len(live))
+                    if checkpoint.due():
+                        checkpoint.write(a, store.get_t, done)
             if done is not None:
-                done[live] = True
-                checkpoint.note_done(len(live))
-                if checkpoint.due():
-                    checkpoint.write(a, store.get_t, done)
-        if done is not None:
-            checkpoint.write(a, store.get_t, done)
+                checkpoint.write(a, store.get_t, done)
     finally:
         if rec is not None:
             rec.unregister_gauge(f"{name}.ops_done")

@@ -76,6 +76,7 @@ from select import select
 import numpy as np
 
 from ..faults.watchdog import Watchdog
+from ..kernels._lapack import pin_process
 from ..kernels.flops import kernel_flops
 from ..obs import context as _obs_context
 from ..obs import record as _obs_record
@@ -101,7 +102,7 @@ from ..util.validation import check_positive_int, require
 from .checksum import SDCGuard
 from .execute import run_step
 from .ops import Op
-from .protocol import LOOKAHEAD, MAX_REDISPATCH, Ledger, Walk  # noqa: F401
+from .protocol import MAX_REDISPATCH, Ledger, Walk  # noqa: F401
 from .reference import TileQRFactors, execute_ops, factor_records
 from .schedule import Schedule
 
@@ -253,10 +254,8 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
     ``share`` is the rank's ``(seq, idx, waits)`` entries in start order
     (:func:`repro.qr.schedule.list_schedule`); which entry fires, when a
     report is due and when the worker stands still is the walk's to say
-    (:mod:`repro.qr.protocol`, rules 1–3), and the per-op checks run inline
-    over its lists (``tests/test_protocol.py`` holds them to the walk's
-    methods).  An op is one 1-wide
-    :func:`repro.qr.execute.run_step`, timed on its own.  With nothing ready
+    (:mod:`repro.qr.protocol`, rules 1–3), through its own methods.  An op
+    is one 1-wide :func:`repro.qr.execute.run_step`, timed on its own.  With nothing ready
     the worker rescans :data:`SPIN_SCANS` times, then naps on its pipe
     (:data:`NAP_S`), where the parent's messages reach it; standing still it
     blocks on the pipe and uses no CPU.
@@ -277,29 +276,25 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
 
     Returns the terminator received: ``None`` (shut the worker down),
     ``("endjob",)`` (job complete, the worker keeps its attachment and waits
-    for the next job), ``("detach",)`` (job complete, drop the attachment,
-    then wait: a fault-plan run leaves nothing behind), or the string
-    ``"err"`` after an execution error was reported.
+    for the next job), or the string ``"err"`` after an execution error was
+    reported.
     """
     crashy = fault_plan is not None and fault_plan.faulty_workers
     guard = None
     if fault_plan is not None and fault_plan.faulty_sdc:
         guard = SDCGuard(fault_plan, ops)
     walk = Walk(share, batch, park_every)
-    # Walk.stands_still / pick / fire / report_due, inline over the walk's
-    # own lists: the per-op path makes no call but the flag reads.
-    todo, done = walk.todo, walk.done
     ready, publish, pause, flags = store.ready, store.publish, store.pause, store.flags
     pipe_fd = conn.fileno()
+    clock, first_nap = time.perf_counter, NAP_S[0]
     ops_done = 0
     stamps = [] if stamped else None
     wait_s = busy_s = 0.0
-    waited, scans, nap = False, 0, NAP_S[0]
-    t_prev = time.perf_counter()
+    waited, scans, nap = False, 0, first_nap
+    t_prev = clock()
     while True:
-        standing = not todo or pause[0] or (
-            park_every > 0 and walk.since_park >= park_every)
-        if done and (standing or len(done) >= batch):
+        standing = walk.stands_still(pause[0])
+        if walk.report_due(standing):
             conn.send(("done", rank, walk.flush(),
                        guard.take_delta() if guard is not None else None,
                        wait_s, busy_s, t_prev, stamps))
@@ -309,18 +304,12 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
             if parked:
                 conn.send(("parked", rank))
         else:
-            for k in range(1, min(LOOKAHEAD, len(todo)) + 1):
-                if ready(todo[-k][2]):
-                    break
-            else:
-                k = 0
+            k = walk.pick(ready)
             if k:
-                idx = todo.pop(-k)[1]
-                done.append(idx)
-                walk.since_park += 1
+                idx = walk.fire(k)
                 if crashy and fault_plan.worker_crash(rank, generation, ops_done):
                     os._exit(_CRASH_EXIT_CODE)
-                t0 = time.perf_counter()
+                t0 = clock()
                 if waited:
                     wait_s += t0 - t_prev
                 if not flags[idx]:
@@ -330,11 +319,11 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
                         conn.send(("err", rank, idx, traceback.format_exc()))
                         return "err"
                 ops_done += 1
-                t_prev = time.perf_counter()
+                t_prev = clock()
                 busy_s += t_prev - t0
                 if stamped:
                     stamps.append((t0, t_prev))
-                waited, scans, nap = False, 0, NAP_S[0]
+                waited, scans, nap = False, 0, first_nap
                 continue
             waited, scans, parked = True, scans + 1, False
             if scans <= SPIN_SCANS:
@@ -374,7 +363,7 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     job (:meth:`WorkerPool.spawn`, at lease time or after a mid-job death),
     so its first header rides in the spawn args — under ``fork`` the op
     list and the share are inherited, not pickled; later headers arrive on
-    the pipe after each ``("endjob",)`` / ``("detach",)``, and a bare
+    the pipe after each ``("endjob",)``, and a bare
     ``None`` instead of a header ends the worker.
 
     ``shm_name`` is the segment's string id; the segment itself arrives as
@@ -409,6 +398,7 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     # and is echoed in the attach handshake, so the parent can verify the
     # worker is serving the run it thinks it is.
     _obs_record._RECORDER = None
+    pin_process()  # kernels on one BLAS thread, whatever the parent runs on
     cached: Schedule | None = None  # the last job's op list, and its segment tables
     cached_share = None
     held: dict[str, tuple] = {}  # name -> (attachment, its schedule), oldest first
@@ -438,8 +428,6 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
                              conn, cached_share, batch, park_every, stamped)
             if end is None or end == "err":
                 break
-            if end == ("detach",):
-                held.pop(shm_name)[0].close()
             job = conn.recv()
     except (EOFError, ConnectionError, KeyboardInterrupt):  # parent went away: just exit
         pass
@@ -461,7 +449,7 @@ class WorkerPool:
 
     Each worker runs :func:`_worker_main`: a loop over *jobs*, where a job
     is a header naming the shared segment and the worker's share of the
-    schedule, ended by ``("endjob",)`` or ``("detach",)``.  The pool tracks
+    schedule, ended by ``("endjob",)``.  The pool tracks
     which segments each worker maps (:attr:`known`, its LRU mirrored) and which
     operation list and share it was last sent, and slims the header
     accordingly (see :func:`_worker_main`): no layout and no op list for a
@@ -853,8 +841,8 @@ def execute_ops_parallel(
         and leases the pool this module keeps for the process (one caller
         at a time).  The workers outlive the call (:func:`shutdown_workers`
         ends them) except under a one-shot ``fault_plan``, which runs on
-        fresh generation-0 workers, ends with ``("detach",)`` and leaves
-        none, and after a one-shot job during which one died.
+        fresh generation-0 workers and leaves none, and after a one-shot job
+        during which one died.
     checkpoint:
         Optional bound :class:`~repro.qr.persist.CheckpointStore`.  The
         parent raises the segment's pause byte when a snapshot falls due,
@@ -893,7 +881,6 @@ def execute_ops_parallel(
     # A fault plan kills generation 0 only, and its job must inject what it
     # says: on the kept pool it gets workers nobody has used and leaves none.
     fresh = one_shot and fault_plan is not None
-    terminator = ("detach",) if fresh else ("endjob",)
     ranks = range(n_procs)
     stats = ParallelRunStats(
         n_ops=len(ops), n_procs=n_procs, policy=policy, batch=batch,
@@ -1107,12 +1094,12 @@ def execute_ops_parallel(
                 wd.check()
                 stats.dispatch_s += time.perf_counter() - t0
 
-            # Hand the workers back to await the next job header (or the pool
-            # owner's shutdown): ``("endjob",)`` keeps their store attachment,
-            # ``("detach",)`` drops it (those workers end below).
+            # Hand the workers back to await the next job header, keeping
+            # their store attachment, or the pool owner's shutdown (below for
+            # a fault plan's fresh workers).
             for w in ledger.alive:
                 with contextlib.suppress(OSError):
-                    conns[w].send(terminator)
+                    conns[w].send(("endjob",))
                     stats.pipe_messages += 1
             t_end = time.perf_counter()
             stats.elapsed_s = t_end - t_run

@@ -5,9 +5,7 @@ shared segment, clocks, spans.  Every decision it acts on is taken here, by
 two pure classes: a :class:`Walk` per worker and the parent's
 :class:`Ledger`.  The real pipes drive them, and so does
 ``tests/test_flag_schedule.py``, with a ``bytearray`` for the flags, under
-Hypothesis-chosen interleavings.  The one exception is the worker's per-op
-path, which runs the walk's checks inline so that firing an op costs no call;
-``tests/test_protocol.py`` holds it to them.  The rules, stated once:
+Hypothesis-chosen interleavings.  The rules, stated once:
 
 1. **Firing.**  A worker walks its *share* — ``(seq, idx, waits)`` entries in
    start order (:meth:`repro.qr.schedule.Schedule.assignment`) — and fires
@@ -76,12 +74,12 @@ class Walk:
     stood still.  ``batch`` is the most ops per report, ``park_every`` the
     checkpoint's ``every_ops`` (0: no checkpoint).
 
-    A step is :meth:`stands_still`, else :meth:`pick` and :meth:`fire`, then
-    :meth:`report_due`.  :func:`repro.qr.parallel._serve_job` runs those four
-    inline over the walk's own lists and counter, so that firing an op costs
-    no call beyond the flag reads; ``tests/test_protocol.py`` holds it to
-    firing and reporting exactly as they say.  Standing still and merging
-    are calls: :meth:`stand`, :meth:`flush`, :meth:`heard`.
+    A step is :meth:`stands_still` and :meth:`report_due`, then :meth:`stand`,
+    or :meth:`pick` and :meth:`fire`; :meth:`flush` empties ``done`` into a
+    report and :meth:`heard` takes the parent's word.
+    :func:`repro.qr.parallel._serve_job` calls exactly these, so the walk the
+    tests drive is the code that runs; the four it calls per op and per
+    rescan call no builtin.
     """
 
     def __init__(self, share: Sequence[Entry], batch: int, park_every: int = 0):
@@ -91,18 +89,18 @@ class Walk:
         self.batch = batch
         self.park_every = park_every
 
-    def stands_still(self, pause_up) -> bool:
+    def stands_still(self, pause_up: int) -> bool:
         """Whether the worker stops here (rule 3): its list is empty, the pause
         byte is up, or it has fired ``park_every`` ops since it last stood
         still."""
-        return not self.todo or bool(pause_up) or (
-            self.park_every > 0 and self.since_park >= self.park_every)
+        return not self.todo or pause_up != 0 or 0 < self.park_every <= self.since_park
 
     def pick(self, ready: Callable[[tuple], bool]) -> int:
         """Which entry fires (rule 1): ``k`` for ``todo[-k]``, the first of the
         window whose waits ``ready`` finds all up, or 0 if none is."""
         todo = self.todo
-        for k in range(1, min(LOOKAHEAD, len(todo)) + 1):
+        window = len(todo) if len(todo) < LOOKAHEAD else LOOKAHEAD
+        for k in range(1, window + 1):
             if ready(todo[-k][2]):
                 return k
         return 0
@@ -118,7 +116,9 @@ class Walk:
     def report_due(self, standing: bool) -> bool:
         """Whether to send :meth:`flush` now (rule 2): ``batch`` ops are done,
         or some are and the worker is about to stand still."""
-        return bool(self.done) and (standing or len(self.done) >= self.batch)
+        if not self.done:
+            return False
+        return standing or len(self.done) >= self.batch
 
     def stand(self) -> bool:
         """The worker stands still: parked (``True``, anything left — say so

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .. import kernels
-from ..kernels._lapack import dtrtrs
+from ..kernels._lapack import dtrtrs, one_blas_thread
 from ..obs import record as _obs_record
 from ..tiles.layout import TILE_ORDER
 from ..tiles.matrix import TileMatrix
@@ -157,7 +157,8 @@ class TileQRFactors:
         """``Q^T`` / ``Q`` applied to the laid-out operand ``buf`` in place,
         one apply-kernel call per record on its tile-row blocks (the
         arguments the factorization's updates take); returns its first
-        ``rows`` rows as a Fortran-order ``(rows, q)`` array."""
+        ``rows`` rows as a Fortran-order ``(rows, q)`` array, on one BLAS
+        thread."""
         grid, nb = self.a.grid, self.a.nb
         blocks = list(buf.transpose(0, 2, 1))
         last = self.m - (len(blocks) - 1) * nb
@@ -166,14 +167,16 @@ class TileQRFactors:
         ormqr, tsmqr, ttmqr = kernels.ormqr, kernels.tsmqr, kernels.ttmqr
         if _obs_record._RECORDER is None:  # the bare kernels the shims wrap
             ormqr, tsmqr, ttmqr = ormqr.__wrapped__, tsmqr.__wrapped__, ttmqr.__wrapped__
-        for rec in self.records if trans else reversed(self.records):
-            if rec.kind == "GEQRT":
-                ormqr(grid[rec.i][rec.j], rec.t, blocks[rec.i], trans=trans)
-            elif rec.kind == "TSQRT":
-                tsmqr(grid[rec.k2][rec.j], rec.t, blocks[rec.i], blocks[rec.k2], trans=trans)
-            else:  # TTQRT
-                ttmqr(grid[rec.k2][rec.j][: rec.m2, : rec.k], rec.t, blocks[rec.i],
-                      blocks[rec.k2][: rec.m2], trans=trans)
+        with one_blas_thread:
+            for rec in self.records if trans else reversed(self.records):
+                if rec.kind == "GEQRT":
+                    ormqr(grid[rec.i][rec.j], rec.t, blocks[rec.i], trans=trans)
+                elif rec.kind == "TSQRT":
+                    tsmqr(grid[rec.k2][rec.j], rec.t, blocks[rec.i], blocks[rec.k2],
+                          trans=trans)
+                else:  # TTQRT
+                    ttmqr(grid[rec.k2][rec.j][: rec.m2, : rec.k], rec.t, blocks[rec.i],
+                          blocks[rec.k2][: rec.m2], trans=trans)
         q = buf.shape[1]
         full, rest = divmod(rows, nb)
         out = np.empty((rows, q), order=TILE_ORDER)
@@ -199,8 +202,9 @@ class TileQRFactors:
         if not np.isfinite(diag).all():
             k = int(np.argmin(np.isfinite(diag)))
             raise ValueError(f"R has a non-finite diagonal entry {diag[k]} at ({k}, {k})")
-        y = self._apply(self._load(b), True, n)
-        x, info = dtrtrs(r.T, y, lower=1, trans=1, overwrite_b=1)
+        with one_blas_thread:  # one region; the apply's own nests inside it
+            y = self._apply(self._load(b), True, n)
+            x, info = dtrtrs(r.T, y, lower=1, trans=1, overwrite_b=1)
         if info > 0:
             raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
         if not np.isfinite(x).all():

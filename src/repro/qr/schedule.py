@@ -8,11 +8,10 @@ paper builds its virtual systolic array once and streams tiles through it;
 :func:`schedule_for` is that step here: a process-wide, LRU-bounded memo
 returning one :class:`Schedule` per geometry, behind every backend.
 :func:`~repro.qr.api.qr_factor` (with or without a session),
-:func:`~repro.qr.backends.run_backend`,
-:func:`~repro.qr.persist.resume_factorization` and
-:class:`~repro.qr.session.PlanCache` (which pins it) all obtain plans, ops,
+:func:`~repro.qr.backends.run_backend` and
+:func:`~repro.qr.persist.resume_factorization` all obtain plans, ops,
 graph, wavefronts and assignment from it — the one object of a geometry, no
-caller keeps a copy of its parts — so a repeat call on a geometry pays
+caller keeps a copy of its parts or pins it — so a repeat call on a geometry pays
 copy-in and kernels only.  This is the one module of the execution path that
 calls ``plan_all_panels``, ``expand_plans``, ``op_dependency_graph``,
 ``compute_wavefronts``, :func:`list_schedule` or the segment's
@@ -41,8 +40,8 @@ from .wavefront import compute_wavefronts
 
 __all__ = ["Schedule", "schedule_for", "list_schedule", "CAPACITY", "POLICIES"]
 
-#: Geometries kept before the least recently used one is dropped — the
-#: default ``plan_cache_size`` of a :class:`~repro.qr.session.QRSession`.
+#: Geometries kept before the least recently used one is dropped, for every
+#: caller in the process alike: a session pins none of its own.
 CAPACITY = 8
 
 #: What one op costs the list-schedule model beyond its arithmetic, in flops.
@@ -204,7 +203,7 @@ class Schedule:
 def schedule_for(kind: TreeKind, m: int, n: int, nb: int, ib: int, h: int,
                  shifted: bool) -> Schedule:
     """The process-wide :class:`Schedule` of one geometry (arguments
-    positional: they are the memo key, the one a session's plan cache uses).
+    positional: they are the memo key, the one a session counts its hits on).
 
     ``schedule_for.cache_info()`` reports hits, misses and the current
     size; ``schedule_for.cache_clear()`` empties the memo.

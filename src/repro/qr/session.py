@@ -1,24 +1,20 @@
-"""Persistent factorization sessions: reusable worker pool + plan cache.
+"""Persistent factorization sessions: a worker pool of their own.
 
 In the tall-skinny batch regime the paper targets, the same
 ``(shape, nb, ib, tree, h)`` configuration is factored over and over.  What
 does not depend on the matrix *values* is kept per process for *every*
 caller, session or not: panel plans, op list, dependency DAG, wavefront
-partition and worker assignment by :mod:`repro.qr.schedule`, the worker
-processes of one-shot calls and the free shared-memory segments (views,
-record skeleton and descriptor with each) by :mod:`repro.qr.parallel`.
+partition and worker assignment by :mod:`repro.qr.schedule`'s one memo, the
+worker processes of one-shot calls and the free shared-memory segments
+(views, record skeleton and descriptor with each) by :mod:`repro.qr.parallel`.
 
-A :class:`QRSession` owns
-
-* a :class:`~repro.qr.parallel.WorkerPool` of its own — the class of the
-  pool kept behind one-shot calls, a separate instance with its own
-  generations and ``health()`` — whose workers keep their shared-memory
-  attachments cached between jobs; and
-* a :class:`PlanCache` — an LRU keyed by
-  ``(tree, m, n, nb, ib, h, shifted)`` that pins the process-wide
-  :class:`~repro.qr.schedule.Schedule` of that key (plans, ops, dependency
-  graph, wavefront partition, worker assignment), with per-session
-  hit/miss/eviction accounting.
+A :class:`QRSession` is its :class:`~repro.qr.parallel.WorkerPool` — the
+class of the pool kept behind one-shot calls, a separate instance with its
+own generations and ``health()`` — whose workers keep their shared-memory
+attachments cached between jobs.  It takes its plans from
+:func:`~repro.qr.schedule.schedule_for` like every other caller and keeps
+only the set of geometries ``(tree, m, n, nb, ib, h, shifted)`` it has
+factored, which is what its ``plan.hits`` / ``plan.misses`` count.
 
 ``session.factor(a, ...)`` routes through :func:`repro.qr.api.qr_factor`
 (and accepts the same keywords), so every guarantee of the one-shot path
@@ -39,89 +35,24 @@ Example
 >>> with QRSession(n_procs=2) as sess:
 ...     f1 = sess.factor(rng.standard_normal((96, 32)), nb=16, ib=8)
 ...     f2 = sess.factor(rng.standard_normal((96, 32)), nb=16, ib=8)
->>> sess.plan_cache.stats.hits, sess.plan_cache.stats.misses
+>>> h = sess.health()["plan_cache"]
+>>> h["hits"], h["misses"]
 (1, 1)
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-
 from ..obs import record as _obs_record
-from ..obs.record import K_PLAN_EVICTIONS, K_PLAN_HITS, K_PLAN_MISSES
+from ..obs.record import K_PLAN_HITS, K_PLAN_MISSES
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int
 from .parallel import WorkerPool, default_n_procs
-from .schedule import CAPACITY, Schedule, schedule_for
 
-__all__ = ["QRSession", "PlanCache", "PlanCacheStats", "WorkerPool"]
-
-
-@dataclass
-class PlanCacheStats:
-    """Cumulative :class:`PlanCache` event counts (mirrors the ``plan.*``
-    observability counters, but always on)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-
-class PlanCache:
-    """LRU cache of factorization plans keyed by
-    ``(tree, m, n, nb, ib, h, shifted)``.
-
-    Per key it holds the process-wide :class:`~repro.qr.schedule.Schedule`
-    (the one :func:`~repro.qr.schedule.schedule_for` returned, pinned here so
-    a warm call derives nothing even after the memo has dropped the key).
-    It is a pure function of the key, so entries never go stale and there is
-    no invalidation beyond LRU capacity eviction.
-    Hits, misses, and evictions are tallied per session on :attr:`stats`
-    always, and on the ``plan.*`` observability counters when a recording
-    is active.
-    """
-
-    def __init__(self, maxsize: int = CAPACITY):
-        check_positive_int(maxsize, "plan_cache_size")
-        self.maxsize = maxsize
-        self.stats = PlanCacheStats()
-        self._entries: OrderedDict[tuple, Schedule] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: tuple) -> Schedule:
-        """The schedule of ``key`` — the argument tuple of
-        :func:`~repro.qr.schedule.schedule_for` — from this cache, or from
-        the memo on a miss (evicting the least recently used entry past
-        capacity)."""
-        rec = _obs_record._RECORDER
-        schedule = self._entries.get(key)
-        if schedule is not None:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            if rec is not None:
-                rec.count(K_PLAN_HITS)
-            return schedule
-        schedule = self._entries[key] = schedule_for(*key)
-        self.stats.misses += 1
-        if rec is not None:
-            rec.count(K_PLAN_MISSES)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            if rec is not None:
-                rec.count(K_PLAN_EVICTIONS)
-        return schedule
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()
+__all__ = ["QRSession", "WorkerPool"]
 
 
 class QRSession:
-    """Reusable factorization context: persistent workers + cached plans.
+    """Reusable factorization context: a worker pool kept across calls.
 
     Use as a context manager (or call :meth:`close` explicitly)::
 
@@ -129,14 +60,15 @@ class QRSession:
             for a in matrices:                 # same shape/nb/ib/tree/h
                 f = sess.factor(a, nb=64, ib=16)
 
-    The first call on a configuration is *cold* — it derives the plan and
-    spawns the pool, costing what a process's first one-shot ``qr_factor``
-    costs.  Every
-    later call on that configuration is *warm*: plan, DAG, wavefronts,
-    assignment, and worker processes are all reused — each worker already
-    holds its share — and so is a free shared-memory segment the workers
-    map, so the call reduces to one pass in and the kernels
-    (``stats.spawn_s`` collapses to roughly zero).
+    The first call is *cold* — it spawns the pool (and derives the plan if
+    no caller in the process has), costing what a process's first one-shot
+    ``qr_factor`` costs.  Every later call on that configuration is *warm*:
+    plan, DAG, wavefronts, assignment, and worker processes are all reused —
+    each worker already holds its share — and so is a free shared-memory
+    segment the workers map, so the call reduces to one pass in and the
+    kernels (``stats.spawn_s`` collapses to roughly zero).  The plan is the
+    process memo's (:func:`~repro.qr.schedule.schedule_for`): a geometry the
+    memo has dropped since is derived again.
     Results are bit-exact with one-shot ``qr_factor`` on every backend.
 
     Parameters
@@ -145,17 +77,17 @@ class QRSession:
         Pool size for ``backend="parallel"`` (default: usable CPUs).
         ``1`` keeps the pool empty and routes parallel calls to the
         serial fallback, mirroring ``qr_factor(n_procs=1)``.
-    plan_cache_size:
-        Maximum distinct configurations cached before LRU eviction.
     """
 
-    def __init__(self, *, n_procs: int | None = None, plan_cache_size: int = CAPACITY):
+    def __init__(self, *, n_procs: int | None = None):
         if n_procs is None:
             n_procs = default_n_procs()
         check_positive_int(n_procs, "n_procs")
         self.n_procs = n_procs
-        self.plan_cache = PlanCache(plan_cache_size)
-        self._pool = WorkerPool(n_procs) if n_procs > 1 else None
+        self._factored: set[tuple] = set()  # the schedule_for keys seen
+        self._plan_hits = 0
+        #: The worker pool (``None`` when ``n_procs=1``).
+        self.pool = WorkerPool(n_procs) if n_procs > 1 else None
         self._closed = False
         #: ``run_id`` of the most recent ``factor`` call (``None`` before
         #: the first one) — set by :func:`repro.qr.api.qr_factor`.
@@ -171,24 +103,29 @@ class QRSession:
         self.close()
         return False
 
-    @property
-    def pool(self) -> WorkerPool | None:
-        """The worker pool (``None`` when ``n_procs=1``)."""
-        return self._pool
-
     def close(self) -> None:
-        """Shut the pool down and drop the cached plans (idempotent); results
-        keep their segments, and the free ones stay the process's."""
+        """Shut the pool down (idempotent); results keep their segments, and
+        the free ones stay the process's."""
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown()
-        self.plan_cache.clear()
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def _check_open(self) -> None:
         if self._closed:
             raise ConfigurationError("QRSession is closed")
+
+    def _count_plan(self, key: tuple) -> None:
+        """Tally a call on geometry ``key``: a hit when this session has
+        factored it before, else a miss (on the ``plan.*`` counters too when a
+        recording is active)."""
+        hit = key in self._factored
+        self._factored.add(key)
+        self._plan_hits += hit
+        rec = _obs_record._RECORDER
+        if rec is not None:
+            rec.count(K_PLAN_HITS if hit else K_PLAN_MISSES)
 
     def health(self) -> dict:
         """A point-in-time health snapshot of the session.
@@ -205,36 +142,27 @@ class QRSession:
             ``{"rank", "alive", "generation"}`` rows), and
             ``generations`` (rank -> generation map).
         ``plan_cache``
-            ``{"entries", "maxsize", "hits", "misses", "evictions"}``.
+            ``{"hits", "misses"}``: calls on a geometry this session had
+            factored before, and on one it had not.
         ``last_run_id``
             The most recent ``factor`` call's run id (``None`` before the
             first call).
         """
-        pool = None
-        if self._pool is not None:
+        pool, p = None, self.pool
+        if p is not None:
             pool = {
-                "size": self._pool.size,
-                "alive": self._pool.alive_count(),
+                "size": p.size,
+                "alive": p.alive_count(),
                 "workers": [
-                    {
-                        "rank": rank,
-                        "alive": p.is_alive(),
-                        "generation": self._pool.generations.get(rank, 0),
-                    }
-                    for rank, p in sorted(self._pool.procs.items())
+                    {"rank": rank, "alive": w.is_alive(), "generation": p.generations.get(rank, 0)}
+                    for rank, w in sorted(p.procs.items())
                 ],
-                "generations": dict(self._pool.generations),
+                "generations": dict(p.generations),
             }
         return {
             "closed": self._closed,
             "pool": pool,
-            "plan_cache": {
-                "entries": len(self.plan_cache),
-                "maxsize": self.plan_cache.maxsize,
-                "hits": self.plan_cache.stats.hits,
-                "misses": self.plan_cache.stats.misses,
-                "evictions": self.plan_cache.stats.evictions,
-            },
+            "plan_cache": {"hits": self._plan_hits, "misses": len(self._factored)},
             "last_run_id": self.last_run_id,
         }
 
@@ -250,9 +178,8 @@ class QRSession:
         is fixed by the pool.
 
         Nothing is copied out: a ``parallel`` result is the views of its
-        segment, valid for as long as it lives — through later calls,
-        :meth:`close` and eviction; no call loads a segment whose result is
-        alive.
+        segment, valid for as long as it lives — through later calls and
+        :meth:`close`; no call loads a segment whose result is alive.
         """
         from .api import qr_factor
 

@@ -86,8 +86,8 @@ def test_non_finite_input_leaves_a_session_untouched_and_usable(small_matrix, no
             with pytest.raises(ConfigurationError, match=r"index \(0, 0\)"):
                 sess.factor(a, **GEOMETRY)
         assert not rec.counters.get("pool.spawns")
-        # No plan entry, hence no arena; no process either.
-        assert sess.pool.procs == {} and len(sess.plan_cache) == 0
+        # Refused before the plan: no geometry counted, no process either.
+        assert sess.pool.procs == {} and sess.health()["plan_cache"] == {"hits": 0, "misses": 0}
         good = sess.factor(small_matrix, **GEOMETRY)
     assert good.stats.mode == "parallel"
     np.testing.assert_array_equal(qr_factor(small_matrix, **GEOMETRY).R, good.R)

@@ -71,9 +71,13 @@ def geometry(tree):
     return dict(nb=NB, ib=IB, **TREES[tree])
 
 
-def schedule(tree):
+def schedule_key(tree):
     g = TREES[tree]
-    return schedule_for(TreeKind.coerce(g["tree"]), *SHAPE, NB, IB, g.get("h", 6), True)
+    return TreeKind.coerce(g["tree"]), *SHAPE, NB, IB, g.get("h", 6), True
+
+
+def schedule(tree):
+    return schedule_for(*schedule_key(tree))
 
 
 @pytest.fixture(scope="module")
@@ -612,8 +616,7 @@ def test_warm_session_call_derives_and_pickles_no_assignment(
         for _ in range(3):
             assert same_factors(sess.factor(matrix, **geometry("hier")), serial["hier"])
         assert len(segment_plans()) == 3  # the cold call's: parent and two workers
-        (pinned,) = sess.plan_cache._entries.values()
-        assert pinned is schedule("hier")  # the memo's object, not a copy of its parts
+        assert sess._factored == {schedule_key("hier")}  # no schedule of its own
     assert derivations == [(2, "lazy")]
     headers = [m for m in sent if isinstance(m, tuple) and m[0] == "job"]
     assert len(headers) == 6 and all(h[2] is h[3] is h[-1] is None for h in headers)
@@ -621,16 +624,17 @@ def test_warm_session_call_derives_and_pickles_no_assignment(
 
 @needs_fork
 def test_a_warm_session_call_outlives_the_memo(matrix, serial, derivations, segment_plans):
-    """The plan cache pins its schedule: once the process memo has dropped the
-    key, a warm call still derives no assignment and no segment tables."""
+    """A session pins no schedule: once the process memo has dropped the key,
+    a warm call derives the assignment and the segment tables again, as a
+    one-shot call would, and still runs bit-equal and counts a hit."""
     schedule_for.cache_clear()
     with QRSession(n_procs=2) as sess:
         sess.factor(matrix, **geometry("hier"))
         cold = len(segment_plans())
         schedule_for.cache_clear()
         assert same_factors(sess.factor(matrix, **geometry("hier")), serial["hier"])
-        assert sess.plan_cache.stats.hits == 1
-    assert derivations == [(2, "lazy")] and len(segment_plans()) == cold == 3
+        assert sess.health()["plan_cache"] == {"hits": 1, "misses": 1}
+    assert derivations == [(2, "lazy")] * 2 and len(segment_plans()) == 2 * cold == 6
 
 
 @pytest.mark.parametrize("batch", [1, 5, 10**6, None])
@@ -742,7 +746,7 @@ def test_idle_workers_between_jobs_use_no_cpu(matrix, no_worker_left):
     qr_factor(matrix, **geometry("hier"), backend="parallel", n_procs=2)
     pids = [p.pid for p in mp.active_children()]
     assert len(pids) == 2
-    time.sleep(0.05)  # past the detach
+    time.sleep(0.05)  # past the endjob
     before = [_cpu_ns(pid) for pid in pids]
     time.sleep(0.4)
     assert [_cpu_ns(pid) for pid in pids] == before  # blocked in recv(), not spinning

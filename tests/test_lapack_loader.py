@@ -12,13 +12,19 @@ import.  Each case runs in a fresh interpreter, because whether
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from repro.kernels import _lapack
 
@@ -125,3 +131,53 @@ def test_the_search_finds_the_extension_file(monkeypatch):
     assert _lapack._extension_path() is None
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
     assert _lapack._extension_path() is None
+
+
+def _thread_count(path: str, *names: str):
+    """The first of ``names`` the library at ``path`` (or what it links)
+    exports, as a ``() -> int``; skips where none is."""
+    lib = ctypes.CDLL(path)
+    for name in names:
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = (), ctypes.c_int
+            return getter
+    pytest.skip(f"no thread-count getter in {path}")
+
+
+def test_the_blas_pin_is_counted_across_threads_and_leaves_numpy_alone():
+    """The count ``one_blas_thread`` sets is the library's, not the thread's.
+    Eight threads enter and leave it in any interleaving: while any is
+    inside, SciPy's OpenBLAS runs on one thread; once all have left, the
+    count they found is back; NumPy's own OpenBLAS never moves."""
+    if _lapack._SET_THREADS is None:
+        pytest.skip("the BLAS behind _flapack cannot be pinned")
+    scipy_count = _thread_count(_lapack._FLAPACK.__file__, "scipy_openblas_get_num_threads",
+                                "openblas_get_num_threads")
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
+    numpy_count = _thread_count(umath.__file__,
+                                "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                                "openblas_get_num_threads")
+    found = _lapack._SET_THREADS(2)  # an unpinned caller's count
+    numpy_before, seen = numpy_count(), []
+
+    def hold():
+        for _ in range(300):
+            with _lapack.one_blas_thread:
+                time.sleep(0)  # let the others in and out meanwhile
+                seen.append(scipy_count())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * 300 and set(seen) == {1}
+        assert scipy_count() == 2 and numpy_count() == numpy_before
+    finally:
+        sys.setswitchinterval(interval)
+        _lapack._SET_THREADS(found)

@@ -198,8 +198,9 @@ class TestNoSecondPath:
         assert len([c for c in calls if c.func.attr == "lease"]) == 1
         sends = [c.args[0] for c in calls if c.func.attr == "send"]
         tagged = sorted(a.elts[0].value for a in sends if isinstance(a, ast.Tuple))
-        assert tagged == ["adopt", "resume"]  # the only tuples the parent builds per job
-        assert [a.id for a in sends if not isinstance(a, ast.Tuple)] == ["terminator"]
+        # The only messages the parent builds per job, ``endjob`` the one terminator.
+        assert tagged == ["adopt", "endjob", "resume"]
+        assert [a for a in sends if not isinstance(a, ast.Tuple)] == []
 
     def test_pool_privacy_is_decided_once(self):
         """One ``pool is None`` — the create half of the create/teardown pair."""

@@ -259,6 +259,19 @@ class TestEndToEnd:
         )
         assert "critical path" in pa.to_text()
 
+    @pytest.mark.parametrize("backend", ["serial", "batched", "pulsar", "parallel"])
+    def test_every_backend_yields_a_critical_path_and_a_complete_join(self, backend):
+        """Every op of a traced run is matched to a kernel span, whichever
+        backend ran it, and the realized critical path is not empty."""
+        launch = {"pulsar": dict(n_nodes=2, workers_per_node=2),
+                  "parallel": dict(n_procs=2)}.get(backend, {})
+        a = np.random.default_rng(0).standard_normal((320, 64))
+        f = qr_factor(a, nb=16, ib=8, tree="hier", h=2, backend=backend,
+                      trace="/dev/null", **launch)
+        pa = analyze_factorization(f)
+        assert pa.critical_path.steps
+        assert pa.gap.unmeasured == 0
+
     def test_graph_predecessors_match_known_dag(self):
         g = op_dependency_graph(_OPS)
         succs = {

@@ -602,22 +602,85 @@ class TestKeptPoolSmoke:
         assert [validate([str(t)]) for t in traces] == [0, 0, 0]
 
 
-class TestWorkersKeepTheCallersBlas:
-    def test_parallel_matches_serial_under_two_blas_threads(self, monkeypatch):
-        """OpenBLAS rounds tile kernels differently under one thread and
-        under two (at ``nb=64`` here), so workers that ran BLAS on a thread
-        count of their own would stop matching the caller's serial factors
-        bit for bit: they keep the setting they were forked with."""
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        done = _run_child("""
-            b = np.random.default_rng(0).standard_normal((256, 128))
-            g = dict(nb=64, ib=32, tree="hier", h=2)
-            ref = qr_factor(b, **g)
-            f = qr_factor(b, backend="parallel", n_procs=2, **g)
-            print(f.stats.mode, np.array_equal(ref.R, f.R))
-        """, timeout=60)
+class TestOversubscribedPoolSmoke:
+    def test_twice_as_many_workers_as_cpus_neither_starve_nor_sleep(self, tmp_path):
+        """Workers fire on completion flags and wait by spinning briefly, then
+        napping; with more workers than CPUs a waiter that never yields starves
+        the very worker whose flag it waits on, and a lost wake-up leaves
+        everybody asleep.  Either would hang the child, hence its timeout:
+        twenty warm session calls and five one-shot calls on the burst
+        geometry, one crash that a survivor must adopt (``respawn=False``) and
+        one checkpointed call — factors equal to serial's, traces valid,
+        ``/dev/shm`` left clean."""
+        from repro.obs.validate import main as validate
+
+        traces = [tmp_path / f"over_{name}.json" for name in ("session", "oneshot", "checkpoint")]
+        done = _run_child(f"""
+            from repro.faults import FaultPlan
+            from repro.qr.parallel import default_n_procs, execute_ops_parallel, shutdown_workers
+            from repro.qr.schedule import schedule_for
+            from repro.tiles import TileMatrix
+            from repro.trees import TreeKind
+            session_t, oneshot_t, checkpoint_t = {[str(t) for t in traces]!r}
+            before = set(os.listdir("/dev/shm"))
+            k = 2 * default_n_procs()
+            a = np.random.default_rng(0).standard_normal((512, 128))
+            kw = dict(nb=32, ib=16, tree="hier", h=2)
+            ref = qr_factor(a, **kw)
+            with QRSession(n_procs=k) as sess:
+                for i in range(20):
+                    f = sess.factor(a, **kw, trace=session_t if i == 19 else None)
+                    assert np.array_equal(ref.R, f.R), f"warm session call {{i}}"
+            for i in range(5):
+                f = qr_factor(a, **kw, backend="parallel", n_procs=k,
+                              trace=oneshot_t if i == 4 else None)
+                assert np.array_equal(ref.R, f.R), f"one-shot call {{i}}"
+            ckpt = qr_factor(a, **kw, backend="parallel", n_procs=k,
+                             checkpoint={str(tmp_path / "over.ckpt.npz")!r}, trace=checkpoint_t)
+            assert np.array_equal(ref.R, ckpt.R)
+            sched = schedule_for(TreeKind.HIER, 512, 128, 32, 16, 2, True)
+            factors, stats = execute_ops_parallel(
+                TileMatrix.from_dense(a, 32), sched, 16, n_procs=k, respawn=False,
+                timeout_s=30.0, fault_plan=FaultPlan(crash_workers={{1: 3}}))
+            assert np.array_equal(ref.R, factors.r_factor())
+            assert (stats.workers_died, stats.workers_respawned) == (1, 0), stats
+            assert stats.ops_redispatched > 0
+            shutdown_workers()
+            left = set(os.listdir("/dev/shm")) - before
+            assert not left, f"leaked shared-memory segments: {{left}}"
+            print("ok")
+        """, timeout=90)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["parallel", "True"]
+        assert done.stdout.split() == ["ok"]
+        assert [validate([str(t)]) for t in traces] == [0, 0, 0]
+
+
+class TestOneBlasThread:
+    def test_every_backend_matches_a_pinned_child(self, monkeypatch):
+        """OpenBLAS rounds tile kernels differently under one thread and under
+        two (at ``nb=64`` here).  The kernels run on one thread whatever the
+        caller set — in the caller around a schedule, a ``Q`` apply and a
+        solve, and in every pool worker — so under ``OPENBLAS_NUM_THREADS=2``
+        every backend's ``R`` and ``solve(b)`` are the bytes of a child run
+        with it set to 1."""
+        code = """
+            import hashlib
+            b = np.random.default_rng(0).standard_normal((256, 128))
+            rhs = np.random.default_rng(1).standard_normal(256)
+            g = dict(nb=64, ib=32, tree="hier", h=2)
+            for backend in ("serial", "batched", "parallel"):
+                f = qr_factor(b, backend=backend, n_procs=2, **g)
+                assert backend != "parallel" or f.stats.mode == "parallel"
+                print(hashlib.sha1(f.R.tobytes() + f.solve(rhs).tobytes()).hexdigest())
+        """
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            done = _run_child(code, timeout=60)
+            assert done.returncode == 0, done.stderr
+            runs[threads] = done.stdout.split()
+        assert len(runs["1"]) == 3 and len(set(runs["1"])) == 1
+        assert runs["2"] == runs["1"]
 
 
 class TestParentGoesAway:

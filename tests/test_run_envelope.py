@@ -364,7 +364,7 @@ def test_public_signatures_are_unchanged():
         backend="serial", n_procs=None, policy="lazy", batch=None,
         fault_plan=None, on_failure="raise", checkpoint=None,
     )
-    assert _params(QRSession.__init__) == _kw(n_procs=None, plan_cache_size=8)
+    assert _params(QRSession.__init__) == _kw(n_procs=None)
     assert _params(SharedTileStore.create) == _pos("a", "ops", "ib")
     assert _params(SharedTileStore.attach) == _pos("name", "fd", "layout", "ops", "ib")
     assert _params(SharedTileStore.close) == _params(SharedTileStore.unlink) == []

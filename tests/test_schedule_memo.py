@@ -114,22 +114,19 @@ def test_session_and_one_shot_share_one_schedule(small_matrix, no_new_shm):
     kw = dict(nb=8, ib=4, tree="hier", h=3)
     qr_factor(small_matrix, **kw)
     shared = schedule_for(*_key())
-    with QRSession(n_procs=2, plan_cache_size=1) as s1, QRSession(n_procs=2) as s2:
+    with QRSession(n_procs=2) as s1, QRSession(n_procs=2) as s2:
         f1 = s1.factor(small_matrix, **kw)  # kept across the next factor
         s1.factor(small_matrix, **kw)
         s2.factor(small_matrix, **kw, backend="batched")
-        # Both caches pin the memo's own schedule, no copy of it, and
-        # nothing else: segments are the process's, not a session's.
-        (e1,), (e2,) = s1.plan_cache._entries.values(), s2.plan_cache._entries.values()
-        assert e1 is shared and e2 is shared
-        assert set(vars(s1.plan_cache)) == {"maxsize", "stats", "_entries"}
+        # Both ran on the memo's own schedule and keep neither it nor a copy
+        # of its parts: a session holds its pool and the keys it factored.
+        assert schedule_for.cache_info().misses == 1
+        assert s1._factored == s2._factored == {_key()}
+        assert not any(isinstance(v, type(shared)) for v in vars(s1).values())
         # Accounting is the session's own, whatever the memo had already.
-        assert (s1.plan_cache.stats.hits, s1.plan_cache.stats.misses) == (1, 1)
-        assert (s2.plan_cache.stats.hits, s2.plan_cache.stats.misses) == (0, 1)
-        # Eviction drops the session's pin, never the memoized schedule.
+        assert s1.health()["plan_cache"] == {"hits": 1, "misses": 1}
+        assert s2.health()["plan_cache"] == {"hits": 0, "misses": 1}
         s1.factor(small_matrix, nb=8, ib=4, tree="flat")
-        assert s1.plan_cache.stats.evictions == 1
-        assert shared not in s1.plan_cache._entries.values()
         assert schedule_for(*_key()) is shared
     np.testing.assert_array_equal(f1.R, qr_factor(small_matrix, **kw).R)
 

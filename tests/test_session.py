@@ -1,15 +1,16 @@
-"""Integration tests: persistent QRSession (worker pool + plan cache).
+"""Integration tests: persistent QRSession (a worker pool of its own).
 
 The session must be an invisible optimisation: every ``session.factor``
 call returns factors bit-identical to a fresh one-shot ``qr_factor`` —
 warm pool or cold, crashed workers or not.  On top of that invariant these
-tests pin the session-specific bookkeeping: plan-cache hit/miss/eviction
-accounting (eviction drops a plan, never a result or a segment),
+tests pin the session-specific bookkeeping: plan hit/miss accounting on the
+process memo (a geometry the memo evicts loses its plan, never a result or a
+segment),
 generation tags surviving across calls (so a generation-0 ``FaultPlan``
 cannot re-kill a respawned pool worker), and the ``pool.*`` / ``plan.*``
 observability counters.  A Hypothesis state machine then factors on two
-geometries, kills idle workers, evicts, reads and drops old results and
-closes, in any order: every result it holds reads as its serial twin.
+geometries, kills idle workers, clears the memo, reads and drops old results
+and closes, in any order: every result it holds reads as its serial twin.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from hypothesis.stateful import (
 
 from repro import FaultPlan, QRSession, qr_factor
 from repro.qr.parallel import shutdown_workers
-from repro.qr.session import PlanCache, WorkerPool
+from repro.qr.schedule import schedule_for
+from repro.qr.session import WorkerPool
 from repro.tiles import random_dense
 import repro.qr.parallel as parallel_mod
 from repro.util import ConfigurationError
@@ -42,22 +44,31 @@ from repro.util import ConfigurationError
 KW = dict(nb=8, ib=4, tree="hier", h=3)
 
 
+def plan_counts(sess):
+    h = sess.health()["plan_cache"]
+    return h["hits"], h["misses"]
+
+
 class TestPlanCache:
+    """A session keeps no plans of its own: it counts, per geometry, whether
+    it has factored it before (``health()["plan_cache"]``), and takes every
+    schedule from the process memo, whose LRU decides what stays derived."""
+
     def test_hit_miss_accounting(self):
-        with QRSession(n_procs=2, plan_cache_size=4) as sess:
+        with QRSession(n_procs=2) as sess:
             a = random_dense(40, 24, seed=0)
             b = random_dense(40, 24, seed=1)
             sess.factor(a, **KW)
-            assert (sess.plan_cache.stats.hits, sess.plan_cache.stats.misses) == (0, 1)
+            assert plan_counts(sess) == (0, 1)
             sess.factor(b, **KW)  # same geometry: hit
-            assert (sess.plan_cache.stats.hits, sess.plan_cache.stats.misses) == (1, 1)
+            assert plan_counts(sess) == (1, 1)
             sess.factor(a, nb=8, ib=4, tree="binary")  # new key: miss
-            assert sess.plan_cache.stats.misses == 2
-            assert len(sess.plan_cache) == 2
+            assert plan_counts(sess) == (1, 2)
+            assert set(sess.health()["plan_cache"]) == {"hits", "misses"}
 
     def test_auto_h_shares_entry_with_explicit_h(self):
-        # h="auto" resolves before the cache lookup, so it keys the same
-        # entry as the integer it resolves to.
+        # h="auto" resolves before the session counts the key, so it counts
+        # as the integer it resolves to.
         from repro.machine import kraken
         from repro.trees import choose_domain_size
 
@@ -68,35 +79,42 @@ class TestPlanCache:
             )
             sess.factor(a, nb=8, ib=4, tree="hier", h=resolved)
             sess.factor(a, nb=8, ib=4, tree="hier", h="auto")
-            assert sess.plan_cache.stats.hits == 1
+            assert plan_counts(sess) == (1, 1)
 
     def test_eviction_leaves_results_and_segments_alone(self):
-        with QRSession(n_procs=2, plan_cache_size=1) as sess:
+        """The memo dropping a geometry drops a plan, never a result or a
+        segment; the session's next call on it derives the plan again, counts
+        a hit, and — on a new op list — loads a fresh segment."""
+        with QRSession(n_procs=2) as sess:
             a = random_dense(40, 24, seed=0)
             hier = sess.factor(a, **KW)
-            flat = sess.factor(a, nb=8, ib=4, tree="flat")  # evicts the hier entry
-            assert sess.plan_cache.stats.evictions == 1
-            assert len(sess.plan_cache) == 1
+            flat = sess.factor(a, nb=8, ib=4, tree="flat")
+            schedule_for.cache_clear()  # evicts both geometries
             # Segments are the process's: both stay free for their op lists.
             assert len(parallel_mod._FREE) == 2
             np.testing.assert_array_equal(hier.R, qr_factor(a, **KW).R)
             np.testing.assert_array_equal(flat.R, qr_factor(a, nb=8, ib=4, tree="flat").R)
             del hier
-            again = sess.factor(a, **KW)  # a miss again, on the segment hier left
-            assert again.stats.segment_recycled and sess.plan_cache.stats.misses == 3
+            schedule_for.cache_clear()
+            again = sess.factor(a, **KW)
+            assert not again.stats.segment_recycled and plan_counts(sess) == (1, 2)
+            np.testing.assert_array_equal(again.R, qr_factor(a, **KW).R)
 
     def test_lru_order(self):
-        from repro.trees import TreeKind
+        """A session pins nothing: a geometry it factored leaves the memo
+        after ``CAPACITY`` other geometries, as anybody's would."""
+        from repro.qr.schedule import CAPACITY
 
-        # Keys are schedule_for's arguments: (tree, m, n, nb, ib, h, shifted).
-        a, b, c = ((TreeKind.HIER, 40, 24, 8, 4, h, True) for h in (1, 2, 3))
-        cache = PlanCache(maxsize=2)
-        for key in (a, b):
-            cache.lookup(key)
-        cache.lookup(a)  # refresh a
-        cache.lookup(c)  # evicts b, not a
-        assert a in cache._entries and c in cache._entries
-        assert b not in cache._entries
+        a = random_dense(40, 24, seed=0)
+        with QRSession(n_procs=2) as sess:
+            sess.factor(a, **KW)
+            key = next(iter(sess._factored))
+            first = schedule_for(*key)
+            for h in range(1, CAPACITY + 1):  # CAPACITY others, one-shot
+                qr_factor(a, nb=8, ib=4, tree="hier", h=h, shifted=False)
+            assert schedule_for(*key) is not first
+            assert sess.factor(a, **KW).stats.mode == "parallel"
+            assert plan_counts(sess) == (1, 1)
 
 
 class TestBitExactness:
@@ -127,7 +145,7 @@ class TestBitExactness:
             np.testing.assert_array_equal(ser.R, f_bat.R)
             # serial derives the plan (miss), batched reuses it (hit) and
             # only then derives wavefronts once.
-            assert sess.plan_cache.stats.hits == 1
+            assert plan_counts(sess) == (1, 1)
 
     def test_n_procs_1_falls_back(self, small_matrix):
         ser = qr_factor(small_matrix, **KW)
@@ -210,7 +228,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             WorkerPool(0)
         with pytest.raises(ConfigurationError):
-            QRSession(n_procs=2, plan_cache_size=0)
+            QRSession(n_procs=0)
+        with pytest.raises(TypeError):
+            QRSession(n_procs=2, plan_cache_size=8)  # plans are the process memo's
 
 
 class TestObservability:
@@ -257,14 +277,15 @@ def _segments():
 
 
 class SessionMachine(RuleBasedStateMachine):
-    """One cache slot (``plan_cache_size=1``), so switching geometry evicts.
-    Every result the machine holds reads as its serial twin, whatever came
-    after it: no call loads a segment whose result is alive."""
+    """The memo can drop a geometry between any two calls (``evict``), so a
+    call may run on a plan derived again.  Every result the machine holds
+    reads as its serial twin, whatever came after it: no call loads a
+    segment whose result is alive."""
 
     def __init__(self):
         super().__init__()
         self.shm_before = _segments()
-        self.sess = QRSession(n_procs=2, plan_cache_size=1)
+        self.sess = QRSession(n_procs=2)
         self.results = []  # [result, geometry, seed]
         self.generations = {}
         self.closed = False
@@ -288,6 +309,12 @@ class SessionMachine(RuleBasedStateMachine):
         if proc is not None and proc.is_alive():  # forked by the first factor
             os.kill(proc.pid, signal.SIGKILL)
             proc.join(timeout=5.0)
+
+    @rule()
+    def evict(self):
+        """What other callers pushing ``CAPACITY`` geometries through the
+        memo do to this session's."""
+        schedule_for.cache_clear()
 
     @precondition(lambda self: self.results)
     @rule(data=st.data())

@@ -377,7 +377,7 @@ def test_session_health_snapshot():
     assert h["last_run_id"] == f.run_id
     assert h["pool"]["size"] == 2 and h["pool"]["alive"] == 2
     assert all(w["alive"] for w in h["pool"]["workers"])
-    assert h["plan_cache"]["entries"] == 1 and h["plan_cache"]["misses"] == 1
+    assert h["plan_cache"] == {"hits": 0, "misses": 1}
     assert sess.health()["closed"]
 
 
@@ -610,6 +610,24 @@ def test_monitor_survives_a_torn_last_line(metrics_run, capsys):
     assert obs_monitor.main([str(metrics), "--dashboard", "--events", str(events)]) == 0
     out = capsys.readouterr().out
     assert f"run {f.run_id}" in out and "run.end" in out
+
+
+def test_monitor_reads_a_parallel_run_in_all_four_modes(tmp_path, capsys):
+    """The sampler runs beside a pool: a parallel run's metrics and events
+    read in summary, dashboard, follow and dashboard-follow mode."""
+    a = np.random.default_rng(0).standard_normal((320, 64))
+    metrics, events = str(tmp_path / "metrics.jsonl"), str(tmp_path / "events.jsonl")
+    f = qr_factor(a, nb=16, ib=8, tree="hier", h=2, backend="parallel", n_procs=2,
+                  metrics=metrics, events=events)
+    assert f.stats.mode == "parallel"
+    assert obs_monitor.main([metrics]) == 0
+    assert "samples over" in capsys.readouterr().out
+    assert obs_monitor.main([metrics, "--dashboard", "--events", events]) == 0
+    assert f"run {f.run_id}" in capsys.readouterr().out
+    assert obs_monitor.main([metrics, "--follow", "--timeout", "0.2"]) == 0
+    assert "t=" in capsys.readouterr().out
+    assert obs_monitor.main([metrics, "--dashboard", "--events", events,
+                             "--follow", "--timeout", "0.2"]) == 0
 
 
 def test_monitor_events_requires_dashboard(metrics_run, capsys):
