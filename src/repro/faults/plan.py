@@ -69,11 +69,9 @@ class FaultPlan:
         first process incarnation of ``rank`` calls ``os._exit`` immediately
         before executing its ``ordinal``-th operation (0-based, counted per
         process).  Respawned incarnations (generation > 0) never crash, so
-        recovery always converges.  Under a persistent
-        :class:`repro.QRSession` the ordinal count restarts with every
-        ``factor`` call (each job runs its own schedule), but generation
-        tags persist across calls — once a pool worker has been respawned,
-        the same plan cannot kill it again in later calls of that session.
+        recovery always converges.  Every call with a fault plan runs on
+        fresh generation-0 workers and leaves none behind, so each call,
+        a :class:`repro.QRSession`'s too, injects what its plan says.
     flip_rate:
         Per-op probability in ``[0, 1)`` that the op's freshly computed
         output is silently corrupted before its checksum is verified

@@ -78,7 +78,7 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
         "resume": {"path", "ops_skipped", "parent_run"},
         # Watchdog (repro.faults.watchdog).
         "watchdog.stall": {"what", "stalled_s"},
-        # Persistent sessions (repro.qr.session).
+        # The worker pool (repro.qr.parallel).
         "pool.spawn": {"rank", "generation"},
         "pool.lease": {"n_procs", "spawned", "reused"},
     }.items()

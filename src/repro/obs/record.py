@@ -93,8 +93,6 @@ __all__ = [
     "K_POOL_LEASES",
     "K_POOL_SPAWNS",
     "K_POOL_REUSED",
-    "K_PLAN_HITS",
-    "K_PLAN_MISSES",
     "K_SDC_INJECTED",
     "K_SDC_DETECTED",
     "K_SDC_RECOVERED",
@@ -128,14 +126,12 @@ K_WORKER_RESTART = "worker.restart"  # replacement workers spawned
 K_REDISPATCH_OPS = "retry.redispatch"  # in-flight ops re-dispatched after a death
 K_FALLBACK_SERIAL = "fallback.serial"  # degradations to the serial reference
 
-# Worker-pool and session plan events (repro.qr.parallel, repro.qr.session;
-# docs/sessions.md).  A one-shot parallel run leases the pool the process
-# keeps: pool.leases == 1, and pool.spawns == n_procs only on the first.
-K_POOL_LEASES = "pool.leases"  # jobs leased to a worker pool
+# Worker-pool events (repro.qr.parallel; docs/sessions.md).  Every parallel
+# run, a session's or not, leases the one pool the process keeps:
+# pool.leases == 1, and pool.spawns == n_procs only on the process's first.
+K_POOL_LEASES = "pool.leases"  # jobs leased to the worker pool
 K_POOL_SPAWNS = "pool.spawns"  # pool worker processes spawned (cold start or respawn)
-K_POOL_REUSED = "pool.reused"  # warm worker reuses across session.factor calls
-K_PLAN_HITS = "plan.hits"  # session calls on a geometry the session factored before
-K_PLAN_MISSES = "plan.misses"  # session calls on a geometry new to the session
+K_POOL_REUSED = "pool.reused"  # warm workers reused by a lease
 
 # Silent-data-corruption defense and checkpoint/resume events
 # (repro.qr.checksum, repro.qr.persist; docs/robustness.md).

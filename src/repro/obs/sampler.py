@@ -39,10 +39,8 @@ Gauge vocabulary
 ``parallel.workers_alive`` live worker processes
 ``parallel.completed_ops`` ops whose completion was processed
 ``parallel.redispatched``  in-flight ops re-dispatched after worker deaths
-``pool.workers_alive``     live processes in the leased pool
-                           (:class:`repro.qr.parallel.WorkerPool`: a
-                           :class:`repro.QRSession`'s, or the one the
-                           process keeps for one-shot runs)
+``pool.workers_alive``     live processes in the process's one pool
+                           (:class:`repro.qr.parallel.WorkerPool`)
 ========================== ===================================================
 """
 

@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing only
     from .ops import FACTOR_KINDS, UPDATE_KINDS, Op, expand_plans
     from .parallel import ParallelRunStats, default_n_procs, execute_ops_parallel
     from .reference import FactorRecord, TileQRFactors, execute_ops
-    from .session import QRSession, WorkerPool
+    from .session import QRSession
     from .vsa3d import QRArray, build_qr_vsa
 
 #: The submodule of each public name (the one export table: ``__all__`` is
@@ -34,7 +34,7 @@ _HOME = {
     "ops": ("FACTOR_KINDS", "UPDATE_KINDS", "Op", "expand_plans"),
     "parallel": ("ParallelRunStats", "default_n_procs", "execute_ops_parallel"),
     "reference": ("FactorRecord", "TileQRFactors", "execute_ops"),
-    "session": ("QRSession", "WorkerPool"),
+    "session": ("QRSession",),
     "vsa3d": ("QRArray", "build_qr_vsa"),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}

@@ -15,7 +15,7 @@ Backends
 ``backend=`` selects ``"serial"`` (default), ``"batched"``, ``"parallel"``
 or ``"pulsar"``; all four produce bit-identical factors.
 :mod:`repro.qr.backends` describes each one and tabulates which features
-(checkpointing, sessions, resume, fault families) it supports.
+(checkpointing, resume, fault families) it supports.
 
 Observability
 -------------
@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -185,15 +186,16 @@ class QRFactorization:
         """
         return self._factors.solve_ls(b)
 
-    def residuals(self, a: np.ndarray) -> dict[str, float]:
+    def residuals(self, a: np.ndarray | TileMatrix) -> dict[str, float]:
         """Accuracy metrics against the original matrix ``a``.
 
         Returns ``{"factorization": ||A - QR|| / ||A||,
         "orthogonality": ||Q^T Q - I||}`` — the two standard backward-error
-        checks for a QR code.  An ``a`` of another shape than the factored
-        matrix is a :class:`ShapeError`, never broadcast.
+        checks for a QR code.  ``a`` may be the :class:`TileMatrix` that was
+        factored.  An ``a`` of another shape than the factored matrix is a
+        :class:`ShapeError`, never broadcast.
         """
-        a = as_f64_matrix(a)
+        a = as_f64_matrix(a.to_dense() if isinstance(a, TileMatrix) else a)
         if a.shape != self.shape:
             raise ShapeError(f"A must have the factored shape {self.shape}, got {a.shape}")
         q = self.q_thin()
@@ -226,7 +228,6 @@ def qr_factor(
     fault_plan=None,
     on_failure: str = "raise",
     checkpoint=None,
-    session=None,
 ) -> QRFactorization:
     """Tree-based tile QR factorization of a tall-and-skinny matrix.
 
@@ -279,15 +280,6 @@ def qr_factor(
     >>> bool(np.array_equal(f3.R, f.R))
     True
 
-    ``session=`` (a :class:`repro.QRSession`) reuses a persistent worker
-    pool across calls — see ``docs/sessions.md``:
-
-    >>> from repro import QRSession
-    >>> with QRSession(n_procs=2) as sess:
-    ...     f4 = sess.factor(a, nb=4, ib=2, tree="flat")
-    >>> bool(np.array_equal(f4.R, f.R))
-    True
-
     ``checkpoint=`` snapshots progress to disk while the backend runs;
     :func:`resume_factorization` restarts a killed run from the last
     snapshot, skipping the ops it already completed, bit-exact with an
@@ -295,9 +287,9 @@ def qr_factor(
 
     >>> from repro.qr import resume_factorization
     >>> ck = _os.path.join(tempfile.mkdtemp(), "run.ckpt")
-    >>> f5 = qr_factor(a, nb=4, ib=2, tree="flat", checkpoint=ck)
-    >>> f6 = resume_factorization(ck)  # finished run: all 3 ops skipped
-    >>> bool(np.array_equal(f6.R, f.R)), f6.ops_skipped
+    >>> f4 = qr_factor(a, nb=4, ib=2, tree="flat", checkpoint=ck)
+    >>> f5 = resume_factorization(ck)  # finished run: all 3 ops skipped
+    >>> bool(np.array_equal(f5.R, f.R)), f5.ops_skipped
     (True, 3)
 
     Parameters
@@ -336,10 +328,11 @@ def qr_factor(
         reports in one message (default: its whole share — one report per
         worker — or a few dozen ops under ``trace=`` / ``metrics=`` /
         ``events=`` / ``checkpoint=``, which read the count in between;
-        ``stats.batch`` reports the int used).  Without a ``session`` the
-        workers are the ones the process keeps for all such calls: forked
-        by the first, grown to the largest ``n_procs`` asked for, idle
-        between calls, ended by
+        ``stats.batch`` reports the int used).  The workers are the ones
+        the process keeps for all such calls, a
+        :class:`~repro.qr.session.QRSession`'s too: forked by the first,
+        grown to the largest ``n_procs`` asked for, idle between calls,
+        ended by
         :func:`repro.qr.parallel.shutdown_workers` or at interpreter exit
         (a ``fault_plan`` call gets fresh ones and leaves none).
         ``batch="wavefront"`` is an
@@ -410,21 +403,6 @@ def qr_factor(
         :func:`~repro.qr.persist.resume_factorization`, bit-exact with an
         uninterrupted run.  Supported on the ``serial``, ``batched``, and
         ``parallel`` backends (the pulsar VSA owns its tiles and raises).
-    session:
-        Optional :class:`repro.QRSession` (see :mod:`repro.qr.session` and
-        ``docs/sessions.md``).  ``backend="parallel"`` runs on the
-        session's own worker pool, which keeps its workers across calls
-        (``stats.spawn_s ~ 0``), and on the free shared-memory segments the
-        process keeps for every caller, session or not.  The panel plans,
-        op DAG and wavefront schedule are memoized per process for every
-        caller (:mod:`repro.qr.schedule`); the session counts its own hits
-        and misses on them.  Factors stay bit-exact with the session-less
-        path, and a ``parallel`` result is, as a one-shot one, views of its
-        segment that no later call loads while the result lives.  Supported for the
-        ``serial``, ``batched``, and ``parallel`` backends; ``n_procs``
-        must be omitted or equal the
-        session's pool size.  ``session.factor(a, ...)`` is the convenience
-        spelling of ``qr_factor(a, session=sess, backend="parallel", ...)``.
 
     Returns
     -------
@@ -449,8 +427,7 @@ def qr_factor(
         from ..trees.auto import choose_domain_size
 
         workers = worker_count(
-            backend, n_nodes=n_nodes, workers_per_node=workers_per_node,
-            n_procs=n_procs, session=session,
+            backend, n_nodes=n_nodes, workers_per_node=workers_per_node, n_procs=n_procs,
         )
         h = choose_domain_size(
             layout.mt, machine=kraken(), nb=layout.nb, ib=ib, workers=workers
@@ -458,30 +435,10 @@ def qr_factor(
     elif isinstance(h, str):
         raise ConfigurationError(f"h must be an int or 'auto', got {h!r}")
     require_capability(backend)
-    if session is not None:
-        from .session import QRSession
-
-        require(isinstance(session, QRSession),
-                f"session must be a QRSession, got {type(session).__name__}")
-        session._check_open()
-        require_capability(backend, "session")
-        if backend == "parallel" and n_procs is not None and n_procs != session.n_procs:
-            raise ConfigurationError(
-                f"n_procs={n_procs} conflicts with the session's pool size "
-                f"{session.n_procs}; omit n_procs when passing session="
-            )
-    key = (kind, m, n, layout.nb, ib, h, shifted)
-
-    def plan():
-        # One derivation per geometry and process (repro.qr.schedule), for
-        # every caller; a session counts plan.hits / plan.misses into the
-        # recording window the envelope calls this in.
-        if session is not None:
-            session._count_plan(key)
-        return schedule_for(*key)
-
+    # One derivation per geometry and process (repro.qr.schedule), for every caller.
+    plan = partial(schedule_for, kind, m, n, layout.nb, ib, h, shifted)
     return _run(
-        a, layout, plan, ib, kind, h, shifted, backend, session=session, policy=policy,
+        a, layout, plan, ib, kind, h, shifted, backend, policy=policy,
         trace=trace, metrics=metrics, events=events, registry=registry,
         fault_plan=fault_plan, on_failure=on_failure, checkpoint=checkpoint,
         n_procs=n_procs, batch=batch, n_nodes=n_nodes,
@@ -513,7 +470,7 @@ def _check_target(keyword: str, path) -> None:
 def _run(
     a: np.ndarray | TileMatrix, layout: TileLayout, plan, ib: int, kind: TreeKind, h: int,
     shifted: bool, backend: str,
-    *, session=None, policy: str = "lazy", trace=None, metrics=None, events=None,
+    *, policy: str = "lazy", trace=None, metrics=None, events=None,
     registry=None, fault_plan=None, on_failure: str = "raise", checkpoint=None,
     skip=None, preloaded_ts=None, parent_run_id: str | None = None, **launch,
 ) -> QRFactorization:
@@ -597,14 +554,13 @@ def _run(
             sampler = MetricsSampler(recorder, metrics).start()
         try:
             entry = plan()
-            tm, store = stage_input(backend, a, layout, entry, ib, session=session,
-                                    n_procs=launch.get("n_procs"))
+            tm, store = stage_input(backend, a, layout, entry, ib, n_procs=launch.get("n_procs"))
             if on_failure == "fallback" and can_fail:
                 pristine = tm.copy()
             if ckpt is not None:
                 ckpt.bind(tm, entry.ops, ib, kind.value, h, shifted)
             factors, stats = run_backend(
-                backend, tm, entry, ib, store=store, session=session, policy=policy,
+                backend, tm, entry, ib, store=store, policy=policy,
                 fault_plan=fault_plan, checkpoint=ckpt,
                 skip=skip, preloaded_ts=preloaded_ts, **launch,
             )
@@ -642,8 +598,6 @@ def _run(
         recorder=recorder, run_id=run_id, parent_run_id=parent_run_id, h=h, shifted=shifted,
     )
     f.ops_skipped = len(skip or ())
-    if session is not None:
-        session.last_run_id = run_id
     if trace is not None:
         from ..obs.export import write_chrome_trace
 

@@ -52,24 +52,22 @@ __all__ = [
     "run_backend",
 ]
 
-#: ``backend -> feature -> supported``.  ``checkpoint`` / ``session`` are the
-#: ``qr_factor`` keywords, ``resume`` is ``resume_factorization(backend=)``;
+#: ``backend -> feature -> supported``.  ``checkpoint`` is the ``qr_factor``
+#: keyword, ``resume`` is ``resume_factorization(backend=)``;
 #: ``sdc_flips`` / ``fabric_faults`` say which :class:`~repro.faults.FaultPlan`
 #: families the backend acts on (the others are ignored, not rejected).
 #: ``docs/robustness.md`` carries :func:`capability_table` verbatim.
 CAPABILITIES = {
-    "serial": dict(checkpoint=True, session=True, resume=True, sdc_flips=True, fabric_faults=False),
-    "batched": dict(checkpoint=True, session=True, resume=True, sdc_flips=True, fabric_faults=False),
-    "parallel": dict(checkpoint=True, session=True, resume=True, sdc_flips=True, fabric_faults=False),
-    "pulsar": dict(checkpoint=False, session=False, resume=False, sdc_flips=False, fabric_faults=True),
+    "serial": dict(checkpoint=True, resume=True, sdc_flips=True, fabric_faults=False),
+    "batched": dict(checkpoint=True, resume=True, sdc_flips=True, fabric_faults=False),
+    "parallel": dict(checkpoint=True, resume=True, sdc_flips=True, fabric_faults=False),
+    "pulsar": dict(checkpoint=False, resume=False, sdc_flips=False, fabric_faults=True),
 }
 
 #: Rejection message per missing feature (``None``: the backend itself).
 _REJECTIONS = {
     None: "unknown backend {backend!r}; expected {any_of}",
     "checkpoint": "checkpoint= supports the {all_of} backends; the pulsar VSA owns its tile store",
-    "session": "session= supports the {all_of} backends; "
-               "the pulsar VSA builds its own runtime per call",
     "resume": "resume_factorization supports {any_of}, got {backend!r}",
 }
 
@@ -93,7 +91,6 @@ def capability_table() -> str:
     """The supported-combinations table of ``docs/robustness.md`` (markdown)."""
     columns = {
         "checkpoint": "`checkpoint=`",
-        "session": "`session=`",
         "resume": "`resume_factorization`",
         "sdc_flips": "`flip_rate` acted on",
         "fabric_faults": "fabric faults acted on",
@@ -107,37 +104,34 @@ def capability_table() -> str:
 
 
 def worker_count(backend: str, *, n_nodes: int = 1, workers_per_node: int = 1,
-                 n_procs: int | None = None, session=None) -> int | None:
+                 n_procs: int | None = None) -> int | None:
     """Concurrent workers ``backend`` will run on (``None``: one in-process
     lane) — what ``h="auto"`` sizes the tree's domains for."""
     if backend == "pulsar":
         return n_nodes * workers_per_node
     if backend == "parallel":
-        if session is not None:
-            return session.n_procs
         if n_procs is None:
             return _parallel.default_n_procs()
         return check_positive_int(n_procs, "n_procs")  # sizes the tree before run_backend
     return None
 
 
-def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_procs=None):
+def stage_input(backend: str, a, layout, entry, ib: int, *, n_procs=None):
     """Tile the validated input ``a`` — a dense float64 array or a
     :class:`TileMatrix` of geometry ``layout``, neither kept nor aliased —
     into the storage ``backend`` runs on; return ``(tm, store)``.
 
     For ``parallel`` with more than one worker that storage is the job's
     shared segment — a free one under ``entry`` whose result is gone, else a
-    new one (:func:`repro.qr.parallel.take_segment`), session or not — and
-    ``a`` goes straight into it, in the one pass
+    new one (:func:`repro.qr.parallel.take_segment`) — and ``a`` goes
+    straight into it, in the one pass
     :meth:`TileMatrix.from_dense` would have made: ``tm`` is the
     :class:`TileMatrix` of its views, ``store`` the segment
     :func:`run_backend` is to be handed.  Everywhere else ``tm`` is an owned
     tile matrix and ``store`` is ``None`` — also where the segment cannot be
     had, which the backend then finds out again, names and degrades on.
     """
-    k = backend == "parallel" and min(
-        worker_count(backend, n_procs=n_procs, session=session), len(entry.ops))
+    k = backend == "parallel" and min(worker_count(backend, n_procs=n_procs), len(entry.ops))
     if k > 1:
         try:
             store = _parallel.take_segment(a, entry, ib)
@@ -151,7 +145,7 @@ def stage_input(backend: str, a, layout, entry, ib: int, *, session=None, n_proc
 
 def run_backend(
     backend: str, tm, entry, ib: int, *, store=None,
-    session=None, n_procs=None, policy="lazy", batch=None,
+    n_procs=None, policy="lazy", batch=None,
     n_nodes=1, workers_per_node=1,
     fault_plan=None, checkpoint=None, skip=None, preloaded_ts=None,
 ):
@@ -159,7 +153,7 @@ def run_backend(
 
     ``tm`` and ``store`` are what :func:`stage_input` returned.
     ``entry`` is the memoized :class:`~repro.qr.schedule.Schedule` of the
-    geometry, with or without ``session``.  Its wavefronts feed ``batched``, its
+    geometry.  Its wavefronts feed ``batched``, its
     assignment the ``parallel`` workers, its plans the pulsar VSA builder;
     nothing is derived here.  ``skip`` / ``preloaded_ts`` are the resume
     path.  ``stats`` is ``None`` for the single-lane backends.
@@ -189,12 +183,8 @@ def run_backend(
     if backend == "batched":
         return execute_ops_batched(tm, entry, ib, wavefronts=entry.wavefronts(), **common), None
     if backend == "parallel":
-        pool = None
-        if session is not None:
-            n_procs, pool = session.n_procs, session.pool
         return _parallel.execute_ops_parallel(
-            tm, entry, ib, n_procs=n_procs, policy=policy, batch=batch,
-            pool=pool, arena=store, **common
+            tm, entry, ib, n_procs=n_procs, policy=policy, batch=batch, arena=store, **common
         )
     from .collector import assemble_factors  # the pulsar path alone loads the runtime
     from .vsa3d import build_qr_vsa

@@ -22,16 +22,16 @@ their kernels under the GIL.  This module executes the *same* operation list
   sentinels and runs the no-progress watchdog;
 * every op is one :func:`repro.qr.execute.run_step` call on the shared
   store, the step runner the in-process schedules use;
-* there is one worker lifecycle, :class:`WorkerPool`, and workers are
-  spawned once per process: every one-shot run leases the module's kept pool
-  (ended by :func:`shutdown_workers` or at interpreter exit), a
-  :class:`~repro.qr.session.QRSession` a pool of its own;
-* there is one segment rule, for both: a finished run's segment joins the
+* there is one pool of workers per process, :data:`_KEPT`: every run
+  leases it, from a :class:`~repro.qr.session.QRSession` or not, so workers
+  are forked once (and ended by :func:`shutdown_workers` or at interpreter
+  exit);
+* there is one segment rule: a finished run's segment joins the
   process's free list (:data:`SPARE_SEGMENTS` of them, descriptor, views
   and record skeleton kept), and a later run under the same op list loads
   its input into one only once nobody holds the result made of it
   (:func:`take_segment`), so a result stays valid for as long as it lives.
-  Segments are anonymous (``memfd``): a worker of either pool is sent the
+  Segments are anonymous (``memfd``): a worker is sent the
   descriptor of each one it is to map, down its own socket, maps it and
   closes it.  A worker owns its end of one pipe and the last mappings it
   made — it closes every pipe end and segment descriptor it was forked
@@ -98,7 +98,7 @@ from ..obs.record import (
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import _FORK_LOCK, SharedTileStore, descriptor
 from ..util.errors import ParallelExecutionError
-from ..util.validation import check_positive_int, require
+from ..util.validation import require
 from .checksum import SDCGuard
 from .execute import run_step
 from .ops import Op
@@ -121,7 +121,7 @@ __all__ = [
 _CRASH_EXIT_CODE = 37
 
 #: Entries of the free-segment list (:data:`_FREE`), and attachments a
-#: worker keeps (of either pool).  Two, because ``f = qr_factor(...)`` in a
+#: worker keeps.  Two, because ``f = qr_factor(...)`` in a
 #: loop still holds result *k* while call *k + 1* runs.
 SPARE_SEGMENTS = 2
 
@@ -271,8 +271,8 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
 
     Before each op the worker consults the :class:`~repro.faults.FaultPlan`
     crash schedule (generation 0 only) and ``os._exit``\\ s when told to;
-    ``ops_done`` restarts at zero per job, so in a session the same schedule
-    applies to every ``factor`` call until the worker is respawned.
+    ``ops_done`` restarts at zero per job, and a job with a fault plan runs
+    on fresh workers, so every such job injects what its plan says.
 
     Returns the terminator received: ``None`` (shut the worker down),
     ``("endjob",)`` (job complete, the worker keeps its attachment and waits
@@ -445,7 +445,8 @@ def _send_descriptor(conn: Connection, fd: int, pid: int) -> None:
 
 
 class WorkerPool:
-    """Worker processes leased out one factorization at a time.
+    """Worker processes leased out one factorization at a time: the class
+    of :data:`_KEPT`, the process's one pool.
 
     Each worker runs :func:`_worker_main`: a loop over *jobs*, where a job
     is a header naming the shared segment and the worker's share of the
@@ -455,25 +456,20 @@ class WorkerPool:
     accordingly (see :func:`_worker_main`): no layout and no op list for a
     segment it maps, no op list for a new segment under the same list, no share
     when it is the object the worker already holds — a warm lease costs one
-    small pipe message per worker.  A
-    :class:`~repro.qr.session.QRSession` keeps its pool across calls; every
-    one-shot :func:`execute_ops_parallel` leases the one this module keeps
-    for the process (:func:`shutdown_workers` ends its workers).  Segments
-    are not a pool's: any worker is sent any segment's descriptor.
+    small pipe message per worker.  Each lease names its own worker count;
+    the pool grows to the largest.
 
     Generation tags are the pool's crash-recovery bookkeeping, shared with
     the parent loop in :func:`execute_ops_parallel` (the
     ``procs``/``conns``/``generations`` dicts are handed over *by
     reference* during a lease, so mid-job respawns are visible to both
     sides).  A rank's generation only ever increases — across respawns,
-    :meth:`reset`, and successive jobs — so a
+    :meth:`reset`, and successive jobs — until :meth:`shutdown`, so a
     :class:`~repro.faults.FaultPlan`, which kills generation 0 only, never
-    re-kills a replacement.
+    re-kills a replacement; a fault-plan job starts from a shut pool.
     """
 
-    def __init__(self, size: int):
-        check_positive_int(size, "pool size")
-        self.size = size
+    def __init__(self):
         self.procs: dict[int, mp.process.BaseProcess] = {}
         self.conns: dict[int, Connection] = {}
         self.generations: dict[int, int] = {}
@@ -614,16 +610,14 @@ class WorkerPool:
         self.generations.clear()
 
 
-#: The process's kept pool: every one-shot run leases it, so workers are
-#: forked once per process and grow to the largest ``n_procs`` asked for
-#: (each lease names its own ``k``; the pool's ``size`` is not read).
-#: Idle it pins the copy-on-write pages of its parent at fork time, a pipe
-#: per worker and the last :data:`SPARE_SEGMENTS` segments each worker served.
-_KEPT = WorkerPool(1)
+#: The process's one pool: every run leases it, so workers are forked once
+#: per process and grow to the largest ``n_procs`` asked for.  Idle it pins
+#: the copy-on-write pages of its parent at fork time, a pipe per worker and
+#: the last :data:`SPARE_SEGMENTS` segments each worker served.
+_KEPT = WorkerPool()
 
 #: The process's free segments, newest first, at most :data:`SPARE_SEGMENTS`:
-#: ``(store, op list, weakref(result))`` per segment a clean run of either
-#: pool finished on.  The store keeps its descriptor, its views and its
+#: ``(store, op list, weakref(result))`` per segment a clean run finished on.  The store keeps its descriptor, its views and its
 #: record skeleton; the result is the run's own
 #: :class:`~repro.qr.reference.TileQRFactors`, and the segment is loaded
 #: again only once that is gone (:func:`take_segment`).  An entry that falls
@@ -631,22 +625,21 @@ _KEPT = WorkerPool(1)
 #: with the result while it lives.  Read and written under ``_FORK_LOCK``.
 _FREE: list[tuple] = []
 
-#: Serialises the kept pool between one-shot calls from different threads:
-#: held from before the lease until the workers are handed back (or reset).
+#: Serialises the kept pool between calls from different threads: held
+#: from before the lease until the workers are handed back (or reset).
 _LEASE_LOCK = threading.Lock()
 
 
 def shutdown_workers() -> None:
-    """End the workers one-shot ``backend="parallel"`` calls have left idle,
-    and let go of the free segments.
+    """End the workers ``backend="parallel"`` calls have left idle, and
+    let go of the free segments.
 
     Idempotent, and never required: the next call forks new workers or
     makes new segments, and at interpreter exit ``multiprocessing`` stops
     the workers as it stops any daemon.  Call it to give back what idle
     workers and free segments pin (then a segment belongs to its result
     alone), or before a test that relies on what a worker inherits when it
-    is forked.  A :class:`~repro.qr.session.QRSession` has its own pool and
-    ``close()``.
+    is forked.  :meth:`~repro.qr.session.QRSession.close` ends no worker.
     """
     with _LEASE_LOCK:
         _KEPT.shutdown()
@@ -771,7 +764,6 @@ def execute_ops_parallel(
     timeout_s: float = 120.0,
     fault_plan=None,
     respawn: bool = True,
-    pool=None,
     arena=None,
     checkpoint=None,
     skip=None,
@@ -828,21 +820,18 @@ def execute_ops_parallel(
         what the dead one had not flagged done.  With ``respawn=False`` (or
         the budget spent) a survivor adopts it, and the run fails only when
         none remain (:mod:`repro.qr.protocol`, rule 5).
-    pool, arena:
-        ``arena`` is the job's one segment, a
+    arena:
+        The job's one segment, a
         :class:`~repro.tiles.shared.SharedTileStore` into which the caller
         has already loaded the input (flags cleared) — the run envelope's
         (:func:`repro.qr.backends.stage_input`); without it the segment is
         taken here.  Either way the run owns it from here on: a clean run
-        gives it to the free list, any other closes its descriptor.
-        ``pool`` is the :class:`WorkerPool` of a persistent session
-        (``docs/sessions.md``), which the job is leased to and handed back
-        to with ``("endjob",)``.  Without ``pool`` the run is *one-shot*
-        and leases the pool this module keeps for the process (one caller
-        at a time).  The workers outlive the call (:func:`shutdown_workers`
-        ends them) except under a one-shot ``fault_plan``, which runs on
-        fresh generation-0 workers and leaves none, and after a one-shot job
-        during which one died.
+        gives it to the free list, any other closes its descriptor.  The job
+        is leased to the process's pool (one caller at a time) and handed
+        back with ``("endjob",)``.  The workers outlive the call
+        (:func:`shutdown_workers` ends them) except under a ``fault_plan``,
+        which runs on fresh generation-0 workers and leaves none, and after
+        a job during which one died.
     checkpoint:
         Optional bound :class:`~repro.qr.persist.CheckpointStore`.  The
         parent raises the segment's pause byte when a snapshot falls due,
@@ -872,15 +861,10 @@ def execute_ops_parallel(
                       skip=completed_set or None, preloaded_ts=preloaded_ts)
     if n_procs == 1:
         return degrade(a.copy(), reason="n_procs=1")
-    # A one-shot run leases the process's kept pool (one caller at a time),
-    # whose workers keep their attachment like a session's.
-    one_shot = pool is None
-    store, lock = arena, contextlib.nullcontext()
-    if one_shot:
-        pool, lock = _KEPT, _LEASE_LOCK
+    pool, store = _KEPT, arena
     # A fault plan kills generation 0 only, and its job must inject what it
-    # says: on the kept pool it gets workers nobody has used and leaves none.
-    fresh = one_shot and fault_plan is not None
+    # says: it gets workers nobody has used and leaves none.
+    fresh = fault_plan is not None
     ranks = range(n_procs)
     stats = ParallelRunStats(
         n_ops=len(ops), n_procs=n_procs, policy=policy, batch=batch,
@@ -889,7 +873,7 @@ def execute_ops_parallel(
         per_worker_ops=dict.fromkeys(ranks, 0),
         per_worker_attach_s=dict.fromkeys(ranks, 0.0),
     )
-    with lock:
+    with _LEASE_LOCK:
         if fresh:
             pool.shutdown()
         if store is None:  # a direct caller's tiles go in here
@@ -1095,8 +1079,7 @@ def execute_ops_parallel(
                 stats.dispatch_s += time.perf_counter() - t0
 
             # Hand the workers back to await the next job header, keeping
-            # their store attachment, or the pool owner's shutdown (below for
-            # a fault plan's fresh workers).
+            # their store attachment (or to the shutdown below).
             for w in ledger.alive:
                 with contextlib.suppress(OSError):
                     conns[w].send(("endjob",))
@@ -1109,7 +1092,7 @@ def execute_ops_parallel(
                 # Final snapshot: all flags set, so a resume from this archive
                 # skips every op (and the file doubles as a completion marker).
                 checkpoint.write(store, store.t_factor, store.flags.astype(bool))
-            if fresh or (one_shot and stats.workers_died):
+            if fresh or stats.workers_died:
                 pool.shutdown()
             # The factors are the segment's views — views that keep its pages —
             # whose skeleton is a fact of it, built by the first run over it;

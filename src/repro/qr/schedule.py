@@ -7,7 +7,7 @@ also of the worker count and policy) — the matrix *values* never enter.  The
 paper builds its virtual systolic array once and streams tiles through it;
 :func:`schedule_for` is that step here: a process-wide, LRU-bounded memo
 returning one :class:`Schedule` per geometry, behind every backend.
-:func:`~repro.qr.api.qr_factor` (with or without a session),
+:func:`~repro.qr.api.qr_factor`,
 :func:`~repro.qr.backends.run_backend` and
 :func:`~repro.qr.persist.resume_factorization` all obtain plans, ops,
 graph, wavefronts and assignment from it — the one object of a geometry, no
@@ -41,7 +41,7 @@ from .wavefront import compute_wavefronts
 __all__ = ["Schedule", "schedule_for", "list_schedule", "CAPACITY", "POLICIES"]
 
 #: Geometries kept before the least recently used one is dropped, for every
-#: caller in the process alike: a session pins none of its own.
+#: caller in the process alike (docs/sessions.md sizes an entry).
 CAPACITY = 8
 
 #: What one op costs the list-schedule model beyond its arithmetic, in flops.

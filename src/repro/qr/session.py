@@ -1,31 +1,27 @@
-"""Persistent factorization sessions: a worker pool of their own.
+"""Factorization sessions: a tally over :func:`~repro.qr.api.qr_factor`.
 
 In the tall-skinny batch regime the paper targets, the same
 ``(shape, nb, ib, tree, h)`` configuration is factored over and over.  What
 does not depend on the matrix *values* is kept per process for *every*
-caller, session or not: panel plans, op list, dependency DAG, wavefront
-partition and worker assignment by :mod:`repro.qr.schedule`'s one memo, the
-worker processes of one-shot calls and the free shared-memory segments
-(views, record skeleton and descriptor with each) by :mod:`repro.qr.parallel`.
+caller: panel plans, op list, dependency DAG, wavefront partition and worker
+assignment by :mod:`repro.qr.schedule`'s one memo, and the worker processes
+and the free shared-memory segments (views, record skeleton and descriptor
+with each) by :mod:`repro.qr.parallel`'s one pool.  A process's first
+``backend="parallel"`` call forks the workers; every later one, a session's
+or not, finds them idle.
 
-A :class:`QRSession` is its :class:`~repro.qr.parallel.WorkerPool` — the
-class of the pool kept behind one-shot calls, a separate instance with its
-own generations and ``health()`` — whose workers keep their shared-memory
-attachments cached between jobs.  It takes its plans from
-:func:`~repro.qr.schedule.schedule_for` like every other caller and keeps
-only the set of geometries ``(tree, m, n, nb, ib, h, shifted)`` it has
-factored, which is what its ``plan.hits`` / ``plan.misses`` count.
-
-``session.factor(a, ...)`` routes through :func:`repro.qr.api.qr_factor`
-(and accepts the same keywords), so every guarantee of the one-shot path
-holds unchanged: factors are **bit-exact** with ``backend="serial"``, the
-completion flags still make handing a dead worker's ops on idempotent
-(to its replacement, or to a survivor), and generation tags survive across calls
-(a pool worker respawned during call *k* keeps its bumped generation in
-call *k+1*, so a generation-0 :class:`~repro.faults.FaultPlan` cannot
-re-kill it).  See ``docs/sessions.md`` for the lifecycle and the
-warm-vs-cold cost model; ``python3 -m bench`` measures the amortization
-(``session_warm_vs_lapack`` next to ``parallel_vs_lapack``).
+A :class:`QRSession` owns none of that.  It fixes ``n_procs``, defaults
+``backend`` to ``"parallel"``, and keeps a tally: the geometries
+``(tree, m, n, nb, ib, h, shifted)`` it has factored — the key of the memo —
+with a count of the calls that found theirs already there, and the run id
+of its last call.  ``session.factor(a, ...)`` is ``qr_factor(a,
+backend="parallel", n_procs=session.n_procs, ...)``, so every guarantee of
+``qr_factor`` holds unchanged: factors are **bit-exact** with
+``backend="serial"``, a dead worker's ops are handed on, and a
+:class:`~repro.faults.FaultPlan` call runs on fresh generation-0 workers.
+See ``docs/sessions.md`` for the lifecycle and the warm-vs-cold cost model;
+``python3 -m bench`` measures the amortization (``session_warm_vs_lapack``
+next to ``parallel_vs_lapack``).
 
 Example
 -------
@@ -42,17 +38,16 @@ Example
 
 from __future__ import annotations
 
-from ..obs import record as _obs_record
-from ..obs.record import K_PLAN_HITS, K_PLAN_MISSES
 from ..util.errors import ConfigurationError
 from ..util.validation import check_positive_int
-from .parallel import WorkerPool, default_n_procs
+from . import parallel as _parallel
+from .api import qr_factor
 
-__all__ = ["QRSession", "WorkerPool"]
+__all__ = ["QRSession"]
 
 
 class QRSession:
-    """Reusable factorization context: a worker pool kept across calls.
+    """A worker count and a tally of the geometries factored with it.
 
     Use as a context manager (or call :meth:`close` explicitly)::
 
@@ -60,37 +55,32 @@ class QRSession:
             for a in matrices:                 # same shape/nb/ib/tree/h
                 f = sess.factor(a, nb=64, ib=16)
 
-    The first call is *cold* — it spawns the pool (and derives the plan if
-    no caller in the process has), costing what a process's first one-shot
-    ``qr_factor`` costs.  Every later call on that configuration is *warm*:
-    plan, DAG, wavefronts, assignment, and worker processes are all reused —
-    each worker already holds its share — and so is a free shared-memory
-    segment the workers map, so the call reduces to one pass in and the
-    kernels (``stats.spawn_s`` collapses to roughly zero).  The plan is the
-    process memo's (:func:`~repro.qr.schedule.schedule_for`): a geometry the
-    memo has dropped since is derived again.
-    Results are bit-exact with one-shot ``qr_factor`` on every backend.
+    A call is *cold* when no caller in the process has factored its
+    geometry (it derives the plan) or it is the process's first parallel
+    call (it forks the workers).  Every later call on that configuration is
+    *warm*: plan, DAG, wavefronts, assignment and worker processes are all
+    reused — each worker already holds its share — and so is a free
+    shared-memory segment the workers map, so the call reduces to one pass
+    in and the kernels (``stats.spawn_s`` collapses to roughly zero).  A
+    geometry the memo has dropped since is derived again.
 
     Parameters
     ----------
     n_procs:
-        Pool size for ``backend="parallel"`` (default: usable CPUs).
-        ``1`` keeps the pool empty and routes parallel calls to the
-        serial fallback, mirroring ``qr_factor(n_procs=1)``.
+        Worker count of every call (default: usable CPUs).  ``1`` routes
+        parallel calls to the serial fallback, mirroring
+        ``qr_factor(n_procs=1)``.
     """
 
     def __init__(self, *, n_procs: int | None = None):
         if n_procs is None:
-            n_procs = default_n_procs()
-        check_positive_int(n_procs, "n_procs")
-        self.n_procs = n_procs
+            n_procs = _parallel.default_n_procs()
+        self.n_procs = check_positive_int(n_procs, "n_procs")
         self._factored: set[tuple] = set()  # the schedule_for keys seen
         self._plan_hits = 0
-        #: The worker pool (``None`` when ``n_procs=1``).
-        self.pool = WorkerPool(n_procs) if n_procs > 1 else None
         self._closed = False
         #: ``run_id`` of the most recent ``factor`` call (``None`` before
-        #: the first one) — set by :func:`repro.qr.api.qr_factor`.
+        #: the first one).
         self.last_run_id: str | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -104,28 +94,14 @@ class QRSession:
         return False
 
     def close(self) -> None:
-        """Shut the pool down (idempotent); results keep their segments, and
-        the free ones stay the process's."""
-        if self._closed:
-            return
+        """Refuse further calls (idempotent).  No worker ends: they are the
+        process's (:func:`~repro.qr.parallel.shutdown_workers` ends them),
+        and every result keeps its segment."""
         self._closed = True
-        if self.pool is not None:
-            self.pool.shutdown()
 
     def _check_open(self) -> None:
         if self._closed:
             raise ConfigurationError("QRSession is closed")
-
-    def _count_plan(self, key: tuple) -> None:
-        """Tally a call on geometry ``key``: a hit when this session has
-        factored it before, else a miss (on the ``plan.*`` counters too when a
-        recording is active)."""
-        hit = key in self._factored
-        self._factored.add(key)
-        self._plan_hits += hit
-        rec = _obs_record._RECORDER
-        if rec is not None:
-            rec.count(K_PLAN_HITS if hit else K_PLAN_MISSES)
 
     def health(self) -> dict:
         """A point-in-time health snapshot of the session.
@@ -137,10 +113,11 @@ class QRSession:
         ``closed``
             Whether :meth:`close` has run.
         ``pool``
-            ``None`` when ``n_procs=1``; otherwise a dict with ``size``,
-            ``alive`` (live worker count), ``workers`` (per-rank
-            ``{"rank", "alive", "generation"}`` rows), and
-            ``generations`` (rank -> generation map).
+            ``None`` when ``n_procs=1``; otherwise the process's pool as a
+            dict with ``size`` (the session's ``n_procs``), ``alive`` (live
+            worker count), ``workers`` (per-rank ``{"rank", "alive",
+            "generation"}`` rows), and ``generations`` (rank -> generation
+            map).
         ``plan_cache``
             ``{"hits", "misses"}``: calls on a geometry this session had
             factored before, and on one it had not.
@@ -148,16 +125,17 @@ class QRSession:
             The most recent ``factor`` call's run id (``None`` before the
             first call).
         """
-        pool, p = None, self.pool
-        if p is not None:
+        pool = None
+        if self.n_procs > 1:
+            p = _parallel._KEPT
+            generations = dict(p.generations)
+            workers = [{"rank": rank, "alive": w.is_alive(), "generation": generations.get(rank, 0)}
+                       for rank, w in sorted(p.procs.items())]
             pool = {
-                "size": p.size,
-                "alive": p.alive_count(),
-                "workers": [
-                    {"rank": rank, "alive": w.is_alive(), "generation": p.generations.get(rank, 0)}
-                    for rank, w in sorted(p.procs.items())
-                ],
-                "generations": dict(p.generations),
+                "size": self.n_procs,
+                "alive": sum(w["alive"] for w in workers),
+                "workers": workers,
+                "generations": generations,
             }
         return {
             "closed": self._closed,
@@ -169,19 +147,30 @@ class QRSession:
     # -- factoring ---------------------------------------------------------
 
     def factor(self, a, **kw):
-        """Factor ``a`` through this session.
+        """``qr_factor(a, backend="parallel", n_procs=self.n_procs, **kw)``,
+        tallied.
 
-        Equivalent to ``qr_factor(a, session=self, **kw)`` with
-        ``backend`` defaulting to ``"parallel"`` instead of ``"serial"``
-        (the pool is the point of having a session).  Accepts every
-        :func:`~repro.qr.api.qr_factor` keyword except ``n_procs``, which
-        is fixed by the pool.
+        Accepts every :func:`~repro.qr.api.qr_factor` keyword; ``backend``
+        defaults to ``"parallel"``, and an ``n_procs`` other than the
+        session's is a :class:`ConfigurationError` on every backend.  The
+        result's geometry is counted once the call has returned; a call that
+        raises counts nothing.
 
         Nothing is copied out: a ``parallel`` result is the views of its
         segment, valid for as long as it lives — through later calls and
         :meth:`close`; no call loads a segment whose result is alive.
         """
-        from .api import qr_factor
-
+        self._check_open()
+        n_procs = kw.pop("n_procs", None)
+        if n_procs is not None and n_procs != self.n_procs:
+            raise ConfigurationError(
+                f"n_procs={n_procs!r} conflicts with the session's n_procs={self.n_procs}; "
+                "omit n_procs in a session call"
+            )
         kw.setdefault("backend", "parallel")
-        return qr_factor(a, session=self, **kw)
+        f = qr_factor(a, n_procs=self.n_procs, **kw)
+        key = (f.tree, *f.shape, f._factors.a.nb, f._factors.ib, f.h, f.shifted)
+        self._plan_hits += key in self._factored
+        self._factored.add(key)
+        self.last_run_id = f.run_id
+        return f

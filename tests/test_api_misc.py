@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro import QRFactorization, qr_factor
 from repro.pulsar import VDP, VSA, Packet
-from repro.tiles import random_dense
+from repro.tiles import TileMatrix, random_dense
 from repro.util import ChannelError, ShapeError
 
 
@@ -101,6 +101,12 @@ class TestQRFactorizationSurface:
         assert f.residuals(a)["factorization"] < 1e-13
         other = random_dense(40, 24, seed=72)
         assert f.residuals(other)["factorization"] > 0.5
+
+    def test_residuals_take_the_tile_matrix_that_was_factored(self):
+        tm = TileMatrix.from_dense(random_dense(40, 24, seed=53), 8)
+        f = qr_factor(tm, ib=4, tree="hier", h=3)
+        assert f.residuals(tm) == f.residuals(tm.to_dense())
+        assert f.residuals(tm)["factorization"] < 1e-13
 
     def test_vector_vs_matrix_apply(self, fac):
         a, f = fac

@@ -706,7 +706,7 @@ def test_workers_forked_while_results_live_map_none_of_them(matrix, serial, monk
     first = one_shot(matrix)
     shutdown_workers()  # ``first``'s segment leaves the free list, descriptor closed
     second = one_shot(matrix)  # forks the kept pool while ``first`` is alive
-    with QRSession(n_procs=2) as sess:  # and a session pool while both are
+    with QRSession(n_procs=2) as sess:  # leases those workers while both are
         assert same_factors(sess.factor(matrix, **GEOMETRY), serial)
         (before, served, arena) = names
         assert len(mapped_segments()) == mapped + 3
@@ -714,15 +714,16 @@ def test_workers_forked_while_results_live_map_none_of_them(matrix, serial, monk
         # one that left the list.
         held = segment_descriptors()
         assert arena in held and served in held and before not in held
-        # A worker maps what it attached itself — the segment it served, kept
-        # for the next call — and nothing that was mapped when it was forked;
-        # it holds no descriptor at all.
-        for pool, own in ((parallel_mod._KEPT, served), (sess.pool, arena)):
-            assert len(pool.procs) == 2
-            for p in pool.procs.values():
-                lines = mapped_segments(p.pid)
-                assert len(lines) == 1 and own in lines[0], f"{p.name} maps {lines}"
-                assert segment_descriptors(p.pid) == [], f"{p.name} holds a descriptor"
+        # A worker maps what it attached itself — the two segments it served,
+        # kept for the next call — and nothing that was mapped when it was
+        # forked; it holds no descriptor at all.
+        assert len(parallel_mod._KEPT.procs) == 2
+        for p in parallel_mod._KEPT.procs.values():
+            lines = mapped_segments(p.pid)
+            assert len(lines) == 2, f"{p.name} maps {lines}"
+            assert [own for own in (served, arena) if any(own in line for line in lines)] == [
+                served, arena], f"{p.name} maps {lines}"
+            assert segment_descriptors(p.pid) == [], f"{p.name} holds a descriptor"
     assert same_factors(first, serial) and same_factors(second, serial)
     del first, second
     gc.collect()

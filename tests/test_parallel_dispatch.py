@@ -2,7 +2,7 @@
 
 ``execute_ops_parallel`` has a single path — workers fire their share of the
 schedule on completion flags, the parent listens — and a single worker
-lifecycle (:class:`repro.qr.parallel.WorkerPool`; a one-shot run leases the
+lifecycle (:class:`repro.qr.parallel.WorkerPool`; every run leases the one
 pool the process keeps).  Three groups of checks:
 
 * every ``batch`` value — including the kept ``"wavefront"`` spelling of
@@ -10,7 +10,7 @@ pool the process keeps).  Three groups of checks:
   flips, yields the serial factors bit for bit;
 * a one-shot run leaves no ``/dev/shm`` segment behind whether it succeeds,
   fails, or times out — and no child process once ``shutdown_workers()``
-  has run — and degrades to the serial fallback without ever building a
+  has run — and degrades to the serial fallback without ever leasing the
   pool;
 * structurally, the deleted fork and the deleted dispatcher cannot grow back
   unnoticed.
@@ -122,13 +122,13 @@ class TestOneShotLifecycle:
     def test_degrades_without_constructing_a_pool(self, small_matrix, monkeypatch, why):
         import repro.tiles.shared as shared_mod
 
-        def no_pool(size):
-            raise AssertionError("a degraded run must not build a WorkerPool")
+        def no_pool(*args):
+            raise AssertionError("a degraded run must not lease the pool")
 
         def no_shm(*args, **kw):
             raise OSError("no /dev/shm")
 
-        monkeypatch.setattr(parallel_mod, "WorkerPool", no_pool)
+        monkeypatch.setattr(parallel_mod.WorkerPool, "lease", no_pool)
         if why != "n_procs=1":
             monkeypatch.setattr(shared_mod.SharedTileStore, "create", no_shm)
         par = qr_factor(
@@ -203,11 +203,16 @@ class TestNoSecondPath:
         assert [a for a in sends if not isinstance(a, ast.Tuple)] == []
 
     def test_pool_privacy_is_decided_once(self):
-        """One ``pool is None`` — the create half of the create/teardown pair."""
-        tests = [
-            node for node in ast.walk(self.TREE)
-            if isinstance(node, ast.Compare)
-            and isinstance(node.left, ast.Name) and node.left.id == "pool"
-            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
-        ]
-        assert len(tests) == 1
+        """There is one pool, so nothing is private: the module builds one
+        ``WorkerPool``, ``execute_ops_parallel`` takes no pool and names the
+        kept one once, and decides once whether a job needs fresh workers."""
+        built = [n for n in ast.walk(self.TREE) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Name) and n.func.id == "WorkerPool"]
+        assert len(built) == 1
+        assert "pool" not in inspect.signature(execute_ops_parallel).parameters
+        (run,) = [n for n in ast.walk(self.TREE)
+                  if isinstance(n, ast.FunctionDef) and n.name == "execute_ops_parallel"]
+        assert len([n for n in ast.walk(run) if isinstance(n, ast.Name) and n.id == "_KEPT"]) == 1
+        fresh = [t for n in ast.walk(run) if isinstance(n, ast.Assign)
+                 for t in n.targets if isinstance(t, ast.Name) and t.id == "fresh"]
+        assert len(fresh) == 1

@@ -204,7 +204,7 @@ class TestReuse:
             armed.append(True)
             f = sess.factor(matrix, **GEOMETRY, trace=str(tmp_path / "t.json"))
             assert f.stats.pipe_messages == len(sent) + len(received)
-            assert sess.pool.generations == {0: 0, 1: 1}
+            assert parallel_mod._KEPT.generations == {0: 0, 1: 1}
         assert summaries == [{"n_procs": 2, "spawned": 1, "reused": 1}]
         assert (f.counters["pool.spawns"], f.counters["pool.reused"]) == (1, 1)
         assert f.stats.workers_died == 0 and same_factors(f, serial)
@@ -515,19 +515,19 @@ class TestWorkersOwnOnlyTheirOwn:
     def test_idle_worker_maps_no_segment_and_holds_no_foreign_descriptor(self, matrix):
         from repro import QRSession
 
-        with QRSession(n_procs=2) as sess:  # another pool's pipes are foreign too
+        with QRSession(n_procs=2) as sess:  # a sibling's pipe end is foreign too
             sess.factor(matrix, **GEOMETRY)
-            one_shot(matrix, n_procs=3)
+            one_shot(matrix, n_procs=3)  # grows the pool: rank 2 forked after the others
             one_shot(matrix, n_procs=3)
             me = os.getpid()
             # Segments are anonymous: no resource tracker was started, so
             # there is no tracker pipe for a worker to inherit.
             assert resource_tracker._resource_tracker._pid is None
-            pools = (parallel_mod._KEPT, sess.pool)
-            pipes = _inodes(me, [c.fileno() for pool in pools for c in pool.conns.values()])
-            assert len(pipes) == 5
-            workers = [p for pool in pools for p in pool.procs.values()]
-            assert len(workers) == 5
+            pool = parallel_mod._KEPT
+            pipes = _inodes(me, [c.fileno() for c in pool.conns.values()])
+            assert len(pipes) == 3
+            workers = list(pool.procs.values())
+            assert len(workers) == 3 and len(mp.active_children()) == 3
             for p in workers:
                 held = _inodes(p.pid)
                 # A socketpair's two ends have distinct inodes: a parent-side

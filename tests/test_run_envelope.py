@@ -358,7 +358,7 @@ def test_public_signatures_are_unchanged():
         nb=128, ib=32, tree=TreeKind.HIER, h=6, shifted=True, backend="serial",
         n_nodes=1, workers_per_node=1, policy="lazy", n_procs=None, batch=None,
         trace=None, metrics=None, events=None, registry=None,
-        fault_plan=None, on_failure="raise", checkpoint=None, session=None,
+        fault_plan=None, on_failure="raise", checkpoint=None,
     )
     assert _params(resume_factorization) == _pos("path") + _kw(
         backend="serial", n_procs=None, policy="lazy", batch=None,

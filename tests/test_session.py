@@ -1,13 +1,13 @@
-"""Integration tests: persistent QRSession (a worker pool of its own).
+"""Integration tests: QRSession, a tally over ``qr_factor``.
 
-The session must be an invisible optimisation: every ``session.factor``
-call returns factors bit-identical to a fresh one-shot ``qr_factor`` —
-warm pool or cold, crashed workers or not.  On top of that invariant these
-tests pin the session-specific bookkeeping: plan hit/miss accounting on the
-process memo (a geometry the memo evicts loses its plan, never a result or a
-segment),
-generation tags surviving across calls (so a generation-0 ``FaultPlan``
-cannot re-kill a respawned pool worker), and the ``pool.*`` / ``plan.*``
+A session owns no workers: every ``session.factor`` call leases the pool
+the process keeps for every parallel call, and returns factors
+bit-identical to a one-shot ``qr_factor`` — warm pool or cold, crashed
+workers or not.  On top of that invariant these tests pin the session's
+bookkeeping: its hit/miss tally of geometries over the process memo (a
+geometry the memo evicts loses its plan, never a result or a segment), its
+``n_procs`` rule, one pool shared with one-shot calls, a ``FaultPlan`` that
+meets fresh generation-0 workers on every call, and the ``pool.*``
 observability counters.  A Hypothesis state machine then factors on two
 geometries, kills idle workers, clears the memo, reads and drops old results
 and closes, in any order: every result it holds reads as its serial twin.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import inspect
 import multiprocessing as mp
 import os
 import signal
@@ -36,7 +37,6 @@ from hypothesis.stateful import (
 from repro import FaultPlan, QRSession, qr_factor
 from repro.qr.parallel import shutdown_workers
 from repro.qr.schedule import schedule_for
-from repro.qr.session import WorkerPool
 from repro.tiles import random_dense
 import repro.qr.parallel as parallel_mod
 from repro.util import ConfigurationError
@@ -121,7 +121,7 @@ class TestBitExactness:
     def test_warm_pool_matches_fresh_spawn(self, small_matrix):
         ser = qr_factor(small_matrix, **KW)
         one = qr_factor(small_matrix, **KW, backend="parallel", n_procs=2)
-        shutdown_workers()  # the session's workers are then the only ones
+        shutdown_workers()  # the session's cold call forks the pool again
         other = random_dense(40, 24, seed=9)
         with QRSession(n_procs=2) as sess:
             cold = sess.factor(other, **KW)  # forks the pool, warms the plan
@@ -150,10 +150,11 @@ class TestBitExactness:
     def test_n_procs_1_falls_back(self, small_matrix):
         ser = qr_factor(small_matrix, **KW)
         with QRSession(n_procs=1) as sess:
-            assert sess.pool is None
+            assert sess.health()["pool"] is None
             f = sess.factor(small_matrix, **KW)
             assert f.stats.mode == "serial-fallback"
             np.testing.assert_array_equal(ser.R, f.R)
+        assert parallel_mod._KEPT.procs == {}  # nothing was forked
 
 
     def test_tiny_job_leaves_no_stale_attach_echo(self):
@@ -170,52 +171,93 @@ class TestBitExactness:
                     assert np.array_equal(sess.factor(a, **kw).R, ref.R)
 
 
+class TestOnePool:
+    """A session leases the pool the process keeps, as a one-shot call does."""
+
+    def test_a_one_shot_and_a_session_call_share_two_workers(self, small_matrix):
+        ser = qr_factor(small_matrix, **KW)
+        one = qr_factor(small_matrix, **KW, backend="parallel", n_procs=2)
+        with QRSession(n_procs=2) as sess:
+            warm = sess.factor(small_matrix, **KW)
+            assert len(mp.active_children()) == 2
+            assert sorted(sess.health()["pool"]["generations"].items()) == [(0, 0), (1, 0)]
+        assert warm.stats.spawn_s < one.stats.spawn_s  # leased, not forked
+        for f in (one, warm):
+            np.testing.assert_array_equal(ser.R, f.R)
+        assert len(mp.active_children()) == 2  # close() ends no worker
+
+    def test_qr_factor_knows_nothing_of_sessions(self):
+        assert "session" not in inspect.signature(qr_factor).parameters
+
+
 class TestChaos:
     def test_worker_killed_between_calls(self, small_matrix):
         ser = qr_factor(small_matrix, **KW)
+        pool = parallel_mod._KEPT
         with QRSession(n_procs=2) as sess:
             f1 = sess.factor(small_matrix, **KW)  # kept across the next factor
-            gen_before = dict(sess.pool.generations)
-            sess.pool.procs[0].terminate()
-            sess.pool.procs[0].join()
+            gen_before = dict(pool.generations)
+            pool.procs[0].terminate()
+            pool.procs[0].join()
             f2 = sess.factor(small_matrix, **KW)  # lease respawns rank 0
             np.testing.assert_array_equal(ser.R, f1.R)
             np.testing.assert_array_equal(ser.R, f2.R)
-            assert sess.pool.generations[0] == gen_before[0] + 1
-            assert sess.pool.generations[1] == gen_before[1]
-            assert sess.pool.alive_count() == 2
+            assert pool.generations[0] == gen_before[0] + 1
+            assert pool.generations[1] == gen_before[1]
+            assert sess.health()["pool"]["alive"] == 2
 
     def test_fault_plan_crash_and_generation_persistence(self, small_matrix):
+        """Generations do not persist past a fault-plan call: it runs on
+        fresh workers and leaves none, so the next clean call forks
+        generation 0 again."""
         ser = qr_factor(small_matrix, **KW)
         plan = FaultPlan(crash_workers={0: 0})
         with QRSession(n_procs=2) as sess:
+            sess.factor(small_matrix, **KW)  # kept workers the plan must not meet
             f1 = sess.factor(small_matrix, **KW, fault_plan=plan)
-            assert f1.stats.workers_died == 1
-            assert f1.stats.workers_respawned == 1
+            assert (f1.stats.workers_died, f1.stats.workers_respawned) == (1, 1)
             assert f1.stats.mode == "parallel"
             np.testing.assert_array_equal(ser.R, f1.R)
-            # Rank 0 is now generation 1; the same plan kills generation 0
-            # only, so the next call must run clean.
-            assert sess.pool.generations[0] == 1
-            f2 = sess.factor(small_matrix, **KW, fault_plan=plan)
-            assert f2.stats.workers_died == 0
+            assert mp.active_children() == [] and parallel_mod._KEPT.generations == {}
+            f2 = sess.factor(small_matrix, **KW)
+            assert sess.health()["pool"]["generations"] == {0: 0, 1: 0}
             np.testing.assert_array_equal(ser.R, f2.R)
+
+    def test_every_fault_plan_call_injects_what_it_says(self, small_matrix):
+        ser = qr_factor(small_matrix, **KW)
+        plan = FaultPlan(crash_workers={0: 0})
+        with QRSession(n_procs=2) as sess:
+            for _ in range(2):
+                f = sess.factor(small_matrix, **KW, fault_plan=plan)
+                assert (f.stats.workers_died, f.stats.workers_respawned) == (1, 1)
+                np.testing.assert_array_equal(ser.R, f.R)
 
 
 class TestValidation:
     def test_pulsar_backend_rejected(self, small_matrix):
+        """Only with a conflicting ``n_procs``: a session owns no runtime, so
+        a pulsar call runs and is tallied like any other."""
+        pulsar = dict(KW, backend="pulsar", n_nodes=2, workers_per_node=2)
         with QRSession(n_procs=2) as sess:
-            with pytest.raises(ConfigurationError, match="session="):
-                sess.factor(small_matrix, **KW, backend="pulsar")
+            with pytest.raises(ConfigurationError, match="n_procs=3 conflicts"):
+                sess.factor(small_matrix, **pulsar, n_procs=3)
+            assert plan_counts(sess) == (0, 0)
+            f = sess.factor(small_matrix, **pulsar)
+            assert f.backend == "pulsar" and sess.last_run_id == f.run_id
+            np.testing.assert_array_equal(qr_factor(small_matrix, **KW).R, f.R)
+            sess.factor(small_matrix, **KW)  # the same geometry on another backend
+            assert plan_counts(sess) == (1, 1)
 
     def test_n_procs_mismatch_rejected(self, small_matrix):
         with QRSession(n_procs=2) as sess:
-            with pytest.raises(ConfigurationError, match="n_procs"):
-                qr_factor(
-                    small_matrix, **KW, backend="parallel", n_procs=3, session=sess
-                )
-            # The session's own n_procs is fine to restate.
-            qr_factor(small_matrix, **KW, backend="parallel", n_procs=2, session=sess)
+            for backend in ("serial", "parallel"):
+                for bad in (3, 1, "x"):
+                    with pytest.raises(ConfigurationError, match="conflicts with the session"):
+                        sess.factor(small_matrix, **KW, backend=backend, n_procs=bad)
+                # The session's own n_procs is fine to restate.
+                f = sess.factor(small_matrix, **KW, backend=backend, n_procs=2)
+            assert plan_counts(sess) == (1, 1)
+        assert f.stats.n_procs == 2
 
     def test_closed_session_rejected(self, small_matrix):
         sess = QRSession(n_procs=2)
@@ -225,24 +267,26 @@ class TestValidation:
             sess.factor(small_matrix, **KW)
 
     def test_pool_size_validated(self):
-        with pytest.raises(ConfigurationError):
-            WorkerPool(0)
-        with pytest.raises(ConfigurationError):
-            QRSession(n_procs=0)
+        for bad in (0, -3, "x"):
+            with pytest.raises(ConfigurationError):
+                QRSession(n_procs=bad)
         with pytest.raises(TypeError):
             QRSession(n_procs=2, plan_cache_size=8)  # plans are the process memo's
 
 
 class TestObservability:
     def test_pool_and_plan_counters(self, small_matrix, tmp_path):
+        """The pool's counters record the lease; the session's tally is
+        ``health()`` alone."""
         with QRSession(n_procs=2) as sess:
             cold = sess.factor(small_matrix, **KW, trace=str(tmp_path / "c.json"))
+            assert plan_counts(sess) == (0, 1)
             warm = sess.factor(small_matrix, **KW, trace=str(tmp_path / "w.json"))
-        assert cold.counters["plan.misses"] == 1
+            assert plan_counts(sess) == (1, 1)
+        assert not [k for f in (cold, warm) for k in f.counters if k.startswith("plan.")]
         assert cold.counters["pool.leases"] == 1
         assert cold.counters["pool.spawns"] == 2
-        assert "pool.reused" not in warm.counters or warm.counters["pool.reused"] == 2
-        assert warm.counters["plan.hits"] == 1
+        assert cold.counters.get("pool.reused", 0) == 0
         assert warm.counters["pool.leases"] == 1
         assert warm.counters.get("pool.spawns", 0) == 0
         assert warm.counters["pool.reused"] == 2
@@ -305,7 +349,7 @@ class SessionMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.closed)
     @rule(rank=st.sampled_from([0, 1]))
     def kill_an_idle_worker(self, rank):
-        proc = self.sess.pool.procs.get(rank)
+        proc = parallel_mod._KEPT.procs.get(rank)
         if proc is not None and proc.is_alive():  # forked by the first factor
             os.kill(proc.pid, signal.SIGKILL)
             proc.join(timeout=5.0)
@@ -333,10 +377,11 @@ class SessionMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.closed)
     @rule()
     def close(self):
-        workers = list(self.sess.pool.procs.values())
+        """Ends the session, not the process's workers."""
+        alive = [p for p in parallel_mod._KEPT.procs.values() if p.is_alive()]
         self.sess.close()
         self.closed = True
-        assert not any(p.is_alive() for p in workers) and mp.active_children() == []
+        assert all(p.is_alive() for p in alive)
 
     @invariant()
     def held_results_read_as_their_serial_twins(self):
@@ -346,7 +391,7 @@ class SessionMachine(RuleBasedStateMachine):
     @invariant()
     def generations_never_go_back(self):
         if not self.closed:
-            now = dict(self.sess.pool.generations)
+            now = dict(parallel_mod._KEPT.generations)
             assert all(now.get(rank, -1) >= g for rank, g in self.generations.items())
             self.generations = now
 
