@@ -11,8 +11,9 @@ their kernels under the GIL.  This module executes the *same* operation list
   returns *are* that segment's views: nothing is copied out;
 * *what runs where, and in which order*, is decided once per geometry:
   :meth:`repro.qr.schedule.Schedule.assignment` list-schedules the DAG on
-  ``n_procs`` model workers under the PRT ready-pool policy and gives every
-  rank its *share* — its ops in start order, each with the ops it waits on;
+  ``n_procs`` model workers under the PRT ready-pool policy, each op homed
+  on the rank of its block of tile rows, and gives every rank its *share* —
+  its ops in start order, each with the ops it waits on;
 * *when an op fires, when a worker reports or stands still, what the parent
   books and who takes over a dead worker's work* are the rules of
   :mod:`repro.qr.protocol` — a :class:`~repro.qr.protocol.Walk` per worker
@@ -167,6 +168,9 @@ class ParallelRunStats:
     segment_recycled: bool = False
     per_worker_attach_s: dict[int, float] = field(default_factory=dict)
     elapsed_s: float = 0.0
+    # The parent's lease: briefing (or spawning) every worker.  Several ms of
+    # it mean the parent lost its CPU after briefing them, not that they
+    # waited: a worker fires from the moment it reads its header.
     spawn_s: float = 0.0
     dispatch_s: float = 0.0  # parent time spent booking reports (not waiting)
     per_worker_busy_s: dict[int, float] = field(default_factory=dict)

@@ -60,39 +60,51 @@ OP_OVERHEAD_FLOPS = 4.0e4
 POLICIES = ("lazy", "aggressive")
 
 
-class _ReadyPool:
-    """Ready-op pool with the two PRT disciplines (lazy / aggressive)."""
+class _ReadyPool(list):
+    """Ready-op pool with the two PRT disciplines (lazy / aggressive).
 
-    def __init__(self, policy: str):
+    ``head()`` ranks pools against each other, lowest first: the smallest
+    index (lazy), or minus the ``stamps`` entry of the last op pushed
+    (aggressive: ``stamps[idx]`` counts the pushes before op ``idx``'s)."""
+
+    def __init__(self, policy: str, stamps: list[int]):
+        super().__init__()
         self._lazy = policy == "lazy"
-        self._items: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
+        self._stamps = stamps
 
     def push(self, idx: int) -> None:
         if self._lazy:
-            heapq.heappush(self._items, idx)  # oldest in program order first
+            heapq.heappush(self, idx)  # oldest in program order first
         else:
-            self._items.append(idx)  # most recently enabled first
+            self.append(idx)  # most recently enabled first
 
     def pop(self) -> int:
-        return heapq.heappop(self._items) if self._lazy else self._items.pop()
+        return heapq.heappop(self) if self._lazy else list.pop(self)
+
+    def head(self) -> int:
+        return self[0] if self._lazy else -self._stamps[self[-1]]
 
 
 def list_schedule(ops, graph, ib: int, n_procs: int, policy: str) -> tuple:
     """Static assignment of ``ops`` to ``n_procs`` ranks: who runs what, in
     which order, waiting on whom.
 
-    List-schedules the DAG on ``n_procs`` model workers — an op costs its
+    List-schedules the DAG on ``n_procs`` model workers.  An op costs its
     :func:`~repro.kernels.flops.kernel_flops` plus
-    :data:`OP_OVERHEAD_FLOPS`, an idle worker takes the next op of the ready
-    pool (``policy``: ``"lazy"`` the oldest in program order, ``"aggressive"``
-    the most recently enabled), the worker that just finished first — and
-    returns one *share* per rank: a tuple of ``(seq, idx, waits)`` entries
-    in the order the model started them.  ``seq`` is the op's position in
-    the model's global start order, ``waits`` the indices of all its DAG
-    predecessors.
+    :data:`OP_OVERHEAD_FLOPS` and has a *home*: rank ``row * n_procs // mt``
+    of the contiguous blocks of tile rows, ``row`` the row it eliminates
+    (``k2`` of a TS/TT op, ``i`` of any other) and ``mt`` one more than the
+    largest such row, which is the largest row any op names (a TS/TT pivot
+    lies above the row it eliminates).  So a flat-tree domain stays on one
+    rank, as the paper keeps it on one node, and only merges between blocks
+    move a tile between cores.  Each rank has a ready pool (``policy``:
+    ``"lazy"`` the oldest in program order first, ``"aggressive"`` the most
+    recently enabled); an idle worker, the one that just finished first,
+    takes the next op of its own pool, and only when that is empty the op
+    the policy would pick first across the others.  It returns one *share*
+    per rank: a tuple of ``(seq, idx, waits)`` entries in the order the
+    model started them.  ``seq`` is the op's position in the model's global
+    start order, ``waits`` the indices of all its DAG predecessors.
 
     An op starts in the model only after its predecessors finished, so
     ``seq`` is a topological order of the DAG and every share ascends in it.
@@ -110,22 +122,38 @@ def list_schedule(ops, graph, ib: int, n_procs: int, policy: str) -> tuple:
     for u in range(len(ops)):
         for v in succ_task[succ_index[u]:succ_index[u + 1]]:
             preds[v].append(u)
-    ready = _ReadyPool(policy)
+    rows = [op.k2 if op.k2 >= 0 else op.i for op in ops]
+    mt = 1 + max(rows, default=0)
+    home = [row * n_procs // mt for row in rows]
+    stamps = [0] * len(ops)
+    pools = [_ReadyPool(policy, stamps) for _ in range(n_procs)]
+    pushes = 0
     for idx, left in enumerate(deps_left):
         if left == 0:
-            ready.push(idx)
+            pools[home[idx]].push(idx)
+            stamps[idx] = pushes
+            pushes += 1
     shares: list[list[tuple]] = [[] for _ in range(n_procs)]
     idle = list(range(n_procs - 1, -1, -1))  # pop() yields rank 0 first
     running: list[tuple[float, int, int, int]] = []  # (finish, seq, rank, idx)
+    costs: dict[tuple, float] = {}  # per kernel shape: few distinct ones
     now, seq = 0.0, 0
-    while len(ready) or running:
-        while idle and len(ready):
-            rank, idx = idle.pop(), ready.pop()
+    while pushes > seq or running:  # seq counts the pops
+        while idle and pushes > seq:
+            rank = idle.pop()
+            pool = pools[rank]
+            if not pool:  # nothing of its own: the policy's pick of the others'
+                pool = min((p for p in pools if p), key=_ReadyPool.head)
+            idx = pool.pop()
             op = ops[idx]
-            try:
-                cost = kernel_flops(op.kind, op.m2, op.k, op.q, ib) + OP_OVERHEAD_FLOPS
-            except KeyError:  # not a tile kernel: the worker that fires it says so
-                cost = OP_OVERHEAD_FLOPS
+            shape = (op.kind, op.m2, op.k, op.q)
+            cost = costs.get(shape)
+            if cost is None:
+                try:
+                    cost = kernel_flops(*shape, ib) + OP_OVERHEAD_FLOPS
+                except KeyError:  # not a tile kernel: the worker that fires it says so
+                    cost = OP_OVERHEAD_FLOPS
+                costs[shape] = cost
             shares[rank].append((seq, idx, tuple(preds[idx])))
             heapq.heappush(running, (now + cost, seq, rank, idx))
             seq += 1
@@ -134,7 +162,9 @@ def list_schedule(ops, graph, ib: int, n_procs: int, policy: str) -> tuple:
         for d in succ_task[succ_index[idx]:succ_index[idx + 1]]:
             deps_left[d] -= 1
             if deps_left[d] == 0:
-                ready.push(d)
+                pools[home[d]].push(d)
+                stamps[d] = pushes
+                pushes += 1
     return tuple(tuple(share) for share in shares)
 
 

@@ -24,6 +24,7 @@ the completion flags of its predecessors are up; the parent only listens.
 
 from __future__ import annotations
 
+import heapq
 import math
 import multiprocessing as mp
 import os
@@ -43,6 +44,7 @@ import repro.tiles.shared as shared_mod
 from repro import QRSession, qr_factor
 from repro.analysis.races import certify_schedule
 from repro.faults import FaultPlan
+from repro.kernels.flops import kernel_flops
 from repro.qr import CheckpointStore, resume_factorization
 from repro.qr.parallel import default_n_procs, execute_ops_parallel, shutdown_workers
 from repro.qr.protocol import MAX_REDISPATCH, Ledger, Walk
@@ -251,13 +253,51 @@ def test_model_terminates_fires_each_op_once_and_in_order(data):
     assert run.fired == [1] * run.n
 
 
-def sweep_survivor_adopts(tree, park_every, walk=Walk, ledger=Ledger):
+def first_idle_schedule(ops, graph, n_procs):
+    """The lazy list schedule without home ranks: one ready pool, and the
+    worker that falls idle first takes its oldest op, whatever row the op
+    writes — the placement ``list_schedule`` made before ops had homes.  Its
+    shares leave far more to hand on at a death than row-block shares do,
+    which is what the sweep needs to reach a stall."""
+    succ_index, succ_task, n_deps = graph.csr_lists()
+    deps_left = list(n_deps)
+    preds = [[] for _ in ops]
+    for u in range(len(ops)):
+        for v in succ_task[succ_index[u]:succ_index[u + 1]]:
+            preds[v].append(u)
+    ready = [idx for idx, left in enumerate(deps_left) if left == 0]
+    shares = [[] for _ in range(n_procs)]
+    idle, running, now, seq = list(range(n_procs - 1, -1, -1)), [], 0.0, 0
+    while ready or running:
+        while idle and ready:
+            rank, idx = idle.pop(), heapq.heappop(ready)
+            op = ops[idx]
+            cost = kernel_flops(op.kind, op.m2, op.k, op.q, IB) + schedule_mod.OP_OVERHEAD_FLOPS
+            shares[rank].append((seq, idx, tuple(preds[idx])))
+            heapq.heappush(running, (now + cost, seq, rank, idx))
+            seq += 1
+        now, _, rank, idx = heapq.heappop(running)
+        idle.append(rank)
+        for d in succ_task[succ_index[idx]:succ_index[idx + 1]]:
+            deps_left[d] -= 1
+            if deps_left[d] == 0:
+                heapq.heappush(ready, d)
+    return tuple(tuple(share) for share in shares)
+
+
+def row_block_schedule(ops, graph, n_procs):
+    return list_schedule(ops, graph, IB, n_procs, "lazy")
+
+
+def sweep_survivor_adopts(tree, park_every, walk=Walk, ledger=Ledger, place=row_block_schedule):
     """Rank 0 runs as far ahead as it can, the parent looks at its count as
     late as it can, and rank 1 dies at each step in turn with no replacement
     — among them the runs where the survivor went dry before a snapshot and
-    adopts after it, with the two op counts furthest apart."""
+    adopts after it, with the two op counts furthest apart.  ``place`` makes
+    the two shares."""
     sched = schedule(tree)
-    shares = list_schedule(sched.ops, sched.graph(), IB, 2, "lazy")
+    shares = place(sched.ops, sched.graph(), 2)
+    assert certify_schedule(sched.ops, sched.graph(), assignment=shares).ok
     for kill_at in range(6 * len(sched.ops)):
         run = Drive(sched.ops, shares, sched.graph(), batch=3, respawn=False,
                     park_every=park_every, walk=walk, ledger=ledger)
@@ -279,8 +319,10 @@ def sweep_survivor_adopts(tree, park_every, walk=Walk, ledger=Ledger):
 @pytest.mark.parametrize("park_every", [2, 3, 5, 7])
 @pytest.mark.parametrize("tree", sorted(TREES))
 def test_model_survivor_adopts_at_every_point_of_a_checkpointed_run(tree, park_every):
-    """Nobody is ever left parked with no snapshot coming."""
+    """Nobody is ever left parked with no snapshot coming, on the shares the
+    pool runs and on the first-idle shares that reach the stall below."""
     sweep_survivor_adopts(tree, park_every)
+    sweep_survivor_adopts(tree, park_every, place=first_idle_schedule)
 
 
 class _CountsOnlyParks(Walk):
@@ -299,9 +341,12 @@ class _NoPauseOnParked(Ledger):
 def test_the_sweep_finds_the_stall_of_the_rule_before_review(tree, park_every):
     """Under the rule the review replaced — a worker's count restarts only
     when it parks, and a ``parked`` does not raise the pause — the same sweep
-    stalls: it drives the real rule, not a copy of it."""
+    stalls: it drives the real rule, not a copy of it.  The sweep runs on
+    first-idle shares: on row-block shares a death hands on too little for
+    any tree and ``park_every`` here to reach the stall."""
     with pytest.raises(AssertionError, match="stalled at step"):
-        sweep_survivor_adopts(tree, park_every, _CountsOnlyParks, _NoPauseOnParked)
+        sweep_survivor_adopts(tree, park_every, _CountsOnlyParks, _NoPauseOnParked,
+                              place=first_idle_schedule)
 
 
 @pytest.mark.parametrize("tree", sorted(TREES))

@@ -6,7 +6,8 @@ Four layers of evidence:
   certifies clean, including preset-derived geometries, and a geometry
   ``qr_factor`` refuses does not;
 * what the backends run — the memoized schedule of every bench geometry,
-  its DAG, wavefronts and two-rank assignments — certifies clean, and a
+  its DAG, wavefronts and two-rank assignments, and the assignment of every
+  tree on two to four ranks under both policies — certifies clean, and a
   dropped wait or swapped entries of its assignment are flagged;
 * a Hypothesis property: dropping a random DAG edge is flagged *exactly*
   when it breaks the transitive happens-before of its endpoints (so the
@@ -42,7 +43,7 @@ from repro.analysis.races import (
 from repro.experiments.presets import scaled
 from repro.qr.dag import op_dependency_graph
 from repro.qr.ops import expand_plans
-from repro.qr.schedule import schedule_for
+from repro.qr.schedule import list_schedule, schedule_for
 from repro.qr.wavefront import compute_wavefronts
 from repro.tiles.layout import TileLayout
 from repro.trees.plan import TreeKind, plan_all_panels
@@ -123,6 +124,22 @@ def test_what_the_backends_run_certifies_at_bench_size(tree, m, n, nb, ib, h):
         cert = certify_schedule(s.ops, s.graph(), assignment=mutated)
         assert not cert.ok, f"{mutate.__name__} on ops {pair} went unflagged"
         assert all(v.kind.startswith("assignment-") for v in cert.violations)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("tree", TREES)
+def test_every_assignment_certifies_clean(tree, shifted):
+    """Home ranks and stolen ops keep every share a subsequence of one
+    topological order, for every worker count and policy."""
+    layout = TileLayout(256, 64, 32)
+    ops = expand_plans(layout, plan_all_panels(TreeKind.coerce(tree), layout.mt, layout.nt,
+                                               h=2, shifted=shifted))
+    graph = op_dependency_graph(ops)
+    for n_procs in (2, 3, 4):
+        for policy in ("lazy", "aggressive"):
+            cert = certify_schedule(ops, graph,
+                                    assignment=list_schedule(ops, graph, 8, n_procs, policy))
+            assert cert.ok, (n_procs, policy, cert.summary())
 
 
 def test_certificate_json_and_summary():

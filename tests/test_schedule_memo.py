@@ -185,6 +185,42 @@ def test_schedule_facts_are_pinned(tree, m, n, nb, ib, h, ops, flops):
     assert (int(counters["ops.total"]), round(counters["flops.total"])) == (ops, flops)
 
 
+# The two-rank lazy assignment of each bench geometry keeps a tile row on
+# one rank: at most this share of the accesses to a tile (reads included)
+# follow a write on the other rank.  Without home ranks, 36–47 %.
+HANDOFF_BOUNDS = [0.05, 0.01, 0.16, 0.12]  # tall, skinny, squat, burst
+
+
+def cross_rank_handoffs(ops, shares) -> tuple[int, int]:
+    """``(moved, handed)``: of the ``handed`` accesses to a tile that has been
+    written before, in model start order, those whose last writer ran on
+    another rank."""
+    started = sorted((seq, idx, rank) for rank, share in enumerate(shares)
+                     for seq, idx, _ in share)
+    writer, moved, handed = {}, 0, 0
+    for _, idx, rank in started:
+        op = ops[idx]
+        for tile in op.reads() + op.writes():
+            if tile in writer:
+                handed += 1
+                moved += writer[tile] != rank
+        for tile in op.writes():
+            writer[tile] = rank
+    return moved, handed
+
+
+@pytest.mark.parametrize("tree,m,n,nb,ib,h,bound",
+                         [(*row[:6], bound) for row, bound in zip(SCHEDULE_FACTS[1:], HANDOFF_BOUNDS)],
+                         ids=SCHEDULE_IDS[1:])
+def test_a_tile_row_stays_on_one_rank(tree, m, n, nb, ib, h, bound):
+    s = schedule_for(TreeKind(tree), m, n, nb, ib, h, True)
+    shares = s.assignment(2, "lazy")
+    moved, handed = cross_rank_handoffs(s.ops, shares)
+    assert moved <= bound * handed, (moved, handed)
+    sizes = sorted(len(share) for share in shares)
+    assert sizes[1] - sizes[0] <= 0.01 * sizes[1], sizes
+
+
 @pytest.mark.parametrize("module", ["api.py", "backends.py", "session.py", "persist.py"])
 def test_execution_path_modules_derive_nothing(module):
     tree = ast.parse((QR_DIR / module).read_text())

@@ -12,11 +12,15 @@ Six probes, each printing one table; BLAS is pinned to one thread first::
     PYTHONPATH=src python tools/fixed_cost_probes.py qt         # Q^T b per record
     PYTHONPATH=src python tools/fixed_cost_probes.py cold       # a fresh process
 
-``glue`` runs each benchmark geometry three ways — the execution core
+``glue`` runs each benchmark geometry four ways — the execution core
 (``execute_ops``), a bare loop over SciPy's f2py LAPACK wrappers with every
-operand pre-resolved, and the same loop through ``ctypes`` on
-``scipy.linalg.cython_lapack.__pyx_capi__`` (no GIL, no wrapper) — checks
-that all three produce bit-equal ``R``, and reports the difference per op.
+operand pre-resolved, the same loop through ``ctypes`` on
+``scipy.linalg.cython_lapack.__pyx_capi__`` (no GIL, no wrapper), and a pool
+worker's job loop (``_serve_job``, in this process) over the one-rank share
+on a segment — checks that all four produce bit-equal ``R``, and reports
+the difference per op: the worker loop's column is what firing on flags
+(look-ahead, readiness test, the fence on both sides of each flag) adds to
+the core.
 ``scaling`` times one routine at several tile sizes on one and on two
 workers (processes for ``np.dot``, threads for the GIL-free ``ctypes``
 ``dtpmqrt``).  ``timeline`` traces a serial and a one-shot
@@ -38,7 +42,8 @@ outside (it runs unchanged against another checkout's ``src`` on
 and seconds with nothing ready (``stats.per_worker_busy_s`` /
 ``per_worker_wait_s``) and the seconds it took from its header to its attach
 echo (``per_worker_attach_s``: mapping and view building, nothing on a segment
-it maps already), next to the parent's CPU time during the call, and
+it maps already), next to the parent's CPU time over the whole call
+(copy-in and release included, not the window alone), and
 followed by the run's own traffic counts: the messages the parent sent and
 read on worker pipes and the bytes it tiled into and copied out of the
 segment (``stats.pipe_messages`` / ``bytes_in``, and ``bytes_out`` — bytes
@@ -188,6 +193,31 @@ def _call_lists(tm, ops, ib):
     return f2py_calls, c_calls, info, keep
 
 
+def _serve_share(a, sched, ib):
+    """A pool worker's job loop (``_serve_job``) run in this process over
+    the one-rank share, on a segment of its own: the seconds it took and
+    the ``R`` it left.  The terminator waits on the pipe from the start, so
+    the loop reads it once the share is done."""
+    from repro.qr import parallel
+    from repro.tiles.shared import SharedTileStore
+
+    store = SharedTileStore.create(a, sched, ib)
+    parent, child = mp.Pipe()
+    try:
+        parent.send(("endjob",))
+        t0 = time.perf_counter()
+        end = parallel._serve_job(store, sched.ops, ib, None, 0, 0, child,
+                                  sched.assignment(1, "lazy")[0], 10**6)
+        dt = time.perf_counter() - t0
+        if end != ("endjob",) or parent.recv()[0] != "done":
+            raise RuntimeError(f"the job loop ended on {end!r}")
+        return dt, store.matrix().upper_triangular()
+    finally:
+        parent.close()
+        child.close()
+        store.destroy()
+
+
 def probe_glue():
     from repro.qr import execute
     from repro.qr.reference import execute_ops
@@ -196,13 +226,18 @@ def probe_glue():
     from repro.trees import TreeKind
 
     print(f"{'workload':18s} {'ops':>5s} {'core ms':>8s} {'f2py ms':>8s} {'ctypes ms':>9s} "
-          f"{'core-f2py us/op':>16s} {'core-ctypes us/op':>18s} {'driver alone us/op':>19s}")
+          f"{'core-f2py us/op':>16s} {'core-ctypes us/op':>18s} {'driver alone us/op':>19s} "
+          f"{'worker loop us/op':>18s}")
     for name, w in WORKLOADS.items():
         a = np.random.default_rng(0).standard_normal((w.m, w.n))
-        ops = schedule_for(TreeKind.coerce(w.tree), w.m, w.n, w.nb, w.ib, w.h, True).ops
+        sched = schedule_for(TreeKind.coerce(w.tree), w.m, w.n, w.nb, w.ib, w.h, True)
+        ops = sched.ops
         results = {}
 
         def run(which):
+            if which == "worker loop":
+                dt, results[which] = _serve_share(a, sched, w.ib)
+                return dt
             tm = TileMatrix.from_dense(a, w.nb)
             if which == "core":
                 t0 = time.perf_counter()
@@ -230,12 +265,12 @@ def probe_glue():
 
         # Interleaved rounds, minimum of each: a loaded phase of the host then
         # costs every variant a round, not one variant its whole sample.
-        secs = {which: float("inf") for which in ("core", "f2py", "ctypes")}
+        secs = {which: float("inf") for which in ("core", "f2py", "ctypes", "worker loop")}
         for _ in range(9):
             for which in secs:
                 secs[which] = min(secs[which], run(which))
-        assert np.array_equal(results["core"], results["f2py"]), "f2py loop is not bit-equal"
-        assert np.array_equal(results["core"], results["ctypes"]), "ctypes loop is not bit-equal"
+        for which in ("f2py", "ctypes", "worker loop"):
+            assert np.array_equal(results["core"], results[which]), f"{which} is not bit-equal"
         # The driver with every kernel stubbed out: operand views, T store,
         # step loop — what the core adds per op, free of LAPACK's variance.
         real, t_stub = dict(execute.KERNELS), np.zeros((w.ib, w.nb), order="F")
@@ -248,7 +283,7 @@ def probe_glue():
         per_op = lambda other: (secs["core"] - secs[other]) / len(ops) * 1e6  # noqa: E731
         print(f"{name:18s} {len(ops):5d} {secs['core'] * 1e3:8.2f} {secs['f2py'] * 1e3:8.2f} "
               f"{secs['ctypes'] * 1e3:9.2f} {per_op('f2py'):16.2f} {per_op('ctypes'):18.2f} "
-              f"{driver / len(ops) * 1e6:19.2f}")
+              f"{driver / len(ops) * 1e6:19.2f} {-per_op('worker loop'):18.2f}")
 
 
 # -- scaling -------------------------------------------------------------------
@@ -501,7 +536,7 @@ def probe_oneshot(calls=7):
         ("pipe messages", "pipe_messages"), ("bytes copied in", "bytes_in"),
         ("bytes copied out", "bytes_out")) if hasattr(parallel.ParallelRunStats, field)}
     window = ["  kernels w0", "  kernels w1", "  nothing ready w0", "  nothing ready w1",
-              "  worker attach w0", "  worker attach w1", "  parent CPU", *counts]
+              "  worker attach w0", "  worker attach w1", "parent CPU, whole call", *counts]
     phases = ["total", "copy-in", "segment create", "recycled", "pool.lease", "window", *window,
               "pool.shutdown", "release"]
 
@@ -524,7 +559,7 @@ def probe_oneshot(calls=7):
             spent["total"] = t1 - t0 + t3 - t2
             if getattr(st, "mode", None) == "parallel":
                 spent["window"] = st.elapsed_s
-                spent["  parent CPU"] = cpu
+                spent["parent CPU, whole call"] = cpu
                 for w in (0, 1):
                     spent[f"  kernels w{w}"] = st.per_worker_busy_s[w]
                     spent[f"  nothing ready w{w}"] = st.per_worker_wait_s[w]
