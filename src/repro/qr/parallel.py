@@ -26,7 +26,7 @@ their kernels under the GIL.  This module executes the *same* operation list
 * there is one pool of workers per process, :data:`_KEPT`: every run
   leases it, from a :class:`~repro.qr.session.QRSession` or not, so workers
   are forked once (and ended by :func:`shutdown_workers` or at interpreter
-  exit);
+  exit), each bound to one CPU of the caller's own (:func:`_bind_to_cpu`);
 * there is one segment rule: a finished run's segment joins the
   process's free list (:data:`SPARE_SEGMENTS` of them, descriptor, views
   and record skeleton kept), and a later run under the same op list loads
@@ -145,6 +145,22 @@ def default_n_procs() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def _bind_to_cpu(rank: int) -> None:
+    """Bind this process (a freshly forked worker) to one CPU of the set it
+    inherited from the caller: rank ``k`` on the ``k % n``-th of its ``n``
+    CPUs in ascending order.  Unbound, the kernel may wake two workers on one
+    CPU and have them take turns there for the whole call; bound, each rank
+    — a respawned one or one added when the pool grows alike — has a run
+    queue of its own wherever the caller's mask allows it.  The caller is
+    never bound.  Where affinity cannot be set the worker just runs unbound.
+    """
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
+    except (AttributeError, OSError):  # no affinity calls here, or refused
+        pass
 
 
 @dataclass
@@ -403,6 +419,7 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     # worker is serving the run it thinks it is.
     _obs_record._RECORDER = None
     pin_process()  # kernels on one BLAS thread, whatever the parent runs on
+    _bind_to_cpu(rank)  # and on one CPU of the caller's own
     cached: Schedule | None = None  # the last job's op list, and its segment tables
     cached_share = None
     held: dict[str, tuple] = {}  # name -> (attachment, its schedule), oldest first

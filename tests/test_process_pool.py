@@ -655,6 +655,117 @@ class TestOversubscribedPoolSmoke:
         assert [validate([str(t)]) for t in traces] == [0, 0, 0]
 
 
+def bound_cpus():
+    """The caller's CPUs in the order the pool binds ranks to them."""
+    return sorted(os.sched_getaffinity(0))
+
+
+class TestBinding:
+    """Every pool worker runs on one CPU of the caller's own mask: rank ``k``
+    on ``cpus[k % len(cpus)]`` — at lease, after a death and when the pool
+    grows — while the caller itself is never bound."""
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_two_workers_run_on_two_cpus(self, matrix, serial):
+        cpus = bound_cpus()
+        f = one_shot(matrix)
+        pids = worker_pids()
+        bound = [os.sched_getaffinity(pids[f"qr-pool-{k}g0"]) for k in (0, 1)]
+        assert bound == [{cpus[0]}, {cpus[1]}]
+        assert os.sched_getaffinity(0) == set(cpus), "the caller was bound"
+        assert f.stats.mode == "parallel" and same_factors(f, serial)
+
+    def test_a_grown_pool_wraps_around_the_callers_cpus(self):
+        """In a child whose mask is at most two CPUs, a pool grown from two
+        workers to four binds rank ``k`` to ``cpus[k % len(cpus)]``."""
+        done = _run_child("""
+            cpus = sorted(os.sched_getaffinity(0))[-2:]
+            os.sched_setaffinity(0, cpus)
+            ref = qr_factor(a, **kw)
+            for k in (2, 4):
+                f = qr_factor(a, **kw, backend="parallel", n_procs=k)
+                assert f.stats.mode == "parallel" and np.array_equal(ref.R, f.R)
+            workers = {p.name: p.pid for p in mp.active_children()}
+            assert sorted(workers) == [f"qr-pool-{k}g0" for k in range(4)], workers
+            for k in range(4):
+                got = os.sched_getaffinity(workers[f"qr-pool-{k}g0"])
+                assert got == {cpus[k % len(cpus)]}, (k, got, cpus)
+            assert os.sched_getaffinity(0) == set(cpus), "the caller was bound"
+            print("ok")
+        """, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ok"]
+
+    def test_a_replacement_takes_its_ranks_cpu(self, matrix, serial, tmp_path, monkeypatch):
+        """A crash-plan job's replacement of rank 0 (generation 1) serves its
+        share on rank 0's CPU; every worker's mask is read as it starts to
+        serve, since a fault-plan job leaves no worker behind."""
+        serve = parallel_mod._serve_job
+
+        def spy(*args, **kw):
+            name = mp.current_process().name
+            (tmp_path / name).write_text(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
+            return serve(*args, **kw)
+
+        monkeypatch.setattr(parallel_mod, "_serve_job", spy)
+        cpus = bound_cpus()
+        crash = one_shot(matrix, fault_plan=FaultPlan(crash_workers={0: 0}))
+        assert (crash.stats.workers_died, crash.stats.workers_respawned) == (1, 1)
+        assert same_factors(crash, serial)
+        seen = {p.name: {int(c) for c in p.read_text().split()} for p in tmp_path.iterdir()}
+        assert seen == {"qr-pool-0g0": {cpus[0]}, "qr-pool-0g1": {cpus[0]},
+                        "qr-pool-1g0": {cpus[1 % len(cpus)]}}
+
+    def test_a_one_cpu_caller_gets_both_workers_on_its_cpu(self, tmp_path):
+        """Under a mask of one CPU both ranks wrap onto it — each worker sets
+        it, the caller sets nothing — and neither starves the other."""
+        log = tmp_path / "affinity.log"
+        done = _run_child(f"""
+            cpu = sorted(os.sched_getaffinity(0))[-1]
+            os.sched_setaffinity(0, {{cpu}})
+            real = os.sched_setaffinity
+
+            def logged(pid, mask):
+                with open({str(log)!r}, "a") as fh:
+                    fh.write(f"{{os.getpid()}} {{pid}} {{sorted(mask)}}\\n")
+                real(pid, mask)
+
+            os.sched_setaffinity = logged
+            ref = qr_factor(a, **kw)
+            f = qr_factor(a, **kw, backend="parallel", n_procs=2)
+            assert f.stats.mode == "parallel" and np.array_equal(ref.R, f.R)
+            assert np.array_equal(ref.solve(a[:, 0]), f.solve(a[:, 0]))
+            workers = [p.pid for p in mp.active_children()]
+            assert len(workers) == 2 and all(os.sched_getaffinity(w) == {{cpu}} for w in workers)
+            with open({str(log)!r}) as fh:
+                calls = sorted(fh.read().split("\\n")[:-1])
+            assert calls == sorted(f"{{w}} 0 [{{cpu}}]" for w in workers), calls
+            assert os.sched_getaffinity(0) == {{cpu}}
+            print("ok")
+        """, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ok"]
+
+    def test_a_refused_bind_leaves_the_worker_unbound(self, matrix, serial, tmp_path,
+                                                      monkeypatch):
+        """``sched_setaffinity`` refusing (patched before the fork) is no
+        error and no fallback: the call runs on workers with the caller's
+        mask."""
+        tried = tmp_path / "tried"
+
+        def refuse(pid, mask):
+            with open(tried, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        f = one_shot(matrix)
+        assert f.stats.mode == "parallel" and same_factors(f, serial)
+        pids = sorted(worker_pids().values())
+        assert sorted(int(p) for p in tried.read_text().split()) == pids
+        assert all(os.sched_getaffinity(p) == os.sched_getaffinity(0) for p in pids)
+
+
 class TestOneBlasThread:
     def test_every_backend_matches_a_pinned_child(self, monkeypatch):
         """OpenBLAS rounds tile kernels differently under one thread and under

@@ -50,7 +50,14 @@ segment (``stats.pipe_messages`` / ``bytes_in``, and ``bytes_out`` — bytes
 copied out — on a checkout whose runs count it; a row whose field the
 checkout lacks is left out) — all from the call with the shortest window.  Every
 table ends with this host's two-process probe: how much longer two CPU-bound
-children take than one (1.0: two cores delivered; 2.0: one).
+children take than one, once with the children unbound and once with each
+bound to a CPU of its own.  The unbound reading alone cannot tell "two cores
+delivered" (1.0) from two CPUs that queue both children on one of them (2.0,
+until the balancer splits them); the bound reading is near 1.0 wherever two
+cores are delivered (below it when the second CPU runs faster than the
+first, on which the lone child runs).  Under each table ``oneshot`` also prints every kept
+worker's CPU set and the CPU it last ran on (field 39 of
+``/proc/<pid>/stat``).
 ``qt`` times ``f.qt_matmul(b)`` (16 columns) on each bench geometry against a
 bare loop of the same f2py calls with every operand pre-resolved on one
 reused buffer, checks the two bit-equal and prints microseconds per record;
@@ -85,6 +92,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import threading  # noqa: E402
 import time  # noqa: E402
+from functools import partial  # noqa: E402
 
 import numpy as np  # noqa: E402
 from scipy.linalg import cython_lapack, lapack  # noqa: E402
@@ -614,10 +622,16 @@ def probe_oneshot(calls=7):
         print(f"  traced: pool.lease span {lease_ms[0]:.2f} ms on the first call, median "
               f"{statistics.median(lease_ms[1:]):.2f} ms on {calls - 1} repeats; "
               f"pool.spawns per call {spawns}")
+        print("  workers: " + "; ".join(
+            f"{p.name} on CPUs {_cpu_list(os.sched_getaffinity(p.pid))}, "
+            f"last ran on {_last_cpu(p.pid)}"
+            for p in sorted(mp.active_children(), key=lambda p: p.name)))
         # Beside every table: what the host delivered while it was taken.
         getattr(parallel, "shutdown_workers", lambda: None)()
-        one, two = _interleaved_minima(_burn_wall, rounds=3)
-        print(f"  two-process probe: two CPU-bound children take {two / one:.2f}x as long as one")
+        print("  two-process probe: two CPU-bound children take "
+              + ", ".join(f"{two / one:.2f}x as long as one {how}" for how, (one, two) in (
+                  ("unbound", _interleaved_minima(_burn_wall, rounds=3)),
+                  ("bound", _interleaved_minima(partial(_burn_wall, bound=True), rounds=3)))))
 
 
 # -- cold ----------------------------------------------------------------------
@@ -716,17 +730,38 @@ def probe_cold(runs=9):
               f"resource tracker ran: {bool(tracker)}")
 
 
-def _burn(out, n=2_000_000):
+def _cpu_list(cpus) -> str:
+    return ",".join(map(str, sorted(cpus)))
+
+
+def _last_cpu(pid) -> str:
+    """The CPU process ``pid`` last ran on: field 39 of ``/proc/<pid>/stat``
+    (counted after the parenthesised name, which may hold spaces)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[36]
+    except (OSError, IndexError):
+        return "?"
+
+
+def _burn(out, n=2_000_000, cpu=None):
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
     t0, x = time.perf_counter(), 0
     for i in range(n):
         x += i
     out.put(time.perf_counter() - t0)
 
 
-def _burn_wall(n_workers):
+def _burn_wall(n_workers, bound=False):
+    """Wall seconds of the slowest of ``n_workers`` CPU-bound children, each
+    bound to a CPU of its own (``k % n`` of this process's) when ``bound``."""
     ctx = mp.get_context("fork")
     out = ctx.Queue()
-    procs = [ctx.Process(target=_burn, args=(out,)) for _ in range(n_workers)]
+    cpus = sorted(os.sched_getaffinity(0))
+    procs = [ctx.Process(target=_burn, args=(out,),
+                         kwargs=dict(cpu=cpus[k % len(cpus)] if bound else None))
+             for k in range(n_workers)]
     for p in procs:
         p.start()
     times = [out.get(timeout=120) for _ in procs]
