@@ -26,7 +26,9 @@ their kernels under the GIL.  This module executes the *same* operation list
 * there is one pool of workers per process, :data:`_KEPT`: every run
   leases it, from a :class:`~repro.qr.session.QRSession` or not, so workers
   are forked once (and ended by :func:`shutdown_workers` or at interpreter
-  exit), each bound to one CPU of the caller's own (:func:`_bind_to_cpu`);
+  exit), each bound to one CPU of the caller's own (:func:`_bind_to_cpu`),
+  and a lease briefs the rank that shares the caller's CPU last
+  (:func:`_briefing_order`);
 * there is one segment rule: a finished run's segment joins the
   process's free list (:data:`SPARE_SEGMENTS` of them, descriptor, views
   and record skeleton kept), and a later run under the same op list loads
@@ -97,7 +99,7 @@ from ..obs.record import (
     K_WORKER_RESTART,
 )
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import _FORK_LOCK, SharedTileStore, descriptor
+from ..tiles.shared import _FORK_LOCK, _LIBC, SharedTileStore, descriptor
 from ..util.errors import ParallelExecutionError
 from ..util.validation import require
 from .checksum import SDCGuard
@@ -161,6 +163,25 @@ def _bind_to_cpu(rank: int) -> None:
         os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
     except (AttributeError, OSError):  # no affinity calls here, or refused
         pass
+
+
+#: The C library's ``sched_getcpu`` (the CPU the calling thread is on), or
+#: ``None`` where it has none.
+_SCHED_GETCPU = getattr(_LIBC, "sched_getcpu", None)
+
+
+def _briefing_order(k: int):
+    """Ranks ``0..k-1`` in the order a lease briefs them: the ranks bound to
+    the CPU the caller is on go last.  A worker woken on the caller's own CPU
+    can take it the moment its header lands, and the caller then briefs the
+    next rank only when the scheduler hands the CPU back — a millisecond or
+    more into the job, with that rank's whole share waiting."""
+    try:
+        here = _SCHED_GETCPU()
+        cpus = sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError, TypeError):  # no way to tell: rank order
+        return range(k)
+    return sorted(range(k), key=lambda rank: cpus[rank % len(cpus)] == here)
 
 
 @dataclass
@@ -561,7 +582,8 @@ class WorkerPool:
         self._share_of[rank] = share
 
     def lease(self, k: int, job: tuple) -> dict:
-        """Hand ranks ``0..k-1`` one job: respawn the dead, brief the rest.
+        """Hand ranks ``0..k-1`` one job: respawn the dead, brief the rest,
+        the rank that shares the caller's CPU last (:func:`_briefing_order`).
 
         ``job`` is the header :func:`_worker_main` documents with every
         rank's share in its last field (a worker is sent its own); its
@@ -573,7 +595,7 @@ class WorkerPool:
         """
         self._job = job
         spawned = reused = 0
-        for rank in range(k):
+        for rank in _briefing_order(k):
             p = self.procs.get(rank)
             if p is not None and p.is_alive():
                 try:

@@ -675,6 +675,24 @@ class TestBinding:
         assert os.sched_getaffinity(0) == set(cpus), "the caller was bound"
         assert f.stats.mode == "parallel" and same_factors(f, serial)
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_the_rank_on_the_callers_cpu_is_briefed_last(self, matrix, serial, monkeypatch):
+        """A worker woken on the caller's own CPU can take that CPU before the
+        caller has briefed the other rank, so a lease briefs it last."""
+        cpus = bound_cpus()
+        one_shot(matrix)
+        briefed, send = [], parallel_mod.WorkerPool._send_job
+
+        def spy(pool, rank):
+            briefed.append(rank)
+            return send(pool, rank)
+
+        monkeypatch.setattr(parallel_mod.WorkerPool, "_send_job", spy)
+        for here in cpus[:2]:
+            monkeypatch.setattr(parallel_mod, "_SCHED_GETCPU", lambda here=here: here)
+            assert same_factors(one_shot(matrix), serial)
+        assert briefed == [1, 0, 0, 1]
+
     def test_a_grown_pool_wraps_around_the_callers_cpus(self):
         """In a child whose mask is at most two CPUs, a pool grown from two
         workers to four binds rank ``k`` to ``cpus[k % len(cpus)]``."""
