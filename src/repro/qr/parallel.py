@@ -176,11 +176,9 @@ def _briefing_order(k: int):
     can take it the moment its header lands, and the caller then briefs the
     next rank only when the scheduler hands the CPU back — a millisecond or
     more into the job, with that rank's whole share waiting."""
-    try:
-        here = _SCHED_GETCPU()
-        cpus = sorted(os.sched_getaffinity(0))
-    except (AttributeError, OSError, TypeError):  # no way to tell: rank order
+    if _SCHED_GETCPU is None:  # no way to tell: rank order
         return range(k)
+    here, cpus = _SCHED_GETCPU(), sorted(os.sched_getaffinity(0))
     return sorted(range(k), key=lambda rank: cpus[rank % len(cpus)] == here)
 
 
