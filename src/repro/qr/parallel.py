@@ -26,9 +26,8 @@ their kernels under the GIL.  This module executes the *same* operation list
 * there is one pool of workers per process, :data:`_KEPT`: every run
   leases it, from a :class:`~repro.qr.session.QRSession` or not, so workers
   are forked once (and ended by :func:`shutdown_workers` or at interpreter
-  exit), each bound to one CPU of the caller's own (:func:`_bind_to_cpu`),
-  and a lease briefs the rank that shares the caller's CPU last
-  (:func:`_briefing_order`);
+  exit), and a job with at least one worker per CPU of the caller's binds
+  each of them to one of those CPUs (:func:`_bind_to_cpu`);
 * there is one segment rule: a finished run's segment joins the
   process's free list (:data:`SPARE_SEGMENTS` of them, descriptor, views
   and record skeleton kept), and a later run under the same op list loads
@@ -99,7 +98,7 @@ from ..obs.record import (
     K_WORKER_RESTART,
 )
 from ..tiles.matrix import TileMatrix
-from ..tiles.shared import _FORK_LOCK, _LIBC, SharedTileStore, descriptor
+from ..tiles.shared import _FORK_LOCK, SharedTileStore, descriptor
 from ..util.errors import ParallelExecutionError
 from ..util.validation import require
 from .checksum import SDCGuard
@@ -149,37 +148,24 @@ def default_n_procs() -> int:
         return os.cpu_count() or 1
 
 
-def _bind_to_cpu(rank: int) -> None:
-    """Bind this process (a freshly forked worker) to one CPU of the set it
-    inherited from the caller: rank ``k`` on the ``k % n``-th of its ``n``
-    CPUs in ascending order.  Unbound, the kernel may wake two workers on one
-    CPU and have them take turns there for the whole call; bound, each rank
-    — a respawned one or one added when the pool grows alike — has a run
-    queue of its own wherever the caller's mask allows it.  The caller is
-    never bound.  Where affinity cannot be set the worker just runs unbound.
+def _bind_to_cpu(rank: int, n_workers: int) -> None:
+    """Bind this process (a freshly forked worker of a job on ``n_workers``
+    workers) to one CPU of the ``n`` it inherited from the caller, when the
+    job has at least one worker per CPU: rank ``k`` on the ``k % n``-th in
+    ascending order.  Unbound, the kernel may wake two workers on one CPU
+    and have them take turns there for the whole call; bound, each rank — a
+    respawned one or one added when the pool grows alike — has a run queue
+    of its own, or shares one evenly when the pool outnumbers the CPUs.  A
+    job with fewer workers than CPUs leaves its workers unbound, free to
+    spread.  The caller is never bound.  Where affinity cannot be set the
+    worker just runs unbound.
     """
     try:
         cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
+        if n_workers >= len(cpus):
+            os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
     except (AttributeError, OSError):  # no affinity calls here, or refused
         pass
-
-
-#: The C library's ``sched_getcpu`` (the CPU the calling thread is on), or
-#: ``None`` where it has none.
-_SCHED_GETCPU = getattr(_LIBC, "sched_getcpu", None)
-
-
-def _briefing_order(k: int):
-    """Ranks ``0..k-1`` in the order a lease briefs them: the ranks bound to
-    the CPU the caller is on go last.  A worker woken on the caller's own CPU
-    can take it the moment its header lands, and the caller then briefs the
-    next rank only when the scheduler hands the CPU back — a millisecond or
-    more into the job, with that rank's whole share waiting."""
-    if _SCHED_GETCPU is None:  # no way to tell: rank order
-        return range(k)
-    here, cpus = _SCHED_GETCPU(), sorted(os.sched_getaffinity(0))
-    return sorted(range(k), key=lambda rank: cpus[rank % len(cpus)] == here)
 
 
 @dataclass
@@ -391,7 +377,8 @@ def _serve_job(store, ops: list[Op], ib: int, fault_plan, rank: int,
 _PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
 
 
-def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
+def _worker_main(rank: int, generation: int, conn: Connection, job,
+                 n_workers: int) -> None:
     """Worker process: serve factorization jobs until told to exit.
 
     Each job starts with a header
@@ -403,7 +390,9 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     so its first header rides in the spawn args — under ``fork`` the op
     list and the share are inherited, not pickled; later headers arrive on
     the pipe after each ``("endjob",)``, and a bare
-    ``None`` instead of a header ends the worker.
+    ``None`` instead of a header ends the worker.  ``n_workers`` is the
+    worker count of the job it was spawned for, which decides whether it
+    binds itself to a CPU (:func:`_bind_to_cpu`).
 
     ``shm_name`` is the segment's string id; the segment itself arrives as
     a descriptor on the same socket, right after any header that carries a
@@ -438,7 +427,7 @@ def _worker_main(rank: int, generation: int, conn: Connection, job) -> None:
     # worker is serving the run it thinks it is.
     _obs_record._RECORDER = None
     pin_process()  # kernels on one BLAS thread, whatever the parent runs on
-    _bind_to_cpu(rank)  # and on one CPU of the caller's own
+    _bind_to_cpu(rank, n_workers)  # and on one CPU of the caller's own
     cached: Schedule | None = None  # the last job's op list, and its segment tables
     cached_share = None
     held: dict[str, tuple] = {}  # name -> (attachment, its schedule), oldest first
@@ -543,7 +532,8 @@ class WorkerPool:
             parent_conn, child_conn = self._ctx.Pipe()
             _PARENT_ENDS.add(parent_conn)
         p = self._ctx.Process(target=_worker_main,
-                              args=(rank, generation, child_conn, self._job[:-1] + (share,)),
+                              args=(rank, generation, child_conn, self._job[:-1] + (share,),
+                                    len(self._job[-1])),
                               daemon=True, name=f"qr-pool-{rank}g{generation}")
         p.start()
         child_conn.close()
@@ -580,8 +570,7 @@ class WorkerPool:
         self._share_of[rank] = share
 
     def lease(self, k: int, job: tuple) -> dict:
-        """Hand ranks ``0..k-1`` one job: respawn the dead, brief the rest,
-        the rank that shares the caller's CPU last (:func:`_briefing_order`).
+        """Hand ranks ``0..k-1`` one job: respawn the dead, brief the rest.
 
         ``job`` is the header :func:`_worker_main` documents with every
         rank's share in its last field (a worker is sent its own); its
@@ -593,7 +582,7 @@ class WorkerPool:
         """
         self._job = job
         spawned = reused = 0
-        for rank in _briefing_order(k):
+        for rank in range(k):
             p = self.procs.get(rank)
             if p is not None and p.is_alive():
                 try:

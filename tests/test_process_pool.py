@@ -655,19 +655,30 @@ class TestOversubscribedPoolSmoke:
         assert [validate([str(t)]) for t in traces] == [0, 0, 0]
 
 
-def bound_cpus():
-    """The caller's CPUs in the order the pool binds ranks to them."""
-    return sorted(os.sched_getaffinity(0))
+@pytest.fixture
+def cpus():
+    """Narrow this process's own mask to at most its first two CPUs for one
+    test, so a two-worker job has at least one worker per CPU wherever the
+    suite runs; every worker of the test is forked under it.  Returns them
+    in the order the pool binds ranks to them."""
+    mask, restore = os.sched_getaffinity(0), os.sched_setaffinity
+    narrowed = sorted(mask)[:2]
+    shutdown_workers()
+    restore(0, narrowed)
+    yield narrowed
+    shutdown_workers()
+    restore(0, mask)
 
 
 class TestBinding:
-    """Every pool worker runs on one CPU of the caller's own mask: rank ``k``
-    on ``cpus[k % len(cpus)]`` — at lease, after a death and when the pool
-    grows — while the caller itself is never bound."""
+    """A job with at least one worker per CPU of the caller's mask binds
+    every worker to one of them: rank ``k`` on ``cpus[k % len(cpus)]`` — at
+    lease, after a death and when the pool grows.  A job with fewer workers
+    than CPUs leaves them unbound, and the caller itself is never bound."""
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
-    def test_two_workers_run_on_two_cpus(self, matrix, serial):
-        cpus = bound_cpus()
+    def test_two_workers_run_on_two_cpus(self, cpus, matrix, serial):
+        if len(cpus) < 2:
+            pytest.skip("needs two usable CPUs")
         f = one_shot(matrix)
         pids = worker_pids()
         bound = [os.sched_getaffinity(pids[f"qr-pool-{k}g0"]) for k in (0, 1)]
@@ -675,23 +686,33 @@ class TestBinding:
         assert os.sched_getaffinity(0) == set(cpus), "the caller was bound"
         assert f.stats.mode == "parallel" and same_factors(f, serial)
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
-    def test_the_rank_on_the_callers_cpu_is_briefed_last(self, matrix, serial, monkeypatch):
-        """A worker woken on the caller's own CPU can take that CPU before the
-        caller has briefed the other rank, so a lease briefs it last."""
-        cpus = bound_cpus()
-        one_shot(matrix)
-        briefed, send = [], parallel_mod.WorkerPool._send_job
+    def test_a_job_with_fewer_workers_than_cpus_binds_none(self):
+        """The rule as a forked worker applies it: under a mask of ``n`` CPUs
+        a worker of a job on fewer than ``n`` workers keeps the mask."""
+        done = _run_child("""
+            from repro.qr.parallel import _bind_to_cpu
+            cpus = sorted(os.sched_getaffinity(0))
+            for n_workers, rank, want in ((len(cpus) - 1, 0, set(cpus)),
+                                          (len(cpus), 1, {cpus[1 % len(cpus)]}),
+                                          (len(cpus) + 1, len(cpus), {cpus[0]})):
+                pid = os.fork()
+                if pid == 0:
+                    _bind_to_cpu(rank, n_workers)
+                    os._exit(0 if os.sched_getaffinity(0) == want else 1)
+                assert os.waitpid(pid, 0)[1] == 0, (n_workers, rank, want)
+            assert os.sched_getaffinity(0) == set(cpus), "the caller was bound"
+            print("ok")
+        """, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ok"]
 
-        def spy(pool, rank):
-            briefed.append(rank)
-            return send(pool, rank)
-
-        monkeypatch.setattr(parallel_mod.WorkerPool, "_send_job", spy)
-        for here in cpus[:2]:
-            monkeypatch.setattr(parallel_mod, "_SCHED_GETCPU", lambda here=here: here)
-            assert same_factors(one_shot(matrix), serial)
-        assert briefed == [1, 0, 0, 1]
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 3, reason="needs three usable CPUs")
+    def test_two_workers_on_more_cpus_float(self, matrix, serial):
+        shutdown_workers()
+        f = one_shot(matrix)
+        assert f.stats.mode == "parallel" and same_factors(f, serial)
+        assert all(os.sched_getaffinity(pid) == os.sched_getaffinity(0)
+                   for pid in worker_pids().values())
 
     def test_a_grown_pool_wraps_around_the_callers_cpus(self):
         """In a child whose mask is at most two CPUs, a pool grown from two
@@ -714,7 +735,8 @@ class TestBinding:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["ok"]
 
-    def test_a_replacement_takes_its_ranks_cpu(self, matrix, serial, tmp_path, monkeypatch):
+    def test_a_replacement_takes_its_ranks_cpu(self, cpus, matrix, serial, tmp_path,
+                                               monkeypatch):
         """A crash-plan job's replacement of rank 0 (generation 1) serves its
         share on rank 0's CPU; every worker's mask is read as it starts to
         serve, since a fault-plan job leaves no worker behind."""
@@ -726,7 +748,6 @@ class TestBinding:
             return serve(*args, **kw)
 
         monkeypatch.setattr(parallel_mod, "_serve_job", spy)
-        cpus = bound_cpus()
         crash = one_shot(matrix, fault_plan=FaultPlan(crash_workers={0: 0}))
         assert (crash.stats.workers_died, crash.stats.workers_respawned) == (1, 1)
         assert same_factors(crash, serial)
@@ -764,8 +785,8 @@ class TestBinding:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["ok"]
 
-    def test_a_refused_bind_leaves_the_worker_unbound(self, matrix, serial, tmp_path,
-                                                      monkeypatch):
+    def test_a_refused_bind_leaves_the_worker_unbound(self, cpus, matrix, serial,
+                                                      tmp_path, monkeypatch):
         """``sched_setaffinity`` refusing (patched before the fork) is no
         error and no fallback: the call runs on workers with the caller's
         mask."""
@@ -781,7 +802,7 @@ class TestBinding:
         assert f.stats.mode == "parallel" and same_factors(f, serial)
         pids = sorted(worker_pids().values())
         assert sorted(int(p) for p in tried.read_text().split()) == pids
-        assert all(os.sched_getaffinity(p) == os.sched_getaffinity(0) for p in pids)
+        assert all(os.sched_getaffinity(p) == set(cpus) for p in pids)
 
 
 class TestOneBlasThread:
