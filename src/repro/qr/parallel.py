@@ -157,7 +157,8 @@ def _bind_to_cpu(rank: int, n_workers: int) -> None:
     respawned one or one added when the pool grows alike — has a run queue
     of its own, or shares one evenly when the pool outnumbers the CPUs.  A
     job with fewer workers than CPUs leaves its workers unbound, free to
-    spread.  The caller is never bound.  Where affinity cannot be set the
+    spread; a worker keeps what its first job settled when a later job of
+    another size reuses it.  The caller is never bound.  Where affinity cannot be set the
     worker just runs unbound.
     """
     try:
