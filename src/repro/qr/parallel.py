@@ -158,8 +158,8 @@ def _bind_to_cpu(rank: int, n_workers: int) -> None:
     of its own, or shares one evenly when the pool outnumbers the CPUs.  A
     job with fewer workers than CPUs leaves its workers unbound, free to
     spread; a worker keeps what its first job settled when a later job of
-    another size reuses it.  The caller is never bound.  Where affinity cannot be set the
-    worker just runs unbound.
+    another size reuses it.  The caller is never bound.  Where affinity
+    cannot be set the worker just runs unbound.
     """
     try:
         cpus = sorted(os.sched_getaffinity(0))
